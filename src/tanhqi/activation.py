@@ -17,7 +17,6 @@ h(x) = c1 * tanh(alpha x + phi) + c2 with phi = log((1+q)/(1-q))/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,24 +87,3 @@ def h_limits(params: ActivationParams) -> tuple[float, float]:
     q = params.q
     return (-q / (1.0 - q), 1.0 / (1.0 + q))
 
-
-def h_bound(params: ActivationParams) -> float:
-    """Uniform bound B(q) = max(1/(1+q), q/(1-q)) on |h|."""
-    lo, hi = h_limits(params)
-    return max(abs(lo), abs(hi))
-
-
-def h_center_value(params: ActivationParams) -> float:
-    """h(0) = (1-q)/2; nonzero for every admissible q, so h is not odd."""
-    return (1.0 - params.q) / 2.0
-
-
-def h_shift(params: ActivationParams) -> float:
-    """Center offset phi/alpha of the underlying shifted tanh.
-
-    Writing h(x) = c1 tanh(alpha x + phi) + c2 gives
-    phi = log((1+q)/(1-q)) / 2.  The kernel built from h is symmetric
-    about -phi/alpha, which is why its first moment does not vanish.
-    """
-    q = params.q
-    return 0.5 * math.log((1.0 + q) / (1.0 - q)) / params.alpha

@@ -5,6 +5,10 @@ log(1/n), so slope r means error ~ C n^(-r).  Every experiment measures
 errors in the sup norm over a fixed evaluation grid (the mean over the
 grid is recorded alongside), and every report says so in its note.
 
+``sweep`` is the one loop over n values and evaluation points; each
+experiment supplies a per-n operator and a target.  The ``check_*``
+functions are the experiments' preconditions, callable without a run.
+
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
 lattice sites would otherwise collapse to rounding noise and corrupt
@@ -15,6 +19,7 @@ counted), since they sit on the rounding floor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -30,6 +35,11 @@ __all__ = [
     "grid_points",
     "sup_error",
     "rate_fit",
+    "check_grid",
+    "check_sweep",
+    "check_m_max",
+    "check_fractional",
+    "sweep",
     "operator_convergence",
     "residual_orders",
     "fractional_rate",
@@ -79,6 +89,17 @@ class ConvergenceReport:
         return cls.from_dict(json.loads(text))
 
 
+def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
+    """The box as float pairs once grid_points' checks pass, without building the grid."""
+    if not (isinstance(points_per_axis, (int, np.integer)) and points_per_axis >= 1):
+        raise ValueError(f"need an integer >= 1 of points per axis, got {points_per_axis!r}")
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ValueError(f"grid axis ({lo}, {hi}) must be finite and non-empty")
+    return box
+
+
 def grid_points(box, points_per_axis: int) -> np.ndarray:
     """Evaluation points of shape (points^N, N), offset off lattice sites.
 
@@ -86,14 +107,8 @@ def grid_points(box, points_per_axis: int) -> np.ndarray:
     fraction 1/202 into every cell, so samples never coincide with any
     k/n for the n values used in sweeps.
     """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if points_per_axis < 1:
-        raise ValueError("need at least one point per axis")
-    for lo, hi in box:
-        if not hi > lo:
-            raise ValueError(f"empty grid axis ({lo}, {hi})")
     axes = []
-    for lo, hi in box:
+    for lo, hi in check_grid(box, points_per_axis):
         step = (hi - lo) / points_per_axis
         axes.append(lo + (np.arange(points_per_axis) + GRID_SHIFT) * step)
     grids = np.meshgrid(*axes, indexing="ij")
@@ -105,7 +120,9 @@ def sup_error(apply_fn, target_fn, pts: np.ndarray) -> tuple[float, float]:
 
     Points are visited in grid order; the mean uses numpy's pairwise
     summation, so the aggregate is deterministic for a given grid.
-    Failures inside apply_fn are re-raised with the offending point.
+    Failures inside apply_fn are re-raised with the offending point, as
+    the same exception type when it takes a single message argument and
+    as a RuntimeError otherwise.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.size == 0:
@@ -115,7 +132,12 @@ def sup_error(apply_fn, target_fn, pts: np.ndarray) -> tuple[float, float]:
         try:
             errs[i] = abs(float(apply_fn(pt)) - float(target_fn(pt)))
         except Exception as exc:
-            raise type(exc)(f"{exc} (at evaluation point {pt.tolist()})") from exc
+            msg = f"{exc} (at evaluation point {pt.tolist()})"
+            try:
+                located = type(exc)(msg)
+            except TypeError:
+                located = RuntimeError(msg)
+            raise located from exc
     return float(np.max(errs)), float(np.mean(errs))
 
 
@@ -138,23 +160,81 @@ def rate_fit(rows, floor: float = 0.0) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r2)
 
 
-def _fit_rows(rows):
-    kept = [(r.n, r.sup_error) for r in rows]
-    excluded = sum(1 for r in rows if r.sup_error <= ERROR_FLOOR)
-    try:
-        slope, intercept, r2 = rate_fit(kept, floor=ERROR_FLOOR)
-        note = NORM_NOTE
-    except ValueError:
-        slope = intercept = r2 = None
-        note = NORM_NOTE + "; fit skipped: not enough rows above the rounding floor"
-    return slope, intercept, r2, excluded, note
-
-
-def _sorted_sweep(n_sweep):
+def check_sweep(n_sweep) -> list[int]:
+    """The distinct n values of a sweep in ascending order; all must be >= 1."""
     ns = sorted(set(int(n) for n in n_sweep))
     if not ns or ns[0] < 1:
         raise ValueError(f"n sweep must contain positive integers, got {n_sweep!r}")
     return ns
+
+
+def check_m_max(m_max: int) -> None:
+    """Precondition of residual_orders: the highest correction order lies in 0..4."""
+    if not (isinstance(m_max, (int, np.integer)) and 0 <= m_max <= 4):
+        raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
+
+
+def check_fractional(f, box) -> None:
+    """Preconditions of fractional_rate: a monomial preset and a strictly positive box."""
+    if f.power is None:
+        raise ValueError(
+            f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets"
+        )
+    if any(float(lo) <= 0.0 for lo, _ in box):
+        raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
+
+
+def sweep(
+    apply_for,
+    target_fn,
+    pts: np.ndarray,
+    n_sweep,
+    config: dict,
+    target_description: str,
+    claimed_exponent: str | None = None,
+) -> ConvergenceReport:
+    """Error rows over the n sweep, their log-log fit, and the report.
+
+    ``apply_for(n)`` returns the per-point callable for lattice density
+    n; it is measured against ``target_fn`` over ``pts`` by sup_error,
+    once per distinct n in ascending order.  Rows on the rounding floor
+    are counted and left out of the fit; with fewer than three rows
+    above it the fit is skipped and the note says so.
+    """
+    rows = []
+    for n in check_sweep(n_sweep):
+        sup, mean = sup_error(apply_for(n), target_fn, pts)
+        rows.append(Row(n, sup, mean))
+    try:
+        slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=ERROR_FLOOR)
+        note = NORM_NOTE
+    except ValueError:
+        slope = intercept = r2 = None
+        note = NORM_NOTE + "; fit skipped: not enough rows above the rounding floor"
+    return ConvergenceReport(
+        config=config,
+        rows=tuple(rows),
+        fitted_slope=slope,
+        intercept=intercept,
+        r_squared=r2,
+        target_description=target_description,
+        claimed_exponent=claimed_exponent,
+        excluded_rows=sum(1 for r in rows if r.sup_error <= ERROR_FLOOR),
+        note=note,
+    )
+
+
+def _sweep_config(kernel: DensityKernel, f, n_sweep, box, points_per_axis: int, **extra) -> dict:
+    return {
+        "preset": f.name,
+        "q": kernel.params.q,
+        "alpha": kernel.params.alpha,
+        "eps_trunc": kernel.eps_trunc,
+        "n_sweep": check_sweep(n_sweep),
+        "box": [list(b) for b in box],
+        "points_per_axis": points_per_axis,
+        **extra,
+    }
 
 
 def operator_convergence(
@@ -171,32 +251,15 @@ def operator_convergence(
         raise ValueError(f"operator_convergence covers 'basic' and 'kantorovich', got {kind!r}")
     pts = grid_points(box, points_per_axis)
     apply_fn = apply_basic if kind == "basic" else apply_kantorovich
-    rows = []
-    for n in _sorted_sweep(n_sweep):
+
+    def apply_for(n):
         cfg = OperatorConfig(kind=kind, n=n, kernel=kernel, quad_nodes=quad_nodes)
-        sup, mean = sup_error(lambda p: apply_fn(cfg, f, p), lambda p: f.value(*p), pts)
-        rows.append(Row(n, sup, mean))
-    slope, intercept, r2, excluded, note = _fit_rows(rows)
-    return ConvergenceReport(
-        config={
-            "operator": kind,
-            "preset": f.name,
-            "q": kernel.params.q,
-            "alpha": kernel.params.alpha,
-            "eps_trunc": kernel.eps_trunc,
-            "n_sweep": [r.n for r in rows],
-            "box": [list(b) for b in box],
-            "points_per_axis": points_per_axis,
-            "quad_nodes": quad_nodes,
-        },
-        rows=tuple(rows),
-        fitted_slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        target_description=f"{f.name} (the sampled function itself)",
-        excluded_rows=excluded,
-        note=note,
-    )
+        return lambda p: apply_fn(cfg, f, p)
+
+    config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
+                           operator=kind, quad_nodes=quad_nodes)
+    return sweep(apply_for, lambda p: f.value(*p), pts, n_sweep, config,
+                 f"{f.name} (the sampled function itself)")
 
 
 def residual_orders(
@@ -213,51 +276,30 @@ def residual_orders(
     each further m subtracts the moment correction of that order.
     Fitted slopes are non-decreasing in m for smooth presets.
     """
-    if not (isinstance(m_max, (int, np.integer)) and 0 <= m_max <= 4):
-        raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
+    check_m_max(m_max)
     if m_max > f.smoothness:
         raise ValueError(
             f"m_max = {m_max} exceeds the smoothness grade {f.smoothness} of preset {f.name!r}"
         )
     pts = grid_points(box, points_per_axis)
-    ns = _sorted_sweep(n_sweep)
     reports = []
     for m in range(m_max + 1):
-        rows = []
-        for n in ns:
+
+        def apply_for(n, m=m):
             cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
 
-            def residual(p, n=n, m=m, cfg=cfg):
+            def residual(p):
                 r = apply_basic(cfg, f, p) - float(f.value(*p))
                 if m >= 1:
                     r -= voronovskaya_correction(kernel, f, p, n, m)
                 return r
 
-            sup, mean = sup_error(residual, lambda p: 0.0, pts)
-            rows.append(Row(n, sup, mean))
-        slope, intercept, r2, excluded, note = _fit_rows(rows)
-        reports.append(
-            ConvergenceReport(
-                config={
-                    "experiment": "voronovskaya-residual",
-                    "preset": f.name,
-                    "q": kernel.params.q,
-                    "alpha": kernel.params.alpha,
-                    "eps_trunc": kernel.eps_trunc,
-                    "m": m,
-                    "n_sweep": ns,
-                    "box": [list(b) for b in box],
-                    "points_per_axis": points_per_axis,
-                },
-                rows=tuple(rows),
-                fitted_slope=slope,
-                intercept=intercept,
-                r_squared=r2,
-                target_description=f"residual after the order-{m} moment correction",
-                excluded_rows=excluded,
-                note=note,
-            )
-        )
+            return residual
+
+        config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
+                               experiment="voronovskaya-residual", m=m)
+        reports.append(sweep(apply_for, lambda p: 0.0, pts, n_sweep, config,
+                             f"residual after the order-{m} moment correction"))
     return reports
 
 
@@ -273,47 +315,27 @@ def fractional_rate(
     """Error sweep of the fractional operator against the D^beta f oracle.
 
     The preset must be a pure monomial so the power rule supplies the
-    target.  The report echoes the advertised exponent "m - beta" for
-    reference; the measured slope is what the rows actually support
-    (the operator's own first-order moment term caps it near one).
+    target, and the box must have positive lower corners.  The report
+    echoes the advertised exponent "m - beta" for reference; the
+    measured slope is what the rows actually support (the operator's
+    own first-order moment term caps it near one).
     """
-    if f.power is None:
-        raise ValueError(
-            f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets"
-        )
+    check_fractional(f, box)
     pts = grid_points(box, points_per_axis)
-    if np.any(pts <= 0.0):
-        raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    rows = []
-    for n in _sorted_sweep(n_sweep):
+
+    def apply_for(n):
         cfg = OperatorConfig(kind="fractional", n=n, kernel=kernel, beta=beta, frac_step=frac_step)
-        sup, mean = sup_error(
-            lambda p: apply_fractional(cfg, f, p),
-            lambda p: power_rule_oracle(f.power, beta, float(p[0])),
-            pts,
-        )
-        rows.append(Row(n, sup, mean))
-    slope, intercept, r2, excluded, note = _fit_rows(rows)
+        return lambda p: apply_fractional(cfg, f, p)
+
+    config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
+                           experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
-    return ConvergenceReport(
-        config={
-            "experiment": "fractional-rate",
-            "preset": f.name,
-            "beta": beta,
-            "frac_step": frac_step,
-            "q": kernel.params.q,
-            "alpha": kernel.params.alpha,
-            "eps_trunc": kernel.eps_trunc,
-            "n_sweep": [r.n for r in rows],
-            "box": [list(b) for b in box],
-            "points_per_axis": points_per_axis,
-        },
-        rows=tuple(rows),
-        fitted_slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        target_description="D^beta f (oracle)",
+    return sweep(
+        apply_for,
+        lambda p: power_rule_oracle(f.power, beta, float(p[0])),
+        pts,
+        n_sweep,
+        config,
+        "D^beta f (oracle)",
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; recorded, not asserted",
-        excluded_rows=excluded,
-        note=note,
     )

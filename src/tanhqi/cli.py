@@ -23,32 +23,31 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
 from dataclasses import asdict, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .activation import ActivationParams
 from .analysis import (
-    ConvergenceReport,
-    Row,
+    check_fractional,
+    check_grid,
+    check_m_max,
+    check_sweep,
     fractional_rate,
     grid_points,
     operator_convergence,
-    rate_fit,
     residual_orders,
-    sup_error,
-    ERROR_FLOOR,
-    NORM_NOTE,
+    sweep,
 )
 from .fractional import FracConfig
 from .kernel import DensityKernel, MultiIndex, moment, psi_eval
 from .manifold import DiagnosticError, MetricKernel, chart_preset, operator_on_chart
-from .operators import OPERATOR_KINDS
+from .operators import OperatorConfig
 from .presets import function_preset, preset_names
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
-
-COMMANDS = ("converge", "voronovskaya", "frac", "kernel-dump", "manifold")
 
 
 class ConfigError(ValueError):
@@ -98,6 +97,8 @@ _DEFAULTS = {
 }
 
 _REQUIRED_PRESET = ("converge", "frac")
+# commands whose box has one axis per preset coordinate; the rest use one axis
+_PRESET_AXES = ("converge", "manifold")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="operator error sweep over n",
                        description="Sweep |operator(f) - f| over n and fit the log-log rate. "
                                    "CSV columns: n,sup_error,mean_error.")
-    add_common(p, " (one axis)")
+    add_common(p, " (one entry per preset coordinate)")
     p.add_argument("--operator", choices=("basic", "kantorovich"),
                    help="operator variant; default basic")
     p.add_argument("--preset", help=f"sampled function, one of: {', '.join(preset_names())}")
@@ -203,11 +204,29 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(data) - known)
+    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = sorted(set(data) - set(known))
     if unknown:
         raise ConfigError(f"config file {path!r} has unknown keys: {', '.join(unknown)}")
+    hints = get_type_hints(ExperimentConfig)
+    for key, value in data.items():
+        # null leaves the default in place, as if the key were absent
+        if value is not None and not _has_type(value, hints[key]):
+            raise ConfigError(
+                f"config file {path!r}: {key} must be {known[key]}, got {value!r}"
+            )
     return data
+
+
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value fits an ExperimentConfig annotation; a bool is no number."""
+    if get_origin(tp) is types.UnionType:
+        return any(_has_type(value, t) for t in get_args(tp))
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 def merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -235,65 +254,39 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    try:
-        ActivationParams(cfg.q, cfg.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not (0.0 < cfg.trunc_eps < 1.0):
-        raise ConfigError(f"--trunc-eps must lie in (0, 1), got {cfg.trunc_eps!r}")
-    if cfg.operator not in ("basic", "kantorovich"):
-        raise ConfigError(f"--operator must be basic or kantorovich, got {cfg.operator!r}")
+    """Apply the rules only the CLI has, then let the library check the rest.
+
+    Range checks belong to the library objects and preconditions built
+    here (kernel, fractional and operator configs, grid, correction
+    order, fractional target); they raise the ValueError a run would,
+    so --print-config rejects the same configs.
+    """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
+    if not cfg.out:
+        raise ConfigError("--out must not be empty")
     if cfg.preset is None and cfg.command in _REQUIRED_PRESET:
         raise ConfigError(f"missing required flag --preset for command {cfg.command!r}")
-    if cfg.preset is not None:
-        try:
-            function_preset(cfg.preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    try:
-        FracConfig(cfg.beta, cfg.frac_step)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not (isinstance(cfg.quad_nodes, int) and cfg.quad_nodes >= 2):
-        raise ConfigError(f"--quad-nodes must be an integer >= 2, got {cfg.quad_nodes!r}")
-    if not (isinstance(cfg.m_max, int) and 0 <= cfg.m_max <= 4):
-        raise ConfigError(f"--m-max must lie in 0..4, got {cfg.m_max!r}")
-    if not cfg.n_sweep or any((not isinstance(n, int)) or n < 1 for n in cfg.n_sweep):
-        raise ConfigError(f"--n needs positive integers, got {cfg.n_sweep!r}")
     if cfg.command == "kernel-dump" and len(cfg.n_sweep) != 1:
         raise ConfigError("--n must hold exactly one value for kernel-dump")
-    if not isinstance(cfg.grid_lo, list) or not isinstance(cfg.grid_hi, list):
-        raise ConfigError("--grid-lo and --grid-hi must be float lists")
     if len(cfg.grid_lo) != len(cfg.grid_hi):
         raise ConfigError(
             f"--grid-lo has {len(cfg.grid_lo)} entries, --grid-hi has {len(cfg.grid_hi)}"
         )
-    expected_axes = 2 if cfg.command == "manifold" else 1
-    if cfg.command == "manifold":
-        dim = function_preset(cfg.preset).dim if cfg.preset else 2
-        expected_axes = dim
+    preset = None if cfg.preset is None else function_preset(cfg.preset)
+    expected_axes = preset.dim if cfg.command in _PRESET_AXES else 1
     if len(cfg.grid_lo) != expected_axes:
         raise ConfigError(
             f"{cfg.command} needs {expected_axes} grid axis/axes, got {len(cfg.grid_lo)}"
         )
-    for lo, hi in zip(cfg.grid_lo, cfg.grid_hi):
-        if not hi > lo:
-            raise ConfigError(f"grid axis ({lo}, {hi}) is empty")
-    if not (isinstance(cfg.grid_points, int) and cfg.grid_points >= 1):
-        raise ConfigError(f"--grid-points must be an integer >= 1, got {cfg.grid_points!r}")
+    kernel = _kernel_for(cfg)
+    FracConfig(cfg.beta, cfg.frac_step)
+    for n in check_sweep(cfg.n_sweep):
+        OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
+    check_grid(cfg.box(), cfg.grid_points)
+    check_m_max(cfg.m_max)
     if cfg.command == "frac":
-        if any(lo <= 0.0 for lo in cfg.grid_lo):
-            raise ConfigError("frac needs a strictly positive evaluation box")
-        if function_preset(cfg.preset).power is None:
-            raise ConfigError(
-                f"preset {cfg.preset!r} is not a monomial; the oracle needs t^p presets"
-            )
-    if not cfg.out:
-        raise ConfigError("--out must not be empty")
+        check_fractional(preset, cfg.box())
 
 
 def _format_value(v) -> str:
@@ -334,13 +327,10 @@ def run_converge(cfg: ExperimentConfig) -> None:
 
 
 def run_voronovskaya(cfg: ExperimentConfig) -> None:
-    preset = function_preset(cfg.preset)
-    try:
-        reports = residual_orders(
-            _kernel_for(cfg), preset, cfg.box(), cfg.grid_points, cfg.n_sweep, cfg.m_max
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    reports = residual_orders(
+        _kernel_for(cfg), function_preset(cfg.preset), cfg.box(), cfg.grid_points,
+        cfg.n_sweep, cfg.m_max,
+    )
     rows = []
     for m, report in enumerate(reports):
         report.config["cli"] = cfg.to_dict()
@@ -379,35 +369,14 @@ def run_kernel_dump(cfg: ExperimentConfig) -> None:
 
 def run_manifold(cfg: ExperimentConfig) -> None:
     preset = function_preset(cfg.preset)
-    try:
-        chart = chart_preset(cfg.chart, dim=preset.dim)
-        mk = MetricKernel(_kernel_for(cfg), chart)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    pts = grid_points(cfg.box(), cfg.grid_points)
-    rows = []
-    for n in sorted(set(cfg.n_sweep)):
-        sup, mean = sup_error(
-            lambda p, n=n: operator_on_chart(mk, preset, n, p),
-            lambda p: preset.value(*p),
-            pts,
-        )
-        rows.append(Row(n, sup, mean))
-    try:
-        slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=ERROR_FLOOR)
-        note = NORM_NOTE
-    except ValueError:
-        slope = intercept = r2 = None
-        note = NORM_NOTE + "; fit skipped: not enough rows above the rounding floor"
-    report = ConvergenceReport(
-        config={"cli": cfg.to_dict(), "chart": cfg.chart, "mode": mk.mode},
-        rows=tuple(rows),
-        fitted_slope=slope,
-        intercept=intercept,
-        r_squared=r2,
-        target_description=f"{preset.name} on the {cfg.chart} chart (the sampled function itself)",
-        excluded_rows=sum(1 for r in rows if r.sup_error <= ERROR_FLOOR),
-        note=note,
+    mk = MetricKernel(_kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim))
+    report = sweep(
+        lambda n: lambda p: operator_on_chart(mk, preset, n, p),
+        lambda p: preset.value(*p),
+        grid_points(cfg.box(), cfg.grid_points),
+        cfg.n_sweep,
+        {"cli": cfg.to_dict(), "chart": cfg.chart, "mode": mk.mode},
+        f"{preset.name} on the {cfg.chart} chart (the sampled function itself)",
     )
     _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
 

@@ -31,6 +31,7 @@ __all__ = [
     "normalization_constant",
     "truncation_radius",
     "psi_eval",
+    "window_weights",
     "partition_sum",
     "z_eval",
     "moment",
@@ -101,10 +102,20 @@ def lattice_window(kernel: DensityKernel, u: float) -> np.ndarray:
     return np.arange(math.ceil(u - w), math.floor(u + w) + 1)
 
 
+def window_weights(kernel: DensityKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice window ks around u and the kernel weights psi(u - ks).
+
+    Every lattice sum in the package (partition sums, moments, the
+    operators) draws its integers and weights from here; u = n x for a
+    sum over k/n near x.
+    """
+    ks = lattice_window(kernel, u)
+    return ks, psi_eval(kernel, u - ks)
+
+
 def partition_sum(kernel: DensityKernel, x: float) -> float:
     """Truncated lattice sum sum_k psi(x - k); equals 1 up to the tail mass."""
-    ks = lattice_window(kernel, x)
-    return float(np.sum(psi_eval(kernel, x - ks)))
+    return float(np.sum(window_weights(kernel, x)[1]))
 
 
 def z_eval(kernel: DensityKernel, x) -> float:
@@ -157,9 +168,7 @@ def multi_indices(dim: int, min_order: int, max_order: int) -> tuple:
 
 
 def _axis_moment(kernel: DensityKernel, p: int, xi: float, n: int) -> float:
-    u = n * xi
-    ks = lattice_window(kernel, u)
-    weights = psi_eval(kernel, u - ks)
+    ks, weights = window_weights(kernel, n * xi)
     if p == 0:
         return float(np.sum(weights))
     return float(((ks / n - xi) ** p) @ weights)

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .activation import ActivationParams, h_eval
-from .kernel import DensityKernel, lattice_window, psi_eval
+from .kernel import DensityKernel, psi_eval, window_weights
 
 __all__ = [
     "Chart",
@@ -242,8 +242,7 @@ def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
     if not chart.contains(xs):
         raise ValueError(f"point {xs.tolist()} lies outside the {chart.name!r} chart domain")
-    ks = [lattice_window(mk.kernel, n * xi) for xi in xs]
-    ws = [psi_eval(mk.kernel, n * xi - k) for xi, k in zip(xs, ks)]
+    ks, ws = zip(*(window_weights(mk.kernel, n * xi) for xi in xs))
     grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
     pts = chart.coords(np.stack(grids, axis=-1))
     for i, (lo, hi) in enumerate(chart.domain):

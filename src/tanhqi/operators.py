@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import FracConfig, rl_derivative
-from .kernel import DensityKernel, lattice_window, moment, multi_indices, psi_eval
+from .kernel import DensityKernel, moment, multi_indices, window_weights
 
 __all__ = [
     "OperatorConfig",
@@ -75,9 +75,7 @@ def _point(x, dim_expected=None):
 
 
 def _axis_windows(cfg, xs):
-    ks = [lattice_window(cfg.kernel, cfg.n * xi) for xi in xs]
-    ws = [psi_eval(cfg.kernel, cfg.n * xi - k) for xi, k in zip(xs, ks)]
-    return ks, ws
+    return zip(*(window_weights(cfg.kernel, cfg.n * xi) for xi in xs))
 
 
 def _weight_tensor(ws):
@@ -149,12 +147,11 @@ def apply_fractional(cfg: OperatorConfig, f, x: float) -> float:
     xv = float(xs[0])
     if xv < 0.0:
         raise ValueError(f"the fractional operator needs x >= 0, got {xv!r}")
-    u = cfg.n * xv
-    ks = lattice_window(cfg.kernel, u)
-    ks = ks[ks >= 0]
+    ks, weights = window_weights(cfg.kernel, cfg.n * xv)
+    admissible = ks >= 0
+    ks, weights = ks[admissible], weights[admissible]
     if ks.size == 0:
         raise ValueError("no admissible lattice points k >= 0 inside the window")
-    weights = psi_eval(cfg.kernel, u - ks)
     total = float(np.sum(weights))
     frac_cfg = FracConfig(cfg.beta, cfg.frac_step)
     dvals = np.array([_dbeta_at(frac_cfg, f, k / cfg.n) for k in ks])

@@ -18,7 +18,7 @@ from tanhqi import (
     residual_orders,
     sup_error,
 )
-from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT
+from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, sweep
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -42,6 +42,17 @@ class TestGridPoints:
     def test_shift_constant(self):
         pts = grid_points(BOX01, 10)[:, 0]
         assert pts[0] == pytest.approx(GRID_SHIFT / 10.0, rel=1e-15)
+
+    @pytest.mark.parametrize("box, points", [
+        ([(0.0, math.inf)], 5),
+        ([(-math.inf, 1.0)], 5),
+        ([(0.0, 1.0), (math.nan, 1.0)], 5),
+        (BOX01, 2.5),
+        (BOX01, "5"),
+    ])
+    def test_non_finite_corners_and_fractional_counts_rejected(self, box, points):
+        with pytest.raises(ValueError):
+            grid_points(box, points)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -80,9 +91,52 @@ class TestSupError:
         with pytest.raises(ValueError, match=r"boom \(at evaluation point \[0.9\]\)"):
             sup_error(bad, lambda p: 0.0, pts)
 
+    def test_failure_with_multi_argument_exception(self):
+        class TwoArgError(Exception):
+            def __init__(self, what, where):
+                super().__init__(f"{what} in {where}")
+
+        def bad(p):
+            raise TwoArgError("overflow", "cell 3")
+
+        with pytest.raises(RuntimeError, match=r"overflow in cell 3 \(at evaluation point \[0.5\]\)") as info:
+            sup_error(bad, lambda p: 0.0, np.array([[0.5]]))
+        assert isinstance(info.value.__cause__, TwoArgError)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sup_error(lambda p: 0.0, lambda p: 0.0, np.empty((0, 1)))
+
+
+class TestSweep:
+    def test_one_row_per_distinct_n_and_fit(self):
+        seen = []
+
+        def apply_for(n):
+            seen.append(n)
+            return lambda p: 3.0 / n
+
+        pts = grid_points(BOX01, 4)
+        rep = sweep(apply_for, lambda p: 0.0, pts, (32, 8, 16, 8), {"k": 1}, "target")
+        assert seen == [8, 16, 32]
+        assert [r.n for r in rep.rows] == seen
+        assert [r.sup_error for r in rep.rows] == [3.0 / n for n in seen]
+        assert rep.fitted_slope == pytest.approx(1.0, abs=1e-12)
+        assert rep.config == {"k": 1}
+        assert rep.target_description == "target"
+        assert rep.claimed_exponent is None and rep.excluded_rows == 0
+
+    def test_floor_rows_counted_and_fit_skipped(self):
+        pts = grid_points(BOX01, 3)
+        rep = sweep(lambda n: lambda p: 0.0, lambda p: 0.0, pts, (8, 16, 32), {}, "t", "n^-1")
+        assert rep.excluded_rows == 3 and rep.fitted_slope is None
+        assert "fit skipped" in rep.note
+        assert rep.claimed_exponent == "n^-1"
+
+    @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,)])
+    def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
+        with pytest.raises(ValueError, match="n sweep"):
+            sweep(lambda n: lambda p: 0.0, lambda p: 0.0, grid_points(BOX01, 3), n_sweep, {}, "t")
 
 
 class TestRateFit:
@@ -195,3 +249,8 @@ class TestFractionalRate:
     def test_box_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))
+
+    def test_box_touching_origin_rejected(self):
+        # every sample would be positive, but the box itself is not
+        with pytest.raises(ValueError, match="positive"):
+            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.0, 1.0)], 5, (64, 128, 256))

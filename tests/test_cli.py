@@ -1,11 +1,13 @@
 """Command-line interface: outputs, config merging, exit statuses."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tanhqi
 from tanhqi import (
     ActivationParams,
     DensityKernel,
@@ -84,6 +86,26 @@ class TestConverge:
         assert len(payload["rows"]) == 3
         assert payload["fitted_slope"] is not None
 
+    def test_two_dimensional_preset_takes_two_axes(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        status, _, err = run(
+            ["converge", "--preset", "sin-exp", "--grid-lo", "0,0", "--grid-hi", "1,1",
+             "--grid-points", "9", "--n", "16,32,64,128", "--out", str(out)], capsys,
+        )
+        assert status == 0, err
+        payload = json.loads((tmp_path / "run.json").read_text())
+        assert payload["config"]["box"] == [[0.0, 1.0], [0.0, 1.0]]
+        sups = [r[1] for r in payload["rows"]]
+        assert sups == sorted(sups, reverse=True)
+        assert 0.9 <= payload["fitted_slope"] <= 1.1
+
+    def test_box_axes_follow_preset_dimension(self, tmp_path, capsys):
+        status, _, err = run(
+            ["converge", "--preset", "sin-exp", "--out", str(tmp_path / "x")], capsys
+        )
+        assert status == 2
+        assert "axis" in json.loads(err)["error"]
+
     def test_missing_preset_is_config_error(self, tmp_path, capsys):
         status, _, err = run(["converge", "--out", str(tmp_path / "x")], capsys)
         assert status == 2
@@ -124,6 +146,24 @@ class TestPrintConfig:
         assert status == 2
         assert "unknown keys" in json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("values", [
+        {"n_sweep": 5},
+        {"q": "abc"},
+        {"grid_lo": [0], "grid_hi": ["x"]},
+        {"m_max": True},
+    ])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_mistyped_config_value_rejected(self, tmp_path, capsys, values, print_config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"preset": "sin", **values}))
+        argv = ["converge", "--config", str(cfg_file), "--out", str(tmp_path / "x")]
+        status, _, err = run(argv + ["--print-config"] * print_config, capsys)
+        assert status == 2
+        assert err.count("\n") == 1
+        msg = json.loads(err)
+        assert msg["status"] == 2
+        assert list(values)[-1] in msg["error"]
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "frac", "preset": "pow2"}))
@@ -158,6 +198,13 @@ class TestValidation:
         )
         assert status == 2
         assert "exactly one" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("corner", ["--grid-hi=inf", "--grid-lo=-inf", "--grid-hi=nan"])
+    def test_non_finite_box_rejected(self, tmp_path, capsys, corner):
+        status, _, err = run(converge_args(tmp_path / "x", [corner]), capsys)
+        assert status == 2
+        assert err.count("\n") == 1
+        assert "finite" in json.loads(err)["error"]
 
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,10 +321,15 @@ class TestExitStatuses:
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "run"
+        # the package's own source root, absolute, so the subprocess imports
+        # the code under test whatever the caller's cwd and PYTHONPATH
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tanhqi.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "tanhqi", "converge", "--preset", "sin",
              "--n", "16,32", "--grid-points", "3", "--out", str(out)],
             capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run.json").exists()

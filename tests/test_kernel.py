@@ -18,6 +18,7 @@ from tanhqi import (
     truncation_radius,
     z_eval,
 )
+from tanhqi.kernel import window_weights
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -104,6 +105,13 @@ class TestTruncation:
         k = kernel(q=0.3, alpha=1.5, eps=1e-10)
         assert psi_eval(k, k.radius) < 1e-10
         assert psi_eval(k, -k.radius) < 1e-10
+
+    @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
+    def test_window_weights_pair_window_with_psi(self, u):
+        k = kernel()
+        ks, ws = window_weights(k, u)
+        assert np.array_equal(ks, lattice_window(k, u))
+        assert np.array_equal(ws, psi_eval(k, u - ks))
 
     def test_lattice_window_contents(self):
         k = kernel(eps=0.5)
