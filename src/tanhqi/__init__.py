@@ -38,8 +38,6 @@ from .manifold import (
     DiagnosticError,
     MetricKernel,
     chart_preset,
-    localized_activation,
-    metric_density_eval,
     operator_on_chart,
     volume_normalize,
 )
@@ -78,8 +76,6 @@ __all__ = [
     "h_eval",
     "h_limits",
     "lattice_window",
-    "localized_activation",
-    "metric_density_eval",
     "moment",
     "multi_indices",
     "normalization_constant",

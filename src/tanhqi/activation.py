@@ -17,6 +17,7 @@ h(x) = c1 * tanh(alpha x + phi) + c2 with phi = log((1+q)/(1-q))/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = ["ActivationParams", "h_eval", "h_derivative", "h_limits"]
 
 @dataclass(frozen=True)
 class ActivationParams:
-    """Validated (q, alpha) pair; q in (0, 1), alpha > 0."""
+    """Validated (q, alpha) pair; q in (0, 1), alpha > 0 and finite."""
 
     q: float
     alpha: float
@@ -34,8 +35,8 @@ class ActivationParams:
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie in the open interval (0, 1), got {self.q!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 def _maybe_scalar(out, x):

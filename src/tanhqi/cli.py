@@ -14,7 +14,8 @@ skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
 Exit status: 0 success, 2 invalid configuration, 3 numerical diagnostic
-failure, 4 I/O failure.  Errors are printed to stderr as a single JSON
+failure or a run that could not complete (RuntimeError, MemoryError),
+4 I/O failure.  Errors are printed to stderr as a single JSON
 line ``{"status": ..., "error": ...}``.
 """
 
@@ -43,7 +44,7 @@ from .analysis import (
 )
 from .fractional import FracConfig
 from .kernel import DensityKernel, MultiIndex, moment, psi_eval
-from .manifold import DiagnosticError, MetricKernel, chart_preset, operator_on_chart
+from .manifold import MetricKernel, chart_preset, operator_on_chart
 from .operators import OperatorConfig
 from .presets import function_preset, preset_names
 
@@ -375,7 +376,8 @@ def run_manifold(cfg: ExperimentConfig) -> None:
         lambda p: preset.value(*p),
         grid_points(cfg.box(), cfg.grid_points),
         cfg.n_sweep,
-        {"cli": cfg.to_dict(), "chart": cfg.chart, "mode": mk.mode},
+        # chart weights are always renormalized ("discrete")
+        {"cli": cfg.to_dict(), "chart": cfg.chart, "mode": "discrete"},
         f"{preset.name} on the {cfg.chart} chart (the sampled function itself)",
     )
     _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
@@ -390,6 +392,11 @@ _RUNNERS = {
 }
 
 
+def _fail(status: int, exc: Exception) -> int:
+    print(json.dumps({"status": status, "error": str(exc)}), file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -400,19 +407,14 @@ def main(argv=None) -> int:
             return 0
         _RUNNERS[cfg.command](cfg)
         return 0
-    except ConfigError as exc:
-        print(json.dumps({"status": 2, "error": str(exc)}), file=sys.stderr)
-        return 2
-    except DiagnosticError as exc:
-        print(json.dumps({"status": 3, "error": str(exc)}), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(json.dumps({"status": 4, "error": str(exc)}), file=sys.stderr)
-        return 4
     except ValueError as exc:
-        # domain violations surfacing from the numeric layers are config errors
-        print(json.dumps({"status": 2, "error": str(exc)}), file=sys.stderr)
-        return 2
+        # ConfigError, and domain violations surfacing from the numeric layers
+        return _fail(2, exc)
+    except OSError as exc:
+        return _fail(4, exc)
+    except (RuntimeError, MemoryError) as exc:
+        # DiagnosticError, and runs that could not complete
+        return _fail(3, exc)
 
 
 if __name__ == "__main__":

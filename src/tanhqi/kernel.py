@@ -16,6 +16,7 @@ radius W chosen once per kernel from a tolerance eps_trunc.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "truncation_radius",
     "psi_eval",
     "window_weights",
+    "window_tensor",
     "partition_sum",
     "z_eval",
     "moment",
@@ -52,22 +54,29 @@ def _psi_raw(params: ActivationParams, x, c: float):
 
 
 def truncation_radius(params: ActivationParams, eps: float) -> float:
-    """Smallest W in {2, 4, 8, ...} with psi(W) < eps and psi(-W) < eps.
+    """Smallest W in {2, 4, 8, ...} with psi(+-W) < eps and W >= (atanh(q) + 1)/alpha.
 
     Both tails must be checked: the kernel is not even, and the left
     tail carries the larger constant (by a factor ((1+q)/(1-q))^2), so
-    it usually decides W.
+    it usually decides W.  psi is symmetric about its peak at
+    -atanh(q)/alpha, and one slope length 1/alpha past the peak its
+    tails decay like e^(-2 alpha |x|); the lower bound puts both window
+    ends there, so a wide kernel whose peak is already below eps still
+    gets a window holding its mass.  An alpha too small for any
+    W <= 2^40 is a ValueError.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"truncation tolerance must lie in (0, 1), got {eps!r}")
     c = normalization_constant(params)
+    w_min = (math.atanh(params.q) + 1.0) / params.alpha
     w = 2.0
-    # psi is monotone beyond |x| > 2 and decays like e^(-2 alpha |x|), so
-    # the doubling search terminates; 2^40 is an unreachable safety stop.
-    while not (_psi_raw(params, w, c) < eps and _psi_raw(params, -w, c) < eps):
+    while w < w_min or not (_psi_raw(params, w, c) < eps and _psi_raw(params, -w, c) < eps):
         w *= 2.0
         if w > 2.0**40:
-            raise RuntimeError("truncation search failed to terminate")
+            raise ValueError(
+                f"no truncation radius up to 2^40 for alpha={params.alpha!r}, eps={eps!r}; "
+                "increase alpha or eps_trunc"
+            )
     return w
 
 
@@ -111,6 +120,17 @@ def window_weights(kernel: DensityKernel, u: float) -> tuple[np.ndarray, np.ndar
     """
     ks = lattice_window(kernel, u)
     return ks, psi_eval(kernel, u - ks)
+
+
+def window_tensor(kernel: DensityKernel, n: int, xs) -> tuple[tuple, np.ndarray]:
+    """Per-axis windows ks_i around n x_i and the product weights.
+
+    The weight tensor holds prod_i psi(n x_i - k_i) with one axis per
+    coordinate, in np.meshgrid(*ks, indexing="ij") order; it is the one
+    multi-dimensional weight rule of the operators.
+    """
+    ks, ws = zip(*(window_weights(kernel, n * xi) for xi in xs))
+    return ks, functools.reduce(np.multiply.outer, ws)
 
 
 def partition_sum(kernel: DensityKernel, x: float) -> float:

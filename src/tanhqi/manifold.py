@@ -1,46 +1,41 @@
-"""Chart-based metric weighting of the product kernel.
+"""Chart-based volume-density weighting of the product kernel.
 
-A chart is a named coordinate box with a Riemannian metric given in
-coordinates.  The metric enters the kernel through the volume density:
+A chart is a named coordinate box carrying the volume density
+sqrt(det g) of a Riemannian metric given in coordinates.  The metric
+enters the kernel only through that density:
 
     phi_g(x) = (1 / sqrt(det g(x))) * prod_i psi(x_i)
 
 so integrating phi_g against the volume element sqrt(det g) dx reduces
 to the flat integral of the product kernel.  Operators on a chart weight
-lattice samples by the local density at the sample sites and, in
-discrete mode, renormalize the truncated weights to sum to one.
+lattice samples by the local density at the sample sites and always
+renormalize the truncated weights to sum to one.
 
 Shipped chart presets:
 
-* ``euclidean``            identity metric, any dimension
-* ``torus``                identity metric, coordinates wrapped mod 1
-* ``poincare-half-plane``  dimension 2, g = y^(-2) I on y > 0
+* ``euclidean``            unit density, any dimension
+* ``torus``                unit density, coordinates wrapped mod 1
+* ``poincare-half-plane``  dimension 2, g = y^(-2) I, so sqrt(det g) = y^(-2) on y > 0
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .activation import ActivationParams, h_eval
-from .kernel import DensityKernel, psi_eval, window_weights
+from .kernel import DensityKernel, psi_eval, window_tensor
 
 __all__ = [
     "Chart",
     "MetricKernel",
     "DiagnosticError",
     "chart_preset",
-    "localized_activation",
-    "metric_density_eval",
     "volume_normalize",
     "operator_on_chart",
 ]
-
-RENORM_MODES = ("analytic-flat", "discrete")
 
 
 class DiagnosticError(RuntimeError):
@@ -49,20 +44,17 @@ class DiagnosticError(RuntimeError):
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinate chart: open box domain, metric, and optional periods.
+    """Coordinate chart: open box domain, volume density, and optional periods.
 
-    ``metric(x)`` returns the N x N matrix at one point. ``sqrt_det_g``
-    is vectorized over trailing coordinate axes: it accepts an array of
-    shape (..., N) and returns shape (...).
+    ``sqrt_det_g`` is vectorized over trailing coordinate axes: it
+    accepts an array of shape (..., N) and returns shape (...).
     """
 
     name: str
     dim: int
     domain: tuple[tuple[float, float], ...]
-    metric: Callable = None
-    sqrt_det_g: Callable = None
+    sqrt_det_g: Callable
     periods: tuple[float, ...] | None = None
-    flat: bool = True
 
     def coords(self, x: np.ndarray) -> np.ndarray:
         """Chart representation of x; periodic axes wrap into [0, period)."""
@@ -78,19 +70,9 @@ class Chart:
         return all(lo < xi < hi for xi, (lo, hi) in zip(xs, self.domain))
 
 
-def _identity_metric(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.eye(x.size)
-
-
 def _ones_density(x):
     x = np.asarray(x, dtype=float)
     return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-
-
-def _half_plane_metric(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.eye(2) / x[1] ** 2
 
 
 def _half_plane_density(x):
@@ -106,21 +88,20 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
         d = 1 if dim is None else int(dim)
         if d < 1:
             raise ValueError("dimension must be at least 1")
-        return Chart("euclidean", d, tuple(((-inf, inf),) * d), _identity_metric, _ones_density)
+        return Chart("euclidean", d, tuple(((-inf, inf),) * d), _ones_density)
     if name == "torus":
         d = 1 if dim is None else int(dim)
         if d < 1:
             raise ValueError("dimension must be at least 1")
         return Chart(
-            "torus", d, tuple(((-inf, inf),) * d), _identity_metric, _ones_density,
+            "torus", d, tuple(((-inf, inf),) * d), _ones_density,
             periods=(1.0,) * d,
         )
     if name == "poincare-half-plane":
         if dim not in (None, 2):
             raise ValueError("the half-plane chart is two-dimensional")
         return Chart(
-            "poincare-half-plane", 2, ((-inf, inf), (0.0, inf)),
-            _half_plane_metric, _half_plane_density, flat=False,
+            "poincare-half-plane", 2, ((-inf, inf), (0.0, inf)), _half_plane_density,
         )
     raise ValueError(
         f"unknown chart {name!r}; known charts: euclidean, torus, poincare-half-plane"
@@ -129,37 +110,10 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
 
 @dataclass(frozen=True)
 class MetricKernel:
-    """Product kernel paired with a chart and a weight-renormalization mode."""
+    """Product kernel paired with the chart whose volume density weights it."""
 
     kernel: DensityKernel
     chart: Chart
-    mode: str = "discrete"
-
-    def __post_init__(self):
-        if self.mode not in RENORM_MODES:
-            raise ValueError(f"mode must be one of {RENORM_MODES}, got {self.mode!r}")
-        if self.mode == "analytic-flat" and not self.chart.flat:
-            raise ValueError(
-                f"analytic-flat weights require a flat chart; {self.chart.name!r} is curved"
-            )
-
-
-def localized_activation(chart: Chart, params: ActivationParams, x) -> float:
-    """Product of h over the chart coordinates of x."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not chart.contains(xs):
-        raise ValueError(f"point {xs.tolist()} lies outside the {chart.name!r} chart domain")
-    return float(np.prod(h_eval(params, chart.coords(xs))))
-
-
-def metric_density_eval(mk: MetricKernel, x) -> float:
-    """phi_g(x) = Z(x) / sqrt(det g(x)) at one point of the chart."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not mk.chart.contains(xs):
-        raise ValueError(f"point {xs.tolist()} lies outside the {mk.chart.name!r} chart domain")
-    cs = mk.chart.coords(xs)
-    z = float(np.prod(psi_eval(mk.kernel, cs)))
-    return z / float(mk.chart.sqrt_det_g(cs))
 
 
 def _simpson_weights(points: int, step: float) -> np.ndarray:
@@ -170,36 +124,23 @@ def _simpson_weights(points: int, step: float) -> np.ndarray:
     return w * (step / 3.0)
 
 
-def _volume_mass(mk: MetricKernel, region, points: int) -> float:
-    axes, wts = [], []
+def _volume_mass(kernel: DensityKernel, region, points: int) -> float:
+    # phi_g * sqrt(det g) is the product kernel, so the tensor Simpson sum
+    # factorizes into one 1-D Simpson sum per axis
+    mass = 1.0
     for lo, hi in region:
-        axes.append(np.linspace(lo, hi, points))
-        wts.append(_simpson_weights(points, (hi - lo) / (points - 1)))
-    if len(region) == 1:
-        pts = axes[0][:, None]
-        root_det = mk.chart.sqrt_det_g(pts)
-        integrand = (psi_eval(mk.kernel, axes[0]) / root_det) * root_det
-        return float(integrand @ wts[0])
-    # stream along the first axis so doubled grids stay memory-lean
-    tail_grids = np.meshgrid(*axes[1:], indexing="ij")
-    tail_psi = functools.reduce(np.multiply, [psi_eval(mk.kernel, g) for g in tail_grids])
-    tail_w = functools.reduce(np.multiply.outer, wts[1:])
-    head_psi = psi_eval(mk.kernel, axes[0])
-    total = 0.0
-    for x0, w0, p0 in zip(axes[0], wts[0], head_psi):
-        pts = np.stack([np.full_like(tail_grids[0], x0), *tail_grids], axis=-1)
-        root_det = mk.chart.sqrt_det_g(pts)
-        integrand = ((p0 * tail_psi) / root_det) * root_det
-        total += w0 * float(np.sum(integrand * tail_w))
-    return total
+        nodes = np.linspace(lo, hi, points)
+        weights = _simpson_weights(points, (hi - lo) / (points - 1))
+        mass *= float(psi_eval(kernel, nodes) @ weights)
+    return mass
 
 
 def volume_normalize(mk: MetricKernel, region) -> float:
     """Constant c with c * integral of phi_g sqrt(det g) over the region = 1.
 
-    Tensor composite Simpson starting at 129 nodes per axis, doubling
-    until the relative change drops below 1e-8; failure to converge is a
-    DiagnosticError.  Regions clipped inside the kernel support yield
+    Tensor composite Simpson, summed as a product of per-axis 1-D sums,
+    starting at 129 nodes per axis and doubling until the relative change
+    drops below 1e-8; failure to converge is a DiagnosticError.  Regions clipped inside the kernel support yield
     c > 1 (mass deficit correction).
     """
     region = tuple((float(lo), float(hi)) for lo, hi in region)
@@ -212,10 +153,10 @@ def volume_normalize(mk: MetricKernel, region) -> float:
     if not mk.chart.contains(np.asarray(mid)):
         raise ValueError("region must lie inside the chart domain")
     points = 129
-    prev = _volume_mass(mk, region, points)
+    prev = _volume_mass(mk.kernel, region, points)
     for _ in range(5):
         points = 2 * points - 1
-        cur = _volume_mass(mk, region, points)
+        cur = _volume_mass(mk.kernel, region, points)
         if abs(cur - prev) <= 1e-8 * abs(cur):
             if cur <= 0.0:
                 raise DiagnosticError("volume mass is not positive; region misses the kernel support")
@@ -231,8 +172,8 @@ def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
     """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x).
 
     Raw weights are psi products times 1/sqrt(det g) at the lattice
-    sites; discrete mode renormalizes them to sum to one so constants
-    are reproduced exactly on every chart.
+    sites, renormalized to sum to one so constants are reproduced
+    exactly on every chart.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -242,7 +183,7 @@ def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
     if not chart.contains(xs):
         raise ValueError(f"point {xs.tolist()} lies outside the {chart.name!r} chart domain")
-    ks, ws = zip(*(window_weights(mk.kernel, n * xi) for xi in xs))
+    ks, weights = window_tensor(mk.kernel, n, xs)
     grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
     pts = chart.coords(np.stack(grids, axis=-1))
     for i, (lo, hi) in enumerate(chart.domain):
@@ -252,8 +193,7 @@ def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
                 f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
                 "increase n or shrink the evaluation box"
             )
-    weights = functools.reduce(np.multiply.outer, ws) / chart.sqrt_det_g(pts)
-    if mk.mode == "discrete":
-        weights = weights / np.sum(weights)
+    weights = weights / chart.sqrt_det_g(pts)
+    weights = weights / np.sum(weights)
     vals = np.asarray(f.value(*[pts[..., i] for i in range(chart.dim)]), dtype=float)
     return float(np.sum(vals * weights))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import FracConfig, rl_derivative
-from .kernel import DensityKernel, moment, multi_indices, window_weights
+from .kernel import DensityKernel, moment, multi_indices, window_tensor, window_weights
 
 __all__ = [
     "OperatorConfig",
@@ -74,14 +74,6 @@ def _point(x, dim_expected=None):
     return xs
 
 
-def _axis_windows(cfg, xs):
-    return zip(*(window_weights(cfg.kernel, cfg.n * xi) for xi in xs))
-
-
-def _weight_tensor(ws):
-    return functools.reduce(np.multiply.outer, ws)
-
-
 def _grids(ks, n):
     return np.meshgrid(*[k / n for k in ks], indexing="ij")
 
@@ -91,9 +83,9 @@ def apply_basic(cfg: OperatorConfig, f, x) -> float:
     if cfg.kind != "basic":
         raise ValueError(f"apply_basic needs kind='basic', got {cfg.kind!r}")
     xs = _point(x, f.dim)
-    ks, ws = _axis_windows(cfg, xs)
+    ks, weights = window_tensor(cfg.kernel, cfg.n, xs)
     vals = np.asarray(f.value(*_grids(ks, cfg.n)), dtype=float)
-    return float(np.sum(vals * _weight_tensor(ws)))
+    return float(np.sum(vals * weights))
 
 
 def apply_kantorovich(cfg: OperatorConfig, f, x) -> float:
@@ -106,7 +98,7 @@ def apply_kantorovich(cfg: OperatorConfig, f, x) -> float:
     if cfg.kind != "kantorovich":
         raise ValueError(f"apply_kantorovich needs kind='kantorovich', got {cfg.kind!r}")
     xs = _point(x, f.dim)
-    ks, ws = _axis_windows(cfg, xs)
+    ks, weights = window_tensor(cfg.kernel, cfg.n, xs)
     nodes, wts = np.polynomial.legendre.leggauss(cfg.quad_nodes)
     dim = xs.size
     g = cfg.quad_nodes
@@ -121,7 +113,7 @@ def apply_kantorovich(cfg: OperatorConfig, f, x) -> float:
     vals = np.asarray(f.value(*expanded), dtype=float)
     node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim)
     averages = np.tensordot(vals, node_weights, axes=dim)
-    return float(np.sum(averages * _weight_tensor(ws)))
+    return float(np.sum(averages * weights))
 
 
 def _dbeta_at(frac_cfg: FracConfig, f, t: float) -> float:

@@ -25,7 +25,7 @@ class TestParams:
         with pytest.raises(ValueError):
             ActivationParams(q=q, alpha=1.0)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("inf"), float("nan")])
     def test_nonpositive_alpha_rejected(self, alpha):
         with pytest.raises(ValueError):
             ActivationParams(q=0.5, alpha=alpha)

@@ -206,6 +206,15 @@ class TestValidation:
         assert err.count("\n") == 1
         assert "finite" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("alpha", ["inf", "1e-300"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_unusable_alpha_rejected(self, tmp_path, capsys, alpha, print_config):
+        extra = ["--alpha", alpha, *(["--print-config"] if print_config else [])]
+        status, out, err = run(converge_args(tmp_path / "x", extra), capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "alpha" in json.loads(err)["error"]
+
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["converge", "--bogus", "1"])
@@ -272,6 +281,19 @@ class TestOtherCommands:
         assert payload["kernel"]["radius"] == 16.0
         assert payload["kernel"]["normalization"] == pytest.approx(10.0 / 3.0, rel=1e-14)
 
+    def test_kernel_dump_wide_kernel_keeps_its_mass(self, tmp_path, capsys):
+        # the whole kernel lies below eps here; the window must still hold its mass
+        out = tmp_path / "k"
+        status, _, _ = run(
+            ["kernel-dump", "--alpha", "1e-3", "--trunc-eps", "1e-3", "--grid-points", "3",
+             "--out", str(out)], capsys,
+        )
+        assert status == 0
+        payload = json.loads((tmp_path / "k.json").read_text())
+        assert payload["kernel"]["radius"] == 2048.0
+        for row in payload["rows"]:
+            assert 1.0 - row[2] < 0.06  # moment0 is the partition sum
+
     def test_manifold_runs_euclidean(self, tmp_path, capsys):
         out = tmp_path / "m"
         status, _, _ = run(
@@ -304,6 +326,17 @@ class TestExitStatuses:
         msg = json.loads(err.strip())
         assert msg["status"] == 3
         assert "self-check" in msg["error"]
+
+    @pytest.mark.parametrize("error", [RuntimeError, MemoryError])
+    def test_incomplete_run_maps_to_three(self, tmp_path, capsys, monkeypatch, error):
+        def boom(cfg):
+            raise error("could not complete the sweep")
+
+        monkeypatch.setitem(cli._RUNNERS, "converge", boom)
+        status, _, err = run(converge_args(tmp_path / "x"), capsys)
+        assert status == 3
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"status": 3, "error": "could not complete the sweep"}
 
     def test_unwritable_output_maps_to_four(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "run"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanhqi import (
     ActivationParams,
@@ -95,6 +97,17 @@ class TestTruncation:
         eps = 1e-12
         got = [truncation_radius(ActivationParams(0.1, a), eps) for a in (0.5, 1.0, 2.0)]
         assert got == [32.0, 16.0, 8.0]
+
+    def test_wide_kernel_window_holds_its_mass(self):
+        # psi stays below eps everywhere, so psi(+-W) < eps alone would stop at W = 2
+        k = kernel(alpha=1e-3, eps=1e-3)
+        assert k.radius == 2048.0
+        # 4 eps W = 8.2 is vacuous here; the window holds about 95% of the mass
+        assert 1.0 - partition_sum(k, 0.3) < 0.06
+
+    def test_search_stop_is_value_error(self):
+        with pytest.raises(ValueError, match="2\\^40"):
+            truncation_radius(ActivationParams(0.5, 1e-300), 1e-12)
 
     @pytest.mark.parametrize("eps", [1.0, 2.0, 0.0, -0.5])
     def test_invalid_tolerance_rejected(self, eps):
@@ -192,3 +205,21 @@ class TestMoments:
         m1 = moment(k, MultiIndex((1,)), x[:1], 16)
         m2 = moment(k, MultiIndex((2,)), x[1:], 16)
         assert joint == pytest.approx(m1 * m2, rel=1e-12)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+class TestKernelProperties:
+    @settings(deadline=None)
+    @given(
+        q=st.floats(0.01, 0.99),
+        alpha=_log_uniform(1e-4, 4.0),
+        eps=_log_uniform(1e-14, 1e-3),
+        x=st.floats(-5.0, 5.0),
+    )
+    def test_positive_with_bounded_partition_deficit(self, q, alpha, eps, x):
+        k = kernel(q, alpha, eps)
+        assert psi_eval(k, x) > 0.0
+        assert 1.0 - partition_sum(k, x) <= 4 * eps * k.radius

@@ -12,9 +12,6 @@ from tanhqi import (
     apply_basic,
     chart_preset,
     function_preset,
-    h_eval,
-    localized_activation,
-    metric_density_eval,
     operator_on_chart,
     psi_eval,
     volume_normalize,
@@ -28,7 +25,6 @@ class TestChartPresets:
     def test_euclidean_dims(self):
         assert chart_preset("euclidean").dim == 1
         assert chart_preset("euclidean", 3).dim == 3
-        assert chart_preset("euclidean", 3).flat
 
     def test_torus_periods(self):
         ch = chart_preset("torus", 2)
@@ -38,7 +34,6 @@ class TestChartPresets:
     def test_half_plane_fixed_dim(self):
         ch = chart_preset("poincare-half-plane")
         assert ch.dim == 2
-        assert not ch.flat
         with pytest.raises(ValueError):
             chart_preset("poincare-half-plane", 3)
 
@@ -52,69 +47,10 @@ class TestChartPresets:
         assert not ch.contains([0.0, 0.0])
         assert not ch.contains([0.0, -1.0])
 
-    def test_metric_consistent_with_density(self):
-        # sqrt(det of the pointwise matrix) must equal the vectorized field
-        for name, dim in (("euclidean", 2), ("torus", 2), ("poincare-half-plane", 2)):
-            ch = chart_preset(name, dim) if name != "poincare-half-plane" else chart_preset(name)
-            rng = np.random.default_rng(55)
-            for _ in range(20):
-                x = rng.uniform(0.2, 2.0, size=2)
-                direct = np.sqrt(np.linalg.det(ch.metric(x)))
-                field = float(ch.sqrt_det_g(x))
-                assert direct == pytest.approx(field, rel=1e-12)
-
-
-class TestMetricKernel:
-    def test_mode_validated(self):
-        with pytest.raises(ValueError):
-            MetricKernel(KERNEL, chart_preset("euclidean"), mode="exotic")
-
-    def test_analytic_flat_needs_flat_chart(self):
-        with pytest.raises(ValueError, match="flat"):
-            MetricKernel(KERNEL, chart_preset("poincare-half-plane"), mode="analytic-flat")
-        MetricKernel(KERNEL, chart_preset("euclidean", 2), mode="analytic-flat")
-
-
-class TestLocalizedActivation:
-    def test_euclidean_matches_plain_h(self):
-        ch = chart_preset("euclidean", 1)
-        for x in (-1.2, 0.0, 0.7):
-            got = localized_activation(ch, PARAMS, x)
-            assert got == pytest.approx(float(h_eval(PARAMS, x)), rel=1e-15)
-
-    def test_half_plane_product(self):
-        ch = chart_preset("poincare-half-plane")
-        got = localized_activation(ch, PARAMS, [0.0, 1.0])
-        want = float(h_eval(PARAMS, 0.0) * h_eval(PARAMS, 1.0))
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_torus_shift_invariance(self):
-        ch = chart_preset("torus", 1)
-        assert localized_activation(ch, PARAMS, 0.3) == localized_activation(ch, PARAMS, 5.3)
-
-    def test_outside_domain_rejected(self):
-        ch = chart_preset("poincare-half-plane")
-        with pytest.raises(ValueError, match="outside"):
-            localized_activation(ch, PARAMS, [0.0, -1.0])
-
-
-class TestMetricDensity:
-    def test_euclidean_is_plain_kernel_product(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 2), mode="analytic-flat")
-        got = metric_density_eval(mk, [0.3, -0.8])
-        want = float(psi_eval(KERNEL, 0.3) * psi_eval(KERNEL, -0.8))
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_half_plane_gains_y_squared(self):
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
-        got = metric_density_eval(mk, [0.4, 2.0])
-        want = 4.0 * float(psi_eval(KERNEL, 0.4) * psi_eval(KERNEL, 2.0))
-        assert got == pytest.approx(want, rel=1e-14)
-
 
 class TestVolumeNormalize:
     def test_full_support_euclidean_is_unity(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1), mode="analytic-flat")
+        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
         c = volume_normalize(mk, [(-22.0, 22.0)])
         assert c == pytest.approx(1.0, abs=1e-8)
 
@@ -138,13 +74,21 @@ class TestVolumeNormalize:
         want = 1.0 / (mass(-1.0, 1.0) * mass(1.0, 2.0))
         assert c == pytest.approx(want, rel=1e-9)
 
+    def test_half_plane_is_product_of_euclidean_axes(self):
+        # the density cancels, so the constant factorizes over the axes
+        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
+        line = MetricKernel(KERNEL, chart_preset("euclidean", 1))
+        c = volume_normalize(mk, [(-1.0, 1.0), (1.0, 2.0)])
+        want = volume_normalize(line, [(-1.0, 1.0)]) * volume_normalize(line, [(1.0, 2.0)])
+        assert c == pytest.approx(want, rel=1e-14)
+
     def test_degenerate_region_rejected(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1), mode="analytic-flat")
+        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
         with pytest.raises(ValueError, match="degenerate"):
             volume_normalize(mk, [(1.0, 1.0)])
 
     def test_axis_count_checked(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 2), mode="analytic-flat")
+        mk = MetricKernel(KERNEL, chart_preset("euclidean", 2))
         with pytest.raises(ValueError):
             volume_normalize(mk, [(-1.0, 1.0)])
 
@@ -152,14 +96,14 @@ class TestVolumeNormalize:
         # a very narrow kernel cannot be resolved by the node budget on a
         # region incommensurate with the kernel edges
         sharp = DensityKernel(ActivationParams(0.5, 500.0))
-        mk = MetricKernel(sharp, chart_preset("euclidean", 1), mode="analytic-flat")
+        mk = MetricKernel(sharp, chart_preset("euclidean", 1))
         with pytest.raises(DiagnosticError, match="did not converge"):
             volume_normalize(mk, [(-2.0, 2.2)])
 
 
 class TestOperatorOnChart:
     def test_euclidean_equals_lattice_operator(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1), mode="analytic-flat")
+        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
         f = function_preset("sin")
         cfg = OperatorConfig("basic", 32, KERNEL)
         rng = np.random.default_rng(11)
@@ -223,6 +167,6 @@ class TestOperatorOnChart:
             operator_on_chart(mk, function_preset("sin"), 32, [0.3, 1.5])
 
     def test_bad_n_rejected(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1), mode="analytic-flat")
+        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
         with pytest.raises(ValueError):
             operator_on_chart(mk, function_preset("sin"), 0, 0.3)
