@@ -6,7 +6,9 @@ kernel with exact partition of unity, ``operators`` builds the basic,
 Kantorovich, and fractional quasi-interpolants on truncated lattices,
 ``fractional`` supplies the Riemann-Liouville machinery, ``manifold``
 adds chart-based metric weighting, and ``analysis`` runs convergence
-sweeps.  The ``tanhqi`` console script drives everything in batch mode.
+sweeps.  Every operator has a batched form (``*_batch``) that evaluates
+a whole (P, N) point array; the one-point functions wrap it.  The
+``tanhqi`` console script drives everything in batch mode.
 """
 
 from .activation import ActivationParams, h_derivative, h_eval, h_limits
@@ -39,14 +41,19 @@ from .manifold import (
     MetricKernel,
     chart_preset,
     operator_on_chart,
+    operator_on_chart_batch,
     volume_normalize,
 )
 from .operators import (
     OperatorConfig,
     apply_basic,
+    apply_basic_batch,
     apply_fractional,
+    apply_fractional_batch,
     apply_kantorovich,
+    apply_kantorovich_batch,
     voronovskaya_correction,
+    voronovskaya_correction_batch,
 )
 from .presets import FunctionPreset, function_preset, preset_names
 
@@ -65,8 +72,11 @@ __all__ = [
     "OperatorConfig",
     "Row",
     "apply_basic",
+    "apply_basic_batch",
     "apply_fractional",
+    "apply_fractional_batch",
     "apply_kantorovich",
+    "apply_kantorovich_batch",
     "chart_preset",
     "fractional_rate",
     "function_preset",
@@ -81,6 +91,7 @@ __all__ = [
     "normalization_constant",
     "operator_convergence",
     "operator_on_chart",
+    "operator_on_chart_batch",
     "partition_sum",
     "power_rule_oracle",
     "preset_names",
@@ -91,6 +102,7 @@ __all__ = [
     "sup_error",
     "truncation_radius",
     "voronovskaya_correction",
+    "voronovskaya_correction_batch",
     "volume_normalize",
     "z_eval",
 ]

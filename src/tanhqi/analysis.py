@@ -5,9 +5,10 @@ log(1/n), so slope r means error ~ C n^(-r).  Every experiment measures
 errors in the sup norm over a fixed evaluation grid (the mean over the
 grid is recorded alongside), and every report says so in its note.
 
-``sweep`` is the one loop over n values and evaluation points; each
-experiment supplies a per-n operator and a target.  The ``check_*``
-functions are the experiments' preconditions, callable without a run.
+``sweep`` is the one loop over n values; each experiment supplies a
+per-n batched operator and a batched target, both taking the whole
+(P, N) point array and returning P values.  The ``check_*`` functions
+are the experiments' preconditions, callable without a run.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -25,9 +26,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import power_rule_oracle
+from .fractional import MAX_GRID_POINTS, power_rule_oracle
 from .kernel import DensityKernel
-from .operators import OperatorConfig, apply_basic, apply_fractional, apply_kantorovich, voronovskaya_correction
+from .operators import (
+    OperatorConfig,
+    apply_basic_batch,
+    apply_fractional_batch,
+    apply_kantorovich_batch,
+    voronovskaya_correction_batch,
+)
 
 __all__ = [
     "Row",
@@ -118,26 +125,32 @@ def grid_points(box, points_per_axis: int) -> np.ndarray:
 def sup_error(apply_fn, target_fn, pts: np.ndarray) -> tuple[float, float]:
     """Sup and mean absolute error of apply_fn against target_fn over pts.
 
-    Points are visited in grid order; the mean uses numpy's pairwise
-    summation, so the aggregate is deterministic for a given grid.
-    Failures inside apply_fn are re-raised with the offending point, as
-    the same exception type when it takes a single message argument and
-    as a RuntimeError otherwise.
+    Both callables take the whole (P, N) point array and return P
+    values; the mean uses numpy's pairwise summation, so the aggregate
+    is deterministic for a given grid.  When a call fails, the points
+    are re-run one at a time in grid order and the first failure is
+    re-raised with its point, as the same exception type when it takes
+    a single message argument and as a RuntimeError otherwise; if no
+    single point fails, the original exception propagates.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.size == 0:
         raise ValueError("empty evaluation grid")
-    errs = np.empty(pts.shape[0])
-    for i, pt in enumerate(pts):
-        try:
-            errs[i] = abs(float(apply_fn(pt)) - float(target_fn(pt)))
-        except Exception as exc:
-            msg = f"{exc} (at evaluation point {pt.tolist()})"
+    try:
+        errs = np.abs(np.asarray(apply_fn(pts), dtype=float) - np.asarray(target_fn(pts), dtype=float))
+    except Exception:
+        for i in range(pts.shape[0]):
             try:
-                located = type(exc)(msg)
-            except TypeError:
-                located = RuntimeError(msg)
-            raise located from exc
+                apply_fn(pts[i:i + 1])
+                target_fn(pts[i:i + 1])
+            except Exception as exc:
+                msg = f"{exc} (at evaluation point {pts[i].tolist()})"
+                try:
+                    located = type(exc)(msg)
+                except TypeError:
+                    located = RuntimeError(msg)
+                raise located from exc
+        raise
     return float(np.max(errs)), float(np.mean(errs))
 
 
@@ -174,14 +187,26 @@ def check_m_max(m_max: int) -> None:
         raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
 
 
-def check_fractional(f, box) -> None:
-    """Preconditions of fractional_rate: a monomial preset and a strictly positive box."""
+def check_fractional(f, box, radius: float, n_min: int, step: float) -> None:
+    """Preconditions of fractional_rate: a monomial preset, a strictly positive box,
+    and L1 grids within MAX_GRID_POINTS.
+
+    The farthest lattice node a window reaches lies within radius/n_min
+    of the box's upper corner; its L1 grid has ceil(t / step) points.
+    """
     if f.power is None:
         raise ValueError(
             f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets"
         )
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
+    t_max = max(float(hi) for _, hi in box) + radius / n_min
+    m = math.ceil(t_max / step)
+    if m > MAX_GRID_POINTS:
+        raise ValueError(
+            f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at the farthest lattice "
+            f"node t = {t_max!r}; increase the step or shrink the evaluation box"
+        )
 
 
 def sweep(
@@ -195,15 +220,21 @@ def sweep(
 ) -> ConvergenceReport:
     """Error rows over the n sweep, their log-log fit, and the report.
 
-    ``apply_for(n)`` returns the per-point callable for lattice density
-    n; it is measured against ``target_fn`` over ``pts`` by sup_error,
-    once per distinct n in ascending order.  Rows on the rounding floor
-    are counted and left out of the fit; with fewer than three rows
-    above it the fit is skipped and the note says so.
+    ``apply_for(n)`` returns the batched callable for lattice density n
+    ((P, N) points -> P values); it is measured against ``target_fn``
+    over ``pts`` by sup_error, once per distinct n in ascending order.
+    A non-finite error is a RuntimeError naming n.  Rows on the rounding
+    floor are counted and left out of the fit; with fewer than three
+    rows above it the fit is skipped and the note says so.
     """
     rows = []
     for n in check_sweep(n_sweep):
         sup, mean = sup_error(apply_for(n), target_fn, pts)
+        if not (math.isfinite(sup) and math.isfinite(mean)):
+            raise RuntimeError(
+                f"error at n = {n} is not finite (sup {sup!r}, mean {mean!r}); "
+                "the operator or the target overflowed on the evaluation grid"
+            )
         rows.append(Row(n, sup, mean))
     try:
         slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=ERROR_FLOOR)
@@ -250,7 +281,7 @@ def operator_convergence(
     if kind not in ("basic", "kantorovich"):
         raise ValueError(f"operator_convergence covers 'basic' and 'kantorovich', got {kind!r}")
     pts = grid_points(box, points_per_axis)
-    apply_fn = apply_basic if kind == "basic" else apply_kantorovich
+    apply_fn = apply_basic_batch if kind == "basic" else apply_kantorovich_batch
 
     def apply_for(n):
         cfg = OperatorConfig(kind=kind, n=n, kernel=kernel, quad_nodes=quad_nodes)
@@ -258,7 +289,7 @@ def operator_convergence(
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            operator=kind, quad_nodes=quad_nodes)
-    return sweep(apply_for, lambda p: f.value(*p), pts, n_sweep, config,
+    return sweep(apply_for, lambda p: f.value(*p.T), pts, n_sweep, config,
                  f"{f.name} (the sampled function itself)")
 
 
@@ -289,9 +320,9 @@ def residual_orders(
             cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
 
             def residual(p):
-                r = apply_basic(cfg, f, p) - float(f.value(*p))
+                r = apply_basic_batch(cfg, f, p) - f.value(*p.T)
                 if m >= 1:
-                    r -= voronovskaya_correction(kernel, f, p, n, m)
+                    r -= voronovskaya_correction_batch(kernel, f, p, n, m)
                 return r
 
             return residual
@@ -320,19 +351,19 @@ def fractional_rate(
     measured slope is what the rows actually support (the operator's
     own first-order moment term caps it near one).
     """
-    check_fractional(f, box)
+    check_fractional(f, box, kernel.radius, check_sweep(n_sweep)[0], frac_step)
     pts = grid_points(box, points_per_axis)
 
     def apply_for(n):
         cfg = OperatorConfig(kind="fractional", n=n, kernel=kernel, beta=beta, frac_step=frac_step)
-        return lambda p: apply_fractional(cfg, f, p)
+        return lambda p: apply_fractional_batch(cfg, f, p)
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
     return sweep(
         apply_for,
-        lambda p: power_rule_oracle(f.power, beta, float(p[0])),
+        lambda p: power_rule_oracle(f.power, beta, p[:, 0]),
         pts,
         n_sweep,
         config,

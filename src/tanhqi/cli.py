@@ -13,10 +13,12 @@ LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
-Exit status: 0 success, 2 invalid configuration, 3 numerical diagnostic
-failure or a run that could not complete (RuntimeError, MemoryError),
-4 I/O failure.  Errors are printed to stderr as a single JSON
-line ``{"status": ..., "error": ...}``.
+Exit status: 0 success, 2 invalid configuration (including a per-point
+working set above kernel.MAX_POINT_WORK), 3 numerical diagnostic failure,
+a non-finite error, or a run that could not complete (RuntimeError,
+MemoryError), 4 I/O failure.  Errors are printed to stderr as a single
+JSON line ``{"status": ..., "error": ...}``; runs execute with numpy's
+floating-point warnings off, so nothing else reaches stderr.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from .analysis import (
     sweep,
 )
 from .fractional import FracConfig
-from .kernel import DensityKernel, MultiIndex, moment, psi_eval
-from .manifold import MetricKernel, chart_preset, operator_on_chart
+from .kernel import DensityKernel, axis_moments, point_work, psi_eval
+from .manifold import MetricKernel, chart_preset, operator_on_chart_batch
 from .operators import OperatorConfig
 from .presets import function_preset, preset_names
 
@@ -282,12 +284,15 @@ def _validate(cfg: ExperimentConfig):
         )
     kernel = _kernel_for(cfg)
     FracConfig(cfg.beta, cfg.frac_step)
-    for n in check_sweep(cfg.n_sweep):
+    ns = check_sweep(cfg.n_sweep)
+    for n in ns:
         OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
     check_grid(cfg.box(), cfg.grid_points)
     check_m_max(cfg.m_max)
+    kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
+    point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
     if cfg.command == "frac":
-        check_fractional(preset, cfg.box())
+        check_fractional(preset, cfg.box(), kernel.radius, ns[0], cfg.frac_step)
 
 
 def _format_value(v) -> str:
@@ -351,15 +356,13 @@ def run_frac(cfg: ExperimentConfig) -> None:
 def run_kernel_dump(cfg: ExperimentConfig) -> None:
     kernel = _kernel_for(cfg)
     n = cfg.n_sweep[0]
-    pts = grid_points(cfg.box(), cfg.grid_points)[:, 0]
-    rows = []
-    for x in pts:
-        moments = [moment(kernel, MultiIndex((p,)), [x], n) for p in range(4)]
-        rows.append((x, float(psi_eval(kernel, x)), *moments, n * moments[1]))
+    xs = grid_points(cfg.box(), cfg.grid_points)[:, 0]
+    moments = axis_moments(kernel, xs, n, 3)
+    rows = np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist()
     payload = {
         "cli": cfg.to_dict(),
         "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
-        "rows": [[float(v) for v in row] for row in rows],
+        "rows": rows,
         "kernel": {
             "q": cfg.q, "alpha": cfg.alpha, "eps_trunc": cfg.trunc_eps,
             "normalization": kernel.normalization, "radius": kernel.radius,
@@ -372,8 +375,8 @@ def run_manifold(cfg: ExperimentConfig) -> None:
     preset = function_preset(cfg.preset)
     mk = MetricKernel(_kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim))
     report = sweep(
-        lambda n: lambda p: operator_on_chart(mk, preset, n, p),
-        lambda p: preset.value(*p),
+        lambda n: lambda p: operator_on_chart_batch(mk, preset, n, p),
+        lambda p: preset.value(*p.T),
         grid_points(cfg.box(), cfg.grid_points),
         cfg.n_sweep,
         # chart weights are always renormalized ("discrete")
@@ -405,7 +408,9 @@ def main(argv=None) -> int:
         if args.print_config:
             print(json.dumps(cfg.to_dict(), sort_keys=True))
             return 0
-        _RUNNERS[cfg.command](cfg)
+        # overflow shows up as a non-finite error row (exit 3), not as a warning
+        with np.errstate(all="ignore"):
+            _RUNNERS[cfg.command](cfg)
         return 0
     except ValueError as exc:
         # ConfigError, and domain violations surfacing from the numeric layers

@@ -89,17 +89,18 @@ def rl_derivative(cfg: FracConfig, f, x: float) -> float:
     return caputo + initial
 
 
-def power_rule_oracle(p: float, beta: float, x: float) -> float:
+def power_rule_oracle(p: float, beta: float, x):
     """Closed form D^beta t^p = Gamma(p+1)/Gamma(p+1-beta) x^(p-beta).
 
-    Valid for p >= 0 and beta in (0, 1); then p + 1 - beta > 0 always,
-    but the pole is guarded anyway.
+    x is a float or an ndarray (elementwise).  Valid for p >= 0 and
+    beta in (0, 1); then p + 1 - beta > 0 always, but the pole is
+    guarded anyway.
     """
     if p < 0.0:
         raise ValueError(f"power rule needs p >= 0, got {p!r}")
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
-    if not x > 0.0:
+    if not np.all(np.asarray(x) > 0.0):
         raise ValueError(f"power rule oracle needs x > 0, got {x!r}")
     if p + 1.0 - beta <= 0.0:
         raise ValueError(f"Gamma pole: p + 1 - beta = {p + 1.0 - beta} is not positive")

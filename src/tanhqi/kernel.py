@@ -12,11 +12,15 @@ prod_i psi(x_i).
 
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
+
+Lattice sums are evaluated for many points at once: ``window_rows``
+builds one (points, window) matrix of lattice sites and weights per
+axis, and callers walk their points in chunks of ``chunk_rows`` rows so
+each chunk array holds about CHUNK_ELEMENTS numbers.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -32,14 +36,24 @@ __all__ = [
     "normalization_constant",
     "truncation_radius",
     "psi_eval",
+    "window_rows",
     "window_weights",
     "window_tensor",
+    "point_work",
+    "chunk_rows",
+    "row_sums",
+    "row_dot",
     "partition_sum",
     "z_eval",
+    "axis_moments",
     "moment",
 ]
 
 MAX_MOMENT_ORDER = 6
+# numbers per chunk array (64 KiB of float64): small enough to stay in cache
+CHUNK_ELEMENTS = 2**13
+# cap on one evaluation point's working set, checked before any allocation
+MAX_POINT_WORK = 2**24
 
 
 def normalization_constant(params: ActivationParams) -> float:
@@ -105,32 +119,91 @@ def psi_eval(kernel: DensityKernel, x):
     return _psi_raw(kernel.params, x, kernel.normalization)
 
 
-def lattice_window(kernel: DensityKernel, u: float) -> np.ndarray:
-    """Integers k with |k - u| <= W, ascending (fixed summation order)."""
+def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice windows and kernel weights for a batch of centres u, shape (P,).
+
+    Row i holds the integers k with |k - u_i| <= W, ascending (as
+    integer-valued floats), and the weights psi(u_i - k).  A window has
+    2W sites, or 2W + 1 when u_i is a lattice site; when the rows differ,
+    each short row is padded by repeating its last site with weight
+    zero, so a pad never reaches a site outside its own window.  Every
+    lattice sum in the package draws its sites and weights from here;
+    u = n x for a sum over k/n near x.
+    """
+    u = np.asarray(u, dtype=float)
     w = kernel.radius
-    return np.arange(math.ceil(u - w), math.floor(u + w) + 1)
+    lo = np.ceil(u - w)
+    hi = np.floor(u + w)
+    width = int(np.max(hi - lo)) + 1
+    ks = lo[:, None] + np.arange(width)
+    short = hi - lo + 1 < width
+    ks[short, -1] = hi[short]
+    weights = psi_eval(kernel, u[:, None] - ks)
+    weights[short, -1] = 0.0
+    return ks, weights
+
+
+def lattice_window(kernel: DensityKernel, u: float) -> np.ndarray:
+    """Integers k with |k - u| <= W (integer-valued floats), ascending (fixed summation order)."""
+    return window_rows(kernel, [u])[0][0]
 
 
 def window_weights(kernel: DensityKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice window ks around u and the kernel weights psi(u - ks).
+    """One-point window_rows: the window ks around u and the weights psi(u - ks)."""
+    ks, weights = window_rows(kernel, [u])
+    return ks[0], weights[0]
 
-    Every lattice sum in the package (partition sums, moments, the
-    operators) draws its integers and weights from here; u = n x for a
-    sum over k/n near x.
+
+def window_tensor(kernel: DensityKernel, n: int, pts: np.ndarray) -> tuple[list, np.ndarray]:
+    """Per-axis windows around n x for points of shape (P, N), and the product weights.
+
+    Axis i's sites come shaped (P, 1, .., L_i, .., 1) so they broadcast
+    against the weight tensor of shape (P, L_1, .., L_N), which holds
+    prod_i psi(n x_i - k_i); it is the one multi-dimensional weight rule
+    of the operators.
     """
-    ks = lattice_window(kernel, u)
-    return ks, psi_eval(kernel, u - ks)
+    dim = pts.shape[1]
+    ks, weights = [], None
+    for i in range(dim):
+        k, w = window_rows(kernel, n * pts[:, i])
+        shape = [len(pts)] + [1] * dim
+        shape[1 + i] = k.shape[1]
+        ks.append(k.reshape(shape))
+        weights = w if weights is None else weights[..., None] * w.reshape(shape[: i + 2])
+    return ks, weights
 
 
-def window_tensor(kernel: DensityKernel, n: int, xs) -> tuple[tuple, np.ndarray]:
-    """Per-axis windows ks_i around n x_i and the product weights.
+def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
+    """Numbers one evaluation point needs: (2W + 1)^dim window sites times per_site each.
 
-    The weight tensor holds prod_i psi(n x_i - k_i) with one axis per
-    coordinate, in np.meshgrid(*ks, indexing="ij") order; it is the one
-    multi-dimensional weight rule of the operators.
+    per_site counts the samples taken per lattice site (quad_nodes^dim
+    for Kantorovich cells, 1 otherwise).  Above MAX_POINT_WORK (2^24)
+    this is a ValueError, raised before anything is allocated.
     """
-    ks, ws = zip(*(window_weights(kernel, n * xi) for xi in xs))
-    return ks, functools.reduce(np.multiply.outer, ws)
+    width = 2 * int(kernel.radius) + 1
+    work = width**dim * per_site
+    if work > MAX_POINT_WORK:
+        raise ValueError(
+            f"one evaluation point needs {work} samples (> {MAX_POINT_WORK}): "
+            f"{width} lattice sites per axis, {dim} axes, {per_site} samples per site; "
+            "increase alpha or trunc_eps, or lower quad_nodes"
+        )
+    return work
+
+
+def chunk_rows(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
+    """Points per chunk: as many as keep a chunk array near CHUNK_ELEMENTS, at least one."""
+    return max(1, CHUNK_ELEMENTS // point_work(kernel, dim, per_site))
+
+
+def row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum of each point's terms, (P, ...) -> (P,), pairwise like np.sum over one point's array."""
+    return terms.reshape(len(terms), -1).sum(axis=1)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (P, L) arrays, each row summed like a 1-D a @ b."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def partition_sum(kernel: DensityKernel, x: float) -> float:
@@ -187,11 +260,23 @@ def multi_indices(dim: int, min_order: int, max_order: int) -> tuple:
     )
 
 
-def _axis_moment(kernel: DensityKernel, p: int, xi: float, n: int) -> float:
-    ks, weights = window_weights(kernel, n * xi)
-    if p == 0:
-        return float(np.sum(weights))
-    return float(((ks / n - xi) ** p) @ weights)
+def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
+    """One-axis moments M_p(x, n) = sum_k (k/n - x)^p psi(n x - k), p = 0..p_max.
+
+    x has shape (P,); the result has shape (P, p_max + 1), all orders
+    from one window per point.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((x.size, p_max + 1))
+    rows = chunk_rows(kernel, 1)
+    for start in range(0, x.size, rows):
+        xs = x[start:start + rows]
+        ks, weights = window_rows(kernel, n * xs)
+        out[start:start + rows, 0] = row_sums(weights)
+        offsets = ks / n - xs[:, None]
+        for p in range(1, p_max + 1):
+            out[start:start + rows, p] = row_dot(offsets**p, weights)
+    return out
 
 
 def moment(kernel: DensityKernel, alpha, x, n: int) -> float:
@@ -213,5 +298,5 @@ def moment(kernel: DensityKernel, alpha, x, n: int) -> float:
         raise ValueError(f"dimension mismatch: x has {xs.size} coordinates, alpha has {len(alpha)}")
     out = 1.0
     for p, xi in zip(alpha, xs):
-        out *= _axis_moment(kernel, p, float(xi), int(n))
+        out *= float(axis_moments(kernel, xi[None], int(n), p)[0, p])
     return out

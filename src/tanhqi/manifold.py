@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import DensityKernel, psi_eval, window_tensor
+from .kernel import DensityKernel, chunk_rows, psi_eval, row_sums, window_tensor
 
 __all__ = [
     "Chart",
@@ -35,6 +35,7 @@ __all__ = [
     "chart_preset",
     "volume_normalize",
     "operator_on_chart",
+    "operator_on_chart_batch",
 ]
 
 
@@ -63,11 +64,17 @@ class Chart:
             return xs
         return np.mod(xs, np.asarray(self.periods, dtype=float))
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x lies in the open domain; x of shape (..., N) gives one answer per point."""
         xs = self.coords(np.atleast_1d(np.asarray(x, dtype=float)))
-        if xs.size != self.dim:
-            raise ValueError(f"chart {self.name!r} is {self.dim}-dimensional, point has {xs.size}")
-        return all(lo < xi < hi for xi, (lo, hi) in zip(xs, self.domain))
+        if xs.shape[-1] != self.dim:
+            raise ValueError(
+                f"chart {self.name!r} is {self.dim}-dimensional, point has {xs.shape[-1]}"
+            )
+        inside = np.ones(xs.shape[:-1], dtype=bool)
+        for i, (lo, hi) in enumerate(self.domain):
+            inside &= (xs[..., i] > lo) & (xs[..., i] < hi)
+        return inside if inside.ndim else bool(inside)
 
 
 def _ones_density(x):
@@ -168,8 +175,8 @@ def volume_normalize(mk: MetricKernel, region) -> float:
     )
 
 
-def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
-    """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x).
+def operator_on_chart_batch(mk: MetricKernel, f, n: int, pts) -> np.ndarray:
+    """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) at every row of pts, (P, N) -> (P,).
 
     Raw weights are psi products times 1/sqrt(det g) at the lattice
     sites, renormalized to sum to one so constants are reproduced
@@ -177,23 +184,35 @@ def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = np.asarray(pts, dtype=float)
     chart = mk.chart
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
-    if not chart.contains(xs):
-        raise ValueError(f"point {xs.tolist()} lies outside the {chart.name!r} chart domain")
-    ks, weights = window_tensor(mk.kernel, n, xs)
-    grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
-    pts = chart.coords(np.stack(grids, axis=-1))
-    for i, (lo, hi) in enumerate(chart.domain):
-        coord = pts[..., i]
-        if not ((coord > lo) & (coord < hi)).all():
-            raise ValueError(
-                f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
-                "increase n or shrink the evaluation box"
-            )
-    weights = weights / chart.sqrt_det_g(pts)
-    weights = weights / np.sum(weights)
-    vals = np.asarray(f.value(*[pts[..., i] for i in range(chart.dim)]), dtype=float)
-    return float(np.sum(vals * weights))
+    outside = ~chart.contains(pts)
+    if outside.any():
+        raise ValueError(
+            f"point {pts[outside][0].tolist()} lies outside the {chart.name!r} chart domain"
+        )
+    out = np.empty(len(pts))
+    rows = chunk_rows(mk.kernel, chart.dim)
+    for start in range(0, len(pts), rows):
+        ks, weights = window_tensor(mk.kernel, n, pts[start:start + rows])
+        sites = chart.coords(np.stack(np.broadcast_arrays(*(k / n for k in ks)), axis=-1))
+        for i, (lo, hi) in enumerate(chart.domain):
+            coord = sites[..., i]
+            if not ((coord > lo) & (coord < hi)).all():
+                raise ValueError(
+                    f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
+                    "increase n or shrink the evaluation box"
+                )
+        weights = weights / chart.sqrt_det_g(sites)
+        weights = weights / row_sums(weights).reshape((-1,) + (1,) * chart.dim)
+        vals = np.asarray(f.value(*[sites[..., i] for i in range(chart.dim)]), dtype=float)
+        out[start:start + rows] = row_sums(vals * weights)
+    return out
+
+
+def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
+    """The metric-weighted operator of operator_on_chart_batch at one point x."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(operator_on_chart_batch(mk, f, n, xs[None, :])[0])

@@ -64,32 +64,33 @@ class TestGridPoints:
 class TestSupError:
     def test_known_errors(self):
         pts = np.array([[0.0], [1.0], [2.0]])
-        sup, mean = sup_error(lambda p: float(p[0]) + 1.0, lambda p: float(p[0]), pts)
+        sup, mean = sup_error(lambda p: p[:, 0] + 1.0, lambda p: p[:, 0], pts)
         assert sup == 1.0 and mean == 1.0
 
     def test_varying_errors(self):
         pts = np.array([[0.0], [1.0], [2.0]])
-        sup, mean = sup_error(lambda p: 2.0 * float(p[0]), lambda p: float(p[0]), pts)
+        sup, mean = sup_error(lambda p: 2.0 * p[:, 0], lambda p: p[:, 0], pts)
         assert sup == 2.0
         assert mean == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_fsum_mean(self):
         rng = np.random.default_rng(77)
         pts = rng.uniform(0.0, 1.0, size=(200, 1))
-        sup, mean = sup_error(lambda p: math.sin(p[0]), lambda p: float(p[0]), pts)
+        sup, mean = sup_error(lambda p: np.array([math.sin(v) for v in p[:, 0]]),
+                              lambda p: p[:, 0], pts)
         errs = [abs(math.sin(p[0]) - p[0]) for p in pts]
         assert sup == max(errs)
         assert mean == pytest.approx(math.fsum(errs) / len(errs), rel=1e-14)
 
     def test_failure_reports_offending_point(self):
         def bad(p):
-            if p[0] > 0.5:
+            if (p[:, 0] > 0.5).any():
                 raise ValueError("boom")
-            return 0.0
+            return np.zeros(len(p))
 
         pts = np.array([[0.1], [0.9]])
         with pytest.raises(ValueError, match=r"boom \(at evaluation point \[0.9\]\)"):
-            sup_error(bad, lambda p: 0.0, pts)
+            sup_error(bad, lambda p: np.zeros(len(p)), pts)
 
     def test_failure_with_multi_argument_exception(self):
         class TwoArgError(Exception):
@@ -100,12 +101,22 @@ class TestSupError:
             raise TwoArgError("overflow", "cell 3")
 
         with pytest.raises(RuntimeError, match=r"overflow in cell 3 \(at evaluation point \[0.5\]\)") as info:
-            sup_error(bad, lambda p: 0.0, np.array([[0.5]]))
+            sup_error(bad, lambda p: np.zeros(len(p)), np.array([[0.5]]))
         assert isinstance(info.value.__cause__, TwoArgError)
+
+    def test_failure_of_whole_batch_only_propagates(self):
+        # every single point succeeds, so the batch's own exception is re-raised
+        def batch_only(p):
+            if len(p) > 1:
+                raise MemoryError("batch too large")
+            return np.zeros(len(p))
+
+        with pytest.raises(MemoryError, match="^batch too large$"):
+            sup_error(batch_only, lambda p: np.zeros(len(p)), np.array([[0.1], [0.9]]))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sup_error(lambda p: 0.0, lambda p: 0.0, np.empty((0, 1)))
+            sup_error(lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)), np.empty((0, 1)))
 
 
 class TestSweep:
@@ -114,10 +125,10 @@ class TestSweep:
 
         def apply_for(n):
             seen.append(n)
-            return lambda p: 3.0 / n
+            return lambda p: np.full(len(p), 3.0 / n)
 
         pts = grid_points(BOX01, 4)
-        rep = sweep(apply_for, lambda p: 0.0, pts, (32, 8, 16, 8), {"k": 1}, "target")
+        rep = sweep(apply_for, lambda p: np.zeros(len(p)), pts, (32, 8, 16, 8), {"k": 1}, "target")
         assert seen == [8, 16, 32]
         assert [r.n for r in rep.rows] == seen
         assert [r.sup_error for r in rep.rows] == [3.0 / n for n in seen]
@@ -128,7 +139,8 @@ class TestSweep:
 
     def test_floor_rows_counted_and_fit_skipped(self):
         pts = grid_points(BOX01, 3)
-        rep = sweep(lambda n: lambda p: 0.0, lambda p: 0.0, pts, (8, 16, 32), {}, "t", "n^-1")
+        zeros = lambda p: np.zeros(len(p))  # noqa: E731
+        rep = sweep(lambda n: zeros, zeros, pts, (8, 16, 32), {}, "t", "n^-1")
         assert rep.excluded_rows == 3 and rep.fitted_slope is None
         assert "fit skipped" in rep.note
         assert rep.claimed_exponent == "n^-1"
@@ -136,7 +148,15 @@ class TestSweep:
     @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,)])
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
         with pytest.raises(ValueError, match="n sweep"):
-            sweep(lambda n: lambda p: 0.0, lambda p: 0.0, grid_points(BOX01, 3), n_sweep, {}, "t")
+            zeros = lambda p: np.zeros(len(p))  # noqa: E731
+            sweep(lambda n: zeros, zeros, grid_points(BOX01, 3), n_sweep, {}, "t")
+
+
+    def test_non_finite_error_names_n(self):
+        pts = grid_points(BOX01, 3)
+        apply_for = lambda n: lambda p: np.full(len(p), np.nan if n == 16 else 1.0)  # noqa: E731
+        with pytest.raises(RuntimeError, match="error at n = 16 is not finite"):
+            sweep(apply_for, lambda p: np.zeros(len(p)), pts, (8, 16, 32), {}, "t")
 
 
 class TestRateFit:
@@ -249,6 +269,11 @@ class TestFractionalRate:
     def test_box_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))
+
+    def test_oversized_l1_grid_rejected(self):
+        # the farthest lattice node is 1 + 16/64 = 1.25, which needs 1.25e7 L1 points
+        with pytest.raises(ValueError, match="L1 grid would need 12500000 points"):
+            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128), frac_step=1e-7)
 
     def test_box_touching_origin_rejected(self):
         # every sample would be positive, but the box itself is not

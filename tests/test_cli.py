@@ -215,6 +215,29 @@ class TestValidation:
         assert err.count("\n") == 1
         assert "alpha" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_oversized_point_work_rejected(self, tmp_path, capsys, print_config):
+        # 33^2 window sites x 100000^2 quadrature nodes per point, far above 2^24
+        argv = ["converge", "--preset", "sin-exp", "--grid-lo", "0,0", "--grid-hi", "1,1",
+                "--grid-points", "2", "--n", "16,32,64", "--operator", "kantorovich",
+                "--quad-nodes", "100000", "--out", str(tmp_path / "x"),
+                *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "one evaluation point needs 10890000000000 samples" in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_oversized_l1_grid_rejected(self, tmp_path, capsys, print_config):
+        # the farthest node, 1 + W/64 = 1.25, needs 1.25e8 L1 points at step 1e-8
+        argv = ["frac", "--preset", "pow2", "--frac-step", "1e-8", "--out", str(tmp_path / "x"),
+                *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "L1 grid would need 125000000 points" in json.loads(err)["error"]
+
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["converge", "--bogus", "1"])
@@ -337,6 +360,16 @@ class TestExitStatuses:
         assert status == 3
         assert err.count("\n") == 1
         assert json.loads(err) == {"status": 3, "error": "could not complete the sweep"}
+
+    def test_non_finite_error_maps_to_three(self, tmp_path, capsys):
+        # exp overflows past t ~ 709.8, so the errors are inf - inf = nan
+        argv = ["converge", "--preset", "exp", "--grid-lo", "700", "--grid-hi", "720",
+                "--grid-points", "5", "--out", str(tmp_path / "x")]
+        status, _, err = run(argv, capsys)
+        assert status == 3
+        assert err.count("\n") == 1
+        assert "error at n = 16 is not finite" in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
 
     def test_unwritable_output_maps_to_four(self, tmp_path, capsys):
         out = tmp_path / "no" / "such" / "dir" / "run"

@@ -20,7 +20,7 @@ from tanhqi import (
     truncation_radius,
     z_eval,
 )
-from tanhqi.kernel import window_weights
+from tanhqi.kernel import MAX_POINT_WORK, point_work, window_rows, window_weights
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -132,6 +132,34 @@ class TestTruncation:
         assert win[0] == math.ceil(0.3 - k.radius)
         assert win[-1] == math.floor(0.3 + k.radius)
         assert np.all(np.diff(win) == 1)
+
+
+class TestWindowRows:
+    def test_rows_hold_each_centres_window(self):
+        # 3.0 is a lattice site (2W + 1 sites), so the other rows get one padded slot
+        k = kernel()
+        centres = [0.3, 3.0, -7.25]
+        ks, ws = window_rows(k, centres)
+        assert ks.shape == ws.shape == (3, 2 * int(k.radius) + 1)
+        for row, u in enumerate(centres):
+            win, weights = window_weights(k, u)
+            assert np.array_equal(ks[row, :win.size], win)
+            assert np.array_equal(ws[row, :win.size], weights)
+            if win.size < ks.shape[1]:
+                # the pad repeats the last site, with weight zero
+                assert ks[row, -1] == win[-1] and ws[row, -1] == 0.0
+
+    def test_off_site_rows_are_unpadded(self):
+        k = kernel()
+        ks, _ = window_rows(k, [0.3, 0.7, 41.5])
+        assert ks.shape == (3, 2 * int(k.radius))
+
+    def test_point_work_cap(self):
+        k = kernel()
+        assert point_work(k, 1) == 33
+        assert point_work(k, 2, 25) == 33 * 33 * 25
+        with pytest.raises(ValueError, match="one evaluation point needs"):
+            point_work(k, 2, MAX_POINT_WORK)
 
 
 class TestZEval:
