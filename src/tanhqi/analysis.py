@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import MAX_GRID_POINTS, power_rule_oracle
+from .fractional import MAX_GRID_POINTS, l1_intervals, power_rule_oracle
 from .kernel import DensityKernel
 from .operators import (
     OperatorConfig,
@@ -104,6 +104,8 @@ def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError(f"grid axis ({lo}, {hi}) must be finite and non-empty")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"grid axis ({lo}, {hi}) is wider than the largest float")
     return box
 
 
@@ -201,7 +203,7 @@ def check_fractional(f, box, radius: float, n_min: int, step: float) -> None:
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
     t_max = max(float(hi) for _, hi in box) + radius / n_min
-    m = math.ceil(t_max / step)
+    m = l1_intervals(t_max, step)
     if m > MAX_GRID_POINTS:
         raise ValueError(
             f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at the farthest lattice "

@@ -14,7 +14,8 @@ skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
 Exit status: 0 success, 2 invalid configuration (including a per-point
-working set above kernel.MAX_POINT_WORK), 3 numerical diagnostic failure,
+working set above kernel.MAX_POINT_WORK or quad_nodes above
+operators.MAX_QUAD_NODES), 3 numerical diagnostic failure,
 a non-finite error, or a run that could not complete (RuntimeError,
 MemoryError), 4 I/O failure.  Errors are printed to stderr as a single
 JSON line ``{"status": ..., "error": ...}``; runs execute with numpy's
@@ -46,7 +47,7 @@ from .analysis import (
 )
 from .fractional import FracConfig
 from .kernel import DensityKernel, axis_moments, point_work, psi_eval
-from .manifold import MetricKernel, chart_preset, operator_on_chart_batch
+from .manifold import chart_preset, operator_on_chart_batch
 from .operators import OperatorConfig
 from .presets import function_preset, preset_names
 
@@ -285,12 +286,12 @@ def _validate(cfg: ExperimentConfig):
     kernel = _kernel_for(cfg)
     FracConfig(cfg.beta, cfg.frac_step)
     ns = check_sweep(cfg.n_sweep)
+    kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
+    point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
     for n in ns:
         OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
     check_grid(cfg.box(), cfg.grid_points)
     check_m_max(cfg.m_max)
-    kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
-    point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
     if cfg.command == "frac":
         check_fractional(preset, cfg.box(), kernel.radius, ns[0], cfg.frac_step)
 
@@ -373,9 +374,9 @@ def run_kernel_dump(cfg: ExperimentConfig) -> None:
 
 def run_manifold(cfg: ExperimentConfig) -> None:
     preset = function_preset(cfg.preset)
-    mk = MetricKernel(_kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim))
+    kernel, chart = _kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim)
     report = sweep(
-        lambda n: lambda p: operator_on_chart_batch(mk, preset, n, p),
+        lambda n: lambda p: operator_on_chart_batch(kernel, chart, preset, n, p),
         lambda p: preset.value(*p.T),
         grid_points(cfg.box(), cfg.grid_points),
         cfg.n_sweep,

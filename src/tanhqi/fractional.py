@@ -28,6 +28,12 @@ __all__ = ["FracConfig", "gamma_fn", "rl_derivative", "power_rule_oracle"]
 MAX_GRID_POINTS = 10**7
 
 
+def l1_intervals(x: float, h: float) -> float:
+    """ceil(x / h), the L1 grid's intervals; math.inf (which every cap rejects) past float range."""
+    ratio = x / h
+    return math.ceil(ratio) if math.isfinite(ratio) else math.inf
+
+
 def gamma_fn(x: float) -> float:
     """Gamma function on x > 0 (the C library's, via math.gamma).
 
@@ -73,7 +79,7 @@ def rl_derivative(cfg: FracConfig, f, x: float) -> float:
     """
     if not x > 0.0:
         raise ValueError(f"rl_derivative requires x > 0, got {x!r}")
-    m = math.ceil(x / cfg.h)
+    m = l1_intervals(x, cfg.h)
     if m > MAX_GRID_POINTS:
         raise ValueError(
             f"L1 grid would need {m} points (> {MAX_GRID_POINTS}); increase h or reduce x"

@@ -37,19 +37,14 @@ __all__ = [
     "truncation_radius",
     "psi_eval",
     "window_rows",
-    "window_weights",
     "window_tensor",
     "point_work",
     "chunk_rows",
     "row_sums",
     "row_dot",
-    "partition_sum",
-    "z_eval",
     "axis_moments",
-    "moment",
 ]
 
-MAX_MOMENT_ORDER = 6
 # numbers per chunk array (64 KiB of float64): small enough to stay in cache
 CHUNK_ELEMENTS = 2**13
 # cap on one evaluation point's working set, checked before any allocation
@@ -143,17 +138,6 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
-def lattice_window(kernel: DensityKernel, u: float) -> np.ndarray:
-    """Integers k with |k - u| <= W (integer-valued floats), ascending (fixed summation order)."""
-    return window_rows(kernel, [u])[0][0]
-
-
-def window_weights(kernel: DensityKernel, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """One-point window_rows: the window ks around u and the weights psi(u - ks)."""
-    ks, weights = window_rows(kernel, [u])
-    return ks[0], weights[0]
-
-
 def window_tensor(kernel: DensityKernel, n: int, pts: np.ndarray) -> tuple[list, np.ndarray]:
     """Per-axis windows around n x for points of shape (P, N), and the product weights.
 
@@ -206,19 +190,6 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def partition_sum(kernel: DensityKernel, x: float) -> float:
-    """Truncated lattice sum sum_k psi(x - k); equals 1 up to the tail mass."""
-    return float(np.sum(window_weights(kernel, x)[1]))
-
-
-def z_eval(kernel: DensityKernel, x) -> float:
-    """Product kernel Z(x) = prod_i psi(x_i) for a length-N coordinate vector."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("z_eval expects a one-dimensional, non-empty coordinate vector")
-    return float(np.prod(psi_eval(kernel, xs)))
-
-
 @dataclass(frozen=True)
 class MultiIndex:
     """Multi-index alpha = (a_1, ..., a_N) of non-negative integers."""
@@ -244,9 +215,6 @@ class MultiIndex:
             out *= math.factorial(e)
         return out
 
-    def __len__(self):
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -264,7 +232,9 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     """One-axis moments M_p(x, n) = sum_k (k/n - x)^p psi(n x - k), p = 0..p_max.
 
     x has shape (P,); the result has shape (P, p_max + 1), all orders
-    from one window per point.
+    from one window per point.  Column 0 is the truncated partition sum.
+    The N-dimensional M_alpha(x, n) is the product over axes i of column
+    alpha_i; |M_p| <= (W/n)^p, and n * M_1 depends only on frac(n x).
     """
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, p_max + 1))
@@ -276,27 +246,4 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
         offsets = ks / n - xs[:, None]
         for p in range(1, p_max + 1):
             out[start:start + rows, p] = row_dot(offsets**p, weights)
-    return out
-
-
-def moment(kernel: DensityKernel, alpha, x, n: int) -> float:
-    """Discrete moment M_alpha(x, n) = sum_k (k/n - x)^alpha Z(n x - k).
-
-    The product kernel factorizes the sum, so the moment is the product
-    of per-axis one-dimensional moments.  On the truncated window
-    |k_i - n x_i| <= W, hence |M_alpha| <= (W/n)^|alpha|.  For |alpha| = 1
-    the scaled moment n * M_alpha depends only on frac(n x_i).
-    """
-    if not isinstance(alpha, MultiIndex):
-        alpha = MultiIndex(tuple(alpha))
-    if alpha.order > MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order |alpha| = {alpha.order} exceeds the cap {MAX_MOMENT_ORDER}")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or xs.size != len(alpha):
-        raise ValueError(f"dimension mismatch: x has {xs.size} coordinates, alpha has {len(alpha)}")
-    out = 1.0
-    for p, xi in zip(alpha, xs):
-        out *= float(axis_moments(kernel, xi[None], int(n), p)[0, p])
     return out

@@ -30,11 +30,9 @@ from .kernel import DensityKernel, chunk_rows, psi_eval, row_sums, window_tensor
 
 __all__ = [
     "Chart",
-    "MetricKernel",
     "DiagnosticError",
     "chart_preset",
     "volume_normalize",
-    "operator_on_chart",
     "operator_on_chart_batch",
 ]
 
@@ -115,14 +113,6 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
     )
 
 
-@dataclass(frozen=True)
-class MetricKernel:
-    """Product kernel paired with the chart whose volume density weights it."""
-
-    kernel: DensityKernel
-    chart: Chart
-
-
 def _simpson_weights(points: int, step: float) -> np.ndarray:
     # composite Simpson needs an odd point count
     w = np.ones(points)
@@ -142,7 +132,7 @@ def _volume_mass(kernel: DensityKernel, region, points: int) -> float:
     return mass
 
 
-def volume_normalize(mk: MetricKernel, region) -> float:
+def volume_normalize(kernel: DensityKernel, chart: Chart, region) -> float:
     """Constant c with c * integral of phi_g sqrt(det g) over the region = 1.
 
     Tensor composite Simpson, summed as a product of per-axis 1-D sums,
@@ -151,19 +141,19 @@ def volume_normalize(mk: MetricKernel, region) -> float:
     c > 1 (mass deficit correction).
     """
     region = tuple((float(lo), float(hi)) for lo, hi in region)
-    if len(region) != mk.chart.dim:
-        raise ValueError(f"region has {len(region)} axes, chart {mk.chart.name!r} has {mk.chart.dim}")
+    if len(region) != chart.dim:
+        raise ValueError(f"region has {len(region)} axes, chart {chart.name!r} has {chart.dim}")
     for lo, hi in region:
         if not hi > lo:
             raise ValueError(f"degenerate region axis ({lo}, {hi}) has no volume")
     mid = [0.5 * (lo + hi) for lo, hi in region]
-    if not mk.chart.contains(np.asarray(mid)):
+    if not chart.contains(np.asarray(mid)):
         raise ValueError("region must lie inside the chart domain")
     points = 129
-    prev = _volume_mass(mk.kernel, region, points)
+    prev = _volume_mass(kernel, region, points)
     for _ in range(5):
         points = 2 * points - 1
-        cur = _volume_mass(mk.kernel, region, points)
+        cur = _volume_mass(kernel, region, points)
         if abs(cur - prev) <= 1e-8 * abs(cur):
             if cur <= 0.0:
                 raise DiagnosticError("volume mass is not positive; region misses the kernel support")
@@ -175,7 +165,7 @@ def volume_normalize(mk: MetricKernel, region) -> float:
     )
 
 
-def operator_on_chart_batch(mk: MetricKernel, f, n: int, pts) -> np.ndarray:
+def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, pts) -> np.ndarray:
     """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) at every row of pts, (P, N) -> (P,).
 
     Raw weights are psi products times 1/sqrt(det g) at the lattice
@@ -185,7 +175,6 @@ def operator_on_chart_batch(mk: MetricKernel, f, n: int, pts) -> np.ndarray:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     pts = np.asarray(pts, dtype=float)
-    chart = mk.chart
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
     outside = ~chart.contains(pts)
@@ -194,9 +183,9 @@ def operator_on_chart_batch(mk: MetricKernel, f, n: int, pts) -> np.ndarray:
             f"point {pts[outside][0].tolist()} lies outside the {chart.name!r} chart domain"
         )
     out = np.empty(len(pts))
-    rows = chunk_rows(mk.kernel, chart.dim)
+    rows = chunk_rows(kernel, chart.dim)
     for start in range(0, len(pts), rows):
-        ks, weights = window_tensor(mk.kernel, n, pts[start:start + rows])
+        ks, weights = window_tensor(kernel, n, pts[start:start + rows])
         sites = chart.coords(np.stack(np.broadcast_arrays(*(k / n for k in ks)), axis=-1))
         for i, (lo, hi) in enumerate(chart.domain):
             coord = sites[..., i]
@@ -210,9 +199,3 @@ def operator_on_chart_batch(mk: MetricKernel, f, n: int, pts) -> np.ndarray:
         vals = np.asarray(f.value(*[sites[..., i] for i in range(chart.dim)]), dtype=float)
         out[start:start + rows] = row_sums(vals * weights)
     return out
-
-
-def operator_on_chart(mk: MetricKernel, f, n: int, x) -> float:
-    """The metric-weighted operator of operator_on_chart_batch at one point x."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(operator_on_chart_batch(mk, f, n, xs[None, :])[0])

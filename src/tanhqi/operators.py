@@ -17,20 +17,22 @@ The Voronovskaya helper assembles the moment correction
 sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n), which peels
 one order of 1/n off the basic operator's error per added term.
 
-Each operator has a batched body, ``*_batch(..., pts)``, that evaluates
+Each operator is one function, ``*_batch(..., pts)``, that evaluates
 every row of a (P, N) point array in chunks of kernel.chunk_rows points;
-the one-point functions wrap it.
+one point x is the array [x], e.g. ``apply_basic_batch(cfg, f, [[x]])[0]``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fractional import FracConfig, rl_derivative
 from .kernel import (
+    MAX_POINT_WORK,
     DensityKernel,
     axis_moments,
     chunk_rows,
@@ -43,17 +45,15 @@ from .kernel import (
 
 __all__ = [
     "OperatorConfig",
-    "apply_basic",
     "apply_basic_batch",
-    "apply_kantorovich",
     "apply_kantorovich_batch",
-    "apply_fractional",
     "apply_fractional_batch",
-    "voronovskaya_correction",
     "voronovskaya_correction_batch",
 ]
 
 OPERATOR_KINDS = ("basic", "kantorovich", "fractional")
+# leggauss(g) builds a g x g matrix, so g^2 must fit the per-point budget too
+MAX_QUAD_NODES = math.isqrt(MAX_POINT_WORK)
 
 
 @dataclass(frozen=True)
@@ -80,34 +80,32 @@ class OperatorConfig:
             raise ValueError(f"beta only applies to the fractional kind, got kind={self.kind!r}")
         if not (isinstance(self.quad_nodes, (int, np.integer)) and self.quad_nodes >= 2):
             raise ValueError(f"quad_nodes must be an integer >= 2, got {self.quad_nodes!r}")
+        if self.quad_nodes > MAX_QUAD_NODES:
+            raise ValueError(
+                f"quad_nodes = {self.quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
+                f"rule would build a {self.quad_nodes} x {self.quad_nodes} matrix"
+            )
 
 
-def _point(x, dim_expected=None):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("evaluation point must be a scalar or a length-N vector")
-    return _points(xs[None, :], dim_expected)
-
-
-def _points(pts, dim_expected=None):
+def _points(pts, dim_expected: int):
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError("evaluation points must form a non-empty (P, N) array")
-    if dim_expected is not None and pts.shape[1] != dim_expected:
+    if pts.shape[1] != dim_expected:
         raise ValueError(
             f"evaluation point has {pts.shape[1]} coordinates, preset expects {dim_expected}"
         )
     return pts
 
 
-def _check_kind(cfg: OperatorConfig, kind: str, name: str) -> None:
+def _check_kind(cfg: OperatorConfig, kind: str) -> None:
     if cfg.kind != kind:
-        raise ValueError(f"{name} needs kind={kind!r}, got {cfg.kind!r}")
+        raise ValueError(f"apply_{kind}_batch needs kind={kind!r}, got {cfg.kind!r}")
 
 
 def apply_basic_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
-    """A_n(f; x) at every row of pts, shape (P, N) -> (P,)."""
-    _check_kind(cfg, "basic", "apply_basic")
+    """A_n(f; x) at every row of pts, (P, N) -> (P,); exact on constants up to the tail mass."""
+    _check_kind(cfg, "basic")
     pts = _points(pts, f.dim)
     out = np.empty(len(pts))
     rows = chunk_rows(cfg.kernel, pts.shape[1])
@@ -116,11 +114,6 @@ def apply_basic_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
         vals = np.asarray(f.value(*(k / cfg.n for k in ks)), dtype=float)
         out[start:start + rows] = row_sums(vals * weights)
     return out
-
-
-def apply_basic(cfg: OperatorConfig, f, x) -> float:
-    """A_n(f; x); exact on constants up to the truncated tail mass."""
-    return float(apply_basic_batch(cfg, f, _point(x, f.dim))[0])
 
 
 def _unique_cells(ks) -> tuple[np.ndarray, np.ndarray]:
@@ -138,10 +131,13 @@ def _unique_cells(ks) -> tuple[np.ndarray, np.ndarray]:
 def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     """K_n(f; x) at every row of pts, shape (P, N) -> (P,).
 
-    Each distinct cell average of a chunk is computed once and gathered
-    into the windows; the Gauss-Legendre rule is built once per call.
+    With g nodes per axis the cell averages are exact for polynomial
+    degree 2g - 1 per axis (degree 9 at the default g = 5), so K_n
+    inherits the basic operator's exactness on constants.  Each distinct
+    cell average of a chunk is computed once and gathered into the
+    windows; the Gauss-Legendre rule is built once per call.
     """
-    _check_kind(cfg, "kantorovich", "apply_kantorovich")
+    _check_kind(cfg, "kantorovich")
     pts = _points(pts, f.dim)
     dim = pts.shape[1]
     g = cfg.quad_nodes
@@ -165,16 +161,6 @@ def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     return out
 
 
-def apply_kantorovich(cfg: OperatorConfig, f, x) -> float:
-    """K_n(f; x) with tensor Gauss-Legendre cell averages.
-
-    With g nodes per axis the averages are exact for polynomial degree
-    2g - 1 per axis (degree 9 at the default g = 5), so K_n inherits the
-    basic operator's exactness on constants.
-    """
-    return float(apply_kantorovich_batch(cfg, f, _point(x, f.dim))[0])
-
-
 def _dbeta_at(frac_cfg: FracConfig, f, t: float) -> float:
     if t > 0.0:
         return rl_derivative(frac_cfg, f, t)
@@ -189,12 +175,13 @@ def _dbeta_at(frac_cfg: FracConfig, f, t: float) -> float:
 
 
 def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
-    """Q_n(f; x) at every row of pts, shape (P, 1) -> (P,).
+    """Q_n(f; x) at every row of pts, shape (P, 1) -> (P,), x >= 0.
 
-    D^beta f is computed once per distinct admissible node k >= 0 of the
+    The half-lattice k >= 0 weights are renormalized per point.  D^beta f
+    is computed once per distinct admissible node k >= 0 of the
     call and gathered into the windows.
     """
-    _check_kind(cfg, "fractional", "apply_fractional")
+    _check_kind(cfg, "fractional")
     x = _points(pts, 1)[:, 0]
     if f.dim != 1:
         raise ValueError("the fractional operator is one-dimensional")
@@ -220,13 +207,11 @@ def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     return out
 
 
-def apply_fractional(cfg: OperatorConfig, f, x: float) -> float:
-    """Q_n(f; x) on the half-lattice k >= 0 with renormalized weights."""
-    return float(apply_fractional_batch(cfg, f, _point(x, 1))[0])
-
-
 def voronovskaya_correction_batch(kernel: DensityKernel, f, pts, n: int, m: int) -> np.ndarray:
-    """The moment correction of voronovskaya_correction at every row of pts, (P, N) -> (P,)."""
+    """sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) at every row of pts, (P, N) -> (P,).
+
+    alpha runs in lexicographic order; m lies in 1..4 and at most the smoothness grade of f.
+    """
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= 4):
         raise ValueError(f"correction order m must lie in 1..4, got {m!r}")
     if m > f.smoothness:
@@ -244,12 +229,3 @@ def voronovskaya_correction_batch(kernel: DensityKernel, f, pts, n: int, m: int)
         # a zero derivative adds an exact zero, as skipping the term would
         total = total + d / alpha.factorial * mom
     return total
-
-
-def voronovskaya_correction(kernel: DensityKernel, f, x, n: int, m: int) -> float:
-    """Moment correction sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n).
-
-    Multi-indices are visited in lexicographic order.  m must lie in
-    1..4 and must not exceed the preset's smoothness grade.
-    """
-    return float(voronovskaya_correction_batch(kernel, f, _point(x, f.dim), n, m)[0])

@@ -15,20 +15,17 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     FracConfig,
-    MetricKernel,
-    MultiIndex,
     OperatorConfig,
-    apply_basic,
-    apply_kantorovich,
+    apply_basic_batch,
+    apply_kantorovich_batch,
+    axis_moments,
     chart_preset,
     fractional_rate,
     function_preset,
     h_derivative,
     h_eval,
-    moment,
     operator_convergence,
-    operator_on_chart,
-    partition_sum,
+    operator_on_chart_batch,
     power_rule_oracle,
     residual_orders,
     rl_derivative,
@@ -52,8 +49,9 @@ def test_criterion_1_partition_of_unity():
     for q in Q_GRID:
         for alpha in ALPHA_GRID:
             kernel = DensityKernel(ActivationParams(q, alpha), eps_trunc=1e-14)
-            for x in xs:
-                worst = max(worst, abs(partition_sum(kernel, float(x)) - 1.0))
+            # the truncated partition sum is the zeroth moment at n = 1
+            sums = axis_moments(kernel, xs, 1, 0)[:, 0]
+            worst = max(worst, float(np.max(np.abs(sums - 1.0))))
     _verdict(1, worst <= 1e-12,
              f"max |sum_k psi(x-k) - 1| = {worst:.3e} <= 1e-12 over 12 (q, alpha) pairs, 101 points")
 
@@ -85,17 +83,17 @@ def test_criterion_3_operator_exactness():
     lin = function_preset("linear")
     rng = np.random.default_rng(2024)
     xs = rng.uniform(-3.0, 3.0, size=50)
+    pts = xs[:, None]
     worst_const = 0.0
     worst_linear = 0.0
     for n in (16, 512):
         cb = OperatorConfig("basic", n, kernel)
         ck = OperatorConfig("kantorovich", n, kernel)
-        for x in xs:
-            worst_const = max(worst_const, abs(apply_basic(cb, one, float(x)) - 1.0))
-            worst_const = max(worst_const, abs(apply_kantorovich(ck, one, float(x)) - 1.0))
-            gap = apply_basic(cb, lin, float(x)) - float(x)
-            m1 = moment(kernel, MultiIndex((1,)), np.array([float(x)]), n)
-            worst_linear = max(worst_linear, abs(gap - m1))
+        for vals in (apply_basic_batch(cb, one, pts), apply_kantorovich_batch(ck, one, pts)):
+            worst_const = max(worst_const, float(np.max(np.abs(vals - 1.0))))
+        gap = apply_basic_batch(cb, lin, pts) - xs
+        m1 = axis_moments(kernel, xs, n, 1)[:, 1]
+        worst_linear = max(worst_linear, float(np.max(np.abs(gap - m1))))
     ok = worst_const <= 1e-12 and worst_linear <= 1e-12
     _verdict(3, ok,
              f"constants: max |A_n(1)-1|, |K_n(1)-1| = {worst_const:.3e} <= 1e-12; "
@@ -161,18 +159,15 @@ def test_criterion_7_fractional_operator_rate():
 
 def test_criterion_8_manifold_uniform_convergence():
     kernel = DensityKernel(ActivationParams(0.5, 1.0))
-    mk = MetricKernel(kernel, chart_preset("poincare-half-plane"))
+    chart = chart_preset("poincare-half-plane")
     f = function_preset("sin-exp")
     xs = np.linspace(-1.0, 1.0, 9)
     ys = np.linspace(1.0, 2.0, 9)
+    pts = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=-1)
     sups = []
     for n in (32, 64, 128, 256):
-        worst = 0.0
-        for x in xs:
-            for y in ys:
-                got = operator_on_chart(mk, f, n, [float(x), float(y)])
-                worst = max(worst, abs(got - f.value(float(x), float(y))))
-        sups.append(worst)
+        got = operator_on_chart_batch(kernel, chart, f, n, pts)
+        sups.append(float(np.max(np.abs(got - f.value(*pts.T)))))
     ratios = [float(sups[i] / sups[i + 1]) for i in range(3)]
     ok = min(ratios) >= 1.7
     _verdict(8, ok,

@@ -49,6 +49,7 @@ class TestGridPoints:
         ([(0.0, 1.0), (math.nan, 1.0)], 5),
         (BOX01, 2.5),
         (BOX01, "5"),
+        ([(-1e308, 1e308)], 3),
     ])
     def test_non_finite_corners_and_fractional_counts_rejected(self, box, points):
         with pytest.raises(ValueError):
@@ -274,6 +275,11 @@ class TestFractionalRate:
         # the farthest lattice node is 1 + 16/64 = 1.25, which needs 1.25e7 L1 points
         with pytest.raises(ValueError, match="L1 grid would need 12500000 points"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128), frac_step=1e-7)
+
+    def test_l1_grid_overflow_rejected(self):
+        # (1e308 + W/64) / 1e-3 is not a finite float
+        with pytest.raises(ValueError, match="L1 grid would need inf points"):
+            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1e308)], 5, (64, 128))
 
     def test_box_touching_origin_rejected(self):
         # every sample would be positive, but the box itself is not

@@ -33,7 +33,6 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     FracConfig,
-    MetricKernel,
     OperatorConfig,
     chart_preset,
     function_preset,
@@ -119,9 +118,8 @@ def ref_fractional(kernel, n, dbeta, x):
     return float(dvals @ weights / float(np.sum(weights)))
 
 
-def ref_chart(mk, n, f, x):
-    chart = mk.chart
-    ks, weights = ref_tensor(mk.kernel, n, x)
+def ref_chart(kernel, chart, n, f, x):
+    ks, weights = ref_tensor(kernel, n, x)
     grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
     sites = chart.coords(np.stack(grids, axis=-1))
     weights = weights / chart.sqrt_det_g(sites)
@@ -241,15 +239,15 @@ class TestBatchedMatchesReference:
         if chart == "half-plane":
             # n > W keeps every window above y = 0 for y >= 1
             n = int(kernel.radius) + n
-            mk = MetricKernel(kernel, chart_preset("poincare-half-plane"))
+            ch = chart_preset("poincare-half-plane")
             pts = draw_points(data, kernel, n, 2, lo=1.0, hi=2.0)
             f = Exp2()
         else:
-            mk = MetricKernel(kernel, chart_preset(chart, 1))
+            ch = chart_preset(chart, 1)
             pts = draw_points(data, kernel, n, 1, lo=-1.0, hi=1.0)
             f = function_preset("exp")
-        got = operator_on_chart_batch(mk, f, n, pts)
-        ref = [ref_chart(mk, n, f, p) for p in pts]
+        got = operator_on_chart_batch(kernel, ch, f, n, pts)
+        ref = [ref_chart(kernel, ch, n, f, p) for p in pts]
         assert_rows(got, ref, not holds_site(kernel, n, pts))
 
     @PROPERTY
@@ -295,12 +293,15 @@ class TestExactOnConstants:
     @given(kernel=small_kernels(), n=st.integers(1, 64), data=st.data())
     def test_chart(self, kernel, n, data):
         n = int(kernel.radius) + n
-        mk = MetricKernel(kernel, chart_preset("poincare-half-plane"))
+        chart = chart_preset("poincare-half-plane")
         pts = draw_points(data, kernel, n, 2, lo=1.0, hi=2.0)
-        assert_unity(operator_on_chart_batch(mk, Ones2(), n, pts), kernel)
+        assert_unity(operator_on_chart_batch(kernel, chart, Ones2(), n, pts), kernel)
 
     @PROPERTY
-    @given(kernel=small_kernels(), n=st.integers(1, 256), c=st.floats(-3.0, 3.0), data=st.data())
+    # a subnormal c (below 2.2e-308) keeps fewer than 53 significant bits, so c * psi
+    # rounds by more than the 4 eps W bound (c = 2.2e-313 misses it by 1.5x)
+    @given(kernel=small_kernels(), n=st.integers(1, 256),
+           c=st.floats(-3.0, 3.0, allow_subnormal=False), data=st.data())
     def test_fractional(self, kernel, n, c, data):
         # with D^beta f equal to c at every node, the renormalized weights return c
         lo = (kernel.radius + 1.0) / n

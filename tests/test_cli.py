@@ -1,11 +1,15 @@
 """Command-line interface: outputs, config merging, exit statuses."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tanhqi
 from tanhqi import (
@@ -238,6 +242,27 @@ class TestValidation:
         assert err.count("\n") == 1
         assert "L1 grid would need 125000000 points" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv, message", [
+        # (1e308 + W/64) / 1e-3 overflows to inf before math.ceil
+        (["frac", "--preset", "pow2", "--grid-lo", "0.2", "--grid-hi", "1e308"],
+         "L1 grid would need inf points"),
+        # 1e308 - (-1e308) is inf, so the grid would be all inf
+        (["converge", "--preset", "sin", "--grid-lo=-1e308", "--grid-hi", "1e308",
+          "--grid-points", "3", "--n", "16,32,64"], "wider than the largest float"),
+        # 1-D: 33 x 1e5 samples per point fit 2^24, but leggauss would build a 1e5 x 1e5 matrix
+        (["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "3",
+          "--operator", "kantorovich", "--quad-nodes", "100000"], "100000 x 100000"),
+    ], ids=["l1-overflow", "box-width", "leggauss"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_unbounded_config_rejected_before_run(self, tmp_path, capsys, argv, message,
+                                                  print_config):
+        argv = [*argv, "--out", str(tmp_path / "x"), *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert message in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["converge", "--bogus", "1"])
@@ -382,6 +407,56 @@ class TestExitStatuses:
                          "--out", str(tmp_path / "x")], capsys)
         assert err.count("\n") == 1
         json.loads(err.strip())
+
+
+EXTREMES = ("inf", "nan", "-1", "0", "1e308", "-1e308", "1e-300", "100000")
+COMMON_FLAGS = ("--q", "--alpha", "--trunc-eps", "--n", "--grid-lo", "--grid-hi", "--grid-points")
+COMMAND_FLAGS = {
+    "converge": ("--preset", "sin", ("--quad-nodes",)),
+    "voronovskaya": (None, None, ("--m-max",)),
+    "frac": ("--preset", "pow2", ("--beta", "--frac-step")),
+    "kernel-dump": (None, None, ()),
+    "manifold": (None, None, ()),
+}
+
+
+@st.composite
+def extreme_argv(draw):
+    """A subcommand with a random subset of its numeric flags set to extreme values."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    preset_flag, preset, own = COMMAND_FLAGS[command]
+    argv = [command] + ([preset_flag, preset] if preset_flag else [])
+    if command == "converge":
+        argv += ["--operator", draw(st.sampled_from(["basic", "kantorovich"]))]
+    flags = st.lists(st.sampled_from(COMMON_FLAGS + own), unique=True, min_size=1, max_size=3)
+    for flag in draw(flags):
+        # list flags take one or two entries, so box axis counts vary too
+        values = draw(st.lists(st.sampled_from(EXTREMES), min_size=1, max_size=2))
+        argv.append(f"{flag}={','.join(values)}")
+    return argv
+
+
+class TestFailureContract:
+    @settings(deadline=None, max_examples=300)
+    @given(argv=extreme_argv())
+    @example(argv=["frac", "--preset", "pow2", "--grid-hi=1e308"])
+    def test_print_config_exits_zero_or_two_with_one_json_line(self, argv):
+        # --print-config validates everything a run would and then stops, so no
+        # drawn config launches a sweep
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = cli.main([*argv, "--out", "x", "--print-config"])
+            except SystemExit as exc:  # argparse rejects the flag value
+                status = exc.code
+        assert status in (0, 2)
+        if status == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and out.getvalue() == ""
+            assert json.loads(lines[0])["status"] == 2
+        else:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["command"] == argv[0]
 
 
 class TestModuleEntryPoint:

@@ -135,6 +135,9 @@ class TestRLDerivative:
         assert MAX_GRID_POINTS == 10**7
         with pytest.raises(ValueError):
             rl_derivative(FracConfig(0.5, 1e-9), IDENTITY, 1.0)
+        # x / h overflows to inf, which the cap rejects too
+        with pytest.raises(ValueError, match="inf points"):
+            rl_derivative(FracConfig(0.5, 1e-3), IDENTITY, 1e308)
 
 
 class TestPowerRuleOracle:

@@ -11,20 +11,22 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     MultiIndex,
-    lattice_window,
-    moment,
+    axis_moments,
     multi_indices,
     normalization_constant,
-    partition_sum,
     psi_eval,
     truncation_radius,
-    z_eval,
 )
-from tanhqi.kernel import MAX_POINT_WORK, point_work, window_rows, window_weights
+from tanhqi.kernel import MAX_POINT_WORK, point_work, window_rows, window_tensor
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
     return DensityKernel(ActivationParams(q, alpha), eps_trunc=eps)
+
+
+def lattice_sum(k, x):
+    # the truncated lattice sum sum_k psi(x - k) is the zeroth moment at n = 1
+    return axis_moments(k, [x], 1, 0)[0, 0]
 
 
 def raw_h(q, alpha, x):
@@ -77,7 +79,7 @@ class TestPsi:
 
     @pytest.mark.parametrize("x", [0.0, 0.37, -1.9, 4.4])
     def test_partition_of_unity(self, x):
-        assert partition_sum(kernel(), x) == pytest.approx(1.0, abs=1e-12)
+        assert lattice_sum(kernel(), x) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTruncation:
@@ -103,7 +105,7 @@ class TestTruncation:
         k = kernel(alpha=1e-3, eps=1e-3)
         assert k.radius == 2048.0
         # 4 eps W = 8.2 is vacuous here; the window holds about 95% of the mass
-        assert 1.0 - partition_sum(k, 0.3) < 0.06
+        assert 1.0 - lattice_sum(k, 0.3) < 0.06
 
     def test_search_stop_is_value_error(self):
         with pytest.raises(ValueError, match="2\\^40"):
@@ -122,13 +124,12 @@ class TestTruncation:
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
         k = kernel()
-        ks, ws = window_weights(k, u)
-        assert np.array_equal(ks, lattice_window(k, u))
-        assert np.array_equal(ws, psi_eval(k, u - ks))
+        ks, ws = window_rows(k, [u])
+        assert np.array_equal(ws[0], psi_eval(k, u - ks[0]))
 
     def test_lattice_window_contents(self):
         k = kernel(eps=0.5)
-        win = lattice_window(k, 0.3)
+        win = window_rows(k, [0.3])[0][0]
         assert win[0] == math.ceil(0.3 - k.radius)
         assert win[-1] == math.floor(0.3 + k.radius)
         assert np.all(np.diff(win) == 1)
@@ -142,7 +143,7 @@ class TestWindowRows:
         ks, ws = window_rows(k, centres)
         assert ks.shape == ws.shape == (3, 2 * int(k.radius) + 1)
         for row, u in enumerate(centres):
-            win, weights = window_weights(k, u)
+            win, weights = (a[0] for a in window_rows(k, [u]))
             assert np.array_equal(ks[row, :win.size], win)
             assert np.array_equal(ws[row, :win.size], weights)
             if win.size < ks.shape[1]:
@@ -163,15 +164,9 @@ class TestWindowRows:
 
 
 class TestZEval:
-    def test_product_structure(self):
-        k = kernel()
-        pt = np.array([0.3, -1.1, 2.0])
-        expected = np.prod([psi_eval(k, float(c)) for c in pt])
-        assert z_eval(k, pt) == pytest.approx(expected, rel=1e-14)
-
     def test_two_dim_partition(self):
         k = kernel()
-        win = lattice_window(k, 0.0)
+        win = window_rows(k, [0.0])[0][0]
         ii, jj = np.meshgrid(win, win, indexing="ij")
         x = np.array([0.23, -0.61])
         total = np.sum(
@@ -195,43 +190,40 @@ class TestMultiIndex:
         assert len(got) == 1
         assert got[0].entries == (0, 0, 0)
 
-    def test_order_cap_enforced(self):
-        with pytest.raises(ValueError):
-            moment(kernel(), MultiIndex((7,)), np.array([0.0]), 8)
-
 
 class TestMoments:
     def test_zeroth_moment_is_partition_sum(self):
         k = kernel()
-        x = np.array([0.43])
-        m0 = moment(k, MultiIndex((0,)), x, 16)
+        m0 = axis_moments(k, [0.43], 16, 0)[0, 0]
         assert m0 == pytest.approx(1.0, abs=1e-12)
 
     def test_first_moment_bounded_by_radius(self):
         k = kernel()
+        moments = axis_moments(k, [0.2], 8, 3)[0]
         for p in (1, 2, 3):
-            m = moment(k, MultiIndex((p,)), np.array([0.2]), 8)
-            assert abs(m) <= (k.radius / 8.0) ** p + 1e-12
+            assert abs(moments[p]) <= (k.radius / 8.0) ** p + 1e-12
 
     def test_scaled_first_moment_depends_on_fractional_part_only(self):
         # n * M_1 is a function of frac(n x) alone, so these two agree
         k = kernel()
-        a = 8 * moment(k, MultiIndex((1,)), np.array([0.25]), 8)
-        b = 16 * moment(k, MultiIndex((1,)), np.array([0.125]), 16)
+        a = 8 * axis_moments(k, [0.25], 8, 1)[0, 1]
+        b = 16 * axis_moments(k, [0.125], 16, 1)[0, 1]
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_scaled_first_moment_near_half(self):
         # the kernel is centered left of the origin, which shows up here
         k = kernel()
-        val = 64 * moment(k, MultiIndex((1,)), np.array([0.3]), 64)
+        val = 64 * axis_moments(k, [0.3], 64, 1)[0, 1]
         assert val == pytest.approx(0.5493, abs=5e-3)
 
     def test_factorization_across_axes(self):
         k = kernel()
         x = np.array([0.3, -0.7])
-        joint = moment(k, MultiIndex((1, 2)), x, 16)
-        m1 = moment(k, MultiIndex((1,)), x[:1], 16)
-        m2 = moment(k, MultiIndex((2,)), x[1:], 16)
+        # the 2-D lattice sum of (k/n - x)^(1, 2) Z(n x - k) against the axis product
+        ks, weights = window_tensor(k, 16, x[None, :])
+        joint = np.sum((ks[0] / 16 - x[0]) * (ks[1] / 16 - x[1]) ** 2 * weights)
+        m1 = axis_moments(k, x[:1], 16, 1)[0, 1]
+        m2 = axis_moments(k, x[1:], 16, 2)[0, 2]
         assert joint == pytest.approx(m1 * m2, rel=1e-12)
 
 
@@ -250,4 +242,4 @@ class TestKernelProperties:
     def test_positive_with_bounded_partition_deficit(self, q, alpha, eps, x):
         k = kernel(q, alpha, eps)
         assert psi_eval(k, x) > 0.0
-        assert 1.0 - partition_sum(k, x) <= 4 * eps * k.radius
+        assert 1.0 - lattice_sum(k, x) <= 4 * eps * k.radius

@@ -7,12 +7,11 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     DiagnosticError,
-    MetricKernel,
     OperatorConfig,
-    apply_basic,
+    apply_basic_batch,
     chart_preset,
     function_preset,
-    operator_on_chart,
+    operator_on_chart_batch,
     psi_eval,
     volume_normalize,
 )
@@ -50,21 +49,21 @@ class TestChartPresets:
 
 class TestVolumeNormalize:
     def test_full_support_euclidean_is_unity(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
-        c = volume_normalize(mk, [(-22.0, 22.0)])
+        chart = chart_preset("euclidean", 1)
+        c = volume_normalize(KERNEL, chart, [(-22.0, 22.0)])
         assert c == pytest.approx(1.0, abs=1e-8)
 
     def test_clipped_half_plane_frozen(self):
         # the metric factor cancels in the integrand, so this equals the
         # reciprocal of the product of 1-d kernel masses over the box
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
-        c = volume_normalize(mk, [(-1.0, 1.0), (1.0, 2.0)])
+        chart = chart_preset("poincare-half-plane")
+        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
         assert c == pytest.approx(28.145096672, rel=1e-9)
         assert c > 1.0
 
     def test_clipped_matches_quadrature_oracle(self):
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
-        c = volume_normalize(mk, [(-1.0, 1.0), (1.0, 2.0)])
+        chart = chart_preset("poincare-half-plane")
+        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
         nodes, wts = np.polynomial.legendre.leggauss(200)
 
         def mass(lo, hi):
@@ -76,41 +75,42 @@ class TestVolumeNormalize:
 
     def test_half_plane_is_product_of_euclidean_axes(self):
         # the density cancels, so the constant factorizes over the axes
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
-        line = MetricKernel(KERNEL, chart_preset("euclidean", 1))
-        c = volume_normalize(mk, [(-1.0, 1.0), (1.0, 2.0)])
-        want = volume_normalize(line, [(-1.0, 1.0)]) * volume_normalize(line, [(1.0, 2.0)])
+        chart = chart_preset("poincare-half-plane")
+        line = chart_preset("euclidean", 1)
+        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
+        want = (volume_normalize(KERNEL, line, [(-1.0, 1.0)])
+                * volume_normalize(KERNEL, line, [(1.0, 2.0)]))
         assert c == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_region_rejected(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
+        chart = chart_preset("euclidean", 1)
         with pytest.raises(ValueError, match="degenerate"):
-            volume_normalize(mk, [(1.0, 1.0)])
+            volume_normalize(KERNEL, chart, [(1.0, 1.0)])
 
     def test_axis_count_checked(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 2))
+        chart = chart_preset("euclidean", 2)
         with pytest.raises(ValueError):
-            volume_normalize(mk, [(-1.0, 1.0)])
+            volume_normalize(KERNEL, chart, [(-1.0, 1.0)])
 
     def test_nonconvergence_is_diagnostic_error(self):
         # a very narrow kernel cannot be resolved by the node budget on a
         # region incommensurate with the kernel edges
         sharp = DensityKernel(ActivationParams(0.5, 500.0))
-        mk = MetricKernel(sharp, chart_preset("euclidean", 1))
+        chart = chart_preset("euclidean", 1)
         with pytest.raises(DiagnosticError, match="did not converge"):
-            volume_normalize(mk, [(-2.0, 2.2)])
+            volume_normalize(sharp, chart, [(-2.0, 2.2)])
 
 
 class TestOperatorOnChart:
     def test_euclidean_equals_lattice_operator(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
+        chart = chart_preset("euclidean", 1)
         f = function_preset("sin")
         cfg = OperatorConfig("basic", 32, KERNEL)
         rng = np.random.default_rng(11)
-        for x in rng.uniform(-2.0, 2.0, size=100):
-            a = operator_on_chart(mk, f, 32, float(x))
-            b = apply_basic(cfg, f, float(x))
-            assert abs(a - b) <= 1e-12
+        xs = rng.uniform(-2.0, 2.0, size=(100, 1))
+        a = operator_on_chart_batch(KERNEL, chart, f, 32, xs)
+        b = apply_basic_batch(cfg, f, xs)
+        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_constants_exact_on_curved_chart(self):
         class Flat:
@@ -121,32 +121,29 @@ class TestOperatorOnChart:
             def value(x, y):
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
-        got = operator_on_chart(mk, Flat(), 64, [0.3, 1.5])
+        chart = chart_preset("poincare-half-plane")
+        got = operator_on_chart_batch(KERNEL, chart, Flat(), 64, [[0.3, 1.5]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_lattice_exit_reported(self):
         # at n = 8 the window around y = 1.5 reaches k_y <= 0, outside
         # the half plane, and the operator must say so
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
+        chart = chart_preset("poincare-half-plane")
         with pytest.raises(ValueError, match="increase n or shrink"):
-            operator_on_chart(mk, function_preset("sin-exp"), 8, [0.3, 1.5])
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin-exp"), 8, [[0.3, 1.5]])
 
     def test_half_plane_errors_shrink(self):
         # the narrower kernel keeps the n = 16 window above y = 0
         sharp = DensityKernel(ActivationParams(0.5, 2.0))
-        mk = MetricKernel(sharp, chart_preset("poincare-half-plane"))
+        chart = chart_preset("poincare-half-plane")
         f = function_preset("sin-exp")
         xs = np.linspace(-1.0, 1.0, 9) + 1.0 / 202.0
         ys = np.linspace(1.0, 2.0, 9) + 1.0 / 202.0
+        pts = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=-1)
         sups = []
         for n in (16, 32, 64, 128):
-            worst = 0.0
-            for x in xs:
-                for y in ys:
-                    got = operator_on_chart(mk, f, n, [x, y])
-                    worst = max(worst, abs(got - f.value(x, y)))
-            sups.append(worst)
+            got = operator_on_chart_batch(sharp, chart, f, n, pts)
+            sups.append(float(np.max(np.abs(got - f.value(*pts.T)))))
         assert sups[0] == pytest.approx(0.010360695275581588, rel=1e-10)
         assert sups[-1] == pytest.approx(0.0010754814810829405, rel=1e-10)
         for a, b in zip(sups, sups[1:]):
@@ -155,18 +152,18 @@ class TestOperatorOnChart:
         assert min(ratios) >= 1.7
 
     def test_torus_shift_invariance(self):
-        mk = MetricKernel(KERNEL, chart_preset("torus", 1))
+        chart = chart_preset("torus", 1)
         f = function_preset("sin")
-        a = operator_on_chart(mk, f, 16, 0.3)
-        b = operator_on_chart(mk, f, 16, 1.3)
+        a = operator_on_chart_batch(KERNEL, chart, f, 16, [[0.3]])[0]
+        b = operator_on_chart_batch(KERNEL, chart, f, 16, [[1.3]])[0]
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_dim_mismatch_rejected(self):
-        mk = MetricKernel(KERNEL, chart_preset("poincare-half-plane"))
+        chart = chart_preset("poincare-half-plane")
         with pytest.raises(ValueError):
-            operator_on_chart(mk, function_preset("sin"), 32, [0.3, 1.5])
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin"), 32, [[0.3, 1.5]])
 
     def test_bad_n_rejected(self):
-        mk = MetricKernel(KERNEL, chart_preset("euclidean", 1))
+        chart = chart_preset("euclidean", 1)
         with pytest.raises(ValueError):
-            operator_on_chart(mk, function_preset("sin"), 0, 0.3)
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin"), 0, [[0.3]])

@@ -8,16 +8,15 @@ import pytest
 from tanhqi import (
     ActivationParams,
     DensityKernel,
-    MultiIndex,
     OperatorConfig,
-    apply_basic,
-    apply_fractional,
-    apply_kantorovich,
+    apply_basic_batch,
+    apply_fractional_batch,
+    apply_kantorovich_batch,
+    axis_moments,
     function_preset,
-    moment,
     multi_indices,
     power_rule_oracle,
-    voronovskaya_correction,
+    voronovskaya_correction_batch,
 )
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
@@ -53,49 +52,49 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg("kantorovich", 64, quad_nodes=1)
 
+    def test_quad_nodes_capped_by_point_budget(self):
+        # leggauss(g) builds a g x g matrix: g = isqrt(MAX_POINT_WORK) is the largest allowed
+        assert cfg("kantorovich", 64, quad_nodes=4096).quad_nodes == 4096
+        with pytest.raises(ValueError, match="4097 x 4097"):
+            cfg("kantorovich", 64, quad_nodes=4097)
+
     def test_kind_mismatch_at_call(self):
         f = function_preset("sin")
         with pytest.raises(ValueError):
-            apply_basic(cfg("kantorovich", 16), f, 0.3)
+            apply_basic_batch(cfg("kantorovich", 16), f, [[0.3]])
         with pytest.raises(ValueError):
-            apply_kantorovich(cfg("basic", 16), f, 0.3)
+            apply_kantorovich_batch(cfg("basic", 16), f, [[0.3]])
         with pytest.raises(ValueError):
-            apply_fractional(cfg("basic", 16), f, 0.3)
+            apply_fractional_batch(cfg("basic", 16), f, [[0.3]])
 
 
 class TestBasic:
     def test_reproduces_constants(self):
         f = function_preset("constant")
         for n in (8, 64):
-            for x in (0.0, 0.31, -2.7):
-                assert apply_basic(cfg("basic", n), f, x) == pytest.approx(1.0, abs=1e-12)
+            got = apply_basic_batch(cfg("basic", n), f, [[0.0], [0.31], [-2.7]])
+            assert got == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_linear_error_is_first_moment(self):
         # for f(t) = t the Taylor expansion is exact after one term, so
         # A_n(f; x) - x equals the first lattice moment exactly
         f = function_preset("linear")
+        x = np.array([0.2, 0.77])
         for n in (16, 128):
-            for x in (0.2, 0.77):
-                lhs = apply_basic(cfg("basic", n), f, x) - x
-                rhs = moment(KERNEL, MultiIndex((1,)), np.array([x]), n)
-                assert lhs == pytest.approx(rhs, abs=1e-12)
+            lhs = apply_basic_batch(cfg("basic", n), f, x[:, None]) - x
+            rhs = axis_moments(KERNEL, x, n, 1)[:, 1]
+            assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_quadratic_error_is_second_order_correction(self):
         f = function_preset("quadratic")
         n, x = 32, 0.4
-        lhs = apply_basic(cfg("basic", n), f, x) - f.value(x)
-        rhs = voronovskaya_correction(KERNEL, f, x, n, 2)
+        lhs = apply_basic_batch(cfg("basic", n), f, [[x]])[0] - f.value(x)
+        rhs = voronovskaya_correction_batch(KERNEL, f, [[x]], n, 2)[0]
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_frozen_sin_value(self):
-        got = apply_basic(cfg("basic", 64), function_preset("sin"), 0.3)
+        got = apply_basic_batch(cfg("basic", 64), function_preset("sin"), [[0.3]])[0]
         assert got == pytest.approx(0.30366110128209006, rel=1e-13)
-
-    def test_scalar_and_vector_point_agree(self):
-        f = function_preset("sin")
-        c = cfg("basic", 32)
-        assert apply_basic(c, f, 0.3) == apply_basic(c, f, [0.3])
-        assert apply_basic(c, f, np.float64(0.3)) == apply_basic(c, f, 0.3)
 
     def test_two_dim_constant(self):
         class Flat:
@@ -105,23 +104,23 @@ class TestBasic:
             def value(x, y):
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
-        got = apply_basic(cfg("basic", 16), Flat(), [0.3, -0.6])
+        got = apply_basic_batch(cfg("basic", 16), Flat(), [[0.3, -0.6]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_two_dim_tracks_target(self):
         f = function_preset("sin-exp")
-        got = apply_basic(cfg("basic", 64), f, [0.3, 0.7])
+        got = apply_basic_batch(cfg("basic", 64), f, [[0.3, 0.7]])[0]
         assert got == pytest.approx(f.value(0.3, 0.7), abs=0.01)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_basic(cfg("basic", 16), function_preset("sin"), [0.3, 0.7])
+            apply_basic_batch(cfg("basic", 16), function_preset("sin"), [[0.3, 0.7]])
 
 
 class TestKantorovich:
     def test_reproduces_constants(self):
         f = function_preset("constant")
-        got = apply_kantorovich(cfg("kantorovich", 32), f, 0.45)
+        got = apply_kantorovich_batch(cfg("kantorovich", 32), f, [[0.45]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_shift_is_half_cell(self):
@@ -129,8 +128,8 @@ class TestKantorovich:
         # K_n and A_n differ by exactly 1/(2n) on f(t) = t
         f = function_preset("linear")
         for n in (16, 64):
-            a = apply_basic(cfg("basic", n), f, 0.37)
-            k = apply_kantorovich(cfg("kantorovich", n), f, 0.37)
+            a = apply_basic_batch(cfg("basic", n), f, [[0.37]])[0]
+            k = apply_kantorovich_batch(cfg("kantorovich", n), f, [[0.37]])[0]
             assert k - a == pytest.approx(1.0 / (2 * n), abs=1e-12)
 
     def test_gap_halves_with_n(self):
@@ -138,16 +137,16 @@ class TestKantorovich:
         x = 0.3
         gaps = []
         for n in (16, 32, 64, 128):
-            a = apply_basic(cfg("basic", n), f, x)
-            k = apply_kantorovich(cfg("kantorovich", n), f, x)
+            a = apply_basic_batch(cfg("basic", n), f, [[x]])[0]
+            k = apply_kantorovich_batch(cfg("kantorovich", n), f, [[x]])[0]
             gaps.append(abs(k - a))
         ratios = [gaps[i] / gaps[i + 1] for i in range(3)]
         assert 1.6 <= np.mean(ratios) <= 2.4
 
     def test_node_count_insensitive_for_smooth_f(self):
         f = function_preset("exp")
-        a = apply_kantorovich(cfg("kantorovich", 32, quad_nodes=5), f, 0.5)
-        b = apply_kantorovich(cfg("kantorovich", 32, quad_nodes=9), f, 0.5)
+        a = apply_kantorovich_batch(cfg("kantorovich", 32, quad_nodes=5), f, [[0.5]])[0]
+        b = apply_kantorovich_batch(cfg("kantorovich", 32, quad_nodes=9), f, [[0.5]])[0]
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_two_dim_constant(self):
@@ -158,7 +157,7 @@ class TestKantorovich:
             def value(x, y):
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
-        got = apply_kantorovich(cfg("kantorovich", 8), Flat(), [0.2, 0.9])
+        got = apply_kantorovich_batch(cfg("kantorovich", 8), Flat(), [[0.2, 0.9]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -166,29 +165,29 @@ class TestFractional:
     def test_negative_point_rejected(self):
         c = cfg("fractional", 64, beta=0.5)
         with pytest.raises(ValueError):
-            apply_fractional(c, function_preset("pow2"), -0.1)
+            apply_fractional_batch(c, function_preset("pow2"), [[-0.1]])
 
     def test_origin_lattice_point_needs_vanishing_f(self):
         # near the origin the window contains k = 0; with f(0) != 0 the
         # fractional derivative blows up there and the call must refuse
         c = cfg("fractional", 64, beta=0.5)
         with pytest.raises(ValueError, match="f\\(0\\)"):
-            apply_fractional(c, function_preset("constant"), 0.01)
+            apply_fractional_batch(c, function_preset("constant"), [[0.01]])
         # while f(0) = 0 makes the k = 0 term well defined
-        got = apply_fractional(c, function_preset("pow2"), 0.01)
+        got = apply_fractional_batch(c, function_preset("pow2"), [[0.01]])[0]
         assert math.isfinite(got)
 
     def test_constant_matches_closed_form(self):
         # away from the origin Q_n tracks D^beta 1 = t^(-beta)/Gamma(1-beta)
         c = cfg("fractional", 512, beta=0.5)
-        got = apply_fractional(c, function_preset("constant"), 1.0)
+        got = apply_fractional_batch(c, function_preset("constant"), [[1.0]])[0]
         want = power_rule_oracle(0, 0.5, 1.0)
         assert want == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-13)
         assert got == pytest.approx(want, abs=2e-2)
 
     def test_quadratic_matches_closed_form(self):
         c = cfg("fractional", 512, beta=0.5)
-        got = apply_fractional(c, function_preset("pow2"), 1.0)
+        got = apply_fractional_batch(c, function_preset("pow2"), [[1.0]])[0]
         want = power_rule_oracle(2, 0.5, 1.0)
         assert got == pytest.approx(want, abs=2e-2)
 
@@ -196,39 +195,41 @@ class TestFractional:
         # the operator's target is D^beta f; on f(t) = t^2 at t = 1 the
         # two differ by half, so a misread target would fail loudly
         c = cfg("fractional", 512, beta=0.5)
-        got = apply_fractional(c, function_preset("pow2"), 1.0)
+        got = apply_fractional_batch(c, function_preset("pow2"), [[1.0]])[0]
         assert abs(got - 1.0) > 0.4
 
 
 class TestVoronovskaya:
     def test_frozen_sin_correction(self):
-        got = voronovskaya_correction(KERNEL, function_preset("sin"), 0.3, 64, 2)
+        got = voronovskaya_correction_batch(KERNEL, function_preset("sin"), [[0.3]], 64, 2)[0]
         assert got == pytest.approx(0.008142148086427846, rel=1e-12)
 
     def test_correction_captures_most_of_the_error(self):
         f = function_preset("sin")
         n, x = 64, 0.3
-        err = apply_basic(cfg("basic", n), f, x) - f.value(x)
-        corr = voronovskaya_correction(KERNEL, f, x, n, 2)
+        err = apply_basic_batch(cfg("basic", n), f, [[x]])[0] - f.value(x)
+        corr = voronovskaya_correction_batch(KERNEL, f, [[x]], n, 2)[0]
         assert abs(err - corr) < 1e-5
         assert abs(err - corr) < abs(err) / 100.0
 
     @pytest.mark.parametrize("m", [0, 5, -1])
     def test_order_out_of_range(self, m):
         with pytest.raises(ValueError):
-            voronovskaya_correction(KERNEL, function_preset("sin"), 0.3, 64, m)
+            voronovskaya_correction_batch(KERNEL, function_preset("sin"), [[0.3]], 64, m)
 
     def test_order_capped_by_smoothness(self):
         with pytest.raises(ValueError, match="smoothness"):
-            voronovskaya_correction(KERNEL, function_preset("abs25"), 0.3, 64, 3)
+            voronovskaya_correction_batch(KERNEL, function_preset("abs25"), [[0.3]], 64, 3)
 
     def test_two_dim_matches_manual_sum(self):
         f = function_preset("sin-exp")
         x = np.array([0.3, 0.7])
         n, m = 16, 2
+        moments = [axis_moments(KERNEL, x[i:i + 1], n, m)[0] for i in range(2)]
         manual = 0.0
         for alpha in multi_indices(2, 1, m):
             d = f.derivative(alpha.entries, *x)
-            manual += d / alpha.factorial * moment(KERNEL, alpha, x, n)
-        got = voronovskaya_correction(KERNEL, f, x, n, m)
+            mom = moments[0][alpha.entries[0]] * moments[1][alpha.entries[1]]
+            manual += d / alpha.factorial * mom
+        got = voronovskaya_correction_batch(KERNEL, f, x[None, :], n, m)[0]
         assert got == pytest.approx(manual, rel=1e-12)
