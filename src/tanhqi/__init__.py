@@ -27,18 +27,13 @@ from .kernel import (
     DensityKernel,
     MultiIndex,
     axis_moments,
+    kernel_mass,
     multi_indices,
     normalization_constant,
     psi_eval,
     truncation_radius,
 )
-from .manifold import (
-    Chart,
-    DiagnosticError,
-    chart_preset,
-    operator_on_chart_batch,
-    volume_normalize,
-)
+from .manifold import Chart, chart_preset, operator_on_chart_batch
 from .operators import (
     OperatorConfig,
     apply_basic_batch,
@@ -55,7 +50,6 @@ __all__ = [
     "Chart",
     "ConvergenceReport",
     "DensityKernel",
-    "DiagnosticError",
     "FracConfig",
     "FunctionPreset",
     "MultiIndex",
@@ -73,6 +67,7 @@ __all__ = [
     "h_derivative",
     "h_eval",
     "h_limits",
+    "kernel_mass",
     "multi_indices",
     "normalization_constant",
     "operator_convergence",
@@ -86,5 +81,4 @@ __all__ = [
     "sup_error",
     "truncation_radius",
     "voronovskaya_correction_batch",
-    "volume_normalize",
 ]

@@ -14,9 +14,9 @@ skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
 Exit status: 0 success, 2 invalid configuration (including a per-point
-working set above kernel.MAX_POINT_WORK or quad_nodes above
-operators.MAX_QUAD_NODES), 3 numerical diagnostic failure,
-a non-finite error, or a run that could not complete (RuntimeError,
+working set or lattice table above kernel.MAX_POINT_WORK, a centre n x
+past kernel.MAX_CENTRE, or quad_nodes above operators.MAX_QUAD_NODES),
+3 a non-finite error or a run that could not complete (RuntimeError,
 MemoryError), 4 I/O failure.  Errors are printed to stderr as a single
 JSON line ``{"status": ..., "error": ...}``; runs execute with numpy's
 floating-point warnings off, so nothing else reaches stderr.
@@ -46,7 +46,7 @@ from .analysis import (
     sweep,
 )
 from .fractional import FracConfig
-from .kernel import DensityKernel, axis_moments, point_work, psi_eval
+from .kernel import DensityKernel, axis_moments, check_table, point_work, psi_eval
 from .manifold import chart_preset, operator_on_chart_batch
 from .operators import OperatorConfig
 from .presets import function_preset, preset_names
@@ -262,8 +262,8 @@ def _validate(cfg: ExperimentConfig):
 
     Range checks belong to the library objects and preconditions built
     here (kernel, fractional and operator configs, grid, correction
-    order, fractional target); they raise the ValueError a run would,
-    so --print-config rejects the same configs.
+    order, fractional target, lattice table); they raise the ValueError a
+    run would, so --print-config rejects the same configs.
     """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -290,10 +290,11 @@ def _validate(cfg: ExperimentConfig):
     point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
     for n in ns:
         OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
-    check_grid(cfg.box(), cfg.grid_points)
+    box = check_grid(cfg.box(), cfg.grid_points)
     check_m_max(cfg.m_max)
     if cfg.command == "frac":
-        check_fractional(preset, cfg.box(), kernel.radius, ns[0], cfg.frac_step)
+        check_fractional(preset, box, kernel.radius, ns[0], cfg.frac_step)
+    check_table(kernel, box, cfg.grid_points, ns[-1])
 
 
 def _format_value(v) -> str:
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail(4, exc)
     except (RuntimeError, MemoryError) as exc:
-        # DiagnosticError, and runs that could not complete
+        # non-finite errors, and runs that could not complete
         return _fail(3, exc)
 
 

@@ -13,10 +13,10 @@ prod_i psi(x_i).
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
 
-Lattice sums are evaluated for many points at once: ``window_rows``
-builds one (points, window) matrix of lattice sites and weights per
-axis, and callers walk their points in chunks of ``chunk_rows`` rows so
-each chunk array holds about CHUNK_ELEMENTS numbers.
+Lattice sums sum_k v(k) Z(n x - k) over many points at once sample the
+site value v once per site of the lattice table (``table_sites``) and
+gather it in chunks of ``chunk_rows`` points, each chunk array holding
+about CHUNK_ELEMENTS numbers (``lattice_sums``).
 """
 
 from __future__ import annotations
@@ -38,17 +38,26 @@ __all__ = [
     "psi_eval",
     "window_rows",
     "window_tensor",
+    "table_sites",
+    "check_table",
+    "lattice_sums",
     "point_work",
     "chunk_rows",
     "row_sums",
     "row_dot",
     "axis_moments",
+    "kernel_mass",
 ]
 
 # numbers per chunk array (64 KiB of float64): small enough to stay in cache
 CHUNK_ELEMENTS = 2**13
-# cap on one evaluation point's working set, checked before any allocation
+# cap on one evaluation point's working set and on a lattice table's sites,
+# checked before any allocation
 MAX_POINT_WORK = 2**24
+# bound on |n x| + W + 1: below 2^52 a double keeps a fractional bit, so a
+# centre n x is not already rounded onto a lattice site, and every window
+# end and site is an exact integer; from 2^53 on, k + 1 rounds back to k
+MAX_CENTRE = 2.0**52
 
 
 def normalization_constant(params: ActivationParams) -> float:
@@ -123,12 +132,11 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     each short row is padded by repeating its last site with weight
     zero, so a pad never reaches a site outside its own window.  Every
     lattice sum in the package draws its sites and weights from here;
-    u = n x for a sum over k/n near x.
+    u = n x for a sum over k/n near x.  A centre with |u| + W + 1 above
+    MAX_CENTRE is a ValueError.
     """
     u = np.asarray(u, dtype=float)
-    w = kernel.radius
-    lo = np.ceil(u - w)
-    hi = np.floor(u + w)
+    lo, hi = _window_ends(kernel, u)
     width = int(np.max(hi - lo)) + 1
     ks = lo[:, None] + np.arange(width)
     short = hi - lo + 1 < width
@@ -138,23 +146,84 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
-def window_tensor(kernel: DensityKernel, n: int, pts: np.ndarray) -> tuple[list, np.ndarray]:
-    """Per-axis windows around n x for points of shape (P, N), and the product weights.
+def window_tensor(kernel: DensityKernel, n: int, pts: np.ndarray, sites) -> tuple[tuple, np.ndarray]:
+    """Window indices into each axis's sites (``table_sites``) for points (P, N), and their weights.
 
-    Axis i's sites come shaped (P, 1, .., L_i, .., 1) so they broadcast
-    against the weight tensor of shape (P, L_1, .., L_N), which holds
-    prod_i psi(n x_i - k_i); it is the one multi-dimensional weight rule
-    of the operators.
+    Axis i's indices, shaped (P, 1, .., L_i, .., 1), gather a table into the
+    shape (P, L_1, .., L_N) of the weights prod_i psi(n x_i - k_i); a pad
+    indexes its row's last site.
     """
     dim = pts.shape[1]
-    ks, weights = [], None
+    index, weights = [], None
     for i in range(dim):
         k, w = window_rows(kernel, n * pts[:, i])
+        # a window lies in one run of consecutive sites, so offsets from its first site add
+        first = np.searchsorted(sites[i].ravel(), k[:, 0])
         shape = [len(pts)] + [1] * dim
         shape[1 + i] = k.shape[1]
-        ks.append(k.reshape(shape))
+        index.append((first[:, None] + (k - k[:, :1]).astype(np.intp)).reshape(shape))
         weights = w if weights is None else weights[..., None] * w.reshape(shape[: i + 2])
-    return ks, weights
+    return tuple(index), weights
+
+
+def _check_lattice(kernel: DensityKernel, centre: float = 0.0, sizes=()) -> None:
+    # the largest centre |n x| against MAX_CENTRE, a table's sites per axis against MAX_POINT_WORK
+    if not centre + kernel.radius + 1.0 <= MAX_CENTRE:
+        raise ValueError(f"lattice centre |n x| = {centre!r} plus the window radius exceeds 2^52, "
+                         "where window sites stop being exact integers; shrink the box or n")
+    if math.prod(sizes) > MAX_POINT_WORK:
+        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
+                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+
+
+def _window_ends(kernel: DensityKernel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the first and last lattice site within W of each centre u
+    _check_lattice(kernel, centre=float(np.max(np.abs(u))))
+    return np.ceil(u - kernel.radius), np.floor(u + kernel.radius)
+
+
+def table_sites(kernel: DensityKernel, n: int, pts: np.ndarray) -> list[np.ndarray]:
+    """Each axis's sorted lattice sites reached by the windows around n x, for points (P, N).
+
+    Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
+    table (K_1, .., K_N); past MAX_CENTRE or MAX_POINT_WORK this is a ValueError.
+    """
+    sites = []
+    for i in range(pts.shape[1]):
+        lo, hi = _window_ends(kernel, np.sort(n * pts[:, i]))
+        # sorted centres sort both window ends; a run starts past the previous end
+        first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
+        lengths = (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1
+        runs = np.repeat(lo[first] - (np.cumsum(lengths) - lengths), lengths)
+        sites.append(runs + np.arange(runs.size))
+    _check_lattice(kernel, sizes=[s.size for s in sites])
+    return list(np.ix_(*sites))
+
+
+def check_table(kernel: DensityKernel, box, points_per_axis: int, n_max: int) -> None:
+    """table_sites' checks for grid_points(box, points_per_axis) at all n <= n_max, before a run.
+
+    Axis i has at most min(P_i (2W + 1), n_max (hi_i - lo_i) + 2W + 2) sites.
+    """
+    w = kernel.radius
+    _check_lattice(kernel, n_max * max(max(abs(lo), abs(hi)) for lo, hi in box),
+                   [int(min(points_per_axis * (2 * w + 1), n_max * (hi - lo) + 2 * w + 2))
+                    for lo, hi in box])
+
+
+def lattice_sums(kernel: DensityKernel, n: int, pts: np.ndarray, tables, reduce) -> np.ndarray:
+    """reduce(weights, *values) at every row of pts, (P, N) -> (P,), in chunks of chunk_rows points.
+
+    ``tables(sites)`` returns site values on ``table_sites``' lattice table, gathered per window.
+    """
+    sites = table_sites(kernel, n, pts)
+    values = [np.broadcast_to(t, [s.size for s in sites]) for t in tables(sites)]
+    out = np.empty(len(pts))
+    rows = chunk_rows(kernel, pts.shape[1])
+    for start in range(0, len(pts), rows):
+        index, weights = window_tensor(kernel, n, pts[start:start + rows], sites)
+        out[start:start + rows] = reduce(weights, *(v[index] for v in values))
+    return out
 
 
 def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
@@ -175,9 +244,9 @@ def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
     return work
 
 
-def chunk_rows(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
+def chunk_rows(kernel: DensityKernel, dim: int) -> int:
     """Points per chunk: as many as keep a chunk array near CHUNK_ELEMENTS, at least one."""
-    return max(1, CHUNK_ELEMENTS // point_work(kernel, dim, per_site))
+    return max(1, CHUNK_ELEMENTS // point_work(kernel, dim))
 
 
 def row_sums(terms: np.ndarray) -> np.ndarray:
@@ -247,3 +316,21 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
         for p in range(1, p_max + 1):
             out[start:start + rows, p] = row_dot(offsets**p, weights)
     return out
+
+
+def kernel_mass(kernel: DensityKernel, box) -> float:
+    """Integral of the product kernel Z over a box [(a_1, b_1), ..]: prod_i Psi(b_i) - Psi(a_i).
+
+    Psi(x) = (H(x+1) - H(x-1)) / C integrates psi, and Psi(inf) - Psi(-inf) = 1;
+    H(x) = x/(1+q) - (1+q^2)/(1-q^2) (x - log((1+q) e^(2 alpha x) + 1 - q) / (2 alpha)).
+    """
+    q, alpha = kernel.params.q, kernel.params.alpha
+    mass = 1.0
+    for lo, hi in box:
+        if not hi > lo:
+            raise ValueError(f"degenerate box axis ({lo}, {hi}) has no volume")
+        x = np.array([hi + 1.0, hi - 1.0, lo + 1.0, lo - 1.0])
+        log_term = np.logaddexp(2.0 * alpha * x + math.log1p(q), math.log1p(-q)) / (2.0 * alpha)
+        big_h = x / (1.0 + q) - (1.0 + q * q) / (1.0 - q * q) * (x - log_term)
+        mass *= ((big_h[0] - big_h[1]) - (big_h[2] - big_h[3])) / kernel.normalization
+    return float(mass)

@@ -18,8 +18,9 @@ sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n), which peels
 one order of 1/n off the basic operator's error per added term.
 
 Each operator is one function, ``*_batch(..., pts)``, that evaluates
-every row of a (P, N) point array in chunks of kernel.chunk_rows points;
-one point x is the array [x], e.g. ``apply_basic_batch(cfg, f, [[x]])[0]``.
+every row of a (P, N) point array (one point x is the array [x]) through
+``kernel.lattice_sums``: it samples its site value once per lattice
+table site and keeps its own reduction of a chunk's weights and values.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ import numpy as np
 
 from .fractional import FracConfig, rl_derivative
 from .kernel import (
+    CHUNK_ELEMENTS,
     MAX_POINT_WORK,
     DensityKernel,
     axis_moments,
-    chunk_rows,
+    lattice_sums,
     multi_indices,
     row_dot,
     row_sums,
-    window_rows,
-    window_tensor,
 )
 
 __all__ = [
@@ -107,25 +107,28 @@ def apply_basic_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     """A_n(f; x) at every row of pts, (P, N) -> (P,); exact on constants up to the tail mass."""
     _check_kind(cfg, "basic")
     pts = _points(pts, f.dim)
-    out = np.empty(len(pts))
-    rows = chunk_rows(cfg.kernel, pts.shape[1])
-    for start in range(0, len(pts), rows):
-        ks, weights = window_tensor(cfg.kernel, cfg.n, pts[start:start + rows])
-        vals = np.asarray(f.value(*(k / cfg.n for k in ks)), dtype=float)
-        out[start:start + rows] = row_sums(vals * weights)
-    return out
+    return lattice_sums(cfg.kernel, cfg.n, pts,
+                        lambda sites: [f.value(*(k / cfg.n for k in sites))],
+                        lambda weights, vals: row_sums(vals * weights))
 
 
-def _unique_cells(ks) -> tuple[np.ndarray, np.ndarray]:
-    # distinct lattice cells of a chunk's windows and, per window site,
-    # the index of its cell; np.unique's row mode is ~7x slower than its
-    # flat mode, which 1-D cells can use
-    cells = np.stack([k.ravel() for k in np.broadcast_arrays(*ks)], axis=-1)
-    if cells.shape[1] == 1:
-        _, first, inverse = np.unique(cells[:, 0], return_index=True, return_inverse=True)
-    else:
-        _, first, inverse = np.unique(cells, axis=0, return_index=True, return_inverse=True)
-    return cells[first], inverse.ravel()
+def _cell_averages(cfg: OperatorConfig, f, sites) -> np.ndarray:
+    # cell averages on the lattice table, in slabs of about CHUNK_ELEMENTS samples
+    dim, g = len(sites), cfg.quad_nodes
+    nodes, wts = np.polynomial.legendre.leggauss(g)
+    offsets = (nodes + 1.0) / 2.0
+    node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim)
+    shape = tuple(k.size for k in sites)
+    averages = np.empty(math.prod(shape))
+    slab = max(1, CHUNK_ELEMENTS // g**dim)
+    for start in range(0, averages.size, slab):
+        cells = np.unravel_index(np.arange(start, min(start + slab, averages.size)), shape)
+        # cell axis i samples its nodes along array axis 1 + i
+        samples = [np.expand_dims((sites[i].ravel()[c][:, None] + offsets) / cfg.n,
+                                  [1 + j for j in range(dim) if j != i]) for i, c in enumerate(cells)]
+        vals = np.asarray(f.value(*samples), dtype=float)
+        averages[start:start + slab] = np.tensordot(vals, node_weights, axes=dim)
+    return averages.reshape(shape)
 
 
 def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
@@ -133,53 +136,27 @@ def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
 
     With g nodes per axis the cell averages are exact for polynomial
     degree 2g - 1 per axis (degree 9 at the default g = 5), so K_n
-    inherits the basic operator's exactness on constants.  Each distinct
-    cell average of a chunk is computed once and gathered into the
-    windows; the Gauss-Legendre rule is built once per call.
+    inherits the basic operator's exactness on constants.  Each cell
+    average of the lattice table is computed once; the Gauss-Legendre
+    rule is built once per call.
     """
     _check_kind(cfg, "kantorovich")
     pts = _points(pts, f.dim)
-    dim = pts.shape[1]
-    g = cfg.quad_nodes
-    rows = chunk_rows(cfg.kernel, dim, g**dim)
-    nodes, wts = np.polynomial.legendre.leggauss(g)
-    offsets = (nodes + 1.0) / 2.0
-    node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim)
-    out = np.empty(len(pts))
-    for start in range(0, len(pts), rows):
-        ks, weights = window_tensor(cfg.kernel, cfg.n, pts[start:start + rows])
-        cells, inverse = _unique_cells(ks)
-        # cell axis i samples its nodes along array axis 1 + i
-        samples = []
-        for i in range(dim):
-            shape = [len(cells)] + [1] * dim
-            shape[1 + i] = g
-            samples.append(((cells[:, i][:, None] + offsets) / cfg.n).reshape(shape))
-        vals = np.asarray(f.value(*samples), dtype=float)
-        averages = np.tensordot(vals, node_weights, axes=dim)
-        out[start:start + rows] = row_sums(averages[inverse].reshape(weights.shape) * weights)
-    return out
+    return lattice_sums(cfg.kernel, cfg.n, pts,
+                        lambda sites: [_cell_averages(cfg, f, sites)],
+                        lambda weights, averages: row_sums(averages * weights))
 
 
-def _dbeta_at(frac_cfg: FracConfig, f, t: float) -> float:
-    if t > 0.0:
-        return rl_derivative(frac_cfg, f, t)
-    # limit at the origin: the Caputo part vanishes for C^1 functions and
-    # the initial-value term vanishes iff f(0) = 0
-    if float(f.value(0.0)) == 0.0:
-        return 0.0
-    raise ValueError(
-        "fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0; "
-        "evaluate farther from the origin or increase n"
-    )
+def _renormalized(weights, dvals, admissible):
+    weights = np.where(admissible, weights, 0.0)
+    return row_dot(dvals, weights) / row_sums(weights)
 
 
 def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     """Q_n(f; x) at every row of pts, shape (P, 1) -> (P,), x >= 0.
 
-    The half-lattice k >= 0 weights are renormalized per point.  D^beta f
-    is computed once per distinct admissible node k >= 0 of the
-    call and gathered into the windows.
+    Sites k < 0 get weight zero and the rest are renormalized per point;
+    D^beta f is computed once per site k >= 0 of the lattice table.
     """
     _check_kind(cfg, "fractional")
     x = _points(pts, 1)[:, 0]
@@ -188,23 +165,20 @@ def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     if (x < 0.0).any():
         raise ValueError(f"the fractional operator needs x >= 0, got {float(x[x < 0.0][0])!r}")
     frac_cfg = FracConfig(cfg.beta, cfg.frac_step)
-    dbeta = {}
-    out = np.empty(len(x))
-    rows = chunk_rows(cfg.kernel, 1)
-    for start in range(0, len(x), rows):
-        ks, weights = window_rows(cfg.kernel, cfg.n * x[start:start + rows])
-        admissible = ks >= 0.0
-        if not admissible.any(axis=1).all():
-            raise ValueError("no admissible lattice points k >= 0 inside the window")
-        weights = np.where(admissible, weights, 0.0)
-        nodes = np.unique(ks[admissible])
-        for k in nodes.tolist():
-            if k not in dbeta:
-                dbeta[k] = _dbeta_at(frac_cfg, f, k / cfg.n)
-        # inadmissible sites (k < 0) gather the first node's value at weight zero
-        dvals = np.array([dbeta[k] for k in nodes.tolist()])[np.searchsorted(nodes, ks)]
-        out[start:start + rows] = row_dot(dvals, weights) / row_sums(weights)
-    return out
+
+    def tables(sites):
+        ks = sites[0]
+        # at t = 0 the Caputo part vanishes for C^1 functions and the
+        # initial-value term vanishes iff f(0) = 0
+        if 0.0 in ks and float(f.value(0.0)) != 0.0:
+            raise ValueError(
+                "fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0; "
+                "evaluate farther from the origin or increase n"
+            )
+        dbeta = [rl_derivative(frac_cfg, f, k / cfg.n) if k > 0.0 else 0.0 for k in ks.tolist()]
+        return [np.array(dbeta), ks >= 0.0]
+
+    return lattice_sums(cfg.kernel, cfg.n, x[:, None], tables, _renormalized)
 
 
 def voronovskaya_correction_batch(kernel: DensityKernel, f, pts, n: int, m: int) -> np.ndarray:

@@ -15,7 +15,7 @@ regroup by design and get the same 1e-15 bound:
 * fractional rows whose window reaches k < 0, which zero those sites
   instead of dropping them;
 * 2-D Kantorovich, whose cell averages come from one BLAS matrix-vector
-  product over the chunk's distinct cells, not one per window;
+  product over a slab of lattice-table cells, not one per window;
 * 1-D Kantorovich with more than 5 quadrature nodes, for the same
   reason (up to 5 nodes, the per-row result does not depend on the
   row's place in the matrix).
@@ -122,7 +122,7 @@ def ref_chart(kernel, chart, n, f, x):
     ks, weights = ref_tensor(kernel, n, x)
     grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
     sites = chart.coords(np.stack(grids, axis=-1))
-    weights = weights / chart.sqrt_det_g(sites)
+    weights = weights / chart.sqrt_det_g(*np.moveaxis(sites, -1, 0))
     weights = weights / np.sum(weights)
     vals = np.asarray(f.value(*[sites[..., i] for i in range(chart.dim)]), dtype=float)
     return float(np.sum(vals * weights))
@@ -149,9 +149,9 @@ def kernels(alpha_lo=1.0 / 32.0, alpha_hi=2.0):
     )
 
 
-def draw_points(data, kernel, n, dim, per_site=1, lo=0.0, hi=1.0):
+def draw_points(data, kernel, n, dim, lo=0.0, hi=1.0):
     """Up to two chunks and one point of samples in the box, some moved onto lattice sites."""
-    rows = chunk_rows(kernel, dim, per_site)
+    rows = chunk_rows(kernel, dim)
     count = data.draw(st.one_of(st.integers(1, rows), st.integers(rows + 1, 2 * rows + 1)),
                       label="count")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -200,7 +200,7 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(), n=st.integers(1, 256), g=st.integers(2, 9), data=st.data())
     def test_kantorovich_one_dim(self, kernel, n, g, data):
         f = function_preset("exp")
-        pts = draw_points(data, kernel, n, 1, per_site=g)
+        pts = draw_points(data, kernel, n, 1)
         got = apply_kantorovich_batch(OperatorConfig("kantorovich", n, kernel, quad_nodes=g), f, pts)
         ref = [ref_kantorovich(kernel, n, g, f, p) for p in pts]
         assert_rows(got, ref, g <= 5 and not holds_site(kernel, n, pts))
@@ -208,7 +208,7 @@ class TestBatchedMatchesReference:
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.5), n=st.integers(1, 64), g=st.integers(2, 5), data=st.data())
     def test_kantorovich_two_dim(self, kernel, n, g, data):
-        pts = draw_points(data, kernel, n, 2, per_site=g * g)
+        pts = draw_points(data, kernel, n, 2)
         got = apply_kantorovich_batch(
             OperatorConfig("kantorovich", n, kernel, quad_nodes=g), Exp2(), pts)
         ref = [ref_kantorovich(kernel, n, g, Exp2(), p) for p in pts]
@@ -285,7 +285,7 @@ class TestExactOnConstants:
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 256), g=st.integers(2, 6), data=st.data())
     def test_kantorovich(self, kernel, n, g, data):
-        pts = draw_points(data, kernel, n, 1, per_site=g, lo=-2.0, hi=2.0)
+        pts = draw_points(data, kernel, n, 1, lo=-2.0, hi=2.0)
         cfg = OperatorConfig("kantorovich", n, kernel, quad_nodes=g)
         assert_unity(apply_kantorovich_batch(cfg, function_preset("constant"), pts), kernel)
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,6 @@ import tanhqi
 from tanhqi import (
     ActivationParams,
     DensityKernel,
-    DiagnosticError,
     function_preset,
     operator_convergence,
 )
@@ -366,7 +366,7 @@ class TestOtherCommands:
 class TestExitStatuses:
     def test_diagnostic_failure_maps_to_three(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
-            raise DiagnosticError("quadrature self-check failed")
+            raise RuntimeError("quadrature self-check failed")
 
         monkeypatch.setitem(cli._RUNNERS, "converge", boom)
         status, _, err = run(converge_args(tmp_path / "x"), capsys)
@@ -436,7 +436,55 @@ def extreme_argv(draw):
     return argv
 
 
+# values a run can complete with, mixed with EXTREMES; a trunc_eps of 1e-300 would
+# widen 2-D windows past a million sites, so runs draw that value for no flag
+RUN_VALUES = {"--q": ("0.5", "0.9"), "--alpha": ("0.25", "1", "4"), "--trunc-eps": ("1e-6",),
+              "--grid-lo": ("-1", "0", "0.2"), "--grid-hi": ("1", "2"), "--quad-nodes": ("2", "9"),
+              "--m-max": ("0", "4"), "--beta": ("0.3",), "--frac-step": ("1e-2",)}
+RUN_EXTREMES = tuple(v for v in EXTREMES if v != "1e-300")
+
+
+@st.composite
+def bounded_run_argv(draw):
+    """A subcommand run with some flags moderate or extreme, at most 5 grid points and n <= 64."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    preset_flag, preset, own = COMMAND_FLAGS[command]
+    argv = [command] + ([preset_flag, preset] if preset_flag else [])
+    if command == "converge":
+        argv += ["--operator", draw(st.sampled_from(["basic", "kantorovich"]))]
+    flags = [f for f in COMMON_FLAGS + own if f in RUN_VALUES]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+        values = st.sampled_from(RUN_VALUES[flag]) | st.sampled_from(RUN_EXTREMES)
+        count = 2 if flag.startswith("--grid") else 1
+        argv.append(f"{flag}={','.join(draw(st.lists(values, min_size=1, max_size=count)))}")
+    ns = draw(st.lists(st.sampled_from(["1", "2", "16", "64"]), min_size=1, max_size=2)
+              | st.sampled_from([["0"], ["-1", "16"]]))
+    points = draw(st.integers(1, 5) | st.just(0))
+    return argv + [f"--grid-points={points}", f"--n={','.join(ns)}"]
+
+
 class TestFailureContract:
+    @settings(deadline=None, max_examples=200)
+    @given(argv=bounded_run_argv())
+    @example(argv=["converge", "--preset", "sin", "--grid-lo=0", "--grid-hi=1e308",
+                   "--grid-points=3", "--n=16"])
+    def test_runs_exit_with_status_and_one_json_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                status = cli.main([*argv, "--out", os.path.join(tmp, "x")])
+            except SystemExit as exc:  # argparse rejects the flag value
+                status = exc.code
+        assert status in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if status:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and json.loads(lines[0])["status"] == status
+        else:
+            assert err.getvalue() == ""
+
+
     @settings(deadline=None, max_examples=300)
     @given(argv=extreme_argv())
     @example(argv=["frac", "--preset", "pow2", "--grid-hi=1e308"])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tanhqi import (
@@ -12,12 +12,21 @@ from tanhqi import (
     DensityKernel,
     MultiIndex,
     axis_moments,
+    kernel_mass,
     multi_indices,
     normalization_constant,
     psi_eval,
     truncation_radius,
 )
-from tanhqi.kernel import MAX_POINT_WORK, point_work, window_rows, window_tensor
+from tanhqi.kernel import (
+    MAX_CENTRE,
+    MAX_POINT_WORK,
+    check_table,
+    point_work,
+    table_sites,
+    window_rows,
+    window_tensor,
+)
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -76,6 +85,14 @@ class TestPsi:
         half = k.radius + 6.0
         mass = half * np.sum(weights * psi_eval(k, half * nodes))
         assert mass == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.9, 0.3), (0.1, 4.0), (0.05, 0.05),
+                                          (0.95, 2.0)])
+    def test_unit_mass_closed_form(self, q, alpha):
+        # Psi(inf) - Psi(-inf) = 1; 40/alpha past W the tails hold less than e^-80
+        k = kernel(q, alpha)
+        r = k.radius + 40.0 / alpha
+        assert kernel_mass(k, [(-r, r)]) == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("x", [0.0, 0.37, -1.9, 4.4])
     def test_partition_of_unity(self, x):
@@ -220,7 +237,9 @@ class TestMoments:
         k = kernel()
         x = np.array([0.3, -0.7])
         # the 2-D lattice sum of (k/n - x)^(1, 2) Z(n x - k) against the axis product
-        ks, weights = window_tensor(k, 16, x[None, :])
+        sites = table_sites(k, 16, x[None, :])
+        index, weights = window_tensor(k, 16, x[None, :], sites)
+        ks = [s.ravel()[i] for s, i in zip(sites, index)]
         joint = np.sum((ks[0] / 16 - x[0]) * (ks[1] / 16 - x[1]) ** 2 * weights)
         m1 = axis_moments(k, x[:1], 16, 1)[0, 1]
         m2 = axis_moments(k, x[1:], 16, 2)[0, 2]
@@ -243,3 +262,71 @@ class TestKernelProperties:
         k = kernel(q, alpha, eps)
         assert psi_eval(k, x) > 0.0
         assert 1.0 - lattice_sum(k, x) <= 4 * eps * k.radius
+
+
+class TestTableSites:
+    @settings(deadline=None)
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(0.05, 4.0), n=st.integers(1, 64),
+           data=st.data())
+    def test_sites_are_the_union_of_the_windows(self, q, alpha, n, data):
+        # unsorted, repeated (step 0), gapped, negative and on-site centres; a step of
+        # 2W + 2 between two sites leaves exactly one site out between their windows
+        k = kernel(q, alpha)
+        w = k.radius
+        start = data.draw(st.integers(-3000, 3000).map(float) | st.floats(-3000.0, 3000.0))
+        step = st.sampled_from([0.0, 2 * w, 2 * w + 1.0, 2 * w + 2.0, 2 * w + 2.5])
+        steps = data.draw(st.lists(step | st.floats(0.0, 8.0 * w), max_size=30))
+        centres = data.draw(st.permutations(list(start + np.cumsum([0.0] + steps))))
+        pts = np.array(centres)[:, None] / n
+        u = n * pts[:, 0]
+        want = np.unique(np.concatenate(
+            [np.arange(math.ceil(c - w), math.floor(c + w) + 1) for c in u]))
+        sites = table_sites(k, n, pts)
+        assert np.array_equal(sites[0], want)
+        index, weights = window_tensor(k, n, pts, sites)
+        ks, ws = window_rows(k, u)
+        # pads included: a pad indexes its row's last site
+        assert np.array_equal(sites[0][index[0]], ks)
+        assert np.array_equal(weights, ws)
+
+    def test_two_axes_broadcast_to_the_table(self):
+        # centres 4.8 and 32 (a site) reach -11..48; 24 and 25.6 reach 8..41
+        sites = table_sites(kernel(), 16, np.array([[0.3, 1.5], [2.0, 1.6]]))
+        assert sites[0].shape == (60, 1) and sites[1].shape == (1, 34)
+
+    def test_gaps_take_no_space(self):
+        sites = table_sites(kernel(), 1, np.array([[0.5, 0.5], [4096.5, 4096.5]]))
+        assert [s.size for s in sites] == [64, 64]
+
+    def test_exact_table_size_checked(self):
+        # windows every 33 sites touch, so each axis is one run -16..4207: 4224^2 = 17.8e6 > 2^24
+        pts = np.repeat(np.arange(0.0, 4200.0, 33.0)[:, None], 2, axis=1)
+        with pytest.raises(ValueError, match="the lattice table needs 4224 x 4224 sites"):
+            table_sites(kernel(), 1, pts)
+
+    @pytest.mark.parametrize("box, points, message", [
+        # each axis holds at most min(1e6 x 33, 64 x 1e5 + 34) sites, 4.1e13 in all
+        ([(0.0, 1e5), (0.0, 1e5)], 10**6, "the lattice table needs 6400034 x 6400034 sites"),
+        ([(0.0, 1e16)], 3, "2\\^52"),
+    ])
+    def test_preflight_rejects(self, box, points, message):
+        with pytest.raises(ValueError, match=message):
+            check_table(kernel(), box, points, 64)
+
+
+class TestCentreLimit:
+    @settings(deadline=None)
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(0.05, 4.0), eps=_log_uniform(1e-14, 1e-6),
+           n=st.integers(1, 2**20), scale=st.floats(0.0, 1.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_partition_sum_holds_up_to_the_limit(self, q, alpha, eps, n, scale, sign):
+        k = kernel(q, alpha, eps)
+        x = sign * scale * (MAX_CENTRE - k.radius - 1.0) / n
+        assume(n * abs(x) + k.radius + 1.0 <= MAX_CENTRE)
+        assert abs(axis_moments(k, [x], n, 0)[0, 0] - 1.0) <= 4 * eps * k.radius
+
+    def test_past_the_limit_is_rejected(self):
+        k = kernel()
+        with pytest.raises(ValueError, match="2\\^52"):
+            axis_moments(k, [MAX_CENTRE / 64], 64, 0)
+        with pytest.raises(ValueError, match="2\\^52"):
+            table_sites(k, 64, np.array([[MAX_CENTRE / 64]]))

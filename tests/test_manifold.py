@@ -1,4 +1,4 @@
-"""Charts, metric-weighted kernels, volume normalization, chart operators."""
+"""Charts, metric-weighted kernels, kernel mass, chart operators."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,13 @@ import pytest
 from tanhqi import (
     ActivationParams,
     DensityKernel,
-    DiagnosticError,
     OperatorConfig,
     apply_basic_batch,
     chart_preset,
     function_preset,
+    kernel_mass,
     operator_on_chart_batch,
     psi_eval,
-    volume_normalize,
 )
 
 PARAMS = ActivationParams(0.5, 1.0)
@@ -48,22 +47,21 @@ class TestChartPresets:
 
 
 class TestVolumeNormalize:
+    # phi_g sqrt(det g) is the product kernel, so the constant with unit
+    # chart mass over a box is 1 / kernel_mass
     def test_full_support_euclidean_is_unity(self):
-        chart = chart_preset("euclidean", 1)
-        c = volume_normalize(KERNEL, chart, [(-22.0, 22.0)])
+        c = 1.0 / kernel_mass(KERNEL, [(-22.0, 22.0)])
         assert c == pytest.approx(1.0, abs=1e-8)
 
     def test_clipped_half_plane_frozen(self):
         # the metric factor cancels in the integrand, so this equals the
         # reciprocal of the product of 1-d kernel masses over the box
-        chart = chart_preset("poincare-half-plane")
-        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
+        c = 1.0 / kernel_mass(KERNEL, [(-1.0, 1.0), (1.0, 2.0)])
         assert c == pytest.approx(28.145096672, rel=1e-9)
         assert c > 1.0
 
     def test_clipped_matches_quadrature_oracle(self):
-        chart = chart_preset("poincare-half-plane")
-        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
+        c = 1.0 / kernel_mass(KERNEL, [(-1.0, 1.0), (1.0, 2.0)])
         nodes, wts = np.polynomial.legendre.leggauss(200)
 
         def mass(lo, hi):
@@ -75,30 +73,13 @@ class TestVolumeNormalize:
 
     def test_half_plane_is_product_of_euclidean_axes(self):
         # the density cancels, so the constant factorizes over the axes
-        chart = chart_preset("poincare-half-plane")
-        line = chart_preset("euclidean", 1)
-        c = volume_normalize(KERNEL, chart, [(-1.0, 1.0), (1.0, 2.0)])
-        want = (volume_normalize(KERNEL, line, [(-1.0, 1.0)])
-                * volume_normalize(KERNEL, line, [(1.0, 2.0)]))
+        c = 1.0 / kernel_mass(KERNEL, [(-1.0, 1.0), (1.0, 2.0)])
+        want = (1.0 / kernel_mass(KERNEL, [(-1.0, 1.0)])) * (1.0 / kernel_mass(KERNEL, [(1.0, 2.0)]))
         assert c == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_region_rejected(self):
-        chart = chart_preset("euclidean", 1)
         with pytest.raises(ValueError, match="degenerate"):
-            volume_normalize(KERNEL, chart, [(1.0, 1.0)])
-
-    def test_axis_count_checked(self):
-        chart = chart_preset("euclidean", 2)
-        with pytest.raises(ValueError):
-            volume_normalize(KERNEL, chart, [(-1.0, 1.0)])
-
-    def test_nonconvergence_is_diagnostic_error(self):
-        # a very narrow kernel cannot be resolved by the node budget on a
-        # region incommensurate with the kernel edges
-        sharp = DensityKernel(ActivationParams(0.5, 500.0))
-        chart = chart_preset("euclidean", 1)
-        with pytest.raises(DiagnosticError, match="did not converge"):
-            volume_normalize(sharp, chart, [(-2.0, 2.2)])
+            kernel_mass(KERNEL, [(1.0, 1.0)])
 
 
 class TestOperatorOnChart:
