@@ -22,7 +22,7 @@ from .analysis import (
     residual_orders,
     sup_error,
 )
-from .fractional import FracConfig, gamma_fn, power_rule_oracle, rl_derivative
+from .fractional import FracConfig, gamma_fn, power_rule_oracle, rl_derivative_batch
 from .kernel import (
     DensityKernel,
     MultiIndex,
@@ -77,7 +77,7 @@ __all__ = [
     "psi_eval",
     "rate_fit",
     "residual_orders",
-    "rl_derivative",
+    "rl_derivative_batch",
     "sup_error",
     "truncation_radius",
     "voronovskaya_correction_batch",

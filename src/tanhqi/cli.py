@@ -13,8 +13,8 @@ LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
-Exit status: 0 success, 2 invalid configuration (including a per-point
-working set or lattice table above kernel.MAX_POINT_WORK, a centre n x
+Exit status: 0 success, 2 invalid configuration (including one window's
+cell samples or a lattice table above kernel.MAX_POINT_WORK, a centre n x
 past kernel.MAX_CENTRE, or quad_nodes above operators.MAX_QUAD_NODES),
 3 a non-finite error or a run that could not complete (RuntimeError,
 MemoryError), 4 I/O failure.  Errors are printed to stderr as a single

@@ -12,8 +12,14 @@ The Caputo part is discretized with the L1 scheme on a uniform grid
                      * sum_{j=0}^{M-1} b_j (f(t_{M-j}) - f(t_{M-j-1})),
     b_j = (j+1)^(1-beta) - j^(1-beta),
 
-i.e. piecewise-linear reconstruction of f.  The scheme is exact for
-affine f and carries an O(tau^(2-beta)) error for f in C^2.
+i.e. piecewise-linear reconstruction of f (Lin & Xu, J. Comput. Phys.
+225, 2007).  The scheme is exact for affine f and carries an
+O(tau^(2-beta)) error for f in C^2.
+
+``rl_derivative_batch`` takes many nodes x, each on its own grid
+(M = ceil(x/h)); they share the b_j up to the largest M, both Gamma
+values and f(0), and one f call per chunk of about CHUNK_ELEMENTS grid
+points, so a node's value does not depend on the other nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["FracConfig", "gamma_fn", "rl_derivative", "power_rule_oracle"]
+from .kernel import CHUNK_ELEMENTS
+
+__all__ = ["FracConfig", "gamma_fn", "rl_derivative_batch", "power_rule_oracle"]
 
 MAX_GRID_POINTS = 10**7
 
@@ -63,36 +71,47 @@ class FracConfig:
             raise ValueError(f"step h must lie in (0, 0.1], got {self.h!r}")
 
 
-def rl_derivative(cfg: FracConfig, f, x: float) -> float:
-    """Riemann-Liouville derivative of f at x > 0.
+def _chunks(ms, xs):
+    """Runs of consecutive (node, offset, m, x) within CHUNK_ELEMENTS points; longer grids alone."""
+    run, total = [], 0
+    for i, (m, x) in enumerate(zip(ms, xs)):
+        if run and total + m + 1 > CHUNK_ELEMENTS:
+            yield run, total
+            run, total = [], 0
+        run.append((i, total, m, x))
+        total += m + 1
+    yield run, total
 
-    Parameters
-    ----------
-    cfg : FracConfig
-        Order and step; the uniform grid step tau = x/M is the largest
-        value <= cfg.h that divides x evenly.
-    f : object
-        Anything with a vectorized ``value(t)`` accepting an ndarray;
-        function presets qualify.
-    x : float
-        Evaluation point, strictly positive.
+
+def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
+    """Riemann-Liouville derivative of f (a vectorized ``value(t)``) at nodes xs > 0, (P,) -> (P,).
+
+    A node's grid is j * tau, tau = x/M, with t_M = x: np.linspace's
+    values.  One node is ``rl_derivative_batch(cfg, f, [x])[0]``.
     """
-    if not x > 0.0:
-        raise ValueError(f"rl_derivative requires x > 0, got {x!r}")
-    m = l1_intervals(x, cfg.h)
-    if m > MAX_GRID_POINTS:
-        raise ValueError(
-            f"L1 grid would need {m} points (> {MAX_GRID_POINTS}); increase h or reduce x"
-        )
-    tau = x / m
-    t = np.linspace(0.0, x, m + 1)
-    fv = np.asarray(f.value(t), dtype=float)
-    diffs = fv[1:] - fv[:-1]
-    j = np.arange(m, dtype=float)
-    b = (j + 1.0) ** (1.0 - cfg.beta) - j ** (1.0 - cfg.beta)
-    caputo = tau ** (-cfg.beta) / gamma_fn(2.0 - cfg.beta) * float(b @ diffs[::-1])
-    initial = float(f.value(0.0)) * x ** (-cfg.beta) / gamma_fn(1.0 - cfg.beta)
-    return caputo + initial
+    xs = np.asarray(xs, dtype=float).ravel()
+    if not xs.size:
+        return np.empty(0)
+    if not (xs > 0.0).all():
+        raise ValueError(f"rl_derivative_batch requires x > 0, got {float(xs[~(xs > 0.0)][0])!r}")
+    m_max = l1_intervals(float(xs.max()), cfg.h)
+    if m_max > MAX_GRID_POINTS:
+        raise ValueError(f"L1 grid would need {m_max} points (> {MAX_GRID_POINTS}); "
+                         "increase h or reduce x")
+    out, beta, j = np.empty(xs.size), cfg.beta, np.arange(m_max + 1, dtype=float)
+    b = np.diff(j ** (1.0 - beta))
+    g2, g1, f0 = gamma_fn(2.0 - beta), gamma_fn(1.0 - beta), float(f.value(0.0))
+    for run, points in _chunks(np.ceil(xs / cfg.h).astype(np.int64).tolist(), xs.tolist()):
+        t = np.empty(points)
+        for _, s, m, x in run:
+            np.multiply(j[:m + 1], x / m, out=t[s:s + m + 1])
+            t[s + m] = x
+        fv = np.asarray(f.value(t), dtype=float)
+        diffs = fv[1:] - fv[:-1]
+        for i, s, m, x in run:
+            out[i] = ((x / m) ** (-beta) / g2 * float(b[:m] @ diffs[s:s + m][::-1])
+                      + f0 * x ** (-beta) / g1)
+    return out
 
 
 def power_rule_oracle(p: float, beta: float, x):

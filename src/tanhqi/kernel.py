@@ -51,8 +51,8 @@ __all__ = [
 
 # numbers per chunk array (64 KiB of float64): small enough to stay in cache
 CHUNK_ELEMENTS = 2**13
-# cap on one evaluation point's working set and on a lattice table's sites,
-# checked before any allocation
+# cap on the samples over one kernel window's cells and on a lattice table's
+# sites, checked before any allocation
 MAX_POINT_WORK = 2**24
 # bound on |n x| + W + 1: below 2^52 a double keeps a fractional bit, so a
 # centre n x is not already rounded onto a lattice site, and every window
@@ -227,17 +227,17 @@ def lattice_sums(kernel: DensityKernel, n: int, pts: np.ndarray, tables, reduce)
 
 
 def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
-    """Numbers one evaluation point needs: (2W + 1)^dim window sites times per_site each.
+    """Samples over the cells of one kernel window: (2W + 1)^dim sites times per_site each.
 
-    per_site counts the samples taken per lattice site (quad_nodes^dim
-    for Kantorovich cells, 1 otherwise).  Above MAX_POINT_WORK (2^24)
-    this is a ValueError, raised before anything is allocated.
+    per_site is quad_nodes^dim for Kantorovich cells, 1 otherwise.  This
+    bounds quadrature work, not one array (cell averages are built in slabs
+    of the lattice table); above MAX_POINT_WORK (2^24) it is a ValueError.
     """
     width = 2 * int(kernel.radius) + 1
     work = width**dim * per_site
     if work > MAX_POINT_WORK:
         raise ValueError(
-            f"one evaluation point needs {work} samples (> {MAX_POINT_WORK}): "
+            f"the cells of one kernel window need {work} quadrature samples (> {MAX_POINT_WORK}): "
             f"{width} lattice sites per axis, {dim} axes, {per_site} samples per site; "
             "increase alpha or trunc_eps, or lower quad_nodes"
         )

@@ -7,7 +7,8 @@ Three variants share the truncated lattice window |k_i - n x_i| <= W:
                  [k/n, (k+1)/n]) Z(n x - k), cell averages by tensor
                  Gauss-Legendre quadrature
 * fractional     Q_n(f; x) = sum_{k >= 0} D^beta f(k/n) psi(n x - k) / S(x),
-                 S(x) the half-lattice partition sum
+                 S(x) the half-lattice partition sum; D^beta f from one
+                 ``rl_derivative_batch`` call per lattice table
 
 Q_n reproduces the fractional derivative, not f itself: its zeroth-order
 term is already D^beta f.  Errors against it should therefore be measured
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import FracConfig, rl_derivative
+from .fractional import FracConfig, rl_derivative_batch
 from .kernel import (
     CHUNK_ELEMENTS,
     MAX_POINT_WORK,
@@ -156,7 +157,7 @@ def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     """Q_n(f; x) at every row of pts, shape (P, 1) -> (P,), x >= 0.
 
     Sites k < 0 get weight zero and the rest are renormalized per point;
-    D^beta f is computed once per site k >= 0 of the lattice table.
+    D^beta f at the table's sites k > 0 is one rl_derivative_batch call.
     """
     _check_kind(cfg, "fractional")
     x = _points(pts, 1)[:, 0]
@@ -175,8 +176,9 @@ def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
                 "fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0; "
                 "evaluate farther from the origin or increase n"
             )
-        dbeta = [rl_derivative(frac_cfg, f, k / cfg.n) if k > 0.0 else 0.0 for k in ks.tolist()]
-        return [np.array(dbeta), ks >= 0.0]
+        dbeta = np.zeros(ks.shape)
+        dbeta[ks > 0.0] = rl_derivative_batch(frac_cfg, f, ks[ks > 0.0] / cfg.n)
+        return [dbeta, ks >= 0.0]
 
     return lattice_sums(cfg.kernel, cfg.n, x[:, None], tables, _renormalized)
 

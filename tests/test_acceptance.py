@@ -28,7 +28,7 @@ from tanhqi import (
     operator_on_chart_batch,
     power_rule_oracle,
     residual_orders,
-    rl_derivative,
+    rl_derivative_batch,
 )
 from tanhqi import cli
 
@@ -127,14 +127,14 @@ def test_criterion_6_fractional_derivative():
         f = function_preset(f"pow{p}")
         for beta in (0.25, 0.5, 0.75):
             for x in (0.5, 1.0, 2.0):
-                got = rl_derivative(FracConfig(beta, 1e-3), f, x)
+                got = rl_derivative_batch(FracConfig(beta, 1e-3), f, [x])[0]
                 want = power_rule_oracle(p, beta, x)
                 worst = max(worst, abs(got - want) / abs(want))
     orders = []
     f2 = function_preset("pow2")
     for beta in (0.25, 0.5, 0.75):
         exact = power_rule_oracle(2, beta, 1.0)
-        errs = [abs(rl_derivative(FracConfig(beta, h), f2, 1.0) - exact)
+        errs = [abs(rl_derivative_batch(FracConfig(beta, h), f2, [1.0])[0] - exact)
                 for h in (2e-3, 1e-3, 5e-4)]
         rate = float(np.mean([math.log2(errs[i] / errs[i + 1]) for i in range(2)]))
         orders.append((beta, rate))

@@ -221,7 +221,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("print_config", [False, True])
     def test_oversized_point_work_rejected(self, tmp_path, capsys, print_config):
-        # 33^2 window sites x 100000^2 quadrature nodes per point, far above 2^24
+        # 33^2 window sites x 100000^2 quadrature nodes per window, far above 2^24
         argv = ["converge", "--preset", "sin-exp", "--grid-lo", "0,0", "--grid-hi", "1,1",
                 "--grid-points", "2", "--n", "16,32,64", "--operator", "kantorovich",
                 "--quad-nodes", "100000", "--out", str(tmp_path / "x"),
@@ -229,7 +229,7 @@ class TestValidation:
         status, out, err = run(argv, capsys)
         assert status == 2 and out == ""
         assert err.count("\n") == 1
-        assert "one evaluation point needs 10890000000000 samples" in json.loads(err)["error"]
+        assert "the cells of one kernel window need 10890000000000 quadrature samples" in json.loads(err)["error"]
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("print_config", [False, True])

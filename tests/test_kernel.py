@@ -176,7 +176,7 @@ class TestWindowRows:
         k = kernel()
         assert point_work(k, 1) == 33
         assert point_work(k, 2, 25) == 33 * 33 * 25
-        with pytest.raises(ValueError, match="one evaluation point needs"):
+        with pytest.raises(ValueError, match="cells of one kernel window need"):
             point_work(k, 2, MAX_POINT_WORK)
 
 
