@@ -6,8 +6,9 @@ kernel with exact partition of unity, ``operators`` builds the basic,
 Kantorovich, and fractional quasi-interpolants on truncated lattices,
 ``fractional`` supplies the Riemann-Liouville machinery, ``manifold``
 adds chart-based metric weighting, and ``analysis`` runs convergence
-sweeps.  Every operator and lattice sum takes a whole (P, N) point
-array (``*_batch``, ``axis_moments``); one point x is the array [x].
+sweeps.  Every operator takes a tensor grid as its per-axis coordinates
+(``*_batch``) and returns the grid's values in C order; one point x is
+the axes [[x_1], .., [x_N]].
 The ``tanhqi`` console script drives everything in batch mode.
 """
 
@@ -16,7 +17,7 @@ from .analysis import (
     ConvergenceReport,
     Row,
     fractional_rate,
-    grid_points,
+    grid_axes,
     operator_convergence,
     rate_fit,
     residual_orders,
@@ -63,7 +64,7 @@ __all__ = [
     "fractional_rate",
     "function_preset",
     "gamma_fn",
-    "grid_points",
+    "grid_axes",
     "h_derivative",
     "h_eval",
     "h_limits",

@@ -6,9 +6,10 @@ errors in the sup norm over a fixed evaluation grid (the mean over the
 grid is recorded alongside), and every report says so in its note.
 
 ``sweep`` is the one loop over n values; each experiment supplies a
-per-n batched operator and a batched target, both taking the whole
-(P, N) point array and returning P values.  The ``check_*`` functions
-are the experiments' preconditions, callable without a run.
+per-n batched operator and a batched target, both taking the grid's
+per-axis coordinates (``grid_axes``) and returning its values in C
+order.  The ``check_*`` functions are the experiments' preconditions,
+callable without a run.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -19,6 +20,7 @@ counted), since they sit on the rounding floor.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fractional import MAX_GRID_POINTS, l1_intervals, power_rule_oracle
-from .kernel import DensityKernel
+from .kernel import MAX_POINT_WORK, DensityKernel
 from .operators import (
     OperatorConfig,
     apply_basic_batch,
@@ -39,7 +41,7 @@ from .operators import (
 __all__ = [
     "Row",
     "ConvergenceReport",
-    "grid_points",
+    "grid_axes",
     "sup_error",
     "rate_fit",
     "check_grid",
@@ -97,7 +99,7 @@ class ConvergenceReport:
 
 
 def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
-    """The box as float pairs once grid_points' checks pass, without building the grid."""
+    """The box as float pairs once grid_axes' checks pass (at most 2^24 points), without the grid."""
     if not (isinstance(points_per_axis, (int, np.integer)) and points_per_axis >= 1):
         raise ValueError(f"need an integer >= 1 of points per axis, got {points_per_axis!r}")
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -106,11 +108,15 @@ def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
             raise ValueError(f"grid axis ({lo}, {hi}) must be finite and non-empty")
         if not math.isfinite(hi - lo):
             raise ValueError(f"grid axis ({lo}, {hi}) is wider than the largest float")
+    count = points_per_axis ** len(box)
+    if count > MAX_POINT_WORK:
+        raise ValueError(f"the evaluation grid needs {count} points (> {MAX_POINT_WORK}); "
+                         "lower the points per axis")
     return box
 
 
-def grid_points(box, points_per_axis: int) -> np.ndarray:
-    """Evaluation points of shape (points^N, N), offset off lattice sites.
+def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
+    """Each axis's evaluation coordinates, offset off lattice sites; the grid is their product.
 
     Each axis is cut into ``points_per_axis`` cells and sampled at
     fraction 1/202 into every cell, so samples never coincide with any
@@ -120,33 +126,34 @@ def grid_points(box, points_per_axis: int) -> np.ndarray:
     for lo, hi in check_grid(box, points_per_axis):
         step = (hi - lo) / points_per_axis
         axes.append(lo + (np.arange(points_per_axis) + GRID_SHIFT) * step)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return axes
 
 
-def sup_error(apply_fn, target_fn, pts: np.ndarray) -> tuple[float, float]:
-    """Sup and mean absolute error of apply_fn against target_fn over pts.
+def sup_error(apply_fn, target_fn, axes) -> tuple[float, float]:
+    """Sup and mean absolute error of apply_fn against target_fn over the grid of axes.
 
-    Both callables take the whole (P, N) point array and return P
-    values; the mean uses numpy's pairwise summation, so the aggregate
-    is deterministic for a given grid.  When a call fails, the points
-    are re-run one at a time in grid order and the first failure is
+    Both callables take the per-axis coordinates and return the grid's
+    values in C order (any array that ravels to them, or a scalar); the
+    mean uses numpy's pairwise summation, so the aggregate is
+    deterministic for a given grid.  When a call fails, the points are
+    re-run one at a time in grid order and the first failure is
     re-raised with its point, as the same exception type when it takes
     a single message argument and as a RuntimeError otherwise; if no
     single point fails, the original exception propagates.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.size == 0:
+    axes = [np.asarray(x, dtype=float) for x in axes]
+    if not axes or any(x.size == 0 for x in axes):
         raise ValueError("empty evaluation grid")
     try:
-        errs = np.abs(np.asarray(apply_fn(pts), dtype=float) - np.asarray(target_fn(pts), dtype=float))
+        errs = np.abs(np.ravel(apply_fn(axes)) - np.ravel(target_fn(axes)))
     except Exception:
-        for i in range(pts.shape[0]):
+        for point in itertools.product(*axes):
+            single = [np.array([c]) for c in point]
             try:
-                apply_fn(pts[i:i + 1])
-                target_fn(pts[i:i + 1])
+                apply_fn(single)
+                target_fn(single)
             except Exception as exc:
-                msg = f"{exc} (at evaluation point {pts[i].tolist()})"
+                msg = f"{exc} (at evaluation point {[float(c) for c in point]})"
                 try:
                     located = type(exc)(msg)
                 except TypeError:
@@ -214,7 +221,7 @@ def check_fractional(f, box, radius: float, n_min: int, step: float) -> None:
 def sweep(
     apply_for,
     target_fn,
-    pts: np.ndarray,
+    axes,
     n_sweep,
     config: dict,
     target_description: str,
@@ -223,15 +230,16 @@ def sweep(
     """Error rows over the n sweep, their log-log fit, and the report.
 
     ``apply_for(n)`` returns the batched callable for lattice density n
-    ((P, N) points -> P values); it is measured against ``target_fn``
-    over ``pts`` by sup_error, once per distinct n in ascending order.
+    (grid axes -> the grid's values); it is measured against
+    ``target_fn`` on the grid of ``axes`` by sup_error, once per
+    distinct n in ascending order.
     A non-finite error is a RuntimeError naming n.  Rows on the rounding
     floor are counted and left out of the fit; with fewer than three
     rows above it the fit is skipped and the note says so.
     """
     rows = []
     for n in check_sweep(n_sweep):
-        sup, mean = sup_error(apply_for(n), target_fn, pts)
+        sup, mean = sup_error(apply_for(n), target_fn, axes)
         if not (math.isfinite(sup) and math.isfinite(mean)):
             raise RuntimeError(
                 f"error at n = {n} is not finite (sup {sup!r}, mean {mean!r}); "
@@ -282,16 +290,16 @@ def operator_convergence(
     """Error sweep of the basic or Kantorovich operator against f itself."""
     if kind not in ("basic", "kantorovich"):
         raise ValueError(f"operator_convergence covers 'basic' and 'kantorovich', got {kind!r}")
-    pts = grid_points(box, points_per_axis)
+    axes = grid_axes(box, points_per_axis)
     apply_fn = apply_basic_batch if kind == "basic" else apply_kantorovich_batch
 
     def apply_for(n):
         cfg = OperatorConfig(kind=kind, n=n, kernel=kernel, quad_nodes=quad_nodes)
-        return lambda p: apply_fn(cfg, f, p)
+        return lambda ax: apply_fn(cfg, f, ax)
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            operator=kind, quad_nodes=quad_nodes)
-    return sweep(apply_for, lambda p: f.value(*p.T), pts, n_sweep, config,
+    return sweep(apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, n_sweep, config,
                  f"{f.name} (the sampled function itself)")
 
 
@@ -314,24 +322,24 @@ def residual_orders(
         raise ValueError(
             f"m_max = {m_max} exceeds the smoothness grade {f.smoothness} of preset {f.name!r}"
         )
-    pts = grid_points(box, points_per_axis)
+    axes = grid_axes(box, points_per_axis)
     reports = []
     for m in range(m_max + 1):
 
         def apply_for(n, m=m):
             cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
 
-            def residual(p):
-                r = apply_basic_batch(cfg, f, p) - f.value(*p.T)
+            def residual(ax):
+                r = apply_basic_batch(cfg, f, ax) - np.ravel(f.value(*np.ix_(*ax)))
                 if m >= 1:
-                    r -= voronovskaya_correction_batch(kernel, f, p, n, m)
+                    r -= voronovskaya_correction_batch(kernel, f, ax, n, m)
                 return r
 
             return residual
 
         config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                                experiment="voronovskaya-residual", m=m)
-        reports.append(sweep(apply_for, lambda p: 0.0, pts, n_sweep, config,
+        reports.append(sweep(apply_for, lambda ax: 0.0, axes, n_sweep, config,
                              f"residual after the order-{m} moment correction"))
     return reports
 
@@ -354,19 +362,19 @@ def fractional_rate(
     own first-order moment term caps it near one).
     """
     check_fractional(f, box, kernel.radius, check_sweep(n_sweep)[0], frac_step)
-    pts = grid_points(box, points_per_axis)
+    axes = grid_axes(box, points_per_axis)
 
     def apply_for(n):
         cfg = OperatorConfig(kind="fractional", n=n, kernel=kernel, beta=beta, frac_step=frac_step)
-        return lambda p: apply_fractional_batch(cfg, f, p)
+        return lambda ax: apply_fractional_batch(cfg, f, ax)
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
     return sweep(
         apply_for,
-        lambda p: power_rule_oracle(f.power, beta, p[:, 0]),
-        pts,
+        lambda ax: power_rule_oracle(f.power, beta, ax[0]),
+        axes,
         n_sweep,
         config,
         "D^beta f (oracle)",

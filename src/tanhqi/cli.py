@@ -13,12 +13,13 @@ LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.
 
-Exit status: 0 success, 2 invalid configuration (including one window's
-cell samples or a lattice table above kernel.MAX_POINT_WORK, a centre n x
-past kernel.MAX_CENTRE, or quad_nodes above operators.MAX_QUAD_NODES),
-3 a non-finite error or a run that could not complete (RuntimeError,
-MemoryError), 4 I/O failure.  Errors are printed to stderr as a single
-JSON line ``{"status": ..., "error": ...}``; runs execute with numpy's
+Exit status: 0 success, 2 invalid configuration (including an evaluation
+grid, one window's cell samples or a lattice table above
+kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
+quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
+run that could not complete (RuntimeError, MemoryError), 4 I/O failure.
+Errors are printed to stderr as a single JSON line
+``{"status": ..., "error": ...}``; runs execute with numpy's
 floating-point warnings off, so nothing else reaches stderr.
 """
 
@@ -40,7 +41,7 @@ from .analysis import (
     check_m_max,
     check_sweep,
     fractional_rate,
-    grid_points,
+    grid_axes,
     operator_convergence,
     residual_orders,
     sweep,
@@ -102,7 +103,7 @@ _DEFAULTS = {
 
 _REQUIRED_PRESET = ("converge", "frac")
 # commands whose box has one axis per preset coordinate; the rest use one axis
-_PRESET_AXES = ("converge", "manifold")
+_PRESET_AXES = ("converge", "voronovskaya", "manifold")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("voronovskaya", help="moment-correction residual sweeps",
                        description="Residuals after moment corrections of orders 0..m_max. "
                                    "CSV columns: m,n,sup_error,mean_error.")
-    add_common(p, " (one axis)")
+    add_common(p, " (one entry per preset coordinate)")
     p.add_argument("--preset", help="sampled function; default sin")
     p.add_argument("--m-max", dest="m_max", type=int,
                    help="highest correction order, 0..4 and at most the preset smoothness; default 2")
@@ -358,7 +359,7 @@ def run_frac(cfg: ExperimentConfig) -> None:
 def run_kernel_dump(cfg: ExperimentConfig) -> None:
     kernel = _kernel_for(cfg)
     n = cfg.n_sweep[0]
-    xs = grid_points(cfg.box(), cfg.grid_points)[:, 0]
+    xs = grid_axes(cfg.box(), cfg.grid_points)[0]
     moments = axis_moments(kernel, xs, n, 3)
     rows = np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist()
     payload = {
@@ -377,9 +378,9 @@ def run_manifold(cfg: ExperimentConfig) -> None:
     preset = function_preset(cfg.preset)
     kernel, chart = _kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim)
     report = sweep(
-        lambda n: lambda p: operator_on_chart_batch(kernel, chart, preset, n, p),
-        lambda p: preset.value(*p.T),
-        grid_points(cfg.box(), cfg.grid_points),
+        lambda n: lambda ax: operator_on_chart_batch(kernel, chart, preset, n, ax),
+        lambda ax: preset.value(*np.ix_(*ax)),
+        grid_axes(cfg.box(), cfg.grid_points),
         cfg.n_sweep,
         # chart weights are always renormalized ("discrete")
         {"cli": cfg.to_dict(), "chart": cfg.chart, "mode": "discrete"},

@@ -13,10 +13,9 @@ prod_i psi(x_i).
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
 
-Lattice sums sum_k v(k) Z(n x - k) over many points at once sample the
-site value v once per site of the lattice table (``table_sites``) and
-gather it in chunks of ``chunk_rows`` points, each chunk array holding
-about CHUNK_ELEMENTS numbers (``lattice_sums``).
+Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
+once per site of the lattice table (``table_sites``); as Z is a product,
+``lattice_sums`` contracts the table one axis at a time.
 """
 
 from __future__ import annotations
@@ -37,13 +36,13 @@ __all__ = [
     "truncation_radius",
     "psi_eval",
     "window_rows",
-    "window_tensor",
+    "window_index",
+    "check_axes",
     "table_sites",
     "check_table",
     "lattice_sums",
     "point_work",
     "chunk_rows",
-    "row_sums",
     "row_dot",
     "axis_moments",
     "kernel_mass",
@@ -146,24 +145,13 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     return ks, weights
 
 
-def window_tensor(kernel: DensityKernel, n: int, pts: np.ndarray, sites) -> tuple[tuple, np.ndarray]:
-    """Window indices into each axis's sites (``table_sites``) for points (P, N), and their weights.
-
-    Axis i's indices, shaped (P, 1, .., L_i, .., 1), gather a table into the
-    shape (P, L_1, .., L_N) of the weights prod_i psi(n x_i - k_i); a pad
-    indexes its row's last site.
-    """
-    dim = pts.shape[1]
-    index, weights = [], None
-    for i in range(dim):
-        k, w = window_rows(kernel, n * pts[:, i])
-        # a window lies in one run of consecutive sites, so offsets from its first site add
-        first = np.searchsorted(sites[i].ravel(), k[:, 0])
-        shape = [len(pts)] + [1] * dim
-        shape[1 + i] = k.shape[1]
-        index.append((first[:, None] + (k - k[:, :1]).astype(np.intp)).reshape(shape))
-        weights = w if weights is None else weights[..., None] * w.reshape(shape[: i + 2])
-    return tuple(index), weights
+def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, np.ndarray]:
+    """window_rows around n x, shape (P,) -> (P, L), with its sites as indices into one axis's
+    sorted sites (a pad indexes its row's last site), and the weights psi(n x - k)."""
+    k, w = window_rows(kernel, n * np.asarray(x, dtype=float))
+    # a window lies in one run of consecutive sites, so offsets from its first site add
+    first = np.searchsorted(sites, k[:, 0])
+    return first[:, None] + (k - k[:, :1]).astype(np.intp), w
 
 
 def _check_lattice(kernel: DensityKernel, centre: float = 0.0, sizes=()) -> None:
@@ -182,15 +170,25 @@ def _window_ends(kernel: DensityKernel, u: np.ndarray) -> tuple[np.ndarray, np.n
     return np.ceil(u - kernel.radius), np.floor(u + kernel.radius)
 
 
-def table_sites(kernel: DensityKernel, n: int, pts: np.ndarray) -> list[np.ndarray]:
-    """Each axis's sorted lattice sites reached by the windows around n x, for points (P, N).
+def check_axes(axes, dim: int) -> list[np.ndarray]:
+    """The per-axis coordinates of a tensor grid as float arrays: dim non-empty 1-D arrays."""
+    axes = [np.asarray(x, dtype=float) for x in axes]
+    if any(x.ndim != 1 or x.size == 0 for x in axes):
+        raise ValueError("evaluation axes must be non-empty 1-D coordinate arrays")
+    if len(axes) != dim:
+        raise ValueError(f"evaluation point has {len(axes)} coordinates, preset expects {dim}")
+    return axes
+
+
+def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
+    """Each axis's sorted lattice sites reached by the windows around n x_i, x_i in axes[i].
 
     Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
     table (K_1, .., K_N); past MAX_CENTRE or MAX_POINT_WORK this is a ValueError.
     """
     sites = []
-    for i in range(pts.shape[1]):
-        lo, hi = _window_ends(kernel, np.sort(n * pts[:, i]))
+    for x in axes:
+        lo, hi = _window_ends(kernel, np.sort(n * np.asarray(x, dtype=float)))
         # sorted centres sort both window ends; a run starts past the previous end
         first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
         lengths = (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1
@@ -201,7 +199,7 @@ def table_sites(kernel: DensityKernel, n: int, pts: np.ndarray) -> list[np.ndarr
 
 
 def check_table(kernel: DensityKernel, box, points_per_axis: int, n_max: int) -> None:
-    """table_sites' checks for grid_points(box, points_per_axis) at all n <= n_max, before a run.
+    """table_sites' checks for grid_axes(box, points_per_axis) at all n <= n_max, before a run.
 
     Axis i has at most min(P_i (2W + 1), n_max (hi_i - lo_i) + 2W + 2) sites.
     """
@@ -211,19 +209,36 @@ def check_table(kernel: DensityKernel, box, points_per_axis: int, n_max: int) ->
                     for lo, hi in box])
 
 
-def lattice_sums(kernel: DensityKernel, n: int, pts: np.ndarray, tables, reduce) -> np.ndarray:
-    """reduce(weights, *values) at every row of pts, (P, N) -> (P,), in chunks of chunk_rows points.
+def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray]:
+    """sum_k v(k) Z(n x - k) on the grid of axes (N 1-D arrays), in C order, for each table v.
 
-    ``tables(sites)`` returns site values on ``table_sites``' lattice table, gathered per window.
+    ``tables`` maps ``table_sites``' open mesh to arrays that broadcast to
+    the lattice table.  Each axis i is contracted in turn, T <- sum_l
+    w_i[p, l] T[.., index_i[p, l], ..], in chunks of the first axis's
+    points that keep every gathered array near CHUNK_ELEMENTS.
     """
-    sites = table_sites(kernel, n, pts)
-    values = [np.broadcast_to(t, [s.size for s in sites]) for t in tables(sites)]
-    out = np.empty(len(pts))
-    rows = chunk_rows(kernel, pts.shape[1])
-    for start in range(0, len(pts), rows):
-        index, weights = window_tensor(kernel, n, pts[start:start + rows], sites)
-        out[start:start + rows] = reduce(weights, *(v[index] for v in values))
-    return out
+    mesh = table_sites(kernel, n, axes)
+    sites = [s.ravel() for s in mesh]
+    shape = [s.size for s in sites]
+    values = [np.broadcast_to(np.asarray(t, dtype=float), shape) for t in tables(mesh)]
+    later = [window_index(kernel, n, x, s) for x, s in zip(axes[1:], sites[1:])]
+    counts = [len(x) for x in axes]
+    widths = [point_work(kernel, 1)] + [index.shape[1] for index, _ in later]
+    # per first-axis point, axis i gathers the points done, its window and the sites to come
+    largest = max(math.prod(counts[1:i + 1]) * widths[i] * math.prod(shape[i + 1:])
+                  for i in range(len(axes)))
+    rows = max(1, CHUNK_ELEMENTS // largest)
+    out = [np.empty(counts) for _ in values]
+    for start in range(0, counts[0], rows):
+        first = window_index(kernel, n, axes[0][start:start + rows], sites[0])
+        for v, o in zip(values, out):
+            for axis, (index, weights) in enumerate([first, *later]):
+                # np.take would first copy a broadcast table to its full size
+                gathered = v[index] if axis == 0 else np.take(v, index, axis=axis)
+                weights = weights.reshape(weights.shape + (1,) * (v.ndim - axis - 1))
+                v = (gathered * weights).sum(axis=axis + 1)
+            o[start:start + rows] = v
+    return [o.ravel() for o in out]
 
 
 def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
@@ -247,11 +262,6 @@ def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
 def chunk_rows(kernel: DensityKernel, dim: int) -> int:
     """Points per chunk: as many as keep a chunk array near CHUNK_ELEMENTS, at least one."""
     return max(1, CHUNK_ELEMENTS // point_work(kernel, dim))
-
-
-def row_sums(terms: np.ndarray) -> np.ndarray:
-    """Sum of each point's terms, (P, ...) -> (P,), pairwise like np.sum over one point's array."""
-    return terms.reshape(len(terms), -1).sum(axis=1)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -311,7 +321,7 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     for start in range(0, x.size, rows):
         xs = x[start:start + rows]
         ks, weights = window_rows(kernel, n * xs)
-        out[start:start + rows, 0] = row_sums(weights)
+        out[start:start + rows, 0] = weights.sum(axis=1)
         offsets = ks / n - xs[:, None]
         for p in range(1, p_max + 1):
             out[start:start + rows, p] = row_dot(offsets**p, weights)

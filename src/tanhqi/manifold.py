@@ -9,7 +9,10 @@ enters the kernel only through that density:
 so integrating phi_g against the volume element sqrt(det g) dx reduces
 to the flat integral of the product kernel (``kernel.kernel_mass``).
 Operators on a chart weight lattice samples by the local density at the
-sample sites and always renormalize the truncated weights to sum to one.
+sample sites and always renormalize the truncated weights to sum to one:
+the operator is the ratio of the lattice sums of f / sqrt(det g) and
+1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
+decides whether evaluation points and lattice sites lie in the domain.
 
 Shipped chart presets:
 
@@ -20,13 +23,14 @@ Shipped chart presets:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .kernel import DensityKernel, lattice_sums, row_sums
+from .kernel import DensityKernel, check_axes, lattice_sums
 
 __all__ = [
     "Chart",
@@ -49,24 +53,14 @@ class Chart:
     sqrt_det_g: Callable
     periods: tuple[float, ...] | None = None
 
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Chart representation of x; periodic axes wrap into [0, period)."""
+    def axis_coords(self, axis: int, x) -> tuple[np.ndarray, np.ndarray]:
+        """Axis coordinates x in the chart (a periodic axis wraps into [0, period)), and
+        whether each lies in the open domain: the rule for points and lattice sites alike."""
         xs = np.asarray(x, dtype=float)
-        if self.periods is None:
-            return xs
-        return np.mod(xs, np.asarray(self.periods, dtype=float))
-
-    def contains(self, x):
-        """Whether x lies in the open domain; x of shape (..., N) gives one answer per point."""
-        xs = self.coords(np.atleast_1d(np.asarray(x, dtype=float)))
-        if xs.shape[-1] != self.dim:
-            raise ValueError(
-                f"chart {self.name!r} is {self.dim}-dimensional, point has {xs.shape[-1]}"
-            )
-        inside = np.ones(xs.shape[:-1], dtype=bool)
-        for i, (lo, hi) in enumerate(self.domain):
-            inside &= (xs[..., i] > lo) & (xs[..., i] < hi)
-        return inside if inside.ndim else bool(inside)
+        if self.periods is not None:
+            xs = np.mod(xs, self.periods[axis])
+        lo, hi = self.domain[axis]
+        return xs, (xs > lo) & (xs < hi)
 
 
 def _ones_density(*coords):
@@ -104,41 +98,41 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
     )
 
 
-def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, pts) -> np.ndarray:
-    """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) at every row of pts, (P, N) -> (P,).
+def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes) -> np.ndarray:
+    """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) on the grid of axes -> (P,).
 
     Raw weights are psi products times 1/sqrt(det g) at the lattice
     sites, renormalized to sum to one so constants are reproduced
-    exactly on every chart.
+    exactly on every chart: the ratio of the lattice sums of
+    f/sqrt(det g) and 1/sqrt(det g).
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    pts = np.asarray(pts, dtype=float)
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
-    outside = ~chart.contains(pts)
-    if outside.any():
-        raise ValueError(
-            f"point {pts[outside][0].tolist()} lies outside the {chart.name!r} chart domain"
-        )
+    axes = check_axes(axes, chart.dim)
+    inside = functools.reduce(np.logical_and.outer,
+                              [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
+    if not inside.all():
+        first = np.unravel_index(np.argmin(inside), inside.shape)
+        raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
+                         f"lies outside the {chart.name!r} chart domain")
 
     def tables(sites):
         coords = []
-        for i, (lo, hi) in enumerate(chart.domain):
-            coord = sites[i] / n
-            if chart.periods is not None:
-                coord = np.mod(coord, chart.periods[i])
-            if not ((coord > lo) & (coord < hi)).all():
+        for i, k in enumerate(sites):
+            coord, inside = chart.axis_coords(i, k / n)
+            if not inside.all():
                 raise ValueError(
                     f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
                     "increase n or shrink the evaluation box"
                 )
             coords.append(coord)
-        return [f.value(*coords), chart.sqrt_det_g(*coords)]
+        density = np.asarray(chart.sqrt_det_g(*coords), dtype=float)
+        vals = np.asarray(f.value(*coords), dtype=float)
+        # a full-size f table is divided in place, so no second one is made
+        full = vals.flags.writeable and vals.shape == np.broadcast_shapes(vals.shape, density.shape)
+        return [np.divide(vals, density, out=vals if full else None), 1.0 / density]
 
-    def reduce(weights, vals, density):
-        weights = weights / density
-        weights = weights / row_sums(weights).reshape((-1,) + (1,) * chart.dim)
-        return row_sums(vals * weights)
-
-    return lattice_sums(kernel, n, pts, tables, reduce)
+    total, mass = lattice_sums(kernel, n, axes, tables)
+    return total / mass

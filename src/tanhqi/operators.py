@@ -18,10 +18,11 @@ The Voronovskaya helper assembles the moment correction
 sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n), which peels
 one order of 1/n off the basic operator's error per added term.
 
-Each operator is one function, ``*_batch(..., pts)``, that evaluates
-every row of a (P, N) point array (one point x is the array [x]) through
-``kernel.lattice_sums``: it samples its site value once per lattice
-table site and keeps its own reduction of a chunk's weights and values.
+Each operator is one function, ``*_batch(..., axes)``, that evaluates the
+tensor grid of its per-axis coordinates (one point x is the axes
+[[x_1], .., [x_N]]) and returns the grid's values flattened in C order.
+Each is one lattice sum (``kernel.lattice_sums``), or a ratio of two,
+over site values sampled once per lattice table site.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ from .kernel import (
     MAX_POINT_WORK,
     DensityKernel,
     axis_moments,
+    check_axes,
     lattice_sums,
     multi_indices,
-    row_dot,
-    row_sums,
 )
 
 __all__ = [
@@ -88,29 +88,16 @@ class OperatorConfig:
             )
 
 
-def _points(pts, dim_expected: int):
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.size == 0:
-        raise ValueError("evaluation points must form a non-empty (P, N) array")
-    if pts.shape[1] != dim_expected:
-        raise ValueError(
-            f"evaluation point has {pts.shape[1]} coordinates, preset expects {dim_expected}"
-        )
-    return pts
-
-
 def _check_kind(cfg: OperatorConfig, kind: str) -> None:
     if cfg.kind != kind:
         raise ValueError(f"apply_{kind}_batch needs kind={kind!r}, got {cfg.kind!r}")
 
 
-def apply_basic_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
-    """A_n(f; x) at every row of pts, (P, N) -> (P,); exact on constants up to the tail mass."""
+def apply_basic_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+    """A_n(f; x) on the grid of axes (N arrays) -> (P,); exact on constants up to the tail mass."""
     _check_kind(cfg, "basic")
-    pts = _points(pts, f.dim)
-    return lattice_sums(cfg.kernel, cfg.n, pts,
-                        lambda sites: [f.value(*(k / cfg.n for k in sites))],
-                        lambda weights, vals: row_sums(vals * weights))
+    return lattice_sums(cfg.kernel, cfg.n, check_axes(axes, f.dim),
+                        lambda sites: [f.value(*(k / cfg.n for k in sites))])[0]
 
 
 def _cell_averages(cfg: OperatorConfig, f, sites) -> np.ndarray:
@@ -132,8 +119,8 @@ def _cell_averages(cfg: OperatorConfig, f, sites) -> np.ndarray:
     return averages.reshape(shape)
 
 
-def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
-    """K_n(f; x) at every row of pts, shape (P, N) -> (P,).
+def apply_kantorovich_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+    """K_n(f; x) on the grid of axes (N arrays) -> (P,).
 
     With g nodes per axis the cell averages are exact for polynomial
     degree 2g - 1 per axis (degree 9 at the default g = 5), so K_n
@@ -142,25 +129,18 @@ def apply_kantorovich_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
     rule is built once per call.
     """
     _check_kind(cfg, "kantorovich")
-    pts = _points(pts, f.dim)
-    return lattice_sums(cfg.kernel, cfg.n, pts,
-                        lambda sites: [_cell_averages(cfg, f, sites)],
-                        lambda weights, averages: row_sums(averages * weights))
+    return lattice_sums(cfg.kernel, cfg.n, check_axes(axes, f.dim),
+                        lambda sites: [_cell_averages(cfg, f, sites)])[0]
 
 
-def _renormalized(weights, dvals, admissible):
-    weights = np.where(admissible, weights, 0.0)
-    return row_dot(dvals, weights) / row_sums(weights)
+def apply_fractional_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+    """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
-
-def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
-    """Q_n(f; x) at every row of pts, shape (P, 1) -> (P,), x >= 0.
-
-    Sites k < 0 get weight zero and the rest are renormalized per point;
-    D^beta f at the table's sites k > 0 is one rl_derivative_batch call.
+    The sum over sites k >= 0 is divided by their weight sum; D^beta f
+    at the table's sites k > 0 is one rl_derivative_batch call.
     """
     _check_kind(cfg, "fractional")
-    x = _points(pts, 1)[:, 0]
+    (x,) = check_axes(axes, 1)
     if f.dim != 1:
         raise ValueError("the fractional operator is one-dimensional")
     if (x < 0.0).any():
@@ -180,13 +160,15 @@ def apply_fractional_batch(cfg: OperatorConfig, f, pts) -> np.ndarray:
         dbeta[ks > 0.0] = rl_derivative_batch(frac_cfg, f, ks[ks > 0.0] / cfg.n)
         return [dbeta, ks >= 0.0]
 
-    return lattice_sums(cfg.kernel, cfg.n, x[:, None], tables, _renormalized)
+    total, mass = lattice_sums(cfg.kernel, cfg.n, [x], tables)
+    return total / mass
 
 
-def voronovskaya_correction_batch(kernel: DensityKernel, f, pts, n: int, m: int) -> np.ndarray:
-    """sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) at every row of pts, (P, N) -> (P,).
+def voronovskaya_correction_batch(kernel: DensityKernel, f, axes, n: int, m: int) -> np.ndarray:
+    """sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) on the grid of axes -> (P,).
 
-    alpha runs in lexicographic order; m lies in 1..4 and at most the smoothness grade of f.
+    alpha runs in lexicographic order; m lies in 1..4 and at most the smoothness
+    grade of f.  M_alpha is the outer product of one axis_moments column per axis.
     """
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= 4):
         raise ValueError(f"correction order m must lie in 1..4, got {m!r}")
@@ -194,14 +176,15 @@ def voronovskaya_correction_batch(kernel: DensityKernel, f, pts, n: int, m: int)
         raise ValueError(
             f"correction order m = {m} exceeds the smoothness grade {f.smoothness} of {f.name!r}"
         )
-    pts = _points(pts, f.dim)
-    moments = [axis_moments(kernel, pts[:, i], int(n), m) for i in range(pts.shape[1])]
-    total = np.zeros(len(pts))
-    for alpha in multi_indices(pts.shape[1], 1, m):
-        d = np.asarray(f.derivative(alpha.entries, *pts.T), dtype=float)
+    axes = check_axes(axes, f.dim)
+    grid = np.ix_(*axes)
+    moments = [axis_moments(kernel, x, int(n), m) for x in axes]
+    total = np.zeros([x.size for x in axes])
+    for alpha in multi_indices(len(axes), 1, m):
+        d = np.asarray(f.derivative(alpha.entries, *grid), dtype=float)
         mom = 1.0
         for axis, p in enumerate(alpha):
-            mom = mom * moments[axis][:, p]
+            mom = mom * moments[axis][:, p].reshape(grid[axis].shape)
         # a zero derivative adds an exact zero, as skipping the term would
         total = total + d / alpha.factorial * mom
-    return total
+    return total.ravel()

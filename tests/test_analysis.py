@@ -12,7 +12,7 @@ from tanhqi import (
     Row,
     fractional_rate,
     function_preset,
-    grid_points,
+    grid_axes,
     operator_convergence,
     rate_fit,
     residual_orders,
@@ -26,21 +26,21 @@ BOX01 = [(0.0, 1.0)]
 
 class TestGridPoints:
     def test_shape_and_bounds(self):
-        pts = grid_points([(0.0, 1.0), (-1.0, 2.0)], 7)
-        assert pts.shape == (49, 2)
-        assert np.all(pts[:, 0] > 0.0) and np.all(pts[:, 0] < 1.0)
-        assert np.all(pts[:, 1] > -1.0) and np.all(pts[:, 1] < 2.0)
+        xs, ys = grid_axes([(0.0, 1.0), (-1.0, 2.0)], 7)
+        assert xs.shape == ys.shape == (7,)
+        assert np.all(xs > 0.0) and np.all(xs < 1.0)
+        assert np.all(ys > -1.0) and np.all(ys < 2.0)
 
     def test_avoids_lattice_sites(self):
         # sweep n values never hit a sample exactly, so operator errors
         # are measured between sites rather than on them
-        pts = grid_points(BOX01, 101)[:, 0]
+        pts = grid_axes(BOX01, 101)[0]
         for n in (8, 16, 32, 64, 128, 256, 512):
             dist = np.abs(pts[:, None] * n - np.round(pts[:, None] * n))
             assert dist.min() > 1e-9
 
     def test_shift_constant(self):
-        pts = grid_points(BOX01, 10)[:, 0]
+        pts = grid_axes(BOX01, 10)[0]
         assert pts[0] == pytest.approx(GRID_SHIFT / 10.0, rel=1e-15)
 
     @pytest.mark.parametrize("box, points", [
@@ -53,71 +53,73 @@ class TestGridPoints:
     ])
     def test_non_finite_corners_and_fractional_counts_rejected(self, box, points):
         with pytest.raises(ValueError):
-            grid_points(box, points)
+            grid_axes(box, points)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            grid_points(BOX01, 0)
+            grid_axes(BOX01, 0)
         with pytest.raises(ValueError):
-            grid_points([(1.0, 1.0)], 5)
+            grid_axes([(1.0, 1.0)], 5)
 
 
 class TestSupError:
     def test_known_errors(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        sup, mean = sup_error(lambda p: p[:, 0] + 1.0, lambda p: p[:, 0], pts)
+        axes = [[0.0, 1.0, 2.0]]
+        sup, mean = sup_error(lambda ax: ax[0] + 1.0, lambda ax: ax[0], axes)
         assert sup == 1.0 and mean == 1.0
 
     def test_varying_errors(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        sup, mean = sup_error(lambda p: 2.0 * p[:, 0], lambda p: p[:, 0], pts)
+        axes = [[0.0, 1.0, 2.0]]
+        sup, mean = sup_error(lambda ax: 2.0 * ax[0], lambda ax: ax[0], axes)
         assert sup == 2.0
         assert mean == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_fsum_mean(self):
         rng = np.random.default_rng(77)
-        pts = rng.uniform(0.0, 1.0, size=(200, 1))
-        sup, mean = sup_error(lambda p: np.array([math.sin(v) for v in p[:, 0]]),
-                              lambda p: p[:, 0], pts)
-        errs = [abs(math.sin(p[0]) - p[0]) for p in pts]
+        pts = rng.uniform(0.0, 1.0, size=200)
+        sup, mean = sup_error(lambda ax: np.array([math.sin(v) for v in ax[0]]),
+                              lambda ax: ax[0], [pts])
+        errs = [abs(math.sin(p) - p) for p in pts]
         assert sup == max(errs)
         assert mean == pytest.approx(math.fsum(errs) / len(errs), rel=1e-14)
 
     def test_failure_reports_offending_point(self):
-        def bad(p):
-            if (p[:, 0] > 0.5).any():
+        def bad(ax):
+            if (ax[0] > 0.5).any():
                 raise ValueError("boom")
-            return np.zeros(len(p))
+            return np.zeros(len(ax[0]))
 
-        pts = np.array([[0.1], [0.9]])
         with pytest.raises(ValueError, match=r"boom \(at evaluation point \[0.9\]\)"):
-            sup_error(bad, lambda p: np.zeros(len(p)), pts)
+            sup_error(bad, lambda ax: np.zeros(len(ax[0])), [[0.1, 0.9]])
+        # on a 2-D grid the points are re-run in C order: (0.1, 0.2), (0.1, 0.8), (0.9, 0.2), ..
+        with pytest.raises(ValueError, match=r"boom \(at evaluation point \[0.9, 0.2\]\)"):
+            sup_error(bad, lambda ax: 0.0, [[0.1, 0.9], [0.2, 0.8]])
 
     def test_failure_with_multi_argument_exception(self):
         class TwoArgError(Exception):
             def __init__(self, what, where):
                 super().__init__(f"{what} in {where}")
 
-        def bad(p):
+        def bad(ax):
             raise TwoArgError("overflow", "cell 3")
 
         with pytest.raises(RuntimeError, match=r"overflow in cell 3 \(at evaluation point \[0.5\]\)") as info:
-            sup_error(bad, lambda p: np.zeros(len(p)), np.array([[0.5]]))
+            sup_error(bad, lambda ax: np.zeros(len(ax[0])), [[0.5]])
         assert isinstance(info.value.__cause__, TwoArgError)
 
     def test_failure_of_whole_batch_only_propagates(self):
         # every single point succeeds, so the batch's own exception is re-raised
-        def batch_only(p):
-            if len(p) > 1:
+        def batch_only(ax):
+            if len(ax[0]) > 1:
                 raise MemoryError("batch too large")
-            return np.zeros(len(p))
+            return np.zeros(len(ax[0]))
 
         with pytest.raises(MemoryError, match="^batch too large$"):
-            sup_error(batch_only, lambda p: np.zeros(len(p)), np.array([[0.1], [0.9]]))
+            sup_error(batch_only, lambda ax: np.zeros(len(ax[0])), [[0.1, 0.9]])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sup_error(lambda p: np.zeros(len(p)), lambda p: np.zeros(len(p)), np.empty((0, 1)))
+            sup_error(lambda ax: np.zeros(len(ax[0])), lambda ax: np.zeros(len(ax[0])), [np.empty(0)])
 
 
 class TestSweep:
@@ -126,10 +128,10 @@ class TestSweep:
 
         def apply_for(n):
             seen.append(n)
-            return lambda p: np.full(len(p), 3.0 / n)
+            return lambda ax: np.full(len(ax[0]), 3.0 / n)
 
-        pts = grid_points(BOX01, 4)
-        rep = sweep(apply_for, lambda p: np.zeros(len(p)), pts, (32, 8, 16, 8), {"k": 1}, "target")
+        axes = grid_axes(BOX01, 4)
+        rep = sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (32, 8, 16, 8), {"k": 1}, "target")
         assert seen == [8, 16, 32]
         assert [r.n for r in rep.rows] == seen
         assert [r.sup_error for r in rep.rows] == [3.0 / n for n in seen]
@@ -139,9 +141,9 @@ class TestSweep:
         assert rep.claimed_exponent is None and rep.excluded_rows == 0
 
     def test_floor_rows_counted_and_fit_skipped(self):
-        pts = grid_points(BOX01, 3)
-        zeros = lambda p: np.zeros(len(p))  # noqa: E731
-        rep = sweep(lambda n: zeros, zeros, pts, (8, 16, 32), {}, "t", "n^-1")
+        axes = grid_axes(BOX01, 3)
+        zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
+        rep = sweep(lambda n: zeros, zeros, axes, (8, 16, 32), {}, "t", "n^-1")
         assert rep.excluded_rows == 3 and rep.fitted_slope is None
         assert "fit skipped" in rep.note
         assert rep.claimed_exponent == "n^-1"
@@ -149,15 +151,15 @@ class TestSweep:
     @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,)])
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
         with pytest.raises(ValueError, match="n sweep"):
-            zeros = lambda p: np.zeros(len(p))  # noqa: E731
-            sweep(lambda n: zeros, zeros, grid_points(BOX01, 3), n_sweep, {}, "t")
+            zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
+            sweep(lambda n: zeros, zeros, grid_axes(BOX01, 3), n_sweep, {}, "t")
 
 
     def test_non_finite_error_names_n(self):
-        pts = grid_points(BOX01, 3)
-        apply_for = lambda n: lambda p: np.full(len(p), np.nan if n == 16 else 1.0)  # noqa: E731
+        axes = grid_axes(BOX01, 3)
+        apply_for = lambda n: lambda ax: np.full(len(ax[0]), np.nan if n == 16 else 1.0)  # noqa: E731
         with pytest.raises(RuntimeError, match="error at n = 16 is not finite"):
-            sweep(apply_for, lambda p: np.zeros(len(p)), pts, (8, 16, 32), {}, "t")
+            sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (8, 16, 32), {}, "t")
 
 
 class TestRateFit:

@@ -4,14 +4,23 @@ The reference functions below are the one-point sums as the package
 computed them before the batched engine existed: one Python call per
 point, windows from math.ceil/math.floor, weights multiplied out with
 np.multiply.outer and reduced with np.sum or a 1-D dot product.  They
-never touch kernel.window_rows.
+never touch kernel.window_rows.  The operators take a tensor grid as
+per-axis coordinates (drawn unsorted, with repeats, sometimes on lattice
+sites, and with first axes longer than one chunk); the references walk
+its points in C order.
 
-Batched rows must equal them exactly unless the point set holds a
-lattice site (a centre n x_i whose window has 2W + 1 sites).  Then the
-chunk pads its shorter rows with a zero, which can regroup numpy's
-pairwise row sum, so rows may move by 1e-15 relative.  Two more sums
-regroup by design and get the same 1e-15 bound:
+1-D basic and Kantorovich rows must equal them exactly unless an axis
+holds a lattice site (a centre n x_i whose window has 2W + 1 sites).
+Then the chunk pads its shorter rows with a zero, which can regroup
+numpy's pairwise row sum, so rows may move by 1e-15 relative.  More
+sums regroup by design and get the same 1e-15 bound:
 
+* every 2-D sum, which contracts one axis at a time instead of summing
+  each point's (2W)^2 window products pairwise;
+* chart sums, a ratio of the sums of f/sqrt(det g) and 1/sqrt(det g)
+  instead of a sum over weights normalized first;
+* fractional rows whose window lies in k >= 0: their numerator is a
+  pairwise sum, not a BLAS dot product;
 * 2-D Kantorovich, whose cell averages come from one BLAS matrix-vector
   product over a slab of lattice-table cells, not one per window;
 * 1-D Kantorovich with more than 5 quadrature nodes, for the same
@@ -24,6 +33,7 @@ length-(2W + 1) dot product and sum, derived in ``test_fractional``.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -122,11 +132,10 @@ def ref_fractional(kernel, n, dbeta, x):
 
 def ref_chart(kernel, chart, n, f, x):
     ks, weights = ref_tensor(kernel, n, x)
-    grids = np.meshgrid(*[k / n for k in ks], indexing="ij")
-    sites = chart.coords(np.stack(grids, axis=-1))
-    weights = weights / chart.sqrt_det_g(*np.moveaxis(sites, -1, 0))
+    sites = np.meshgrid(*[chart.axis_coords(i, k / n)[0] for i, k in enumerate(ks)], indexing="ij")
+    weights = weights / chart.sqrt_det_g(*sites)
     weights = weights / np.sum(weights)
-    vals = np.asarray(f.value(*[sites[..., i] for i in range(chart.dim)]), dtype=float)
+    vals = np.asarray(f.value(*sites), dtype=float)
     return float(np.sum(vals * weights))
 
 
@@ -151,22 +160,35 @@ def kernels(alpha_lo=1.0 / 32.0, alpha_hi=2.0):
     )
 
 
-def draw_points(data, kernel, n, dim, lo=0.0, hi=1.0):
-    """Up to two chunks and one point of samples in the box, some moved onto lattice sites."""
+def draw_axes(data, kernel, n, dim, lo=0.0, hi=1.0):
+    """Per-axis coordinates in the box: unsorted, some repeated, some moved onto lattice sites.
+
+    The first axis holds up to two chunks and one point, the others up to 6 points.
+    """
     rows = chunk_rows(kernel, dim)
-    count = data.draw(st.one_of(st.integers(1, rows), st.integers(rows + 1, 2 * rows + 1)),
-                      label="count")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    pts = rng.uniform(lo, hi, size=(count, dim))
-    if data.draw(st.booleans(), label="sites"):
-        moved = rng.choice(count, size=max(1, count // 4))
-        pts[moved] = np.clip(np.round(pts[moved] * n) / n, lo, hi)
-    return pts
+    axes = []
+    for i in range(dim):
+        count = data.draw(st.one_of(st.integers(1, rows), st.integers(rows + 1, 2 * rows + 1))
+                          if i == 0 else st.integers(1, 6), label=f"count{i}")
+        x = rng.uniform(lo, hi, size=count)
+        if data.draw(st.booleans(), label=f"repeats{i}"):
+            x[rng.choice(count, size=max(1, count // 4))] = x[0]
+        if data.draw(st.booleans(), label=f"sites{i}"):
+            moved = rng.choice(count, size=max(1, count // 4))
+            x[moved] = np.clip(np.round(x[moved] * n) / n, lo, hi)
+        axes.append(x)
+    return axes
 
 
-def holds_site(kernel, n, pts) -> bool:
+def grid(axes):
+    """The points of the tensor grid in C order, as the operators return them."""
+    return [np.array(p) for p in itertools.product(*axes)]
+
+
+def holds_site(kernel, n, axes) -> bool:
     w = kernel.radius
-    u = n * pts
+    u = n * np.concatenate(axes)
     return bool(np.any(np.floor(u + w) - np.ceil(u - w) == 2 * w))
 
 
@@ -185,35 +207,35 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(), n=st.integers(1, 256), data=st.data())
     def test_basic_one_dim(self, kernel, n, data):
         f = function_preset("exp")
-        pts = draw_points(data, kernel, n, 1)
-        got = apply_basic_batch(OperatorConfig("basic", n, kernel), f, pts)
-        ref = [ref_basic(kernel, n, f, p) for p in pts]
-        assert_rows(got, ref, not holds_site(kernel, n, pts))
+        axes = draw_axes(data, kernel, n, 1)
+        got = apply_basic_batch(OperatorConfig("basic", n, kernel), f, axes)
+        ref = [ref_basic(kernel, n, f, p) for p in grid(axes)]
+        assert_rows(got, ref, not holds_site(kernel, n, axes))
 
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.25), n=st.integers(1, 128), data=st.data())
     def test_basic_two_dim(self, kernel, n, data):
-        pts = draw_points(data, kernel, n, 2)
-        got = apply_basic_batch(OperatorConfig("basic", n, kernel), Exp2(), pts)
-        ref = [ref_basic(kernel, n, Exp2(), p) for p in pts]
-        assert_rows(got, ref, not holds_site(kernel, n, pts))
+        axes = draw_axes(data, kernel, n, 2)
+        got = apply_basic_batch(OperatorConfig("basic", n, kernel), Exp2(), axes)
+        ref = [ref_basic(kernel, n, Exp2(), p) for p in grid(axes)]
+        assert_rows(got, ref, False)
 
     @PROPERTY
     @given(kernel=kernels(), n=st.integers(1, 256), g=st.integers(2, 9), data=st.data())
     def test_kantorovich_one_dim(self, kernel, n, g, data):
         f = function_preset("exp")
-        pts = draw_points(data, kernel, n, 1)
-        got = apply_kantorovich_batch(OperatorConfig("kantorovich", n, kernel, quad_nodes=g), f, pts)
-        ref = [ref_kantorovich(kernel, n, g, f, p) for p in pts]
-        assert_rows(got, ref, g <= 5 and not holds_site(kernel, n, pts))
+        axes = draw_axes(data, kernel, n, 1)
+        got = apply_kantorovich_batch(OperatorConfig("kantorovich", n, kernel, quad_nodes=g), f, axes)
+        ref = [ref_kantorovich(kernel, n, g, f, p) for p in grid(axes)]
+        assert_rows(got, ref, g <= 5 and not holds_site(kernel, n, axes))
 
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.5), n=st.integers(1, 64), g=st.integers(2, 5), data=st.data())
     def test_kantorovich_two_dim(self, kernel, n, g, data):
-        pts = draw_points(data, kernel, n, 2)
+        axes = draw_axes(data, kernel, n, 2)
         got = apply_kantorovich_batch(
-            OperatorConfig("kantorovich", n, kernel, quad_nodes=g), Exp2(), pts)
-        ref = [ref_kantorovich(kernel, n, g, Exp2(), p) for p in pts]
+            OperatorConfig("kantorovich", n, kernel, quad_nodes=g), Exp2(), axes)
+        ref = [ref_kantorovich(kernel, n, g, Exp2(), p) for p in grid(axes)]
         assert_rows(got, ref, False)
 
     @PROPERTY
@@ -227,12 +249,12 @@ class TestBatchedMatchesReference:
         def dbeta(k):
             return rl_derivative_batch(frac_cfg, f, [k / n])[0] if k > 0 else 0.0
 
-        pts = draw_points(data, kernel, n, 1)
+        (x,) = draw_axes(data, kernel, n, 1)
         cfg = OperatorConfig("fractional", n, kernel, beta=beta, frac_step=1e-2)
-        got = apply_fractional_batch(cfg, f, pts)
-        ref = np.array([ref_fractional(kernel, n, dbeta, float(x)) for x in pts[:, 0]])
-        whole = np.ceil(n * pts[:, 0] - kernel.radius) >= 0
-        assert_rows(got[whole], ref[whole], not holds_site(kernel, n, pts))
+        got = apply_fractional_batch(cfg, f, [x])
+        ref = np.array([ref_fractional(kernel, n, dbeta, float(xi)) for xi in x])
+        whole = np.ceil(n * x - kernel.radius) >= 0
+        assert_rows(got[whole], ref[whole], False)
         # A row whose window reaches k < 0 sums the same nonzero terms as the
         # reference, which drops those sites instead of weighting them zero,
         # so only the grouping differs.  A sum of L terms rounds by at most
@@ -245,8 +267,8 @@ class TestBatchedMatchesReference:
         # to first order in u; the two sides differ by at most twice that.
         sites = 2 * int(kernel.radius) + 3
         gamma = sites * 2.0**-53 / (1.0 - sites * 2.0**-53)
-        mean_abs = np.array([ref_fractional(kernel, n, lambda k: abs(dbeta(k)), float(x))
-                             for x in pts[~whole, 0]])
+        mean_abs = np.array([ref_fractional(kernel, n, lambda k: abs(dbeta(k)), float(xi))
+                             for xi in x[~whole]])
         cut = ref[~whole]
         assert np.all(np.abs(got[~whole] - cut) <= 2.0 * gamma * (mean_abs + np.abs(cut)))
 
@@ -258,23 +280,23 @@ class TestBatchedMatchesReference:
             # n > W keeps every window above y = 0 for y >= 1
             n = int(kernel.radius) + n
             ch = chart_preset("poincare-half-plane")
-            pts = draw_points(data, kernel, n, 2, lo=1.0, hi=2.0)
+            axes = draw_axes(data, kernel, n, 2, lo=1.0, hi=2.0)
             f = Exp2()
         else:
             ch = chart_preset(chart, 1)
-            pts = draw_points(data, kernel, n, 1, lo=-1.0, hi=1.0)
+            axes = draw_axes(data, kernel, n, 1, lo=-1.0, hi=1.0)
             f = function_preset("exp")
-        got = operator_on_chart_batch(kernel, ch, f, n, pts)
-        ref = [ref_chart(kernel, ch, n, f, p) for p in pts]
-        assert_rows(got, ref, not holds_site(kernel, n, pts))
+        got = operator_on_chart_batch(kernel, ch, f, n, axes)
+        ref = [ref_chart(kernel, ch, n, f, p) for p in grid(axes)]
+        assert_rows(got, ref, False)
 
     @PROPERTY
     @given(kernel=kernels(), n=st.integers(1, 256), data=st.data())
     def test_moments(self, kernel, n, data):
-        x = draw_points(data, kernel, n, 1, lo=-1.0, hi=1.0)[:, 0]
+        (x,) = draw_axes(data, kernel, n, 1, lo=-1.0, hi=1.0)
         got = axis_moments(kernel, x, n, 4)
         ref = [[ref_moment(kernel, p, xi, n) for p in range(5)] for xi in x]
-        assert_rows(got, ref, not holds_site(kernel, n, x))
+        assert_rows(got, ref, not holds_site(kernel, n, [x]))
 
 
 # --- exactness on constants ---------------------------------------------------
@@ -297,23 +319,23 @@ class TestExactOnConstants:
     @given(kernel=small_kernels(), n=st.integers(1, 256), dim=st.integers(1, 2), data=st.data())
     def test_basic(self, kernel, n, dim, data):
         f = function_preset("constant") if dim == 1 else Ones2()
-        pts = draw_points(data, kernel, n, dim, lo=-2.0, hi=2.0)
-        assert_unity(apply_basic_batch(OperatorConfig("basic", n, kernel), f, pts), kernel)
+        axes = draw_axes(data, kernel, n, dim, lo=-2.0, hi=2.0)
+        assert_unity(apply_basic_batch(OperatorConfig("basic", n, kernel), f, axes), kernel)
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 256), g=st.integers(2, 6), data=st.data())
     def test_kantorovich(self, kernel, n, g, data):
-        pts = draw_points(data, kernel, n, 1, lo=-2.0, hi=2.0)
+        axes = draw_axes(data, kernel, n, 1, lo=-2.0, hi=2.0)
         cfg = OperatorConfig("kantorovich", n, kernel, quad_nodes=g)
-        assert_unity(apply_kantorovich_batch(cfg, function_preset("constant"), pts), kernel)
+        assert_unity(apply_kantorovich_batch(cfg, function_preset("constant"), axes), kernel)
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 64), data=st.data())
     def test_chart(self, kernel, n, data):
         n = int(kernel.radius) + n
         chart = chart_preset("poincare-half-plane")
-        pts = draw_points(data, kernel, n, 2, lo=1.0, hi=2.0)
-        assert_unity(operator_on_chart_batch(kernel, chart, Ones2(), n, pts), kernel)
+        axes = draw_axes(data, kernel, n, 2, lo=1.0, hi=2.0)
+        assert_unity(operator_on_chart_batch(kernel, chart, Ones2(), n, axes), kernel)
 
     @PROPERTY
     # a subnormal c (below 2.2e-308) keeps fewer than 53 significant bits, so c * psi
@@ -323,9 +345,9 @@ class TestExactOnConstants:
     def test_fractional(self, kernel, n, c, data):
         # with D^beta f equal to c at every node, the renormalized weights return c
         lo = (kernel.radius + 1.0) / n
-        pts = draw_points(data, kernel, n, 1, lo=lo, hi=lo + 1.0)
+        axes = draw_axes(data, kernel, n, 1, lo=lo, hi=lo + 1.0)
         cfg = OperatorConfig("fractional", n, kernel, beta=0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "rl_derivative_batch", lambda cfg, f, t: np.full(len(t), c))
-            vals = apply_fractional_batch(cfg, function_preset("pow2"), pts)
+            vals = apply_fractional_batch(cfg, function_preset("pow2"), axes)
         assert_unity(vals / c if c else vals + 1.0, kernel)

@@ -252,7 +252,12 @@ class TestValidation:
         # 1-D: 33 x 1e5 samples per point fit 2^24, but leggauss would build a 1e5 x 1e5 matrix
         (["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "3",
           "--operator", "kantorovich", "--quad-nodes", "100000"], "100000 x 100000"),
-    ], ids=["l1-overflow", "box-width", "leggauss"])
+        # (10^10)^2 evaluation points; 10^8 would pass every other check in 1-D
+        (["converge", "--preset", "sin-exp", "--grid-lo=0,0", "--grid-hi=1,1",
+          "--grid-points", "10000000000"], "the evaluation grid needs 100000000000000000000 points"),
+        (["converge", "--preset", "sin", "--grid-points", "100000000"],
+         "the evaluation grid needs 100000000 points (> 16777216)"),
+    ], ids=["l1-overflow", "box-width", "leggauss", "grid-2d", "grid-1d"])
     @pytest.mark.parametrize("print_config", [False, True])
     def test_unbounded_config_rejected_before_run(self, tmp_path, capsys, argv, message,
                                                   print_config):
@@ -292,6 +297,26 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "v.json").read_text())
         assert isinstance(payload, list) and len(payload) == 2
         assert payload[0]["config"]["m"] == 0
+
+    def test_voronovskaya_two_dim_preset(self, tmp_path, capsys):
+        out = tmp_path / "v2"
+        status, _, err = run(
+            ["voronovskaya", "--preset", "sin-exp", "--grid-lo=0,0", "--grid-hi=1,1",
+             "--grid-points", "9", "--n", "16,32,64,128,256", "--m-max", "2", "--out", str(out)],
+            capsys,
+        )
+        assert status == 0 and err == ""
+        slopes = [r["fitted_slope"] for r in json.loads((tmp_path / "v2.json").read_text())]
+        assert len(slopes) == 3 and slopes == sorted(slopes)
+
+    def test_voronovskaya_box_follows_preset_dimension(self, tmp_path, capsys):
+        # the default box has one axis, sin-exp needs two
+        status, out, err = run(
+            ["voronovskaya", "--preset", "sin-exp", "--out", str(tmp_path / "x"), "--print-config"],
+            capsys,
+        )
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"] == "voronovskaya needs 2 grid axis/axes, got 1"
 
     def test_voronovskaya_smoothness_cap_is_config_error(self, tmp_path, capsys):
         status, _, err = run(

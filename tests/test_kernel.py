@@ -1,5 +1,6 @@
 """Density kernel, truncation window, lattice moments, multi-indices."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,10 +23,11 @@ from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
     check_table,
+    lattice_sums,
     point_work,
     table_sites,
+    window_index,
     window_rows,
-    window_tensor,
 )
 
 
@@ -237,13 +239,11 @@ class TestMoments:
         k = kernel()
         x = np.array([0.3, -0.7])
         # the 2-D lattice sum of (k/n - x)^(1, 2) Z(n x - k) against the axis product
-        sites = table_sites(k, 16, x[None, :])
-        index, weights = window_tensor(k, 16, x[None, :], sites)
-        ks = [s.ravel()[i] for s, i in zip(sites, index)]
-        joint = np.sum((ks[0] / 16 - x[0]) * (ks[1] / 16 - x[1]) ** 2 * weights)
+        (joint,) = lattice_sums(k, 16, [x[:1], x[1:]],
+                                lambda sites: [(sites[0] / 16 - x[0]) * (sites[1] / 16 - x[1]) ** 2])
         m1 = axis_moments(k, x[:1], 16, 1)[0, 1]
         m2 = axis_moments(k, x[1:], 16, 2)[0, 2]
-        assert joint == pytest.approx(m1 * m2, rel=1e-12)
+        assert joint[0] == pytest.approx(m1 * m2, rel=1e-12)
 
 
 def _log_uniform(lo, hi):
@@ -277,32 +277,32 @@ class TestTableSites:
         step = st.sampled_from([0.0, 2 * w, 2 * w + 1.0, 2 * w + 2.0, 2 * w + 2.5])
         steps = data.draw(st.lists(step | st.floats(0.0, 8.0 * w), max_size=30))
         centres = data.draw(st.permutations(list(start + np.cumsum([0.0] + steps))))
-        pts = np.array(centres)[:, None] / n
-        u = n * pts[:, 0]
+        x = np.array(centres) / n
+        u = n * x
         want = np.unique(np.concatenate(
             [np.arange(math.ceil(c - w), math.floor(c + w) + 1) for c in u]))
-        sites = table_sites(k, n, pts)
+        sites = table_sites(k, n, [x])
         assert np.array_equal(sites[0], want)
-        index, weights = window_tensor(k, n, pts, sites)
+        index, weights = window_index(k, n, x, sites[0])
         ks, ws = window_rows(k, u)
         # pads included: a pad indexes its row's last site
-        assert np.array_equal(sites[0][index[0]], ks)
+        assert np.array_equal(sites[0][index], ks)
         assert np.array_equal(weights, ws)
 
     def test_two_axes_broadcast_to_the_table(self):
         # centres 4.8 and 32 (a site) reach -11..48; 24 and 25.6 reach 8..41
-        sites = table_sites(kernel(), 16, np.array([[0.3, 1.5], [2.0, 1.6]]))
+        sites = table_sites(kernel(), 16, [[0.3, 2.0], [1.5, 1.6]])
         assert sites[0].shape == (60, 1) and sites[1].shape == (1, 34)
 
     def test_gaps_take_no_space(self):
-        sites = table_sites(kernel(), 1, np.array([[0.5, 0.5], [4096.5, 4096.5]]))
+        sites = table_sites(kernel(), 1, [[0.5, 4096.5], [0.5, 4096.5]])
         assert [s.size for s in sites] == [64, 64]
 
     def test_exact_table_size_checked(self):
         # windows every 33 sites touch, so each axis is one run -16..4207: 4224^2 = 17.8e6 > 2^24
-        pts = np.repeat(np.arange(0.0, 4200.0, 33.0)[:, None], 2, axis=1)
+        x = np.arange(0.0, 4200.0, 33.0)
         with pytest.raises(ValueError, match="the lattice table needs 4224 x 4224 sites"):
-            table_sites(kernel(), 1, pts)
+            table_sites(kernel(), 1, [x, x])
 
     @pytest.mark.parametrize("box, points, message", [
         # each axis holds at most min(1e6 x 33, 64 x 1e5 + 34) sites, 4.1e13 in all
@@ -312,6 +312,32 @@ class TestTableSites:
     def test_preflight_rejects(self, box, points, message):
         with pytest.raises(ValueError, match=message):
             check_table(kernel(), box, points, 64)
+
+
+class TestLatticeSums:
+    def test_grid_order_and_broadcast_tables(self):
+        # sum_k (k_0/n) Z(n x - k) = (x M_0(x) + M_1(x)) M_0(y), and a constant table gives M_0 M_0
+        k, n = kernel(), 16
+        x, y = np.array([0.7, -0.2, 0.7, 0.31]), np.array([1.5, 0.05])
+        first, ones = lattice_sums(k, n, [x, y], lambda sites: [sites[0] / n, 1.0])
+        mx, my = axis_moments(k, x, n, 1), axis_moments(k, y, n, 0)
+        want = np.outer(x * mx[:, 0] + mx[:, 1], my[:, 0]).ravel()
+        assert np.allclose(first, want, rtol=1e-14, atol=0.0)
+        assert np.allclose(ones, np.outer(mx[:, 0], my[:, 0]).ravel(), rtol=1e-15, atol=0.0)
+
+    def test_three_axes_against_each_point_window(self):
+        # a 3-D table is one chunk per first-axis point here; each point sums its own windows
+        k, n = kernel(), 8
+        axes = [np.array([0.1, 0.9, 0.4]), np.array([-0.3, 0.2]), np.array([0.6])]
+        (got,) = lattice_sums(k, n, axes, lambda sites: [np.exp(sites[0] / n - sites[1] / n)
+                                                       + np.cos(sites[2] / n)])
+        want = []
+        for point in itertools.product(*axes):
+            ks, ws = zip(*(window_rows(k, [n * c]) for c in point))
+            grid = np.meshgrid(*[kk[0] / n for kk in ks], indexing="ij")
+            weights = np.einsum("i,j,l->ijl", *[w[0] for w in ws])
+            want.append(np.sum((np.exp(grid[0] - grid[1]) + np.cos(grid[2])) * weights))
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestCentreLimit:
@@ -329,4 +355,4 @@ class TestCentreLimit:
         with pytest.raises(ValueError, match="2\\^52"):
             axis_moments(k, [MAX_CENTRE / 64], 64, 0)
         with pytest.raises(ValueError, match="2\\^52"):
-            table_sites(k, 64, np.array([[MAX_CENTRE / 64]]))
+            table_sites(k, 64, [[MAX_CENTRE / 64]])

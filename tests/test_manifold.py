@@ -27,7 +27,7 @@ class TestChartPresets:
     def test_torus_periods(self):
         ch = chart_preset("torus", 2)
         assert ch.periods == (1.0, 1.0)
-        assert np.allclose(ch.coords(np.array([1.3, -0.25])), [0.3, 0.75])
+        assert np.allclose([ch.axis_coords(0, 1.3)[0], ch.axis_coords(1, -0.25)[0]], [0.3, 0.75])
 
     def test_half_plane_fixed_dim(self):
         ch = chart_preset("poincare-half-plane")
@@ -41,9 +41,9 @@ class TestChartPresets:
 
     def test_domain_membership(self):
         ch = chart_preset("poincare-half-plane")
-        assert ch.contains([0.0, 1.0])
-        assert not ch.contains([0.0, 0.0])
-        assert not ch.contains([0.0, -1.0])
+        assert ch.axis_coords(0, 0.0)[1] and ch.axis_coords(1, 1.0)[1]
+        assert not ch.axis_coords(1, 0.0)[1]
+        assert not ch.axis_coords(1, -1.0)[1]
 
 
 class TestVolumeNormalize:
@@ -88,7 +88,7 @@ class TestOperatorOnChart:
         f = function_preset("sin")
         cfg = OperatorConfig("basic", 32, KERNEL)
         rng = np.random.default_rng(11)
-        xs = rng.uniform(-2.0, 2.0, size=(100, 1))
+        xs = [rng.uniform(-2.0, 2.0, size=100)]
         a = operator_on_chart_batch(KERNEL, chart, f, 32, xs)
         b = apply_basic_batch(cfg, f, xs)
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -103,7 +103,7 @@ class TestOperatorOnChart:
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
         chart = chart_preset("poincare-half-plane")
-        got = operator_on_chart_batch(KERNEL, chart, Flat(), 64, [[0.3, 1.5]])[0]
+        got = operator_on_chart_batch(KERNEL, chart, Flat(), 64, [[0.3], [1.5]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_lattice_exit_reported(self):
@@ -111,7 +111,14 @@ class TestOperatorOnChart:
         # the half plane, and the operator must say so
         chart = chart_preset("poincare-half-plane")
         with pytest.raises(ValueError, match="increase n or shrink"):
-            operator_on_chart_batch(KERNEL, chart, function_preset("sin-exp"), 8, [[0.3, 1.5]])
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin-exp"), 8, [[0.3], [1.5]])
+
+    def test_point_outside_reported(self):
+        # the first grid point in C order with a coordinate outside y > 0 is named
+        chart = chart_preset("poincare-half-plane")
+        with pytest.raises(ValueError, match=r"point \[0.3, -0.5\] lies outside"):
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin-exp"), 64,
+                                    [[0.3, 0.5], [1.5, -0.5, -1.0]])
 
     def test_half_plane_errors_shrink(self):
         # the narrower kernel keeps the n = 16 window above y = 0
@@ -120,11 +127,10 @@ class TestOperatorOnChart:
         f = function_preset("sin-exp")
         xs = np.linspace(-1.0, 1.0, 9) + 1.0 / 202.0
         ys = np.linspace(1.0, 2.0, 9) + 1.0 / 202.0
-        pts = np.stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")], axis=-1)
         sups = []
         for n in (16, 32, 64, 128):
-            got = operator_on_chart_batch(sharp, chart, f, n, pts)
-            sups.append(float(np.max(np.abs(got - f.value(*pts.T)))))
+            got = operator_on_chart_batch(sharp, chart, f, n, [xs, ys])
+            sups.append(float(np.max(np.abs(got - f.value(*np.ix_(xs, ys)).ravel()))))
         assert sups[0] == pytest.approx(0.010360695275581588, rel=1e-10)
         assert sups[-1] == pytest.approx(0.0010754814810829405, rel=1e-10)
         for a, b in zip(sups, sups[1:]):
@@ -142,7 +148,7 @@ class TestOperatorOnChart:
     def test_dim_mismatch_rejected(self):
         chart = chart_preset("poincare-half-plane")
         with pytest.raises(ValueError):
-            operator_on_chart_batch(KERNEL, chart, function_preset("sin"), 32, [[0.3, 1.5]])
+            operator_on_chart_batch(KERNEL, chart, function_preset("sin"), 32, [[0.3], [1.5]])
 
     def test_bad_n_rejected(self):
         chart = chart_preset("euclidean", 1)

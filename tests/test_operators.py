@@ -72,7 +72,7 @@ class TestBasic:
     def test_reproduces_constants(self):
         f = function_preset("constant")
         for n in (8, 64):
-            got = apply_basic_batch(cfg("basic", n), f, [[0.0], [0.31], [-2.7]])
+            got = apply_basic_batch(cfg("basic", n), f, [[0.0, 0.31, -2.7]])
             assert got == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_linear_error_is_first_moment(self):
@@ -81,7 +81,7 @@ class TestBasic:
         f = function_preset("linear")
         x = np.array([0.2, 0.77])
         for n in (16, 128):
-            lhs = apply_basic_batch(cfg("basic", n), f, x[:, None]) - x
+            lhs = apply_basic_batch(cfg("basic", n), f, [x]) - x
             rhs = axis_moments(KERNEL, x, n, 1)[:, 1]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -104,17 +104,17 @@ class TestBasic:
             def value(x, y):
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
-        got = apply_basic_batch(cfg("basic", 16), Flat(), [[0.3, -0.6]])[0]
+        got = apply_basic_batch(cfg("basic", 16), Flat(), [[0.3], [-0.6]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_two_dim_tracks_target(self):
         f = function_preset("sin-exp")
-        got = apply_basic_batch(cfg("basic", 64), f, [[0.3, 0.7]])[0]
+        got = apply_basic_batch(cfg("basic", 64), f, [[0.3], [0.7]])[0]
         assert got == pytest.approx(f.value(0.3, 0.7), abs=0.01)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_basic_batch(cfg("basic", 16), function_preset("sin"), [[0.3, 0.7]])
+            apply_basic_batch(cfg("basic", 16), function_preset("sin"), [[0.3], [0.7]])
 
 
 class TestKantorovich:
@@ -157,7 +157,7 @@ class TestKantorovich:
             def value(x, y):
                 return np.ones_like(np.asarray(x) + np.asarray(y))
 
-        got = apply_kantorovich_batch(cfg("kantorovich", 8), Flat(), [[0.2, 0.9]])[0]
+        got = apply_kantorovich_batch(cfg("kantorovich", 8), Flat(), [[0.2], [0.9]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -231,5 +231,14 @@ class TestVoronovskaya:
             d = f.derivative(alpha.entries, *x)
             mom = moments[0][alpha.entries[0]] * moments[1][alpha.entries[1]]
             manual += d / alpha.factorial * mom
-        got = voronovskaya_correction_batch(KERNEL, f, x[None, :], n, m)[0]
+        got = voronovskaya_correction_batch(KERNEL, f, [x[:1], x[1:]], n, m)[0]
         assert got == pytest.approx(manual, rel=1e-12)
+
+    def test_grid_is_the_product_of_its_axes(self):
+        # values in C order, each equal to the one-point call at that grid point
+        f = function_preset("sin-exp")
+        xs, ys = [0.3, 0.55, 0.8, 0.12], [0.7, 0.1, 0.45]
+        got = voronovskaya_correction_batch(KERNEL, f, [xs, ys], 16, 3)
+        want = [voronovskaya_correction_batch(KERNEL, f, [[x], [y]], 16, 3)[0]
+                for x in xs for y in ys]
+        assert np.array_equal(got, want)
