@@ -26,7 +26,6 @@ from .analysis import (
 from .fractional import FracConfig, gamma_fn, power_rule_oracle, rl_derivative_batch
 from .kernel import (
     DensityKernel,
-    MultiIndex,
     axis_moments,
     kernel_mass,
     multi_indices,
@@ -40,7 +39,7 @@ from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
-    voronovskaya_correction_batch,
+    voronovskaya_corrections,
 )
 from .presets import FunctionPreset, function_preset, preset_names
 
@@ -53,7 +52,6 @@ __all__ = [
     "DensityKernel",
     "FracConfig",
     "FunctionPreset",
-    "MultiIndex",
     "OperatorConfig",
     "Row",
     "apply_basic_batch",
@@ -81,5 +79,5 @@ __all__ = [
     "rl_derivative_batch",
     "sup_error",
     "truncation_radius",
-    "voronovskaya_correction_batch",
+    "voronovskaya_corrections",
 ]

@@ -8,8 +8,11 @@ grid is recorded alongside), and every report says so in its note.
 ``sweep`` is the one loop over n values; each experiment supplies a
 per-n batched operator and a batched target, both taking the grid's
 per-axis coordinates (``grid_axes``) and returning its values in C
-order.  The ``check_*`` functions are the experiments' preconditions,
-callable without a run.
+order.  An operator may return a (K, P) stack of K results, and the
+sweep makes one report per row: ``residual_orders`` gets every
+correction order from one basic evaluation and one moment table per n.
+The ``check_*`` functions are the experiments' preconditions, callable
+without a run.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -35,7 +39,8 @@ from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
-    voronovskaya_correction_batch,
+    check_m_max,
+    voronovskaya_corrections,
 )
 
 __all__ = [
@@ -46,7 +51,6 @@ __all__ = [
     "rate_fit",
     "check_grid",
     "check_sweep",
-    "check_m_max",
     "check_fractional",
     "sweep",
     "operator_convergence",
@@ -129,13 +133,15 @@ def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
     return axes
 
 
-def sup_error(apply_fn, target_fn, axes) -> tuple[float, float]:
-    """Sup and mean absolute error of apply_fn against target_fn over the grid of axes.
+def sup_error(apply_fn, target_fn, axes) -> list[tuple[float, float]]:
+    """Sup and mean absolute error of apply_fn against target_fn over the grid of axes,
+    one pair per row of apply_fn's result.
 
-    Both callables take the per-axis coordinates and return the grid's
-    values in C order (any array that ravels to them, or a scalar); the
-    mean uses numpy's pairwise summation, so the aggregate is
-    deterministic for a given grid.  When a call fails, the points are
+    Both callables take the per-axis coordinates.  apply_fn returns the
+    grid's P values in C order (any array that ravels to them) or a
+    (K, P) stack of K results; target_fn returns the P values or a
+    scalar.  Each mean uses numpy's pairwise summation, so the aggregate
+    is deterministic for a given grid.  When a call fails, the points are
     re-run one at a time in grid order and the first failure is
     re-raised with its point, as the same exception type when it takes
     a single message argument and as a RuntimeError otherwise; if no
@@ -145,7 +151,8 @@ def sup_error(apply_fn, target_fn, axes) -> tuple[float, float]:
     if not axes or any(x.size == 0 for x in axes):
         raise ValueError("empty evaluation grid")
     try:
-        errs = np.abs(np.ravel(apply_fn(axes)) - np.ravel(target_fn(axes)))
+        points = math.prod(x.size for x in axes)
+        errs = np.abs(np.reshape(apply_fn(axes), (-1, points)) - np.ravel(target_fn(axes)))
     except Exception:
         for point in itertools.product(*axes):
             single = [np.array([c]) for c in point]
@@ -160,7 +167,7 @@ def sup_error(apply_fn, target_fn, axes) -> tuple[float, float]:
                     located = RuntimeError(msg)
                 raise located from exc
         raise
-    return float(np.max(errs)), float(np.mean(errs))
+    return [(float(np.max(e)), float(np.mean(e))) for e in errs]
 
 
 def rate_fit(rows, floor: float = 0.0) -> tuple[float, float, float]:
@@ -183,25 +190,22 @@ def rate_fit(rows, floor: float = 0.0) -> tuple[float, float, float]:
 
 
 def check_sweep(n_sweep) -> list[int]:
-    """The distinct n values of a sweep in ascending order; all must be >= 1."""
+    """The distinct n values of a sweep in ascending order; all must be >= 1 and within float
+    range, since every lattice scales by n as a float."""
     ns = sorted(set(int(n) for n in n_sweep))
-    if not ns or ns[0] < 1:
-        raise ValueError(f"n sweep must contain positive integers, got {n_sweep!r}")
+    if not ns or ns[0] < 1 or ns[-1] > sys.float_info.max:
+        raise ValueError(f"n sweep must contain positive integers within float range, got {n_sweep!r}")
     return ns
 
 
-def check_m_max(m_max: int) -> None:
-    """Precondition of residual_orders: the highest correction order lies in 0..4."""
-    if not (isinstance(m_max, (int, np.integer)) and 0 <= m_max <= 4):
-        raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
-
-
-def check_fractional(f, box, radius: float, n_min: int, step: float) -> None:
+def check_fractional(f, box, points_per_axis: int, radius: float, n_min: int, step: float) -> None:
     """Preconditions of fractional_rate: a monomial preset, a strictly positive box,
-    and L1 grids within MAX_GRID_POINTS.
+    no lattice node at t = 0 when f(0) != 0, and L1 grids within MAX_GRID_POINTS.
 
-    The farthest lattice node a window reaches lies within radius/n_min
-    of the box's upper corner; its L1 grid has ceil(t / step) points.
+    The window around the grid's smallest coordinate x_min reaches the
+    node t = 0 when n_min x_min <= radius.  The farthest lattice node a
+    window reaches lies within radius/n_min of the box's upper corner;
+    its L1 grid has ceil(t / step) points.
     """
     if f.power is None:
         raise ValueError(
@@ -209,6 +213,12 @@ def check_fractional(f, box, radius: float, n_min: int, step: float) -> None:
         )
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
+    x_min = min(float(x[0]) for x in grid_axes(box, points_per_axis))
+    if float(f.value(0.0)) != 0.0 and n_min * x_min <= radius:
+        raise ValueError(
+            f"fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0 "
+            f"(n = {n_min}, x = {x_min!r}); evaluate farther from the origin or increase n"
+        )
     t_max = max(float(hi) for _, hi in box) + radius / n_min
     m = l1_intervals(t_max, step)
     if m > MAX_GRID_POINTS:
@@ -223,29 +233,35 @@ def sweep(
     target_fn,
     axes,
     n_sweep,
-    config: dict,
-    target_description: str,
+    configs: list[dict],
+    target_descriptions: list[str],
     claimed_exponent: str | None = None,
-) -> ConvergenceReport:
-    """Error rows over the n sweep, their log-log fit, and the report.
+) -> list[ConvergenceReport]:
+    """Error rows over the n sweep, their log-log fit, and the report, for each result row.
 
     ``apply_for(n)`` returns the batched callable for lattice density n
-    (grid axes -> the grid's values); it is measured against
-    ``target_fn`` on the grid of ``axes`` by sup_error, once per
-    distinct n in ascending order.
+    (grid axes -> the grid's values, or a (K, P) stack of K results); it
+    is measured against ``target_fn`` on the grid of ``axes`` by
+    sup_error, once per distinct n in ascending order.  Result row i
+    makes report i, with ``configs[i]`` and ``target_descriptions[i]``.
     A non-finite error is a RuntimeError naming n.  Rows on the rounding
     floor are counted and left out of the fit; with fewer than three
     rows above it the fit is skipped and the note says so.
     """
-    rows = []
+    tables = [[] for _ in configs]
     for n in check_sweep(n_sweep):
-        sup, mean = sup_error(apply_for(n), target_fn, axes)
-        if not (math.isfinite(sup) and math.isfinite(mean)):
-            raise RuntimeError(
-                f"error at n = {n} is not finite (sup {sup!r}, mean {mean!r}); "
-                "the operator or the target overflowed on the evaluation grid"
-            )
-        rows.append(Row(n, sup, mean))
+        for rows, (sup, mean) in zip(tables, sup_error(apply_for(n), target_fn, axes), strict=True):
+            if not (math.isfinite(sup) and math.isfinite(mean)):
+                raise RuntimeError(
+                    f"error at n = {n} is not finite (sup {sup!r}, mean {mean!r}); "
+                    "the operator or the target overflowed on the evaluation grid"
+                )
+            rows.append(Row(n, sup, mean))
+    return [_report(rows, config, description, claimed_exponent)
+            for rows, config, description in zip(tables, configs, target_descriptions, strict=True)]
+
+
+def _report(rows, config: dict, target_description: str, claimed_exponent) -> ConvergenceReport:
     try:
         slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=ERROR_FLOOR)
         note = NORM_NOTE
@@ -299,8 +315,8 @@ def operator_convergence(
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            operator=kind, quad_nodes=quad_nodes)
-    return sweep(apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, n_sweep, config,
-                 f"{f.name} (the sampled function itself)")
+    return sweep(apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, n_sweep, [config],
+                 [f"{f.name} (the sampled function itself)"])[0]
 
 
 def residual_orders(
@@ -311,37 +327,31 @@ def residual_orders(
     n_sweep,
     m_max: int,
 ) -> list[ConvergenceReport]:
-    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max.
+    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max, from one sweep.
 
     The m = 0 report is the uncorrected error of the basic operator;
-    each further m subtracts the moment correction of that order.
+    each further m subtracts the moment correction of that order.  Per n
+    the basic operator and the corrections are evaluated once, and the
+    m_max + 1 residuals are the rows of one stack.
     Fitted slopes are non-decreasing in m for smooth presets.
     """
-    check_m_max(m_max)
-    if m_max > f.smoothness:
-        raise ValueError(
-            f"m_max = {m_max} exceeds the smoothness grade {f.smoothness} of preset {f.name!r}"
-        )
+    check_m_max(m_max, f)
     axes = grid_axes(box, points_per_axis)
-    reports = []
-    for m in range(m_max + 1):
 
-        def apply_for(n, m=m):
-            cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
+    def apply_for(n):
+        cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
 
-            def residual(ax):
-                r = apply_basic_batch(cfg, f, ax) - np.ravel(f.value(*np.ix_(*ax)))
-                if m >= 1:
-                    r -= voronovskaya_correction_batch(kernel, f, ax, n, m)
-                return r
+        def residuals(ax):
+            r = apply_basic_batch(cfg, f, ax) - np.ravel(f.value(*np.ix_(*ax)))
+            return np.vstack([r, r - voronovskaya_corrections(kernel, f, ax, n, m_max)])
 
-            return residual
+        return residuals
 
-        config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
-                               experiment="voronovskaya-residual", m=m)
-        reports.append(sweep(apply_for, lambda ax: 0.0, axes, n_sweep, config,
-                             f"residual after the order-{m} moment correction"))
-    return reports
+    orders = range(m_max + 1)
+    configs = [_sweep_config(kernel, f, n_sweep, box, points_per_axis,
+                             experiment="voronovskaya-residual", m=m) for m in orders]
+    return sweep(apply_for, lambda ax: 0.0, axes, n_sweep, configs,
+                 [f"residual after the order-{m} moment correction" for m in orders])
 
 
 def fractional_rate(
@@ -361,7 +371,7 @@ def fractional_rate(
     measured slope is what the rows actually support (the operator's
     own first-order moment term caps it near one).
     """
-    check_fractional(f, box, kernel.radius, check_sweep(n_sweep)[0], frac_step)
+    check_fractional(f, box, points_per_axis, kernel.radius, check_sweep(n_sweep)[0], frac_step)
     axes = grid_axes(box, points_per_axis)
 
     def apply_for(n):
@@ -376,7 +386,7 @@ def fractional_rate(
         lambda ax: power_rule_oracle(f.power, beta, ax[0]),
         axes,
         n_sweep,
-        config,
-        "D^beta f (oracle)",
+        [config],
+        ["D^beta f (oracle)"],
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; recorded, not asserted",
-    )
+    )[0]

@@ -38,7 +38,6 @@ from .activation import ActivationParams
 from .analysis import (
     check_fractional,
     check_grid,
-    check_m_max,
     check_sweep,
     fractional_rate,
     grid_axes,
@@ -48,8 +47,8 @@ from .analysis import (
 )
 from .fractional import FracConfig
 from .kernel import DensityKernel, axis_moments, check_table, point_work, psi_eval
-from .manifold import chart_preset, operator_on_chart_batch
-from .operators import OperatorConfig
+from .manifold import chart_preset, check_chart, operator_on_chart_batch
+from .operators import OperatorConfig, check_m_max
 from .presets import function_preset, preset_names
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -224,14 +223,21 @@ def _load_config_file(path: str) -> dict:
 
 
 def _has_type(value, tp) -> bool:
-    """Whether a JSON value fits an ExperimentConfig annotation; a bool is no number."""
+    """Whether a JSON value fits an ExperimentConfig annotation; a bool is no number, and an
+    integer past float range is no float."""
     if get_origin(tp) is types.UnionType:
         return any(_has_type(value, t) for t in get_args(tp))
     if get_origin(tp) is list:
         return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    return isinstance(value, tp)
 
 
 def merge_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -263,8 +269,8 @@ def _validate(cfg: ExperimentConfig):
 
     Range checks belong to the library objects and preconditions built
     here (kernel, fractional and operator configs, grid, correction
-    order, fractional target, lattice table); they raise the ValueError a
-    run would, so --print-config rejects the same configs.
+    order, fractional target, lattice table, chart); they raise the
+    ValueError a run would, so --print-config rejects the same configs.
     """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -292,10 +298,13 @@ def _validate(cfg: ExperimentConfig):
     for n in ns:
         OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
     box = check_grid(cfg.box(), cfg.grid_points)
-    check_m_max(cfg.m_max)
+    check_m_max(cfg.m_max, preset if cfg.command == "voronovskaya" else None)
     if cfg.command == "frac":
-        check_fractional(preset, box, kernel.radius, ns[0], cfg.frac_step)
+        check_fractional(preset, box, cfg.grid_points, kernel.radius, ns[0], cfg.frac_step)
     check_table(kernel, box, cfg.grid_points, ns[-1])
+    if cfg.command == "manifold":
+        check_chart(chart_preset(cfg.chart, dim=preset.dim), kernel,
+                    grid_axes(box, cfg.grid_points), ns)
 
 
 def _format_value(v) -> str:
@@ -383,9 +392,9 @@ def run_manifold(cfg: ExperimentConfig) -> None:
         grid_axes(cfg.box(), cfg.grid_points),
         cfg.n_sweep,
         # chart weights are always renormalized ("discrete")
-        {"cli": cfg.to_dict(), "chart": cfg.chart, "mode": "discrete"},
-        f"{preset.name} on the {cfg.chart} chart (the sampled function itself)",
-    )
+        [{"cli": cfg.to_dict(), "chart": cfg.chart, "mode": "discrete"}],
+        [f"{preset.name} on the {cfg.chart} chart (the sampled function itself)"],
+    )[0]
     _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
 
 

@@ -30,7 +30,6 @@ from .activation import ActivationParams, h_eval
 
 __all__ = [
     "DensityKernel",
-    "MultiIndex",
     "multi_indices",
     "normalization_constant",
     "truncation_radius",
@@ -269,41 +268,11 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Multi-index alpha = (a_1, ..., a_N) of non-negative integers."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if len(entries) == 0:
-            raise ValueError("a multi-index needs at least one entry")
-        if any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be non-negative, got {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
-
-    @property
-    def factorial(self) -> int:
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
-        return out
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 def multi_indices(dim: int, min_order: int, max_order: int) -> tuple:
-    """All multi-indices with min_order <= |alpha| <= max_order, lexicographic."""
+    """All multi-indices alpha (tuples) with min_order <= |alpha| <= max_order, lexicographic."""
     return tuple(
-        MultiIndex(entries)
-        for entries in itertools.product(range(max_order + 1), repeat=dim)
-        if min_order <= sum(entries) <= max_order
+        alpha for alpha in itertools.product(range(max_order + 1), repeat=dim)
+        if min_order <= sum(alpha) <= max_order
     )
 
 

@@ -12,7 +12,8 @@ Operators on a chart weight lattice samples by the local density at the
 sample sites and always renormalize the truncated weights to sum to one:
 the operator is the ratio of the lattice sums of f / sqrt(det g) and
 1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
-decides whether evaluation points and lattice sites lie in the domain.
+decides whether evaluation points and lattice sites lie in the domain;
+``check_chart`` applies it to a grid and its lattice support before a run.
 
 Shipped chart presets:
 
@@ -35,6 +36,7 @@ from .kernel import DensityKernel, check_axes, lattice_sums
 __all__ = [
     "Chart",
     "chart_preset",
+    "check_chart",
     "operator_on_chart_batch",
 ]
 
@@ -98,6 +100,31 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
     )
 
 
+def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> list[np.ndarray]:
+    """The grid of axes as float arrays once its points lie in the chart's domain and, for
+    each n of n_sweep, so do each axis's extreme lattice sites ceil(n x_min - W)/n and
+    floor(n x_max + W)/n."""
+    axes = check_axes(axes, chart.dim)
+    inside = functools.reduce(np.logical_and.outer,
+                              [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
+    if not inside.all():
+        first = np.unravel_index(np.argmin(inside), inside.shape)
+        raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
+                         f"lies outside the {chart.name!r} chart domain")
+    for n in n_sweep:
+        for i, x in enumerate(axes):
+            ends = np.array([np.ceil(n * x.min() - kernel.radius),
+                             np.floor(n * x.max() + kernel.radius)])
+            if not chart.axis_coords(i, ends / n)[1].all():
+                raise _support_exits(chart, i)
+    return axes
+
+
+def _support_exits(chart: Chart, axis: int) -> ValueError:
+    return ValueError(f"lattice support exits the {chart.name!r} chart domain on axis {axis}; "
+                      "increase n or shrink the evaluation box")
+
+
 def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes) -> np.ndarray:
     """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) on the grid of axes -> (P,).
 
@@ -110,23 +137,14 @@ def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
-    axes = check_axes(axes, chart.dim)
-    inside = functools.reduce(np.logical_and.outer,
-                              [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
-    if not inside.all():
-        first = np.unravel_index(np.argmin(inside), inside.shape)
-        raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
-                         f"lies outside the {chart.name!r} chart domain")
+    axes = check_chart(chart, kernel, axes)
 
     def tables(sites):
         coords = []
         for i, k in enumerate(sites):
             coord, inside = chart.axis_coords(i, k / n)
             if not inside.all():
-                raise ValueError(
-                    f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
-                    "increase n or shrink the evaluation box"
-                )
+                raise _support_exits(chart, i)
             coords.append(coord)
         density = np.asarray(chart.sqrt_det_g(*coords), dtype=float)
         vals = np.asarray(f.value(*coords), dtype=float)

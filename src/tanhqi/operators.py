@@ -14,9 +14,10 @@ Q_n reproduces the fractional derivative, not f itself: its zeroth-order
 term is already D^beta f.  Errors against it should therefore be measured
 with a D^beta f oracle.
 
-The Voronovskaya helper assembles the moment correction
-sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n), which peels
-one order of 1/n off the basic operator's error per added term.
+``voronovskaya_corrections`` assembles the moment corrections
+sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n) for every
+order m = 1..m_max at once; each added order peels one more power of 1/n
+off the basic operator's error.
 
 Each operator is one function, ``*_batch(..., axes)``, that evaluates the
 tensor grid of its per-axis coordinates (one point x is the axes
@@ -49,7 +50,8 @@ __all__ = [
     "apply_basic_batch",
     "apply_kantorovich_batch",
     "apply_fractional_batch",
-    "voronovskaya_correction_batch",
+    "check_m_max",
+    "voronovskaya_corrections",
 ]
 
 OPERATOR_KINDS = ("basic", "kantorovich", "fractional")
@@ -164,27 +166,36 @@ def apply_fractional_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
     return total / mass
 
 
-def voronovskaya_correction_batch(kernel: DensityKernel, f, axes, n: int, m: int) -> np.ndarray:
-    """sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) on the grid of axes -> (P,).
-
-    alpha runs in lexicographic order; m lies in 1..4 and at most the smoothness
-    grade of f.  M_alpha is the outer product of one axis_moments column per axis.
-    """
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= 4):
-        raise ValueError(f"correction order m must lie in 1..4, got {m!r}")
-    if m > f.smoothness:
+def check_m_max(m_max: int, f=None) -> None:
+    """The highest correction order lies in 0..4 and, given a preset f, at most its smoothness grade."""
+    if not (isinstance(m_max, (int, np.integer)) and 0 <= m_max <= 4):
+        raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
+    if f is not None and m_max > f.smoothness:
         raise ValueError(
-            f"correction order m = {m} exceeds the smoothness grade {f.smoothness} of {f.name!r}"
+            f"m_max = {m_max} exceeds the smoothness grade {f.smoothness} of preset {f.name!r}"
         )
+
+
+def voronovskaya_corrections(kernel: DensityKernel, f, axes, n: int, m_max: int) -> np.ndarray:
+    """Row m - 1: sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) on the grid of axes,
+    m = 1..m_max -> (m_max, P).
+
+    Each term is computed once, and each row adds its terms in lexicographic
+    order of alpha.  M_alpha is the outer product of one axis_moments column
+    per axis; m_max = 0 computes no moment.
+    """
+    check_m_max(m_max, f)
     axes = check_axes(axes, f.dim)
     grid = np.ix_(*axes)
-    moments = [axis_moments(kernel, x, int(n), m) for x in axes]
-    total = np.zeros([x.size for x in axes])
-    for alpha in multi_indices(len(axes), 1, m):
-        d = np.asarray(f.derivative(alpha.entries, *grid), dtype=float)
+    moments = [axis_moments(kernel, x, int(n), m_max) for x in axes] if m_max else []
+    terms = {}
+    for alpha in multi_indices(len(axes), 1, m_max):
+        d = np.asarray(f.derivative(alpha, *grid), dtype=float)
         mom = 1.0
         for axis, p in enumerate(alpha):
             mom = mom * moments[axis][:, p].reshape(grid[axis].shape)
-        # a zero derivative adds an exact zero, as skipping the term would
-        total = total + d / alpha.factorial * mom
-    return total.ravel()
+        terms[alpha] = d / math.prod(map(math.factorial, alpha)) * mom
+    # a zero derivative adds an exact zero, as skipping the term would
+    rows = [sum((terms[alpha] for alpha in multi_indices(len(axes), 1, m)), 0.0)
+            for m in range(1, m_max + 1)]
+    return np.reshape(rows, (m_max, math.prod(x.size for x in axes)))

@@ -119,7 +119,10 @@ def _monomial(name, p, note):
             rows.append(lambda t: 0.0 * np.asarray(t, dtype=float))
         else:
             c = math.factorial(p) // math.factorial(p - k)
-            rows.append(lambda t, c=c, e=p - k: c * np.asarray(t, dtype=float) ** e)
+            if c == 1:  # 1 * x is x, so the multiply is skipped
+                rows.append(lambda t, e=p - k: np.asarray(t, dtype=float) ** e)
+            else:
+                rows.append(lambda t, c=c, e=p - k: c * np.asarray(t, dtype=float) ** e)
     return FunctionPreset(
         name=name,
         dim=1,

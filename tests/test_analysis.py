@@ -9,7 +9,9 @@ from tanhqi import (
     ActivationParams,
     ConvergenceReport,
     DensityKernel,
+    OperatorConfig,
     Row,
+    apply_fractional_batch,
     fractional_rate,
     function_preset,
     grid_axes,
@@ -18,7 +20,8 @@ from tanhqi import (
     residual_orders,
     sup_error,
 )
-from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, sweep
+from tanhqi import analysis, operators
+from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, check_fractional, sweep
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -65,20 +68,23 @@ class TestGridPoints:
 class TestSupError:
     def test_known_errors(self):
         axes = [[0.0, 1.0, 2.0]]
-        sup, mean = sup_error(lambda ax: ax[0] + 1.0, lambda ax: ax[0], axes)
+        [(sup, mean)] = sup_error(lambda ax: ax[0] + 1.0, lambda ax: ax[0], axes)
         assert sup == 1.0 and mean == 1.0
+        # a (K, P) stack gives one pair per row, each against the same target
+        stack = lambda ax: np.array([ax[0] + 1.0, [0.0, 1.0, 5.0]])  # noqa: E731
+        assert sup_error(stack, lambda ax: ax[0], axes) == [(1.0, 1.0), (3.0, 1.0)]
 
     def test_varying_errors(self):
         axes = [[0.0, 1.0, 2.0]]
-        sup, mean = sup_error(lambda ax: 2.0 * ax[0], lambda ax: ax[0], axes)
+        [(sup, mean)] = sup_error(lambda ax: 2.0 * ax[0], lambda ax: ax[0], axes)
         assert sup == 2.0
         assert mean == pytest.approx(1.0, rel=1e-15)
 
     def test_matches_fsum_mean(self):
         rng = np.random.default_rng(77)
         pts = rng.uniform(0.0, 1.0, size=200)
-        sup, mean = sup_error(lambda ax: np.array([math.sin(v) for v in ax[0]]),
-                              lambda ax: ax[0], [pts])
+        [(sup, mean)] = sup_error(lambda ax: np.array([math.sin(v) for v in ax[0]]),
+                                  lambda ax: ax[0], [pts])
         errs = [abs(math.sin(p) - p) for p in pts]
         assert sup == max(errs)
         assert mean == pytest.approx(math.fsum(errs) / len(errs), rel=1e-14)
@@ -124,26 +130,30 @@ class TestSupError:
 
 class TestSweep:
     def test_one_row_per_distinct_n_and_fit(self):
+        # a (2, P) result makes two reports, each with its own rows, fit, config and target
         seen = []
 
         def apply_for(n):
             seen.append(n)
-            return lambda ax: np.full(len(ax[0]), 3.0 / n)
+            return lambda ax: np.stack([np.full(len(ax[0]), 3.0 / n), np.full(len(ax[0]), 5.0 / n**2)])
 
         axes = grid_axes(BOX01, 4)
-        rep = sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (32, 8, 16, 8), {"k": 1}, "target")
+        rep, second = sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (32, 8, 16, 8),
+                            [{"k": 1}, {"k": 2}], ["target", "second"])
         assert seen == [8, 16, 32]
-        assert [r.n for r in rep.rows] == seen
+        assert [r.n for r in rep.rows] == [r.n for r in second.rows] == seen
         assert [r.sup_error for r in rep.rows] == [3.0 / n for n in seen]
+        assert [r.mean_error for r in second.rows] == [5.0 / n**2 for n in seen]
         assert rep.fitted_slope == pytest.approx(1.0, abs=1e-12)
-        assert rep.config == {"k": 1}
-        assert rep.target_description == "target"
+        assert second.fitted_slope == pytest.approx(2.0, abs=1e-12)
+        assert (rep.config, second.config) == ({"k": 1}, {"k": 2})
+        assert (rep.target_description, second.target_description) == ("target", "second")
         assert rep.claimed_exponent is None and rep.excluded_rows == 0
 
     def test_floor_rows_counted_and_fit_skipped(self):
         axes = grid_axes(BOX01, 3)
         zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
-        rep = sweep(lambda n: zeros, zeros, axes, (8, 16, 32), {}, "t", "n^-1")
+        [rep] = sweep(lambda n: zeros, zeros, axes, (8, 16, 32), [{}], ["t"], "n^-1")
         assert rep.excluded_rows == 3 and rep.fitted_slope is None
         assert "fit skipped" in rep.note
         assert rep.claimed_exponent == "n^-1"
@@ -152,14 +162,14 @@ class TestSweep:
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
         with pytest.raises(ValueError, match="n sweep"):
             zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
-            sweep(lambda n: zeros, zeros, grid_axes(BOX01, 3), n_sweep, {}, "t")
+            sweep(lambda n: zeros, zeros, grid_axes(BOX01, 3), n_sweep, [{}], ["t"])
 
 
     def test_non_finite_error_names_n(self):
         axes = grid_axes(BOX01, 3)
         apply_for = lambda n: lambda ax: np.full(len(ax[0]), np.nan if n == 16 else 1.0)  # noqa: E731
         with pytest.raises(RuntimeError, match="error at n = 16 is not finite"):
-            sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (8, 16, 32), {}, "t")
+            sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (8, 16, 32), [{}], ["t"])
 
 
 class TestRateFit:
@@ -257,6 +267,22 @@ class TestResidualOrders:
         with pytest.raises(ValueError):
             residual_orders(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 5)
 
+    @pytest.mark.parametrize("name, box", [("sin", BOX01), ("sin-exp", [(0.0, 1.0), (0.0, 1.0)])])
+    def test_one_basic_pass_and_one_moment_table_per_n(self, monkeypatch, name, box):
+        calls = {"basic": 0, "moments": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "apply_basic_batch", counted("basic", analysis.apply_basic_batch))
+        monkeypatch.setattr(operators, "axis_moments", counted("moments", operators.axis_moments))
+        reps = residual_orders(KERNEL, function_preset(name), box, 5, (16, 32, 64, 16), 4)
+        assert len(reps) == 5 and all(len(r.rows) == 3 for r in reps)
+        assert calls == {"basic": 3, "moments": 3 * len(box)}
+
 
 class TestFractionalRate:
     def test_report_strings(self):
@@ -282,6 +308,25 @@ class TestFractionalRate:
         # (1e308 + W/64) / 1e-3 is not a finite float
         with pytest.raises(ValueError, match="L1 grid would need inf points"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1e308)], 5, (64, 128))
+
+    @pytest.mark.parametrize("lo", [0.2, 0.249, 0.2493, 0.25, 0.26])
+    def test_lattice_at_origin_rejected_iff_the_operator_rejects_it(self, lo):
+        # pow0 has f(0) = 1; at n = 64 the window reaches t = 0 while 64 x_min <= W = 16
+        box, n, f = [(lo, 1.0)], 64, function_preset("pow0")
+        try:
+            cfg = OperatorConfig(kind="fractional", n=n, kernel=KERNEL, beta=0.5, frac_step=1e-2)
+            apply_fractional_batch(cfg, f, grid_axes(box, 5))
+            ran = True
+        except ValueError as exc:
+            assert "touches t = 0" in str(exc)
+            ran = False
+        try:
+            check_fractional(f, box, 5, KERNEL.radius, n, 1e-2)
+            passed = True
+        except ValueError as exc:
+            assert "touches t = 0" in str(exc)
+            passed = False
+        assert ran == passed
 
     def test_box_touching_origin_rejected(self):
         # every sample would be positive, but the box itself is not

@@ -155,6 +155,9 @@ class TestPrintConfig:
         {"q": "abc"},
         {"grid_lo": [0], "grid_hi": ["x"]},
         {"m_max": True},
+        # integers past float range are no floats
+        {"grid_lo": [0], "grid_hi": [10**400]},
+        {"alpha": 10**400},
     ])
     @pytest.mark.parametrize("print_config", [False, True])
     def test_mistyped_config_value_rejected(self, tmp_path, capsys, values, print_config):
@@ -257,7 +260,9 @@ class TestValidation:
           "--grid-points", "10000000000"], "the evaluation grid needs 100000000000000000000 points"),
         (["converge", "--preset", "sin", "--grid-points", "100000000"],
          "the evaluation grid needs 100000000 points (> 16777216)"),
-    ], ids=["l1-overflow", "box-width", "leggauss", "grid-2d", "grid-1d"])
+        # every lattice scales by n as a float
+        (["manifold", "--n", f"16,{10**400}"], "within float range"),
+    ], ids=["l1-overflow", "box-width", "leggauss", "grid-2d", "grid-1d", "n-past-float"])
     @pytest.mark.parametrize("print_config", [False, True])
     def test_unbounded_config_rejected_before_run(self, tmp_path, capsys, argv, message,
                                                   print_config):
@@ -493,21 +498,33 @@ class TestFailureContract:
     @given(argv=bounded_run_argv())
     @example(argv=["converge", "--preset", "sin", "--grid-lo=0", "--grid-hi=1e308",
                    "--grid-points=3", "--n=16"])
+    @example(argv=["voronovskaya", "--preset", "abs25", "--m-max", "3"])
+    @example(argv=["frac", "--preset", "pow0"])
+    @example(argv=["manifold", "--preset", "sin", "--grid-lo=0.1", "--grid-hi=0.9"])
+    @example(argv=["manifold", "--grid-lo=-1,-1", "--grid-hi=1,2"])
+    @example(argv=["manifold", "--grid-lo=-1,0.01", "--grid-hi=1,2", "--n", "8,16,32"])
     def test_runs_exit_with_status_and_one_json_line(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            try:
-                status = cli.main([*argv, "--out", os.path.join(tmp, "x")])
-            except SystemExit as exc:  # argparse rejects the flag value
-                status = exc.code
+        def main(*extra):
+            out, err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    status = cli.main([*argv, "--out", os.path.join(tmp, "x"), *extra])
+                except SystemExit as exc:  # argparse rejects the flag value
+                    status = exc.code
+            return status, err.getvalue()
+
+        status, err = main()
         assert status in (0, 2, 3, 4)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
         if status:
-            lines = err.getvalue().splitlines()
+            lines = err.splitlines()
             assert len(lines) == 1 and json.loads(lines[0])["status"] == status
         else:
-            assert err.getvalue() == ""
+            assert err == ""
+        if status == 2:
+            # an invalid configuration is rejected before any run starts
+            assert main("--print-config")[0] == 2
 
 
     @settings(deadline=None, max_examples=300)

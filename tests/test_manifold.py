@@ -14,6 +14,7 @@ from tanhqi import (
     operator_on_chart_batch,
     psi_eval,
 )
+from tanhqi.manifold import check_chart
 
 PARAMS = ActivationParams(0.5, 1.0)
 KERNEL = DensityKernel(PARAMS)
@@ -119,6 +120,25 @@ class TestOperatorOnChart:
         with pytest.raises(ValueError, match=r"point \[0.3, -0.5\] lies outside"):
             operator_on_chart_batch(KERNEL, chart, function_preset("sin-exp"), 64,
                                     [[0.3, 0.5], [1.5, -0.5, -1.0]])
+
+    @pytest.mark.parametrize("y_lo", [-0.5, 0.01, 1.99, 2.0, 2.01, 3.0])
+    def test_preflight_agrees_with_the_operator(self, y_lo):
+        # at n = 8 the support reaches k_y <= 0 while 8 y_lo <= W = 16; a point with y <= 0
+        # fails first. check_chart over the sweep fails as the first failing n does
+        chart, f, ns = chart_preset("poincare-half-plane"), function_preset("sin-exp"), (8, 16, 32)
+        axes = [np.array([-0.5, 0.25]), np.array([y_lo, y_lo + 0.5])]
+        failures = []
+        for n in ns:
+            try:
+                operator_on_chart_batch(KERNEL, chart, f, n, axes)
+            except ValueError as exc:
+                failures.append(str(exc))
+        try:
+            check_chart(chart, KERNEL, axes, ns)
+            preflight = None
+        except ValueError as exc:
+            preflight = str(exc)
+        assert preflight == (failures[0] if failures else None)
 
     def test_half_plane_errors_shrink(self):
         # the narrower kernel keeps the n = 16 window above y = 0

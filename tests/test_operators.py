@@ -16,8 +16,9 @@ from tanhqi import (
     function_preset,
     multi_indices,
     power_rule_oracle,
-    voronovskaya_correction_batch,
+    voronovskaya_corrections,
 )
+from tanhqi import operators
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 
@@ -89,7 +90,7 @@ class TestBasic:
         f = function_preset("quadratic")
         n, x = 32, 0.4
         lhs = apply_basic_batch(cfg("basic", n), f, [[x]])[0] - f.value(x)
-        rhs = voronovskaya_correction_batch(KERNEL, f, [[x]], n, 2)[0]
+        rhs = voronovskaya_corrections(KERNEL, f, [[x]], n, 2)[1, 0]
         assert lhs == pytest.approx(rhs, abs=1e-11)
 
     def test_frozen_sin_value(self):
@@ -201,25 +202,31 @@ class TestFractional:
 
 class TestVoronovskaya:
     def test_frozen_sin_correction(self):
-        got = voronovskaya_correction_batch(KERNEL, function_preset("sin"), [[0.3]], 64, 2)[0]
+        got = voronovskaya_corrections(KERNEL, function_preset("sin"), [[0.3]], 64, 2)[1, 0]
         assert got == pytest.approx(0.008142148086427846, rel=1e-12)
 
     def test_correction_captures_most_of_the_error(self):
         f = function_preset("sin")
         n, x = 64, 0.3
         err = apply_basic_batch(cfg("basic", n), f, [[x]])[0] - f.value(x)
-        corr = voronovskaya_correction_batch(KERNEL, f, [[x]], n, 2)[0]
+        corr = voronovskaya_corrections(KERNEL, f, [[x]], n, 2)[1, 0]
         assert abs(err - corr) < 1e-5
         assert abs(err - corr) < abs(err) / 100.0
 
-    @pytest.mark.parametrize("m", [0, 5, -1])
+    @pytest.mark.parametrize("m", [5, -1])
     def test_order_out_of_range(self, m):
         with pytest.raises(ValueError):
-            voronovskaya_correction_batch(KERNEL, function_preset("sin"), [[0.3]], 64, m)
+            voronovskaya_corrections(KERNEL, function_preset("sin"), [[0.3]], 64, m)
+
+    def test_order_zero_has_no_rows_and_no_moments(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(operators, "axis_moments", lambda *a: calls.append(a))
+        got = voronovskaya_corrections(KERNEL, function_preset("sin-exp"), [[0.3, 0.5], [0.7]], 64, 0)
+        assert got.shape == (0, 2) and calls == []
 
     def test_order_capped_by_smoothness(self):
         with pytest.raises(ValueError, match="smoothness"):
-            voronovskaya_correction_batch(KERNEL, function_preset("abs25"), [[0.3]], 64, 3)
+            voronovskaya_corrections(KERNEL, function_preset("abs25"), [[0.3]], 64, 3)
 
     def test_two_dim_matches_manual_sum(self):
         f = function_preset("sin-exp")
@@ -228,17 +235,38 @@ class TestVoronovskaya:
         moments = [axis_moments(KERNEL, x[i:i + 1], n, m)[0] for i in range(2)]
         manual = 0.0
         for alpha in multi_indices(2, 1, m):
-            d = f.derivative(alpha.entries, *x)
-            mom = moments[0][alpha.entries[0]] * moments[1][alpha.entries[1]]
-            manual += d / alpha.factorial * mom
-        got = voronovskaya_correction_batch(KERNEL, f, [x[:1], x[1:]], n, m)[0]
+            d = f.derivative(alpha, *x)
+            mom = moments[0][alpha[0]] * moments[1][alpha[1]]
+            manual += d / math.prod(map(math.factorial, alpha)) * mom
+        got = voronovskaya_corrections(KERNEL, f, [x[:1], x[1:]], n, m)[m - 1, 0]
         assert got == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("name, axes", [
+        ("sin", [[0.3, 0.55, 0.8, 0.12]]),
+        ("sin-exp", [[0.3, 0.55, 0.8, 0.12], [0.7, 0.1, 0.45]]),
+    ])
+    def test_row_is_the_sum_of_its_order(self, name, axes):
+        # row m - 1 is bit-identical to summing the terms of multi_indices(dim, 1, m) alone,
+        # in their lexicographic order, with moments up to order m only
+        f, n, m_max = function_preset(name), 16, 4
+        grid = np.ix_(*[np.asarray(x) for x in axes])
+        got = voronovskaya_corrections(KERNEL, f, axes, n, m_max)
+        assert got.shape == (m_max, math.prod(len(x) for x in axes))
+        for m in range(1, m_max + 1):
+            moments = [axis_moments(KERNEL, x, n, m) for x in axes]
+            want = np.zeros([len(x) for x in axes])
+            for alpha in multi_indices(len(axes), 1, m):
+                mom = 1.0
+                for axis, p in enumerate(alpha):
+                    mom = mom * moments[axis][:, p].reshape(grid[axis].shape)
+                want = want + f.derivative(alpha, *grid) / math.prod(map(math.factorial, alpha)) * mom
+            assert np.array_equal(got[m - 1], want.ravel())
 
     def test_grid_is_the_product_of_its_axes(self):
         # values in C order, each equal to the one-point call at that grid point
         f = function_preset("sin-exp")
         xs, ys = [0.3, 0.55, 0.8, 0.12], [0.7, 0.1, 0.45]
-        got = voronovskaya_correction_batch(KERNEL, f, [xs, ys], 16, 3)
-        want = [voronovskaya_correction_batch(KERNEL, f, [[x], [y]], 16, 3)[0]
+        got = voronovskaya_corrections(KERNEL, f, [xs, ys], 16, 3)
+        want = [voronovskaya_corrections(KERNEL, f, [[x], [y]], 16, 3)[:, 0]
                 for x in xs for y in ys]
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, np.transpose(want))
