@@ -6,9 +6,10 @@ kernel with exact partition of unity, ``operators`` builds the basic,
 Kantorovich, and fractional quasi-interpolants on truncated lattices,
 ``fractional`` supplies the Riemann-Liouville machinery, ``manifold``
 adds chart-based metric weighting, and ``analysis`` runs convergence
-sweeps.  Every operator takes a tensor grid as its per-axis coordinates
-(``*_batch``) and returns the grid's values in C order; one point x is
-the axes [[x_1], .., [x_N]].
+sweeps.  Every operator is called as ``(kernel, <its own parameter, if
+any>, f, n, axes)``: it takes a tensor grid as its per-axis coordinates
+and returns the grid's values in C order; one point x is the axes
+[[x_1], .., [x_N]].
 The ``tanhqi`` console script drives everything in batch mode.
 """
 
@@ -35,7 +36,6 @@ from .kernel import (
 )
 from .manifold import Chart, chart_preset, operator_on_chart_batch
 from .operators import (
-    OperatorConfig,
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
@@ -52,7 +52,6 @@ __all__ = [
     "DensityKernel",
     "FracConfig",
     "FunctionPreset",
-    "OperatorConfig",
     "Row",
     "apply_basic_batch",
     "apply_fractional_batch",

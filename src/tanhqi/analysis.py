@@ -26,20 +26,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import MAX_GRID_POINTS, l1_intervals, power_rule_oracle
-from .kernel import MAX_POINT_WORK, DensityKernel
+from .fractional import MAX_GRID_POINTS, FracConfig, l1_intervals, power_rule_oracle
+from .kernel import MAX_POINT_WORK, DensityKernel, check_n
 from .operators import (
-    OperatorConfig,
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
     check_m_max,
+    check_quad_nodes,
     voronovskaya_corrections,
 )
 
@@ -51,6 +50,7 @@ __all__ = [
     "rate_fit",
     "check_grid",
     "check_sweep",
+    "check_operator",
     "check_fractional",
     "sweep",
     "operator_convergence",
@@ -58,6 +58,8 @@ __all__ = [
     "fractional_rate",
 ]
 
+# the operators operator_convergence sweeps against f itself
+CONVERGENCE_OPERATORS = ("basic", "kantorovich")
 ERROR_FLOOR = 1e-13
 GRID_SHIFT = 1.0 / (2.0 * 101.0)
 NORM_NOTE = "errors are sup/mean over the configured evaluation grid"
@@ -190,12 +192,21 @@ def rate_fit(rows, floor: float = 0.0) -> tuple[float, float, float]:
 
 
 def check_sweep(n_sweep) -> list[int]:
-    """The distinct n values of a sweep in ascending order; all must be >= 1 and within float
-    range, since every lattice scales by n as a float."""
-    ns = sorted(set(int(n) for n in n_sweep))
-    if not ns or ns[0] < 1 or ns[-1] > sys.float_info.max:
+    """The distinct n values of a sweep in ascending order; at least one, each passing
+    kernel.check_n."""
+    try:
+        ns = sorted(set(map(check_n, n_sweep)))
+    except ValueError:
+        ns = []
+    if not ns:
         raise ValueError(f"n sweep must contain positive integers within float range, got {n_sweep!r}")
     return ns
+
+
+def check_operator(kind: str) -> None:
+    """operator_convergence's operator: one of CONVERGENCE_OPERATORS."""
+    if kind not in CONVERGENCE_OPERATORS:
+        raise ValueError(f"operator must be one of {', '.join(CONVERGENCE_OPERATORS)}, got {kind!r}")
 
 
 def check_fractional(f, box, points_per_axis: int, radius: float, n_min: int, step: float) -> None:
@@ -304,14 +315,14 @@ def operator_convergence(
     quad_nodes: int = 5,
 ) -> ConvergenceReport:
     """Error sweep of the basic or Kantorovich operator against f itself."""
-    if kind not in ("basic", "kantorovich"):
-        raise ValueError(f"operator_convergence covers 'basic' and 'kantorovich', got {kind!r}")
+    check_operator(kind)
+    check_quad_nodes(quad_nodes)
     axes = grid_axes(box, points_per_axis)
-    apply_fn = apply_basic_batch if kind == "basic" else apply_kantorovich_batch
 
     def apply_for(n):
-        cfg = OperatorConfig(kind=kind, n=n, kernel=kernel, quad_nodes=quad_nodes)
-        return lambda ax: apply_fn(cfg, f, ax)
+        if kind == "basic":
+            return lambda ax: apply_basic_batch(kernel, f, n, ax)
+        return lambda ax: apply_kantorovich_batch(kernel, quad_nodes, f, n, ax)
 
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            operator=kind, quad_nodes=quad_nodes)
@@ -339,11 +350,9 @@ def residual_orders(
     axes = grid_axes(box, points_per_axis)
 
     def apply_for(n):
-        cfg = OperatorConfig(kind="basic", n=n, kernel=kernel)
-
         def residuals(ax):
-            r = apply_basic_batch(cfg, f, ax) - np.ravel(f.value(*np.ix_(*ax)))
-            return np.vstack([r, r - voronovskaya_corrections(kernel, f, ax, n, m_max)])
+            r = apply_basic_batch(kernel, f, n, ax) - np.ravel(f.value(*np.ix_(*ax)))
+            return np.vstack([r, r - voronovskaya_corrections(kernel, m_max, f, n, ax)])
 
         return residuals
 
@@ -371,18 +380,14 @@ def fractional_rate(
     measured slope is what the rows actually support (the operator's
     own first-order moment term caps it near one).
     """
+    frac = FracConfig(beta, frac_step)
     check_fractional(f, box, points_per_axis, kernel.radius, check_sweep(n_sweep)[0], frac_step)
     axes = grid_axes(box, points_per_axis)
-
-    def apply_for(n):
-        cfg = OperatorConfig(kind="fractional", n=n, kernel=kernel, beta=beta, frac_step=frac_step)
-        return lambda ax: apply_fractional_batch(cfg, f, ax)
-
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
     return sweep(
-        apply_for,
+        lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax),
         lambda ax: power_rule_oracle(f.power, beta, ax[0]),
         axes,
         n_sweep,

@@ -36,8 +36,10 @@ import numpy as np
 
 from .activation import ActivationParams
 from .analysis import (
+    CONVERGENCE_OPERATORS,
     check_fractional,
     check_grid,
+    check_operator,
     check_sweep,
     fractional_rate,
     grid_axes,
@@ -48,7 +50,7 @@ from .analysis import (
 from .fractional import FracConfig
 from .kernel import DensityKernel, axis_moments, check_table, point_work, psi_eval
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
-from .operators import OperatorConfig, check_m_max
+from .operators import check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Sweep |operator(f) - f| over n and fit the log-log rate. "
                                    "CSV columns: n,sup_error,mean_error.")
     add_common(p, " (one entry per preset coordinate)")
-    p.add_argument("--operator", choices=("basic", "kantorovich"),
+    p.add_argument("--operator", choices=CONVERGENCE_OPERATORS,
                    help="operator variant; default basic")
     p.add_argument("--preset", help=f"sampled function, one of: {', '.join(preset_names())}")
     p.add_argument("--quad-nodes", dest="quad_nodes", type=int,
@@ -206,6 +208,8 @@ def _load_config_file(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config file {path!r} nests deeper than the JSON parser allows") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     known = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -268,9 +272,10 @@ def _validate(cfg: ExperimentConfig):
     """Apply the rules only the CLI has, then let the library check the rest.
 
     Range checks belong to the library objects and preconditions built
-    here (kernel, fractional and operator configs, grid, correction
-    order, fractional target, lattice table, chart); they raise the
-    ValueError a run would, so --print-config rejects the same configs.
+    here (kernel, fractional config, n sweep, operator, quadrature nodes,
+    grid, correction order, fractional target, lattice table, chart);
+    they raise the ValueError a run would, so --print-config rejects the
+    same configs.
     """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -295,8 +300,8 @@ def _validate(cfg: ExperimentConfig):
     ns = check_sweep(cfg.n_sweep)
     kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
     point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
-    for n in ns:
-        OperatorConfig(cfg.operator, n, kernel, quad_nodes=cfg.quad_nodes)
+    check_operator(cfg.operator)
+    check_quad_nodes(cfg.quad_nodes)
     box = check_grid(cfg.box(), cfg.grid_points)
     check_m_max(cfg.m_max, preset if cfg.command == "voronovskaya" else None)
     if cfg.command == "frac":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "window_rows",
     "window_index",
     "check_axes",
+    "check_n",
     "table_sites",
     "check_table",
     "lattice_sums",
@@ -179,12 +181,22 @@ def check_axes(axes, dim: int) -> list[np.ndarray]:
     return axes
 
 
+def check_n(n) -> int:
+    """The lattice density n as an int: a positive integer within float range, since every
+    lattice scales by n as a float."""
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= sys.float_info.max):
+        raise ValueError(f"n must be a positive integer within float range, got {n!r}")
+    return int(n)
+
+
 def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     """Each axis's sorted lattice sites reached by the windows around n x_i, x_i in axes[i].
 
     Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
-    table (K_1, .., K_N); past MAX_CENTRE or MAX_POINT_WORK this is a ValueError.
+    table (K_1, .., K_N); a bad n (``check_n``) or a table past MAX_CENTRE
+    or MAX_POINT_WORK is a ValueError.
     """
+    check_n(n)
     sites = []
     for x in axes:
         lo, hi = _window_ends(kernel, np.sort(n * np.asarray(x, dtype=float)))
@@ -284,6 +296,7 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     The N-dimensional M_alpha(x, n) is the product over axes i of column
     alpha_i; |M_p| <= (W/n)^p, and n * M_1 depends only on frac(n x).
     """
+    check_n(n)
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, p_max + 1))
     rows = chunk_rows(kernel, 1)

@@ -133,8 +133,6 @@ def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes
     exactly on every chart: the ratio of the lattice sums of
     f/sqrt(det g) and 1/sqrt(det g).
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
     axes = check_chart(chart, kernel, axes)

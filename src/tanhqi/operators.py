@@ -19,18 +19,21 @@ sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n) for every
 order m = 1..m_max at once; each added order peels one more power of 1/n
 off the basic operator's error.
 
-Each operator is one function, ``*_batch(..., axes)``, that evaluates the
-tensor grid of its per-axis coordinates (one point x is the axes
-[[x_1], .., [x_N]]) and returns the grid's values flattened in C order.
-Each is one lattice sum (``kernel.lattice_sums``), or a ratio of two,
-over site values sampled once per lattice table site.
+Every operator has one calling convention, ``(kernel, <its own
+parameter, if any>, f, n, axes)``: Kantorovich takes ``quad_nodes``,
+fractional a ``FracConfig``, the corrections ``m_max``, and the chart
+operator (``manifold``) its chart.  It evaluates the tensor grid of the
+per-axis coordinates ``axes`` (one point x is the axes [[x_1], ..,
+[x_N]]) and returns the grid's values flattened in C order.  Each is
+one lattice sum (``kernel.lattice_sums``), or a ratio of two, over site
+values sampled once per lattice table site; n is checked by
+``kernel.check_n``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,70 +44,44 @@ from .kernel import (
     DensityKernel,
     axis_moments,
     check_axes,
+    check_n,
     lattice_sums,
     multi_indices,
 )
 
 __all__ = [
-    "OperatorConfig",
     "apply_basic_batch",
     "apply_kantorovich_batch",
     "apply_fractional_batch",
     "check_m_max",
+    "check_quad_nodes",
     "voronovskaya_corrections",
 ]
 
-OPERATOR_KINDS = ("basic", "kantorovich", "fractional")
 # leggauss(g) builds a g x g matrix, so g^2 must fit the per-point budget too
 MAX_QUAD_NODES = math.isqrt(MAX_POINT_WORK)
 
 
-@dataclass(frozen=True)
-class OperatorConfig:
-    """Operator kind, lattice density n, kernel, and variant knobs."""
-
-    kind: str
-    n: int
-    kernel: DensityKernel
-    beta: float | None = None
-    quad_nodes: int = 5
-    frac_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if self.kind == "fractional":
-            if self.beta is None:
-                raise ValueError("fractional operators need beta")
-            FracConfig(self.beta, self.frac_step)  # range checks
-        elif self.beta is not None:
-            raise ValueError(f"beta only applies to the fractional kind, got kind={self.kind!r}")
-        if not (isinstance(self.quad_nodes, (int, np.integer)) and self.quad_nodes >= 2):
-            raise ValueError(f"quad_nodes must be an integer >= 2, got {self.quad_nodes!r}")
-        if self.quad_nodes > MAX_QUAD_NODES:
-            raise ValueError(
-                f"quad_nodes = {self.quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
-                f"rule would build a {self.quad_nodes} x {self.quad_nodes} matrix"
-            )
-
-
-def _check_kind(cfg: OperatorConfig, kind: str) -> None:
-    if cfg.kind != kind:
-        raise ValueError(f"apply_{kind}_batch needs kind={kind!r}, got {cfg.kind!r}")
-
-
-def apply_basic_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+def apply_basic_batch(kernel: DensityKernel, f, n: int, axes) -> np.ndarray:
     """A_n(f; x) on the grid of axes (N arrays) -> (P,); exact on constants up to the tail mass."""
-    _check_kind(cfg, "basic")
-    return lattice_sums(cfg.kernel, cfg.n, check_axes(axes, f.dim),
-                        lambda sites: [f.value(*(k / cfg.n for k in sites))])[0]
+    return lattice_sums(kernel, n, check_axes(axes, f.dim),
+                        lambda sites: [f.value(*(k / n for k in sites))])[0]
 
 
-def _cell_averages(cfg: OperatorConfig, f, sites) -> np.ndarray:
+def check_quad_nodes(quad_nodes: int) -> None:
+    """Gauss-Legendre nodes per axis: an integer from 2 to MAX_QUAD_NODES."""
+    if not (isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2):
+        raise ValueError(f"quad_nodes must be an integer >= 2, got {quad_nodes!r}")
+    if quad_nodes > MAX_QUAD_NODES:
+        raise ValueError(
+            f"quad_nodes = {quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
+            f"rule would build a {quad_nodes} x {quad_nodes} matrix"
+        )
+
+
+def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
     # cell averages on the lattice table, in slabs of about CHUNK_ELEMENTS samples
-    dim, g = len(sites), cfg.quad_nodes
+    dim = len(sites)
     nodes, wts = np.polynomial.legendre.leggauss(g)
     offsets = (nodes + 1.0) / 2.0
     node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim)
@@ -114,40 +91,38 @@ def _cell_averages(cfg: OperatorConfig, f, sites) -> np.ndarray:
     for start in range(0, averages.size, slab):
         cells = np.unravel_index(np.arange(start, min(start + slab, averages.size)), shape)
         # cell axis i samples its nodes along array axis 1 + i
-        samples = [np.expand_dims((sites[i].ravel()[c][:, None] + offsets) / cfg.n,
+        samples = [np.expand_dims((sites[i].ravel()[c][:, None] + offsets) / n,
                                   [1 + j for j in range(dim) if j != i]) for i, c in enumerate(cells)]
         vals = np.asarray(f.value(*samples), dtype=float)
         averages[start:start + slab] = np.tensordot(vals, node_weights, axes=dim)
     return averages.reshape(shape)
 
 
-def apply_kantorovich_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, axes) -> np.ndarray:
     """K_n(f; x) on the grid of axes (N arrays) -> (P,).
 
-    With g nodes per axis the cell averages are exact for polynomial
-    degree 2g - 1 per axis (degree 9 at the default g = 5), so K_n
+    With g = quad_nodes nodes per axis the cell averages are exact for
+    polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
     rule is built once per call.
     """
-    _check_kind(cfg, "kantorovich")
-    return lattice_sums(cfg.kernel, cfg.n, check_axes(axes, f.dim),
-                        lambda sites: [_cell_averages(cfg, f, sites)])[0]
+    check_quad_nodes(quad_nodes)
+    return lattice_sums(kernel, n, check_axes(axes, f.dim),
+                        lambda sites: [_cell_averages(quad_nodes, f, n, sites)])[0]
 
 
-def apply_fractional_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
+def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes) -> np.ndarray:
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
     The sum over sites k >= 0 is divided by their weight sum; D^beta f
     at the table's sites k > 0 is one rl_derivative_batch call.
     """
-    _check_kind(cfg, "fractional")
     (x,) = check_axes(axes, 1)
     if f.dim != 1:
         raise ValueError("the fractional operator is one-dimensional")
     if (x < 0.0).any():
         raise ValueError(f"the fractional operator needs x >= 0, got {float(x[x < 0.0][0])!r}")
-    frac_cfg = FracConfig(cfg.beta, cfg.frac_step)
 
     def tables(sites):
         ks = sites[0]
@@ -159,10 +134,10 @@ def apply_fractional_batch(cfg: OperatorConfig, f, axes) -> np.ndarray:
                 "evaluate farther from the origin or increase n"
             )
         dbeta = np.zeros(ks.shape)
-        dbeta[ks > 0.0] = rl_derivative_batch(frac_cfg, f, ks[ks > 0.0] / cfg.n)
+        dbeta[ks > 0.0] = rl_derivative_batch(frac, f, ks[ks > 0.0] / n)
         return [dbeta, ks >= 0.0]
 
-    total, mass = lattice_sums(cfg.kernel, cfg.n, [x], tables)
+    total, mass = lattice_sums(kernel, n, [x], tables)
     return total / mass
 
 
@@ -176,7 +151,7 @@ def check_m_max(m_max: int, f=None) -> None:
         )
 
 
-def voronovskaya_corrections(kernel: DensityKernel, f, axes, n: int, m_max: int) -> np.ndarray:
+def voronovskaya_corrections(kernel: DensityKernel, m_max: int, f, n: int, axes) -> np.ndarray:
     """Row m - 1: sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! M_alpha(x, n) on the grid of axes,
     m = 1..m_max -> (m_max, P).
 
@@ -185,9 +160,10 @@ def voronovskaya_corrections(kernel: DensityKernel, f, axes, n: int, m_max: int)
     per axis; m_max = 0 computes no moment.
     """
     check_m_max(m_max, f)
+    check_n(n)  # axis_moments checks n too, but m_max = 0 calls none
     axes = check_axes(axes, f.dim)
     grid = np.ix_(*axes)
-    moments = [axis_moments(kernel, x, int(n), m_max) for x in axes] if m_max else []
+    moments = [axis_moments(kernel, x, n, m_max) for x in axes] if m_max else []
     terms = {}
     for alpha in multi_indices(len(axes), 1, m_max):
         d = np.asarray(f.derivative(alpha, *grid), dtype=float)

@@ -15,7 +15,6 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     FracConfig,
-    OperatorConfig,
     apply_basic_batch,
     apply_kantorovich_batch,
     axis_moments,
@@ -87,11 +86,10 @@ def test_criterion_3_operator_exactness():
     worst_const = 0.0
     worst_linear = 0.0
     for n in (16, 512):
-        cb = OperatorConfig("basic", n, kernel)
-        ck = OperatorConfig("kantorovich", n, kernel)
-        for vals in (apply_basic_batch(cb, one, pts), apply_kantorovich_batch(ck, one, pts)):
+        for vals in (apply_basic_batch(kernel, one, n, pts),
+                     apply_kantorovich_batch(kernel, 5, one, n, pts)):
             worst_const = max(worst_const, float(np.max(np.abs(vals - 1.0))))
-        gap = apply_basic_batch(cb, lin, pts) - xs
+        gap = apply_basic_batch(kernel, lin, n, pts) - xs
         m1 = axis_moments(kernel, xs, n, 1)[:, 1]
         worst_linear = max(worst_linear, float(np.max(np.abs(gap - m1))))
     ok = worst_const <= 1e-12 and worst_linear <= 1e-12

@@ -9,7 +9,7 @@ from tanhqi import (
     ActivationParams,
     ConvergenceReport,
     DensityKernel,
-    OperatorConfig,
+    FracConfig,
     Row,
     apply_fractional_batch,
     fractional_rate,
@@ -158,7 +158,7 @@ class TestSweep:
         assert "fit skipped" in rep.note
         assert rep.claimed_exponent == "n^-1"
 
-    @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,)])
+    @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,), (16.5, 32, 64)])
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
         with pytest.raises(ValueError, match="n sweep"):
             zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
@@ -304,6 +304,13 @@ class TestFractionalRate:
         with pytest.raises(ValueError, match="L1 grid would need 12500000 points"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128), frac_step=1e-7)
 
+    @pytest.mark.parametrize("beta, frac_step", [(0.5, 0.0), (1.5, 1e-3)])
+    def test_frac_config_checked_before_the_sweep(self, beta, frac_step):
+        # one FracConfig per sweep, built before the L1 grid bound divides by the step
+        with pytest.raises(ValueError, match="must lie in"):
+            fractional_rate(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
+                            frac_step=frac_step)
+
     def test_l1_grid_overflow_rejected(self):
         # (1e308 + W/64) / 1e-3 is not a finite float
         with pytest.raises(ValueError, match="L1 grid would need inf points"):
@@ -314,8 +321,7 @@ class TestFractionalRate:
         # pow0 has f(0) = 1; at n = 64 the window reaches t = 0 while 64 x_min <= W = 16
         box, n, f = [(lo, 1.0)], 64, function_preset("pow0")
         try:
-            cfg = OperatorConfig(kind="fractional", n=n, kernel=KERNEL, beta=0.5, frac_step=1e-2)
-            apply_fractional_batch(cfg, f, grid_axes(box, 5))
+            apply_fractional_batch(KERNEL, FracConfig(0.5, 1e-2), f, n, grid_axes(box, 5))
             ran = True
         except ValueError as exc:
             assert "touches t = 0" in str(exc)

@@ -45,7 +45,6 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     FracConfig,
-    OperatorConfig,
     chart_preset,
     function_preset,
     psi_eval,
@@ -208,7 +207,7 @@ class TestBatchedMatchesReference:
     def test_basic_one_dim(self, kernel, n, data):
         f = function_preset("exp")
         axes = draw_axes(data, kernel, n, 1)
-        got = apply_basic_batch(OperatorConfig("basic", n, kernel), f, axes)
+        got = apply_basic_batch(kernel, f, n, axes)
         ref = [ref_basic(kernel, n, f, p) for p in grid(axes)]
         assert_rows(got, ref, not holds_site(kernel, n, axes))
 
@@ -216,7 +215,7 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(alpha_lo=0.25), n=st.integers(1, 128), data=st.data())
     def test_basic_two_dim(self, kernel, n, data):
         axes = draw_axes(data, kernel, n, 2)
-        got = apply_basic_batch(OperatorConfig("basic", n, kernel), Exp2(), axes)
+        got = apply_basic_batch(kernel, Exp2(), n, axes)
         ref = [ref_basic(kernel, n, Exp2(), p) for p in grid(axes)]
         assert_rows(got, ref, False)
 
@@ -225,7 +224,7 @@ class TestBatchedMatchesReference:
     def test_kantorovich_one_dim(self, kernel, n, g, data):
         f = function_preset("exp")
         axes = draw_axes(data, kernel, n, 1)
-        got = apply_kantorovich_batch(OperatorConfig("kantorovich", n, kernel, quad_nodes=g), f, axes)
+        got = apply_kantorovich_batch(kernel, g, f, n, axes)
         ref = [ref_kantorovich(kernel, n, g, f, p) for p in grid(axes)]
         assert_rows(got, ref, g <= 5 and not holds_site(kernel, n, axes))
 
@@ -233,8 +232,7 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(alpha_lo=0.5), n=st.integers(1, 64), g=st.integers(2, 5), data=st.data())
     def test_kantorovich_two_dim(self, kernel, n, g, data):
         axes = draw_axes(data, kernel, n, 2)
-        got = apply_kantorovich_batch(
-            OperatorConfig("kantorovich", n, kernel, quad_nodes=g), Exp2(), axes)
+        got = apply_kantorovich_batch(kernel, g, Exp2(), n, axes)
         ref = [ref_kantorovich(kernel, n, g, Exp2(), p) for p in grid(axes)]
         assert_rows(got, ref, False)
 
@@ -250,8 +248,7 @@ class TestBatchedMatchesReference:
             return rl_derivative_batch(frac_cfg, f, [k / n])[0] if k > 0 else 0.0
 
         (x,) = draw_axes(data, kernel, n, 1)
-        cfg = OperatorConfig("fractional", n, kernel, beta=beta, frac_step=1e-2)
-        got = apply_fractional_batch(cfg, f, [x])
+        got = apply_fractional_batch(kernel, frac_cfg, f, n, [x])
         ref = np.array([ref_fractional(kernel, n, dbeta, float(xi)) for xi in x])
         whole = np.ceil(n * x - kernel.radius) >= 0
         assert_rows(got[whole], ref[whole], False)
@@ -320,14 +317,13 @@ class TestExactOnConstants:
     def test_basic(self, kernel, n, dim, data):
         f = function_preset("constant") if dim == 1 else Ones2()
         axes = draw_axes(data, kernel, n, dim, lo=-2.0, hi=2.0)
-        assert_unity(apply_basic_batch(OperatorConfig("basic", n, kernel), f, axes), kernel)
+        assert_unity(apply_basic_batch(kernel, f, n, axes), kernel)
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 256), g=st.integers(2, 6), data=st.data())
     def test_kantorovich(self, kernel, n, g, data):
         axes = draw_axes(data, kernel, n, 1, lo=-2.0, hi=2.0)
-        cfg = OperatorConfig("kantorovich", n, kernel, quad_nodes=g)
-        assert_unity(apply_kantorovich_batch(cfg, function_preset("constant"), axes), kernel)
+        assert_unity(apply_kantorovich_batch(kernel, g, function_preset("constant"), n, axes), kernel)
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 64), data=st.data())
@@ -346,8 +342,7 @@ class TestExactOnConstants:
         # with D^beta f equal to c at every node, the renormalized weights return c
         lo = (kernel.radius + 1.0) / n
         axes = draw_axes(data, kernel, n, 1, lo=lo, hi=lo + 1.0)
-        cfg = OperatorConfig("fractional", n, kernel, beta=0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "rl_derivative_batch", lambda cfg, f, t: np.full(len(t), c))
-            vals = apply_fractional_batch(cfg, function_preset("pow2"), axes)
+            vals = apply_fractional_batch(kernel, FracConfig(0.5), function_preset("pow2"), n, axes)
         assert_unity(vals / c if c else vals + 1.0, kernel)

@@ -171,6 +171,34 @@ class TestPrintConfig:
         assert msg["status"] == 2
         assert list(values)[-1] in msg["error"]
 
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_config_nested_past_the_parser_rejected(self, tmp_path, capsys, print_config):
+        # json.loads gives up with a RecursionError long before 100000 levels
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"grid_lo": ' + "[" * 100000 + "]" * 100000 + "}")
+        argv = ["converge", "--preset", "sin", "--config", str(cfg_file),
+                "--out", str(tmp_path / "x")]
+        status, out, err = run(argv + ["--print-config"] * print_config, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "nests deeper" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command, preset", [("converge", "sin"), ("frac", "pow2")])
+    @pytest.mark.parametrize("operator", ["fractional", "xyz"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_unknown_operator_rejected(self, tmp_path, capsys, command, preset, operator,
+                                       print_config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"operator": operator}))
+        argv = [command, "--preset", preset, "--config", str(cfg_file),
+                "--out", str(tmp_path / "x")]
+        status, out, err = run(argv + ["--print-config"] * print_config, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == (
+            f"operator must be one of basic, kantorovich, got {operator!r}")
+        assert not (tmp_path / "x.json").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "frac", "preset": "pow2"}))

@@ -6,7 +6,6 @@ import pytest
 from tanhqi import (
     ActivationParams,
     DensityKernel,
-    OperatorConfig,
     apply_basic_batch,
     chart_preset,
     function_preset,
@@ -87,11 +86,10 @@ class TestOperatorOnChart:
     def test_euclidean_equals_lattice_operator(self):
         chart = chart_preset("euclidean", 1)
         f = function_preset("sin")
-        cfg = OperatorConfig("basic", 32, KERNEL)
         rng = np.random.default_rng(11)
         xs = [rng.uniform(-2.0, 2.0, size=100)]
         a = operator_on_chart_batch(KERNEL, chart, f, 32, xs)
-        b = apply_basic_batch(cfg, f, xs)
+        b = apply_basic_batch(KERNEL, f, 32, xs)
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_constants_exact_on_curved_chart(self):
