@@ -218,6 +218,8 @@ def check_fractional(f, box, points_per_axis: int, radius: float, n_min: int, st
     window reaches lies within radius/n_min of the box's upper corner;
     its L1 grid has ceil(t / step) points.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"L1 step must be positive and finite, got {step!r}")
     if f.power is None:
         raise ValueError(
             f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets"

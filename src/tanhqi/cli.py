@@ -17,7 +17,7 @@ Exit status: 0 success, 2 invalid configuration (including an evaluation
 grid, one window's cell samples or a lattice table above
 kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
 quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
-run that could not complete (RuntimeError, MemoryError), 4 I/O failure.
+run that could not complete (any other exception), 4 I/O failure.
 Errors are printed to stderr as a single JSON line
 ``{"status": ..., "error": ...}``; runs execute with numpy's
 floating-point warnings off, so nothing else reaches stderr.
@@ -412,7 +412,7 @@ _RUNNERS = {
 }
 
 
-def _fail(status: int, exc: Exception) -> int:
+def _fail(status: int, exc: Exception | str) -> int:
     print(json.dumps({"status": status, "error": str(exc)}), file=sys.stderr)
     return status
 
@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except (RuntimeError, MemoryError) as exc:
         # non-finite errors, and runs that could not complete
         return _fail(3, exc)
+    except Exception as exc:
+        # any other fault: no traceback reaches stderr, so the message names its type
+        return _fail(3, f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,15 @@ sum_k psi(x - k) = 1 for every real x.  The same telescoping gives unit
 integral.  Multiple dimensions use the plain product kernel Z(x) =
 prod_i psi(x_i).
 
+h = (u - q) / ((1+q) u + 1 - q) is a Moebius map of u = e^(2 alpha x) with
+determinant 1 + q^2, so the difference is one quotient: with A = 1 + q,
+B = 1 - q, e = e^(-2 alpha), v = e^(-2 alpha x) and s = (1 - q^2)(1 - e^2)/2,
+
+    psi(x) = s v / ((A + B e v)(A e + B v)),
+
+all terms positive and one exp per site: accurate to a few ulp in the
+tails too, so psi > 0 holds as computed (down to about 1e-250).
+
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
 
@@ -27,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activation import ActivationParams, h_eval
+from .activation import ActivationParams
 
 __all__ = [
     "DensityKernel",
@@ -58,6 +67,9 @@ MAX_POINT_WORK = 2**24
 # centre n x is not already rounded onto a lattice site, and every window
 # end and site is an exact integer; from 2^53 on, k + 1 rounds back to k
 MAX_CENTRE = 2.0**52
+# up to this alpha psi takes one exp per site; v = e^(-2 alpha x) leaves the normal range
+# only where psi < (1+q)/(1-q) e^(2 alpha - 708) and reads 0 or subnormal there
+ONE_EXP_ALPHA = 64.0
 
 
 def normalization_constant(params: ActivationParams) -> float:
@@ -66,9 +78,19 @@ def normalization_constant(params: ActivationParams) -> float:
     return 2.0 * (1.0 + q * q) / (1.0 - q * q)
 
 
-def _psi_raw(params: ActivationParams, x, c: float):
-    xs = np.asarray(x, dtype=float)
-    return (h_eval(params, xs + 1.0) - h_eval(params, xs - 1.0)) / c
+def _psi(params: ActivationParams, x):
+    # s / ((A / v + B e)(A e + B v)): v = 0 and v = inf give 0, not NaN
+    q, a = float(params.q), float(params.alpha)
+    s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        if a > ONE_EXP_ALPHA:
+            # one exp per factor, e v = e^(-2 alpha (x + 1)) and e / v = e^(2 alpha (x - 1)); as
+            # alpha -> inf this is the limit box, 1/2 on |x| < 1 and (1 -+ q)/4 at x = +-1
+            return s / ((1.0 + q + (1.0 - q) * np.exp(a * (-2.0 * (x + 1.0))))
+                        * (1.0 - q + (1.0 + q) * np.exp(a * (2.0 * (x - 1.0)))))
+        e, v = math.exp(-2.0 * a), np.exp(-2.0 * a * x)
+        return s / (((1.0 + q) / v + (1.0 - q) * e) * ((1.0 + q) * e + (1.0 - q) * v))
 
 
 def truncation_radius(params: ActivationParams, eps: float) -> float:
@@ -80,15 +102,15 @@ def truncation_radius(params: ActivationParams, eps: float) -> float:
     -atanh(q)/alpha, and one slope length 1/alpha past the peak its
     tails decay like e^(-2 alpha |x|); the lower bound puts both window
     ends there, so a wide kernel whose peak is already below eps still
-    gets a window holding its mass.  An alpha too small for any
-    W <= 2^40 is a ValueError.
+    gets a window holding its mass.  The closed-form tails hold no
+    cancelled zeros, so the 4 eps W bound holds for tiny eps too.  An
+    alpha too small for any W <= 2^40 is a ValueError.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"truncation tolerance must lie in (0, 1), got {eps!r}")
-    c = normalization_constant(params)
     w_min = (math.atanh(params.q) + 1.0) / params.alpha
     w = 2.0
-    while w < w_min or not (_psi_raw(params, w, c) < eps and _psi_raw(params, -w, c) < eps):
+    while w < w_min or not (_psi(params, w) < eps and _psi(params, -w) < eps):
         w *= 2.0
         if w > 2.0**40:
             raise ValueError(
@@ -119,8 +141,8 @@ class DensityKernel:
 
 
 def psi_eval(kernel: DensityKernel, x):
-    """psi(x) = (h(x+1) - h(x-1)) / C; positive everywhere, sums to one."""
-    return _psi_raw(kernel.params, x, kernel.normalization)
+    """psi(x) = s v / ((A + B e v)(A e + B v)) to a few ulp, 0 past the float range; sums to one."""
+    return _psi(kernel.params, x)
 
 
 def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:

@@ -311,6 +311,12 @@ class TestFractionalRate:
             fractional_rate(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
                             frac_step=frac_step)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+    def test_bad_step_rejected_before_the_grid_bound(self, step):
+        # the L1 grid bound divides by the step
+        with pytest.raises(ValueError, match="L1 step must be positive and finite"):
+            check_fractional(function_preset("pow2"), [(0.2, 1.0)], 5, KERNEL.radius, 64, step)
+
     def test_l1_grid_overflow_rejected(self):
         # (1e308 + W/64) / 1e-3 is not a finite float
         with pytest.raises(ValueError, match="L1 grid would need inf points"):

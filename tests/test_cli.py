@@ -387,6 +387,19 @@ class TestOtherCommands:
         assert payload["kernel"]["radius"] == 16.0
         assert payload["kernel"]["normalization"] == pytest.approx(10.0 / 3.0, rel=1e-14)
 
+    @pytest.mark.parametrize("command", [["kernel-dump", "--n", "4"], ["converge", "--preset", "sin"]])
+    def test_huge_alpha_runs_on_the_limit_box(self, tmp_path, capsys, command):
+        # e^(-2 alpha) underflows: psi is the box 1/2 on |x| < 1, W = 2
+        out = tmp_path / "k"
+        status, _, err = run([*command, "--alpha", "1e308", "--grid-points", "5", "--out", str(out)],
+                             capsys)
+        assert status == 0 and err == ""
+        payload = json.loads((tmp_path / "k.json").read_text())
+        if command[0] == "kernel-dump":
+            assert payload["kernel"]["radius"] == 2.0
+            # every x lies in (0, 1); moment0 is the partition sum
+            assert all(row[1] == 0.5 and row[2] == 1.0 for row in payload["rows"])
+
     def test_kernel_dump_wide_kernel_keeps_its_mass(self, tmp_path, capsys):
         # the whole kernel lies below eps here; the window must still hold its mass
         out = tmp_path / "k"
@@ -443,6 +456,16 @@ class TestExitStatuses:
         assert status == 3
         assert err.count("\n") == 1
         assert json.loads(err) == {"status": 3, "error": "could not complete the sweep"}
+
+    def test_unexpected_exception_maps_to_three(self, tmp_path, capsys, monkeypatch):
+        def boom(cfg):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(cli._RUNNERS, "converge", boom)
+        status, out, err = run(converge_args(tmp_path / "x"), capsys)
+        assert status == 3 and out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"status": 3, "error": "ZeroDivisionError: float division by zero"}
 
     def test_non_finite_error_maps_to_three(self, tmp_path, capsys):
         # exp overflows past t ~ 709.8, so the errors are inf - inf = nan

@@ -21,6 +21,7 @@ from tanhqi import (
 from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
+    ONE_EXP_ALPHA,
     check_table,
     lattice_sums,
     point_work,
@@ -43,6 +44,21 @@ def raw_h(q, alpha, x):
     # independent scalar evaluation used as the in-test oracle
     ep, em = math.exp(alpha * x), math.exp(-alpha * x)
     return (ep - q * em) / ((1.0 + q) * ep + (1.0 - q) * em)
+
+
+def mp_psi(q, alpha, xs):
+    # the naive difference (h(x+1) - h(x-1)) / C at 80 digits: it cancels about
+    # 2 alpha |x| / ln 10 digits in the tails (at 40 digits it is off by 1e-13 at (0.1, 4))
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        q, a = mp.mpf(q), mp.mpf(alpha)
+
+        def h(y):
+            u = mp.exp(2 * a * y)
+            return (u - q) / ((1 + q) * u + 1 - q)
+
+        return np.array([float((h(mp.mpf(x) + 1) - h(mp.mpf(x) - 1)) * (1 - q * q)
+                               / (2 * (1 + q * q))) for x in xs])
 
 
 class TestNormalization:
@@ -100,6 +116,57 @@ class TestPsi:
         assert lattice_sum(kernel(), x) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestClosedForm:
+    @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.5, 1 / 16), (0.9, 0.3), (0.1, 4.0)])
+    def test_window_against_high_precision_reference(self, q, alpha):
+        # the difference of two h values read 0 at 56 (0.9, 0.3) and 722 (0.1, 4) of these
+        k = kernel(q, alpha)
+        xs = np.linspace(-k.radius - 1.0, k.radius + 1.0, 2001)
+        got = psi_eval(k, xs)
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got / mp_psi(q, alpha, xs) - 1.0)) <= 1e-14
+
+    def test_frozen_tails(self):
+        # mp_psi's values, which the difference of two h values read as 0.0
+        k = kernel()
+        assert psi_eval(k, 32.0) == pytest.approx(1.9389327402015744e-28, rel=1e-13)
+        assert psi_eval(k, -32.0) == pytest.approx(1.7450394661814168e-27, rel=1e-13)
+
+    @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.5, 1 / 16), (0.9, 0.3), (0.1, 4.0),
+                                          (0.99, 1e-4), (0.5, 100.0), (0.5, 1e308)])
+    def test_finite_and_nonnegative_for_every_x(self, q, alpha):
+        # v = e^(-2 alpha x) overflows for x < -709 / (2 alpha): inf / inf must not be NaN
+        k = kernel(q, alpha)
+        mags = np.geomspace(1e-300, 1e308, 400)
+        xs = np.concatenate([mags, -mags, [0.0, 1.0, -1.0, -1000.0, 1000.0]])
+        got = psi_eval(k, xs)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert psi_eval(k, -1e308) == 0.0 and psi_eval(k, 1e308) == 0.0
+
+    def test_huge_alpha_is_the_limit_box(self):
+        # e = e^(-2 alpha) underflows to 0: psi is 1/2 on |x| < 1 and (1 -+ q)/4 at x = +-1, exactly
+        k = kernel(alpha=1e308)
+        assert k.radius == 2.0
+        xs = np.array([-2.0, -1.5, -1.0, -0.999, -0.5, 0.0, 0.5, 0.999, 1.0, 1.5, 2.0])
+        want = [0.0, 0.0, 0.375, 0.5, 0.5, 0.5, 0.5, 0.5, 0.125, 0.0, 0.0]
+        assert np.array_equal(psi_eval(k, xs), want)
+
+    @pytest.mark.parametrize("alpha", [100.0, 350.0, 372.3, 1e308])
+    def test_partition_of_unity_for_steep_kernels(self, alpha):
+        # one exp per site loses psi near x = -1 where v overflows: 8e-5 off at alpha = 350,
+        # 1/2 off from alpha = 355; exp(2 alpha (x +- 1)) rounds to about 1e-14 here
+        sums = axis_moments(kernel(alpha=alpha), np.linspace(-1.0, 1.0, 201), 1, 0)[:, 0]
+        assert np.max(np.abs(sums - 1.0)) <= 1e-13
+
+    def test_forms_agree_across_one_exp_alpha(self):
+        # one exp per site up to ONE_EXP_ALPHA, one per factor above: the two forms meet
+        xs = np.linspace(-4.0, 4.0, 801)
+        below = psi_eval(kernel(alpha=ONE_EXP_ALPHA), xs)
+        above = psi_eval(kernel(alpha=math.nextafter(ONE_EXP_ALPHA, math.inf)), xs)
+        assert np.all(below > 0.0)
+        assert np.max(np.abs(above / below - 1.0)) <= 1e-12
+
+
 class TestTruncation:
     def test_frozen_radius(self):
         assert truncation_radius(ActivationParams(0.5, 1.0), 1e-12) == 16.0
@@ -138,6 +205,20 @@ class TestTruncation:
         k = kernel(q=0.3, alpha=1.5, eps=1e-10)
         assert psi_eval(k, k.radius) < 1e-10
         assert psi_eval(k, -k.radius) < 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-14, 1e-22, 1e-30])
+    @pytest.mark.parametrize("alpha", [1 / 16, 0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+    def test_neglected_mass_within_bound(self, q, alpha, eps):
+        # a cancelled zero stopped the search at W = 32 for (0.5, 1, 1e-30), leaving 1.3e-27
+        k = kernel(q, alpha, eps)
+        w = k.radius
+        assert np.all(mp_psi(q, alpha, [w, -w]) < eps)
+        # the tails beyond W, to where they fall below e^-120 of psi(+-W)
+        far = w + 1.0 + 60.0 / alpha
+        for u in (0.0, 0.25, 0.5, 0.75):
+            d = u - np.arange(math.floor(u - far), math.ceil(u + far) + 1)
+            assert math.fsum(psi_eval(k, d[np.abs(d) > w])) <= 4 * eps * w
 
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
@@ -253,6 +334,13 @@ class TestKernelProperties:
         k = kernel(q, alpha, eps)
         assert psi_eval(k, x) > 0.0
         assert 1.0 - lattice_sum(k, x) <= 4 * eps * k.radius
+
+    @settings(deadline=None)
+    @given(q=st.floats(0.01, 0.99), alpha=_log_uniform(1e-3, 50.0), eps=_log_uniform(1e-30, 1e-3))
+    def test_positive_across_the_whole_window(self, q, alpha, eps):
+        k = kernel(q, alpha, eps)
+        xs = np.linspace(-k.radius - 1.0, k.radius + 1.0, 4001)
+        assert np.all(psi_eval(k, xs) > 0.0)
 
 
 class TestTableSites:
