@@ -12,7 +12,8 @@ order.  An operator may return a (K, P) stack of K results, and the
 sweep makes one report per row: ``residual_orders`` gets every
 correction order from one basic evaluation and one moment table per n.
 The ``check_*`` functions are the experiments' preconditions, callable
-without a run.
+without a run, and each experiment runs its own before the first n: the
+operators' own lattice checks (``kernel.check_tables``), before any f sample.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -31,14 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import MAX_GRID_POINTS, FracConfig, l1_intervals, power_rule_oracle
-from .kernel import MAX_POINT_WORK, DensityKernel, check_n
+from .fractional import FracConfig, power_rule_oracle
+from .kernel import MAX_POINT_WORK, DensityKernel, check_n, check_tables
 from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
     check_m_max,
     check_quad_nodes,
+    fractional_nodes,
     voronovskaya_corrections,
 )
 
@@ -48,7 +50,6 @@ __all__ = [
     "grid_axes",
     "sup_error",
     "rate_fit",
-    "check_grid",
     "check_sweep",
     "check_operator",
     "check_fractional",
@@ -104,8 +105,14 @@ class ConvergenceReport:
         return cls.from_dict(json.loads(text))
 
 
-def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
-    """The box as float pairs once grid_axes' checks pass (at most 2^24 points), without the grid."""
+def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
+    """Each axis's evaluation coordinates, offset off lattice sites; the grid is their product.
+
+    Each axis is cut into ``points_per_axis`` cells and sampled at
+    fraction 1/202 into every cell, so samples never coincide with any
+    k/n for the n values used in sweeps.  Every axis must be finite and
+    non-empty, and the grid may hold at most MAX_POINT_WORK (2^24) points.
+    """
     if not (isinstance(points_per_axis, (int, np.integer)) and points_per_axis >= 1):
         raise ValueError(f"need an integer >= 1 of points per axis, got {points_per_axis!r}")
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -118,21 +125,8 @@ def check_grid(box, points_per_axis: int) -> list[tuple[float, float]]:
     if count > MAX_POINT_WORK:
         raise ValueError(f"the evaluation grid needs {count} points (> {MAX_POINT_WORK}); "
                          "lower the points per axis")
-    return box
-
-
-def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
-    """Each axis's evaluation coordinates, offset off lattice sites; the grid is their product.
-
-    Each axis is cut into ``points_per_axis`` cells and sampled at
-    fraction 1/202 into every cell, so samples never coincide with any
-    k/n for the n values used in sweeps.
-    """
-    axes = []
-    for lo, hi in check_grid(box, points_per_axis):
-        step = (hi - lo) / points_per_axis
-        axes.append(lo + (np.arange(points_per_axis) + GRID_SHIFT) * step)
-    return axes
+    return [lo + (np.arange(points_per_axis) + GRID_SHIFT) * ((hi - lo) / points_per_axis)
+            for lo, hi in box]
 
 
 def sup_error(apply_fn, target_fn, axes) -> list[tuple[float, float]]:
@@ -209,36 +203,19 @@ def check_operator(kind: str) -> None:
         raise ValueError(f"operator must be one of {', '.join(CONVERGENCE_OPERATORS)}, got {kind!r}")
 
 
-def check_fractional(f, box, points_per_axis: int, radius: float, n_min: int, step: float) -> None:
-    """Preconditions of fractional_rate: a monomial preset, a strictly positive box,
-    no lattice node at t = 0 when f(0) != 0, and L1 grids within MAX_GRID_POINTS.
-
-    The window around the grid's smallest coordinate x_min reaches the
-    node t = 0 when n_min x_min <= radius.  The farthest lattice node a
-    window reaches lies within radius/n_min of the box's upper corner;
-    its L1 grid has ceil(t / step) points.
-    """
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"L1 step must be positive and finite, got {step!r}")
+def check_fractional(f, frac: FracConfig, kernel: DensityKernel, box, points_per_axis: int,
+                     n_sweep) -> list[np.ndarray]:
+    """Preconditions of fractional_rate, and its grid axes: a monomial preset, a strictly
+    positive box, and each n's lattice table as the operator checks it (``fractional_nodes``:
+    no node at t = 0 when f(0) != 0, L1 grids within MAX_GRID_POINTS)."""
     if f.power is None:
-        raise ValueError(
-            f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets"
-        )
+        raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    x_min = min(float(x[0]) for x in grid_axes(box, points_per_axis))
-    if float(f.value(0.0)) != 0.0 and n_min * x_min <= radius:
-        raise ValueError(
-            f"fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0 "
-            f"(n = {n_min}, x = {x_min!r}); evaluate farther from the origin or increase n"
-        )
-    t_max = max(float(hi) for _, hi in box) + radius / n_min
-    m = l1_intervals(t_max, step)
-    if m > MAX_GRID_POINTS:
-        raise ValueError(
-            f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at the farthest lattice "
-            f"node t = {t_max!r}; increase the step or shrink the evaluation box"
-        )
+    axes = grid_axes(box, points_per_axis)
+    check_tables(kernel, axes, check_sweep(n_sweep),
+                 lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+    return axes
 
 
 def sweep(
@@ -320,6 +297,7 @@ def operator_convergence(
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = grid_axes(box, points_per_axis)
+    check_tables(kernel, axes, check_sweep(n_sweep))
 
     def apply_for(n):
         if kind == "basic":
@@ -350,6 +328,7 @@ def residual_orders(
     """
     check_m_max(m_max, f)
     axes = grid_axes(box, points_per_axis)
+    check_tables(kernel, axes, check_sweep(n_sweep))
 
     def apply_for(n):
         def residuals(ax):
@@ -383,8 +362,7 @@ def fractional_rate(
     own first-order moment term caps it near one).
     """
     frac = FracConfig(beta, frac_step)
-    check_fractional(f, box, points_per_axis, kernel.radius, check_sweep(n_sweep)[0], frac_step)
-    axes = grid_axes(box, points_per_axis)
+    axes = check_fractional(f, frac, kernel, box, points_per_axis, n_sweep)
     config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"

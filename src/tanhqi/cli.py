@@ -18,6 +18,8 @@ grid, one window's cell samples or a lattice table above
 kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
 quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
 run that could not complete (any other exception), 4 I/O failure.
+``--print-config`` exits 2 on exactly the configs a run rejects; its
+lattice checks cost O(points x len(n)) on a huge grid.
 Errors are printed to stderr as a single JSON line
 ``{"status": ..., "error": ...}``; runs execute with numpy's
 floating-point warnings off, so nothing else reaches stderr.
@@ -38,7 +40,6 @@ from .activation import ActivationParams
 from .analysis import (
     CONVERGENCE_OPERATORS,
     check_fractional,
-    check_grid,
     check_operator,
     check_sweep,
     fractional_rate,
@@ -48,7 +49,7 @@ from .analysis import (
     sweep,
 )
 from .fractional import FracConfig
-from .kernel import DensityKernel, axis_moments, check_table, point_work, psi_eval
+from .kernel import DensityKernel, axis_moments, check_tables, point_work, psi_eval
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
 from .operators import check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
@@ -273,9 +274,11 @@ def _validate(cfg: ExperimentConfig):
 
     Range checks belong to the library objects and preconditions built
     here (kernel, fractional config, n sweep, operator, quadrature nodes,
-    grid, correction order, fractional target, lattice table, chart);
-    they raise the ValueError a run would, so --print-config rejects the
-    same configs.
+    grid, correction order, chart); the lattice checks are those each
+    command's run makes before its first n (``check_fractional``,
+    ``check_chart``, ``kernel.check_tables``, and for kernel-dump, which
+    builds no table, ``axis_moments``' centre check).  They raise the
+    ValueError a run would, so --print-config rejects the same configs.
     """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -296,20 +299,24 @@ def _validate(cfg: ExperimentConfig):
             f"{cfg.command} needs {expected_axes} grid axis/axes, got {len(cfg.grid_lo)}"
         )
     kernel = _kernel_for(cfg)
-    FracConfig(cfg.beta, cfg.frac_step)
+    frac = FracConfig(cfg.beta, cfg.frac_step)
     ns = check_sweep(cfg.n_sweep)
     kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
     point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
     check_operator(cfg.operator)
     check_quad_nodes(cfg.quad_nodes)
-    box = check_grid(cfg.box(), cfg.grid_points)
+    axes = grid_axes(cfg.box(), cfg.grid_points)
     check_m_max(cfg.m_max, preset if cfg.command == "voronovskaya" else None)
+    chart = chart_preset(cfg.chart, dim=preset.dim if cfg.command == "manifold" else None)
     if cfg.command == "frac":
-        check_fractional(preset, box, cfg.grid_points, kernel.radius, ns[0], cfg.frac_step)
-    check_table(kernel, box, cfg.grid_points, ns[-1])
-    if cfg.command == "manifold":
-        check_chart(chart_preset(cfg.chart, dim=preset.dim), kernel,
-                    grid_axes(box, cfg.grid_points), ns)
+        check_fractional(preset, frac, kernel, cfg.box(), cfg.grid_points, ns)
+    elif cfg.command == "manifold":
+        check_chart(chart, kernel, axes, ns)
+    elif cfg.command == "kernel-dump":
+        # the grid ascends, so its two ends hold the largest centre |n x|
+        axis_moments(kernel, axes[0][[0, -1]], ns[0], 0)
+    else:
+        check_tables(kernel, axes, ns)
 
 
 def _format_value(v) -> str:
@@ -421,12 +428,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = merge_config(args)
-        if args.print_config:
-            print(json.dumps(cfg.to_dict(), sort_keys=True))
-            return 0
-        # overflow shows up as a non-finite error row (exit 3), not as a warning
+        # overflow becomes a non-finite error row (exit 3) or a rejected config (exit 2), not a warning
         with np.errstate(all="ignore"):
+            cfg = merge_config(args)
+            if args.print_config:
+                print(json.dumps(cfg.to_dict(), sort_keys=True))
+                return 0
             _RUNNERS[cfg.command](cfg)
         return 0
     except ValueError as exc:

@@ -36,10 +36,15 @@ __all__ = ["FracConfig", "gamma_fn", "rl_derivative_batch", "power_rule_oracle"]
 MAX_GRID_POINTS = 10**7
 
 
-def l1_intervals(x: float, h: float) -> float:
-    """ceil(x / h), the L1 grid's intervals; math.inf (which every cap rejects) past float range."""
+def l1_intervals(x: float, h: float) -> int:
+    """ceil(x / h), the intervals of node x's L1 grid; more than MAX_GRID_POINTS (or past float
+    range) is a ValueError."""
     ratio = x / h
-    return math.ceil(ratio) if math.isfinite(ratio) else math.inf
+    m = math.ceil(ratio) if math.isfinite(ratio) else math.inf
+    if m > MAX_GRID_POINTS:
+        raise ValueError(f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at node t = {x!r}; "
+                         "increase the step or shrink the evaluation box")
+    return m
 
 
 def gamma_fn(x: float) -> float:
@@ -95,9 +100,6 @@ def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
     if not (xs > 0.0).all():
         raise ValueError(f"rl_derivative_batch requires x > 0, got {float(xs[~(xs > 0.0)][0])!r}")
     m_max = l1_intervals(float(xs.max()), cfg.h)
-    if m_max > MAX_GRID_POINTS:
-        raise ValueError(f"L1 grid would need {m_max} points (> {MAX_GRID_POINTS}); "
-                         "increase h or reduce x")
     out, beta, j = np.empty(xs.size), cfg.beta, np.arange(m_max + 1, dtype=float)
     b = np.diff(j ** (1.0 - beta))
     g2, g1, f0 = gamma_fn(2.0 - beta), gamma_fn(1.0 - beta), float(f.value(0.0))

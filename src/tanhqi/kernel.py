@@ -24,7 +24,8 @@ radius W chosen once per kernel from a tolerance eps_trunc.
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
-``lattice_sums`` contracts the table one axis at a time.
+``lattice_sums`` contracts the table one axis at a time.  ``check_tables``
+runs ``table_sites`` and an operator's site rule for every n of a sweep first.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
     "check_axes",
     "check_n",
     "table_sites",
-    "check_table",
+    "check_tables",
     "lattice_sums",
     "point_work",
     "chunk_rows",
@@ -158,7 +159,7 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     MAX_CENTRE is a ValueError.
     """
     u = np.asarray(u, dtype=float)
-    lo, hi = _window_ends(kernel, u)
+    lo, hi = _window_ends(kernel, 1, u)
     width = int(np.max(hi - lo)) + 1
     ks = lo[:, None] + np.arange(width)
     short = hi - lo + 1 < width
@@ -177,19 +178,14 @@ def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, n
     return first[:, None] + (k - k[:, :1]).astype(np.intp), w
 
 
-def _check_lattice(kernel: DensityKernel, centre: float = 0.0, sizes=()) -> None:
-    # the largest centre |n x| against MAX_CENTRE, a table's sites per axis against MAX_POINT_WORK
+def _window_ends(kernel: DensityKernel, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the first and last lattice site within W of each centre n x, once |n x| + W + 1 <= MAX_CENTRE;
+    # that is checked in Python floats first, so a huge n x is inf and not an overflow warning
+    centre = n * float(np.max(np.abs(x)))
     if not centre + kernel.radius + 1.0 <= MAX_CENTRE:
         raise ValueError(f"lattice centre |n x| = {centre!r} plus the window radius exceeds 2^52, "
                          "where window sites stop being exact integers; shrink the box or n")
-    if math.prod(sizes) > MAX_POINT_WORK:
-        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
-                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
-
-
-def _window_ends(kernel: DensityKernel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the first and last lattice site within W of each centre u
-    _check_lattice(kernel, centre=float(np.max(np.abs(u))))
+    u = n * x
     return np.ceil(u - kernel.radius), np.floor(u + kernel.radius)
 
 
@@ -215,31 +211,36 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     """Each axis's sorted lattice sites reached by the windows around n x_i, x_i in axes[i].
 
     Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
-    table (K_1, .., K_N); a bad n (``check_n``) or a table past MAX_CENTRE
-    or MAX_POINT_WORK is a ValueError.
+    table (K_1, .., K_N).  A bad n (``check_n``), a centre past MAX_CENTRE
+    (checked before n x is formed) or a table past MAX_POINT_WORK sites
+    (counted before any site is built) is a ValueError.
     """
-    check_n(n)
-    sites = []
+    n = check_n(n)
+    runs = []
     for x in axes:
-        lo, hi = _window_ends(kernel, np.sort(n * np.asarray(x, dtype=float)))
+        lo, hi = _window_ends(kernel, n, np.sort(np.asarray(x, dtype=float)))
         # sorted centres sort both window ends; a run starts past the previous end
         first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
-        lengths = (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1
-        runs = np.repeat(lo[first] - (np.cumsum(lengths) - lengths), lengths)
-        sites.append(runs + np.arange(runs.size))
-    _check_lattice(kernel, sizes=[s.size for s in sites])
+        # disjoint runs of sites within 2^52 + W of 0: their sum fits an int64
+        runs.append((lo[first], (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1))
+    sizes = [int(lengths.sum()) for _, lengths in runs]
+    if math.prod(sizes) > MAX_POINT_WORK:
+        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
+                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+    sites = []
+    for starts, lengths in runs:
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sites.append(offsets + np.arange(offsets.size))
     return list(np.ix_(*sites))
 
 
-def check_table(kernel: DensityKernel, box, points_per_axis: int, n_max: int) -> None:
-    """table_sites' checks for grid_axes(box, points_per_axis) at all n <= n_max, before a run.
-
-    Axis i has at most min(P_i (2W + 1), n_max (hi_i - lo_i) + 2W + 2) sites.
-    """
-    w = kernel.radius
-    _check_lattice(kernel, n_max * max(max(abs(lo), abs(hi)) for lo, hi in box),
-                   [int(min(points_per_axis * (2 * w + 1), n_max * (hi - lo) + 2 * w + 2))
-                    for lo, hi in box])
+def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> None:
+    """A sweep's lattice checks before its first n: ``table_sites`` for each n of ns, then
+    ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites."""
+    for n in ns:
+        sites = table_sites(kernel, n, axes)
+        if site_rule is not None:
+            site_rule(n, sites)
 
 
 def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray]:
@@ -277,9 +278,10 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
 def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
     """Samples over the cells of one kernel window: (2W + 1)^dim sites times per_site each.
 
-    per_site is quad_nodes^dim for Kantorovich cells, 1 otherwise.  This
-    bounds quadrature work, not one array (cell averages are built in slabs
-    of the lattice table); above MAX_POINT_WORK (2^24) it is a ValueError.
+    per_site is quad_nodes^dim for Kantorovich cells, 1 otherwise (the
+    message then names window sites).  This bounds quadrature work, not one
+    array (cell averages are built in slabs of the lattice table); above
+    MAX_POINT_WORK (2^24) it is a ValueError.
     """
     width = 2 * int(kernel.radius) + 1
     work = width**dim * per_site
@@ -287,7 +289,9 @@ def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
         raise ValueError(
             f"the cells of one kernel window need {work} quadrature samples (> {MAX_POINT_WORK}): "
             f"{width} lattice sites per axis, {dim} axes, {per_site} samples per site; "
-            "increase alpha or trunc_eps, or lower quad_nodes"
+            "increase alpha or trunc_eps, or lower quad_nodes" if per_site > 1 else
+            f"one kernel window holds {work} lattice sites (> {MAX_POINT_WORK}): "
+            f"{width} per axis, {dim} axes; increase alpha or trunc_eps"
         )
     return work
 

@@ -13,7 +13,8 @@ sample sites and always renormalize the truncated weights to sum to one:
 the operator is the ratio of the lattice sums of f / sqrt(det g) and
 1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;
-``check_chart`` applies it to a grid and its lattice support before a run.
+``chart_coords`` applies it to a lattice table's sites, and ``check_chart``
+to a grid and every table of a sweep (``kernel.check_tables``) before a run.
 
 Shipped chart presets:
 
@@ -31,10 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import DensityKernel, check_axes, lattice_sums
+from .kernel import DensityKernel, check_axes, check_tables, lattice_sums
 
 __all__ = [
     "Chart",
+    "chart_coords",
     "chart_preset",
     "check_chart",
     "operator_on_chart_batch",
@@ -100,10 +102,22 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
     )
 
 
+def chart_coords(chart: Chart, n: int, sites) -> list[np.ndarray]:
+    """Each axis's coordinates k/n in the chart, for a lattice table's open mesh of sites
+    (``kernel.table_sites``); a site outside the chart's domain is a ValueError."""
+    coords = []
+    for i, k in enumerate(sites):
+        coord, inside = chart.axis_coords(i, k / n)
+        if not inside.all():
+            raise ValueError(f"lattice support exits the {chart.name!r} chart domain on axis {i}; "
+                             "increase n or shrink the evaluation box")
+        coords.append(coord)
+    return coords
+
+
 def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> list[np.ndarray]:
     """The grid of axes as float arrays once its points lie in the chart's domain and, for
-    each n of n_sweep, so do each axis's extreme lattice sites ceil(n x_min - W)/n and
-    floor(n x_max + W)/n."""
+    each n of n_sweep, so does its lattice table (``chart_coords``)."""
     axes = check_axes(axes, chart.dim)
     inside = functools.reduce(np.logical_and.outer,
                               [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
@@ -111,18 +125,8 @@ def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> list[n
         first = np.unravel_index(np.argmin(inside), inside.shape)
         raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
                          f"lies outside the {chart.name!r} chart domain")
-    for n in n_sweep:
-        for i, x in enumerate(axes):
-            ends = np.array([np.ceil(n * x.min() - kernel.radius),
-                             np.floor(n * x.max() + kernel.radius)])
-            if not chart.axis_coords(i, ends / n)[1].all():
-                raise _support_exits(chart, i)
+    check_tables(kernel, axes, n_sweep, functools.partial(chart_coords, chart))
     return axes
-
-
-def _support_exits(chart: Chart, axis: int) -> ValueError:
-    return ValueError(f"lattice support exits the {chart.name!r} chart domain on axis {axis}; "
-                      "increase n or shrink the evaluation box")
 
 
 def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes) -> np.ndarray:
@@ -138,12 +142,7 @@ def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes
     axes = check_chart(chart, kernel, axes)
 
     def tables(sites):
-        coords = []
-        for i, k in enumerate(sites):
-            coord, inside = chart.axis_coords(i, k / n)
-            if not inside.all():
-                raise _support_exits(chart, i)
-            coords.append(coord)
+        coords = chart_coords(chart, n, sites)
         density = np.asarray(chart.sqrt_det_g(*coords), dtype=float)
         vals = np.asarray(f.value(*coords), dtype=float)
         # a full-size f table is divided in place, so no second one is made

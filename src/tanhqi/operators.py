@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .fractional import FracConfig, rl_derivative_batch
+from .fractional import FracConfig, l1_intervals, rl_derivative_batch
 from .kernel import (
     CHUNK_ELEMENTS,
     MAX_POINT_WORK,
@@ -55,6 +55,7 @@ __all__ = [
     "apply_fractional_batch",
     "check_m_max",
     "check_quad_nodes",
+    "fractional_nodes",
     "voronovskaya_corrections",
 ]
 
@@ -112,6 +113,19 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
                         lambda sites: [_cell_averages(quad_nodes, f, n, sites)])[0]
 
 
+def fractional_nodes(frac: FracConfig, f, n: int, ks) -> np.ndarray:
+    """The nodes k/n > 0 of one axis's lattice sites ks at which Q_n takes D^beta f; a site at
+    t = 0 when f(0) != 0, or an L1 grid past ``fractional.l1_intervals``' cap, is a ValueError."""
+    # at t = 0 the Caputo part vanishes for C^1 functions and the
+    # initial-value term vanishes iff f(0) = 0
+    if 0.0 in ks and float(f.value(0.0)) != 0.0:
+        raise ValueError("fractional lattice touches t = 0 where D^beta f diverges because "
+                         "f(0) != 0; evaluate farther from the origin or increase n")
+    nodes = ks[ks > 0.0] / n
+    l1_intervals(float(np.max(nodes, initial=0.0)), frac.h)
+    return nodes
+
+
 def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes) -> np.ndarray:
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
@@ -126,15 +140,8 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
 
     def tables(sites):
         ks = sites[0]
-        # at t = 0 the Caputo part vanishes for C^1 functions and the
-        # initial-value term vanishes iff f(0) = 0
-        if 0.0 in ks and float(f.value(0.0)) != 0.0:
-            raise ValueError(
-                "fractional lattice touches t = 0 where D^beta f diverges because f(0) != 0; "
-                "evaluate farther from the origin or increase n"
-            )
         dbeta = np.zeros(ks.shape)
-        dbeta[ks > 0.0] = rl_derivative_batch(frac, f, ks[ks > 0.0] / n)
+        dbeta[ks > 0.0] = rl_derivative_batch(frac, f, fractional_nodes(frac, f, n, ks))
         return [dbeta, ks >= 0.0]
 
     total, mass = lattice_sums(kernel, n, [x], tables)

@@ -1,5 +1,6 @@
 """Evaluation grids, error sweeps, rate fits, and report serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,20 @@ class TestOperatorConvergence:
         with pytest.raises(ValueError):
             operator_convergence("fractional", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)
 
+    @pytest.mark.parametrize("sweep_of", [
+        lambda f, box, ns: operator_convergence("basic", KERNEL, f, ns, box, 200),
+        lambda f, box, ns: operator_convergence("kantorovich", KERNEL, f, ns, box, 200),
+        lambda f, box, ns: residual_orders(KERNEL, f, box, 200, ns, 1),
+    ], ids=["basic", "kantorovich", "voronovskaya"])
+    def test_oversized_last_table_rejected_before_any_sample(self, sweep_of):
+        # n = 16 would run; at n = 256 each axis of [0, 20]^2 reaches 5126 sites, 26.3e6 in all
+        calls = []
+        sin_exp = function_preset("sin-exp")
+        f = dataclasses.replace(sin_exp, value_fn=lambda *c: calls.append(1) or sin_exp.value(*c))
+        with pytest.raises(ValueError, match="the lattice table needs 5126 x 5126 sites"):
+            sweep_of(f, [(0.0, 20.0)] * 2, [16, 256])
+        assert calls == []
+
 
 class TestResidualOrders:
     def test_sin_slopes_increase_by_one(self):
@@ -300,8 +315,8 @@ class TestFractionalRate:
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))
 
     def test_oversized_l1_grid_rejected(self):
-        # the farthest lattice node is 1 + 16/64 = 1.25, which needs 1.25e7 L1 points
-        with pytest.raises(ValueError, match="L1 grid would need 12500000 points"):
+        # the farthest lattice node is floor(64 x_max + 16)/64 = 69/64, which needs 1.08e7 L1 points
+        with pytest.raises(ValueError, match="L1 grid would need 10781250 points"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128), frac_step=1e-7)
 
     @pytest.mark.parametrize("beta, frac_step", [(0.5, 0.0), (1.5, 1e-3)])
@@ -311,15 +326,9 @@ class TestFractionalRate:
             fractional_rate(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
                             frac_step=frac_step)
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
-    def test_bad_step_rejected_before_the_grid_bound(self, step):
-        # the L1 grid bound divides by the step
-        with pytest.raises(ValueError, match="L1 step must be positive and finite"):
-            check_fractional(function_preset("pow2"), [(0.2, 1.0)], 5, KERNEL.radius, 64, step)
-
     def test_l1_grid_overflow_rejected(self):
-        # (1e308 + W/64) / 1e-3 is not a finite float
-        with pytest.raises(ValueError, match="L1 grid would need inf points"):
+        # 64 x 1e308 is far past 2^52, so the lattice centre check fails before any L1 grid
+        with pytest.raises(ValueError, match="2\\^52"):
             fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1e308)], 5, (64, 128))
 
     @pytest.mark.parametrize("lo", [0.2, 0.249, 0.2493, 0.25, 0.26])
@@ -333,7 +342,7 @@ class TestFractionalRate:
             assert "touches t = 0" in str(exc)
             ran = False
         try:
-            check_fractional(f, box, 5, KERNEL.radius, n, 1e-2)
+            check_fractional(f, FracConfig(0.5, 1e-2), KERNEL, box, 5, [n])
             passed = True
         except ValueError as exc:
             assert "touches t = 0" in str(exc)

@@ -199,6 +199,36 @@ class TestPrintConfig:
             f"operator must be one of basic, kantorovich, got {operator!r}")
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("command, preset", [
+        ("converge", "sin"), ("voronovskaya", "sin"), ("frac", "pow2"), ("kernel-dump", None),
+        ("manifold", "sin-exp")])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_unknown_chart_rejected(self, tmp_path, capsys, command, preset, print_config):
+        # only manifold uses the chart, but every command checks the name it echoes
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"chart": "bogus", "preset": preset}))
+        argv = [command, "--config", str(cfg_file), "--out", str(tmp_path / "x")]
+        status, out, err = run(argv + ["--print-config"] * print_config, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "unknown chart 'bogus'" in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("n, message", [
+        # the table is 4074 x 4074 sites, under 2^24; a bound of n (hi - lo) + 2W + 2 said 4097
+        (4063, None),
+        (4090, "the lattice table needs 4101 x 4101 sites (> 16777216)"),
+    ])
+    def test_print_config_checks_the_exact_table(self, tmp_path, capsys, n, message):
+        argv = ["converge", "--preset", "sin-exp", "--grid-lo=0,0", "--grid-hi=1,1",
+                "--grid-points", "200", "--n", str(n), "--out", str(tmp_path / "x"),
+                "--print-config"]
+        status, out, err = run(argv, capsys)
+        if message is None:
+            assert status == 0 and err == "" and json.loads(out)["n_sweep"] == [n]
+        else:
+            assert status == 2 and out == "" and message in json.loads(err)["error"]
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "frac", "preset": "pow2"}))
@@ -263,20 +293,33 @@ class TestValidation:
         assert "the cells of one kernel window need 10890000000000 quadrature samples" in json.loads(err)["error"]
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("command", ["kernel-dump", "converge"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_oversized_window_without_quadrature_rejected(self, tmp_path, capsys, command,
+                                                         print_config):
+        # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites, and no run takes quadrature
+        argv = [command, "--alpha", "1e-6", "--out", str(tmp_path / "x"),
+                *(["--preset", "sin"] if command == "converge" else []),
+                *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert "one kernel window holds 16777217 lattice sites" in error
+        assert "quad" not in error
+
     @pytest.mark.parametrize("print_config", [False, True])
     def test_oversized_l1_grid_rejected(self, tmp_path, capsys, print_config):
-        # the farthest node, 1 + W/64 = 1.25, needs 1.25e8 L1 points at step 1e-8
+        # the farthest node, floor(64 x_max + W)/64 = 74/64, needs 1.16e8 L1 points at step 1e-8
         argv = ["frac", "--preset", "pow2", "--frac-step", "1e-8", "--out", str(tmp_path / "x"),
                 *(["--print-config"] if print_config else [])]
         status, out, err = run(argv, capsys)
         assert status == 2 and out == ""
         assert err.count("\n") == 1
-        assert "L1 grid would need 125000000 points" in json.loads(err)["error"]
+        assert "L1 grid would need 115625000 points" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("argv, message", [
-        # (1e308 + W/64) / 1e-3 overflows to inf before math.ceil
-        (["frac", "--preset", "pow2", "--grid-lo", "0.2", "--grid-hi", "1e308"],
-         "L1 grid would need inf points"),
+        # 64 x 1e308 is far past 2^52, so the lattice centre check fails before any L1 grid
+        (["frac", "--preset", "pow2", "--grid-lo", "0.2", "--grid-hi", "1e308"], "2^52"),
         # 1e308 - (-1e308) is inf, so the grid would be all inf
         (["converge", "--preset", "sin", "--grid-lo=-1e308", "--grid-hi", "1e308",
           "--grid-points", "3", "--n", "16,32,64"], "wider than the largest float"),

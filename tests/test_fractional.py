@@ -57,7 +57,7 @@ class TestFracConfig:
         with pytest.raises(ValueError):
             FracConfig(beta=beta, h=1e-3)
 
-    @pytest.mark.parametrize("h", [0.0, -1e-3, 0.2])
+    @pytest.mark.parametrize("h", [0.0, -1e-3, 0.2, math.inf, math.nan])
     def test_step_bounds(self, h):
         with pytest.raises(ValueError):
             FracConfig(beta=0.5, h=h)

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
     ONE_EXP_ALPHA,
-    check_table,
+    check_tables,
     lattice_sums,
     point_work,
     table_sites,
@@ -260,6 +262,10 @@ class TestWindowRows:
         assert point_work(k, 2, 25) == 33 * 33 * 25
         with pytest.raises(ValueError, match="cells of one kernel window need"):
             point_work(k, 2, MAX_POINT_WORK)
+        # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites and takes no quadrature
+        with pytest.raises(ValueError, match="one kernel window holds 16777217 lattice sites") as exc:
+            point_work(kernel(alpha=1e-6), 1)
+        assert "quad" not in str(exc.value)
 
 
 class TestZEval:
@@ -383,14 +389,35 @@ class TestTableSites:
         with pytest.raises(ValueError, match="the lattice table needs 4224 x 4224 sites"):
             table_sites(kernel(), 1, [x, x])
 
-    @pytest.mark.parametrize("box, points, message", [
-        # each axis holds at most min(1e6 x 33, 64 x 1e5 + 34) sites, 4.1e13 in all
-        ([(0.0, 1e5), (0.0, 1e5)], 10**6, "the lattice table needs 6400034 x 6400034 sites"),
-        ([(0.0, 1e16)], 3, "2\\^52"),
-    ])
-    def test_preflight_rejects(self, box, points, message):
-        with pytest.raises(ValueError, match=message):
-            check_table(kernel(), box, points, 64)
+    def test_oversized_table_rejected_before_it_is_built(self):
+        # 2^20 centres 40 apart reach 33 sites each, 34.6e6 in all; the count needs only
+        # the window ends, a few arrays the size of the input
+        x = np.arange(2.0**20) * 40.0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the lattice table needs 34603008 sites"):
+                table_sites(kernel(), 1, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
+
+    def test_huge_centre_rejected_without_overflow(self):
+        # 64 x 1e308 is inf: checked before n x is formed, so no overflow warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2\\^52"):
+                table_sites(kernel(), 64, [[1e308]])
+
+    def test_check_tables_runs_each_n_then_its_site_rule(self):
+        # n = 16 and 64 pass and meet the rule with their own open mesh; at n = 2^16 the
+        # windows part, 32 or 33 sites around each of the 1001 centres, past the cap
+        seen = []
+        x = np.linspace(0.0, 1.0, 1001)
+        with pytest.raises(ValueError, match="the lattice table needs 32041 x 32041 sites"):
+            check_tables(kernel(), [x, x], [16, 64, 2**16],
+                         lambda n, sites: seen.append((n, [s.shape for s in sites])))
+        assert seen == [(16, [(49, 1), (1, 49)]), (64, [(97, 1), (1, 97)])]
 
 
 class TestLatticeSums:
