@@ -326,6 +326,13 @@ class TestFractionalRate:
             fractional_rate(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
                             frac_step=frac_step)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
+    def test_bad_step_rejected_before_the_grid_bound(self, step):
+        # the L1 grid bound divides by the step; FracConfig rejects it first
+        with pytest.raises(ValueError, match="step h must lie in"):
+            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128),
+                            frac_step=step)
+
     def test_l1_grid_overflow_rejected(self):
         # 64 x 1e308 is far past 2^52, so the lattice centre check fails before any L1 grid
         with pytest.raises(ValueError, match="2\\^52"):
