@@ -38,6 +38,7 @@ from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
+    check_cell_work,
     check_m_max,
     check_quad_nodes,
     fractional_nodes,
@@ -295,6 +296,8 @@ def operator_convergence(
 ) -> ConvergenceReport:
     """Error sweep of the basic or Kantorovich operator against f itself."""
     check_operator(kind)
+    if kind == "kantorovich":
+        check_cell_work(kernel, quad_nodes, f.dim)
     check_quad_nodes(quad_nodes)
     axes = grid_axes(box, points_per_axis)
     check_tables(kernel, axes, check_sweep(n_sweep))

@@ -11,7 +11,11 @@ manifold      metric-weighted operator on a chart vs the sampled f
 Each run writes ``<out>.csv`` (the sweep table, 17 significant digits,
 LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
-byte-identical files.
+byte-identical files.  The bytes are those of the per-value writers they
+replace: CSV integers as ``%d`` and floats as ``%.17g``, and the JSON of
+``json.dumps(report, sort_keys=True, indent=2)``; each list of floats is
+formatted in one join rather than by json's pure-Python encoder.  The
+argument parser is built once per process (``build_parser`` is cached).
 
 Exit status: 0 success, 2 invalid configuration (including an evaluation
 grid, one window's cell samples or a lattice table above
@@ -28,6 +32,8 @@ floating-point warnings off, so nothing else reaches stderr.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 import types
@@ -51,7 +57,7 @@ from .analysis import (
 from .fractional import FracConfig
 from .kernel import DensityKernel, axis_moments, check_tables, point_work, psi_eval
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
-from .operators import check_m_max, check_quad_nodes
+from .operators import check_cell_work, check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -129,7 +135,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="tanhqi",
         description="Deterministic convergence experiments for tanh-kernel quasi-interpolation operators.",
@@ -273,12 +281,13 @@ def _validate(cfg: ExperimentConfig):
     """Apply the rules only the CLI has, then let the library check the rest.
 
     Range checks belong to the library objects and preconditions built
-    here (kernel, fractional config, n sweep, operator, quadrature nodes,
-    grid, correction order, chart); the lattice checks are those each
-    command's run makes before its first n (``check_fractional``,
-    ``check_chart``, ``kernel.check_tables``, and for kernel-dump, which
-    builds no table, ``axis_moments``' centre check).  They raise the
-    ValueError a run would, so --print-config rejects the same configs.
+    here (kernel, fractional config, n sweep, operator, quadrature nodes
+    and Kantorovich cell work, grid, correction order, chart); the
+    lattice checks are those each command's run makes before its first n
+    (``check_fractional``, ``check_chart``, ``kernel.check_tables``, and
+    for kernel-dump, which builds no table, ``axis_moments``' centre
+    check).  They raise the ValueError a run would, so --print-config
+    rejects the same configs.
     """
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
@@ -301,8 +310,10 @@ def _validate(cfg: ExperimentConfig):
     kernel = _kernel_for(cfg)
     frac = FracConfig(cfg.beta, cfg.frac_step)
     ns = check_sweep(cfg.n_sweep)
-    kantorovich = cfg.command == "converge" and cfg.operator == "kantorovich"
-    point_work(kernel, expected_axes, cfg.quad_nodes**expected_axes if kantorovich else 1)
+    if cfg.command == "converge" and cfg.operator == "kantorovich":
+        check_cell_work(kernel, cfg.quad_nodes, expected_axes)
+    else:
+        point_work(kernel, expected_axes)
     check_operator(cfg.operator)
     check_quad_nodes(cfg.quad_nodes)
     axes = grid_axes(cfg.box(), cfg.grid_points)
@@ -319,22 +330,45 @@ def _validate(cfg: ExperimentConfig):
         check_tables(kernel, axes, ns)
 
 
-def _format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    # one % template over the flattened rows: %d for an integer column, %.17g otherwise; a
+    # column's type is its first row's (str(int(v)) and f"{float(v):.17g}", value by value)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+        if rows:
+            line = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0])
+            fh.write((line + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows)))
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) with every line after the first indented by pad.
+
+    A list of floats is one float.__repr__ join, as json writes each float; a finite repr holds
+    no n, so the replaces only turn nan and inf into json's NaN and Infinity.  Other lists and
+    str-keyed dicts recurse, and the rest is json.dumps itself.
+    """
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        try:
+            items = (",\n" + inner).join(map(float.__repr__, obj))
+            items = items.replace("nan", "NaN").replace("inf", "Infinity")
+        except TypeError:  # an item that is no float
+            items = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        return "[\n" + inner + items + "\n" + pad + "]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = (",\n" + inner).join(json.dumps(k) + ": " + _json_text(obj[k], inner)
+                                     for k in sorted(obj))
+        return "{\n" + inner + items + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple, dict)):
+        return json.dumps(obj)  # a scalar reads the same at any indent
+    # an empty container, or keys json converts; json escapes a newline inside a string, so
+    # every one here is layout
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def _write_json(path: str, payload: dict | list) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _kernel_for(cfg: ExperimentConfig) -> DensityKernel:

@@ -186,7 +186,10 @@ def _window_ends(kernel: DensityKernel, n: int, x: np.ndarray) -> tuple[np.ndarr
         raise ValueError(f"lattice centre |n x| = {centre!r} plus the window radius exceeds 2^52, "
                          "where window sites stop being exact integers; shrink the box or n")
     u = n * x
-    return np.ceil(u - kernel.radius), np.floor(u + kernel.radius)
+    lo = u - kernel.radius
+    np.ceil(lo, out=lo)
+    # u is this function's own array, so hi takes its place
+    return lo, np.floor(np.add(u, kernel.radius, out=u), out=u)
 
 
 def check_axes(axes, dim: int) -> list[np.ndarray]:
@@ -219,8 +222,9 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     runs = []
     for x in axes:
         lo, hi = _window_ends(kernel, n, np.sort(np.asarray(x, dtype=float)))
-        # sorted centres sort both window ends; a run starts past the previous end
-        first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1] + 1.0])
+        # sorted centres sort both window ends; a run starts past the previous end (the ends are
+        # integers within 2^52 of 0, so their difference is exact)
+        first = np.flatnonzero(np.r_[True, lo[1:] - hi[:-1] > 1.0])
         # disjoint runs of sites within 2^52 + W of 0: their sum fits an int64
         runs.append((lo[first], (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1))
     sizes = [int(lengths.sum()) for _, lengths in runs]

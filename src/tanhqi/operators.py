@@ -47,12 +47,14 @@ from .kernel import (
     check_n,
     lattice_sums,
     multi_indices,
+    point_work,
 )
 
 __all__ = [
     "apply_basic_batch",
     "apply_kantorovich_batch",
     "apply_fractional_batch",
+    "check_cell_work",
     "check_m_max",
     "check_quad_nodes",
     "fractional_nodes",
@@ -78,6 +80,15 @@ def check_quad_nodes(quad_nodes: int) -> None:
             f"quad_nodes = {quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
             f"rule would build a {quad_nodes} x {quad_nodes} matrix"
         )
+
+
+def check_cell_work(kernel: DensityKernel, quad_nodes: int, dim: int) -> None:
+    """Kantorovich's per-window work: the cells of one kernel window in dim axes take
+    quad_nodes^dim samples each, at most MAX_POINT_WORK in all (``kernel.point_work``), and
+    quad_nodes passes ``check_quad_nodes``."""
+    if isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2:
+        point_work(kernel, dim, int(quad_nodes) ** dim)
+    check_quad_nodes(quad_nodes)
 
 
 def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
@@ -106,9 +117,9 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
-    rule is built once per call.
+    rule is built once per call.  The cells' work is checked first (``check_cell_work``).
     """
-    check_quad_nodes(quad_nodes)
+    check_cell_work(kernel, quad_nodes, f.dim)
     return lattice_sums(kernel, n, check_axes(axes, f.dim),
                         lambda sites: [_cell_averages(quad_nodes, f, n, sites)])[0]
 

@@ -243,6 +243,18 @@ class TestOperatorConvergence:
             sweep_of(f, [(0.0, 20.0)] * 2, [16, 256])
         assert calls == []
 
+    def test_cell_work_rejected_before_any_sample(self):
+        # 33^2 window sites x 130^2 nodes per cell; the basic operator takes no quadrature
+        calls = []
+        sin_exp = function_preset("sin-exp")
+        f = dataclasses.replace(sin_exp, value_fn=lambda *c: calls.append(1) or sin_exp.value(*c))
+        with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
+            operator_convergence("kantorovich", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)
+        with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
+            operators.apply_kantorovich_batch(KERNEL, 130, f, 4, [[0.5], [0.5]])
+        assert calls == []
+        operator_convergence("basic", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)
+
 
 class TestResidualOrders:
     def test_sin_slopes_increase_by_one(self):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -658,3 +659,135 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run.json").exists()
+
+
+def old_csv(header, rows):
+    """The per-value CSV writer the % template replaced: the oracle."""
+    def fmt(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return f"{float(v):.17g}"
+
+    return (",".join(header) + "\n"
+            + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)).encode()
+
+
+def old_json(payload):
+    """The json encoder the float joins replaced, the oracle; TypeError where json rejects a value."""
+    try:
+        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    except TypeError:
+        return TypeError
+
+
+def written(writer, *args):
+    """The bytes writer(path, *args) leaves in a fresh file, or the type of what it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        try:
+            writer(path, *args)
+        except TypeError as exc:
+            return type(exc)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e308, -1e308)
+py_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+any_floats = py_floats | py_floats.map(np.float64) | st.floats(width=32).map(np.float32)
+any_ints = (st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+            | st.integers(0, 255).map(np.uint8) | st.booleans())
+
+
+@st.composite
+def tables(draw):
+    """A header and rows whose columns each hold ints (Python, numpy, bool) or floats."""
+    kinds = draw(st.lists(st.sampled_from([any_ints, any_floats]), max_size=5))
+    rows = draw(st.lists(st.tuples(*(st.one_of(k) for k in kinds)), max_size=4))
+    rows = draw(st.sampled_from([rows, [list(r) for r in rows]]))
+    return [f"c{i}" for i in range(len(kinds))], rows
+
+
+# leaves as reports hold them, plus numpy ints, which json (and so both writers) rejects
+json_leaves = (py_floats | py_floats.map(np.float64) | st.integers() | st.booleans() | st.none()
+               | st.text(max_size=8) | st.lists(py_floats, max_size=6)
+               | st.integers(-5, 5).map(np.int64))
+payloads = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
+    max_leaves=24,
+)
+# residual_orders' list of reports, one per correction order
+report_dicts = st.fixed_dictionaries({
+    "config": st.dictionaries(st.text(max_size=6), json_leaves, max_size=4),
+    "rows": st.lists(st.tuples(st.integers(1, 2**20), py_floats, py_floats).map(list), max_size=4),
+    "fitted_slope": st.none() | py_floats,
+    "note": st.text(max_size=10),
+})
+
+
+class TestReportWriters:
+    @settings(deadline=None, max_examples=300)
+    @given(table=tables())
+    @example(table=(["x", "y"], []))
+    @example(table=(["m", "n", "e"], [(True, np.int64(-7), -0.0)]))
+    @example(table=(["x"], [[v] for v in SPECIAL_FLOATS]))
+    def test_csv_equals_the_per_value_writer(self, table):
+        header, rows = table
+        assert written(cli._write_csv, header, rows) == old_csv(header, rows)
+
+    @settings(deadline=None, max_examples=300)
+    @given(payload=payloads | st.lists(report_dicts, max_size=3))
+    @example(payload={"rows": [list(SPECIAL_FLOATS)], "empty": [], "none": {}})
+    @example(payload=[np.float64(0.1), 1, True, None, [], {}])
+    @example(payload={"n": [np.int64(3)]})
+    def test_json_equals_the_json_encoder(self, payload):
+        assert written(cli._write_json, payload) == old_json(payload)
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "11"],
+        ["voronovskaya", "--n", "16,32,64", "--grid-points", "11", "--m-max", "2"],
+        ["frac", "--preset", "pow2", "--n", "64,128,256", "--grid-points", "5"],
+        ["kernel-dump", "--grid-points", "101"],
+        ["manifold", "--n", "32,64,128", "--grid-points", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_each_command_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        emitted = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda cfg, *table: emitted.append(table) or emit(cfg, *table))
+        status, _, _ = run([*argv, "--out", str(tmp_path / "r")], capsys)
+        assert status == 0
+        (header, rows, payload), = emitted
+        assert (tmp_path / "r.csv").read_bytes() == old_csv(header, rows)
+        assert (tmp_path / "r.json").read_bytes() == old_json(payload)
+
+
+class TestParserReuse:
+    def test_an_absent_flag_takes_its_default_again(self, tmp_path, capsys):
+        argv = ["converge", "--preset", "sin", "--operator", "kantorovich", "--out",
+                str(tmp_path / "x"), "--print-config"]
+        status, out, _ = run([*argv, "--quad-nodes", "7"], capsys)
+        assert status == 0 and json.loads(out)["quad_nodes"] == 7
+        status, out, _ = run(argv, capsys)
+        assert status == 0 and json.loads(out)["quad_nodes"] == 5
+
+    def test_a_rejected_argv_leaves_the_next_run_clean(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["converge", "--preset", "sin", "--n", "16,x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["status"] == 2
+        status, _, err = run(converge_args(tmp_path / "x"), capsys)
+        assert status == 0 and err == ""
+
+    def test_one_parser_parses_like_a_fresh_one(self):
+        assert cli.build_parser() is cli.build_parser()
+        for argv in (["converge", "--preset", "runge", "--operator", "kantorovich", "--quad-nodes", "3"],
+                     ["voronovskaya", "--m-max", "3", "--grid-lo=-1", "--grid-hi=1"],
+                     ["frac", "--preset", "pow2", "--beta", "0.3", "--format", "json"],
+                     ["kernel-dump", "--n", "8", "--q", "0.25"],
+                     ["manifold", "--chart", "torus", "--n", "16,32", "--print-config"]):
+            fresh = cli.build_parser.__wrapped__()
+            assert cli.build_parser().parse_args(argv) == fresh.parse_args(argv)

@@ -402,6 +402,18 @@ class TestTableSites:
             tracemalloc.stop()
         assert peak < 8 * x.nbytes
 
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_sites_take_few_temporaries(self, n):
+        # the window ends reuse n x, so the peak is the sorted centres and two ends
+        x = (np.arange(2.0**20) + 0.5) / 2.0**20
+        tracemalloc.start()
+        try:
+            table_sites(kernel(), n, [x])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * x.nbytes
+
     def test_huge_centre_rejected_without_overflow(self):
         # 64 x 1e308 is inf: checked before n x is formed, so no overflow warning either
         with warnings.catch_warnings():
