@@ -6,7 +6,8 @@ kernel with exact partition of unity, ``operators`` builds the basic,
 Kantorovich, and fractional quasi-interpolants on truncated lattices,
 ``fractional`` supplies the Riemann-Liouville machinery, ``manifold``
 adds chart-based metric weighting, and ``analysis`` runs convergence
-sweeps.  Every operator is called as ``(kernel, <its own parameter, if
+sweeps, each checked in full by its ``*_sweep`` function before it
+starts.  Every operator is called as ``(kernel, <its own parameter, if
 any>, f, n, axes)``: it takes a tensor grid as its per-axis coordinates
 and returns the grid's values in C order; one point x is the axes
 [[x_1], .., [x_N]].
@@ -17,11 +18,15 @@ from .activation import ActivationParams, h_derivative, h_eval, h_limits
 from .analysis import (
     ConvergenceReport,
     Row,
+    chart_sweep,
+    convergence_sweep,
     fractional_rate,
+    fractional_sweep,
     grid_axes,
     operator_convergence,
     rate_fit,
     residual_orders,
+    residual_sweep,
     sup_error,
 )
 from .fractional import FracConfig, gamma_fn, power_rule_oracle, rl_derivative_batch
@@ -58,7 +63,10 @@ __all__ = [
     "apply_kantorovich_batch",
     "axis_moments",
     "chart_preset",
+    "chart_sweep",
+    "convergence_sweep",
     "fractional_rate",
+    "fractional_sweep",
     "function_preset",
     "gamma_fn",
     "grid_axes",
@@ -75,6 +83,7 @@ __all__ = [
     "psi_eval",
     "rate_fit",
     "residual_orders",
+    "residual_sweep",
     "rl_derivative_batch",
     "sup_error",
     "truncation_radius",

@@ -11,9 +11,9 @@ per-axis coordinates (``grid_axes``) and returning its values in C
 order.  An operator may return a (K, P) stack of K results, and the
 sweep makes one report per row: ``residual_orders`` gets every
 correction order from one basic evaluation and one moment table per n.
-The ``check_*`` functions are the experiments' preconditions, callable
-without a run, and each experiment runs its own before the first n: the
-operators' own lattice checks (``kernel.check_tables``), before any f sample.
+Each experiment's ``*_sweep`` function makes every check of its run, in
+one order (n sweep, window or cell work, grid, then the operators' own
+lattice checks, ``kernel.check_tables``), and returns ``sweep`` bound.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -24,16 +24,18 @@ counted), since they sit on the rounding floor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .fractional import FracConfig, power_rule_oracle
-from .kernel import MAX_POINT_WORK, DensityKernel, check_n, check_tables
+from .kernel import MAX_POINT_WORK, DensityKernel, check_n, check_tables, point_work
+from .manifold import chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
@@ -55,6 +57,10 @@ __all__ = [
     "check_operator",
     "check_fractional",
     "sweep",
+    "convergence_sweep",
+    "residual_sweep",
+    "fractional_sweep",
+    "chart_sweep",
     "operator_convergence",
     "residual_orders",
     "fractional_rate",
@@ -88,8 +94,9 @@ class ConvergenceReport:
     note: str = NORM_NOTE
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["rows"] = [list(r) for r in self.rows]
+        # config is copied one level deep; its values are shared, not deep-copied as asdict would
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["config"], d["rows"] = dict(self.config), [list(r) for r in self.rows]
         return d
 
     @classmethod
@@ -206,14 +213,14 @@ def check_operator(kind: str) -> None:
 
 def check_fractional(f, frac: FracConfig, kernel: DensityKernel, box, points_per_axis: int,
                      n_sweep) -> list[np.ndarray]:
-    """Preconditions of fractional_rate, and its grid axes: a monomial preset, a strictly
-    positive box, and each n's lattice table as the operator checks it (``fractional_nodes``:
-    no node at t = 0 when f(0) != 0, L1 grids within MAX_GRID_POINTS)."""
+    """Preconditions of fractional_rate, and its grid axes: the grid, a monomial preset, a
+    strictly positive box, and each n's lattice table as the operator checks it
+    (``fractional_nodes``: no node at t = 0 when f(0) != 0, L1 grids within MAX_GRID_POINTS)."""
+    axes = grid_axes(box, points_per_axis)
     if f.power is None:
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    axes = grid_axes(box, points_per_axis)
     check_tables(kernel, axes, check_sweep(n_sweep),
                  lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
     return axes
@@ -272,66 +279,51 @@ def _report(rows, config: dict, target_description: str, claimed_exponent) -> Co
     )
 
 
-def _sweep_config(kernel: DensityKernel, f, n_sweep, box, points_per_axis: int, **extra) -> dict:
+def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **extra) -> dict:
     return {
         "preset": f.name,
         "q": kernel.params.q,
         "alpha": kernel.params.alpha,
         "eps_trunc": kernel.eps_trunc,
-        "n_sweep": check_sweep(n_sweep),
+        "n_sweep": ns,
         "box": [list(b) for b in box],
         "points_per_axis": points_per_axis,
         **extra,
     }
 
 
-def operator_convergence(
-    kind: str,
-    kernel: DensityKernel,
-    f,
-    n_sweep,
-    box,
-    points_per_axis: int,
-    quad_nodes: int = 5,
-) -> ConvergenceReport:
-    """Error sweep of the basic or Kantorovich operator against f itself."""
-    check_operator(kind)
+def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
+                      quad_nodes: int = 5):
+    """operator_convergence's checks (n sweep, window or cell work, operator, quadrature nodes,
+    grid, lattice tables), then its ``sweep`` bound but not run."""
+    ns = check_sweep(n_sweep)
     if kind == "kantorovich":
         check_cell_work(kernel, quad_nodes, f.dim)
+    else:
+        point_work(kernel, f.dim)
+    check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = grid_axes(box, points_per_axis)
-    check_tables(kernel, axes, check_sweep(n_sweep))
+    check_tables(kernel, axes, ns)
 
     def apply_for(n):
         if kind == "basic":
             return lambda ax: apply_basic_batch(kernel, f, n, ax)
         return lambda ax: apply_kantorovich_batch(kernel, quad_nodes, f, n, ax)
 
-    config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
-                           operator=kind, quad_nodes=quad_nodes)
-    return sweep(apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, n_sweep, [config],
-                 [f"{f.name} (the sampled function itself)"])[0]
+    config = _sweep_config(kernel, f, ns, box, points_per_axis, operator=kind, quad_nodes=quad_nodes)
+    return functools.partial(sweep, apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, ns, [config],
+                             [f"{f.name} (the sampled function itself)"])
 
 
-def residual_orders(
-    kernel: DensityKernel,
-    f,
-    box,
-    points_per_axis: int,
-    n_sweep,
-    m_max: int,
-) -> list[ConvergenceReport]:
-    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max, from one sweep.
-
-    The m = 0 report is the uncorrected error of the basic operator;
-    each further m subtracts the moment correction of that order.  Per n
-    the basic operator and the corrections are evaluated once, and the
-    m_max + 1 residuals are the rows of one stack.
-    Fitted slopes are non-decreasing in m for smooth presets.
-    """
-    check_m_max(m_max, f)
+def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep, m_max: int):
+    """residual_orders' checks (n sweep, window work, grid, correction order, lattice tables),
+    then its ``sweep`` bound but not run."""
+    ns = check_sweep(n_sweep)
+    point_work(kernel, f.dim)
     axes = grid_axes(box, points_per_axis)
-    check_tables(kernel, axes, check_sweep(n_sweep))
+    check_m_max(m_max, f)
+    check_tables(kernel, axes, ns)
 
     def apply_for(n):
         def residuals(ax):
@@ -341,22 +333,69 @@ def residual_orders(
         return residuals
 
     orders = range(m_max + 1)
-    configs = [_sweep_config(kernel, f, n_sweep, box, points_per_axis,
+    configs = [_sweep_config(kernel, f, ns, box, points_per_axis,
                              experiment="voronovskaya-residual", m=m) for m in orders]
-    return sweep(apply_for, lambda ax: 0.0, axes, n_sweep, configs,
-                 [f"residual after the order-{m} moment correction" for m in orders])
+    return functools.partial(sweep, apply_for, lambda ax: 0.0, axes, ns, configs,
+                             [f"residual after the order-{m} moment correction" for m in orders])
 
 
-def fractional_rate(
-    kernel: DensityKernel,
-    f,
-    beta: float,
-    box,
-    points_per_axis: int,
-    n_sweep,
-    frac_step: float = 1e-3,
-) -> ConvergenceReport:
-    """Error sweep of the fractional operator against the D^beta f oracle.
+def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
+                     frac_step: float = 1e-3):
+    """fractional_rate's checks (order and step, n sweep, window work, then ``check_fractional``),
+    then its ``sweep`` bound but not run."""
+    frac = FracConfig(beta, frac_step)
+    ns = check_sweep(n_sweep)
+    point_work(kernel, 1)
+    axes = check_fractional(f, frac, kernel, box, points_per_axis, ns)
+    config = _sweep_config(kernel, f, ns, box, points_per_axis,
+                           experiment="fractional-rate", beta=beta, frac_step=frac_step)
+    m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
+    return functools.partial(
+        sweep, lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax),
+        lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config], ["D^beta f (oracle)"],
+        claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; recorded, not asserted",
+    )
+
+
+def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):
+    """The chart operator's sweep against f itself on the named chart preset, in f's dimension:
+    its checks (n sweep, window work, grid, chart, ``manifold.check_chart``), then its ``sweep``
+    bound but not run.  Chart weights are always renormalized (mode "discrete")."""
+    ns = check_sweep(n_sweep)
+    point_work(kernel, f.dim)
+    axes = grid_axes(box, points_per_axis)
+    geometry = chart_preset(chart, dim=f.dim)
+    axes = check_chart(geometry, kernel, axes, ns)
+    return functools.partial(
+        sweep, lambda n: lambda ax: operator_on_chart_batch(kernel, geometry, f, n, ax),
+        lambda ax: f.value(*np.ix_(*ax)), axes, ns, [{"chart": chart, "mode": "discrete"}],
+        [f"{f.name} on the {chart} chart (the sampled function itself)"],
+    )
+
+
+def operator_convergence(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
+                         quad_nodes: int = 5) -> ConvergenceReport:
+    """Error sweep of the basic or Kantorovich operator against f itself (``convergence_sweep``)."""
+    return convergence_sweep(kind, kernel, f, n_sweep, box, points_per_axis, quad_nodes)()[0]
+
+
+def residual_orders(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
+                    m_max: int) -> list[ConvergenceReport]:
+    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max, from one sweep
+    (``residual_sweep``).
+
+    The m = 0 report is the uncorrected error of the basic operator;
+    each further m subtracts the moment correction of that order.  Per n
+    the basic operator and the corrections are evaluated once, and the
+    m_max + 1 residuals are the rows of one stack.
+    Fitted slopes are non-decreasing in m for smooth presets.
+    """
+    return residual_sweep(kernel, f, box, points_per_axis, n_sweep, m_max)()
+
+
+def fractional_rate(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
+                    frac_step: float = 1e-3) -> ConvergenceReport:
+    """Error sweep of the fractional operator against the D^beta f oracle (``fractional_sweep``).
 
     The preset must be a pure monomial so the power rule supplies the
     target, and the box must have positive lower corners.  The report
@@ -364,17 +403,4 @@ def fractional_rate(
     measured slope is what the rows actually support (the operator's
     own first-order moment term caps it near one).
     """
-    frac = FracConfig(beta, frac_step)
-    axes = check_fractional(f, frac, kernel, box, points_per_axis, n_sweep)
-    config = _sweep_config(kernel, f, n_sweep, box, points_per_axis,
-                           experiment="fractional-rate", beta=beta, frac_step=frac_step)
-    m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
-    return sweep(
-        lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax),
-        lambda ax: power_rule_oracle(f.power, beta, ax[0]),
-        axes,
-        n_sweep,
-        [config],
-        ["D^beta f (oracle)"],
-        claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; recorded, not asserted",
-    )[0]
+    return fractional_sweep(kernel, f, beta, box, points_per_axis, n_sweep, frac_step)()[0]

@@ -17,13 +17,15 @@ replace: CSV integers as ``%d`` and floats as ``%.17g``, and the JSON of
 formatted in one join rather than by json's pure-Python encoder.  The
 argument parser is built once per process (``build_parser`` is cached).
 
+Each run is built once (``_build_run``) by the library's ``*_sweep``
+function, after every check the run makes, the lattice checks (O(points
+x len(n)) on a huge grid) included.  ``--print-config`` stops there.
+
 Exit status: 0 success, 2 invalid configuration (including an evaluation
 grid, one window's cell samples or a lattice table above
 kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
 quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
 run that could not complete (any other exception), 4 I/O failure.
-``--print-config`` exits 2 on exactly the configs a run rejects; its
-lattice checks cost O(points x len(n)) on a huge grid.
 Errors are printed to stderr as a single JSON line
 ``{"status": ..., "error": ...}``; runs execute with numpy's
 floating-point warnings off, so nothing else reaches stderr.
@@ -45,19 +47,18 @@ import numpy as np
 from .activation import ActivationParams
 from .analysis import (
     CONVERGENCE_OPERATORS,
-    check_fractional,
+    chart_sweep,
     check_operator,
     check_sweep,
-    fractional_rate,
+    convergence_sweep,
+    fractional_sweep,
     grid_axes,
-    operator_convergence,
-    residual_orders,
-    sweep,
+    residual_sweep,
 )
 from .fractional import FracConfig
-from .kernel import DensityKernel, axis_moments, check_tables, point_work, psi_eval
-from .manifold import chart_preset, check_chart, operator_on_chart_batch
-from .operators import check_cell_work, check_m_max, check_quad_nodes
+from .kernel import DensityKernel, axis_moments, point_work, psi_eval
+from .manifold import chart_preset
+from .operators import check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
 
 __all__ = ["main", "ExperimentConfig", "ConfigError"]
@@ -91,9 +92,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def box(self):
-        return list(zip(self.grid_lo, self.grid_hi))
 
 
 _DEFAULTS = {
@@ -278,17 +276,8 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    """Apply the rules only the CLI has, then let the library check the rest.
-
-    Range checks belong to the library objects and preconditions built
-    here (kernel, fractional config, n sweep, operator, quadrature nodes
-    and Kantorovich cell work, grid, correction order, chart); the
-    lattice checks are those each command's run makes before its first n
-    (``check_fractional``, ``check_chart``, ``kernel.check_tables``, and
-    for kernel-dump, which builds no table, ``axis_moments``' centre
-    check).  They raise the ValueError a run would, so --print-config
-    rejects the same configs.
-    """
+    """The rules only the CLI has: the format and output name, the required preset,
+    kernel-dump's single n and the box's axis count.  ``_build_run`` makes the rest."""
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
     if not cfg.out:
@@ -307,27 +296,6 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"{cfg.command} needs {expected_axes} grid axis/axes, got {len(cfg.grid_lo)}"
         )
-    kernel = _kernel_for(cfg)
-    frac = FracConfig(cfg.beta, cfg.frac_step)
-    ns = check_sweep(cfg.n_sweep)
-    if cfg.command == "converge" and cfg.operator == "kantorovich":
-        check_cell_work(kernel, cfg.quad_nodes, expected_axes)
-    else:
-        point_work(kernel, expected_axes)
-    check_operator(cfg.operator)
-    check_quad_nodes(cfg.quad_nodes)
-    axes = grid_axes(cfg.box(), cfg.grid_points)
-    check_m_max(cfg.m_max, preset if cfg.command == "voronovskaya" else None)
-    chart = chart_preset(cfg.chart, dim=preset.dim if cfg.command == "manifold" else None)
-    if cfg.command == "frac":
-        check_fractional(preset, frac, kernel, cfg.box(), cfg.grid_points, ns)
-    elif cfg.command == "manifold":
-        check_chart(chart, kernel, axes, ns)
-    elif cfg.command == "kernel-dump":
-        # the grid ascends, so its two ends hold the largest centre |n x|
-        axis_moments(kernel, axes[0][[0, -1]], ns[0], 0)
-    else:
-        check_tables(kernel, axes, ns)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -371,85 +339,79 @@ def _write_json(path: str, payload: dict | list) -> None:
         fh.write(_json_text(payload) + "\n")
 
 
-def _kernel_for(cfg: ExperimentConfig) -> DensityKernel:
-    return DensityKernel(ActivationParams(cfg.q, cfg.alpha), eps_trunc=cfg.trunc_eps)
-
-
 def _emit(cfg: ExperimentConfig, header, rows, payload) -> None:
     if cfg.fmt == "csv":
         _write_csv(cfg.out + ".csv", header, rows)
     _write_json(cfg.out + ".json", payload)
 
 
-def run_converge(cfg: ExperimentConfig) -> None:
-    report = operator_convergence(
-        cfg.operator, _kernel_for(cfg), function_preset(cfg.preset),
-        cfg.n_sweep, cfg.box(), cfg.grid_points, quad_nodes=cfg.quad_nodes,
-    )
-    report.config["cli"] = cfg.to_dict()
-    _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
+def _build_run(cfg: ExperimentConfig):
+    """The command's run after every check it makes before its first n, bound but not run; a
+    call returns its reports (kernel-dump: its report but the config echo).  The kernel comes
+    first, then the keys the command ignores, which must hold values their own commands
+    accept (FracConfig for every command, as frac checks it first), then the library's."""
+    kernel = DensityKernel(ActivationParams(cfg.q, cfg.alpha), eps_trunc=cfg.trunc_eps)
+    FracConfig(cfg.beta, cfg.frac_step)
+    if cfg.command != "converge":
+        check_operator(cfg.operator)
+        check_quad_nodes(cfg.quad_nodes)
+    if cfg.command != "voronovskaya":
+        check_m_max(cfg.m_max)
+    if cfg.command != "manifold":
+        chart_preset(cfg.chart)
+    f = None if cfg.preset is None else function_preset(cfg.preset)
+    ns, box, points = cfg.n_sweep, list(zip(cfg.grid_lo, cfg.grid_hi)), cfg.grid_points
+    if cfg.command == "converge":
+        return convergence_sweep(cfg.operator, kernel, f, ns, box, points, cfg.quad_nodes)
+    if cfg.command == "voronovskaya":
+        return residual_sweep(kernel, f, box, points, ns, cfg.m_max)
+    if cfg.command == "frac":
+        return fractional_sweep(kernel, f, cfg.beta, box, points, ns, cfg.frac_step)
+    if cfg.command == "manifold":
+        return chart_sweep(kernel, cfg.chart, f, ns, box, points)
+    (n,) = check_sweep(ns)
+    point_work(kernel, 1)
+    (xs,) = grid_axes(box, points)
+    # the grid ascends, so its two ends hold the largest centre |n x|
+    axis_moments(kernel, xs[[0, -1]], n, 0)
+    return functools.partial(_kernel_table, kernel, xs, n)
 
 
-def run_voronovskaya(cfg: ExperimentConfig) -> None:
-    reports = residual_orders(
-        _kernel_for(cfg), function_preset(cfg.preset), cfg.box(), cfg.grid_points,
-        cfg.n_sweep, cfg.m_max,
-    )
-    rows = []
-    for m, report in enumerate(reports):
-        report.config["cli"] = cfg.to_dict()
-        rows.extend((m, r.n, r.sup_error, r.mean_error) for r in report.rows)
-    _emit(cfg, ["m", "n", "sup_error", "mean_error"], rows, [r.to_dict() for r in reports])
+def _kernel_table(kernel: DensityKernel, xs, n: int) -> dict:
+    # kernel-dump's report but its config echo: psi and M_0..M_3 at each x, and the kernel
+    moments = axis_moments(kernel, xs, n, 3)
+    return {
+        "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
+        "rows": np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist(),
+        "kernel": {"q": kernel.params.q, "alpha": kernel.params.alpha, "eps_trunc": kernel.eps_trunc,
+                   "normalization": kernel.normalization, "radius": kernel.radius},
+    }
 
 
-def run_frac(cfg: ExperimentConfig) -> None:
-    report = fractional_rate(
-        _kernel_for(cfg), function_preset(cfg.preset), cfg.beta,
-        cfg.box(), cfg.grid_points, cfg.n_sweep, frac_step=cfg.frac_step,
-    )
-    report.config["cli"] = cfg.to_dict()
-    _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
+def run_sweep(cfg: ExperimentConfig) -> None:
+    """A sweep command's table: one row per report row, voronovskaya's with its order m."""
+    reports = _build_run(cfg)()
+    echo = cfg.to_dict()
+    for report in reports:
+        report.config["cli"] = echo
+    if cfg.command == "voronovskaya":
+        rows = [(m, *r) for m, report in enumerate(reports) for r in report.rows]
+        _emit(cfg, ["m", "n", "sup_error", "mean_error"], rows, [r.to_dict() for r in reports])
+    else:
+        _emit(cfg, ["n", "sup_error", "mean_error"], list(reports[0].rows), reports[0].to_dict())
 
 
 def run_kernel_dump(cfg: ExperimentConfig) -> None:
-    kernel = _kernel_for(cfg)
-    n = cfg.n_sweep[0]
-    xs = grid_axes(cfg.box(), cfg.grid_points)[0]
-    moments = axis_moments(kernel, xs, n, 3)
-    rows = np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist()
-    payload = {
-        "cli": cfg.to_dict(),
-        "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
-        "rows": rows,
-        "kernel": {
-            "q": cfg.q, "alpha": cfg.alpha, "eps_trunc": cfg.trunc_eps,
-            "normalization": kernel.normalization, "radius": kernel.radius,
-        },
-    }
-    _emit(cfg, payload["columns"], rows, payload)
-
-
-def run_manifold(cfg: ExperimentConfig) -> None:
-    preset = function_preset(cfg.preset)
-    kernel, chart = _kernel_for(cfg), chart_preset(cfg.chart, dim=preset.dim)
-    report = sweep(
-        lambda n: lambda ax: operator_on_chart_batch(kernel, chart, preset, n, ax),
-        lambda ax: preset.value(*np.ix_(*ax)),
-        grid_axes(cfg.box(), cfg.grid_points),
-        cfg.n_sweep,
-        # chart weights are always renormalized ("discrete")
-        [{"cli": cfg.to_dict(), "chart": cfg.chart, "mode": "discrete"}],
-        [f"{preset.name} on the {cfg.chart} chart (the sampled function itself)"],
-    )[0]
-    _emit(cfg, ["n", "sup_error", "mean_error"], list(report.rows), report.to_dict())
+    payload = {"cli": cfg.to_dict(), **_build_run(cfg)()}
+    _emit(cfg, payload["columns"], payload["rows"], payload)
 
 
 _RUNNERS = {
-    "converge": run_converge,
-    "voronovskaya": run_voronovskaya,
-    "frac": run_frac,
+    "converge": run_sweep,
+    "voronovskaya": run_sweep,
+    "frac": run_sweep,
     "kernel-dump": run_kernel_dump,
-    "manifold": run_manifold,
+    "manifold": run_sweep,
 }
 
 
@@ -466,6 +428,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             cfg = merge_config(args)
             if args.print_config:
+                _build_run(cfg)  # the run's checks, and nothing run
                 print(json.dumps(cfg.to_dict(), sort_keys=True))
                 return 0
             _RUNNERS[cfg.command](cfg)

@@ -14,7 +14,7 @@ the operator is the ratio of the lattice sums of f / sqrt(det g) and
 1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;
 ``chart_coords`` applies it to a lattice table's sites, and ``check_chart``
-to a grid and every table of a sweep (``kernel.check_tables``) before a run.
+to a grid and every table of a sweep, once before its first n (``analysis.chart_sweep``).
 
 Shipped chart presets:
 
