@@ -24,8 +24,13 @@ radius W chosen once per kernel from a tolerance eps_trunc.
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
-``lattice_sums`` contracts the table one axis at a time.  ``check_tables``
-runs ``table_sites`` and an operator's site rule for every n of a sweep first.
+``lattice_sums`` contracts the table one axis at a time.  The first axis's
+window ends are taken once per call, and each of its windows is read from a
+strided view of the table, so a chunk of points gathers with one index per
+row; a short row's zero-weight pad slot reads a site of the table, never
+one past it.  ``check_tables`` runs ``table_sites``, which also bounds the
+multiply-adds of the sums, and an operator's site rule for every n of a
+sweep first.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .activation import ActivationParams
 
@@ -64,6 +70,8 @@ CHUNK_ELEMENTS = 2**13
 # cap on the samples over one kernel window's cells and on a lattice table's
 # sites, checked before any allocation
 MAX_POINT_WORK = 2**24
+# cap on one lattice sum's multiply-adds (see _sum_work), checked before its table is built
+MAX_SUM_WORK = 2**31
 # bound on |n x| + W + 1: below 2^52 a double keeps a fractional bit, so a
 # centre n x is not already rounded onto a lattice site, and every window
 # end and site is an exact integer; from 2^53 on, k + 1 rounds back to k
@@ -154,14 +162,19 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     2W sites, or 2W + 1 when u_i is a lattice site; when the rows differ,
     each short row is padded by repeating its last site with weight
     zero, so a pad never reaches a site outside its own window.  Every
-    lattice sum in the package draws its sites and weights from here;
-    u = n x for a sum over k/n near x.  A centre with |u| + W + 1 above
+    lattice sum in the package draws its sites and weights from this
+    rule; u = n x for a sum over k/n near x.  A centre with |u| + W + 1 above
     MAX_CENTRE is a ValueError.
     """
     u = np.asarray(u, dtype=float)
-    lo, hi = _window_ends(kernel, 1, u)
-    width = int(np.max(hi - lo)) + 1
-    ks = lo[:, None] + np.arange(width)
+    return _rows(kernel, u, *_window_ends(kernel, 1, u))
+
+
+def _rows(kernel: DensityKernel, u, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    # window_rows' rule for centres u with window ends lo, hi: the rows are as wide as the
+    # widest window, and a short row repeats its last site with weight zero
+    width = int((hi - lo).max()) + 1
+    ks = lo[:, None] + np.arange(float(width))
     short = hi - lo + 1 < width
     ks[short, -1] = hi[short]
     weights = psi_eval(kernel, u[:, None] - ks)
@@ -215,13 +228,16 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
 
     Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
     table (K_1, .., K_N).  A bad n (``check_n``), a centre past MAX_CENTRE
-    (checked before n x is formed) or a table past MAX_POINT_WORK sites
-    (counted before any site is built) is a ValueError.
+    (checked before n x is formed), a table past MAX_POINT_WORK sites or
+    a lattice sum over it past MAX_SUM_WORK multiply-adds (both counted
+    before any site is built) is a ValueError.
     """
     n = check_n(n)
     runs = []
+    counts = []
     for x in axes:
         lo, hi = _window_ends(kernel, n, np.sort(np.asarray(x, dtype=float)))
+        counts.append(lo.size)
         # sorted centres sort both window ends; a run starts past the previous end (the ends are
         # integers within 2^52 of 0, so their difference is exact)
         first = np.flatnonzero(np.r_[True, lo[1:] - hi[:-1] > 1.0])
@@ -231,6 +247,13 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     if math.prod(sizes) > MAX_POINT_WORK:
         raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
                          f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+    width = 2 * int(kernel.radius) + 1
+    work = sum(_sum_work(counts, [width] * len(counts), sizes))
+    if work > MAX_SUM_WORK:
+        raise ValueError(f"a lattice sum needs {work} multiply-adds (> {MAX_SUM_WORK}): "
+                         f"{' x '.join(map(str, counts))} points, windows of {width} sites per axis, "
+                         f"{' x '.join(map(str, sizes))} table sites; shrink the grid or n, "
+                         "or increase alpha or trunc_eps")
     sites = []
     for starts, lengths in runs:
         offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -247,13 +270,28 @@ def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> None:
             site_rule(n, sites)
 
 
+def _sum_work(counts, widths, sizes) -> list[int]:
+    # per axis i, the multiply-adds lattice_sums pays contracting it: the grid points done
+    # (axes 0..i), times axis i's window width, times the table sites still to contract
+    return [math.prod(counts[:i + 1]) * widths[i] * math.prod(sizes[i + 1:])
+            for i in range(len(counts))]
+
+
 def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray]:
     """sum_k v(k) Z(n x - k) on the grid of axes (N 1-D arrays), in C order, for each table v.
 
     ``tables`` maps ``table_sites``' open mesh to arrays that broadcast to
     the lattice table.  Each axis i is contracted in turn, T <- sum_l
-    w_i[p, l] T[.., index_i[p, l], ..], in chunks of the first axis's
-    points that keep every gathered array near CHUNK_ELEMENTS.
+    w_i[p, l] T[.., k_i[p, l], ..], in chunks of the first axis's points
+    that keep every gathered array near CHUNK_ELEMENTS.  The first axis's
+    window ends and their places in the table are found once per call;
+    a chunk of L-site rows (``window_rows``' rule, L its widest window)
+    then gathers row p as T[first_p : first_p + L] from a read-only
+    strided view of each table.  A short row's pad slot reads the site
+    after its window, at weight zero; when its window ends on the table's
+    last site, the row is read one site early and shifted back, so the pad
+    repeats its last site and nothing past the table is read.  Later axes
+    gather through ``window_index`` arrays, built once per call.
     """
     mesh = table_sites(kernel, n, axes)
     sites = [s.ravel() for s in mesh]
@@ -263,19 +301,34 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     counts = [len(x) for x in axes]
     widths = [point_work(kernel, 1)] + [index.shape[1] for index, _ in later]
     # per first-axis point, axis i gathers the points done, its window and the sites to come
-    largest = max(math.prod(counts[1:i + 1]) * widths[i] * math.prod(shape[i + 1:])
-                  for i in range(len(axes)))
-    rows = max(1, CHUNK_ELEMENTS // largest)
+    rows = max(1, CHUNK_ELEMENTS // (max(_sum_work(counts, widths, shape)) // counts[0]))
+    u = n * np.asarray(axes[0], dtype=float)
+    lo, hi = _window_ends(kernel, 1, u)
+    first = np.searchsorted(sites[0], lo)
+    views = {}  # window width -> each table's (K_0 - width + 1, width, K_1, ..) view
     out = [np.empty(counts) for _ in values]
     for start in range(0, counts[0], rows):
-        first = window_index(kernel, n, axes[0][start:start + rows], sites[0])
-        for v, o in zip(values, out):
-            for axis, (index, weights) in enumerate([first, *later]):
-                # np.take would first copy a broadcast table to its full size
-                gathered = v[index] if axis == 0 else np.take(v, index, axis=axis)
-                weights = weights.reshape(weights.shape + (1,) * (v.ndim - axis - 1))
-                v = (gathered * weights).sum(axis=axis + 1)
-            o[start:start + rows] = v
+        chunk = slice(start, start + rows)
+        _, weights = _rows(kernel, u[chunk], lo[chunk], hi[chunk])
+        width = weights.shape[1]
+        if width not in views:
+            views[width] = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1)
+                            for v in values]
+        past = first[chunk] > shape[0] - width
+        at = first[chunk] - past
+        weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
+        for view, o in zip(views[width], out):
+            # C order, so the sum groups as it would over a plain table: a gather through a
+            # broadcast table's zero strides comes out in another layout
+            v = np.ascontiguousarray(view[at])
+            if past.any():
+                v[past, :-1] = v[past, 1:]
+            v = (v * weights).sum(axis=1)
+            for axis, (index, w) in enumerate(later, 1):
+                gathered = np.take(v, index, axis=axis)
+                w = w.reshape(w.shape + (1,) * (v.ndim - axis - 1))
+                v = (gathered * w).sum(axis=axis + 1)
+            o[chunk] = v
     return [o.ravel() for o in out]
 
 
@@ -328,15 +381,17 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     """
     check_n(n)
     x = np.asarray(x, dtype=float)
+    u = n * x
+    lo, hi = _window_ends(kernel, 1, u)
     out = np.empty((x.size, p_max + 1))
     rows = chunk_rows(kernel, 1)
     for start in range(0, x.size, rows):
-        xs = x[start:start + rows]
-        ks, weights = window_rows(kernel, n * xs)
-        out[start:start + rows, 0] = weights.sum(axis=1)
-        offsets = ks / n - xs[:, None]
+        chunk = slice(start, start + rows)
+        ks, weights = _rows(kernel, u[chunk], lo[chunk], hi[chunk])
+        out[chunk, 0] = weights.sum(axis=1)
+        offsets = ks / n - x[chunk, None]
         for p in range(1, p_max + 1):
-            out[start:start + rows, p] = row_dot(offsets**p, weights)
+            out[chunk, p] = row_dot(offsets**p, weights)
     return out
 
 

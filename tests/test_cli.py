@@ -230,6 +230,17 @@ class TestPrintConfig:
         else:
             assert status == 2 and out == "" and message in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_lattice_sum_work_capped_before_the_run(self, tmp_path, capsys, print_config):
+        # W = 16384: 100000 points x 32769 window sites, minutes of lattice sums at one n
+        argv = ["converge", "--preset", "sin", "--operator", "kantorovich", "--alpha", "0.001",
+                "--n", "16", "--grid-points", "100000", "--out", str(tmp_path / "x"),
+                *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        assert "a lattice sum needs 3276900000 multiply-adds (> 2147483648)" in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "frac", "preset": "pow2"}))

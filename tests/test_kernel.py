@@ -23,6 +23,7 @@ from tanhqi import (
 from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
+    MAX_SUM_WORK,
     ONE_EXP_ALPHA,
     check_tables,
     lattice_sums,
@@ -421,6 +422,24 @@ class TestTableSites:
             with pytest.raises(ValueError, match="2\\^52"):
                 table_sites(kernel(), 64, [[1e308]])
 
+    def test_sum_work_capped_exactly(self):
+        # alpha 1e-4: W = 2^17, windows of 2^18 + 1 sites; 8192 points pay 2^31 + 8192
+        # multiply-adds, one point fewer stays under the cap
+        k = kernel(alpha=1e-4)
+        assert k.radius == 2.0**17 and MAX_SUM_WORK == 2**31
+        table_sites(k, 1, [np.linspace(0.0, 1.0, 8191)])
+        with pytest.raises(ValueError, match=f"a lattice sum needs {2**31 + 8192} multiply-adds"):
+            table_sites(k, 1, [np.linspace(0.0, 1.0, 8192)])
+
+    def test_sum_work_counts_each_axis(self):
+        # axis 0: 65536 points x 33 window sites x 34 sites of axis 1; axis 1: 65536 x 1000
+        # points x 33 sites: 2236219392 in all, though the table holds only 34 x 34 sites
+        x, y = np.linspace(0.0, 1.0, 65536), np.linspace(0.0, 1.0, 1000)
+        with pytest.raises(ValueError, match="a lattice sum needs 2236219392 multiply-adds "
+                                             "\\(> 2147483648\\): 65536 x 1000 points, windows "
+                                             "of 33 sites per axis, 34 x 34 table sites"):
+            check_tables(kernel(), [x, y], [1])
+
     def test_check_tables_runs_each_n_then_its_site_rule(self):
         # n = 16 and 64 pass and meet the rule with their own open mesh; at n = 2^16 the
         # windows part, 32 or 33 sites around each of the 1001 centres, past the cap
@@ -456,6 +475,47 @@ class TestLatticeSums:
             weights = np.einsum("i,j,l->ijl", *[w[0] for w in ws])
             want.append(np.sum((np.exp(grid[0] - grid[1]) + np.cos(grid[2])) * weights))
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+# W = 16 at n = 1: 3.0 and 6.0 are lattice sites with 33-site windows, -13..19 and -10..22;
+# 1.5 and 5.5 have 32 sites, -14..17 and -10..21, and pad their rows to 33.  In [3.0, 5.5]
+# the short window ends on the table's last site; in [1.5, 6.0] the site's window does.
+PAD_CASES = [[3.0, 5.5], [1.5, 6.0], [5.5, 1.5, 3.0, 5.5]]
+
+
+def pad_tables(sites):
+    # a full table and two broadcast ones (a 1-D grid sees three full tables)
+    return [np.exp(sum(s / (7.0 + i) for i, s in enumerate(sites))),
+            np.cos(sites[-1] / 5.0), np.exp(sites[0] / 7.0)]
+
+
+class TestPadSlot:
+    @pytest.mark.parametrize("x", PAD_CASES)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pad_adds_exactly_zero(self, x, dim):
+        # each row of the call equals its point's sum alone, which has no pad: a window of
+        # at most 128 slots ends its sum with the pad, and later axes add it last too
+        k = kernel()
+        axes = [np.array(x)] + [np.array([0.25, 2.0, -3.5])] * (dim - 1)
+        together = lattice_sums(k, 1, axes, pad_tables)
+        rows = math.prod(a.size for a in axes[1:])
+        for i in range(len(x)):
+            alone = lattice_sums(k, 1, [axes[0][i:i + 1], *axes[1:]], pad_tables)
+            for t, a in zip(together, alone):
+                assert np.array_equal(t[i * rows:(i + 1) * rows], a)
+
+    @pytest.mark.parametrize("x", PAD_CASES)
+    def test_broadcast_table_sums_like_its_copy(self, x):
+        k = kernel()
+        axes = [np.array(x), np.array([0.25, 2.0, -3.5, 2.0])]
+
+        def copies(sites):
+            shape = np.broadcast_shapes(*(s.shape for s in sites))
+            # .copy() is C-ordered; np.array would copy in the broadcast table's own order
+            return [np.broadcast_to(t, shape).copy() for t in pad_tables(sites)]
+
+        for a, b in zip(lattice_sums(k, 1, axes, pad_tables), lattice_sums(k, 1, axes, copies)):
+            assert np.array_equal(a, b)
 
 
 class TestCentreLimit:
