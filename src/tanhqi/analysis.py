@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -37,13 +36,15 @@ from .fractional import FracConfig, power_rule_oracle
 from .kernel import MAX_POINT_WORK, DensityKernel, check_n, check_tables, point_work
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
+    _fractional,
     apply_basic_batch,
-    apply_fractional_batch,
     apply_kantorovich_batch,
     check_cell_work,
     check_m_max,
     check_quad_nodes,
+    check_table_cells,
     fractional_nodes,
+    fractional_table,
     voronovskaya_corrections,
 )
 
@@ -98,19 +99,6 @@ class ConvergenceReport:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["config"], d["rows"] = dict(self.config), [list(r) for r in self.rows]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConvergenceReport":
-        d = dict(d)
-        d["rows"] = tuple(Row(int(r[0]), float(r[1]), float(r[2])) for r in d["rows"])
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvergenceReport":
-        return cls.from_dict(json.loads(text))
 
 
 def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
@@ -212,18 +200,18 @@ def check_operator(kind: str) -> None:
 
 
 def check_fractional(f, frac: FracConfig, kernel: DensityKernel, box, points_per_axis: int,
-                     n_sweep) -> list[np.ndarray]:
-    """Preconditions of fractional_rate, and its grid axes: the grid, a monomial preset, a
-    strictly positive box, and each n's lattice table as the operator checks it
-    (``fractional_nodes``: no node at t = 0 when f(0) != 0, L1 grids within MAX_GRID_POINTS)."""
+                     n_sweep) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Preconditions of fractional_rate, then its grid axes and each n's fractional nodes: the
+    grid, a monomial preset, a strictly positive box, and each n's lattice table as the
+    operator checks it (``fractional_nodes``: no node at t = 0 when f(0) != 0, L1 grids within
+    MAX_GRID_POINTS)."""
     axes = grid_axes(box, points_per_axis)
     if f.power is None:
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    check_tables(kernel, axes, check_sweep(n_sweep),
-                 lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
-    return axes
+    return axes, check_tables(kernel, axes, check_sweep(n_sweep),
+                              lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
 
 
 def sweep(
@@ -295,7 +283,8 @@ def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **ext
 def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
                       quad_nodes: int = 5):
     """operator_convergence's checks (n sweep, window or cell work, operator, quadrature nodes,
-    grid, lattice tables), then its ``sweep`` bound but not run."""
+    grid, lattice tables and, for Kantorovich, each table's cell work, ``check_table_cells``),
+    then its ``sweep`` bound but not run."""
     ns = check_sweep(n_sweep)
     if kind == "kantorovich":
         check_cell_work(kernel, quad_nodes, f.dim)
@@ -304,7 +293,8 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = grid_axes(box, points_per_axis)
-    check_tables(kernel, axes, ns)
+    check_tables(kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
+                 if kind == "kantorovich" else None)
 
     def apply_for(n):
         if kind == "basic":
@@ -342,19 +332,28 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
                      frac_step: float = 1e-3):
     """fractional_rate's checks (order and step, n sweep, window work, then ``check_fractional``),
-    then its ``sweep`` bound but not run."""
+    then its ``sweep`` bound but not run.  A call tabulates D^beta f at the distinct nodes of
+    all its n in one rl_derivative_batch call (``operators.fractional_table``), and every n's
+    operator reads that table; a node's value is the one a single call would give."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
     point_work(kernel, 1)
-    axes = check_fractional(f, frac, kernel, box, points_per_axis, ns)
+    axes, nodes = check_fractional(f, frac, kernel, box, points_per_axis, ns)
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
-    return functools.partial(
-        sweep, lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax),
-        lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config], ["D^beta f (oracle)"],
-        claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; recorded, not asserted",
-    )
+
+    def run():
+        table = fractional_table(frac, f, np.concatenate(nodes))
+        return sweep(
+            lambda n: lambda ax: _fractional(kernel, frac, f, n, ax, table),
+            lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config],
+            ["D^beta f (oracle)"],
+            claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
+                             "recorded, not asserted",
+        )
+
+    return run
 
 
 def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):

@@ -22,8 +22,8 @@ function, after every check the run makes, the lattice checks (O(points
 x len(n)) on a huge grid) included.  ``--print-config`` stops there.
 
 Exit status: 0 success, 2 invalid configuration (including an evaluation
-grid, one window's cell samples or a lattice table above
-kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
+grid, one window's cell samples, a lattice table or its Kantorovich
+cell samples above kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
 quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
 run that could not complete (any other exception), 4 I/O failure.
 Errors are printed to stderr as a single JSON line

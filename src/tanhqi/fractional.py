@@ -19,7 +19,9 @@ O(tau^(2-beta)) error for f in C^2.
 ``rl_derivative_batch`` takes many nodes x, each on its own grid
 (M = ceil(x/h)); they share the b_j up to the largest M, both Gamma
 values and f(0), and one f call per chunk of about CHUNK_ELEMENTS grid
-points, so a node's value does not depend on the other nodes.
+points, so a node's value does not depend on the other nodes or on which
+call computed it.  A fractional sweep therefore makes one call over the
+distinct nodes of all its n (``operators.fractional_table``).
 """
 
 from __future__ import annotations

@@ -261,13 +261,16 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     return list(np.ix_(*sites))
 
 
-def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> None:
+def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> list:
     """A sweep's lattice checks before its first n: ``table_sites`` for each n of ns, then
-    ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites."""
+    ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites.  Returns
+    the rule's results, one per n (none without a rule)."""
+    results = []
     for n in ns:
         sites = table_sites(kernel, n, axes)
         if site_rule is not None:
-            site_rule(n, sites)
+            results.append(site_rule(n, sites))
+    return results
 
 
 def _sum_work(counts, widths, sizes) -> list[int]:

@@ -7,12 +7,16 @@ Three variants share the truncated lattice window |k_i - n x_i| <= W:
                  [k/n, (k+1)/n]) Z(n x - k), cell averages by tensor
                  Gauss-Legendre quadrature
 * fractional     Q_n(f; x) = sum_{k >= 0} D^beta f(k/n) psi(n x - k) / S(x),
-                 S(x) the half-lattice partition sum; D^beta f from one
-                 ``rl_derivative_batch`` call per lattice table
+                 S(x) the half-lattice partition sum; D^beta f read from a
+                 table of its values at sorted nodes (``fractional_table``)
 
 Q_n reproduces the fractional derivative, not f itself: its zeroth-order
 term is already D^beta f.  Errors against it should therefore be measured
-with a D^beta f oracle.
+with a D^beta f oracle.  One call tabulates D^beta f at its own nodes with
+one ``rl_derivative_batch`` call; a sweep (``analysis.fractional_sweep``)
+makes one call over the distinct nodes of all its n and every n reads that
+table.  A node's value does not depend on which call computed it, so both
+give the same bits.
 
 ``voronovskaya_corrections`` assembles the moment corrections
 sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n) for every
@@ -57,7 +61,9 @@ __all__ = [
     "check_cell_work",
     "check_m_max",
     "check_quad_nodes",
+    "check_table_cells",
     "fractional_nodes",
+    "fractional_table",
     "voronovskaya_corrections",
 ]
 
@@ -91,6 +97,18 @@ def check_cell_work(kernel: DensityKernel, quad_nodes: int, dim: int) -> None:
     check_quad_nodes(quad_nodes)
 
 
+def check_table_cells(quad_nodes: int, sites) -> None:
+    """Kantorovich's work on one lattice table (``kernel.table_sites``' open mesh): quad_nodes^N
+    samples at each of its sites, at most MAX_POINT_WORK in all."""
+    sizes = [s.size for s in sites]
+    work = math.prod(sizes) * quad_nodes ** len(sizes)
+    if work > MAX_POINT_WORK:
+        raise ValueError(f"the cells of the lattice table need {work} quadrature samples "
+                         f"(> {MAX_POINT_WORK}): {' x '.join(map(str, sizes))} sites, "
+                         f"{quad_nodes}^{len(sizes)} samples each; lower quad_nodes or n, "
+                         "or shrink the box")
+
+
 def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
     # cell averages on the lattice table, in slabs of about CHUNK_ELEMENTS samples
     dim = len(sites)
@@ -117,11 +135,16 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
-    rule is built once per call.  The cells' work is checked first (``check_cell_work``).
+    rule is built once per call.  The cells' work is checked first, per window
+    (``check_cell_work``) and over the lattice table (``check_table_cells``).
     """
     check_cell_work(kernel, quad_nodes, f.dim)
-    return lattice_sums(kernel, n, check_axes(axes, f.dim),
-                        lambda sites: [_cell_averages(quad_nodes, f, n, sites)])[0]
+
+    def tables(sites):
+        check_table_cells(quad_nodes, sites)
+        return [_cell_averages(quad_nodes, f, n, sites)]
+
+    return lattice_sums(kernel, n, check_axes(axes, f.dim), tables)[0]
 
 
 def fractional_nodes(frac: FracConfig, f, n: int, ks) -> np.ndarray:
@@ -137,12 +160,36 @@ def fractional_nodes(frac: FracConfig, f, n: int, ks) -> np.ndarray:
     return nodes
 
 
+def fractional_table(frac: FracConfig, f, nodes) -> tuple[np.ndarray, np.ndarray]:
+    """D^beta f at the distinct nodes > 0, (ascending nodes, their values): one
+    rl_derivative_batch call."""
+    nodes = np.unique(nodes)
+    return nodes, rl_derivative_batch(frac, f, nodes)
+
+
+def _table_values(table, nodes) -> np.ndarray:
+    # the table's values at nodes, each found by exact equality; a missing node is a ValueError
+    known, values = table
+    at = np.searchsorted(known, nodes)
+    found = at < known.size
+    found[found] = known[at[found]] == nodes[found]
+    if not found.all():
+        raise ValueError(f"D^beta f is not tabulated at node t = {float(nodes[~found][0])!r}")
+    return values[at]
+
+
 def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes) -> np.ndarray:
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
     The sum over sites k >= 0 is divided by their weight sum; D^beta f
-    at the table's sites k > 0 is one rl_derivative_batch call.
+    at the table's sites k > 0 is read from ``fractional_table`` of those
+    sites, one rl_derivative_batch call.
     """
+    return _fractional(kernel, frac, f, n, axes, None)
+
+
+def _fractional(kernel: DensityKernel, frac: FracConfig, f, n: int, axes, table) -> np.ndarray:
+    # apply_fractional_batch, reading D^beta f from table, or from its own nodes' table if None
     (x,) = check_axes(axes, 1)
     if f.dim != 1:
         raise ValueError("the fractional operator is one-dimensional")
@@ -151,8 +198,10 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
 
     def tables(sites):
         ks = sites[0]
+        nodes = fractional_nodes(frac, f, n, ks)
         dbeta = np.zeros(ks.shape)
-        dbeta[ks > 0.0] = rl_derivative_batch(frac, f, fractional_nodes(frac, f, n, ks))
+        lookup = fractional_table(frac, f, nodes) if table is None else table
+        dbeta[ks > 0.0] = _table_values(lookup, nodes)
         return [dbeta, ks >= 0.0]
 
     total, mass = lattice_sums(kernel, n, [x], tables)

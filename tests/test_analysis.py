@@ -8,10 +8,8 @@ import pytest
 
 from tanhqi import (
     ActivationParams,
-    ConvergenceReport,
     DensityKernel,
     FracConfig,
-    Row,
     apply_fractional_batch,
     fractional_rate,
     function_preset,
@@ -199,13 +197,6 @@ class TestRateFit:
 
 
 class TestReportSerialization:
-    def test_round_trip_equality(self):
-        rep = operator_convergence("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 11)
-        back = ConvergenceReport.from_json(rep.to_json())
-        assert back == rep
-        assert isinstance(back.rows, tuple)
-        assert isinstance(back.rows[0], Row)
-
     def test_dict_rows_are_lists(self):
         rep = operator_convergence("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)
         d = rep.to_dict()

@@ -32,6 +32,10 @@ Chart sums, a ratio of the sums of f/sqrt(det g) and 1/sqrt(det g)
 instead of a sum over weights normalized first, are held to the
 forward-error bound of both ways to the ratio (``chart_bound``): a flat
 1e-15 failed by 1.108e-15 on a half-plane grid holding a lattice site.
+
+A fractional sweep reads D^beta f from one table over the distinct nodes
+of all its n; its rows and operator values must equal those of one
+standalone call per n bit for bit.
 """
 
 import functools
@@ -52,13 +56,17 @@ from tanhqi import (
     psi_eval,
     rl_derivative_batch,
 )
-from tanhqi import operators
-from tanhqi.kernel import axis_moments, chunk_rows
+from tanhqi import analysis, operators
+from tanhqi.analysis import fractional_sweep, grid_axes
+from tanhqi.fractional import power_rule_oracle
+from tanhqi.kernel import axis_moments, check_tables, chunk_rows
 from tanhqi.manifold import operator_on_chart_batch
 from tanhqi.operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
+    fractional_nodes,
+    fractional_table,
 )
 
 REL = 1e-15
@@ -332,6 +340,76 @@ class TestBatchedMatchesReference:
         got = axis_moments(kernel, x, n, 4)
         ref = [[ref_moment(kernel, p, xi, n) for p in range(5)] for xi in x]
         assert_rows(got, ref, not holds_site(kernel, n, [x]))
+
+
+# --- a sweep's shared D^beta f table == one table per call -------------------
+
+
+FRAC_KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
+# off the seed-0 corners by 0.37 of a cell of 41 points
+SHIFT = 0.37 * 0.8 / 41
+SHARED_CASES = pytest.mark.parametrize("ns, box", [
+    ([64, 128, 256], [(0.2, 1.0)]),
+    ([48, 64, 100, 128], [(0.2, 1.0)]),
+    ([100, 48, 128, 64], [(0.2 + SHIFT, 1.0 + SHIFT)]),
+], ids=["nested", "not-nested", "shifted"])
+
+
+class TestSharedFractionalTable:
+    @SHARED_CASES
+    def test_sweep_rows_equal_standalone_calls(self, monkeypatch, ns, box):
+        f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
+        swept, tables = {}, []
+
+        def recorded(kernel, frac, f, n, axes, table):
+            tables.append(table)
+            swept[n] = operators._fractional(kernel, frac, f, n, axes, table)
+            return swept[n]
+
+        monkeypatch.setattr(analysis, "_fractional", recorded)
+        (report,) = fractional_sweep(FRAC_KERNEL, f, 0.5, box, 41, ns)()
+        axes = grid_axes(box, 41)
+        target = power_rule_oracle(f.power, 0.5, axes[0])
+        rows = []
+        for n in sorted(ns):
+            alone = apply_fractional_batch(FRAC_KERNEL, frac, f, n, axes)
+            assert np.array_equal(swept[n], alone)
+            err = np.abs(alone - target)
+            rows.append((n, float(np.max(err)), float(np.mean(err))))
+        assert list(report.rows) == rows
+        # one table for every n, holding what one call over its nodes gives
+        known, values = tables[0]
+        assert all(table is tables[0] for table in tables)
+        assert np.array_equal(values, rl_derivative_batch(frac, f, known))
+
+    @SHARED_CASES
+    @pytest.mark.parametrize("preset", ["pow2", "runge"])
+    def test_operator_reads_the_shared_table_bit_for_bit(self, ns, box, preset):
+        # runge has f(0) = 1; every window stays above t = 0 once n x > W + 1 on [0.5, 1]
+        f, frac = function_preset(preset), FracConfig(0.25, 1e-3)
+        axes = grid_axes([(lo + 0.3, hi) for lo, hi in box], 41)
+        assert min(ns) * axes[0][0] > FRAC_KERNEL.radius + 1.0
+        nodes = check_tables(FRAC_KERNEL, axes, ns,
+                             lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        table = fractional_table(frac, f, np.concatenate(nodes))
+        assert table[0].size < sum(node.size for node in nodes)
+        for n, own in zip(ns, nodes):
+            assert np.array_equal(operators._table_values(table, own),
+                                  rl_derivative_batch(frac, f, own))
+            shared = operators._fractional(FRAC_KERNEL, frac, f, n, axes, table)
+            assert np.array_equal(shared, apply_fractional_batch(FRAC_KERNEL, frac, f, n, axes))
+
+    def test_a_node_missing_from_the_table_is_an_error(self):
+        f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
+        axes = [np.array([0.5])]
+        (nodes,) = check_tables(FRAC_KERNEL, axes, [64],
+                                lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        table = fractional_table(frac, f, nodes)
+        # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
+        with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):
+            operators._fractional(FRAC_KERNEL, frac, f, 128, axes, table)
+        with pytest.raises(ValueError, match="not tabulated at node t = 0.25"):
+            operators._fractional(FRAC_KERNEL, frac, f, 64, axes, fractional_table(frac, f, [0.3]))
 
 
 # --- exactness on constants ---------------------------------------------------

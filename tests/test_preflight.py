@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from tanhqi import (
@@ -31,8 +32,9 @@ SWEEP_RUNS = [
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of kernel.table_sites and lattice_sums calls, however they are reached."""
-    counts = {"table_sites": 0, "lattice_sums": 0}
+    """Counts of kernel.table_sites, lattice_sums and rl_derivative_batch calls, however they
+    are reached."""
+    counts = {"table_sites": 0, "lattice_sums": 0, "rl_derivative_batch": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -44,22 +46,34 @@ def calls(monkeypatch):
     monkeypatch.setattr(kernel, "table_sites", counted("table_sites", kernel.table_sites))
     for module in (operators, manifold):
         monkeypatch.setattr(module, "lattice_sums", counted("lattice_sums", module.lattice_sums))
+    monkeypatch.setattr(operators, "rl_derivative_batch",
+                        counted("rl_derivative_batch", operators.rl_derivative_batch))
     return counts
 
 
 @pytest.mark.parametrize("argv", SWEEP_RUNS, ids=lambda argv: " ".join(argv[:3]))
 def test_a_run_builds_each_table_twice(tmp_path, capsys, calls, argv):
-    # k tables for the preflight, k for the lattice sums
+    # k tables for the preflight, k for the lattice sums; frac's k tables read D^beta f from
+    # one L1 call over the distinct nodes of all three
     assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 0
     assert capsys.readouterr().err == ""
-    assert calls == {"table_sites": 6, "lattice_sums": 3}
+    assert calls == {"table_sites": 6, "lattice_sums": 3,
+                     "rl_derivative_batch": int(argv[0] == "frac")}
 
 
 @pytest.mark.parametrize("argv", SWEEP_RUNS, ids=lambda argv: " ".join(argv[:3]))
 def test_print_config_builds_each_table_once_and_sums_none(tmp_path, capsys, calls, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "r"), "--print-config"]) == 0
     assert json.loads(capsys.readouterr().out)["command"] == argv[0]
-    assert calls == {"table_sites": 3, "lattice_sums": 0}
+    assert calls == {"table_sites": 3, "lattice_sums": 0, "rl_derivative_batch": 0}
+
+
+def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
+    run = analysis.fractional_sweep(DensityKernel(ActivationParams(0.5, 1.0)),
+                                    function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, [64, 128, 256])
+    assert calls["rl_derivative_batch"] == 0
+    assert run() == run()
+    assert calls["rl_derivative_batch"] == 2
 
 
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
@@ -92,3 +106,32 @@ def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library
     with pytest.raises(ValueError) as exc:
         library()
     assert str(exc.value) == message
+
+
+# n = 65536 on [0, 1]: the 2000 points' windows reach 64000 table sites, x 4096 Gauss-Legendre
+# nodes, 2.6e8 samples, though one window's cells (33 x 4096) and the grid pass their own checks
+CELLS = ["converge", "--preset", "sin", "--operator", "kantorovich", "--quad-nodes", "4096",
+         "--n", "65536", "--grid-points", "2000"]
+
+
+@pytest.mark.parametrize("print_config", [False, True])
+def test_kantorovich_table_cells_rejected_with_one_message(tmp_path, capsys, calls, print_config):
+    status = cli.main([*CELLS, "--out", str(tmp_path / "r"),
+                       *(["--print-config"] if print_config else [])])
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["error"]
+    assert message.startswith("the cells of the lattice table need 262144000 quadrature samples "
+                              "(> 16777216): 64000 sites, 4096^1 samples each")
+    assert calls["lattice_sums"] == 0
+    assert not (tmp_path / "r.json").exists()
+    kern, sin = DensityKernel(ActivationParams(0.5, 1.0)), function_preset("sin")
+    with pytest.raises(ValueError) as exc:
+        operator_convergence("kantorovich", kern, sin, [65536], [(0.0, 1.0)], 2000, quad_nodes=4096)
+    assert str(exc.value) == message
+    # the operator makes the same check on its own table, before any cell is sampled
+    with pytest.raises(ValueError) as exc:
+        operators.apply_kantorovich_batch(kern, 4096, sin, 65536, [np.linspace(0.0, 1.0, 2000)])
+    assert str(exc.value).startswith("the cells of the lattice table need")
+
