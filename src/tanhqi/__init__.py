@@ -6,11 +6,12 @@ kernel with exact partition of unity, ``operators`` builds the basic,
 Kantorovich, and fractional quasi-interpolants on truncated lattices,
 ``fractional`` supplies the Riemann-Liouville machinery, ``manifold``
 adds chart-based metric weighting, and ``analysis`` runs convergence
-sweeps, each checked in full by its ``*_sweep`` function before it
-starts.  Every operator is called as ``(kernel, <its own parameter, if
-any>, f, n, axes)``: it takes a tensor grid as its per-axis coordinates
-and returns the grid's values in C order; one point x is the axes
-[[x_1], .., [x_N]].
+sweeps.  Each experiment has one entry point, ``convergence_sweep``,
+``residual_sweep``, ``fractional_sweep`` or ``chart_sweep``: it checks
+the whole run and returns it bound, and a call runs it.  Every operator
+is called as ``(kernel, <its own parameter, if any>, f, n, axes)``: it
+takes a tensor grid as its per-axis coordinates and returns the grid's
+values in C order; one point x is the axes [[x_1], .., [x_N]].
 The ``tanhqi`` console script drives everything in batch mode.
 """
 
@@ -20,12 +21,9 @@ from .analysis import (
     Row,
     chart_sweep,
     convergence_sweep,
-    fractional_rate,
     fractional_sweep,
     grid_axes,
-    operator_convergence,
     rate_fit,
-    residual_orders,
     residual_sweep,
     sup_error,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "chart_preset",
     "chart_sweep",
     "convergence_sweep",
-    "fractional_rate",
     "fractional_sweep",
     "function_preset",
     "gamma_fn",
@@ -76,13 +73,11 @@ __all__ = [
     "kernel_mass",
     "multi_indices",
     "normalization_constant",
-    "operator_convergence",
     "operator_on_chart_batch",
     "power_rule_oracle",
     "preset_names",
     "psi_eval",
     "rate_fit",
-    "residual_orders",
     "residual_sweep",
     "rl_derivative_batch",
     "sup_error",

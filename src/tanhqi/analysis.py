@@ -9,11 +9,13 @@ grid is recorded alongside), and every report says so in its note.
 per-n batched operator and a batched target, both taking the grid's
 per-axis coordinates (``grid_axes``) and returning its values in C
 order.  An operator may return a (K, P) stack of K results, and the
-sweep makes one report per row: ``residual_orders`` gets every
+sweep makes one report per row: ``residual_sweep`` gets every
 correction order from one basic evaluation and one moment table per n.
-Each experiment's ``*_sweep`` function makes every check of its run, in
-one order (n sweep, window or cell work, grid, then the operators' own
-lattice checks, ``kernel.check_tables``), and returns ``sweep`` bound.
+Each experiment's one entry point (a ``*_sweep`` function, or
+``kernel_table`` for the kernel's own table) makes every check of its
+run, in one order (n sweep, window or cell work, grid and its axis count,
+then the operators' own lattice checks, ``kernel.check_tables``), and
+returns the run bound but not started.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -33,11 +35,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .fractional import FracConfig, power_rule_oracle
-from .kernel import MAX_POINT_WORK, DensityKernel, check_n, check_tables, point_work
+from .kernel import (
+    MAX_POINT_WORK,
+    DensityKernel,
+    axis_moments,
+    check_axes,
+    check_n,
+    check_tables,
+    point_work,
+    psi_eval,
+)
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
-    _fractional,
     apply_basic_batch,
+    apply_fractional_batch,
     apply_kantorovich_batch,
     check_cell_work,
     check_m_max,
@@ -56,18 +67,15 @@ __all__ = [
     "rate_fit",
     "check_sweep",
     "check_operator",
-    "check_fractional",
     "sweep",
     "convergence_sweep",
     "residual_sweep",
     "fractional_sweep",
     "chart_sweep",
-    "operator_convergence",
-    "residual_orders",
-    "fractional_rate",
+    "kernel_table",
 ]
 
-# the operators operator_convergence sweeps against f itself
+# the operators convergence_sweep sweeps against f itself
 CONVERGENCE_OPERATORS = ("basic", "kantorovich")
 ERROR_FLOOR = 1e-13
 GRID_SHIFT = 1.0 / (2.0 * 101.0)
@@ -133,11 +141,12 @@ def sup_error(apply_fn, target_fn, axes) -> list[tuple[float, float]]:
     grid's P values in C order (any array that ravels to them) or a
     (K, P) stack of K results; target_fn returns the P values or a
     scalar.  Each mean uses numpy's pairwise summation, so the aggregate
-    is deterministic for a given grid.  When a call fails, the points are
-    re-run one at a time in grid order and the first failure is
-    re-raised with its point, as the same exception type when it takes
-    a single message argument and as a RuntimeError otherwise; if no
-    single point fails, the original exception propagates.
+    is deterministic for a given grid.  A MemoryError propagates at once.
+    When a call fails otherwise, the points are re-run one at a time in
+    grid order and the first failure is re-raised with its point, as the
+    same exception type when it takes a single message argument and as a
+    RuntimeError otherwise; if no single point fails, the original
+    exception propagates.
     """
     axes = [np.asarray(x, dtype=float) for x in axes]
     if not axes or any(x.size == 0 for x in axes):
@@ -145,6 +154,8 @@ def sup_error(apply_fn, target_fn, axes) -> list[tuple[float, float]]:
     try:
         points = math.prod(x.size for x in axes)
         errs = np.abs(np.reshape(apply_fn(axes), (-1, points)) - np.ravel(target_fn(axes)))
+    except MemoryError:
+        raise  # re-running every point alone would not locate it, only repeat the work
     except Exception:
         for point in itertools.product(*axes):
             single = [np.array([c]) for c in point]
@@ -194,24 +205,9 @@ def check_sweep(n_sweep) -> list[int]:
 
 
 def check_operator(kind: str) -> None:
-    """operator_convergence's operator: one of CONVERGENCE_OPERATORS."""
+    """convergence_sweep's operator: one of CONVERGENCE_OPERATORS."""
     if kind not in CONVERGENCE_OPERATORS:
         raise ValueError(f"operator must be one of {', '.join(CONVERGENCE_OPERATORS)}, got {kind!r}")
-
-
-def check_fractional(f, frac: FracConfig, kernel: DensityKernel, box, points_per_axis: int,
-                     n_sweep) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Preconditions of fractional_rate, then its grid axes and each n's fractional nodes: the
-    grid, a monomial preset, a strictly positive box, and each n's lattice table as the
-    operator checks it (``fractional_nodes``: no node at t = 0 when f(0) != 0, L1 grids within
-    MAX_GRID_POINTS)."""
-    axes = grid_axes(box, points_per_axis)
-    if f.power is None:
-        raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
-    if any(float(lo) <= 0.0 for lo, _ in box):
-        raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    return axes, check_tables(kernel, axes, check_sweep(n_sweep),
-                              lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
 
 
 def sweep(
@@ -282,9 +278,9 @@ def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **ext
 
 def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
                       quad_nodes: int = 5):
-    """operator_convergence's checks (n sweep, window or cell work, operator, quadrature nodes,
-    grid, lattice tables and, for Kantorovich, each table's cell work, ``check_table_cells``),
-    then its ``sweep`` bound but not run."""
+    """Error sweep of the basic or Kantorovich operator against f itself: its checks (n sweep,
+    window or cell work, operator, quadrature nodes, grid with f.dim axes, lattice tables and,
+    for Kantorovich, each table's cell work, ``check_table_cells``), then its ``sweep`` bound."""
     ns = check_sweep(n_sweep)
     if kind == "kantorovich":
         check_cell_work(kernel, quad_nodes, f.dim)
@@ -292,7 +288,7 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
         point_work(kernel, f.dim)
     check_operator(kind)
     check_quad_nodes(quad_nodes)
-    axes = grid_axes(box, points_per_axis)
+    axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_tables(kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
                  if kind == "kantorovich" else None)
 
@@ -307,11 +303,13 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
 
 
 def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep, m_max: int):
-    """residual_orders' checks (n sweep, window work, grid, correction order, lattice tables),
-    then its ``sweep`` bound but not run."""
+    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max: their checks (n sweep,
+    window work, grid with f.dim axes, correction order, lattice tables), then their ``sweep``
+    bound.  Report m = 0 is the basic operator's uncorrected error, and each further m subtracts
+    the moment correction of that order; per n both are evaluated once, as one stack."""
     ns = check_sweep(n_sweep)
     point_work(kernel, f.dim)
-    axes = grid_axes(box, points_per_axis)
+    axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_m_max(m_max, f)
     check_tables(kernel, axes, ns)
 
@@ -331,14 +329,22 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
 
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
                      frac_step: float = 1e-3):
-    """fractional_rate's checks (order and step, n sweep, window work, then ``check_fractional``),
-    then its ``sweep`` bound but not run.  A call tabulates D^beta f at the distinct nodes of
-    all its n in one rl_derivative_batch call (``operators.fractional_table``), and every n's
-    operator reads that table; a node's value is the one a single call would give."""
+    """Error sweep of the fractional operator against the D^beta f oracle: its checks (order and
+    step, n sweep, window work, grid on one axis, a monomial preset for the power rule, a strictly
+    positive box, and each n's lattice table as the operator checks it, ``fractional_nodes``),
+    then its ``sweep`` bound.  The report echoes the advertised rate "m - beta"; the rows support
+    less (the operator's own first-order moment term caps the slope near one).  A call tabulates
+    D^beta f at the distinct nodes of all its n in one rl_derivative_batch call
+    (``operators.fractional_table``), and every n's operator reads that table."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
     point_work(kernel, 1)
-    axes, nodes = check_fractional(f, frac, kernel, box, points_per_axis, ns)
+    axes = check_axes(grid_axes(box, points_per_axis), 1)
+    if f.power is None:
+        raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
+    if any(float(lo) <= 0.0 for lo, _ in box):
+        raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
+    nodes = check_tables(kernel, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
@@ -346,7 +352,7 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     def run():
         table = fractional_table(frac, f, np.concatenate(nodes))
         return sweep(
-            lambda n: lambda ax: _fractional(kernel, frac, f, n, ax, table),
+            lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax, table),
             lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config],
             ["D^beta f (oracle)"],
             claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
@@ -372,34 +378,25 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
     )
 
 
-def operator_convergence(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
-                         quad_nodes: int = 5) -> ConvergenceReport:
-    """Error sweep of the basic or Kantorovich operator against f itself (``convergence_sweep``)."""
-    return convergence_sweep(kind, kernel, f, n_sweep, box, points_per_axis, quad_nodes)()[0]
+def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):
+    """kernel-dump's table, psi, M_0..M_3 and n M_1 at each x of a one-axis grid for the one n of
+    n_sweep, plus the kernel's constants: its checks (exactly one n, window work, grid, lattice
+    table), then the table bound but not built."""
+    n_sweep = list(n_sweep)
+    if len(n_sweep) != 1:
+        raise ValueError(f"the kernel table takes exactly one n, got {n_sweep!r}")
+    ns = check_sweep(n_sweep)
+    point_work(kernel, 1)
+    axes = check_axes(grid_axes(box, points_per_axis), 1)
+    check_tables(kernel, axes, ns)
+    return functools.partial(_kernel_rows, kernel, axes[0], ns[0])
 
 
-def residual_orders(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
-                    m_max: int) -> list[ConvergenceReport]:
-    """Voronovskaya residual sweeps for correction orders m = 0 .. m_max, from one sweep
-    (``residual_sweep``).
-
-    The m = 0 report is the uncorrected error of the basic operator;
-    each further m subtracts the moment correction of that order.  Per n
-    the basic operator and the corrections are evaluated once, and the
-    m_max + 1 residuals are the rows of one stack.
-    Fitted slopes are non-decreasing in m for smooth presets.
-    """
-    return residual_sweep(kernel, f, box, points_per_axis, n_sweep, m_max)()
-
-
-def fractional_rate(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
-                    frac_step: float = 1e-3) -> ConvergenceReport:
-    """Error sweep of the fractional operator against the D^beta f oracle (``fractional_sweep``).
-
-    The preset must be a pure monomial so the power rule supplies the
-    target, and the box must have positive lower corners.  The report
-    echoes the advertised exponent "m - beta" for reference; the
-    measured slope is what the rows actually support (the operator's
-    own first-order moment term caps it near one).
-    """
-    return fractional_sweep(kernel, f, beta, box, points_per_axis, n_sweep, frac_step)()[0]
+def _kernel_rows(kernel: DensityKernel, xs, n: int) -> dict:
+    moments = axis_moments(kernel, xs, n, 3)
+    return {
+        "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
+        "rows": np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist(),
+        "kernel": {"q": kernel.params.q, "alpha": kernel.params.alpha, "eps_trunc": kernel.eps_trunc,
+                   "normalization": kernel.normalization, "radius": kernel.radius},
+    }

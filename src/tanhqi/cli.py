@@ -17,13 +17,15 @@ replace: CSV integers as ``%d`` and floats as ``%.17g``, and the JSON of
 formatted in one join rather than by json's pure-Python encoder.  The
 argument parser is built once per process (``build_parser`` is cached).
 
-Each run is built once (``_build_run``) by the library's ``*_sweep``
-function, after every check the run makes, the lattice checks (O(points
-x len(n)) on a huge grid) included.  ``--print-config`` stops there.
+Each run is built once (``_build_run``) by its one ``analysis`` entry
+point, after every check the run makes, the lattice checks (O(points x
+len(n)) on a huge grid) included.  ``--print-config`` stops there;
+``_run`` runs it and writes its table.
 
 Exit status: 0 success, 2 invalid configuration (including an evaluation
 grid, one window's cell samples, a lattice table or its Kantorovich
-cell samples above kernel.MAX_POINT_WORK, a centre n x past kernel.MAX_CENTRE, or
+cell samples above kernel.MAX_POINT_WORK, a lattice sum above
+kernel.MAX_SUM_WORK, a centre n x past kernel.MAX_CENTRE, or
 quad_nodes above operators.MAX_QUAD_NODES), 3 a non-finite error or a
 run that could not complete (any other exception), 4 I/O failure.
 Errors are printed to stderr as a single JSON line
@@ -49,14 +51,13 @@ from .analysis import (
     CONVERGENCE_OPERATORS,
     chart_sweep,
     check_operator,
-    check_sweep,
     convergence_sweep,
     fractional_sweep,
-    grid_axes,
+    kernel_table,
     residual_sweep,
 )
 from .fractional import FracConfig
-from .kernel import DensityKernel, axis_moments, point_work, psi_eval
+from .kernel import DensityKernel
 from .manifold import chart_preset
 from .operators import check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
@@ -108,8 +109,6 @@ _DEFAULTS = {
 }
 
 _REQUIRED_PRESET = ("converge", "frac")
-# commands whose box has one axis per preset coordinate; the rest use one axis
-_PRESET_AXES = ("converge", "voronovskaya", "manifold")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -276,25 +275,17 @@ def merge_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    """The rules only the CLI has: the format and output name, the required preset,
-    kernel-dump's single n and the box's axis count.  ``_build_run`` makes the rest."""
+    """The rules only the CLI has: the format and output name, the required preset and as
+    many upper as lower corners.  ``_build_run`` makes the rest."""
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"--format must be csv or json, got {cfg.fmt!r}")
     if not cfg.out:
         raise ConfigError("--out must not be empty")
     if cfg.preset is None and cfg.command in _REQUIRED_PRESET:
         raise ConfigError(f"missing required flag --preset for command {cfg.command!r}")
-    if cfg.command == "kernel-dump" and len(cfg.n_sweep) != 1:
-        raise ConfigError("--n must hold exactly one value for kernel-dump")
     if len(cfg.grid_lo) != len(cfg.grid_hi):
         raise ConfigError(
             f"--grid-lo has {len(cfg.grid_lo)} entries, --grid-hi has {len(cfg.grid_hi)}"
-        )
-    preset = None if cfg.preset is None else function_preset(cfg.preset)
-    expected_axes = preset.dim if cfg.command in _PRESET_AXES else 1
-    if len(cfg.grid_lo) != expected_axes:
-        raise ConfigError(
-            f"{cfg.command} needs {expected_axes} grid axis/axes, got {len(cfg.grid_lo)}"
         )
 
 
@@ -347,9 +338,9 @@ def _emit(cfg: ExperimentConfig, header, rows, payload) -> None:
 
 def _build_run(cfg: ExperimentConfig):
     """The command's run after every check it makes before its first n, bound but not run; a
-    call returns its reports (kernel-dump: its report but the config echo).  The kernel comes
-    first, then the keys the command ignores, which must hold values their own commands
-    accept (FracConfig for every command, as frac checks it first), then the library's."""
+    call returns its reports (kernel-dump: its table).  The kernel comes first, then the keys
+    the command ignores, which must hold values their own commands accept (FracConfig for
+    every command, as frac checks it first), then the library entry point's own checks."""
     kernel = DensityKernel(ActivationParams(cfg.q, cfg.alpha), eps_trunc=cfg.trunc_eps)
     FracConfig(cfg.beta, cfg.frac_step)
     if cfg.command != "converge":
@@ -369,50 +360,24 @@ def _build_run(cfg: ExperimentConfig):
         return fractional_sweep(kernel, f, cfg.beta, box, points, ns, cfg.frac_step)
     if cfg.command == "manifold":
         return chart_sweep(kernel, cfg.chart, f, ns, box, points)
-    (n,) = check_sweep(ns)
-    point_work(kernel, 1)
-    (xs,) = grid_axes(box, points)
-    # the grid ascends, so its two ends hold the largest centre |n x|
-    axis_moments(kernel, xs[[0, -1]], n, 0)
-    return functools.partial(_kernel_table, kernel, xs, n)
+    return kernel_table(kernel, ns, box, points)
 
 
-def _kernel_table(kernel: DensityKernel, xs, n: int) -> dict:
-    # kernel-dump's report but its config echo: psi and M_0..M_3 at each x, and the kernel
-    moments = axis_moments(kernel, xs, n, 3)
-    return {
-        "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
-        "rows": np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist(),
-        "kernel": {"q": kernel.params.q, "alpha": kernel.params.alpha, "eps_trunc": kernel.eps_trunc,
-                   "normalization": kernel.normalization, "radius": kernel.radius},
-    }
-
-
-def run_sweep(cfg: ExperimentConfig) -> None:
-    """A sweep command's table: one row per report row, voronovskaya's with its order m."""
-    reports = _build_run(cfg)()
-    echo = cfg.to_dict()
-    for report in reports:
+def _run(cfg: ExperimentConfig) -> None:
+    """Run the command and write its table: one row per report row, voronovskaya's with its
+    order m, or kernel-dump's rows; each report echoes the config."""
+    result, echo = _build_run(cfg)(), cfg.to_dict()
+    if cfg.command == "kernel-dump":
+        payload = {"cli": echo, **result}
+        _emit(cfg, payload["columns"], payload["rows"], payload)
+        return
+    for report in result:
         report.config["cli"] = echo
     if cfg.command == "voronovskaya":
-        rows = [(m, *r) for m, report in enumerate(reports) for r in report.rows]
-        _emit(cfg, ["m", "n", "sup_error", "mean_error"], rows, [r.to_dict() for r in reports])
+        rows = [(m, *r) for m, report in enumerate(result) for r in report.rows]
+        _emit(cfg, ["m", "n", "sup_error", "mean_error"], rows, [r.to_dict() for r in result])
     else:
-        _emit(cfg, ["n", "sup_error", "mean_error"], list(reports[0].rows), reports[0].to_dict())
-
-
-def run_kernel_dump(cfg: ExperimentConfig) -> None:
-    payload = {"cli": cfg.to_dict(), **_build_run(cfg)()}
-    _emit(cfg, payload["columns"], payload["rows"], payload)
-
-
-_RUNNERS = {
-    "converge": run_sweep,
-    "voronovskaya": run_sweep,
-    "frac": run_sweep,
-    "kernel-dump": run_kernel_dump,
-    "manifold": run_sweep,
-}
+        _emit(cfg, ["n", "sup_error", "mean_error"], list(result[0].rows), result[0].to_dict())
 
 
 def _fail(status: int, exc: Exception | str) -> int:
@@ -431,7 +396,7 @@ def main(argv=None) -> int:
                 _build_run(cfg)  # the run's checks, and nothing run
                 print(json.dumps(cfg.to_dict(), sort_keys=True))
                 return 0
-            _RUNNERS[cfg.command](cfg)
+            _run(cfg)
         return 0
     except ValueError as exc:
         # ConfigError, and domain violations surfacing from the numeric layers

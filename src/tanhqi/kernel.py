@@ -211,7 +211,7 @@ def check_axes(axes, dim: int) -> list[np.ndarray]:
     if any(x.ndim != 1 or x.size == 0 for x in axes):
         raise ValueError("evaluation axes must be non-empty 1-D coordinate arrays")
     if len(axes) != dim:
-        raise ValueError(f"evaluation point has {len(axes)} coordinates, preset expects {dim}")
+        raise ValueError(f"the evaluation grid needs {dim} axis/axes, got {len(axes)}")
     return axes
 
 

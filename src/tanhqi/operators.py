@@ -12,11 +12,12 @@ Three variants share the truncated lattice window |k_i - n x_i| <= W:
 
 Q_n reproduces the fractional derivative, not f itself: its zeroth-order
 term is already D^beta f.  Errors against it should therefore be measured
-with a D^beta f oracle.  One call tabulates D^beta f at its own nodes with
-one ``rl_derivative_batch`` call; a sweep (``analysis.fractional_sweep``)
-makes one call over the distinct nodes of all its n and every n reads that
-table.  A node's value does not depend on which call computed it, so both
-give the same bits.
+with a D^beta f oracle.  A call of ``apply_fractional_batch`` tabulates
+D^beta f at its own nodes with one ``rl_derivative_batch`` call, unless it
+is given a table; a sweep (``analysis.fractional_sweep``) makes one table
+over the distinct nodes of all its n and passes it to every n's call.  A
+node's value does not depend on which call computed it, so both give the
+same bits.
 
 ``voronovskaya_corrections`` assembles the moment corrections
 sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n) for every
@@ -25,13 +26,13 @@ off the basic operator's error.
 
 Every operator has one calling convention, ``(kernel, <its own
 parameter, if any>, f, n, axes)``: Kantorovich takes ``quad_nodes``,
-fractional a ``FracConfig``, the corrections ``m_max``, and the chart
-operator (``manifold``) its chart.  It evaluates the tensor grid of the
-per-axis coordinates ``axes`` (one point x is the axes [[x_1], ..,
-[x_N]]) and returns the grid's values flattened in C order.  Each is
-one lattice sum (``kernel.lattice_sums``), or a ratio of two, over site
-values sampled once per lattice table site; n is checked by
-``kernel.check_n``.
+fractional a ``FracConfig`` (and, last, an optional shared table), the
+corrections ``m_max``, and the chart operator (``manifold``) its chart.
+It evaluates the tensor grid of the per-axis coordinates ``axes`` (one
+point x is the axes [[x_1], .., [x_N]]) and returns the grid's values
+flattened in C order.  Each is one lattice sum (``kernel.lattice_sums``),
+or a ratio of two, over site values sampled once per lattice table site;
+n is checked by ``kernel.check_n``.
 """
 
 from __future__ import annotations
@@ -178,18 +179,15 @@ def _table_values(table, nodes) -> np.ndarray:
     return values[at]
 
 
-def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes) -> np.ndarray:
+def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes,
+                           table=None) -> np.ndarray:
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
     The sum over sites k >= 0 is divided by their weight sum; D^beta f
-    at the table's sites k > 0 is read from ``fractional_table`` of those
-    sites, one rl_derivative_batch call.
+    at the lattice table's sites k > 0 is read from ``table``, a
+    ``fractional_table`` holding at least those nodes, or, if None, from
+    ``fractional_table`` of those sites, one rl_derivative_batch call.
     """
-    return _fractional(kernel, frac, f, n, axes, None)
-
-
-def _fractional(kernel: DensityKernel, frac: FracConfig, f, n: int, axes, table) -> np.ndarray:
-    # apply_fractional_batch, reading D^beta f from table, or from its own nodes' table if None
     (x,) = check_axes(axes, 1)
     if f.dim != 1:
         raise ValueError("the fractional operator is one-dimensional")

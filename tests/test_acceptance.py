@@ -19,14 +19,14 @@ from tanhqi import (
     apply_kantorovich_batch,
     axis_moments,
     chart_preset,
-    fractional_rate,
+    convergence_sweep,
+    fractional_sweep,
     function_preset,
     h_derivative,
     h_eval,
-    operator_convergence,
     operator_on_chart_batch,
     power_rule_oracle,
-    residual_orders,
+    residual_sweep,
     rl_derivative_batch,
 )
 from tanhqi import cli
@@ -100,7 +100,7 @@ def test_criterion_3_operator_exactness():
 
 def test_criterion_4_basic_operator_rate():
     kernel = DensityKernel(ActivationParams(0.5, 1.0))
-    report = operator_convergence("basic", kernel, function_preset("sin"), N_SWEEP, BOX01, 101)
+    report = convergence_sweep("basic", kernel, function_preset("sin"), N_SWEEP, BOX01, 101)()[0]
     slope, r2 = report.fitted_slope, report.r_squared
     ok = 0.9 <= slope <= 1.1 and r2 >= 0.99
     _verdict(4, ok,
@@ -109,9 +109,9 @@ def test_criterion_4_basic_operator_rate():
 
 def test_criterion_5_voronovskaya_residuals():
     kernel = DensityKernel(ActivationParams(0.5, 1.0))
-    reps = residual_orders(kernel, function_preset("sin"), BOX01, 101, N_SWEEP, 1)
+    reps = residual_sweep(kernel, function_preset("sin"), BOX01, 101, N_SWEEP, 1)()
     gap = reps[1].fitted_slope - reps[0].fitted_slope
-    lin = residual_orders(kernel, function_preset("linear"), BOX01, 101, N_SWEEP, 1)
+    lin = residual_sweep(kernel, function_preset("linear"), BOX01, 101, N_SWEEP, 1)()
     worst_lin = max(r.sup_error for r in lin[1].rows)
     ok = 0.7 <= gap <= 1.3 and worst_lin <= 1e-12
     _verdict(5, ok,
@@ -146,7 +146,8 @@ def test_criterion_6_fractional_derivative():
 
 def test_criterion_7_fractional_operator_rate():
     kernel = DensityKernel(ActivationParams(0.5, 1.0))
-    report = fractional_rate(kernel, function_preset("pow2"), 0.5, [(0.2, 1.0)], 9, (64, 128, 256, 512))
+    report = fractional_sweep(kernel, function_preset("pow2"), 0.5, [(0.2, 1.0)], 9,
+                              (64, 128, 256, 512))()[0]
     slope = report.fitted_slope
     echoed = report.claimed_exponent
     ok = slope >= 0.7 and "recorded, not asserted" in echoed

@@ -11,16 +11,16 @@ from tanhqi import (
     DensityKernel,
     FracConfig,
     apply_fractional_batch,
-    fractional_rate,
+    convergence_sweep,
+    fractional_sweep,
     function_preset,
     grid_axes,
-    operator_convergence,
     rate_fit,
-    residual_orders,
+    residual_sweep,
     sup_error,
 )
 from tanhqi import analysis, operators
-from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, check_fractional, sweep
+from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, sweep
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -113,14 +113,18 @@ class TestSupError:
         assert isinstance(info.value.__cause__, TwoArgError)
 
     def test_failure_of_whole_batch_only_propagates(self):
-        # every single point succeeds, so the batch's own exception is re-raised
+        # a MemoryError is re-raised at once: no point is re-run alone
+        calls = []
+
         def batch_only(ax):
+            calls.append(len(ax[0]))
             if len(ax[0]) > 1:
                 raise MemoryError("batch too large")
             return np.zeros(len(ax[0]))
 
         with pytest.raises(MemoryError, match="^batch too large$"):
             sup_error(batch_only, lambda ax: np.zeros(len(ax[0])), [[0.1, 0.9]])
+        assert calls == [2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -198,14 +202,14 @@ class TestRateFit:
 
 class TestReportSerialization:
     def test_dict_rows_are_lists(self):
-        rep = operator_convergence("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)
+        rep = convergence_sweep("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)()[0]
         d = rep.to_dict()
         assert all(isinstance(r, list) for r in d["rows"])
 
 
 class TestOperatorConvergence:
     def test_basic_sin_first_order(self):
-        rep = operator_convergence("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 21)
+        rep = convergence_sweep("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 21)()[0]
         assert rep.fitted_slope == pytest.approx(1.0, abs=0.1)
         assert rep.r_squared > 0.999
         assert rep.config["operator"] == "basic"
@@ -213,17 +217,17 @@ class TestOperatorConvergence:
         assert [r.n for r in rep.rows] == [16, 32, 64]
 
     def test_sweep_sorted_and_deduplicated(self):
-        rep = operator_convergence("basic", KERNEL, function_preset("sin"), (64, 16, 16, 32), BOX01, 5)
+        rep = convergence_sweep("basic", KERNEL, function_preset("sin"), (64, 16, 16, 32), BOX01, 5)()[0]
         assert [r.n for r in rep.rows] == [16, 32, 64]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            operator_convergence("fractional", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)
+            convergence_sweep("fractional", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 5)()[0]
 
     @pytest.mark.parametrize("sweep_of", [
-        lambda f, box, ns: operator_convergence("basic", KERNEL, f, ns, box, 200),
-        lambda f, box, ns: operator_convergence("kantorovich", KERNEL, f, ns, box, 200),
-        lambda f, box, ns: residual_orders(KERNEL, f, box, 200, ns, 1),
+        lambda f, box, ns: convergence_sweep("basic", KERNEL, f, ns, box, 200)()[0],
+        lambda f, box, ns: convergence_sweep("kantorovich", KERNEL, f, ns, box, 200)()[0],
+        lambda f, box, ns: residual_sweep(KERNEL, f, box, 200, ns, 1)(),
     ], ids=["basic", "kantorovich", "voronovskaya"])
     def test_oversized_last_table_rejected_before_any_sample(self, sweep_of):
         # n = 16 would run; at n = 256 each axis of [0, 20]^2 reaches 5126 sites, 26.3e6 in all
@@ -240,16 +244,16 @@ class TestOperatorConvergence:
         sin_exp = function_preset("sin-exp")
         f = dataclasses.replace(sin_exp, value_fn=lambda *c: calls.append(1) or sin_exp.value(*c))
         with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
-            operator_convergence("kantorovich", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)
+            convergence_sweep("kantorovich", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)()[0]
         with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
             operators.apply_kantorovich_batch(KERNEL, 130, f, 4, [[0.5], [0.5]])
         assert calls == []
-        operator_convergence("basic", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)
+        convergence_sweep("basic", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)()[0]
 
 
 class TestResidualOrders:
     def test_sin_slopes_increase_by_one(self):
-        reps = residual_orders(KERNEL, function_preset("sin"), BOX01, 21, (16, 32, 64), 2)
+        reps = residual_sweep(KERNEL, function_preset("sin"), BOX01, 21, (16, 32, 64), 2)()
         slopes = [r.fitted_slope for r in reps]
         assert slopes[0] == pytest.approx(1.0, abs=0.1)
         assert slopes[1] == pytest.approx(2.0, abs=0.15)
@@ -257,14 +261,14 @@ class TestResidualOrders:
         assert slopes == sorted(slopes)
 
     def test_m_zero_is_uncorrected_error(self):
-        reps = residual_orders(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 0)
-        rep = operator_convergence("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 11)
+        reps = residual_sweep(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 0)()
+        rep = convergence_sweep("basic", KERNEL, function_preset("sin"), (16, 32, 64), BOX01, 11)()[0]
         assert reps[0].rows == rep.rows
 
     def test_linear_first_order_hits_floor(self):
         # the correction removes the whole error of an affine target, so
         # every row lands at rounding level and the fit is skipped
-        reps = residual_orders(KERNEL, function_preset("linear"), BOX01, 11, (16, 32, 64), 1)
+        reps = residual_sweep(KERNEL, function_preset("linear"), BOX01, 11, (16, 32, 64), 1)()
         m1 = reps[1]
         assert all(r.sup_error <= ERROR_FLOOR for r in m1.rows)
         assert m1.fitted_slope is None
@@ -274,16 +278,16 @@ class TestResidualOrders:
     def test_rough_target_slope_saturates(self):
         # |t - 1/2|^2.5 only supplies 2.5 derivatives, so the order-2
         # residual cannot reach the third-order rate of smooth targets
-        reps = residual_orders(KERNEL, function_preset("abs25"), BOX01, 21, (16, 32, 64, 128), 2)
+        reps = residual_sweep(KERNEL, function_preset("abs25"), BOX01, 21, (16, 32, 64, 128), 2)()
         assert 2.3 <= reps[2].fitted_slope <= 2.95
 
     def test_smoothness_cap(self):
         with pytest.raises(ValueError, match="smoothness"):
-            residual_orders(KERNEL, function_preset("abs25"), BOX01, 11, (16, 32, 64), 3)
+            residual_sweep(KERNEL, function_preset("abs25"), BOX01, 11, (16, 32, 64), 3)()
 
     def test_m_max_range(self):
         with pytest.raises(ValueError):
-            residual_orders(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 5)
+            residual_sweep(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 5)()
 
     @pytest.mark.parametrize("name, box", [("sin", BOX01), ("sin-exp", [(0.0, 1.0), (0.0, 1.0)])])
     def test_one_basic_pass_and_one_moment_table_per_n(self, monkeypatch, name, box):
@@ -297,49 +301,51 @@ class TestResidualOrders:
 
         monkeypatch.setattr(analysis, "apply_basic_batch", counted("basic", analysis.apply_basic_batch))
         monkeypatch.setattr(operators, "axis_moments", counted("moments", operators.axis_moments))
-        reps = residual_orders(KERNEL, function_preset(name), box, 5, (16, 32, 64, 16), 4)
+        reps = residual_sweep(KERNEL, function_preset(name), box, 5, (16, 32, 64, 16), 4)()
         assert len(reps) == 5 and all(len(r.rows) == 3 for r in reps)
         assert calls == {"basic": 3, "moments": 3 * len(box)}
 
 
 class TestFractionalRate:
     def test_report_strings(self):
-        rep = fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128, 256), frac_step=2e-3)
+        rep = fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128, 256),
+                               frac_step=2e-3)()[0]
         assert rep.target_description == "D^beta f (oracle)"
         assert "recorded, not asserted" in rep.claimed_exponent
         assert rep.fitted_slope == pytest.approx(1.0, abs=0.3)
 
     def test_non_monomial_rejected(self):
         with pytest.raises(ValueError, match="monomial"):
-            fractional_rate(KERNEL, function_preset("sin"), 0.5, [(0.2, 1.0)], 5, (64, 128, 256))
+            fractional_sweep(KERNEL, function_preset("sin"), 0.5, [(0.2, 1.0)], 5, (64, 128, 256))()[0]
 
     def test_box_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))
+            fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))()[0]
 
     def test_oversized_l1_grid_rejected(self):
         # the farthest lattice node is floor(64 x_max + 16)/64 = 69/64, which needs 1.08e7 L1 points
         with pytest.raises(ValueError, match="L1 grid would need 10781250 points"):
-            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128), frac_step=1e-7)
+            fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128),
+                             frac_step=1e-7)()[0]
 
     @pytest.mark.parametrize("beta, frac_step", [(0.5, 0.0), (1.5, 1e-3)])
     def test_frac_config_checked_before_the_sweep(self, beta, frac_step):
         # one FracConfig per sweep, built before the L1 grid bound divides by the step
         with pytest.raises(ValueError, match="must lie in"):
-            fractional_rate(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
-                            frac_step=frac_step)
+            fractional_sweep(KERNEL, function_preset("pow2"), beta, [(0.2, 1.0)], 5, (64, 128, 256),
+                             frac_step=frac_step)()[0]
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, math.inf, math.nan])
     def test_bad_step_rejected_before_the_grid_bound(self, step):
         # the L1 grid bound divides by the step; FracConfig rejects it first
         with pytest.raises(ValueError, match="step h must lie in"):
-            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128),
-                            frac_step=step)
+            fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128),
+                             frac_step=step)()[0]
 
     def test_l1_grid_overflow_rejected(self):
         # 64 x 1e308 is far past 2^52, so the lattice centre check fails before any L1 grid
         with pytest.raises(ValueError, match="2\\^52"):
-            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1e308)], 5, (64, 128))
+            fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1e308)], 5, (64, 128))()[0]
 
     @pytest.mark.parametrize("lo", [0.2, 0.249, 0.2493, 0.25, 0.26])
     def test_lattice_at_origin_rejected_iff_the_operator_rejects_it(self, lo):
@@ -352,7 +358,7 @@ class TestFractionalRate:
             assert "touches t = 0" in str(exc)
             ran = False
         try:
-            check_fractional(f, FracConfig(0.5, 1e-2), KERNEL, box, 5, [n])
+            fractional_sweep(KERNEL, f, 0.5, box, 5, [n], frac_step=1e-2)
             passed = True
         except ValueError as exc:
             assert "touches t = 0" in str(exc)
@@ -362,4 +368,4 @@ class TestFractionalRate:
     def test_box_touching_origin_rejected(self):
         # every sample would be positive, but the box itself is not
         with pytest.raises(ValueError, match="positive"):
-            fractional_rate(KERNEL, function_preset("pow2"), 0.5, [(0.0, 1.0)], 5, (64, 128, 256))
+            fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.0, 1.0)], 5, (64, 128, 256))()[0]

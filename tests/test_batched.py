@@ -363,10 +363,10 @@ class TestSharedFractionalTable:
 
         def recorded(kernel, frac, f, n, axes, table):
             tables.append(table)
-            swept[n] = operators._fractional(kernel, frac, f, n, axes, table)
+            swept[n] = apply_fractional_batch(kernel, frac, f, n, axes, table)
             return swept[n]
 
-        monkeypatch.setattr(analysis, "_fractional", recorded)
+        monkeypatch.setattr(analysis, "apply_fractional_batch", recorded)
         (report,) = fractional_sweep(FRAC_KERNEL, f, 0.5, box, 41, ns)()
         axes = grid_axes(box, 41)
         target = power_rule_oracle(f.power, 0.5, axes[0])
@@ -396,7 +396,7 @@ class TestSharedFractionalTable:
         for n, own in zip(ns, nodes):
             assert np.array_equal(operators._table_values(table, own),
                                   rl_derivative_batch(frac, f, own))
-            shared = operators._fractional(FRAC_KERNEL, frac, f, n, axes, table)
+            shared = apply_fractional_batch(FRAC_KERNEL, frac, f, n, axes, table)
             assert np.array_equal(shared, apply_fractional_batch(FRAC_KERNEL, frac, f, n, axes))
 
     def test_a_node_missing_from_the_table_is_an_error(self):
@@ -407,9 +407,9 @@ class TestSharedFractionalTable:
         table = fractional_table(frac, f, nodes)
         # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
         with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):
-            operators._fractional(FRAC_KERNEL, frac, f, 128, axes, table)
+            apply_fractional_batch(FRAC_KERNEL, frac, f, 128, axes, table)
         with pytest.raises(ValueError, match="not tabulated at node t = 0.25"):
-            operators._fractional(FRAC_KERNEL, frac, f, 64, axes, fractional_table(frac, f, [0.3]))
+            apply_fractional_batch(FRAC_KERNEL, frac, f, 64, axes, fractional_table(frac, f, [0.3]))
 
 
 # --- exactness on constants ---------------------------------------------------

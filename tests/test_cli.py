@@ -17,8 +17,8 @@ import tanhqi
 from tanhqi import (
     ActivationParams,
     DensityKernel,
+    convergence_sweep,
     function_preset,
-    operator_convergence,
 )
 from tanhqi import cli
 
@@ -50,9 +50,9 @@ class TestConverge:
         assert len(lines) == 4
         # 17 significant digits reproduce the doubles exactly
         kernel = DensityKernel(ActivationParams(0.5, 1.0))
-        report = operator_convergence(
+        report = convergence_sweep(
             "basic", kernel, function_preset("sin"), (16, 32, 64), [(0.0, 1.0)], 11
-        )
+        )()[0]
         for line, row in zip(lines[1:], report.rows):
             n_tok, sup_tok, mean_tok = line.split(",")
             assert int(n_tok) == row.n
@@ -232,14 +232,16 @@ class TestPrintConfig:
 
     @pytest.mark.parametrize("print_config", [False, True])
     def test_lattice_sum_work_capped_before_the_run(self, tmp_path, capsys, print_config):
-        # W = 16384: 100000 points x 32769 window sites, minutes of lattice sums at one n
-        argv = ["converge", "--preset", "sin", "--operator", "kantorovich", "--alpha", "0.001",
-                "--n", "16", "--grid-points", "100000", "--out", str(tmp_path / "x"),
-                *(["--print-config"] if print_config else [])]
-        status, out, err = run(argv, capsys)
-        assert status == 2 and out == ""
-        assert "a lattice sum needs 3276900000 multiply-adds (> 2147483648)" in json.loads(err)["error"]
-        assert not (tmp_path / "x.json").exists()
+        # W = 16384: 100000 points x 32769 window sites, minutes of lattice sums at one n; the
+        # kernel-dump moments sum the same windows
+        for command in (["converge", "--preset", "sin", "--operator", "kantorovich"], ["kernel-dump"]):
+            argv = [*command, "--alpha", "0.001", "--n", "16", "--grid-points", "100000",
+                    "--out", str(tmp_path / "x"), *(["--print-config"] if print_config else [])]
+            status, out, err = run(argv, capsys)
+            assert status == 2 and out == ""
+            assert ("a lattice sum needs 3276900000 multiply-adds (> 2147483648)"
+                    in json.loads(err)["error"])
+            assert not (tmp_path / "x.json").exists()
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -404,7 +406,7 @@ class TestOtherCommands:
             capsys,
         )
         assert status == 2 and out == ""
-        assert json.loads(err)["error"] == "voronovskaya needs 2 grid axis/axes, got 1"
+        assert json.loads(err)["error"] == "the evaluation grid needs 2 axis/axes, got 1"
 
     def test_voronovskaya_smoothness_cap_is_config_error(self, tmp_path, capsys):
         status, _, err = run(
@@ -494,7 +496,7 @@ class TestExitStatuses:
         def boom(cfg):
             raise RuntimeError("quadrature self-check failed")
 
-        monkeypatch.setitem(cli._RUNNERS, "converge", boom)
+        monkeypatch.setattr(cli, "_run", boom)
         status, _, err = run(converge_args(tmp_path / "x"), capsys)
         assert status == 3
         msg = json.loads(err.strip())
@@ -506,7 +508,7 @@ class TestExitStatuses:
         def boom(cfg):
             raise error("could not complete the sweep")
 
-        monkeypatch.setitem(cli._RUNNERS, "converge", boom)
+        monkeypatch.setattr(cli, "_run", boom)
         status, _, err = run(converge_args(tmp_path / "x"), capsys)
         assert status == 3
         assert err.count("\n") == 1
@@ -516,7 +518,7 @@ class TestExitStatuses:
         def boom(cfg):
             raise ZeroDivisionError("float division by zero")
 
-        monkeypatch.setitem(cli._RUNNERS, "converge", boom)
+        monkeypatch.setattr(cli, "_run", boom)
         status, out, err = run(converge_args(tmp_path / "x"), capsys)
         assert status == 3 and out == ""
         assert err.count("\n") == 1
@@ -730,7 +732,7 @@ payloads = st.recursive(
                    | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
     max_leaves=24,
 )
-# residual_orders' list of reports, one per correction order
+# residual_sweep's list of reports, one per correction order
 report_dicts = st.fixed_dictionaries({
     "config": st.dictionaries(st.text(max_size=6), json_leaves, max_size=4),
     "rows": st.lists(st.tuples(st.integers(1, 2**20), py_floats, py_floats).map(list), max_size=4),

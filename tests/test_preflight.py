@@ -10,13 +10,13 @@ from tanhqi import (
     DensityKernel,
     analysis,
     cli,
-    fractional_rate,
+    convergence_sweep,
+    fractional_sweep,
     function_preset,
     kernel,
     manifold,
-    operator_convergence,
     operators,
-    residual_orders,
+    residual_sweep,
 )
 
 # each sweep command over k = 3 values of n
@@ -77,32 +77,58 @@ def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
 
 
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
-    for name in ("sweep", "check_tables", "check_chart", "check_fractional"):
+    for name in ("sweep", "check_tables", "check_chart", "check_fractional", "check_sweep",
+                 "grid_axes", "point_work", "check_axes"):
         assert not hasattr(cli, name)
 
 
 # alpha = 1e-6 gives W = 2^23: one window holds 2^24 + 1 sites, past the work cap
 WIDE = DensityKernel(ActivationParams(0.5, 1e-6))
+KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
+WINDOW = "one kernel window holds"
+AXES = "the evaluation grid needs "
 
 
-@pytest.mark.parametrize("argv, library", [
-    (["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "11"],
-     lambda: operator_convergence("basic", WIDE, function_preset("sin"), [16, 32, 64],
-                                  [(0.0, 1.0)], 11)),
-    (["voronovskaya", "--n", "16,32,64", "--grid-points", "11"],
-     lambda: residual_orders(WIDE, function_preset("sin"), [(0.0, 1.0)], 11, [16, 32, 64], 2)),
-    (["frac", "--preset", "pow2", "--n", "64,128,256", "--grid-points", "5"],
-     lambda: fractional_rate(WIDE, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, [64, 128, 256])),
-    (["manifold", "--n", "32,64,128", "--grid-points", "5"],
+@pytest.mark.parametrize("argv, library, prefix", [
+    (["converge", "--preset", "sin", "--alpha", "1e-6", "--n", "16,32,64", "--grid-points", "11"],
+     lambda: convergence_sweep("basic", WIDE, function_preset("sin"), [16, 32, 64],
+                               [(0.0, 1.0)], 11), WINDOW),
+    (["voronovskaya", "--alpha", "1e-6", "--n", "16,32,64", "--grid-points", "11"],
+     lambda: residual_sweep(WIDE, function_preset("sin"), [(0.0, 1.0)], 11, [16, 32, 64], 2),
+     WINDOW),
+    (["frac", "--preset", "pow2", "--alpha", "1e-6", "--n", "64,128,256", "--grid-points", "5"],
+     lambda: fractional_sweep(WIDE, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5,
+                              [64, 128, 256]), WINDOW),
+    (["manifold", "--alpha", "1e-6", "--n", "32,64,128", "--grid-points", "5"],
      lambda: analysis.chart_sweep(WIDE, "poincare-half-plane", function_preset("sin-exp"),
-                                  [32, 64, 128], [(-1.0, 1.0), (1.0, 2.0)], 5)),
-], ids=["converge", "voronovskaya", "frac", "manifold"])
-def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library):
+                                  [32, 64, 128], [(-1.0, 1.0), (1.0, 2.0)], 5), WINDOW),
+    (["kernel-dump", "--alpha", "1e-6", "--n", "8", "--grid-points", "11"],
+     lambda: analysis.kernel_table(WIDE, [8], [(0.0, 1.0)], 11), WINDOW),
+    # the box has the wrong number of axes: one for the two-dimensional sin-exp, two for frac
+    (["converge", "--preset", "sin-exp", "--n", "16,32", "--grid-points", "5"],
+     lambda: convergence_sweep("basic", KERNEL, function_preset("sin-exp"), [16, 32],
+                               [(0.0, 1.0)], 5), AXES + "2 axis/axes"),
+    (["voronovskaya", "--preset", "sin-exp", "--n", "16,32,64", "--grid-points", "5"],
+     lambda: residual_sweep(KERNEL, function_preset("sin-exp"), [(0.0, 1.0)], 5, [16, 32, 64], 2),
+     AXES + "2 axis/axes"),
+    (["frac", "--preset", "pow2", "--grid-lo=0.2,0.2", "--grid-hi=1,1", "--n", "64,128",
+      "--grid-points", "5"],
+     lambda: fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)] * 2, 5,
+                              [64, 128]), AXES + "1 axis/axes"),
+    (["kernel-dump", "--grid-lo=0,0", "--grid-hi=1,1", "--n", "8", "--grid-points", "5"],
+     lambda: analysis.kernel_table(KERNEL, [8], [(0.0, 1.0)] * 2, 5), AXES + "1 axis/axes"),
+    # W = 16384: 100000 points x 32769 window sites
+    (["kernel-dump", "--alpha", "0.001", "--n", "16", "--grid-points", "100000"],
+     lambda: analysis.kernel_table(DensityKernel(ActivationParams(0.5, 0.001)), [16],
+                                   [(0.0, 1.0)], 100000), "a lattice sum needs 3276900000"),
+], ids=["converge", "voronovskaya", "frac", "manifold", "kernel-dump", "converge-axes",
+        "voronovskaya-axes", "frac-axes", "kernel-dump-axes", "kernel-dump-sum-work"])
+def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library, prefix):
     assert WIDE.radius == 2.0**23
-    status = cli.main([*argv, "--alpha", "1e-6", "--out", str(tmp_path / "r"), "--print-config"])
+    status = cli.main([*argv, "--out", str(tmp_path / "r"), "--print-config"])
     assert status == 2
     message = json.loads(capsys.readouterr().err)["error"]
-    assert message.startswith("one kernel window holds")
+    assert message.startswith(prefix)
     with pytest.raises(ValueError) as exc:
         library()
     assert str(exc.value) == message
@@ -128,7 +154,7 @@ def test_kantorovich_table_cells_rejected_with_one_message(tmp_path, capsys, cal
     assert not (tmp_path / "r.json").exists()
     kern, sin = DensityKernel(ActivationParams(0.5, 1.0)), function_preset("sin")
     with pytest.raises(ValueError) as exc:
-        operator_convergence("kantorovich", kern, sin, [65536], [(0.0, 1.0)], 2000, quad_nodes=4096)
+        convergence_sweep("kantorovich", kern, sin, [65536], [(0.0, 1.0)], 2000, quad_nodes=4096)()[0]
     assert str(exc.value) == message
     # the operator makes the same check on its own table, before any cell is sampled
     with pytest.raises(ValueError) as exc:
