@@ -13,9 +13,10 @@ sweep makes one report per row: ``residual_sweep`` gets every
 correction order from one basic evaluation and one moment table per n.
 Each experiment's one entry point (a ``*_sweep`` function, or
 ``kernel_table`` for the kernel's own table) makes every check of its
-run, in one order (n sweep, window or cell work, grid and its axis count,
-then the operators' own lattice checks, ``kernel.check_tables``), and
-returns the run bound but not started.
+run, in one order (n sweep, Kantorovich's cell work, grid and its axis
+count, then ``kernel.check_tables``: each n's ``table_sites``, which caps a
+window's sites first, and the operator's site rule), and returns the run
+bound but not started.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -42,7 +43,6 @@ from .kernel import (
     check_axes,
     check_n,
     check_tables,
-    point_work,
     psi_eval,
 )
 from .manifold import chart_preset, check_chart, operator_on_chart_batch
@@ -225,7 +225,8 @@ def sweep(
     (grid axes -> the grid's values, or a (K, P) stack of K results); it
     is measured against ``target_fn`` on the grid of ``axes`` by
     sup_error, once per distinct n in ascending order.  Result row i
-    makes report i, with ``configs[i]`` and ``target_descriptions[i]``.
+    makes report i, with a copy of ``configs[i]`` and with
+    ``target_descriptions[i]``.
     A non-finite error is a RuntimeError naming n.  Rows on the rounding
     floor are counted and left out of the fit; with fewer than three
     rows above it the fit is skipped and the note says so.
@@ -250,8 +251,10 @@ def _report(rows, config: dict, target_description: str, claimed_exponent) -> Co
     except ValueError:
         slope = intercept = r2 = None
         note = NORM_NOTE + "; fit skipped: not enough rows above the rounding floor"
+    # a copy per report: every call of a bound sweep passes the same config, and a caller may
+    # add keys to its report's
     return ConvergenceReport(
-        config=config,
+        config=dict(config),
         rows=tuple(rows),
         fitted_slope=slope,
         intercept=intercept,
@@ -279,13 +282,11 @@ def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **ext
 def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
                       quad_nodes: int = 5):
     """Error sweep of the basic or Kantorovich operator against f itself: its checks (n sweep,
-    window or cell work, operator, quadrature nodes, grid with f.dim axes, lattice tables and,
+    Kantorovich's cell work, operator, quadrature nodes, grid with f.dim axes, lattice tables and,
     for Kantorovich, each table's cell work, ``check_table_cells``), then its ``sweep`` bound."""
     ns = check_sweep(n_sweep)
     if kind == "kantorovich":
         check_cell_work(kernel, quad_nodes, f.dim)
-    else:
-        point_work(kernel, f.dim)
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
@@ -304,11 +305,10 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
 
 def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep, m_max: int):
     """Voronovskaya residual sweeps for correction orders m = 0 .. m_max: their checks (n sweep,
-    window work, grid with f.dim axes, correction order, lattice tables), then their ``sweep``
-    bound.  Report m = 0 is the basic operator's uncorrected error, and each further m subtracts
-    the moment correction of that order; per n both are evaluated once, as one stack."""
+    grid with f.dim axes, correction order, lattice tables), then their ``sweep`` bound.  Report
+    m = 0 is the basic operator's uncorrected error, and each further m subtracts the moment
+    correction of that order; per n both are evaluated once, as one stack."""
     ns = check_sweep(n_sweep)
-    point_work(kernel, f.dim)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_m_max(m_max, f)
     check_tables(kernel, axes, ns)
@@ -330,7 +330,7 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
                      frac_step: float = 1e-3):
     """Error sweep of the fractional operator against the D^beta f oracle: its checks (order and
-    step, n sweep, window work, grid on one axis, a monomial preset for the power rule, a strictly
+    step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly
     positive box, and each n's lattice table as the operator checks it, ``fractional_nodes``),
     then its ``sweep`` bound.  The report echoes the advertised rate "m - beta"; the rows support
     less (the operator's own first-order moment term caps the slope near one).  A call tabulates
@@ -338,7 +338,6 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     (``operators.fractional_table``), and every n's operator reads that table."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
-    point_work(kernel, 1)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
     if f.power is None:
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
@@ -364,10 +363,9 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
 
 def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):
     """The chart operator's sweep against f itself on the named chart preset, in f's dimension:
-    its checks (n sweep, window work, grid, chart, ``manifold.check_chart``), then its ``sweep``
-    bound but not run.  Chart weights are always renormalized (mode "discrete")."""
+    its checks (n sweep, grid, chart, ``manifold.check_chart``), then its ``sweep`` bound but not
+    run.  Chart weights are always renormalized (mode "discrete")."""
     ns = check_sweep(n_sweep)
-    point_work(kernel, f.dim)
     axes = grid_axes(box, points_per_axis)
     geometry = chart_preset(chart, dim=f.dim)
     axes = check_chart(geometry, kernel, axes, ns)
@@ -380,13 +378,12 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
 
 def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):
     """kernel-dump's table, psi, M_0..M_3 and n M_1 at each x of a one-axis grid for the one n of
-    n_sweep, plus the kernel's constants: its checks (exactly one n, window work, grid, lattice
-    table), then the table bound but not built."""
+    n_sweep, plus the kernel's constants: its checks (exactly one n, grid, lattice table), then
+    the table bound but not built."""
     n_sweep = list(n_sweep)
     if len(n_sweep) != 1:
         raise ValueError(f"the kernel table takes exactly one n, got {n_sweep!r}")
     ns = check_sweep(n_sweep)
-    point_work(kernel, 1)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
     check_tables(kernel, axes, ns)
     return functools.partial(_kernel_rows, kernel, axes[0], ns[0])

@@ -27,7 +27,7 @@ distinct nodes of all its n (``operators.fractional_table``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class FracConfig:
 
     beta: float
     h: float = 1e-3
-    scheme: str = field(default="L1-Caputo + initial-value correction", init=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
@@ -122,8 +121,7 @@ def power_rule_oracle(p: float, beta: float, x):
     """Closed form D^beta t^p = Gamma(p+1)/Gamma(p+1-beta) x^(p-beta).
 
     x is a float or an ndarray (elementwise).  Valid for p >= 0 and
-    beta in (0, 1); then p + 1 - beta > 0 always, but the pole is
-    guarded anyway.
+    beta in (0, 1), where p + 1 - beta > 0 keeps Gamma off its poles.
     """
     if p < 0.0:
         raise ValueError(f"power rule needs p >= 0, got {p!r}")
@@ -131,6 +129,4 @@ def power_rule_oracle(p: float, beta: float, x):
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
     if not np.all(np.asarray(x) > 0.0):
         raise ValueError(f"power rule oracle needs x > 0, got {x!r}")
-    if p + 1.0 - beta <= 0.0:
-        raise ValueError(f"Gamma pole: p + 1 - beta = {p + 1.0 - beta} is not positive")
     return gamma_fn(p + 1.0) / gamma_fn(p + 1.0 - beta) * x ** (p - beta)

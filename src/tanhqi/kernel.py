@@ -28,9 +28,10 @@ once per site of the lattice table (``table_sites``); as Z is a product,
 window ends are taken once per call, and each of its windows is read from a
 strided view of the table, so a chunk of points gathers with one index per
 row; a short row's zero-weight pad slot reads a site of the table, never
-one past it.  ``check_tables`` runs ``table_sites``, which also bounds the
-multiply-adds of the sums, and an operator's site rule for every n of a
-sweep first.
+one past it.  ``table_sites`` caps a window's sites, the table's sites and
+the sums' multiply-adds before it builds a site, for operators and sweeps
+alike; ``check_tables`` runs it and an operator's site rule for every n of
+a sweep first.
 """
 
 from __future__ import annotations
@@ -227,12 +228,14 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     """Each axis's sorted lattice sites reached by the windows around n x_i, x_i in axes[i].
 
     Axis i's sites, shaped (1, .., K_i, .., 1), broadcast to the lattice
-    table (K_1, .., K_N).  A bad n (``check_n``), a centre past MAX_CENTRE
-    (checked before n x is formed), a table past MAX_POINT_WORK sites or
-    a lattice sum over it past MAX_SUM_WORK multiply-adds (both counted
-    before any site is built) is a ValueError.
+    table (K_1, .., K_N).  A bad n (``check_n``), a kernel window past
+    MAX_POINT_WORK sites (``point_work``, before any window end is formed),
+    a centre past MAX_CENTRE (checked before n x is formed), a table past
+    MAX_POINT_WORK sites or a lattice sum over it past MAX_SUM_WORK
+    multiply-adds (both counted before any site is built) is a ValueError.
     """
     n = check_n(n)
+    point_work(kernel, len(axes))
     runs = []
     counts = []
     for x in axes:

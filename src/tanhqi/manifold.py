@@ -78,19 +78,12 @@ def _half_plane_density(x, y):
 def chart_preset(name: str, dim: int | None = None) -> Chart:
     """Construct one of the shipped charts by name."""
     inf = math.inf
-    if name == "euclidean":
+    if name in ("euclidean", "torus"):
         d = 1 if dim is None else int(dim)
         if d < 1:
             raise ValueError("dimension must be at least 1")
-        return Chart("euclidean", d, tuple(((-inf, inf),) * d), _ones_density)
-    if name == "torus":
-        d = 1 if dim is None else int(dim)
-        if d < 1:
-            raise ValueError("dimension must be at least 1")
-        return Chart(
-            "torus", d, tuple(((-inf, inf),) * d), _ones_density,
-            periods=(1.0,) * d,
-        )
+        return Chart(name, d, ((-inf, inf),) * d, _ones_density,
+                     periods=(1.0,) * d if name == "torus" else None)
     if name == "poincare-half-plane":
         if dim not in (None, 2):
             raise ValueError("the half-plane chart is two-dimensional")

@@ -25,7 +25,6 @@ class FunctionPreset:
     name: str
     dim: int
     smoothness: float
-    domain_note: str
     value_fn: Callable = field(repr=False)
     deriv_fn: Callable = field(repr=False)
     power: float | None = None
@@ -39,9 +38,11 @@ class FunctionPreset:
     def derivative(self, alpha, *coords):
         """Partial derivative D^alpha f; alpha is a length-dim tuple of orders.
 
-        The zero multi-index returns the value itself.  Orders above
-        four (or above the preset's smoothness where that is finite) are
-        rejected rather than silently extrapolated.
+        The zero multi-index returns the value itself.  Total orders
+        above four are rejected rather than silently extrapolated; the
+        smoothness grade is not checked here, so abs25's orders three and
+        four are its formulas away from the kink (``operators.check_m_max``
+        keeps a correction order at or below the grade).
         """
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.dim:
@@ -55,17 +56,6 @@ class FunctionPreset:
         if sum(alpha) == 0:
             return self.value_fn(*coords)
         return self.deriv_fn(alpha, *coords)
-
-
-def _poly_deriv(coeff_rows):
-    # coeff_rows[p] is the closed form of the p-th derivative as a callable
-    def deriv(alpha, t):
-        p = alpha[0]
-        if p < len(coeff_rows):
-            return coeff_rows[p](t)
-        return 0.0 * np.asarray(t, dtype=float)
-
-    return deriv
 
 
 def _sin_deriv(alpha, t):
@@ -112,26 +102,16 @@ def _abs25_deriv(alpha, t):
     return -0.9375 / a**1.5
 
 
-def _monomial(name, p, note):
-    rows = []
-    for k in range(MAX_DERIVATIVE_ORDER + 1):
-        if k > p:
-            rows.append(lambda t: 0.0 * np.asarray(t, dtype=float))
-        else:
-            c = math.factorial(p) // math.factorial(p - k)
-            if c == 1:  # 1 * x is x, so the multiply is skipped
-                rows.append(lambda t, e=p - k: np.asarray(t, dtype=float) ** e)
-            else:
-                rows.append(lambda t, c=c, e=p - k: c * np.asarray(t, dtype=float) ** e)
-    return FunctionPreset(
-        name=name,
-        dim=1,
-        smoothness=math.inf,
-        domain_note=note,
-        value_fn=rows[0],
-        deriv_fn=_poly_deriv(rows),
-        power=float(p),
-    )
+def _monomial(name, p):
+    # t^p and its k-th derivative p!/(p-k)! t^(p-k), zero past k = p; integer exponents
+    def value(t):
+        return np.asarray(t, dtype=float) ** p
+
+    def deriv(alpha, t):
+        t, k = np.asarray(t, dtype=float), alpha[0]
+        return 0.0 * t if k > p else math.factorial(p) // math.factorial(p - k) * t ** (p - k)
+
+    return FunctionPreset(name, 1, math.inf, value, deriv, power=float(p))
 
 
 def _sinexp_value(x, y):
@@ -145,31 +125,17 @@ def _sinexp_deriv(alpha, x, y):
     )
 
 
-def _build_registry():
-    presets = [
-        _monomial("constant", 0, ""),
-        _monomial("linear", 1, ""),
-        _monomial("quadratic", 2, ""),
-        _monomial("cubic", 3, ""),
-        FunctionPreset("sin", 1, math.inf, "", np.sin, _sin_deriv),
-        FunctionPreset("exp", 1, math.inf, "", np.exp, _exp_deriv),
-        FunctionPreset("runge", 1, math.inf, "", _runge_value, _runge_deriv),
-        FunctionPreset(
-            "abs25", 1, 2.0, "kink at t = 1/2 limits smoothness to C^2",
-            _abs25_value, _abs25_deriv,
-        ),
-        FunctionPreset(
-            "sin-exp", 2, math.inf, "", _sinexp_value, _sinexp_deriv,
-        ),
-    ]
-    registry = {p.name: p for p in presets}
-    for p in range(4):
-        mono = _monomial(f"pow{p}", p, "t >= 0 when used with fractional derivatives")
-        registry[mono.name] = mono
-    return registry
-
-
-_REGISTRY = _build_registry()
+_REGISTRY = {preset.name: preset for preset in (
+    # each monomial twice: by degree name, and as powP for fractional sweeps on t > 0
+    *(_monomial(name, p) for p, degree in enumerate(("constant", "linear", "quadratic", "cubic"))
+      for name in (degree, f"pow{p}")),
+    FunctionPreset("sin", 1, math.inf, np.sin, _sin_deriv),
+    FunctionPreset("exp", 1, math.inf, np.exp, _exp_deriv),
+    FunctionPreset("runge", 1, math.inf, _runge_value, _runge_deriv),
+    # the kink at t = 1/2 limits smoothness to C^2
+    FunctionPreset("abs25", 1, 2.0, _abs25_value, _abs25_deriv),
+    FunctionPreset("sin-exp", 2, math.inf, _sinexp_value, _sinexp_deriv),
+)}
 
 
 def preset_names() -> tuple[str, ...]:

@@ -50,7 +50,6 @@ class TestFracConfig:
     def test_valid(self):
         cfg = FracConfig(beta=0.5, h=1e-3)
         assert cfg.beta == 0.5
-        assert "Caputo" in cfg.scheme
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, -0.2])
     def test_beta_open_interval(self, beta):

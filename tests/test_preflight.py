@@ -8,6 +8,8 @@ import pytest
 from tanhqi import (
     ActivationParams,
     DensityKernel,
+    FracConfig,
+    FunctionPreset,
     analysis,
     cli,
     convergence_sweep,
@@ -77,8 +79,9 @@ def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
 
 
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
-    for name in ("sweep", "check_tables", "check_chart", "check_fractional", "check_sweep",
-                 "grid_axes", "point_work", "check_axes"):
+    for name in ("sweep", "check_tables", "check_chart", "check_sweep", "grid_axes", "point_work",
+                 "check_axes", "check_cell_work", "check_table_cells", "fractional_nodes",
+                 "chart_coords"):
         assert not hasattr(cli, name)
 
 
@@ -132,6 +135,62 @@ def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library
     with pytest.raises(ValueError) as exc:
         library()
     assert str(exc.value) == message
+
+
+# alpha = 0.01 gives W = 2048: a 2-D window holds 4097^2 sites, past the cap, while the table
+# around one point holds 4096^2, within it
+WIDE_2D = DensityKernel(ActivationParams(0.5, 0.01))
+SIN_EXP_BOX = [(0.0, 1.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("operator, sweep", [
+    (lambda: operators.apply_basic_batch(WIDE_2D, function_preset("sin-exp"), 1,
+                                         [np.array([0.5]), np.array([1.5])]),
+     lambda: convergence_sweep("basic", WIDE_2D, function_preset("sin-exp"), [1], SIN_EXP_BOX, 1)),
+    (lambda: manifold.operator_on_chart_batch(WIDE_2D, manifold.chart_preset("euclidean", 2),
+                                              function_preset("sin-exp"), 1,
+                                              [np.array([0.5]), np.array([1.5])]),
+     lambda: analysis.chart_sweep(WIDE_2D, "euclidean", function_preset("sin-exp"), [1],
+                                  SIN_EXP_BOX, 1)),
+    (lambda: operators.apply_basic_batch(WIDE, function_preset("sin"), 1, [np.array([0.5])]),
+     lambda: convergence_sweep("basic", WIDE, function_preset("sin"), [1], [(0.0, 1.0)], 1)),
+    (lambda: operators.apply_fractional_batch(WIDE, FracConfig(0.5), function_preset("pow2"), 1,
+                                              [np.array([0.5])]),
+     lambda: fractional_sweep(WIDE, function_preset("pow2"), 0.5, [(0.2, 1.0)], 1, [1])),
+], ids=["basic-2d", "chart-2d", "basic-1d", "fractional"])
+def test_operators_reject_a_wide_window_before_sampling_f(monkeypatch, operator, sweep):
+    assert WIDE_2D.radius == 2048.0
+    with pytest.raises(ValueError) as exc:
+        sweep()
+    message = str(exc.value)
+    assert message.startswith(WINDOW)
+    samples = []
+    value = FunctionPreset.value
+
+    def counted(f, *coords):
+        samples.append(np.broadcast(*coords).size)
+        return value(f, *coords)
+
+    monkeypatch.setattr(FunctionPreset, "value", counted)
+    with pytest.raises(ValueError) as exc:
+        operator()
+    assert str(exc.value) == message
+    assert samples == []
+
+
+@pytest.mark.parametrize("bind", [
+    lambda: convergence_sweep("basic", KERNEL, function_preset("sin"), [16, 32, 64],
+                              [(0.0, 1.0)], 11),
+    lambda: residual_sweep(KERNEL, function_preset("sin"), [(0.0, 1.0)], 11, [16, 32, 64], 2),
+], ids=["convergence", "residual"])
+def test_each_call_of_a_bound_sweep_makes_its_own_configs(bind):
+    run = bind()
+    first, second = run(), run()
+    for a, b in zip(first, second, strict=True):
+        assert a.config == b.config
+        assert a.config is not b.config
+    first[0].config["cli"] = {"argv": []}
+    assert "cli" not in second[0].config
 
 
 # n = 65536 on [0, 1]: the 2000 points' windows reach 64000 table sites, x 4096 Gauss-Legendre
