@@ -16,11 +16,16 @@ B = 1 - q, e = e^(-2 alpha), v = e^(-2 alpha x) and s = (1 - q^2)(1 - e^2)/2,
 
     psi(x) = s v / ((A + B e v)(A e + B v)),
 
-all terms positive and one exp per site: accurate to a few ulp in the
-tails too, so psi > 0 holds as computed (down to about 1e-250).
+all terms positive and, in ``psi_eval``, one exp per site: accurate to a
+few ulp in the tails too, so psi > 0 holds as computed (down to about
+1e-250).
 
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
+
+A window's weights psi(u - k) take one exp per centre u instead, and one
+table e^(2 alpha (j - W)) over its sites k = lo + j per call
+(``window_weights``); past WINDOW_EXP_LIMIT they take ``psi_eval``.
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
@@ -52,6 +57,7 @@ __all__ = [
     "normalization_constant",
     "truncation_radius",
     "psi_eval",
+    "window_weights",
     "window_rows",
     "window_index",
     "check_axes",
@@ -80,6 +86,12 @@ MAX_CENTRE = 2.0**52
 # up to this alpha psi takes one exp per site; v = e^(-2 alpha x) leaves the normal range
 # only where psi < (1+q)/(1-q) e^(2 alpha - 708) and reads 0 or subnormal there
 ONE_EXP_ALPHA = 64.0
+# windows take one exp per centre while 2 alpha (W + 1) is at most this: v = e^(-2 alpha x)
+# then stays within e^(+-300) over a window and its pad slot, |x| < W + 1, so c2 v^2 is far
+# from overflow and psi from the subnormals.  Past it they take psi_eval: for every alpha
+# above 50 (W >= 2, so every alpha above ONE_EXP_ALPHA), and below that only for eps_trunc
+# under 1e-25 (1e-60 up to alpha 4)
+WINDOW_EXP_LIMIT = 300.0
 
 
 def normalization_constant(params: ActivationParams) -> float:
@@ -151,36 +163,82 @@ class DensityKernel:
 
 
 def psi_eval(kernel: DensityKernel, x):
-    """psi(x) = s v / ((A + B e v)(A e + B v)) to a few ulp, 0 past the float range; sums to one."""
+    """psi(x) = s v / ((A + B e v)(A e + B v)), one exp per site, to a few ulp, 0 past the float
+    range; sums to one."""
     return _psi(kernel.params, x)
+
+
+def window_weights(kernel: DensityKernel):
+    """The weight rule of every lattice window: a function (u, lo, width) -> psi(u_i - lo_i - j).
+
+    u and lo have shape (P,), lo_i = ceil(u_i - W) the first site of u_i's
+    window, and the weights have shape (P, width), j = 0..width - 1 <= 2W.
+    With c = lo + W, so -1 < u - c <= 0, psi(u - k) at k = lo + j takes
+    v = e^(-2 alpha (u - c)) R_j, R_j = e^(2 alpha (j - W)): one exp per
+    centre, and the R table once per rule.  Expanding psi_eval's
+    denominator with A = 1 + q, B = 1 - q gives
+
+        psi = v / (c1 + v (c0 + c2 v)),  c0 = A B (1 + e^2) / s,  c1 = A^2 e / s,  c2 = B^2 e / s,
+
+    all terms positive, one division and no site array.  Build the rule
+    once per call and apply it per chunk.  Where 2 alpha (W + 1) exceeds
+    WINDOW_EXP_LIMIT, the rule is ``psi_eval`` at the sites instead.
+    """
+    q, a, w = float(kernel.params.q), float(kernel.params.alpha), kernel.radius
+    if 2.0 * a * (w + 1.0) > WINDOW_EXP_LIMIT:
+        def sites(u, lo, width):
+            return psi_eval(kernel, u[:, None] - (lo[:, None] + np.arange(float(width))))
+
+        return sites
+    e = math.exp(-2.0 * a)
+    s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
+    c0 = (1.0 + q) * (1.0 - q) * (1.0 + e * e) / s
+    c1 = (1.0 + q) ** 2 * e / s
+    c2 = (1.0 - q) ** 2 * e / s
+    ratios = np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w))
+
+    def weights(u, lo, width):
+        v = np.exp(2.0 * a * (lo + w - u))[:, None] * ratios[:width]
+        d = c2 * v
+        d += c0
+        d *= v
+        d += c1
+        v /= d
+        return v
+
+    return weights
 
 
 def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     """Lattice windows and kernel weights for a batch of centres u, shape (P,).
 
     Row i holds the integers k with |k - u_i| <= W, ascending (as
-    integer-valued floats), and the weights psi(u_i - k).  A window has
-    2W sites, or 2W + 1 when u_i is a lattice site; when the rows differ,
-    each short row is padded by repeating its last site with weight
-    zero, so a pad never reaches a site outside its own window.  Every
-    lattice sum in the package draws its sites and weights from this
-    rule; u = n x for a sum over k/n near x.  A centre with |u| + W + 1 above
-    MAX_CENTRE is a ValueError.
+    integer-valued floats), and the weights psi(u_i - k) of
+    ``window_weights``, one exp per centre.  A window has 2W sites, or
+    2W + 1 when u_i is a lattice site; when the rows differ, each short
+    row is padded by repeating its last site with weight zero, so a pad
+    never reaches a site outside its own window.  Every lattice sum in
+    the package draws its sites and weights from this rule; u = n x for a
+    sum over k/n near x.  A centre with |u| + W + 1 above MAX_CENTRE is a
+    ValueError.
     """
     u = np.asarray(u, dtype=float)
-    return _rows(kernel, u, *_window_ends(kernel, 1, u))
-
-
-def _rows(kernel: DensityKernel, u, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    # window_rows' rule for centres u with window ends lo, hi: the rows are as wide as the
-    # widest window, and a short row repeats its last site with weight zero
-    width = int((hi - lo).max()) + 1
-    ks = lo[:, None] + np.arange(float(width))
-    short = hi - lo + 1 < width
+    lo, hi = _window_ends(kernel, 1, u)
+    weights = _padded(window_weights(kernel), u, lo, hi)
+    ks = lo[:, None] + np.arange(float(weights.shape[1]))
+    short = hi - lo + 1 < weights.shape[1]
     ks[short, -1] = hi[short]
-    weights = psi_eval(kernel, u[:, None] - ks)
-    weights[short, -1] = 0.0
     return ks, weights
+
+
+def _padded(rule, u, lo, hi) -> np.ndarray:
+    # window_rows' weights for centres u with window ends lo, hi, from a window_weights rule: the
+    # rows are as wide as the widest window, and a short row's last slot, one past its window,
+    # weighs zero
+    width = int((hi - lo).max()) + 1
+    weights = rule(u, lo, width)
+    weights[hi - lo + 1 < width, -1] = 0.0
+    return weights
 
 
 def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, np.ndarray]:
@@ -290,8 +348,9 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     the lattice table.  Each axis i is contracted in turn, T <- sum_l
     w_i[p, l] T[.., k_i[p, l], ..], in chunks of the first axis's points
     that keep every gathered array near CHUNK_ELEMENTS.  The first axis's
-    window ends and their places in the table are found once per call;
-    a chunk of L-site rows (``window_rows``' rule, L its widest window)
+    window ends, their places in the table and its ``window_weights`` rule
+    are found once per call; a chunk of L-site rows (``window_rows``' rule,
+    L its widest window, weighed with one exp per point and no site array)
     then gathers row p as T[first_p : first_p + L] from a read-only
     strided view of each table.  A short row's pad slot reads the site
     after its window, at weight zero; when its window ends on the table's
@@ -311,11 +370,12 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     u = n * np.asarray(axes[0], dtype=float)
     lo, hi = _window_ends(kernel, 1, u)
     first = np.searchsorted(sites[0], lo)
+    rule = window_weights(kernel)
     views = {}  # window width -> each table's (K_0 - width + 1, width, K_1, ..) view
     out = [np.empty(counts) for _ in values]
     for start in range(0, counts[0], rows):
         chunk = slice(start, start + rows)
-        _, weights = _rows(kernel, u[chunk], lo[chunk], hi[chunk])
+        weights = _padded(rule, u[chunk], lo[chunk], hi[chunk])
         width = weights.shape[1]
         if width not in views:
             views[width] = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1)
@@ -381,7 +441,8 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     """One-axis moments M_p(x, n) = sum_k (k/n - x)^p psi(n x - k), p = 0..p_max.
 
     x has shape (P,); the result has shape (P, p_max + 1), all orders
-    from one window per point.  Column 0 is the truncated partition sum.
+    from one window per point, weighed by ``window_weights`` with one exp
+    per point.  Column 0 is the truncated partition sum.
     The N-dimensional M_alpha(x, n) is the product over axes i of column
     alpha_i; |M_p| <= (W/n)^p, and n * M_1 depends only on frac(n x).
     """
@@ -391,11 +452,13 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     lo, hi = _window_ends(kernel, 1, u)
     out = np.empty((x.size, p_max + 1))
     rows = chunk_rows(kernel, 1)
+    rule = window_weights(kernel)
     for start in range(0, x.size, rows):
         chunk = slice(start, start + rows)
-        ks, weights = _rows(kernel, u[chunk], lo[chunk], hi[chunk])
+        weights = _padded(rule, u[chunk], lo[chunk], hi[chunk])
         out[chunk, 0] = weights.sum(axis=1)
-        offsets = ks / n - x[chunk, None]
+        # a pad slot's site is one past its window, at weight zero
+        offsets = (lo[chunk, None] + np.arange(float(weights.shape[1]))) / n - x[chunk, None]
         for p in range(1, p_max + 1):
             out[chunk, p] = row_dot(offsets**p, weights)
     return out

@@ -4,10 +4,13 @@ The reference functions below are the one-point sums as the package
 computed them before the batched engine existed: one Python call per
 point, windows from math.ceil/math.floor, weights multiplied out with
 np.multiply.outer and reduced with np.sum or a 1-D dot product.  They
-never touch kernel.window_rows.  The operators take a tensor grid as
-per-axis coordinates (drawn unsorted, with repeats, sometimes on lattice
-sites, and with first axes longer than one chunk); the references walk
-its points in C order.
+never touch kernel.window_rows: a window's sites come from math.ceil and
+math.floor, and its weights from ``kernel.window_weights`` applied to
+that one centre, the rule every lattice window takes (held to the exact
+kernel and to psi_eval in ``test_kernel``).  The operators take a tensor
+grid as per-axis coordinates (drawn unsorted, with repeats, sometimes on
+lattice sites, and with first axes longer than one chunk); the
+references walk its points in C order.
 
 1-D basic and Kantorovich rows must equal them exactly unless an axis
 holds a lattice site (a centre n x_i whose window has 2W + 1 sites).
@@ -53,13 +56,12 @@ from tanhqi import (
     FracConfig,
     chart_preset,
     function_preset,
-    psi_eval,
     rl_derivative_batch,
 )
 from tanhqi import analysis, operators
 from tanhqi.analysis import fractional_sweep, grid_axes
 from tanhqi.fractional import power_rule_oracle
-from tanhqi.kernel import axis_moments, check_tables, chunk_rows
+from tanhqi.kernel import axis_moments, check_tables, chunk_rows, window_weights
 from tanhqi.manifold import operator_on_chart_batch
 from tanhqi.operators import (
     apply_basic_batch,
@@ -100,7 +102,7 @@ class Ones2:
 def ref_window(kernel, u):
     w = kernel.radius
     ks = np.arange(math.ceil(u - w), math.floor(u + w) + 1)
-    return ks, psi_eval(kernel, u - ks)
+    return ks, window_weights(kernel)(np.array([u]), np.array([float(ks[0])]), ks.size)[0]
 
 
 def ref_tensor(kernel, n, x):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tanhqi import (
@@ -25,12 +25,14 @@ from tanhqi.kernel import (
     MAX_POINT_WORK,
     MAX_SUM_WORK,
     ONE_EXP_ALPHA,
+    WINDOW_EXP_LIMIT,
     check_tables,
     lattice_sums,
     point_work,
     table_sites,
     window_index,
     window_rows,
+    window_weights,
 )
 
 
@@ -49,19 +51,78 @@ def raw_h(q, alpha, x):
     return (ep - q * em) / ((1.0 + q) * ep + (1.0 - q) * em)
 
 
-def mp_psi(q, alpha, xs):
-    # the naive difference (h(x+1) - h(x-1)) / C at 80 digits: it cancels about
-    # 2 alpha |x| / ln 10 digits in the tails (at 40 digits it is off by 1e-13 at (0.1, 4))
+def mp_psi(q, alpha, xs, centre=0.0):
+    # psi(centre + x), the sum taken exactly, as the naive difference (h(y+1) - h(y-1)) / C at
+    # 80 digits plus the 2 alpha |y| / ln 10 digits it cancels in the tails (at 40 digits in
+    # all it is off by 1e-13 at (0.1, 4))
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(80):
+    reach = max((abs(centre + x) for x in xs), default=0.0) + 1.0
+    with mp.workdps(80 + math.ceil(2.0 * alpha * reach / math.log(10.0))):
         q, a = mp.mpf(q), mp.mpf(alpha)
 
         def h(y):
             u = mp.exp(2 * a * y)
             return (u - q) / ((1 + q) * u + 1 - q)
 
-        return np.array([float((h(mp.mpf(x) + 1) - h(mp.mpf(x) - 1)) * (1 - q * q)
-                               / (2 * (1 + q * q))) for x in xs])
+        ys = [mp.mpf(centre) + mp.mpf(x) for x in xs]
+        return np.array([float((h(y + 1) - h(y - 1)) * (1 - q * q) / (2 * (1 + q * q)))
+                         for y in ys])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def gamma(m):
+    # Higham's gamma_m = m u / (1 - m u), u = 2^-53, bounds m relative roundings
+    return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def eval_roundings(k):
+    """m such that psi_eval(u - k) is within gamma_m of psi at the exact u - k, |u - k| <= W + 1.
+
+    Counts follow Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1, to first order in u = 2^-53, with an exp or expm1 as 2 roundings
+    (within one ulp).  psi = s v /
+    D(v) has |d ln psi / d ln v| <= 1, so an error in v or in e^(2 alpha
+    (x +- 1)) reaches psi at most as large.  Up to ONE_EXP_ALPHA: u - k
+    rounds once and -2 alpha x once, an error of 2 alpha (W + 1) 2u in the
+    exponent; exp adds 2; s = (1-q)(1+q)(1 - e^2)/2 takes 6, each factor
+    (A/v + B e, A e + B v) 5, their product and the quotient 1 each: m =
+    4 alpha (W + 1) + 20.  Above it each factor's exponent -2 alpha (x +- 1)
+    carries x's rounding, the +-1's and the product's, 2 alpha (3W + 5) u,
+    plus 5 in the factor; with s and the last two roundings, m = 4 alpha
+    (3W + 5) + 18, taken as + 20.
+    """
+    a, w = k.params.alpha, k.radius
+    return 4 * a * (w + 1) + 20 if a <= ONE_EXP_ALPHA else 4 * a * (3 * w + 5) + 20
+
+
+def weight_roundings(k):
+    """m such that every window weight is within gamma_m of psi at the exact u - k.
+
+    The per-centre rule, v = e^(2 alpha (c - u)) R_j, R_j = e^(2 alpha (j -
+    W)), psi = v / (c1 + v (c0 + c2 v)), counted as in ``eval_roundings``:
+    c - u in [0, 1) rounds once and 2 alpha (c - u) once, at most 2 alpha
+    2u in the exponent; 2 alpha (j - W) rounds once, at most 2 alpha W u;
+    two exps and the product add 5, so v is within 2 alpha (W + 2) + 5.
+    With s at 6, c1 = A^2 e / s and c2 = B^2 e / s take 13 roundings and
+    c0 = A B (1 + e^2) / s 17; Horner's two multiplies and two adds keep
+    every term of the positive denominator within 20, and the quotient
+    adds 1: m = 2 alpha (W + 2) + 26.  Past WINDOW_EXP_LIMIT the weights
+    are psi_eval's.
+    """
+    a, w = k.params.alpha, k.radius
+    if 2 * a * (w + 1) > WINDOW_EXP_LIMIT:
+        return eval_roundings(k)
+    return 2 * a * (w + 2) + 26
+
+
+def underflow_floor(k):
+    # psi_eval reads 0 or subnormal only where psi < (1+q)/(1-q) e^(2 alpha - 708) (see
+    # kernel.ONE_EXP_ALPHA); above ONE_EXP_ALPHA, only where psi < e^-708
+    q, a = k.params.q, k.params.alpha
+    return (1.0 + q) / (1.0 - q) * math.exp(2.0 * a - 708.0)
 
 
 class TestNormalization:
@@ -225,9 +286,14 @@ class TestTruncation:
 
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
+        # the weights are the one-centre rule from the row's first site, and within both
+        # rules' forward-error bounds of psi_eval at the row's own sites
         k = kernel()
         ks, ws = window_rows(k, [u])
-        assert np.array_equal(ws[0], psi_eval(k, u - ks[0]))
+        assert np.array_equal(ws[0], window_weights(k)(np.array([u]), ks[0, :1], ks.shape[1])[0])
+        want = psi_eval(k, u - ks[0])
+        bound = gamma(weight_roundings(k)) + gamma(eval_roundings(k))
+        assert np.all(np.abs(ws[0] - want) <= bound * want)
 
     def test_lattice_window_contents(self):
         k = kernel(eps=0.5)
@@ -238,18 +304,28 @@ class TestTruncation:
 
 
 class TestWindowRows:
-    def test_rows_hold_each_centres_window(self):
-        # 3.0 is a lattice site (2W + 1 sites), so the other rows get one padded slot
-        k = kernel()
-        centres = [0.3, 3.0, -7.25]
+    @settings(deadline=None)
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 2 * ONE_EXP_ALPHA),
+           eps=_log_uniform(1e-300, 1e-3),
+           on=st.lists(st.integers(-60, 60).map(float), min_size=1, max_size=3),
+           off=st.lists(st.floats(-60.0, 60.0).filter(lambda u: u != round(u)),
+                        min_size=1, max_size=3))
+    # 3.0 is a lattice site (2W + 1 sites), so the other rows get one padded slot
+    @example(q=0.5, alpha=1.0, eps=1e-12, on=[3.0], off=[0.3, -7.25])
+    def test_rows_hold_each_centres_window(self, q, alpha, eps, on, off):
+        # a row of a batch mixing on-site (full) and off-site (short) rows is its centre's
+        # one-row call bit for bit: a window sum depends neither on CHUNK_ELEMENTS nor on
+        # the other points of its call
+        k = kernel(q, alpha, eps)
+        centres = off[:1] + on + off[1:]
         ks, ws = window_rows(k, centres)
-        assert ks.shape == ws.shape == (3, 2 * int(k.radius) + 1)
+        assert ks.shape == ws.shape == (len(centres), 2 * int(k.radius) + 1)
         for row, u in enumerate(centres):
             win, weights = (a[0] for a in window_rows(k, [u]))
             assert np.array_equal(ks[row, :win.size], win)
             assert np.array_equal(ws[row, :win.size], weights)
             if win.size < ks.shape[1]:
-                # the pad repeats the last site, with weight zero
+                # the pad repeats the last site, with weight exactly zero
                 assert ks[row, -1] == win[-1] and ws[row, -1] == 0.0
 
     def test_off_site_rows_are_unpadded(self):
@@ -267,6 +343,47 @@ class TestWindowRows:
         with pytest.raises(ValueError, match="one kernel window holds 16777217 lattice sites") as exc:
             point_work(kernel(alpha=1e-6), 1)
         assert "quad" not in str(exc.value)
+
+
+class TestWindowWeights:
+    @settings(deadline=None, max_examples=60)
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 2 * ONE_EXP_ALPHA),
+           eps=_log_uniform(1e-300, 1e-3), u=st.floats(-60.0, 60.0),
+           picks=st.lists(st.floats(0.0, 1.0), max_size=24))
+    # one exp per centre; psi_eval past WINDOW_EXP_LIMIT, below and above ONE_EXP_ALPHA
+    @example(q=0.5, alpha=2**0.5, eps=1e-12, u=0.3, picks=[])
+    @example(q=0.5, alpha=1.0, eps=1e-300, u=0.3, picks=[])
+    @example(q=0.5, alpha=128.0, eps=1e-12, u=0.3, picks=[])
+    def test_within_the_derived_bound_of_the_exact_kernel(self, q, alpha, eps, u, picks):
+        k = kernel(q, alpha, eps)
+        ks, ws = (a[0] for a in window_rows(k, [u]))
+        # both ends, the peak and random sites; the exact kernel at the exact offset u - k
+        cols = np.unique([0, ks.size - 1, int(np.argmax(ws)),
+                          *(int(p * (ks.size - 1)) for p in picks)])
+        exact = mp_psi(q, alpha, -ks[cols], centre=u)
+        # one more rounding for the oracle's own float
+        bound = gamma(weight_roundings(k) + 1) * exact + underflow_floor(k)
+        assert np.all(np.abs(ws[cols] - exact) <= bound)
+
+    @pytest.mark.parametrize("q", [0.01, 0.99])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-100, 1e-300])
+    @pytest.mark.parametrize("alpha", [1 / 32, 64.0, 128.0])
+    def test_finite_and_positive_at_the_edges(self, q, alpha, eps):
+        k = kernel(q, alpha, eps)
+        x = np.array([-0.5, 0.0, 0.3, 0.99])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks, ws = window_rows(k, x)
+            sums = axis_moments(k, x, 1, 0)[:, 0]
+        pad = np.zeros(ws.shape, dtype=bool)
+        pad[:, -1] = np.floor(x + k.radius) - np.ceil(x - k.radius) + 1 < ws.shape[1]
+        assert np.all(np.isfinite(ws)) and np.all(ws[pad] == 0.0)
+        assert np.all(ws[~pad][psi_eval(k, (x[:, None] - ks)[~pad]) > 0.0] > 0.0)
+        # the neglected mass, then each weight's rounding and a pairwise sum's over the row
+        # (Higham 3.1), and what a weight below the underflow floor may lose
+        width = ws.shape[1]
+        slack = gamma(weight_roundings(k)) + gamma(width) + width * underflow_floor(k)
+        assert np.all(np.abs(sums - 1.0) <= 4 * eps * k.radius + slack)
 
 
 class TestZEval:
@@ -323,10 +440,6 @@ class TestMoments:
         m1 = axis_moments(k, x[:1], 16, 1)[0, 1]
         m2 = axis_moments(k, x[1:], 16, 2)[0, 2]
         assert joint[0] == pytest.approx(m1 * m2, rel=1e-12)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 class TestKernelProperties:
