@@ -29,10 +29,10 @@ table e^(2 alpha (j - W)) over its sites k = lo + j per call
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
-``lattice_sums`` contracts the table one axis at a time.  The first axis's
-window ends are taken once per call, and each of its windows is read from a
-strided view of the table, so a chunk of points gathers with one index per
-row; a short row's zero-weight pad slot reads a site of the table, never
+``lattice_sums`` contracts the table one axis at a time.  Its first axis,
+like ``axis_moments``, takes one window plan per call (window ends, exps and
+weight buffers), so a chunk of points only fills its weights, and reads each
+window from a strided view of the table with one index per row; a short row's zero-weight pad slot reads a site of the table, never
 one past it.  ``table_sites`` caps a window's sites, the table's sites and
 the sums' multiply-adds before it builds a site, for operators and sweeps
 alike; ``check_tables`` runs it and an operator's site rule for every n of
@@ -69,6 +69,7 @@ __all__ = [
     "chunk_rows",
     "row_dot",
     "axis_moments",
+    "offset_powers",
     "kernel_mass",
 ]
 
@@ -168,15 +169,17 @@ def psi_eval(kernel: DensityKernel, x):
     return _psi(kernel.params, x)
 
 
-def window_weights(kernel: DensityKernel):
-    """The weight rule of every lattice window: a function (u, lo, width) -> psi(u_i - lo_i - j).
+def window_weights(kernel: DensityKernel, u, lo):
+    """The weight rule of every lattice window: a function (width, rows, out, scratch) -> weights.
 
     u and lo have shape (P,), lo_i = ceil(u_i - W) the first site of u_i's
-    window, and the weights have shape (P, width), j = 0..width - 1 <= 2W.
-    With c = lo + W, so -1 < u - c <= 0, psi(u - k) at k = lo + j takes
-    v = e^(-2 alpha (u - c)) R_j, R_j = e^(2 alpha (j - W)): one exp per
-    centre, and the R table once per rule.  Expanding psi_eval's
-    denominator with A = 1 + q, B = 1 - q gives
+    window; the weights psi(u_i - lo_i - j) of the centres u[rows] (all by
+    default) have shape (m, width), j = 0..width - 1 <= 2W, and go into out
+    (a temporary into scratch) when given.  With c = lo + W, so
+    -1 < u - c <= 0, psi(u - k) at k = lo + j takes v = e^(-2 alpha (u - c)) R_j,
+    R_j = e^(2 alpha (j - W)): the per-centre exps and the R table are taken
+    once, when the rule is built.  Expanding psi_eval's denominator with
+    A = 1 + q, B = 1 - q gives
 
         psi = v / (c1 + v (c0 + c2 v)),  c0 = A B (1 + e^2) / s,  c1 = A^2 e / s,  c2 = B^2 e / s,
 
@@ -186,8 +189,8 @@ def window_weights(kernel: DensityKernel):
     """
     q, a, w = float(kernel.params.q), float(kernel.params.alpha), kernel.radius
     if 2.0 * a * (w + 1.0) > WINDOW_EXP_LIMIT:
-        def sites(u, lo, width):
-            return psi_eval(kernel, u[:, None] - (lo[:, None] + np.arange(float(width))))
+        def sites(width, rows=slice(None), out=None, scratch=None):
+            return psi_eval(kernel, u[rows, None] - (lo[rows, None] + np.arange(float(width))))
 
         return sites
     e = math.exp(-2.0 * a)
@@ -196,10 +199,11 @@ def window_weights(kernel: DensityKernel):
     c1 = (1.0 + q) ** 2 * e / s
     c2 = (1.0 - q) ** 2 * e / s
     ratios = np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w))
+    factor = np.exp(2.0 * a * (lo + w - u))[:, None]
 
-    def weights(u, lo, width):
-        v = np.exp(2.0 * a * (lo + w - u))[:, None] * ratios[:width]
-        d = c2 * v
+    def weights(width, rows=slice(None), out=None, scratch=None):
+        v = np.multiply(factor[rows], ratios[:width], out=out)
+        d = np.multiply(c2, v, out=scratch)
         d += c0
         d *= v
         d += c1
@@ -218,27 +222,42 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     2W + 1 when u_i is a lattice site; when the rows differ, each short
     row is padded by repeating its last site with weight zero, so a pad
     never reaches a site outside its own window.  Every lattice sum in
-    the package draws its sites and weights from this rule; u = n x for a
-    sum over k/n near x.  A centre with |u| + W + 1 above MAX_CENTRE is a
-    ValueError.
+    the package takes this rule (a window plan's chunk at a time); u = n x
+    for a sum over k/n near x.  A centre with |u| + W + 1 above MAX_CENTRE
+    is a ValueError.
     """
     u = np.asarray(u, dtype=float)
     lo, hi = _window_ends(kernel, 1, u)
-    weights = _padded(window_weights(kernel), u, lo, hi)
-    ks = lo[:, None] + np.arange(float(weights.shape[1]))
-    short = hi - lo + 1 < weights.shape[1]
+    width = int((hi - lo).max()) + 1
+    weights = window_weights(kernel, u, lo)(width)
+    short = hi - lo + 1 < width
+    weights[short, -1] = 0.0
+    ks = lo[:, None] + np.arange(float(width))
     ks[short, -1] = hi[short]
     return ks, weights
 
 
-def _padded(rule, u, lo, hi) -> np.ndarray:
-    # window_rows' weights for centres u with window ends lo, hi, from a window_weights rule: the
-    # rows are as wide as the widest window, and a short row's last slot, one past its window,
-    # weighs zero
-    width = int((hi - lo).max()) + 1
-    weights = rule(u, lo, width)
-    weights[hi - lo + 1 < width, -1] = 0.0
-    return weights
+def _window_plan(kernel: DensityKernel, u: np.ndarray, rows: int):
+    # one call's windows around centres u in chunks of rows points: the window ends lo, each
+    # point's row width (its chunk's widest window), and the chunks as (chunk, weights), in one
+    # buffer per call until the next chunk, a short row's last slot weighing zero
+    lo, hi = _window_ends(kernel, 1, u)
+    length = hi - lo + 1
+    starts = range(0, u.size, rows)
+    widths = np.maximum.reduceat(length, starts).astype(np.intp)
+    padded = (np.minimum.reduceat(length, starts) < widths).tolist()
+    weights = window_weights(kernel, u, lo)
+    flat = np.empty(2 * min(rows, u.size) * int(widths.max()))
+
+    def chunks():
+        for start, w, pad in zip(starts, widths.tolist(), padded):
+            chunk, m = slice(start, start + rows), min(rows, u.size - start)
+            v = weights(w, chunk, *flat[:2 * m * w].reshape(2, m, w))
+            if pad:
+                v[length[chunk] < w, -1] = 0.0
+            yield chunk, v
+
+    return lo, np.repeat(widths, rows)[:u.size], chunks()
 
 
 def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, np.ndarray]:
@@ -348,15 +367,18 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     the lattice table.  Each axis i is contracted in turn, T <- sum_l
     w_i[p, l] T[.., k_i[p, l], ..], in chunks of the first axis's points
     that keep every gathered array near CHUNK_ELEMENTS.  The first axis's
-    window ends, their places in the table and its ``window_weights`` rule
-    are found once per call; a chunk of L-site rows (``window_rows``' rule,
-    L its widest window, weighed with one exp per point and no site array)
-    then gathers row p as T[first_p : first_p + L] from a read-only
-    strided view of each table.  A short row's pad slot reads the site
-    after its window, at weight zero; when its window ends on the table's
-    last site, the row is read one site early and shifted back, so the pad
-    repeats its last site and nothing past the table is read.  Later axes
-    gather through ``window_index`` arrays, built once per call.
+    window plan (window ends, places in the table, per-centre exps, weight
+    buffers) is built once per call; a chunk then fills its L-site rows'
+    weights (``window_rows``' rule, L its widest window) and gathers row p
+    as T[first_p : first_p + L] from a read-only strided view of each
+    table.  A short row's pad slot reads the site after its window, at
+    weight zero; when its window ends on the table's last site, the row is
+    read one site early and shifted back, so nothing past the table is
+    read.  Later axes gather through ``window_index`` arrays, built once
+    per call.  Off the lattice sites a point's sum depends on its window
+    alone, not on CHUNK_ELEMENTS; a chunk holding a site centre pads its
+    other rows, which from W = 64 on regroups the pairwise row sum (up to
+    4e-16 relative at alpha 0.3 and 0.125).
     """
     mesh = table_sites(kernel, n, axes)
     sites = [s.ravel() for s in mesh]
@@ -367,29 +389,27 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     widths = [point_work(kernel, 1)] + [index.shape[1] for index, _ in later]
     # per first-axis point, axis i gathers the points done, its window and the sites to come
     rows = max(1, CHUNK_ELEMENTS // (max(_sum_work(counts, widths, shape)) // counts[0]))
-    u = n * np.asarray(axes[0], dtype=float)
-    lo, hi = _window_ends(kernel, 1, u)
+    lo, row_width, chunks = _window_plan(kernel, n * np.asarray(axes[0], dtype=float), rows)
     first = np.searchsorted(sites[0], lo)
-    rule = window_weights(kernel)
+    past = first > shape[0] - row_width
+    at = first - past
+    shifts = np.logical_or.reduceat(past, range(0, past.size, rows)).tolist()
     views = {}  # window width -> each table's (K_0 - width + 1, width, K_1, ..) view
     out = [np.empty(counts) for _ in values]
-    for start in range(0, counts[0], rows):
-        chunk = slice(start, start + rows)
-        weights = _padded(rule, u[chunk], lo[chunk], hi[chunk])
+    for (chunk, weights), shift in zip(chunks, shifts):
         width = weights.shape[1]
         if width not in views:
             views[width] = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1)
                             for v in values]
-        past = first[chunk] > shape[0] - width
-        at = first[chunk] - past
         weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
         for view, o in zip(views[width], out):
             # C order, so the sum groups as it would over a plain table: a gather through a
             # broadcast table's zero strides comes out in another layout
-            v = np.ascontiguousarray(view[at])
-            if past.any():
-                v[past, :-1] = v[past, 1:]
-            v = (v * weights).sum(axis=1)
+            v = np.ascontiguousarray(view[at[chunk]])
+            if shift:
+                v[past[chunk], :-1] = v[past[chunk], 1:]
+            v *= weights
+            v = v.sum(axis=1)
             for axis, (index, w) in enumerate(later, 1):
                 gathered = np.take(v, index, axis=axis)
                 w = w.reshape(w.shape + (1,) * (v.ndim - axis - 1))
@@ -442,26 +462,31 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
 
     x has shape (P,); the result has shape (P, p_max + 1), all orders
     from one window per point, weighed by ``window_weights`` with one exp
-    per point.  Column 0 is the truncated partition sum.
+    per point from the call's window plan (see ``lattice_sums``), to the
+    powers of ``offset_powers``.  Column 0 is the truncated partition sum.
     The N-dimensional M_alpha(x, n) is the product over axes i of column
     alpha_i; |M_p| <= (W/n)^p, and n * M_1 depends only on frac(n x).
     """
     check_n(n)
     x = np.asarray(x, dtype=float)
-    u = n * x
-    lo, hi = _window_ends(kernel, 1, u)
     out = np.empty((x.size, p_max + 1))
-    rows = chunk_rows(kernel, 1)
-    rule = window_weights(kernel)
-    for start in range(0, x.size, rows):
-        chunk = slice(start, start + rows)
-        weights = _padded(rule, u[chunk], lo[chunk], hi[chunk])
+    lo, _, chunks = _window_plan(kernel, n * x, chunk_rows(kernel, 1))
+    for chunk, weights in chunks:
         out[chunk, 0] = weights.sum(axis=1)
         # a pad slot's site is one past its window, at weight zero
         offsets = (lo[chunk, None] + np.arange(float(weights.shape[1]))) / n - x[chunk, None]
-        for p in range(1, p_max + 1):
-            out[chunk, p] = row_dot(offsets**p, weights)
+        for p, power in enumerate(offset_powers(offsets, p_max), 1):
+            out[chunk, p] = row_dot(power, weights)
     return out
+
+
+def offset_powers(offsets: np.ndarray, p_max: int):
+    """offsets**p, p = 1..p_max, from p = 3 on as |o|**p with o's sign put back for odd p: sign-
+    symmetric bit for bit and within 1 ulp of math.pow.  numpy's float64 ``**`` takes libm,
+    30 times slower and rounded differently, for bases < 0 only."""
+    size = np.abs(offsets) if p_max > 2 else None
+    for p in range(1, p_max + 1):
+        yield offsets**p if p < 3 else np.copysign(size**p, offsets) if p % 2 else size**p
 
 
 def kernel_mass(kernel: DensityKernel, box) -> float:

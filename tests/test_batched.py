@@ -102,7 +102,7 @@ class Ones2:
 def ref_window(kernel, u):
     w = kernel.radius
     ks = np.arange(math.ceil(u - w), math.floor(u + w) + 1)
-    return ks, window_weights(kernel)(np.array([u]), np.array([float(ks[0])]), ks.size)[0]
+    return ks, window_weights(kernel, np.array([u]), np.array([float(ks[0])]))(ks.size)[0]
 
 
 def ref_tensor(kernel, n, x):
@@ -154,7 +154,10 @@ def ref_moment(kernel, p, x, n):
     ks, weights = ref_window(kernel, n * x)
     if p == 0:
         return float(np.sum(weights))
-    return float(((ks / n - x) ** p) @ weights)
+    # axis_moments' integer-power rule: from p = 3 on, |d|**p with d's sign put back
+    d = ks / n - x
+    power = d**p if p < 3 else np.copysign(np.abs(d) ** p, d) if p % 2 else np.abs(d) ** p
+    return float(power @ weights)
 
 
 # --- strategies and comparison ---------------------------------------------

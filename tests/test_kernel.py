@@ -13,13 +13,18 @@ from hypothesis import strategies as st
 from tanhqi import (
     ActivationParams,
     DensityKernel,
+    apply_basic_batch,
     axis_moments,
+    chart_preset,
+    function_preset,
     kernel_mass,
     multi_indices,
     normalization_constant,
+    operator_on_chart_batch,
     psi_eval,
     truncation_radius,
 )
+from tanhqi import kernel as kernel_module
 from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
@@ -28,6 +33,7 @@ from tanhqi.kernel import (
     WINDOW_EXP_LIMIT,
     check_tables,
     lattice_sums,
+    offset_powers,
     point_work,
     table_sites,
     window_index,
@@ -290,7 +296,7 @@ class TestTruncation:
         # rules' forward-error bounds of psi_eval at the row's own sites
         k = kernel()
         ks, ws = window_rows(k, [u])
-        assert np.array_equal(ws[0], window_weights(k)(np.array([u]), ks[0, :1], ks.shape[1])[0])
+        assert np.array_equal(ws[0], window_weights(k, np.array([u]), ks[0, :1])(ks.shape[1])[0])
         want = psi_eval(k, u - ks[0])
         bound = gamma(weight_roundings(k)) + gamma(eval_roundings(k))
         assert np.all(np.abs(ws[0] - want) <= bound * want)
@@ -441,6 +447,21 @@ class TestMoments:
         m2 = axis_moments(k, x[1:], 16, 2)[0, 2]
         assert joint[0] == pytest.approx(m1 * m2, rel=1e-12)
 
+
+
+class TestOffsetPowers:
+    @pytest.mark.parametrize("p_max", [2, 4, 7])
+    def test_sign_symmetric_and_within_one_ulp_of_pow(self, p_max):
+        # moment offsets of both signs over many binades; at o**p, (-o)**3 and -(o**3) differed
+        # in 5% of such values, since numpy's ** takes libm for negative bases only
+        rng = np.random.default_rng(20)
+        o = rng.uniform(-1.0, 1.0, 4096) * 2.0 ** rng.integers(-30, 8, 4096).astype(float)
+        powers = list(zip(offset_powers(o, p_max), offset_powers(-o, p_max)))
+        assert len(powers) == p_max
+        for p, (plus, minus) in enumerate(powers, 1):
+            assert np.array_equal(minus, (-1.0) ** p * plus)
+            want = np.array([math.pow(v, p) for v in o])
+            assert np.all(np.abs(plus - want) <= np.spacing(np.abs(want)))
 
 class TestKernelProperties:
     @settings(deadline=None)
@@ -630,6 +651,71 @@ class TestPadSlot:
         for a, b in zip(lattice_sums(k, 1, axes, pad_tables), lattice_sums(k, 1, axes, copies)):
             assert np.array_equal(a, b)
 
+
+
+def off_site(lo, hi, points, n):
+    # a grid on (lo, hi) with no lattice-site centre n x: every window has 2W sites, no pad slot
+    x = lo + (hi - lo) * (np.arange(points) + 0.37) / points
+    assert np.all(n * x != np.floor(n * x))
+    return x
+
+
+class CountedNumpy:
+    # numpy, recording the argument shape of each np.exp call
+    def __init__(self):
+        self.exp_shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exp_shapes.append(np.shape(x))
+        return np.exp(x, *args, **kwargs)
+
+
+class TestWindowPlan:
+    @pytest.mark.parametrize("alpha", [1.0, 0.125])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, alpha):
+        # off the lattice sites a row's sum depends on its own window only, so neither the
+        # chunk size nor the other points of a chunk move it
+        k = kernel(alpha=alpha)
+        n = int(k.radius) + 8
+        runge, sin_exp = function_preset("runge"), function_preset("sin-exp")
+        line = off_site(-0.5, 0.5, 301, n)
+        plane = [off_site(-0.5, 0.5, 23, n), off_site(1.0, 2.0, 5, n)]
+        half_plane, torus = chart_preset("poincare-half-plane"), chart_preset("torus", 1)
+        calls = {
+            "basic 1-D": lambda: apply_basic_batch(k, runge, n, [line]),
+            "basic 2-D": lambda: apply_basic_batch(k, sin_exp, n, plane),
+            "chart 1-D": lambda: operator_on_chart_batch(k, torus, runge, n, [line]),
+            "chart 2-D": lambda: operator_on_chart_batch(k, half_plane, sin_exp, n, plane),
+            "moments": lambda: axis_moments(k, line, n, 4),
+        }
+        want = {name: call() for name, call in calls.items()}
+        for elements in (2**6, 2**9, 2**13, 2**16):
+            monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", elements)
+            for name, call in calls.items():
+                assert np.array_equal(call(), want[name]), (name, elements)
+
+    def test_one_exp_per_centre_per_call(self, monkeypatch):
+        # W = 16 takes the one-exp rule: per call, one exp over the R table's 33 sites and one
+        # over the first axis's centres, however many chunks; a later axis takes its own pair
+        k, n = kernel(), 16
+        x, y = off_site(0.0, 1.0, 301, n), off_site(0.0, 1.0, 7, n)
+        monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", 2**6)
+        assert kernel_module.chunk_rows(k, 1) == 1
+        calls = [
+            (lambda: lattice_sums(k, n, [x], lambda sites: [sites[0] / n]), [(33,), (301,)]),
+            (lambda: lattice_sums(k, n, [x, y], lambda sites: [sites[0] / n + sites[1]]),
+             [(33,), (301,), (33,), (7,)]),
+            (lambda: axis_moments(k, x, n, 4), [(33,), (301,)]),
+        ]
+        for call, shapes in calls:
+            counted = CountedNumpy()
+            monkeypatch.setattr(kernel_module, "np", counted)
+            call()
+            monkeypatch.setattr(kernel_module, "np", np)
+            assert sorted(counted.exp_shapes) == sorted(shapes)
 
 class TestCentreLimit:
     @settings(deadline=None)
