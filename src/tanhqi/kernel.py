@@ -31,9 +31,11 @@ Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
 ``lattice_sums`` contracts the table one axis at a time.  Its first axis,
 like ``axis_moments``, takes one window plan per call (window ends, exps and
-weight buffers), so a chunk of points only fills its weights, and reads each
-window from a strided view of the table with one index per row; a short row's zero-weight pad slot reads a site of the table, never
-one past it.  ``table_sites`` caps a window's sites, the table's sites and
+weight buffers), so a chunk of points, all with windows of one width, only
+fills its weights and reads each window from a strided view of the table
+with one index per row.  Later axes give every row 2W + 1 slots.  Either
+way a point's sum depends on its own window alone, not on the other points
+of its call.  ``table_sites`` caps a window's sites, the table's sites and
 the sums' multiply-adds before it builds a site, for operators and sweeps
 alike; ``check_tables`` runs it and an operator's site rule for every n of
 a sweep first.
@@ -216,19 +218,18 @@ def window_weights(kernel: DensityKernel, u, lo):
 def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     """Lattice windows and kernel weights for a batch of centres u, shape (P,).
 
-    Row i holds the integers k with |k - u_i| <= W, ascending (as
-    integer-valued floats), and the weights psi(u_i - k) of
+    Row i has 2W + 1 slots: the integers k with |k - u_i| <= W, ascending
+    (as integer-valued floats), and the weights psi(u_i - k) of
     ``window_weights``, one exp per centre.  A window has 2W sites, or
-    2W + 1 when u_i is a lattice site; when the rows differ, each short
-    row is padded by repeating its last site with weight zero, so a pad
-    never reaches a site outside its own window.  Every lattice sum in
-    the package takes this rule (a window plan's chunk at a time); u = n x
-    for a sum over k/n near x.  A centre with |u| + W + 1 above MAX_CENTRE
-    is a ValueError.
+    2W + 1 when u_i is a lattice site; a 2W-site row's last slot repeats
+    its last site with weight zero, so a row depends on its centre alone
+    and never reaches a site outside its own window.  Every lattice sum
+    in the package takes this rule; u = n x for a sum over k/n near x.  A
+    centre with |u| + W + 1 above MAX_CENTRE is a ValueError.
     """
     u = np.asarray(u, dtype=float)
     lo, hi = _window_ends(kernel, 1, u)
-    width = int((hi - lo).max()) + 1
+    width = 2 * int(kernel.radius) + 1
     weights = window_weights(kernel, u, lo)(width)
     short = hi - lo + 1 < width
     weights[short, -1] = 0.0
@@ -238,31 +239,29 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_plan(kernel: DensityKernel, u: np.ndarray, rows: int):
-    # one call's windows around centres u in chunks of rows points: the window ends lo, each
-    # point's row width (its chunk's widest window), and the chunks as (chunk, weights), in one
-    # buffer per call until the next chunk, a short row's last slot weighing zero
+    # one call's windows around centres u: the window ends lo, and per window width (2W sites,
+    # or 2W + 1 for a centre on a lattice site) with a point, (width, chunks), each chunk at
+    # most rows of those points as (index array, weights), in one buffer per call until the
+    # next chunk; no row holds a slot outside its own window
     lo, hi = _window_ends(kernel, 1, u)
-    length = hi - lo + 1
-    starts = range(0, u.size, rows)
-    widths = np.maximum.reduceat(length, starts).astype(np.intp)
-    padded = (np.minimum.reduceat(length, starts) < widths).tolist()
+    length = (hi - lo).astype(np.intp) + 1
+    # not np.unique: its first call alone raised a run's peak RSS by 1.7 MB (numpy 2.4)
+    widths = range(int(length.min()), int(length.max()) + 1)
     weights = window_weights(kernel, u, lo)
-    flat = np.empty(2 * min(rows, u.size) * int(widths.max()))
+    flat = np.empty(2 * min(rows, u.size) * widths[-1])
 
-    def chunks():
-        for start, w, pad in zip(starts, widths.tolist(), padded):
-            chunk, m = slice(start, start + rows), min(rows, u.size - start)
-            v = weights(w, chunk, *flat[:2 * m * w].reshape(2, m, w))
-            if pad:
-                v[length[chunk] < w, -1] = 0.0
-            yield chunk, v
+    def chunks(width):
+        index = np.flatnonzero(length == width)
+        for start in range(0, index.size, rows):
+            chunk = index[start:start + rows]
+            yield chunk, weights(width, chunk, *flat[:2 * chunk.size * width].reshape(2, -1, width))
 
-    return lo, np.repeat(widths, rows)[:u.size], chunks()
+    return lo, [(width, chunks(width)) for width in widths]
 
 
 def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, np.ndarray]:
-    """window_rows around n x, shape (P,) -> (P, L), with its sites as indices into one axis's
-    sorted sites (a pad indexes its row's last site), and the weights psi(n x - k)."""
+    """window_rows around n x, shape (P,) -> (P, 2W + 1), with its sites as indices into one
+    axis's sorted sites (a pad indexes its row's last site), and the weights psi(n x - k)."""
     k, w = window_rows(kernel, n * np.asarray(x, dtype=float))
     # a window lies in one run of consecutive sites, so offsets from its first site add
     first = np.searchsorted(sites, k[:, 0])
@@ -328,7 +327,7 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
         raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
                          f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
     width = 2 * int(kernel.radius) + 1
-    work = sum(_sum_work(counts, [width] * len(counts), sizes))
+    work = sum(_sum_work(counts, width, sizes))
     if work > MAX_SUM_WORK:
         raise ValueError(f"a lattice sum needs {work} multiply-adds (> {MAX_SUM_WORK}): "
                          f"{' x '.join(map(str, counts))} points, windows of {width} sites per axis, "
@@ -353,10 +352,10 @@ def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> list:
     return results
 
 
-def _sum_work(counts, widths, sizes) -> list[int]:
+def _sum_work(counts, width, sizes) -> list[int]:
     # per axis i, the multiply-adds lattice_sums pays contracting it: the grid points done
-    # (axes 0..i), times axis i's window width, times the table sites still to contract
-    return [math.prod(counts[:i + 1]) * widths[i] * math.prod(sizes[i + 1:])
+    # (axes 0..i), times the window width, times the table sites still to contract
+    return [math.prod(counts[:i + 1]) * width * math.prod(sizes[i + 1:])
             for i in range(len(counts))]
 
 
@@ -368,17 +367,14 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     w_i[p, l] T[.., k_i[p, l], ..], in chunks of the first axis's points
     that keep every gathered array near CHUNK_ELEMENTS.  The first axis's
     window plan (window ends, places in the table, per-centre exps, weight
-    buffers) is built once per call; a chunk then fills its L-site rows'
-    weights (``window_rows``' rule, L its widest window) and gathers row p
-    as T[first_p : first_p + L] from a read-only strided view of each
-    table.  A short row's pad slot reads the site after its window, at
-    weight zero; when its window ends on the table's last site, the row is
-    read one site early and shifted back, so nothing past the table is
-    read.  Later axes gather through ``window_index`` arrays, built once
-    per call.  Off the lattice sites a point's sum depends on its window
-    alone, not on CHUNK_ELEMENTS; a chunk holding a site centre pads its
-    other rows, which from W = 64 on regroups the pairwise row sum (up to
-    4e-16 relative at alpha 0.3 and 0.125).
+    buffers) is built once per call and groups the points by window width
+    L (2W, or 2W + 1 for a lattice-site centre); a chunk of one group fills
+    its rows' weights (``window_rows``' rule) and gathers row p as
+    T[first_p : first_p + L] from a read-only strided view of each table,
+    so no row holds a pad slot.  Later axes gather through
+    ``window_index`` arrays of 2W + 1 slots, built once per call.  So a
+    point's sum depends on its own windows alone, not on CHUNK_ELEMENTS
+    or the other points of its call.
     """
     mesh = table_sites(kernel, n, axes)
     sites = [s.ravel() for s in mesh]
@@ -386,35 +382,28 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     values = [np.broadcast_to(np.asarray(t, dtype=float), shape) for t in tables(mesh)]
     later = [window_index(kernel, n, x, s) for x, s in zip(axes[1:], sites[1:])]
     counts = [len(x) for x in axes]
-    widths = [point_work(kernel, 1)] + [index.shape[1] for index, _ in later]
     # per first-axis point, axis i gathers the points done, its window and the sites to come
-    rows = max(1, CHUNK_ELEMENTS // (max(_sum_work(counts, widths, shape)) // counts[0]))
-    lo, row_width, chunks = _window_plan(kernel, n * np.asarray(axes[0], dtype=float), rows)
+    rows = max(1, CHUNK_ELEMENTS // (max(_sum_work(counts, point_work(kernel, 1), shape))
+                                     // counts[0]))
+    lo, groups = _window_plan(kernel, n * np.asarray(axes[0], dtype=float), rows)
     first = np.searchsorted(sites[0], lo)
-    past = first > shape[0] - row_width
-    at = first - past
-    shifts = np.logical_or.reduceat(past, range(0, past.size, rows)).tolist()
-    views = {}  # window width -> each table's (K_0 - width + 1, width, K_1, ..) view
     out = [np.empty(counts) for _ in values]
-    for (chunk, weights), shift in zip(chunks, shifts):
-        width = weights.shape[1]
-        if width not in views:
-            views[width] = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1)
-                            for v in values]
-        weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
-        for view, o in zip(views[width], out):
-            # C order, so the sum groups as it would over a plain table: a gather through a
-            # broadcast table's zero strides comes out in another layout
-            v = np.ascontiguousarray(view[at[chunk]])
-            if shift:
-                v[past[chunk], :-1] = v[past[chunk], 1:]
-            v *= weights
-            v = v.sum(axis=1)
-            for axis, (index, w) in enumerate(later, 1):
-                gathered = np.take(v, index, axis=axis)
-                w = w.reshape(w.shape + (1,) * (v.ndim - axis - 1))
-                v = (gathered * w).sum(axis=axis + 1)
-            o[chunk] = v
+    for width, chunks in groups:
+        # each table as (K_0 - width + 1, width, K_1, ..); a window lies inside the table
+        views = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1) for v in values]
+        for chunk, weights in chunks:
+            weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
+            for view, o in zip(views, out):
+                # C order, so the sum groups as it would over a plain table: a gather through a
+                # broadcast table's zero strides comes out in another layout
+                v = np.ascontiguousarray(view[first[chunk]])
+                v *= weights
+                v = v.sum(axis=1)
+                for axis, (index, w) in enumerate(later, 1):
+                    gathered = np.take(v, index, axis=axis)
+                    w = w.reshape(w.shape + (1,) * (v.ndim - axis - 1))
+                    v = (gathered * w).sum(axis=axis + 1)
+                o[chunk] = v
     return [o.ravel() for o in out]
 
 
@@ -461,22 +450,23 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     """One-axis moments M_p(x, n) = sum_k (k/n - x)^p psi(n x - k), p = 0..p_max.
 
     x has shape (P,); the result has shape (P, p_max + 1), all orders
-    from one window per point, weighed by ``window_weights`` with one exp
-    per point from the call's window plan (see ``lattice_sums``), to the
-    powers of ``offset_powers``.  Column 0 is the truncated partition sum.
+    from one window per point, 2W or 2W + 1 sites and no pad, weighed by
+    ``window_weights`` with one exp per point from the call's window plan
+    (see ``lattice_sums``), to the powers of ``offset_powers``, so a row
+    depends on its point alone.  Column 0 is the truncated partition sum.
     The N-dimensional M_alpha(x, n) is the product over axes i of column
     alpha_i; |M_p| <= (W/n)^p, and n * M_1 depends only on frac(n x).
     """
     check_n(n)
     x = np.asarray(x, dtype=float)
     out = np.empty((x.size, p_max + 1))
-    lo, _, chunks = _window_plan(kernel, n * x, chunk_rows(kernel, 1))
-    for chunk, weights in chunks:
-        out[chunk, 0] = weights.sum(axis=1)
-        # a pad slot's site is one past its window, at weight zero
-        offsets = (lo[chunk, None] + np.arange(float(weights.shape[1]))) / n - x[chunk, None]
-        for p, power in enumerate(offset_powers(offsets, p_max), 1):
-            out[chunk, p] = row_dot(power, weights)
+    lo, groups = _window_plan(kernel, n * x, chunk_rows(kernel, 1))
+    for width, chunks in groups:
+        for chunk, weights in chunks:
+            out[chunk, 0] = weights.sum(axis=1)
+            offsets = (lo[chunk, None] + np.arange(float(width))) / n - x[chunk, None]
+            for p, power in enumerate(offset_powers(offsets, p_max), 1):
+                out[chunk, p] = row_dot(power, weights)
     return out
 
 

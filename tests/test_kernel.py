@@ -1,5 +1,6 @@
 """Density kernel, truncation window, lattice moments, multi-indices."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -49,6 +50,12 @@ def kernel(q=0.5, alpha=1.0, eps=1e-12):
 def lattice_sum(k, x):
     # the truncated lattice sum sum_k psi(x - k) is the zeroth moment at n = 1
     return axis_moments(k, [x], 1, 0)[0, 0]
+
+
+def own_sites(k, u):
+    # the sites of u's window, as _window_ends counts them: 2W, or 2W + 1 for a lattice site;
+    # a window_rows row's slots past them are its pad
+    return int(math.floor(u + k.radius) - math.ceil(u - k.radius)) + 1
 
 
 def raw_h(q, alpha, x):
@@ -292,21 +299,24 @@ class TestTruncation:
 
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
-        # the weights are the one-centre rule from the row's first site, and within both
-        # rules' forward-error bounds of psi_eval at the row's own sites
+        # on the window's own sites, the weights are the one-centre rule from the row's first
+        # site, and within both rules' forward-error bounds of psi_eval
         k = kernel()
-        ks, ws = window_rows(k, [u])
-        assert np.array_equal(ws[0], window_weights(k, np.array([u]), ks[0, :1])(ks.shape[1])[0])
-        want = psi_eval(k, u - ks[0])
+        ks, ws = (a[0, :own_sites(k, u)] for a in window_rows(k, [u]))
+        assert np.array_equal(ws, window_weights(k, np.array([u]), ks[:1])(ks.size)[0])
+        want = psi_eval(k, u - ks)
         bound = gamma(weight_roundings(k)) + gamma(eval_roundings(k))
-        assert np.all(np.abs(ws[0] - want) <= bound * want)
+        assert np.all(np.abs(ws - want) <= bound * want)
 
     def test_lattice_window_contents(self):
+        # 0.3's window has 2W sites; its row's last slot repeats the last one at weight zero
         k = kernel(eps=0.5)
-        win = window_rows(k, [0.3])[0][0]
+        win, weights = (a[0] for a in window_rows(k, [0.3]))
+        assert win.size == 2 * int(k.radius) + 1
         assert win[0] == math.ceil(0.3 - k.radius)
-        assert win[-1] == math.floor(0.3 + k.radius)
-        assert np.all(np.diff(win) == 1)
+        assert win[-2] == win[-1] == math.floor(0.3 + k.radius)
+        assert np.all(np.diff(win[:-1]) == 1)
+        assert weights[-1] == 0.0 and np.all(weights[:-1] > 0.0)
 
 
 class TestWindowRows:
@@ -316,28 +326,32 @@ class TestWindowRows:
            on=st.lists(st.integers(-60, 60).map(float), min_size=1, max_size=3),
            off=st.lists(st.floats(-60.0, 60.0).filter(lambda u: u != round(u)),
                         min_size=1, max_size=3))
-    # 3.0 is a lattice site (2W + 1 sites), so the other rows get one padded slot
+    # 3.0 is a lattice site (2W + 1 sites), the others have 2W sites and one pad slot
     @example(q=0.5, alpha=1.0, eps=1e-12, on=[3.0], off=[0.3, -7.25])
     def test_rows_hold_each_centres_window(self, q, alpha, eps, on, off):
-        # a row of a batch mixing on-site (full) and off-site (short) rows is its centre's
+        # a row of a batch mixing on-site (full) and off-site (padded) rows is its centre's
         # one-row call bit for bit: a window sum depends neither on CHUNK_ELEMENTS nor on
         # the other points of its call
         k = kernel(q, alpha, eps)
         centres = off[:1] + on + off[1:]
         ks, ws = window_rows(k, centres)
-        assert ks.shape == ws.shape == (len(centres), 2 * int(k.radius) + 1)
+        width = 2 * int(k.radius) + 1
+        assert ks.shape == ws.shape == (len(centres), width)
         for row, u in enumerate(centres):
             win, weights = (a[0] for a in window_rows(k, [u]))
-            assert np.array_equal(ks[row, :win.size], win)
-            assert np.array_equal(ws[row, :win.size], weights)
-            if win.size < ks.shape[1]:
+            assert np.array_equal(ks[row], win) and np.array_equal(ws[row], weights)
+            sites = own_sites(k, u)
+            assert np.all(np.diff(win[:sites]) == 1)
+            if sites < width:
                 # the pad repeats the last site, with weight exactly zero
-                assert ks[row, -1] == win[-1] and ws[row, -1] == 0.0
+                assert sites == width - 1 and win[-1] == win[-2] and weights[-1] == 0.0
 
-    def test_off_site_rows_are_unpadded(self):
+    def test_off_site_rows_pad_their_last_slot(self):
+        # 2W sites in 2W + 1 slots, the last repeating the last site at weight zero
         k = kernel()
-        ks, _ = window_rows(k, [0.3, 0.7, 41.5])
-        assert ks.shape == (3, 2 * int(k.radius))
+        ks, ws = window_rows(k, [0.3, 0.7, 41.5])
+        assert ks.shape == (3, 2 * int(k.radius) + 1)
+        assert np.all(ks[:, -1] == ks[:, -2]) and np.all(ws[:, -1] == 0.0)
 
     def test_point_work_cap(self):
         k = kernel()
@@ -362,7 +376,7 @@ class TestWindowWeights:
     @example(q=0.5, alpha=128.0, eps=1e-12, u=0.3, picks=[])
     def test_within_the_derived_bound_of_the_exact_kernel(self, q, alpha, eps, u, picks):
         k = kernel(q, alpha, eps)
-        ks, ws = (a[0] for a in window_rows(k, [u]))
+        ks, ws = (a[0, :own_sites(k, u)] for a in window_rows(k, [u]))
         # both ends, the peak and random sites; the exact kernel at the exact offset u - k
         cols = np.unique([0, ks.size - 1, int(np.argmax(ws)),
                           *(int(p * (ks.size - 1)) for p in picks)])
@@ -612,8 +626,8 @@ class TestLatticeSums:
 
 
 # W = 16 at n = 1: 3.0 and 6.0 are lattice sites with 33-site windows, -13..19 and -10..22;
-# 1.5 and 5.5 have 32 sites, -14..17 and -10..21, and pad their rows to 33.  In [3.0, 5.5]
-# the short window ends on the table's last site; in [1.5, 6.0] the site's window does.
+# 1.5 and 5.5 have 32 sites, -14..17 and -10..21.  In [3.0, 5.5] the 32-site window ends on
+# the table's last site; in [1.5, 6.0] the 33-site one does.  The later axis's 2.0 is a site.
 PAD_CASES = [[3.0, 5.5], [1.5, 6.0], [5.5, 1.5, 3.0, 5.5]]
 
 
@@ -627,8 +641,9 @@ class TestPadSlot:
     @pytest.mark.parametrize("x", PAD_CASES)
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pad_adds_exactly_zero(self, x, dim):
-        # each row of the call equals its point's sum alone, which has no pad: a window of
-        # at most 128 slots ends its sum with the pad, and later axes add it last too
+        # each row of the call equals its point's sum alone: the first axis sums each window
+        # without a pad, whatever the other widths, and a later axis gives every row 2W + 1
+        # slots, an off-site row's pad last at weight zero
         k = kernel()
         axes = [np.array(x)] + [np.array([0.25, 2.0, -3.5])] * (dim - 1)
         together = lattice_sums(k, 1, axes, pad_tables)
@@ -654,7 +669,7 @@ class TestPadSlot:
 
 
 def off_site(lo, hi, points, n):
-    # a grid on (lo, hi) with no lattice-site centre n x: every window has 2W sites, no pad slot
+    # a grid on (lo, hi) with no lattice-site centre n x: every window has 2W sites
     x = lo + (hi - lo) * (np.arange(points) + 0.37) / points
     assert np.all(n * x != np.floor(n * x))
     return x
@@ -673,29 +688,71 @@ class CountedNumpy:
         return np.exp(x, *args, **kwargs)
 
 
+def mixed(x, n):
+    # x holds both lattice-site centres n x (2W + 1-site windows) and off-site ones (2W sites)
+    on = n * x == np.floor(n * x)
+    assert on.any() and not on.all()
+    return x
+
+
+# alpha 1, 0.3, 0.125 and 1/16 give W = 16, 64, 128 and 256
+WINDOW_ALPHAS = [1.0, 0.3, 0.125, 1 / 16]
+
+
 class TestWindowPlan:
-    @pytest.mark.parametrize("alpha", [1.0, 0.125])
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
     def test_chunk_size_changes_no_bit(self, monkeypatch, alpha):
-        # off the lattice sites a row's sum depends on its own window only, so neither the
-        # chunk size nor the other points of a chunk move it
+        # a row's sum depends on its own windows only, so neither the chunk size nor the other
+        # points of a chunk move it, on grids with or without lattice-site centres
         k = kernel(alpha=alpha)
         n = int(k.radius) + 8
         runge, sin_exp = function_preset("runge"), function_preset("sin-exp")
-        line = off_site(-0.5, 0.5, 301, n)
-        plane = [off_site(-0.5, 0.5, 23, n), off_site(1.0, 2.0, 5, n)]
-        half_plane, torus = chart_preset("poincare-half-plane"), chart_preset("torus", 1)
-        calls = {
-            "basic 1-D": lambda: apply_basic_batch(k, runge, n, [line]),
-            "basic 2-D": lambda: apply_basic_batch(k, sin_exp, n, plane),
-            "chart 1-D": lambda: operator_on_chart_batch(k, torus, runge, n, [line]),
-            "chart 2-D": lambda: operator_on_chart_batch(k, half_plane, sin_exp, n, plane),
-            "moments": lambda: axis_moments(k, line, n, 4),
+        grids = {
+            "off-site": (off_site(-0.5, 0.5, 301, n),
+                         [off_site(-0.5, 0.5, 23, n), off_site(1.0, 2.0, 5, n)]),
+            "site centres": (mixed(np.linspace(-0.5, 0.5, 301), n),
+                             [mixed(np.linspace(-0.5, 0.5, 23), n),
+                              mixed(np.linspace(1.0, 2.0, 11), n)]),
         }
+        half_plane, torus = chart_preset("poincare-half-plane"), chart_preset("torus", 1)
+        calls = {}
+        for grid, (line, plane) in grids.items():
+            calls.update({
+                (grid, "basic 1-D"): functools.partial(apply_basic_batch, k, runge, n, [line]),
+                (grid, "basic 2-D"): functools.partial(apply_basic_batch, k, sin_exp, n, plane),
+                (grid, "chart 1-D"): functools.partial(operator_on_chart_batch, k, torus, runge,
+                                                       n, [line]),
+                (grid, "chart 2-D"): functools.partial(operator_on_chart_batch, k, half_plane,
+                                                       sin_exp, n, plane),
+                (grid, "moments"): functools.partial(axis_moments, k, line, n, 4),
+            })
         want = {name: call() for name, call in calls.items()}
         for elements in (2**6, 2**9, 2**13, 2**16):
             monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", elements)
             for name, call in calls.items():
                 assert np.array_equal(call(), want[name]), (name, elements)
+
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_a_point_alone_equals_its_row(self, alpha):
+        # each axis mixes lattice-site centres (0, 0.25, 0.5; 1 and 1.5) with off-site ones, so
+        # a batch mixes 2W- and 2W + 1-site windows on the first and on the later axis; a
+        # point's value computed alone equals its row bit for bit
+        k = kernel(alpha=alpha)
+        n = int(k.radius) + 8
+        x = mixed(np.array([0.3, 0.5, -0.21, 0.25, 0.0]), n)
+        y = mixed(np.array([1.3, 1.0, 1.77, 1.5]), n)
+        half_plane, sin_exp = chart_preset("poincare-half-plane"), function_preset("sin-exp")
+        (sums,) = lattice_sums(k, n, [x], lambda sites: [np.exp(sites[0] / n)])
+        moments = axis_moments(k, x, n, 4)
+        chart = operator_on_chart_batch(k, half_plane, sin_exp, n, [x, y]).reshape(x.size, y.size)
+        for i in range(x.size):
+            one = x[i:i + 1]
+            assert np.array_equal(lattice_sums(k, n, [one], lambda sites: [np.exp(sites[0] / n)])[0],
+                                  sums[i:i + 1])
+            assert np.array_equal(axis_moments(k, one, n, 4), moments[i:i + 1])
+            for j in range(y.size):
+                alone = operator_on_chart_batch(k, half_plane, sin_exp, n, [one, y[j:j + 1]])
+                assert np.array_equal(alone, chart[i, j:j + 1]), (i, j)
 
     def test_one_exp_per_centre_per_call(self, monkeypatch):
         # W = 16 takes the one-exp rule: per call, one exp over the R table's 33 sites and one
