@@ -110,12 +110,23 @@ def check_table_cells(quad_nodes: int, sites) -> None:
                          "or shrink the box")
 
 
-def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
-    # cell averages on the lattice table, in slabs of about CHUNK_ELEMENTS samples
-    dim = len(sites)
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(g: int) -> tuple[np.ndarray, np.ndarray]:
+    # the g-node Gauss-Legendre rule on [0, 1], (offsets, weights), read-only as every caller
+    # shares them: 2 g floats per g, for the 16 node counts used last
     nodes, wts = np.polynomial.legendre.leggauss(g)
-    offsets = (nodes + 1.0) / 2.0
-    node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim)
+    rule = ((nodes + 1.0) / 2.0, wts / 2.0)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
+    # cell averages on the lattice table, in slabs of about CHUNK_ELEMENTS samples; the 1-D rule
+    # is built once per g (``_gauss_rule``), its dim-axis weight tensor once per call
+    dim = len(sites)
+    offsets, wts = _gauss_rule(g)
+    node_weights = functools.reduce(np.multiply.outer, [wts] * dim).ravel()
     shape = tuple(k.size for k in sites)
     averages = np.empty(math.prod(shape))
     slab = max(1, CHUNK_ELEMENTS // g**dim)
@@ -124,8 +135,10 @@ def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
         # cell axis i samples its nodes along array axis 1 + i
         samples = [np.expand_dims((sites[i].ravel()[c][:, None] + offsets) / n,
                                   [1 + j for j in range(dim) if j != i]) for i, c in enumerate(cells)]
-        vals = np.asarray(f.value(*samples), dtype=float)
-        averages[start:start + slab] = np.tensordot(vals, node_weights, axes=dim)
+        vals = np.asarray(f.value(*samples), dtype=float).reshape(cells[0].size, -1)
+        # each cell's dot product alone, the same bits in any slab: BLAS's matrix-vector product
+        # (tensordot) rounds a cell by its place in the slab
+        averages[start:start + slab] = np.einsum("ij,j->i", vals, node_weights)
     return averages.reshape(shape)
 
 
@@ -136,7 +149,7 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
-    rule is built once per call.  The cells' work is checked first, per window
+    rule is built once per quad_nodes.  The cells' work is checked first, per window
     (``check_cell_work``) and over the lattice table (``check_table_cells``).
     """
     check_cell_work(kernel, quad_nodes, f.dim)

@@ -8,8 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tanhqi import FracConfig, function_preset, gamma_fn, power_rule_oracle, rl_derivative_batch
-from tanhqi.fractional import MAX_GRID_POINTS
-from tanhqi.kernel import CHUNK_ELEMENTS
+from tanhqi.fractional import L1_CHUNK_POINTS, MAX_GRID_POINTS
 
 
 class TestGamma:
@@ -168,7 +167,7 @@ def node_sets(draw, h):
     """Unsorted nodes: many short grids across chunk boundaries, repeats, one grid past a chunk."""
     short = draw(st.lists(st.floats(1e-3, 200.0), min_size=1, max_size=300))
     repeats = draw(st.lists(st.sampled_from(short), max_size=20))
-    long = draw(st.floats(CHUNK_ELEMENTS, CHUNK_ELEMENTS + 300.0))
+    long = draw(st.floats(L1_CHUNK_POINTS, L1_CHUNK_POINTS + 300.0))
     units = np.array(short + repeats + [long])
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(units.size)
     return units[order] * h

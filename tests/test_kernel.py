@@ -15,6 +15,7 @@ from tanhqi import (
     ActivationParams,
     DensityKernel,
     apply_basic_batch,
+    apply_kantorovich_batch,
     axis_moments,
     chart_preset,
     function_preset,
@@ -26,6 +27,7 @@ from tanhqi import (
     truncation_radius,
 )
 from tanhqi import kernel as kernel_module
+from tanhqi import operators as operators_module
 from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
@@ -352,6 +354,15 @@ class TestWindowRows:
         ks, ws = window_rows(k, [0.3, 0.7, 41.5])
         assert ks.shape == (3, 2 * int(k.radius) + 1)
         assert np.all(ks[:, -1] == ks[:, -2]) and np.all(ws[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("x", [[], np.empty(0), [[0.3]], 0.3])
+    def test_empty_or_non_1d_centres_rejected(self, x):
+        # check_axes' rule and message, before any window end is formed
+        k = kernel()
+        with pytest.raises(ValueError, match="non-empty 1-D coordinate arrays"):
+            window_rows(k, x)
+        with pytest.raises(ValueError, match="non-empty 1-D coordinate arrays"):
+            axis_moments(k, x, 8, 2)
 
     def test_point_work_cap(self):
         k = kernel()
@@ -702,8 +713,9 @@ WINDOW_ALPHAS = [1.0, 0.3, 0.125, 1 / 16]
 class TestWindowPlan:
     @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
     def test_chunk_size_changes_no_bit(self, monkeypatch, alpha):
-        # a row's sum depends on its own windows only, so neither the chunk size nor the other
-        # points of a chunk move it, on grids with or without lattice-site centres
+        # a row's sum depends on its own windows only, and a Kantorovich cell average on its own
+        # samples, so neither the chunk size nor the other points of a chunk move it, on grids
+        # with or without lattice-site centres
         k = kernel(alpha=alpha)
         n = int(k.radius) + 8
         runge, sin_exp = function_preset("runge"), function_preset("sin-exp")
@@ -725,10 +737,19 @@ class TestWindowPlan:
                 (grid, "chart 2-D"): functools.partial(operator_on_chart_batch, k, half_plane,
                                                        sin_exp, n, plane),
                 (grid, "moments"): functools.partial(axis_moments, k, line, n, 4),
+                (grid, "Kantorovich 1-D"): functools.partial(apply_kantorovich_batch, k, 5, runge,
+                                                             n, [line]),
             })
+            # (n + 2W)^2 table cells of 25 samples, at 2^6 elements two per slab: 0.9 s a call
+            # at W = 64, about 14 s at W = 256
+            if k.radius <= 64:
+                calls[grid, "Kantorovich 2-D"] = functools.partial(apply_kantorovich_batch, k, 5,
+                                                                   sin_exp, n, plane)
         want = {name: call() for name, call in calls.items()}
         for elements in (2**6, 2**9, 2**13, 2**16):
+            # operators binds the name at import, for Kantorovich's cell slabs
             monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", elements)
+            monkeypatch.setattr(operators_module, "CHUNK_ELEMENTS", elements)
             for name, call in calls.items():
                 assert np.array_equal(call(), want[name]), (name, elements)
 
@@ -773,6 +794,32 @@ class TestWindowPlan:
             call()
             monkeypatch.setattr(kernel_module, "np", np)
             assert sorted(counted.exp_shapes) == sorted(shapes)
+
+    @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
+    def test_rows_are_the_one_exp_formula(self, alpha):
+        # each weight is v / (c1 + v (c0 + c2 v)), v = factor_i R_j one rounded product, bit for
+        # bit: for all rows, a chunk of rows into given buffers, and both window widths
+        k = kernel(alpha=alpha)
+        q, a, w = k.params.q, alpha, k.radius
+        # off-site centres and three lattice sites
+        u = np.r_[np.linspace(-3.7, 3.3, 38), -2.0, 0.0, 5.0]
+        lo = np.ceil(u - w)
+        e = math.exp(-2.0 * a)
+        s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
+        c0 = (1.0 + q) * (1.0 - q) * (1.0 + e * e) / s
+        c1, c2 = (1.0 + q) ** 2 * e / s, (1.0 - q) ** 2 * e / s
+        factor = np.exp(2.0 * a * (lo + w - u))
+        ratios = np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w))
+        rule = window_weights(k, u, lo)
+        rows = np.array([3, 0, 17, 40])
+        for width in (int(2 * w), int(2 * w) + 1):
+            v = factor[:, None] * ratios[:width]
+            want = v / (c1 + v * (c0 + c2 * v))
+            assert np.array_equal(rule(width), want)
+            out, scratch = np.empty((2, rows.size, width))
+            got = rule(width, rows, out, scratch)
+            assert got is out and np.array_equal(got, want[rows])
+
 
 class TestCentreLimit:
     @settings(deadline=None)

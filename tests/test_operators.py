@@ -14,6 +14,7 @@ from tanhqi import (
     apply_kantorovich_batch,
     axis_moments,
     chart_preset,
+    convergence_sweep,
     function_preset,
     multi_indices,
     power_rule_oracle,
@@ -162,6 +163,36 @@ class TestKantorovich:
 
         got = apply_kantorovich_batch(KERNEL, 5, Flat(), 8, [[0.2], [0.9]])[0]
         assert got == pytest.approx(1.0, abs=1e-12)
+
+
+class TestGaussRule:
+    def test_one_rule_per_sweep(self, monkeypatch):
+        # a Kantorovich sweep over 8 values of n builds its 5-node rule once
+        legendre, calls = np.polynomial.legendre, []
+        leggauss = legendre.leggauss
+        monkeypatch.setattr(legendre, "leggauss", lambda g: calls.append(g) or leggauss(g))
+        operators._gauss_rule.cache_clear()
+        ns = [16, 24, 32, 48, 64, 96, 128, 256]
+        (report,) = convergence_sweep("kantorovich", KERNEL, function_preset("sin"), ns,
+                                      [(0.0, 1.0)], 11)()
+        assert len(report.rows) == len(ns)
+        assert calls == [5]
+
+    def test_cached_rule_is_the_fresh_rule_on_the_unit_cell(self):
+        operators._gauss_rule.cache_clear()
+        for g in (2, 5, 9):
+            offsets, weights = operators._gauss_rule(g)
+            nodes, wts = np.polynomial.legendre.leggauss(g)
+            assert np.array_equal(offsets, (nodes + 1.0) / 2.0)
+            assert np.array_equal(weights, wts / 2.0)
+            assert not offsets.flags.writeable and not weights.flags.writeable
+
+    def test_one_entry_per_node_count(self):
+        operators._gauss_rule.cache_clear()
+        f = function_preset("sin")
+        for g in (5, 9, 5, 9):
+            apply_kantorovich_batch(KERNEL, g, f, 32, [[0.5]])
+        assert operators._gauss_rule.cache_info().currsize == 2
 
 
 class TestFractional:
