@@ -16,13 +16,15 @@ Each experiment's one entry point (a ``*_sweep`` function, or
 run, in one order (n sweep, Kantorovich's cell work, grid and its axis
 count, then ``kernel.check_tables``: each n's ``table_sites``, which caps a
 window's sites first, and the operator's site rule), and returns the run
-bound but not started.
+bound but not started.  Each n's operator call on the sweep's own grid
+takes the sites those checks built (``sites``), so a run builds each
+table's sites once; a call on other arrays builds its own.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
 lattice sites would otherwise collapse to rounding noise and corrupt
-the fits.  Rows whose error is below 1e-13 are excluded from fits (and
-counted), since they sit on the rounding floor.
+the fits.  Rows whose error is at or below 1e-13 are excluded from fits
+(and counted), since they sit on the rounding floor.
 """
 
 from __future__ import annotations
@@ -266,6 +268,13 @@ def _report(rows, config: dict, target_description: str, claimed_exponent) -> Co
     )
 
 
+def _own_sites(axes, ns, checked):
+    # (n, ax) -> n's open mesh from check_tables if ax are the sweep's own grid arrays, else
+    # None: the operator then builds its own, as sup_error's one-point re-runs need
+    own = {n: sites for n, (sites, _) in zip(ns, checked)}
+    return lambda n, ax: own[n] if list(map(id, ax)) == list(map(id, axes)) else None
+
+
 def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **extra) -> dict:
     return {
         "preset": f.name,
@@ -290,13 +299,14 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
-    check_tables(kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
-                 if kind == "kantorovich" else None)
+    own = _own_sites(axes, ns, check_tables(
+        kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
+        if kind == "kantorovich" else None))
 
     def apply_for(n):
         if kind == "basic":
-            return lambda ax: apply_basic_batch(kernel, f, n, ax)
-        return lambda ax: apply_kantorovich_batch(kernel, quad_nodes, f, n, ax)
+            return lambda ax: apply_basic_batch(kernel, f, n, ax, sites=own(n, ax))
+        return lambda ax: apply_kantorovich_batch(kernel, quad_nodes, f, n, ax, sites=own(n, ax))
 
     config = _sweep_config(kernel, f, ns, box, points_per_axis, operator=kind, quad_nodes=quad_nodes)
     return functools.partial(sweep, apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, ns, [config],
@@ -311,11 +321,12 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_m_max(m_max, f)
-    check_tables(kernel, axes, ns)
+    own = _own_sites(axes, ns, check_tables(kernel, axes, ns))
 
     def apply_for(n):
         def residuals(ax):
-            r = apply_basic_batch(kernel, f, n, ax) - np.ravel(f.value(*np.ix_(*ax)))
+            r = (apply_basic_batch(kernel, f, n, ax, sites=own(n, ax))
+                 - np.ravel(f.value(*np.ix_(*ax))))
             return np.vstack([r, r - voronovskaya_corrections(kernel, m_max, f, n, ax)])
 
         return residuals
@@ -343,15 +354,17 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    nodes = check_tables(kernel, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+    checked = check_tables(kernel, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+    own = _own_sites(axes, ns, checked)
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
 
     def run():
-        table = fractional_table(frac, f, np.concatenate(nodes))
+        table = fractional_table(frac, f, np.concatenate([nodes for _, nodes in checked]))
         return sweep(
-            lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax, table),
+            lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax, table,
+                                                        sites=own(n, ax)),
             lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config],
             ["D^beta f (oracle)"],
             claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
@@ -368,9 +381,11 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
     ns = check_sweep(n_sweep)
     axes = grid_axes(box, points_per_axis)
     geometry = chart_preset(chart, dim=f.dim)
-    axes = check_chart(geometry, kernel, axes, ns)
+    axes, checked = check_chart(geometry, kernel, axes, ns)
+    own = _own_sites(axes, ns, checked)
     return functools.partial(
-        sweep, lambda n: lambda ax: operator_on_chart_batch(kernel, geometry, f, n, ax),
+        sweep, lambda n: lambda ax: operator_on_chart_batch(kernel, geometry, f, n, ax,
+                                                            sites=own(n, ax)),
         lambda ax: f.value(*np.ix_(*ax)), axes, ns, [{"chart": chart, "mode": "discrete"}],
         [f"{f.name} on the {chart} chart (the sampled function itself)"],
     )

@@ -13,9 +13,11 @@ LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
 byte-identical files.  The bytes are those of the per-value writers they
 replace: CSV integers as ``%d`` and floats as ``%.17g``, and the JSON of
-``json.dumps(report, sort_keys=True, indent=2)``; each list of floats is
-formatted in one join rather than by json's pure-Python encoder.  The
-argument parser is built once per process (``build_parser`` is cached).
+``json.dumps(report, sort_keys=True, indent=2)``, though not by json's
+pure-Python encoder: a str, int, float, bool or None scalar is written
+by type, each list of floats in one join and each table of floats by one
+repeated row template.  The argument parser is built once per process
+(``build_parser`` is cached).
 
 Each run is built once (``_build_run``) by its one ``analysis`` entry
 point, after every check the run makes, the lattice checks (O(points x
@@ -42,6 +44,7 @@ import json
 import sys
 import types
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -302,20 +305,31 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _json_text(obj, pad: str = "") -> str:
     """json.dumps(obj, sort_keys=True, indent=2) with every line after the first indented by pad.
 
-    A list of floats is one float.__repr__ join, as json writes each float; a finite repr holds
-    no n, so the replaces only turn nan and inf into json's NaN and Infinity.  Other lists and
-    str-keyed dicts recurse, and the rest is json.dumps itself.
+    A str, int, float, bool or None of exactly that type is written as json writes it (a str by
+    json's own C escaper, a number by its __repr__), any other scalar by json.dumps itself.  A
+    list of floats is one float.__repr__ join, a table (equally long, non-empty lists of exact
+    floats) one row template repeated with one % over every value; a float's text holds no n
+    but in nan and inf, so the replaces only turn those into json's NaN and Infinity.  Other
+    lists and str-keyed dicts recurse.
     """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is float:
+        return float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity")
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     inner = pad + "  "
     if isinstance(obj, (list, tuple)) and obj:
         try:
-            items = (",\n" + inner).join(map(float.__repr__, obj))
-            items = items.replace("nan", "NaN").replace("inf", "Infinity")
+            items = _table_text(obj, inner)
         except TypeError:  # an item that is no float
             items = (",\n" + inner).join(_json_text(v, inner) for v in obj)
         return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        items = (",\n" + inner).join(json.dumps(k) + ": " + _json_text(obj[k], inner)
+        items = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner)
                                      for k in sorted(obj))
         return "{\n" + inner + items + "\n" + pad + "}"
     if not isinstance(obj, (list, tuple, dict)):
@@ -323,6 +337,18 @@ def _json_text(obj, pad: str = "") -> str:
     # an empty container, or keys json converts; json escapes a newline inside a string, so
     # every one here is layout
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _table_text(obj, inner: str) -> str:
+    # the items of a list of floats, or of a table of exact floats; a TypeError for other items
+    sep = ",\n" + inner
+    if (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1 and obj[0]
+            and set(map(type, values := tuple(itertools.chain.from_iterable(obj)))) == {float}):
+        row = "[\n" + inner + "  " + (sep + "  ").join(["%r"] * len(obj[0])) + "\n" + inner + "]"
+        items = sep.join([row] * len(obj)) % values
+    else:
+        items = sep.join(map(float.__repr__, obj))
+    return items.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _write_json(path: str, payload: dict | list) -> None:

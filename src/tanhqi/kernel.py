@@ -32,13 +32,15 @@ once per site of the lattice table (``table_sites``); as Z is a product,
 ``lattice_sums`` contracts the table one axis at a time.  Its first axis,
 like ``axis_moments``, takes one window plan per call (window ends, exps and
 weight buffers), so a chunk of points, all with windows of one width, only
-fills its weights and reads each window from a strided view of the table
-with one index per row.  Later axes give every row 2W + 1 slots.  Either
-way a point's sum depends on its own window alone, not on the other points
-of its call.  ``table_sites`` caps a window's sites, the table's sites and
-the sums' multiply-adds before it builds a site, for operators and sweeps
-alike; ``check_tables`` runs it and an operator's site rule for every n of
-a sweep first.
+fills its weights and reads each window with one index per row from an
+``as_strided`` view of the table (its first stride on two axes, no copy).
+Later axes give every row 2W + 1 slots.  Either way a point's sum depends
+on its own window alone, not on the other points of its call.
+``table_sites`` caps a window's sites, the table's sites and the sums'
+multiply-adds before it builds a site, for operators and sweeps alike;
+``check_tables`` runs it and an operator's site rule for every n of a sweep
+first, and a sweep hands each n's checked mesh to its grid's lattice sum
+(``lattice_sums(..., sites=...)``), so each table's sites are built once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .activation import ActivationParams
 
@@ -324,9 +326,10 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
         counts.append(lo.size)
         # sorted centres sort both window ends; a run starts past the previous end (the ends are
         # integers within 2^52 of 0, so their difference is exact)
-        first = np.flatnonzero(np.r_[True, lo[1:] - hi[:-1] > 1.0])
+        first = np.flatnonzero(np.concatenate(([True], lo[1:] - hi[:-1] > 1.0)))
         # disjoint runs of sites within 2^52 + W of 0: their sum fits an int64
-        runs.append((lo[first], (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1))
+        last = np.concatenate((first[1:] - 1, [-1]))
+        runs.append((lo[first], (hi[last] - lo[first]).astype(np.intp) + 1))
     sizes = [int(lengths.sum()) for _, lengths in runs]
     if math.prod(sizes) > MAX_POINT_WORK:
         raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
@@ -342,19 +345,19 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     for starts, lengths in runs:
         offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         sites.append(offsets + np.arange(offsets.size))
-    return list(np.ix_(*sites))
+    # axis i's sites in its open-mesh shape (1, .., K_i, .., 1), as np.ix_ gives them
+    return [s.reshape([-1 if j == i else 1 for j in range(len(sites))]) for i, s in enumerate(sites)]
 
 
 def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> list:
     """A sweep's lattice checks before its first n: ``table_sites`` for each n of ns, then
     ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites.  Returns
-    the rule's results, one per n (none without a rule)."""
-    results = []
+    (open mesh, rule result or None) per n: a sweep hands the mesh to its operator's ``sites``."""
+    checked = []
     for n in ns:
         sites = table_sites(kernel, n, axes)
-        if site_rule is not None:
-            results.append(site_rule(n, sites))
-    return results
+        checked.append((sites, None if site_rule is None else site_rule(n, sites)))
+    return checked
 
 
 def _sum_work(counts, width, sizes) -> list[int]:
@@ -364,7 +367,7 @@ def _sum_work(counts, width, sizes) -> list[int]:
             for i in range(len(counts))]
 
 
-def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray]:
+def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> list[np.ndarray]:
     """sum_k v(k) Z(n x - k) on the grid of axes (N 1-D arrays), in C order, for each table v.
 
     ``tables`` maps ``table_sites``' open mesh to arrays that broadcast to
@@ -375,13 +378,16 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     buffers) is built once per call and groups the points by window width
     L (2W, or 2W + 1 for a lattice-site centre); a chunk of one group fills
     its rows' weights (``window_rows``' rule) and gathers row p as
-    T[first_p : first_p + L] from a read-only strided view of each table,
-    so no row holds a pad slot.  Later axes gather through
+    T[first_p : first_p + L] from a read-only view of each table, one per
+    table and width, with the table's first stride on both of its first
+    axes, so no row holds a pad slot.  Later axes gather through
     ``window_index`` arrays of 2W + 1 slots, built once per call.  So a
     point's sum depends on its own windows alone, not on CHUNK_ELEMENTS
-    or the other points of its call.
+    or the other points of its call.  ``sites``, when given, must be
+    ``table_sites(kernel, n, axes)`` for these very axes (a sweep's
+    ``check_tables`` mesh); it is used unchecked in place of that call.
     """
-    mesh = table_sites(kernel, n, axes)
+    mesh = table_sites(kernel, n, axes) if sites is None else sites
     sites = [s.ravel() for s in mesh]
     shape = [s.size for s in sites]
     values = [np.broadcast_to(np.asarray(t, dtype=float), shape) for t in tables(mesh)]
@@ -395,7 +401,8 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables) -> list[np.ndarray
     out = [np.empty(counts) for _ in values]
     for width, chunks in groups:
         # each table as (K_0 - width + 1, width, K_1, ..); a window lies inside the table
-        views = [np.moveaxis(sliding_window_view(v, width, axis=0), -1, 1) for v in values]
+        views = [as_strided(v, (v.shape[0] - width + 1, width, *v.shape[1:]),
+                            (v.strides[0], *v.strides), writeable=False) for v in values]
         for chunk, weights in chunks:
             weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
             for view, o in zip(views, out):

@@ -108,9 +108,9 @@ def chart_coords(chart: Chart, n: int, sites) -> list[np.ndarray]:
     return coords
 
 
-def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> list[np.ndarray]:
+def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> tuple[list, list]:
     """The grid of axes as float arrays once its points lie in the chart's domain and, for
-    each n of n_sweep, so does its lattice table (``chart_coords``)."""
+    each n of n_sweep, so does its lattice table (``chart_coords``); with ``check_tables``' list."""
     axes = check_axes(axes, chart.dim)
     inside = functools.reduce(np.logical_and.outer,
                               [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
@@ -118,11 +118,11 @@ def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> list[n
         first = np.unravel_index(np.argmin(inside), inside.shape)
         raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
                          f"lies outside the {chart.name!r} chart domain")
-    check_tables(kernel, axes, n_sweep, functools.partial(chart_coords, chart))
-    return axes
+    return axes, check_tables(kernel, axes, n_sweep, functools.partial(chart_coords, chart))
 
 
-def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes) -> np.ndarray:
+def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes, *,
+                            sites=None) -> np.ndarray:
     """Metric-weighted quasi-interpolation sum_k f(k/n) w_k(x) on the grid of axes -> (P,).
 
     Raw weights are psi products times 1/sqrt(det g) at the lattice
@@ -132,15 +132,15 @@ def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes
     """
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
-    axes = check_chart(chart, kernel, axes)
+    axes, _ = check_chart(chart, kernel, axes)
 
-    def tables(sites):
-        coords = chart_coords(chart, n, sites)
+    def tables(mesh):
+        coords = chart_coords(chart, n, mesh)
         density = np.asarray(chart.sqrt_det_g(*coords), dtype=float)
         vals = np.asarray(f.value(*coords), dtype=float)
         # a full-size f table is divided in place, so no second one is made
         full = vals.flags.writeable and vals.shape == np.broadcast_shapes(vals.shape, density.shape)
         return [np.divide(vals, density, out=vals if full else None), 1.0 / density]
 
-    total, mass = lattice_sums(kernel, n, axes, tables)
+    total, mass = lattice_sums(kernel, n, axes, tables, sites=sites)
     return total / mass

@@ -32,7 +32,9 @@ It evaluates the tensor grid of the per-axis coordinates ``axes`` (one
 point x is the axes [[x_1], .., [x_N]]) and returns the grid's values
 flattened in C order.  Each is one lattice sum (``kernel.lattice_sums``),
 or a ratio of two, over site values sampled once per lattice table site;
-n is checked by ``kernel.check_n``.
+n is checked by ``kernel.check_n``.  Each also takes the keyword-only
+``sites``, the lattice table's open mesh for exactly these n and axes,
+which a sweep's lattice checks already built (``kernel.lattice_sums``).
 """
 
 from __future__ import annotations
@@ -72,10 +74,10 @@ __all__ = [
 MAX_QUAD_NODES = math.isqrt(MAX_POINT_WORK)
 
 
-def apply_basic_batch(kernel: DensityKernel, f, n: int, axes) -> np.ndarray:
+def apply_basic_batch(kernel: DensityKernel, f, n: int, axes, *, sites=None) -> np.ndarray:
     """A_n(f; x) on the grid of axes (N arrays) -> (P,); exact on constants up to the tail mass."""
     return lattice_sums(kernel, n, check_axes(axes, f.dim),
-                        lambda sites: [f.value(*(k / n for k in sites))])[0]
+                        lambda mesh: [f.value(*(k / n for k in mesh))], sites=sites)[0]
 
 
 def check_quad_nodes(quad_nodes: int) -> None:
@@ -142,7 +144,8 @@ def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
     return averages.reshape(shape)
 
 
-def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, axes) -> np.ndarray:
+def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, axes, *,
+                            sites=None) -> np.ndarray:
     """K_n(f; x) on the grid of axes (N arrays) -> (P,).
 
     With g = quad_nodes nodes per axis the cell averages are exact for
@@ -154,11 +157,11 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     """
     check_cell_work(kernel, quad_nodes, f.dim)
 
-    def tables(sites):
-        check_table_cells(quad_nodes, sites)
-        return [_cell_averages(quad_nodes, f, n, sites)]
+    def tables(mesh):
+        check_table_cells(quad_nodes, mesh)
+        return [_cell_averages(quad_nodes, f, n, mesh)]
 
-    return lattice_sums(kernel, n, check_axes(axes, f.dim), tables)[0]
+    return lattice_sums(kernel, n, check_axes(axes, f.dim), tables, sites=sites)[0]
 
 
 def fractional_nodes(frac: FracConfig, f, n: int, ks) -> np.ndarray:
@@ -193,7 +196,7 @@ def _table_values(table, nodes) -> np.ndarray:
 
 
 def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, axes,
-                           table=None) -> np.ndarray:
+                           table=None, *, sites=None) -> np.ndarray:
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
     The sum over sites k >= 0 is divided by their weight sum; D^beta f
@@ -207,15 +210,15 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
     if (x < 0.0).any():
         raise ValueError(f"the fractional operator needs x >= 0, got {float(x[x < 0.0][0])!r}")
 
-    def tables(sites):
-        ks = sites[0]
+    def tables(mesh):
+        ks = mesh[0]
         nodes = fractional_nodes(frac, f, n, ks)
         dbeta = np.zeros(ks.shape)
         lookup = fractional_table(frac, f, nodes) if table is None else table
         dbeta[ks > 0.0] = _table_values(lookup, nodes)
         return [dbeta, ks >= 0.0]
 
-    total, mass = lattice_sums(kernel, n, [x], tables)
+    total, mass = lattice_sums(kernel, n, [x], tables, sites=sites)
     return total / mass
 
 

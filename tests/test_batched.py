@@ -9,8 +9,9 @@ math.floor, and its weights from ``kernel.window_weights`` applied to
 that one centre, the rule every lattice window takes (held to the exact
 kernel and to psi_eval in ``test_kernel``).  The operators take a tensor
 grid as per-axis coordinates (drawn unsorted, with repeats, sometimes on
-lattice sites, and with first axes longer than one chunk); the
-references walk its points in C order.
+lattice sites, and with first axes longer than one chunk, its size
+patched to SMALL_CHUNK so the grids stay short); the references walk its
+points in C order.
 
 1-D basic and Kantorovich rows and moments must equal them exactly on
 every grid: a first-axis row sums its own window, 2W sites or, for a
@@ -57,6 +58,7 @@ from tanhqi import (
     rl_derivative_batch,
 )
 from tanhqi import analysis, operators
+from tanhqi import kernel as kernel_module
 from tanhqi.analysis import fractional_sweep, grid_axes
 from tanhqi.fractional import power_rule_oracle
 from tanhqi.kernel import axis_moments, check_tables, chunk_rows, window_weights
@@ -72,6 +74,9 @@ from tanhqi.operators import (
 REL = 1e-15
 PROPERTY = settings(deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
+# CHUNK_ELEMENTS while a test draws axes: its grids past one chunk, and so the per-point
+# references, stay short whatever the package's own chunk size
+SMALL_CHUNK = 2**11
 
 
 class Exp2:
@@ -172,6 +177,19 @@ def kernels(alpha_lo=1.0 / 32.0, alpha_hi=2.0):
     )
 
 
+def small_chunks(test):
+    """The test with kernel.CHUNK_ELEMENTS (and operators' copy, for Kantorovich's cell slabs) at
+    SMALL_CHUNK: a patch inside the body, as hypothesis rejects function-scoped fixtures."""
+    @functools.wraps(test)
+    def patched(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (kernel_module, operators):
+                mp.setattr(module, "CHUNK_ELEMENTS", SMALL_CHUNK)
+            return test(*args, **kwargs)
+
+    return patched
+
+
 def draw_axes(data, kernel, n, dim, lo=0.0, hi=1.0):
     """Per-axis coordinates in the box: unsorted, some repeated, some moved onto lattice sites.
 
@@ -250,6 +268,7 @@ class TestBatchedMatchesReference:
     # zero pad slot in a 2W-site row would regroup numpy's pairwise row sum
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), n=30, data=None)
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), n=30, data=None)
+    @small_chunks
     def test_basic_one_dim(self, kernel, n, data):
         f = function_preset("exp")
         axes = draw_axes(data, kernel, n, 1)
@@ -259,6 +278,7 @@ class TestBatchedMatchesReference:
 
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.25), n=st.integers(1, 128), data=st.data())
+    @small_chunks
     def test_basic_two_dim(self, kernel, n, data):
         axes = draw_axes(data, kernel, n, 2)
         got = apply_basic_batch(kernel, Exp2(), n, axes)
@@ -269,6 +289,7 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(), n=st.integers(1, 256), g=st.integers(2, 9), data=st.data())
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), n=30, g=3, data=None)
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), n=30, g=3, data=None)
+    @small_chunks
     def test_kantorovich_one_dim(self, kernel, n, g, data):
         f = function_preset("exp")
         axes = draw_axes(data, kernel, n, 1)
@@ -278,6 +299,7 @@ class TestBatchedMatchesReference:
 
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.5), n=st.integers(1, 64), g=st.integers(2, 5), data=st.data())
+    @small_chunks
     def test_kantorovich_two_dim(self, kernel, n, g, data):
         axes = draw_axes(data, kernel, n, 2)
         got = apply_kantorovich_batch(kernel, g, Exp2(), n, axes)
@@ -287,6 +309,7 @@ class TestBatchedMatchesReference:
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.5), n=st.integers(8, 128), beta=st.floats(0.1, 0.9),
            data=st.data())
+    @small_chunks
     def test_fractional(self, kernel, n, beta, data):
         f = function_preset("pow2")
         frac_cfg = FracConfig(beta, 1e-2)
@@ -323,6 +346,7 @@ class TestBatchedMatchesReference:
     # W = 16, n = 17, the first axis's point on a site: 1.108e-15 apart at the second point
     @example(kernel=DensityKernel(ActivationParams(0.5, 2**0.5)), chart="half-plane", n=1,
              data=None)
+    @small_chunks
     def test_chart(self, kernel, chart, n, data):
         if chart == "half-plane":
             # n > W keeps every window above y = 0 for y >= 1
@@ -344,6 +368,7 @@ class TestBatchedMatchesReference:
     @given(kernel=kernels(), n=st.integers(1, 256), data=st.data())
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), n=30, data=None)
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), n=30, data=None)
+    @small_chunks
     def test_moments(self, kernel, n, data):
         (x,) = draw_axes(data, kernel, n, 1, lo=-1.0, hi=1.0)
         got = axis_moments(kernel, x, n, 4)
@@ -370,9 +395,11 @@ class TestSharedFractionalTable:
         f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
         swept, tables = {}, []
 
-        def recorded(kernel, frac, f, n, axes, table):
+        def recorded(kernel, frac, f, n, axes, table, *, sites):
+            # the sweep hands its grid call the lattice table its checks built
+            assert sites is not None
             tables.append(table)
-            swept[n] = apply_fractional_batch(kernel, frac, f, n, axes, table)
+            swept[n] = apply_fractional_batch(kernel, frac, f, n, axes, table, sites=sites)
             return swept[n]
 
         monkeypatch.setattr(analysis, "apply_fractional_batch", recorded)
@@ -398,8 +425,8 @@ class TestSharedFractionalTable:
         f, frac = function_preset(preset), FracConfig(0.25, 1e-3)
         axes = grid_axes([(lo + 0.3, hi) for lo, hi in box], 41)
         assert min(ns) * axes[0][0] > FRAC_KERNEL.radius + 1.0
-        nodes = check_tables(FRAC_KERNEL, axes, ns,
-                             lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        nodes = [nodes for _, nodes in check_tables(
+            FRAC_KERNEL, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))]
         table = fractional_table(frac, f, np.concatenate(nodes))
         assert table[0].size < sum(node.size for node in nodes)
         for n, own in zip(ns, nodes):
@@ -411,8 +438,8 @@ class TestSharedFractionalTable:
     def test_a_node_missing_from_the_table_is_an_error(self):
         f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
         axes = [np.array([0.5])]
-        (nodes,) = check_tables(FRAC_KERNEL, axes, [64],
-                                lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        ((_, nodes),) = check_tables(FRAC_KERNEL, axes, [64],
+                                     lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
         table = fractional_table(frac, f, nodes)
         # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
         with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):
@@ -439,6 +466,7 @@ def assert_unity(vals, kernel, scale=1.0):
 class TestExactOnConstants:
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 256), dim=st.integers(1, 2), data=st.data())
+    @small_chunks
     def test_basic(self, kernel, n, dim, data):
         f = function_preset("constant") if dim == 1 else Ones2()
         axes = draw_axes(data, kernel, n, dim, lo=-2.0, hi=2.0)
@@ -446,12 +474,14 @@ class TestExactOnConstants:
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 256), g=st.integers(2, 6), data=st.data())
+    @small_chunks
     def test_kantorovich(self, kernel, n, g, data):
         axes = draw_axes(data, kernel, n, 1, lo=-2.0, hi=2.0)
         assert_unity(apply_kantorovich_batch(kernel, g, function_preset("constant"), n, axes), kernel)
 
     @PROPERTY
     @given(kernel=small_kernels(), n=st.integers(1, 64), data=st.data())
+    @small_chunks
     def test_chart(self, kernel, n, data):
         n = int(kernel.radius) + n
         chart = chart_preset("poincare-half-plane")
@@ -463,6 +493,7 @@ class TestExactOnConstants:
     # rounds by more than the 4 eps W bound (c = 2.2e-313 misses it by 1.5x)
     @given(kernel=small_kernels(), n=st.integers(1, 256),
            c=st.floats(-3.0, 3.0, allow_subnormal=False), data=st.data())
+    @small_chunks
     def test_fractional(self, kernel, n, c, data):
         # with D^beta f equal to c at every node, the renormalized weights return c
         lo = (kernel.radius + 1.0) / n

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, config merging, exit statuses."""
 
 import contextlib
+import enum
 import io
 import json
 import os
@@ -721,14 +722,49 @@ def tables(draw):
     return [f"c{i}" for i in range(len(kinds))], rows
 
 
-# leaves as reports hold them, plus numpy ints, which json (and so both writers) rejects
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 7
+
+
+@st.composite
+def float_tables(draw):
+    """Tables as kernel-dump's rows hold them (equally long, non-empty lists of floats), and near
+    misses that the writer must tell from one: a ragged or empty row, a tuple row, a row holding
+    an int or an np.float64."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(py_floats, min_size=width, max_size=width), min_size=1,
+                         max_size=4))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    miss = draw(st.sampled_from(["table", "ragged", "empty", "tuple", "int", "float64"]))
+    if miss == "ragged":
+        # a value moved between two added rows: the first row and the value count fit a table
+        rows += [list(rows[0]), list(rows[0])]
+        rows[-1].append(rows[-2].pop())
+    elif miss == "empty":
+        rows[i] = []
+    elif miss == "tuple":
+        rows[i] = tuple(rows[i])
+    elif miss == "int":
+        rows[i][j] = draw(st.integers())
+    elif miss == "float64":
+        rows[i][j] = np.float64(rows[i][j])
+    return rows
+
+
+# text a writer must escape or must not take for a format: %, quotes, non-ASCII, controls
+texts = st.text(max_size=8) | st.sampled_from(["%", "%r%%", '"q"', "\\", "é", "\u2028",
+                                               "\x00\n\t\x7f", "nan inf"])
+# leaves as reports hold them, plus numpy ints and bools, which json (and so both writers)
+# rejects, and an IntEnum, which json writes as its value
 json_leaves = (py_floats | py_floats.map(np.float64) | st.integers() | st.booleans() | st.none()
-               | st.text(max_size=8) | st.lists(py_floats, max_size=6)
-               | st.integers(-5, 5).map(np.int64))
+               | texts | st.lists(py_floats, max_size=6) | float_tables()
+               | st.integers(-5, 5).map(np.int64) | st.booleans().map(np.bool_)
+               | st.sampled_from(Level))
 payloads = st.recursive(
     json_leaves,
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+                   | st.dictionaries(texts, inner, max_size=4)
                    | st.dictionaries(st.integers(-3, 3), inner, max_size=3)),
     max_leaves=24,
 )
@@ -756,6 +792,7 @@ class TestReportWriters:
     @example(payload={"rows": [list(SPECIAL_FLOATS)], "empty": [], "none": {}})
     @example(payload=[np.float64(0.1), 1, True, None, [], {}])
     @example(payload={"n": [np.int64(3)]})
+    @example(payload={"rows": [list(SPECIAL_FLOATS)] * 3, "%s": "%r \u00e9\x01\"", "l": Level.HIGH})
     def test_json_equals_the_json_encoder(self, payload):
         assert written(cli._write_json, payload) == old_json(payload)
 

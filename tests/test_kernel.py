@@ -509,7 +509,74 @@ class TestKernelProperties:
         assert np.all(psi_eval(k, xs) > 0.0)
 
 
+def ix_table_sites(k, n, axes):
+    """table_sites as it was written with np.r_ and np.ix_: the oracle of the leaner one."""
+    n = kernel_module.check_n(n)
+    point_work(k, len(axes))
+    runs = []
+    counts = []
+    for x in axes:
+        lo, hi = kernel_module._window_ends(k, n, np.sort(np.asarray(x, dtype=float)))
+        counts.append(lo.size)
+        first = np.flatnonzero(np.r_[True, lo[1:] - hi[:-1] > 1.0])
+        runs.append((lo[first], (hi[np.r_[first[1:] - 1, -1]] - lo[first]).astype(np.intp) + 1))
+    sizes = [int(lengths.sum()) for _, lengths in runs]
+    if math.prod(sizes) > MAX_POINT_WORK:
+        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
+                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+    width = 2 * int(k.radius) + 1
+    work = sum(kernel_module._sum_work(counts, width, sizes))
+    if work > MAX_SUM_WORK:
+        raise ValueError(f"a lattice sum needs {work} multiply-adds (> {MAX_SUM_WORK}): "
+                         f"{' x '.join(map(str, counts))} points, windows of {width} sites per axis, "
+                         f"{' x '.join(map(str, sizes))} table sites; shrink the grid or n, "
+                         "or increase alpha or trunc_eps")
+    sites = []
+    for starts, lengths in runs:
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sites.append(offsets + np.arange(offsets.size))
+    return list(np.ix_(*sites))
+
+
 class TestTableSites:
+    @settings(deadline=None, max_examples=60)
+    @given(k=st.sampled_from([kernel(), kernel(0.2, 0.3), kernel(0.9, 4.0)]),
+           n=st.integers(1, 2**20), dim=st.integers(1, 3), data=st.data())
+    # one cap each: a window of 2^24 + 1 sites, a centre past 2^52, a table of 4224^2 sites and
+    # 2236219392 multiply-adds over a 34 x 34 table; and n = 0
+    @example(k=kernel(alpha=1e-6), n=1, dim=1, data=[[0.5]])
+    @example(k=kernel(), n=2**20, dim=1, data=[[-MAX_CENTRE / 2**20, 0.5]])
+    @example(k=kernel(), n=1, dim=2, data=[np.arange(0.0, 4200.0, 33.0)] * 2)
+    @example(k=kernel(), n=1, dim=2, data=[np.linspace(0.0, 1.0, 65536), np.linspace(0.0, 1.0, 1000)])
+    @example(k=kernel(), n=0, dim=1, data=[[0.5]])
+    def test_equals_the_r_and_ix_version(self, k, n, dim, data):
+        # unsorted, repeated, negative and gapped centres, in lattice units off a random start,
+        # so a gap of more than 2W + 1 sites starts a new run; past 2^24 sites the cap speaks
+        if isinstance(data, list):
+            axes = data
+        else:
+            axes = []
+            for i in range(dim):
+                start = data.draw(st.floats(-3000.0, 3000.0), label=f"start{i}")
+                step = st.sampled_from([0.0, 1.0, 2 * k.radius + 1.0, 2 * k.radius + 2.5])
+                steps = data.draw(st.lists(step | st.floats(0.0, 5000.0), max_size=12),
+                                  label=f"steps{i}")
+                centres = data.draw(st.permutations(list(start + np.cumsum([0.0] + steps))),
+                                    label=f"centres{i}")
+                axes.append(np.array(centres) / n)
+        try:
+            want = ix_table_sites(k, n, axes)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                table_sites(k, n, axes)
+            assert str(got.value) == str(exc)
+            return
+        got = table_sites(k, n, axes)
+        assert len(got) == len(want) == len(axes)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.float64 and g.shape == w.shape
+            assert np.array_equal(g, w)
+
     @settings(deadline=None)
     @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(0.05, 4.0), n=st.integers(1, 64),
            data=st.data())
@@ -620,6 +687,28 @@ class TestLatticeSums:
         want = np.outer(x * mx[:, 0] + mx[:, 1], my[:, 0]).ravel()
         assert np.allclose(first, want, rtol=1e-14, atol=0.0)
         assert np.allclose(ones, np.outer(mx[:, 0], my[:, 0]).ravel(), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("axes", [
+        [np.array([0.7, -0.2, 0.7, 0.31, 1.0])],
+        [np.array([0.7, -0.2, 0.5]), np.array([1.5, 0.05, 0.0625])],
+        [np.array([0.1, 0.9, 0.4]), np.array([-0.3, 0.2]), np.array([0.6, 0.0])],
+    ], ids=["1-D", "2-D", "3-D"])
+    def test_checked_sites_change_no_bit(self, axes):
+        # a sweep's mesh from check_tables stands in for the call's own table_sites: the tables
+        # see that very mesh, and every sum, a broadcast table's included, keeps its bits
+        k, n = kernel(alpha=0.3), 16
+        ((sites, _),) = check_tables(k, axes, [n])
+        seen = []
+
+        def tables(mesh):
+            seen.append(mesh)
+            return pad_tables(mesh)
+
+        own = lattice_sums(k, n, axes, tables)
+        given = lattice_sums(k, n, axes, tables, sites=sites)
+        assert seen[1] is sites and all(np.array_equal(a, b) for a, b in zip(seen[0], sites))
+        for a, b in zip(own, given, strict=True):
+            assert np.array_equal(a, b)
 
     def test_three_axes_against_each_point_window(self):
         # a 3-D table is one chunk per first-axis point here; each point sums its own windows

@@ -1,6 +1,7 @@
 """One preflight per run: the library's sweep functions make every check, once."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,12 +55,12 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", SWEEP_RUNS, ids=lambda argv: " ".join(argv[:3]))
-def test_a_run_builds_each_table_twice(tmp_path, capsys, calls, argv):
-    # k tables for the preflight, k for the lattice sums; frac's k tables read D^beta f from
-    # one L1 call over the distinct nodes of all three
+def test_a_run_builds_each_table_once(tmp_path, capsys, calls, argv):
+    # k tables for the preflight, which the k lattice sums reuse; frac's k tables read D^beta f
+    # from one L1 call over the distinct nodes of all three
     assert cli.main([*argv, "--out", str(tmp_path / "r")]) == 0
     assert capsys.readouterr().err == ""
-    assert calls == {"table_sites": 6, "lattice_sums": 3,
+    assert calls == {"table_sites": 3, "lattice_sums": 3,
                      "rl_derivative_batch": int(argv[0] == "frac")}
 
 
@@ -220,3 +221,56 @@ def test_kantorovich_table_cells_rejected_with_one_message(tmp_path, capsys, cal
         operators.apply_kantorovich_batch(kern, 4096, sin, 65536, [np.linspace(0.0, 1.0, 2000)])
     assert str(exc.value).startswith("the cells of the lattice table need")
 
+
+
+LIBRARY_SWEEPS = {
+    "basic": lambda: convergence_sweep("basic", KERNEL, function_preset("sin"), [16, 32, 64],
+                                       [(0.0, 1.0)], 11),
+    "kantorovich": lambda: convergence_sweep("kantorovich", KERNEL, function_preset("sin"),
+                                             [16, 32, 64], [(0.0, 1.0)], 11),
+    "residual": lambda: residual_sweep(KERNEL, function_preset("sin"), [(0.0, 1.0)], 11,
+                                       [16, 32, 64], 2),
+    "fractional": lambda: fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5,
+                                           [64, 128, 256]),
+    "chart": lambda: analysis.chart_sweep(KERNEL, "poincare-half-plane", function_preset("sin-exp"),
+                                          [32, 64, 128], [(-1.0, 1.0), (1.0, 2.0)], 5),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_SWEEPS)
+def test_a_library_sweep_builds_each_table_once(calls, name):
+    # its checks build the k = 3 tables, and its lattice sums take them instead of their own
+    run = LIBRARY_SWEEPS[name]()
+    assert calls["table_sites"] == 3
+    run()
+    assert calls == {"table_sites": 3, "lattice_sums": 3,
+                     "rl_derivative_batch": int(name == "fractional")}
+
+
+def edge_preset(dim):
+    """cos(x) exp(-y..), which fails on any sample with x > 0.9."""
+    def value(x, *rest):
+        if np.any(np.asarray(x) > 0.9):
+            raise ValueError("sampled past x = 0.9")
+        return np.cos(x) * np.exp(-sum(rest))
+
+    return FunctionPreset("edge", dim, float("inf"), value, lambda alpha, *coords: 0.0)
+
+
+@pytest.mark.parametrize("box, bind", [
+    ([(0.0, 1.0)], lambda f, box: convergence_sweep("basic", KERNEL, f, [256, 512], box, 11)),
+    ([(0.0, 1.0), (1.0, 2.0)],
+     lambda f, box: analysis.chart_sweep(KERNEL, "euclidean", f, [256, 512], box, 11)),
+], ids=["convergence", "chart"])
+def test_a_failing_point_is_located_with_its_own_sites(box, bind):
+    # the grid's call fails on its table; each point alone then samples its own window only, so
+    # the point named is the first in C order whose window, at n = 256 and W = 16, reaches a
+    # site past 0.9: x_i = (i + 1/202)/11 with floor(256 x_i + 16) > 230.4, so i = 10.  Were a
+    # point handed the grid's table, the first point would fail instead
+    axes = analysis.grid_axes(box, 11)
+    i = next(i for i, x in enumerate(axes[0]) if math.floor(256 * x + KERNEL.radius) > 0.9 * 256)
+    assert i == 10
+    point = [float(axes[0][i])] + [float(y[0]) for y in axes[1:]]
+    with pytest.raises(ValueError) as exc:
+        bind(edge_preset(len(box)), box)()
+    assert str(exc.value) == f"sampled past x = 0.9 (at evaluation point {point})"
