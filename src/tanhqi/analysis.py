@@ -16,9 +16,10 @@ Each experiment's one entry point (a ``*_sweep`` function, or
 run, in one order (n sweep, Kantorovich's cell work, grid and its axis
 count, then ``kernel.check_tables``: each n's ``table_sites``, which caps a
 window's sites first, and the operator's site rule), and returns the run
-bound but not started.  Each n's operator call on the sweep's own grid
-takes the sites those checks built (``sites``), so a run builds each
-table's sites once; a call on other arrays builds its own.
+bound but not started.  Every sweep's preflight is ``own, results =
+check_tables(kernel, axes, ns, rule)``, and each n's operator takes
+``sites=own(n, ax)``: on the sweep's own grid arrays the checked sites, so
+a run builds each table's sites once, and on other arrays None.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -47,7 +48,7 @@ from .kernel import (
     check_tables,
     psi_eval,
 )
-from .manifold import chart_preset, check_chart, operator_on_chart_batch
+from .manifold import chart_coords, chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
@@ -268,13 +269,6 @@ def _report(rows, config: dict, target_description: str, claimed_exponent) -> Co
     )
 
 
-def _own_sites(axes, ns, checked):
-    # (n, ax) -> n's open mesh from check_tables if ax are the sweep's own grid arrays, else
-    # None: the operator then builds its own, as sup_error's one-point re-runs need
-    own = {n: sites for n, (sites, _) in zip(ns, checked)}
-    return lambda n, ax: own[n] if list(map(id, ax)) == list(map(id, axes)) else None
-
-
 def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **extra) -> dict:
     return {
         "preset": f.name,
@@ -299,9 +293,8 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
-    own = _own_sites(axes, ns, check_tables(
-        kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
-        if kind == "kantorovich" else None))
+    own, _ = check_tables(kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
+                          if kind == "kantorovich" else None)
 
     def apply_for(n):
         if kind == "basic":
@@ -321,7 +314,7 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_m_max(m_max, f)
-    own = _own_sites(axes, ns, check_tables(kernel, axes, ns))
+    own, _ = check_tables(kernel, axes, ns)
 
     def apply_for(n):
         def residuals(ax):
@@ -354,14 +347,14 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    checked = check_tables(kernel, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
-    own = _own_sites(axes, ns, checked)
+    own, nodes = check_tables(kernel, axes, ns,
+                              lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
 
     def run():
-        table = fractional_table(frac, f, np.concatenate([nodes for _, nodes in checked]))
+        table = fractional_table(frac, f, np.concatenate(nodes))
         return sweep(
             lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax, table,
                                                         sites=own(n, ax)),
@@ -376,13 +369,14 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
 
 def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):
     """The chart operator's sweep against f itself on the named chart preset, in f's dimension:
-    its checks (n sweep, grid, chart, ``manifold.check_chart``), then its ``sweep`` bound but not
-    run.  Chart weights are always renormalized (mode "discrete")."""
+    its checks (n sweep, grid, chart, its points, ``manifold.check_chart``, and its lattice
+    tables, ``manifold.chart_coords``), then its ``sweep`` bound but not run.  Chart weights are
+    always renormalized (mode "discrete")."""
     ns = check_sweep(n_sweep)
     axes = grid_axes(box, points_per_axis)
     geometry = chart_preset(chart, dim=f.dim)
-    axes, checked = check_chart(geometry, kernel, axes, ns)
-    own = _own_sites(axes, ns, checked)
+    axes = check_chart(geometry, axes)
+    own, _ = check_tables(kernel, axes, ns, functools.partial(chart_coords, geometry))
     return functools.partial(
         sweep, lambda n: lambda ax: operator_on_chart_batch(kernel, geometry, f, n, ax,
                                                             sites=own(n, ax)),

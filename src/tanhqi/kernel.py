@@ -39,8 +39,9 @@ on its own window alone, not on the other points of its call.
 ``table_sites`` caps a window's sites, the table's sites and the sums'
 multiply-adds before it builds a site, for operators and sweeps alike;
 ``check_tables`` runs it and an operator's site rule for every n of a sweep
-first, and a sweep hands each n's checked mesh to its grid's lattice sum
-(``lattice_sums(..., sites=...)``), so each table's sites are built once.
+first, and decides which calls take each n's checked mesh: those on the
+sweep's own grid arrays (``lattice_sums(..., sites=...)``), so each table's
+sites are built once.  One rule, ``chunk_rows``, sizes every chunk.
 """
 
 from __future__ import annotations
@@ -164,10 +165,12 @@ class DensityKernel:
     eps_trunc: float = 1e-12
     normalization: float = field(init=False)
     radius: float = field(init=False)
+    width: int = field(init=False)  # 2W + 1, a full window's sites per axis
 
     def __post_init__(self):
         object.__setattr__(self, "normalization", normalization_constant(self.params))
         object.__setattr__(self, "radius", truncation_radius(self.params, self.eps_trunc))
+        object.__setattr__(self, "width", 2 * int(self.radius) + 1)
 
 
 def psi_eval(kernel: DensityKernel, x):
@@ -236,11 +239,10 @@ def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
     """
     (u,) = check_axes([u], 1)
     lo, hi = _window_ends(kernel, 1, u)
-    width = 2 * int(kernel.radius) + 1
-    weights = window_weights(kernel, u, lo)(width)
-    short = hi - lo + 1 < width
+    weights = window_weights(kernel, u, lo)(kernel.width)
+    short = hi - lo + 1 < kernel.width
     weights[short, -1] = 0.0
-    ks = lo[:, None] + np.arange(float(width))
+    ks = lo[:, None] + np.arange(float(kernel.width))
     ks[short, -1] = hi[short]
     return ks, weights
 
@@ -334,11 +336,11 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     if math.prod(sizes) > MAX_POINT_WORK:
         raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
                          f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
-    width = 2 * int(kernel.radius) + 1
-    work = sum(_sum_work(counts, width, sizes))
+    work = sum(_sum_work(counts, kernel.width, sizes))
     if work > MAX_SUM_WORK:
         raise ValueError(f"a lattice sum needs {work} multiply-adds (> {MAX_SUM_WORK}): "
-                         f"{' x '.join(map(str, counts))} points, windows of {width} sites per axis, "
+                         f"{' x '.join(map(str, counts))} points, "
+                         f"windows of {kernel.width} sites per axis, "
                          f"{' x '.join(map(str, sizes))} table sites; shrink the grid or n, "
                          "or increase alpha or trunc_eps")
     sites = []
@@ -349,15 +351,16 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     return [s.reshape([-1 if j == i else 1 for j in range(len(sites))]) for i, s in enumerate(sites)]
 
 
-def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> list:
+def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> tuple:
     """A sweep's lattice checks before its first n: ``table_sites`` for each n of ns, then
     ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites.  Returns
-    (open mesh, rule result or None) per n: a sweep hands the mesh to its operator's ``sites``."""
-    checked = []
+    (sites_for, each n's rule result or None); ``sites_for(n, ax)``, an operator's ``sites``, is
+    n's checked mesh when ax holds the very arrays of axes, else None (``sup_error``'s re-runs)."""
+    meshes, results = {}, []
     for n in ns:
-        sites = table_sites(kernel, n, axes)
-        checked.append((sites, None if site_rule is None else site_rule(n, sites)))
-    return checked
+        meshes[n] = table_sites(kernel, n, axes)
+        results.append(None if site_rule is None else site_rule(n, meshes[n]))
+    return (lambda n, ax: meshes[n] if list(map(id, ax)) == list(map(id, axes)) else None), results
 
 
 def _sum_work(counts, width, sizes) -> list[int]:
@@ -384,8 +387,8 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     ``window_index`` arrays of 2W + 1 slots, built once per call.  So a
     point's sum depends on its own windows alone, not on CHUNK_ELEMENTS
     or the other points of its call.  ``sites``, when given, must be
-    ``table_sites(kernel, n, axes)`` for these very axes (a sweep's
-    ``check_tables`` mesh); it is used unchecked in place of that call.
+    ``table_sites(kernel, n, axes)`` for these very axes (what a sweep's
+    ``check_tables`` hands out); it is used unchecked in place of that call.
     """
     mesh = table_sites(kernel, n, axes) if sites is None else sites
     sites = [s.ravel() for s in mesh]
@@ -394,8 +397,7 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     later = [window_index(kernel, n, x, s) for x, s in zip(axes[1:], sites[1:])]
     counts = [len(x) for x in axes]
     # per first-axis point, axis i gathers the points done, its window and the sites to come
-    rows = max(1, CHUNK_ELEMENTS // (max(_sum_work(counts, point_work(kernel, 1), shape))
-                                     // counts[0]))
+    rows = chunk_rows(max(_sum_work(counts, kernel.width, shape)) // counts[0])
     lo, groups = _window_plan(kernel, n * np.asarray(axes[0], dtype=float), rows)
     first = np.searchsorted(sites[0], lo)
     out = [np.empty(counts) for _ in values]
@@ -419,30 +421,20 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     return [o.ravel() for o in out]
 
 
-def point_work(kernel: DensityKernel, dim: int, per_site: int = 1) -> int:
-    """Samples over the cells of one kernel window: (2W + 1)^dim sites times per_site each.
-
-    per_site is quad_nodes^dim for Kantorovich cells, 1 otherwise (the
-    message then names window sites).  This bounds quadrature work, not one
-    array (cell averages are built in slabs of the lattice table); above
-    MAX_POINT_WORK (2^24) it is a ValueError.
-    """
-    width = 2 * int(kernel.radius) + 1
-    work = width**dim * per_site
+def point_work(kernel: DensityKernel, dim: int) -> int:
+    """The lattice sites of one kernel window in dim axes, width^dim; above MAX_POINT_WORK
+    (2^24) a ValueError."""
+    work = kernel.width**dim
     if work > MAX_POINT_WORK:
-        raise ValueError(
-            f"the cells of one kernel window need {work} quadrature samples (> {MAX_POINT_WORK}): "
-            f"{width} lattice sites per axis, {dim} axes, {per_site} samples per site; "
-            "increase alpha or trunc_eps, or lower quad_nodes" if per_site > 1 else
-            f"one kernel window holds {work} lattice sites (> {MAX_POINT_WORK}): "
-            f"{width} per axis, {dim} axes; increase alpha or trunc_eps"
-        )
+        raise ValueError(f"one kernel window holds {work} lattice sites (> {MAX_POINT_WORK}): "
+                         f"{kernel.width} per axis, {dim} axes; increase alpha or trunc_eps")
     return work
 
 
-def chunk_rows(kernel: DensityKernel, dim: int) -> int:
-    """Points per chunk: as many as keep a chunk array near CHUNK_ELEMENTS, at least one."""
-    return max(1, CHUNK_ELEMENTS // point_work(kernel, dim))
+def chunk_rows(per_point: int) -> int:
+    """Rows per chunk (points, or Kantorovich's cells) of per_point numbers each: about
+    CHUNK_ELEMENTS numbers in all, at least one row."""
+    return max(1, CHUNK_ELEMENTS // per_point)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -473,7 +465,7 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     check_n(n)
     (x,) = check_axes([x], 1)
     out = np.empty((x.size, p_max + 1))
-    lo, groups = _window_plan(kernel, n * x, chunk_rows(kernel, 1))
+    lo, groups = _window_plan(kernel, n * x, chunk_rows(point_work(kernel, 1)))
     for width, chunks in groups:
         for chunk, weights in chunks:
             out[chunk, 0] = weights.sum(axis=1)

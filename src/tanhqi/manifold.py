@@ -13,8 +13,9 @@ sample sites and always renormalize the truncated weights to sum to one:
 the operator is the ratio of the lattice sums of f / sqrt(det g) and
 1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;
-``chart_coords`` applies it to a lattice table's sites, and ``check_chart``
-to a grid and every table of a sweep, once before its first n (``analysis.chart_sweep``).
+``check_chart`` applies it to a grid's points, and ``chart_coords`` to a
+lattice table's sites, the site rule a sweep hands ``kernel.check_tables``
+before its first n (``analysis.chart_sweep``).
 
 Shipped chart presets:
 
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import DensityKernel, check_axes, check_tables, lattice_sums
+from .kernel import DensityKernel, check_axes, lattice_sums
 
 __all__ = [
     "Chart",
@@ -108,9 +109,9 @@ def chart_coords(chart: Chart, n: int, sites) -> list[np.ndarray]:
     return coords
 
 
-def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> tuple[list, list]:
-    """The grid of axes as float arrays once its points lie in the chart's domain and, for
-    each n of n_sweep, so does its lattice table (``chart_coords``); with ``check_tables``' list."""
+def check_chart(chart: Chart, axes) -> list[np.ndarray]:
+    """The grid of axes as float arrays (``check_axes``) once its points lie in the chart's
+    domain; the first point in C order outside it is a ValueError."""
     axes = check_axes(axes, chart.dim)
     inside = functools.reduce(np.logical_and.outer,
                               [chart.axis_coords(i, x)[1] for i, x in enumerate(axes)])
@@ -118,7 +119,7 @@ def check_chart(chart: Chart, kernel: DensityKernel, axes, n_sweep=()) -> tuple[
         first = np.unravel_index(np.argmin(inside), inside.shape)
         raise ValueError(f"point {[float(x[j]) for x, j in zip(axes, first)]} "
                          f"lies outside the {chart.name!r} chart domain")
-    return axes, check_tables(kernel, axes, n_sweep, functools.partial(chart_coords, chart))
+    return axes
 
 
 def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes, *,
@@ -132,7 +133,7 @@ def operator_on_chart_batch(kernel: DensityKernel, chart: Chart, f, n: int, axes
     """
     if f.dim != chart.dim:
         raise ValueError(f"preset {f.name!r} is {f.dim}-dimensional, chart needs {chart.dim}")
-    axes, _ = check_chart(chart, kernel, axes)
+    axes = check_chart(chart, axes)
 
     def tables(mesh):
         coords = chart_coords(chart, n, mesh)

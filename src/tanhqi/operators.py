@@ -34,7 +34,7 @@ flattened in C order.  Each is one lattice sum (``kernel.lattice_sums``),
 or a ratio of two, over site values sampled once per lattice table site;
 n is checked by ``kernel.check_n``.  Each also takes the keyword-only
 ``sites``, the lattice table's open mesh for exactly these n and axes,
-which a sweep's lattice checks already built (``kernel.lattice_sums``).
+which a sweep's lattice checks already built (``kernel.check_tables``).
 """
 
 from __future__ import annotations
@@ -46,15 +46,14 @@ import numpy as np
 
 from .fractional import FracConfig, l1_intervals, rl_derivative_batch
 from .kernel import (
-    CHUNK_ELEMENTS,
     MAX_POINT_WORK,
     DensityKernel,
     axis_moments,
     check_axes,
     check_n,
+    chunk_rows,
     lattice_sums,
     multi_indices,
-    point_work,
 )
 
 __all__ = [
@@ -93,10 +92,16 @@ def check_quad_nodes(quad_nodes: int) -> None:
 
 def check_cell_work(kernel: DensityKernel, quad_nodes: int, dim: int) -> None:
     """Kantorovich's per-window work: the cells of one kernel window in dim axes take
-    quad_nodes^dim samples each, at most MAX_POINT_WORK in all (``kernel.point_work``), and
-    quad_nodes passes ``check_quad_nodes``."""
+    quad_nodes^dim samples each, at most MAX_POINT_WORK in all (quadrature work, not one array),
+    and quad_nodes passes ``check_quad_nodes``."""
     if isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2:
-        point_work(kernel, dim, int(quad_nodes) ** dim)
+        samples = int(quad_nodes) ** dim
+        work = kernel.width**dim * samples
+        if work > MAX_POINT_WORK:
+            raise ValueError(f"the cells of one kernel window need {work} quadrature samples "
+                             f"(> {MAX_POINT_WORK}): {kernel.width} lattice sites per axis, "
+                             f"{dim} axes, {samples} samples per site; increase alpha or "
+                             "trunc_eps, or lower quad_nodes")
     check_quad_nodes(quad_nodes)
 
 
@@ -131,7 +136,7 @@ def _cell_averages(g: int, f, n: int, sites) -> np.ndarray:
     node_weights = functools.reduce(np.multiply.outer, [wts] * dim).ravel()
     shape = tuple(k.size for k in sites)
     averages = np.empty(math.prod(shape))
-    slab = max(1, CHUNK_ELEMENTS // g**dim)
+    slab = chunk_rows(g**dim)
     for start in range(0, averages.size, slab):
         cells = np.unravel_index(np.arange(start, min(start + slab, averages.size)), shape)
         # cell axis i samples its nodes along array axis 1 + i

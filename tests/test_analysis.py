@@ -126,6 +126,23 @@ class TestSupError:
             sup_error(batch_only, lambda ax: np.zeros(len(ax[0])), [[0.1, 0.9]])
         assert calls == [2]
 
+    def test_failure_no_point_repeats_alone_propagates_unchanged(self):
+        # any other exception of the whole batch only is re-raised as it was, once every point
+        # has been re-run alone
+        calls, raised = [], []
+
+        def batch_only(ax):
+            calls.append(len(ax[0]))
+            if len(ax[0]) > 1:
+                raised.append(ValueError("batch only"))
+                raise raised[-1]
+            return np.zeros(len(ax[0]))
+
+        with pytest.raises(ValueError) as exc:
+            sup_error(batch_only, lambda ax: np.zeros(len(ax[0])), [[0.1, 0.9]])
+        assert exc.value is raised[0] and str(exc.value) == "batch only"
+        assert calls == [2, 1, 1]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sup_error(lambda ax: np.zeros(len(ax[0])), lambda ax: np.zeros(len(ax[0])), [np.empty(0)])

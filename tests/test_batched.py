@@ -61,7 +61,7 @@ from tanhqi import analysis, operators
 from tanhqi import kernel as kernel_module
 from tanhqi.analysis import fractional_sweep, grid_axes
 from tanhqi.fractional import power_rule_oracle
-from tanhqi.kernel import axis_moments, check_tables, chunk_rows, window_weights
+from tanhqi.kernel import axis_moments, check_tables, chunk_rows, point_work, window_weights
 from tanhqi.manifold import operator_on_chart_batch
 from tanhqi.operators import (
     apply_basic_batch,
@@ -178,13 +178,12 @@ def kernels(alpha_lo=1.0 / 32.0, alpha_hi=2.0):
 
 
 def small_chunks(test):
-    """The test with kernel.CHUNK_ELEMENTS (and operators' copy, for Kantorovich's cell slabs) at
+    """The test with kernel.CHUNK_ELEMENTS, which sizes Kantorovich's cell slabs too, at
     SMALL_CHUNK: a patch inside the body, as hypothesis rejects function-scoped fixtures."""
     @functools.wraps(test)
     def patched(*args, **kwargs):
         with pytest.MonkeyPatch.context() as mp:
-            for module in (kernel_module, operators):
-                mp.setattr(module, "CHUNK_ELEMENTS", SMALL_CHUNK)
+            mp.setattr(kernel_module, "CHUNK_ELEMENTS", SMALL_CHUNK)
             return test(*args, **kwargs)
 
     return patched
@@ -199,7 +198,7 @@ def draw_axes(data, kernel, n, dim, lo=0.0, hi=1.0):
     """
     if data is None:
         return [np.linspace(lo, hi, 41)] * dim
-    rows = chunk_rows(kernel, dim)
+    rows = chunk_rows(point_work(kernel, dim))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     axes = []
     for i in range(dim):
@@ -425,8 +424,8 @@ class TestSharedFractionalTable:
         f, frac = function_preset(preset), FracConfig(0.25, 1e-3)
         axes = grid_axes([(lo + 0.3, hi) for lo, hi in box], 41)
         assert min(ns) * axes[0][0] > FRAC_KERNEL.radius + 1.0
-        nodes = [nodes for _, nodes in check_tables(
-            FRAC_KERNEL, axes, ns, lambda n, sites: fractional_nodes(frac, f, n, sites[0]))]
+        _, nodes = check_tables(FRAC_KERNEL, axes, ns,
+                                lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
         table = fractional_table(frac, f, np.concatenate(nodes))
         assert table[0].size < sum(node.size for node in nodes)
         for n, own in zip(ns, nodes):
@@ -438,8 +437,8 @@ class TestSharedFractionalTable:
     def test_a_node_missing_from_the_table_is_an_error(self):
         f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
         axes = [np.array([0.5])]
-        ((_, nodes),) = check_tables(FRAC_KERNEL, axes, [64],
-                                     lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        _, (nodes,) = check_tables(FRAC_KERNEL, axes, [64],
+                                   lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
         table = fractional_table(frac, f, nodes)
         # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
         with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):

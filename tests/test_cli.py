@@ -185,6 +185,24 @@ class TestPrintConfig:
         assert err.count("\n") == 1
         assert "nests deeper" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("text, extra, message", [
+        ("{not json", [], "is not valid JSON"),
+        ("[1, 2]", [], "must hold a JSON object"),
+        ('{"fmt": "xml"}', [], "--format must be csv or json, got 'xml'"),
+        ("{}", ["--out", ""], "--out must not be empty"),
+    ], ids=["not-json", "not-an-object", "format", "empty-out"])
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_unusable_config_rejected(self, tmp_path, capsys, text, extra, message, print_config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        argv = ["converge", "--preset", "sin", "--config", str(cfg_file),
+                "--out", str(tmp_path / "x"), *extra]
+        status, out, err = run(argv + ["--print-config"] * print_config, capsys)
+        assert status == 2 and out == ""
+        assert err.count("\n") == 1
+        assert message in json.loads(err)["error"]
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("command, preset", [("converge", "sin"), ("frac", "pow2")])
     @pytest.mark.parametrize("operator", ["fractional", "xyz"])
     @pytest.mark.parametrize("print_config", [False, True])
@@ -358,6 +376,16 @@ class TestValidation:
         assert err.count("\n") == 1
         assert message in json.loads(err)["error"]
         assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_bad_float_token_exits_two(self, tmp_path, capsys, print_config):
+        extra = ["--grid-lo", "0,x", *(["--print-config"] if print_config else [])]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(converge_args(tmp_path / "x", extra))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "argument --grid-lo" in json.loads(err)["error"]
 
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,6 @@ from tanhqi import (
     truncation_radius,
 )
 from tanhqi import kernel as kernel_module
-from tanhqi import operators as operators_module
 from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
@@ -43,6 +42,7 @@ from tanhqi.kernel import (
     window_rows,
     window_weights,
 )
+from tanhqi.operators import check_cell_work
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -367,9 +367,10 @@ class TestWindowRows:
     def test_point_work_cap(self):
         k = kernel()
         assert point_work(k, 1) == 33
-        assert point_work(k, 2, 25) == 33 * 33 * 25
+        assert point_work(k, 2) == 33 * 33
+        check_cell_work(k, 5, 2)  # 33 x 33 sites x 25 samples
         with pytest.raises(ValueError, match="cells of one kernel window need"):
-            point_work(k, 2, MAX_POINT_WORK)
+            check_cell_work(k, MAX_POINT_WORK, 2)
         # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites and takes no quadrature
         with pytest.raises(ValueError, match="one kernel window holds 16777217 lattice sites") as exc:
             point_work(kernel(alpha=1e-6), 1)
@@ -697,7 +698,8 @@ class TestLatticeSums:
         # a sweep's mesh from check_tables stands in for the call's own table_sites: the tables
         # see that very mesh, and every sum, a broadcast table's included, keeps its bits
         k, n = kernel(alpha=0.3), 16
-        ((sites, _),) = check_tables(k, axes, [n])
+        own, _ = check_tables(k, axes, [n])
+        sites = own(n, axes)
         seen = []
 
         def tables(mesh):
@@ -836,9 +838,8 @@ class TestWindowPlan:
                                                                    sin_exp, n, plane)
         want = {name: call() for name, call in calls.items()}
         for elements in (2**6, 2**9, 2**13, 2**16):
-            # operators binds the name at import, for Kantorovich's cell slabs
+            # chunk_rows sizes Kantorovich's cell slabs too
             monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", elements)
-            monkeypatch.setattr(operators_module, "CHUNK_ELEMENTS", elements)
             for name, call in calls.items():
                 assert np.array_equal(call(), want[name]), (name, elements)
 
@@ -870,7 +871,7 @@ class TestWindowPlan:
         k, n = kernel(), 16
         x, y = off_site(0.0, 1.0, 301, n), off_site(0.0, 1.0, 7, n)
         monkeypatch.setattr(kernel_module, "CHUNK_ELEMENTS", 2**6)
-        assert kernel_module.chunk_rows(k, 1) == 1
+        assert kernel_module.chunk_rows(point_work(k, 1)) == 1
         calls = [
             (lambda: lattice_sums(k, n, [x], lambda sites: [sites[0] / n]), [(33,), (301,)]),
             (lambda: lattice_sums(k, n, [x, y], lambda sites: [sites[0] / n + sites[1]]),

@@ -1,5 +1,7 @@
 """Charts, metric-weighted kernels, kernel mass, chart operators."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from tanhqi import (
     operator_on_chart_batch,
     psi_eval,
 )
-from tanhqi.manifold import check_chart
+from tanhqi.kernel import check_tables
+from tanhqi.manifold import chart_coords, check_chart
 
 PARAMS = ActivationParams(0.5, 1.0)
 KERNEL = DensityKernel(PARAMS)
@@ -38,6 +41,11 @@ class TestChartPresets:
     def test_unknown_chart(self):
         with pytest.raises(ValueError, match="unknown chart"):
             chart_preset("sphere")
+
+    @pytest.mark.parametrize("name", ["euclidean", "torus"])
+    def test_dimension_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            chart_preset(name, dim=0)
 
     def test_domain_membership(self):
         ch = chart_preset("poincare-half-plane")
@@ -122,7 +130,8 @@ class TestOperatorOnChart:
     @pytest.mark.parametrize("y_lo", [-0.5, 0.01, 1.99, 2.0, 2.01, 3.0])
     def test_preflight_agrees_with_the_operator(self, y_lo):
         # at n = 8 the support reaches k_y <= 0 while 8 y_lo <= W = 16; a point with y <= 0
-        # fails first. check_chart over the sweep fails as the first failing n does
+        # fails first. The sweep's preflight, check_chart then check_tables with chart_coords,
+        # fails as the first failing n does
         chart, f, ns = chart_preset("poincare-half-plane"), function_preset("sin-exp"), (8, 16, 32)
         axes = [np.array([-0.5, 0.25]), np.array([y_lo, y_lo + 0.5])]
         failures = []
@@ -132,7 +141,7 @@ class TestOperatorOnChart:
             except ValueError as exc:
                 failures.append(str(exc))
         try:
-            check_chart(chart, KERNEL, axes, ns)
+            check_tables(KERNEL, check_chart(chart, axes), ns, functools.partial(chart_coords, chart))
             preflight = None
         except ValueError as exc:
             preflight = str(exc)

@@ -200,6 +200,10 @@ class TestFractional:
         with pytest.raises(ValueError):
             apply_fractional_batch(KERNEL, HALF, function_preset("pow2"), 64, [[-0.1]])
 
+    def test_two_dimensional_preset_rejected(self):
+        with pytest.raises(ValueError, match="the fractional operator is one-dimensional"):
+            apply_fractional_batch(KERNEL, HALF, function_preset("sin-exp"), 64, [[0.3]])
+
     def test_origin_lattice_point_needs_vanishing_f(self):
         # near the origin the window contains k = 0; with f(0) != 0 the
         # fractional derivative blows up there and the call must refuse

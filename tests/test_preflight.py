@@ -223,6 +223,28 @@ def test_kantorovich_table_cells_rejected_with_one_message(tmp_path, capsys, cal
 
 
 
+@pytest.mark.parametrize("chart, box, ns, message, tables", [
+    ("nope", [(1.0, 0.0), (1.0, 2.0)], [0], "n sweep must contain positive integers", 0),
+    ("nope", [(1.0, 0.0), (1.0, 2.0)], [32], "grid axis (1.0, 0.0) must be finite", 0),
+    ("nope", [(-1.0, 1.0), (-2.0, -1.0)], [32], "unknown chart 'nope'", 0),
+    # n = 8 would reach k_y <= 0 too, but the first point below y = 0 is named before any table
+    ("poincare-half-plane", [(-1.0, 1.0), (-2.0, -1.0)], [8],
+     "point [-0.998019801980198, -1.999009900990099] lies outside", 0),
+    # the sweep checks n = 8 first and stops at its table; n = 64 alone passes (below)
+    ("poincare-half-plane", [(-1.0, 1.0), (0.5, 2.0)], [64, 8],
+     "lattice support exits the 'poincare-half-plane' chart domain on axis 1", 1),
+], ids=["n-sweep", "grid", "chart", "points", "tables"])
+def test_chart_sweep_checks_in_order(calls, chart, box, ns, message, tables):
+    # n sweep, grid, chart, the grid's points, then each n's table: each case breaks its own
+    # rule and every later one
+    with pytest.raises(ValueError) as exc:
+        analysis.chart_sweep(KERNEL, chart, function_preset("sin-exp"), ns, box, 5)
+    assert str(exc.value).startswith(message)
+    assert calls["table_sites"] == tables
+    analysis.chart_sweep(KERNEL, "poincare-half-plane", function_preset("sin-exp"), [64],
+                         [(-1.0, 1.0), (0.5, 2.0)], 5)
+
+
 LIBRARY_SWEEPS = {
     "basic": lambda: convergence_sweep("basic", KERNEL, function_preset("sin"), [16, 32, 64],
                                        [(0.0, 1.0)], 11),

@@ -80,6 +80,14 @@ class TestDerivatives:
             numeric = fd(f.value, order, t, step)
             assert f.derivative((order,), t) == pytest.approx(numeric, rel=1e-4)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_abs25_high_orders_away_from_kink(self, order):
+        # orders three and four hold off the kink only: each is the slope of the order below
+        f = function_preset("abs25")
+        for t in (0.1, 0.8):
+            numeric = fd(lambda s: f.derivative((order - 1,), s), 1, t, 1e-6)
+            assert f.derivative((order,), t) == pytest.approx(numeric, rel=1e-6)
+
     def test_runge_frozen_values(self):
         f = function_preset("runge")
         assert f.value(0.2) == pytest.approx(0.5, rel=1e-14)
@@ -116,3 +124,7 @@ class TestValidation:
         f = function_preset("sin")
         with pytest.raises(ValueError):
             f.derivative((-1,), 0.3)
+
+    def test_coordinate_count_rejected(self):
+        with pytest.raises(ValueError, match=r"sin takes 1 coordinate\(s\), got 2"):
+            function_preset("sin").derivative((1,), 0.3, 0.7)
