@@ -15,8 +15,9 @@ Each experiment's one entry point (a ``*_sweep`` function, or
 ``kernel_table`` for the kernel's own table) makes every check of its
 run, in one order (n sweep, Kantorovich's cell work, grid and its axis
 count, then ``kernel.check_tables``: each n's ``table_sites``, which caps a
-window's sites first, and the operator's site rule), and returns the run
-bound but not started.  Every sweep's preflight is ``own, results =
+window's sites first, and the operator's site rule; ``kernel_table``, which
+builds no lattice table, takes ``kernel.check_moments``), and returns the
+run bound but not started.  Every sweep's preflight is ``own, results =
 check_tables(kernel, axes, ns, rule)``, and each n's operator takes
 ``sites=own(n, ax)``: on the sweep's own grid arrays the checked sites, so
 a run builds each table's sites once, and on other arrays None.
@@ -44,6 +45,7 @@ from .kernel import (
     DensityKernel,
     axis_moments,
     check_axes,
+    check_moments,
     check_n,
     check_tables,
     psi_eval,
@@ -387,14 +389,15 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
 
 def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):
     """kernel-dump's table, psi, M_0..M_3 and n M_1 at each x of a one-axis grid for the one n of
-    n_sweep, plus the kernel's constants: its checks (exactly one n, grid, lattice table), then
-    the table bound but not built."""
+    n_sweep, plus the kernel's constants: its checks (exactly one n, grid, then
+    ``kernel.check_moments``, as the moments build no lattice table), then the table bound but not
+    built."""
     n_sweep = list(n_sweep)
     if len(n_sweep) != 1:
         raise ValueError(f"the kernel table takes exactly one n, got {n_sweep!r}")
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
-    check_tables(kernel, axes, ns)
+    check_moments(kernel, ns[0], axes[0])
     return functools.partial(_kernel_rows, kernel, axes[0], ns[0])
 
 

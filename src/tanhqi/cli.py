@@ -114,18 +114,17 @@ _DEFAULTS = {
 _REQUIRED_PRESET = ("converge", "frac")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+def _list_type(kind, name: str):
+    # an argparse type for comma-separated values of kind; argparse prints an ArgumentTypeError's
+    # message, but replaces a ValueError's with "invalid parse value"
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {name} list, got {text!r}") from None
 
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated float list, got {text!r}") from None
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,6 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    ints, floats = _list_type(int, "integer"), _list_type(float, "float")
+
     def add_common(p, grid_help):
         p.add_argument("--config", metavar="FILE",
                        help="JSON file with the same keys as the flags; flags override it")
@@ -153,11 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="kernel slope parameter, > 0")
         p.add_argument("--trunc-eps", type=float, dest="trunc_eps",
                        help="lattice truncation tolerance, open interval (0, 1); default 1e-12")
-        p.add_argument("--n", dest="n_sweep", type=_parse_int_list, metavar="N1,N2,...",
+        p.add_argument("--n", dest="n_sweep", type=ints, metavar="N1,N2,...",
                        help="comma-separated lattice densities, each >= 1")
-        p.add_argument("--grid-lo", dest="grid_lo", type=_parse_float_list, metavar="LO[,LO2]",
+        p.add_argument("--grid-lo", dest="grid_lo", type=floats, metavar="LO[,LO2]",
                        help=f"lower evaluation-grid corner{grid_help}")
-        p.add_argument("--grid-hi", dest="grid_hi", type=_parse_float_list, metavar="HI[,HI2]",
+        p.add_argument("--grid-hi", dest="grid_hi", type=floats, metavar="HI[,HI2]",
                        help=f"upper evaluation-grid corner{grid_help}")
         p.add_argument("--grid-points", dest="grid_points", type=int,
                        help="evaluation points per axis, >= 1")

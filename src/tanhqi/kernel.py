@@ -29,19 +29,21 @@ table e^(2 alpha (j - W)) over its sites k = lo + j per call
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
-``lattice_sums`` contracts the table one axis at a time.  Its first axis,
-like ``axis_moments``, takes one window plan per call (window ends, exps and
-weight buffers), so a chunk of points, all with windows of one width, only
-fills its weights and reads each window with one index per row from an
-``as_strided`` view of the table (its first stride on two axes, no copy).
-Later axes give every row 2W + 1 slots.  Either way a point's sum depends
-on its own window alone, not on the other points of its call.
-``table_sites`` caps a window's sites, the table's sites and the sums'
-multiply-adds before it builds a site, for operators and sweeps alike;
-``check_tables`` runs it and an operator's site rule for every n of a sweep
-first, and decides which calls take each n's checked mesh: those on the
-sweep's own grid arrays (``lattice_sums(..., sites=...)``), so each table's
-sites are built once.  One rule, ``chunk_rows``, sizes every chunk.
+``lattice_sums`` contracts the table one axis at a time, each axis by one
+rule, then moves it last so the next axis comes first.  Every axis, like
+``axis_moments``, takes one window plan (window ends, exps and weight
+buffers), so a chunk of points, all with windows of one width, only fills
+its weights and reads each window, 2W or 2W + 1 sites, with one index per
+row from an ``as_strided`` view of the table (its first stride on two axes,
+no copy).  A point's sum depends on its own windows alone, not on the
+other points of its call.  ``table_sites`` caps a window's sites, the
+table's sites and the sums' multiply-adds before it builds a site, for
+operators and sweeps alike (``check_moments`` all but the table's, for the
+moments, which build no table); ``check_tables`` runs it and an operator's
+site rule for every n of a sweep first, and decides which calls take each
+n's checked mesh: those on the sweep's own grid arrays
+(``lattice_sums(..., sites=...)``), so each table's sites are built once.
+One rule, ``chunk_rows``, sizes every chunk.
 """
 
 from __future__ import annotations
@@ -63,11 +65,10 @@ __all__ = [
     "truncation_radius",
     "psi_eval",
     "window_weights",
-    "window_rows",
-    "window_index",
     "check_axes",
     "check_n",
     "table_sites",
+    "check_moments",
     "check_tables",
     "lattice_sums",
     "point_work",
@@ -96,7 +97,7 @@ MAX_CENTRE = 2.0**52
 # only where psi < (1+q)/(1-q) e^(2 alpha - 708) and reads 0 or subnormal there
 ONE_EXP_ALPHA = 64.0
 # windows take one exp per centre while 2 alpha (W + 1) is at most this: v = e^(-2 alpha x)
-# then stays within e^(+-300) over a window and its pad slot, |x| < W + 1, so c2 v^2 is far
+# then stays within e^(+-300) for |x| < W + 1, past every window site, so c2 v^2 is far
 # from overflow and psi from the subnormals.  Past it they take psi_eval: for every alpha
 # above 50 (W >= 2, so every alpha above ONE_EXP_ALPHA), and below that only for eps_trunc
 # under 1e-25 (1e-60 up to alpha 4)
@@ -224,29 +225,6 @@ def window_weights(kernel: DensityKernel, u, lo):
     return weights
 
 
-def window_rows(kernel: DensityKernel, u) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice windows and kernel weights for a batch of centres u, shape (P,).
-
-    Row i has 2W + 1 slots: the integers k with |k - u_i| <= W, ascending
-    (as integer-valued floats), and the weights psi(u_i - k) of
-    ``window_weights``, one exp per centre.  A window has 2W sites, or
-    2W + 1 when u_i is a lattice site; a 2W-site row's last slot repeats
-    its last site with weight zero, so a row depends on its centre alone
-    and never reaches a site outside its own window.  Every lattice sum
-    in the package takes this rule; u = n x for a sum over k/n near x.  A
-    centre with |u| + W + 1 above MAX_CENTRE, or an empty or non-1-D u
-    (``check_axes``), is a ValueError.
-    """
-    (u,) = check_axes([u], 1)
-    lo, hi = _window_ends(kernel, 1, u)
-    weights = window_weights(kernel, u, lo)(kernel.width)
-    short = hi - lo + 1 < kernel.width
-    weights[short, -1] = 0.0
-    ks = lo[:, None] + np.arange(float(kernel.width))
-    ks[short, -1] = hi[short]
-    return ks, weights
-
-
 def _window_plan(kernel: DensityKernel, u: np.ndarray, rows: int):
     # one call's windows around centres u: the window ends lo, and per window width (2W sites,
     # or 2W + 1 for a centre on a lattice site) with a point, (width, chunks), each chunk at
@@ -266,15 +244,6 @@ def _window_plan(kernel: DensityKernel, u: np.ndarray, rows: int):
             yield chunk, weights(width, chunk, *flat[:2 * chunk.size * width].reshape(2, -1, width))
 
     return lo, [(width, chunks(width)) for width in widths]
-
-
-def window_index(kernel: DensityKernel, n: int, x, sites) -> tuple[np.ndarray, np.ndarray]:
-    """window_rows around n x, shape (P,) -> (P, 2W + 1), with its sites as indices into one
-    axis's sorted sites (a pad indexes its row's last site), and the weights psi(n x - k)."""
-    k, w = window_rows(kernel, n * np.asarray(x, dtype=float))
-    # a window lies in one run of consecutive sites, so offsets from its first site add
-    first = np.searchsorted(sites, k[:, 0])
-    return first[:, None] + (k - k[:, :1]).astype(np.intp), w
 
 
 def _window_ends(kernel: DensityKernel, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +288,29 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
     MAX_POINT_WORK sites or a lattice sum over it past MAX_SUM_WORK
     multiply-adds (both counted before any site is built) is a ValueError.
     """
+    runs, counts, sizes = _site_runs(kernel, n, axes)
+    if math.prod(sizes) > MAX_POINT_WORK:
+        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
+                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+    _check_sum_work(kernel, counts, sizes)
+    sites = []
+    for starts, lengths in runs:
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sites.append(offsets + np.arange(offsets.size))
+    # axis i's sites in its open-mesh shape (1, .., K_i, .., 1), as np.ix_ gives them
+    return [s.reshape([-1 if j == i else 1 for j in range(len(sites))]) for i, s in enumerate(sites)]
+
+
+def check_moments(kernel: DensityKernel, n: int, x) -> None:
+    """What ``axis_moments`` pays, checked before it runs: ``table_sites``' checks of n, one
+    window's sites and each centre, and its cap on a lattice sum's multiply-adds (points x window
+    sites), but no table cap, as the moments build no table."""
+    _check_sum_work(kernel, *_site_runs(kernel, n, [x])[1:])
+
+
+def _site_runs(kernel: DensityKernel, n: int, axes) -> tuple:
+    # n, one window's sites and each centre checked; then per axis its runs of consecutive sites
+    # (first sites, lengths), its point count and its site count
     n = check_n(n)
     point_work(kernel, len(axes))
     runs = []
@@ -332,10 +324,10 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
         # disjoint runs of sites within 2^52 + W of 0: their sum fits an int64
         last = np.concatenate((first[1:] - 1, [-1]))
         runs.append((lo[first], (hi[last] - lo[first]).astype(np.intp) + 1))
-    sizes = [int(lengths.sum()) for _, lengths in runs]
-    if math.prod(sizes) > MAX_POINT_WORK:
-        raise ValueError(f"the lattice table needs {' x '.join(map(str, sizes))} sites "
-                         f"(> {MAX_POINT_WORK}); shrink the box, its points or n, or increase alpha")
+    return runs, counts, [int(lengths.sum()) for _, lengths in runs]
+
+
+def _check_sum_work(kernel: DensityKernel, counts, sizes) -> None:
     work = sum(_sum_work(counts, kernel.width, sizes))
     if work > MAX_SUM_WORK:
         raise ValueError(f"a lattice sum needs {work} multiply-adds (> {MAX_SUM_WORK}): "
@@ -343,12 +335,6 @@ def table_sites(kernel: DensityKernel, n: int, axes) -> list[np.ndarray]:
                          f"windows of {kernel.width} sites per axis, "
                          f"{' x '.join(map(str, sizes))} table sites; shrink the grid or n, "
                          "or increase alpha or trunc_eps")
-    sites = []
-    for starts, lengths in runs:
-        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        sites.append(offsets + np.arange(offsets.size))
-    # axis i's sites in its open-mesh shape (1, .., K_i, .., 1), as np.ix_ gives them
-    return [s.reshape([-1 if j == i else 1 for j in range(len(sites))]) for i, s in enumerate(sites)]
 
 
 def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> tuple:
@@ -374,51 +360,74 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     """sum_k v(k) Z(n x - k) on the grid of axes (N 1-D arrays), in C order, for each table v.
 
     ``tables`` maps ``table_sites``' open mesh to arrays that broadcast to
-    the lattice table.  Each axis i is contracted in turn, T <- sum_l
-    w_i[p, l] T[.., k_i[p, l], ..], in chunks of the first axis's points
-    that keep every gathered array near CHUNK_ELEMENTS.  The first axis's
-    window plan (window ends, places in the table, per-centre exps, weight
-    buffers) is built once per call and groups the points by window width
-    L (2W, or 2W + 1 for a lattice-site centre); a chunk of one group fills
-    its rows' weights (``window_rows``' rule) and gathers row p as
-    T[first_p : first_p + L] from a read-only view of each table, one per
-    table and width, with the table's first stride on both of its first
-    axes, so no row holds a pad slot.  Later axes gather through
-    ``window_index`` arrays of 2W + 1 slots, built once per call.  So a
-    point's sum depends on its own windows alone, not on CHUNK_ELEMENTS
-    or the other points of its call.  ``sites``, when given, must be
-    ``table_sites(kernel, n, axes)`` for these very axes (what a sweep's
-    ``check_tables`` hands out); it is used unchecked in place of that call.
+    the lattice table.  Each axis i is contracted in turn by one rule
+    (``_contract``), T <- sum_l w_i[p, l] T[k_i[p, l], ..], and then moved
+    last, so the next axis comes first and the grid ends in C order.  An
+    axis's window plan (window ends, places in the table, per-centre exps,
+    weight buffers) groups its points by window width L (2W, or 2W + 1 for
+    a lattice-site centre); a chunk of one group, near CHUNK_ELEMENTS
+    gathered numbers, fills its rows' weights and gathers row p as
+    T[first_p : first_p + L] from a read-only view of each table, with the
+    table's first stride on the window's slots as well.  The last axis sums
+    each window pairwise, its slots last, and earlier axes in window order.
+    So a point's sum depends on its own windows alone, not on
+    CHUNK_ELEMENTS or the other points of its call.  The first axis's
+    points go through all axes in blocks whose partial sums hold at most
+    MAX_POINT_WORK numbers, one block for every 1-D sum.  ``sites``, when
+    given, must be ``table_sites(kernel, n, axes)`` for these very axes
+    (what a sweep's ``check_tables`` hands out); it is used unchecked in
+    place of that call.
     """
     mesh = table_sites(kernel, n, axes) if sites is None else sites
     sites = [s.ravel() for s in mesh]
     shape = [s.size for s in sites]
     values = [np.broadcast_to(np.asarray(t, dtype=float), shape) for t in tables(mesh)]
-    later = [window_index(kernel, n, x, s) for x, s in zip(axes[1:], sites[1:])]
-    counts = [len(x) for x in axes]
-    # per first-axis point, axis i gathers the points done, its window and the sites to come
-    rows = chunk_rows(max(_sum_work(counts, kernel.width, shape)) // counts[0])
-    lo, groups = _window_plan(kernel, n * np.asarray(axes[0], dtype=float), rows)
-    first = np.searchsorted(sites[0], lo)
+    centres = [n * np.asarray(x, dtype=float) for x in axes]
+    counts = [u.size for u in centres]
+    # per first-axis point, the partial sums past axis i hold the points done and the sites to come
+    block = max(1, MAX_POINT_WORK // (max(_sum_work(counts, 1, shape)) // counts[0]))
     out = [np.empty(counts) for _ in values]
+    for start in range(0, counts[0], block):
+        part = slice(start, start + block)
+        parts = values
+        for axis, (u, s) in enumerate(zip(centres, sites)):
+            parts = _contract(kernel, u[part] if axis == 0 else u, s, parts, axis == len(axes) - 1)
+        for o, p in zip(out, parts):
+            o[part] = p
+    return [o.ravel() for o in out]
+
+
+def _contract(kernel: DensityKernel, u: np.ndarray, sites: np.ndarray, tables, last: bool) -> list:
+    # each table (K, *rest), K on the sorted sites, contracted on its first axis onto centres u:
+    # row p sums T[first_p : first_p + L] by its window's weights, pairwise with the slots last
+    # when last, else in window order; returned as (*rest, P), the contracted axis moved last
+    rest = tables[0].shape[1:]
+    slot = len(rest) + 1 if last else 1
+    lo, groups = _window_plan(kernel, u, chunk_rows(kernel.width * math.prod(rest)))
+    first = np.searchsorted(sites, lo)
+    out = [np.empty((u.size, *rest)) for _ in tables]
     for width, chunks in groups:
-        # each table as (K_0 - width + 1, width, K_1, ..); a window lies inside the table
-        views = [as_strided(v, (v.shape[0] - width + 1, width, *v.shape[1:]),
-                            (v.strides[0], *v.strides), writeable=False) for v in values]
+        # each table as (K - width + 1, .., width, ..), the slots at slot, with the first axis's
+        # stride; a window lies inside the table
+        views = [as_strided(t, (t.shape[0] - width + 1, *rest[:slot - 1], width, *rest[slot - 1:]),
+                            (*t.strides[:slot], t.strides[0], *t.strides[slot:]), writeable=False)
+                 for t in tables]
+        # a chunk's weights (m, width) as (m, .., width, ..), the width at slot
+        spread = [1] * (len(rest) + 2)
+        spread[0], spread[slot] = -1, width
         for chunk, weights in chunks:
-            weights = weights.reshape(weights.shape + (1,) * (len(axes) - 1))
+            weights = weights.reshape(spread)
             for view, o in zip(views, out):
                 # C order, so the sum groups as it would over a plain table: a gather through a
                 # broadcast table's zero strides comes out in another layout
                 v = np.ascontiguousarray(view[first[chunk]])
                 v *= weights
-                v = v.sum(axis=1)
-                for axis, (index, w) in enumerate(later, 1):
-                    gathered = np.take(v, index, axis=axis)
-                    w = w.reshape(w.shape + (1,) * (v.ndim - axis - 1))
-                    v = (gathered * w).sum(axis=axis + 1)
+                # rebinding v frees the gather before the next chunk's: o[chunk] = v.sum(..)
+                # keeps it alive across that allocation, and a W = 256 sum over 1001 points
+                # took 7-20% longer
+                v = v.sum(axis=slot)
                 o[chunk] = v
-    return [o.ravel() for o in out]
+    return [o.transpose(*range(1, o.ndim), 0) for o in out]
 
 
 def point_work(kernel: DensityKernel, dim: int) -> int:
@@ -454,7 +463,7 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
     """One-axis moments M_p(x, n) = sum_k (k/n - x)^p psi(n x - k), p = 0..p_max.
 
     x has shape (P,); the result has shape (P, p_max + 1), all orders
-    from one window per point, 2W or 2W + 1 sites and no pad, weighed by
+    from one window per point, 2W or 2W + 1 sites, weighed by
     ``window_weights`` with one exp per point from the call's window plan
     (see ``lattice_sums``), to the powers of ``offset_powers``, so a row
     depends on its point alone.  Column 0 is the truncated partition sum.

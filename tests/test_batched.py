@@ -4,10 +4,10 @@ The reference functions below are the one-point sums as the package
 computed them before the batched engine existed: one Python call per
 point, windows from math.ceil/math.floor, weights multiplied out with
 np.multiply.outer and reduced with np.sum or a 1-D dot product.  They
-never touch kernel.window_rows: a window's sites come from math.ceil and
-math.floor, and its weights from ``kernel.window_weights`` applied to
-that one centre, the rule every lattice window takes (held to the exact
-kernel and to psi_eval in ``test_kernel``).  The operators take a tensor
+never touch the package's window plan: a window's sites come from
+math.ceil and math.floor, and its weights from ``kernel.window_weights``
+applied to that one centre, the rule every lattice window takes (held to
+the exact kernel and to psi_eval in ``test_kernel``).  The operators take a tensor
 grid as per-axis coordinates (drawn unsorted, with repeats, sometimes on
 lattice sites, and with first axes longer than one chunk, its size
 patched to SMALL_CHUNK so the grids stay short); the references walk its
@@ -19,7 +19,9 @@ lattice-site centre n x_i, 2W + 1, whatever the other points of its
 call.  Some sums regroup by design and get a 1e-15 relative bound:
 
 * every 2-D sum, which contracts one axis at a time instead of summing
-  each point's (2W)^2 window products pairwise;
+  each point's (2W)^2 window products pairwise (from W = 64 on, a window
+  of 2W and one of 2W + 1 sites group numpy's pairwise sum differently,
+  so the examples at W = 64 and 128 mix both on each axis);
 * fractional rows whose window lies in k >= 0: their numerator is a
   pairwise sum, not a BLAS dot product.
 
@@ -193,11 +195,12 @@ def draw_axes(data, kernel, n, dim, lo=0.0, hi=1.0):
     """Per-axis coordinates in the box: unsorted, some repeated, some moved onto lattice sites.
 
     The first axis holds up to two chunks and one point, the others up to 6 points.  With no
-    data (an @example), each axis is 41 points spaced (hi - lo) / 40 apart, at n = 30 a
-    lattice-site centre every fourth point on [0, 1] and every other point on [-1, 1].
+    data (an @example), the first axis is 41 points spaced (hi - lo) / 40 apart and each later
+    axis 9 points spaced (hi - lo) / 8 apart: at n = 30 a lattice-site centre every fourth
+    point on [0, 1] and every other point on [-1, 1].
     """
     if data is None:
-        return [np.linspace(lo, hi, 41)] * dim
+        return [np.linspace(lo, hi, 41)] + [np.linspace(lo, hi, 9)] * (dim - 1)
     rows = chunk_rows(point_work(kernel, dim))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     axes = []
@@ -264,7 +267,7 @@ class TestBatchedMatchesReference:
     @PROPERTY
     @given(kernel=kernels(), n=st.integers(1, 256), data=st.data())
     # W = 64 and 128 on a grid whose chunks mix 2W- and 2W + 1-site windows: from W = 64 on, a
-    # zero pad slot in a 2W-site row would regroup numpy's pairwise row sum
+    # 2W-site row summed over 2W + 1 slots would regroup numpy's pairwise row sum
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), n=30, data=None)
     @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), n=30, data=None)
     @small_chunks
@@ -277,6 +280,9 @@ class TestBatchedMatchesReference:
 
     @PROPERTY
     @given(kernel=kernels(alpha_lo=0.25), n=st.integers(1, 128), data=st.data())
+    # W = 64 and 128, each axis mixing 2W- and 2W + 1-site windows
+    @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), n=30, data=None)
+    @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), n=30, data=None)
     @small_chunks
     def test_basic_two_dim(self, kernel, n, data):
         axes = draw_axes(data, kernel, n, 2)
@@ -344,6 +350,10 @@ class TestBatchedMatchesReference:
            n=st.integers(1, 128), data=st.data())
     # W = 16, n = 17, the first axis's point on a site: 1.108e-15 apart at the second point
     @example(kernel=DensityKernel(ActivationParams(0.5, 2**0.5)), chart="half-plane", n=1,
+             data=[np.array([30 / 17]), np.array([1.0410812705961963, 1.2206088513826996])])
+    # W = 64 and 128 at n = 70 and 130: each axis a lattice-site centre every fourth point
+    @example(kernel=DensityKernel(ActivationParams(0.5, 0.3)), chart="half-plane", n=6, data=None)
+    @example(kernel=DensityKernel(ActivationParams(0.5, 0.125)), chart="half-plane", n=2,
              data=None)
     @small_chunks
     def test_chart(self, kernel, chart, n, data):
@@ -351,8 +361,8 @@ class TestBatchedMatchesReference:
             # n > W keeps every window above y = 0 for y >= 1
             n = int(kernel.radius) + n
             ch = chart_preset("poincare-half-plane")
-            axes = (draw_axes(data, kernel, n, 2, lo=1.0, hi=2.0) if data is not None else
-                    [np.array([30 / 17]), np.array([1.0410812705961963, 1.2206088513826996])])
+            # an @example may give the axes themselves as its data
+            axes = data if isinstance(data, list) else draw_axes(data, kernel, n, 2, lo=1.0, hi=2.0)
             f = Exp2()
         else:
             ch = chart_preset(chart, 1)

@@ -262,6 +262,14 @@ class TestPrintConfig:
                     in json.loads(err)["error"])
             assert not (tmp_path / "x.json").exists()
 
+    def test_kernel_dump_caps_no_lattice_table(self, tmp_path, capsys):
+        # W = 512: 17000 windows apart reach 17408000 sites in all, past the table cap, but the
+        # moments build no table and pay 17000 x 1025 multiply-adds
+        argv = ["kernel-dump", "--alpha", "0.03125", "--n", "40000000", "--grid-points", "17000",
+                "--out", str(tmp_path / "x"), "--print-config"]
+        status, out, err = run(argv, capsys)
+        assert status == 0 and err == "" and json.loads(out)["n_sweep"] == [40000000]
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"command": "frac", "preset": "pow2"}))
@@ -379,13 +387,18 @@ class TestValidation:
 
     @pytest.mark.parametrize("print_config", [False, True])
     def test_bad_float_token_exits_two(self, tmp_path, capsys, print_config):
-        extra = ["--grid-lo", "0,x", *(["--print-config"] if print_config else [])]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(converge_args(tmp_path / "x", extra))
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "argument --grid-lo" in json.loads(err)["error"]
+        # a bad token of either list type names the flag and the list it expected
+        for flag, value, message in [
+            ("--grid-lo", "0,x", "expected a comma-separated float list, got '0,x'"),
+            ("--n", "16,x", "expected a comma-separated integer list, got '16,x'"),
+        ]:
+            extra = [flag, value, *(["--print-config"] if print_config else [])]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(converge_args(tmp_path / "x", extra))
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] == f"argument {flag}: {message}"
 
     def test_unknown_flag_exits_two(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

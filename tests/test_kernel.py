@@ -38,8 +38,6 @@ from tanhqi.kernel import (
     offset_powers,
     point_work,
     table_sites,
-    window_index,
-    window_rows,
     window_weights,
 )
 from tanhqi.operators import check_cell_work
@@ -54,10 +52,11 @@ def lattice_sum(k, x):
     return axis_moments(k, [x], 1, 0)[0, 0]
 
 
-def own_sites(k, u):
-    # the sites of u's window, as _window_ends counts them: 2W, or 2W + 1 for a lattice site;
-    # a window_rows row's slots past them are its pad
-    return int(math.floor(u + k.radius) - math.ceil(u - k.radius)) + 1
+def own_window(k, u):
+    # u's window, its sites ceil(u - W)..floor(u + W) (2W, or 2W + 1 for a lattice site) and
+    # their weights by window_weights' one-centre rule, as every lattice sum weighs them
+    ks = np.arange(math.ceil(u - k.radius), math.floor(u + k.radius) + 1, dtype=float)
+    return ks, window_weights(k, np.array([u]), ks[:1])(ks.size)[0]
 
 
 def raw_h(q, alpha, x):
@@ -301,24 +300,17 @@ class TestTruncation:
 
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
-        # on the window's own sites, the weights are the one-centre rule from the row's first
-        # site, and within both rules' forward-error bounds of psi_eval
+        # on the window's own sites, the weights are the one-centre rule from its first site,
+        # whatever the other centres of the rule, and within both rules' forward-error bounds
+        # of psi_eval
         k = kernel()
-        ks, ws = (a[0, :own_sites(k, u)] for a in window_rows(k, [u]))
-        assert np.array_equal(ws, window_weights(k, np.array([u]), ks[:1])(ks.size)[0])
+        ks, ws = own_window(k, u)
+        centres = np.array([41.5, u, -3.7])
+        rule = window_weights(k, centres, np.ceil(centres - k.radius))
+        assert np.array_equal(ws, rule(ks.size, np.array([1]))[0])
         want = psi_eval(k, u - ks)
         bound = gamma(weight_roundings(k)) + gamma(eval_roundings(k))
         assert np.all(np.abs(ws - want) <= bound * want)
-
-    def test_lattice_window_contents(self):
-        # 0.3's window has 2W sites; its row's last slot repeats the last one at weight zero
-        k = kernel(eps=0.5)
-        win, weights = (a[0] for a in window_rows(k, [0.3]))
-        assert win.size == 2 * int(k.radius) + 1
-        assert win[0] == math.ceil(0.3 - k.radius)
-        assert win[-2] == win[-1] == math.floor(0.3 + k.radius)
-        assert np.all(np.diff(win[:-1]) == 1)
-        assert weights[-1] == 0.0 and np.all(weights[:-1] > 0.0)
 
 
 class TestWindowRows:
@@ -328,39 +320,23 @@ class TestWindowRows:
            on=st.lists(st.integers(-60, 60).map(float), min_size=1, max_size=3),
            off=st.lists(st.floats(-60.0, 60.0).filter(lambda u: u != round(u)),
                         min_size=1, max_size=3))
-    # 3.0 is a lattice site (2W + 1 sites), the others have 2W sites and one pad slot
+    # 3.0 is a lattice site (2W + 1 sites), the others have 2W sites
     @example(q=0.5, alpha=1.0, eps=1e-12, on=[3.0], off=[0.3, -7.25])
     def test_rows_hold_each_centres_window(self, q, alpha, eps, on, off):
-        # a row of a batch mixing on-site (full) and off-site (padded) rows is its centre's
-        # one-row call bit for bit: a window sum depends neither on CHUNK_ELEMENTS nor on
-        # the other points of its call
+        # a row of a rule mixing on-site (2W + 1 sites) and off-site (2W) centres, at its own
+        # window's width, is its centre's one-centre rule bit for bit: a window sum depends
+        # neither on CHUNK_ELEMENTS nor on the other points of its call
         k = kernel(q, alpha, eps)
-        centres = off[:1] + on + off[1:]
-        ks, ws = window_rows(k, centres)
-        width = 2 * int(k.radius) + 1
-        assert ks.shape == ws.shape == (len(centres), width)
+        centres = np.array(off[:1] + on + off[1:])
+        rule = window_weights(k, centres, np.ceil(centres - k.radius))
         for row, u in enumerate(centres):
-            win, weights = (a[0] for a in window_rows(k, [u]))
-            assert np.array_equal(ks[row], win) and np.array_equal(ws[row], weights)
-            sites = own_sites(k, u)
-            assert np.all(np.diff(win[:sites]) == 1)
-            if sites < width:
-                # the pad repeats the last site, with weight exactly zero
-                assert sites == width - 1 and win[-1] == win[-2] and weights[-1] == 0.0
-
-    def test_off_site_rows_pad_their_last_slot(self):
-        # 2W sites in 2W + 1 slots, the last repeating the last site at weight zero
-        k = kernel()
-        ks, ws = window_rows(k, [0.3, 0.7, 41.5])
-        assert ks.shape == (3, 2 * int(k.radius) + 1)
-        assert np.all(ks[:, -1] == ks[:, -2]) and np.all(ws[:, -1] == 0.0)
+            win, weights = own_window(k, u)
+            assert np.array_equal(rule(win.size, np.array([row]))[0], weights)
 
     @pytest.mark.parametrize("x", [[], np.empty(0), [[0.3]], 0.3])
     def test_empty_or_non_1d_centres_rejected(self, x):
         # check_axes' rule and message, before any window end is formed
         k = kernel()
-        with pytest.raises(ValueError, match="non-empty 1-D coordinate arrays"):
-            window_rows(k, x)
         with pytest.raises(ValueError, match="non-empty 1-D coordinate arrays"):
             axis_moments(k, x, 8, 2)
 
@@ -388,7 +364,7 @@ class TestWindowWeights:
     @example(q=0.5, alpha=128.0, eps=1e-12, u=0.3, picks=[])
     def test_within_the_derived_bound_of_the_exact_kernel(self, q, alpha, eps, u, picks):
         k = kernel(q, alpha, eps)
-        ks, ws = (a[0, :own_sites(k, u)] for a in window_rows(k, [u]))
+        ks, ws = own_window(k, u)
         # both ends, the peak and random sites; the exact kernel at the exact offset u - k
         cols = np.unique([0, ks.size - 1, int(np.argmax(ws)),
                           *(int(p * (ks.size - 1)) for p in picks)])
@@ -405,15 +381,13 @@ class TestWindowWeights:
         x = np.array([-0.5, 0.0, 0.3, 0.99])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ks, ws = window_rows(k, x)
+            windows = [own_window(k, u) for u in x]
             sums = axis_moments(k, x, 1, 0)[:, 0]
-        pad = np.zeros(ws.shape, dtype=bool)
-        pad[:, -1] = np.floor(x + k.radius) - np.ceil(x - k.radius) + 1 < ws.shape[1]
-        assert np.all(np.isfinite(ws)) and np.all(ws[pad] == 0.0)
-        assert np.all(ws[~pad][psi_eval(k, (x[:, None] - ks)[~pad]) > 0.0] > 0.0)
+        for u, (ks, ws) in zip(x, windows):
+            assert np.all(np.isfinite(ws)) and np.all(ws[psi_eval(k, u - ks) > 0.0] > 0.0)
         # the neglected mass, then each weight's rounding and a pairwise sum's over the row
         # (Higham 3.1), and what a weight below the underflow floor may lose
-        width = ws.shape[1]
+        width = k.width
         slack = gamma(weight_roundings(k)) + gamma(width) + width * underflow_floor(k)
         assert np.all(np.abs(sums - 1.0) <= 4 * eps * k.radius + slack)
 
@@ -421,7 +395,7 @@ class TestWindowWeights:
 class TestZEval:
     def test_two_dim_partition(self):
         k = kernel()
-        win = window_rows(k, [0.0])[0][0]
+        win, _ = own_window(k, 0.0)
         ii, jj = np.meshgrid(win, win, indexing="ij")
         x = np.array([0.23, -0.61])
         total = np.sum(
@@ -596,11 +570,11 @@ class TestTableSites:
             [np.arange(math.ceil(c - w), math.floor(c + w) + 1) for c in u]))
         sites = table_sites(k, n, [x])
         assert np.array_equal(sites[0], want)
-        index, weights = window_index(k, n, x, sites[0])
-        ks, ws = window_rows(k, u)
-        # pads included: a pad indexes its row's last site
-        assert np.array_equal(sites[0][index], ks)
-        assert np.array_equal(weights, ws)
+        # each window is one run of consecutive sites, from the place of its first site on
+        for c in u:
+            ks, _ = own_window(k, c)
+            first = np.searchsorted(sites[0], ks[0])
+            assert np.array_equal(sites[0][first:first + ks.size], ks)
 
     def test_two_axes_broadcast_to_the_table(self):
         # centres 4.8 and 32 (a site) reach -11..48; 24 and 25.6 reach 8..41
@@ -704,12 +678,35 @@ class TestLatticeSums:
 
         def tables(mesh):
             seen.append(mesh)
-            return pad_tables(mesh)
+            return edge_tables(mesh)
 
         own = lattice_sums(k, n, axes, tables)
         given = lattice_sums(k, n, axes, tables, sites=sites)
         assert seen[1] is sites and all(np.array_equal(a, b) for a, b in zip(seen[0], sites))
         for a, b in zip(own, given, strict=True):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim, cap, block", [(1, 2**4, 16), (2, 2**8, 5), (3, 2**13, 3)])
+    def test_blocks_change_no_bit(self, monkeypatch, dim, cap, block):
+        # first-axis points taken a block at a time through every axis keep their one-block
+        # bits: a point's partial sums hold 1, 49 (sites of axis 1) or 49 x 49 numbers, so
+        # MAX_POINT_WORK = cap leaves block points per block; the mesh is checked beforehand
+        k, n = kernel(), 16
+        axes = [np.linspace(0.0, 1.0, 50), np.linspace(1.0, 2.0, 7), np.linspace(0.0, 1.0, 3)][:dim]
+        sites = table_sites(k, n, axes)
+        whole = lattice_sums(k, n, axes, edge_tables, sites=sites)
+        contractions = []
+
+        def counted(*args):
+            contractions.append(args[1].size)
+            return contract(*args)
+
+        contract = kernel_module._contract
+        monkeypatch.setattr(kernel_module, "_contract", counted)
+        monkeypatch.setattr(kernel_module, "MAX_POINT_WORK", cap)
+        blocked = lattice_sums(k, n, axes, edge_tables, sites=sites)
+        assert contractions[::dim] == [block] * (50 // block) + [50 % block] * (50 % block > 0)
+        for a, b in zip(whole, blocked, strict=True):
             assert np.array_equal(a, b)
 
     def test_three_axes_against_each_point_window(self):
@@ -720,9 +717,9 @@ class TestLatticeSums:
                                                        + np.cos(sites[2] / n)])
         want = []
         for point in itertools.product(*axes):
-            ks, ws = zip(*(window_rows(k, [n * c]) for c in point))
-            grid = np.meshgrid(*[kk[0] / n for kk in ks], indexing="ij")
-            weights = np.einsum("i,j,l->ijl", *[w[0] for w in ws])
+            ks, ws = zip(*(own_window(k, n * c) for c in point))
+            grid = np.meshgrid(*[kk / n for kk in ks], indexing="ij")
+            weights = np.einsum("i,j,l->ijl", *ws)
             want.append(np.sum((np.exp(grid[0] - grid[1]) + np.cos(grid[2])) * weights))
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -730,32 +727,33 @@ class TestLatticeSums:
 # W = 16 at n = 1: 3.0 and 6.0 are lattice sites with 33-site windows, -13..19 and -10..22;
 # 1.5 and 5.5 have 32 sites, -14..17 and -10..21.  In [3.0, 5.5] the 32-site window ends on
 # the table's last site; in [1.5, 6.0] the 33-site one does.  The later axis's 2.0 is a site.
-PAD_CASES = [[3.0, 5.5], [1.5, 6.0], [5.5, 1.5, 3.0, 5.5]]
+EDGE_CASES = [[3.0, 5.5], [1.5, 6.0], [5.5, 1.5, 3.0, 5.5]]
 
 
-def pad_tables(sites):
+def edge_tables(sites):
     # a full table and two broadcast ones (a 1-D grid sees three full tables)
     return [np.exp(sum(s / (7.0 + i) for i, s in enumerate(sites))),
             np.cos(sites[-1] / 5.0), np.exp(sites[0] / 7.0)]
 
 
 class TestPadSlot:
-    @pytest.mark.parametrize("x", PAD_CASES)
+    # every axis sums each window over its own 2W or 2W + 1 sites, with no pad slot; the tests
+    # keep the names they had when a later axis padded a 2W-site row to 2W + 1 slots
+    @pytest.mark.parametrize("x", EDGE_CASES)
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pad_adds_exactly_zero(self, x, dim):
-        # each row of the call equals its point's sum alone: the first axis sums each window
-        # without a pad, whatever the other widths, and a later axis gives every row 2W + 1
-        # slots, an off-site row's pad last at weight zero
+        # each row of the call equals its point's sum alone, whatever the other widths, with
+        # windows of either width ending on the table's last site
         k = kernel()
         axes = [np.array(x)] + [np.array([0.25, 2.0, -3.5])] * (dim - 1)
-        together = lattice_sums(k, 1, axes, pad_tables)
+        together = lattice_sums(k, 1, axes, edge_tables)
         rows = math.prod(a.size for a in axes[1:])
         for i in range(len(x)):
-            alone = lattice_sums(k, 1, [axes[0][i:i + 1], *axes[1:]], pad_tables)
+            alone = lattice_sums(k, 1, [axes[0][i:i + 1], *axes[1:]], edge_tables)
             for t, a in zip(together, alone):
                 assert np.array_equal(t[i * rows:(i + 1) * rows], a)
 
-    @pytest.mark.parametrize("x", PAD_CASES)
+    @pytest.mark.parametrize("x", EDGE_CASES)
     def test_broadcast_table_sums_like_its_copy(self, x):
         k = kernel()
         axes = [np.array(x), np.array([0.25, 2.0, -3.5, 2.0])]
@@ -763,10 +761,25 @@ class TestPadSlot:
         def copies(sites):
             shape = np.broadcast_shapes(*(s.shape for s in sites))
             # .copy() is C-ordered; np.array would copy in the broadcast table's own order
-            return [np.broadcast_to(t, shape).copy() for t in pad_tables(sites)]
+            return [np.broadcast_to(t, shape).copy() for t in edge_tables(sites)]
 
-        for a, b in zip(lattice_sums(k, 1, axes, pad_tables), lattice_sums(k, 1, axes, copies)):
+        for a, b in zip(lattice_sums(k, 1, axes, edge_tables), lattice_sums(k, 1, axes, copies)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.125])
+    def test_each_point_alone_on_mixed_later_axes(self, alpha):
+        # W = 64 and 128, where numpy's pairwise row sum groups 2W and 2W + 1 slots differently:
+        # both axes mix lattice-site (2W + 1-site) and off-site (2W-site) centres, and every
+        # point computed alone equals its row of the call bit for bit
+        k = kernel(alpha=alpha)
+        n = int(k.radius) + 8
+        x = mixed(np.array([0.3, 0.5, -0.21, 0.25]), n)
+        y = mixed(np.array([1.3, 1.0, 1.77, 1.5, 1.25]), n)
+        together = lattice_sums(k, n, [x, y], edge_tables)
+        for i, j in itertools.product(range(x.size), range(y.size)):
+            alone = lattice_sums(k, n, [x[i:i + 1], y[j:j + 1]], edge_tables)
+            for t, a in zip(together, alone):
+                assert t[i * y.size + j] == a[0], (i, j)
 
 
 

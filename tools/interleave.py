@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Time two source trees' benchmark passes, interleaved in one process.
+
+Run from the repository root:
+
+    python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...]
+
+Each tree's ``src/tanhqi`` is loaded under its own package name in this
+one process, with BLAS and OpenMP pinned to one thread before numpy loads.
+A round runs one whole pass of each workload's command lines
+(``perfbench/workloads.py``, this checkout's copy, imported read-only, at
+seed 0) through each tree's ``cli.main``, the tree that goes first
+alternating from round to round, after one untimed warm-up round.  Host
+load then moves both trees' passes alike, where separate benchmark runs
+spread wider than a 1% effect.  For each workload it prints both trees'
+median pass wall time, the change against the parent in %, and the rounds
+in which the change's pass was the faster.  The exit status is 2 when a
+run does not exit 0, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import run as bench  # noqa: E402  (stdlib-only at import, like workloads)
+import workloads  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def load_cli(tree: str, name: str):
+    """tree/src/tanhqi imported as the package ``name``; its cli module."""
+    package = os.path.join(os.path.abspath(tree), "src", "tanhqi")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(package, "__init__.py"),
+                                                  submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="source tree whose src/ holds the reference tanhqi")
+    p.add_argument("change", help="source tree whose src/ holds the changed tanhqi")
+    p.add_argument("--rounds", type=int, default=40, help="timed rounds (default 40)")
+    p.add_argument("--workloads", default=",".join(workloads.WORKLOADS),
+                   help="comma-separated workload names (default: all)")
+    args = p.parse_args(argv)
+    names = args.workloads.split(",")
+    unknown = sorted(set(names) - set(workloads.WORKLOADS))
+    if unknown:
+        p.error(f"unknown workloads: {', '.join(unknown)}")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
+    os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
+    clis = [load_cli(tree, f"tanhqi_{side}")
+            for tree, side in zip((args.parent, args.change), SIDES)]
+    walls = {name: ([], []) for name in names}
+    with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
+        runs = {(name, side): workloads.build(name, 0, os.path.join(tmp, SIDES[side], name))
+                for name in names for side in range(2)}
+        for path in {os.path.dirname(run.out) for group in runs.values() for run in group}:
+            os.makedirs(path)
+        for round_ in range(args.rounds + 1):
+            for name in names:
+                for side in (0, 1) if round_ % 2 else (1, 0):
+                    wall, statuses = bench.run_pass(clis[side], runs[name, side])
+                    failed = [run.argv for run, status in zip(runs[name, side], statuses)
+                              if status]
+                    if failed:
+                        print(f"{SIDES[side]}: {name} exited non-zero: {failed[0]}",
+                              file=sys.stderr)
+                        return 2
+                    if round_:  # round 0 warms both trees up
+                        walls[name][side].append(wall)
+    for name, (parent, change) in walls.items():
+        a, b = statistics.median(parent), statistics.median(change)
+        wins = sum(c < p for p, c in zip(parent, change))
+        print(f"{name}: parent {a:.5f} s, change {b:.5f} s, {100.0 * (b / a - 1.0):+.1f}%, "
+              f"change faster in {wins} of {len(change)} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
