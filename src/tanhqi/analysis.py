@@ -13,20 +13,25 @@ sweep makes one report per row: ``residual_sweep`` gets every
 correction order from one basic evaluation and one moment table per n.
 Each experiment's one entry point (a ``*_sweep`` function, or
 ``kernel_table`` for the kernel's own table) makes every check of its
-run, in one order (n sweep, Kantorovich's cell work, grid and its axis
-count, then ``kernel.check_tables``: each n's ``table_sites``, which caps a
-window's sites first, and the operator's site rule; ``kernel_table``, which
-builds no lattice table, takes ``kernel.check_moments``), and returns the
-run bound but not started.  Every sweep's preflight is ``own, results =
-check_tables(kernel, axes, ns, rule)``, and each n's operator takes
-``sites=own(n, ax)``: on the sweep's own grid arrays the checked sites, so
-a run builds each table's sites once, and on other arrays None.
+run, in the order its docstring lists (``fractional_sweep`` checks
+``FracConfig`` before the n sweep, ``residual_sweep`` m_max after the
+grid), and returns the run bound but not started.  A sweep's checks end
+with ``kernel.check_tables`` (each n's ``table_sites``, which caps a
+window's sites first, and the operator's site rule), ``kernel_table``'s
+with ``kernel.check_moments``, as it builds no lattice table.
+Every sweep's preflight is ``own, results = check_tables(kernel, axes,
+ns, rule)``, and each n's operator takes ``sites=own(n, ax)``: on the
+sweep's own grid arrays the checked sites, so a run builds each table's
+sites once, and on other arrays None.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
 lattice sites would otherwise collapse to rounding noise and corrupt
-the fits.  Rows whose error is at or below 1e-13 are excluded from fits
-(and counted), since they sit on the rounding floor.
+the fits.  Rows whose error is at or below ERROR_FLOOR = 1e-13 are
+excluded from fits (and counted).  That is below the floor a sweep
+reaches, the truncated window's partition deficit (1.6e-13 at the default
+eps_trunc), so rows on it stay in the fit: sin's m = 4 residual on 201
+points reads slope 4.26, not 5 (ROADMAP item 1).
 """
 
 from __future__ import annotations

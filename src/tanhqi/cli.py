@@ -11,12 +11,12 @@ manifold      metric-weighted operator on a chart vs the sampled f
 Each run writes ``<out>.csv`` (the sweep table, 17 significant digits,
 LF line endings) and ``<out>.json`` (the full report); ``--format json``
 skips the CSV.  Runs are fully deterministic: identical configs produce
-byte-identical files.  The bytes are those of the per-value writers they
-replace: CSV integers as ``%d`` and floats as ``%.17g``, and the JSON of
-``json.dumps(report, sort_keys=True, indent=2)``, though not by json's
-pure-Python encoder: a str, int, float, bool or None scalar is written
-by type, each list of floats in one join and each table of floats by one
-repeated row template.  The argument parser is built once per process
+byte-identical files.  The CSV writes integer columns as ``%d`` and float
+columns as ``%.17g``, one row template filled by one ``%`` over every
+value.  The JSON is ``json.dumps(report, sort_keys=True, indent=2)``;
+only kernel-dump's float rows, json's largest payload, go through the
+same kind of row template (``_float_rows``), with the bytes json writes
+at that indent.  The argument parser is built once per process
 (``build_parser`` is cached).
 
 Each run is built once (``_build_run``) by its one ``analysis`` entry
@@ -44,7 +44,6 @@ import json
 import sys
 import types
 from dataclasses import asdict, dataclass, fields
-from json.encoder import encode_basestring_ascii
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -293,74 +292,45 @@ def _validate(cfg: ExperimentConfig):
         )
 
 
+def _fill(template: str, sep: str, rows) -> str:
+    # the template once per row, joined by sep, filled by one % over every value of the rows
+    return sep.join([template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    # one % template over the flattened rows: %d for an integer column, %.17g otherwise; a
-    # column's type is its first row's (str(int(v)) and f"{float(v):.17g}", value by value)
+    # %d for an integer column, %.17g otherwise; a column's type is its first row's
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         if rows:
             line = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0])
-            fh.write((line + "\n") * len(rows) % tuple(itertools.chain.from_iterable(rows)))
+            fh.write(_fill(line + "\n", "", rows))
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) with every line after the first indented by pad.
-
-    A str, int, float, bool or None of exactly that type is written as json writes it (a str by
-    json's own C escaper, a number by its __repr__), any other scalar by json.dumps itself.  A
-    list of floats is one float.__repr__ join, a table (equally long, non-empty lists of exact
-    floats) one row template repeated with one % over every value; a float's text holds no n
-    but in nan and inf, so the replaces only turn those into json's NaN and Infinity.  Other
-    lists and str-keyed dicts recurse.
-    """
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is float:
-        return float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity")
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is bool or obj is None:
-        return "null" if obj is None else "true" if obj else "false"
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        try:
-            items = _table_text(obj, inner)
-        except TypeError:  # an item that is no float
-            items = (",\n" + inner).join(_json_text(v, inner) for v in obj)
-        return "[\n" + inner + items + "\n" + pad + "]"
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        items = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _json_text(obj[k], inner)
-                                     for k in sorted(obj))
-        return "{\n" + inner + items + "\n" + pad + "}"
-    if not isinstance(obj, (list, tuple, dict)):
-        return json.dumps(obj)  # a scalar reads the same at any indent
-    # an empty container, or keys json converts; json escapes a newline inside a string, so
-    # every one here is layout
-    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+def _float_rows(rows) -> str:
+    """rows as json.dumps(..., indent=2) writes a top-level key's value, for a non-empty list of
+    equally long, non-empty lists of floats: %r is json's float.__repr__, whose text holds an n
+    only in nan and inf, which the replaces make json's NaN and Infinity."""
+    row = "[\n      " + ",\n      ".join(["%r"] * len(rows[0])) + "\n    ]"
+    text = "[\n    " + _fill(row, ",\n    ", rows) + "\n  ]"
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def _table_text(obj, inner: str) -> str:
-    # the items of a list of floats, or of a table of exact floats; a TypeError for other items
-    sep = ",\n" + inner
-    if (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1 and obj[0]
-            and set(map(type, values := tuple(itertools.chain.from_iterable(obj)))) == {float}):
-        row = "[\n" + inner + "  " + (sep + "  ").join(["%r"] * len(obj[0])) + "\n" + inner + "]"
-        items = sep.join([row] * len(obj)) % values
-    else:
-        items = sep.join(map(float.__repr__, obj))
-    return items.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def _write_json(path: str, payload: dict | list) -> None:
+def _write_json(path: str, payload: dict | list, rows=None) -> None:
+    """json.dumps(payload, sort_keys=True, indent=2); rows, when given, are the payload dict's
+    "rows", written by ``_float_rows`` (at indent 2 only a top-level key starts a line with
+    two spaces and a quote)."""
+    text = json.dumps(payload if rows is None else {**payload, "rows": 0}, sort_keys=True, indent=2)
+    if rows is not None:
+        text = text.replace('\n  "rows": 0', '\n  "rows": ' + _float_rows(rows), 1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(payload) + "\n")
+        fh.write(text + "\n")
 
 
 def _emit(cfg: ExperimentConfig, header, rows, payload) -> None:
     if cfg.fmt == "csv":
         _write_csv(cfg.out + ".csv", header, rows)
-    _write_json(cfg.out + ".json", payload)
+    # kernel-dump's table is also its report's "rows": json's largest payload, and all floats
+    _write_json(cfg.out + ".json", payload, rows if cfg.command == "kernel-dump" else None)
 
 
 def _build_run(cfg: ExperimentConfig):

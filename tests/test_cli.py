@@ -728,7 +728,7 @@ def old_csv(header, rows):
 
 
 def old_json(payload):
-    """The json encoder the float joins replaced, the oracle; TypeError where json rejects a value."""
+    """json's encoder at the reports' settings, the oracle; TypeError where json rejects a value."""
     try:
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
     except TypeError:
@@ -770,27 +770,11 @@ class Level(enum.IntEnum):
 
 @st.composite
 def float_tables(draw):
-    """Tables as kernel-dump's rows hold them (equally long, non-empty lists of floats), and near
-    misses that the writer must tell from one: a ragged or empty row, a tuple row, a row holding
-    an int or an np.float64."""
-    width = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(py_floats, min_size=width, max_size=width), min_size=1,
-                         max_size=4))
-    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
-    miss = draw(st.sampled_from(["table", "ragged", "empty", "tuple", "int", "float64"]))
-    if miss == "ragged":
-        # a value moved between two added rows: the first row and the value count fit a table
-        rows += [list(rows[0]), list(rows[0])]
-        rows[-1].append(rows[-2].pop())
-    elif miss == "empty":
-        rows[i] = []
-    elif miss == "tuple":
-        rows[i] = tuple(rows[i])
-    elif miss == "int":
-        rows[i][j] = draw(st.integers())
-    elif miss == "float64":
-        rows[i][j] = np.float64(rows[i][j])
-    return rows
+    """Tables as kernel-dump's rows hold them: a non-empty list of equally long, non-empty lists
+    of floats, of random width and length."""
+    width = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(py_floats, min_size=width, max_size=width), min_size=1,
+                         max_size=6))
 
 
 # text a writer must escape or must not take for a format: %, quotes, non-ASCII, controls
@@ -799,7 +783,7 @@ texts = st.text(max_size=8) | st.sampled_from(["%", "%r%%", '"q"', "\\", "é", "
 # leaves as reports hold them, plus numpy ints and bools, which json (and so both writers)
 # rejects, and an IntEnum, which json writes as its value
 json_leaves = (py_floats | py_floats.map(np.float64) | st.integers() | st.booleans() | st.none()
-               | texts | st.lists(py_floats, max_size=6) | float_tables()
+               | texts | st.lists(py_floats, max_size=6)
                | st.integers(-5, 5).map(np.int64) | st.booleans().map(np.bool_)
                | st.sampled_from(Level))
 payloads = st.recursive(
@@ -836,6 +820,16 @@ class TestReportWriters:
     @example(payload={"rows": [list(SPECIAL_FLOATS)] * 3, "%s": "%r \u00e9\x01\"", "l": Level.HIGH})
     def test_json_equals_the_json_encoder(self, payload):
         assert written(cli._write_json, payload) == old_json(payload)
+
+    @settings(deadline=None, max_examples=300)
+    @given(rows=float_tables(), rest=st.dictionaries(texts, json_leaves, max_size=4))
+    @example(rows=[list(SPECIAL_FLOATS)] * 3, rest={"z": '\n  "rows": 0', "cli": {"out": "%r"}})
+    @example(rows=[[0.5]], rest={})
+    def test_float_rows_equal_the_json_encoder(self, rows, rest):
+        # the table as json writes a top-level key's value at indent 2, in a report around it
+        assert cli._float_rows(rows) == json.dumps(rows, indent=2).replace("\n", "\n  ")
+        payload = {**rest, "rows": rows}
+        assert written(cli._write_json, payload, rows) == old_json(payload)
 
     @pytest.mark.parametrize("argv", [
         ["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "11"],

@@ -437,6 +437,47 @@ class TestMoments:
         val = 64 * axis_moments(k, [0.3], 64, 1)[0, 1]
         assert val == pytest.approx(0.5493, abs=5e-3)
 
+    @settings(deadline=None, max_examples=200)
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 16, 8), eps=_log_uniform(1e-30, 1e-6),
+           n=st.integers(1, 512), xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    @example(q=0.5, alpha=1.0, eps=1e-12, n=64, xs=[0.3])
+    @example(q=0.5, alpha=8.0, eps=1e-20, n=511, xs=[0.73, 0.999])
+    def test_scaled_first_moment_is_its_poisson_series(self, q, alpha, eps, n, xs):
+        """n M_1(x) = c + sum_m>=1 (pi/alpha) sin(2 pi m (frac(u) + c)) / sinh(pi^2 m / alpha),
+        c = atanh(q)/alpha, u = n x: psi_q(y) = psi_0(y + c), and Poisson summation of
+        y psi_0(y) over the lattice leaves these terms.  The series stops once pi^2 m / alpha >
+        700, past which its terms add below e^-700.  It is summed at frac(u) for u = fl(n x), the
+        centre the kernel's windows take: sin at m u itself would cost m u 2^-53 (2e-13 at n 512).
+
+        Bound, against the untruncated sum at u:
+        - truncation: the window keeps the sites within W of u, and past W, psi(y) <= eps
+          e^(-2 alpha (|y| - W)) (``DensityKernel``).  So each side's lost sites add at most eps
+          ((W + 1)/(1 - r) + r/(1 - r)^2), r = e^(-2 alpha).  With W >= 2 and W >= 1/alpha
+          (``truncation_radius``), 1/(1 - r) <= 1 + 1/(2 alpha) <= W and r/(1 - r)^2 =
+          1/(4 sinh(alpha)^2) <= W^2/4, so both sides add below 4 eps W^2; the bound takes 8.
+        - rounding, in units of 2^-53 to first order, with sum psi = 1, A = sum psi |y| <=
+          sqrt(B), and B = sum psi y^2 = c^2 + 1/3 + pi^2/(12 alpha^2) (psi_0 is the uniform
+          density on [-1, 1] convolved with a logistic of scale 1/(2 alpha)):
+          - the centre: fl(n x) is within |u| of n x;
+          - the offsets: n (fl(k/n) - x) is within |k| + |k - n x| of k - n x, and sum psi |k|
+            <= |u| + A, so 2|u| + 2A in all with the centre;
+          - the weights, each within ``weight_roundings`` of psi: weight_roundings A;
+          - the products and the final times n: 2A;
+          - the dot of at most 2W + 1 terms: 2W A.
+        """
+        k = kernel(q, alpha, eps)
+        c = math.atanh(q) / alpha
+        m = np.arange(1.0, math.floor(700.0 * alpha / math.pi**2) + 1.0)
+        u = n * np.array(xs)
+        frac = u % 1.0
+        series = c + np.sum(math.pi / alpha * np.sin(2.0 * math.pi * m * (frac[:, None] + c))
+                            / np.sinh(math.pi**2 * m / alpha), axis=1)
+        b = c * c + 1.0 / 3.0 + math.pi**2 / (12.0 * alpha**2)
+        rounding = 2.0 * np.abs(u) + (2.0 * k.radius + weight_roundings(k) + 4.0) * math.sqrt(b)
+        bound = 8.0 * eps * k.radius**2 + rounding * 2.0**-53
+        got = n * axis_moments(k, xs, n, 1)[:, 1]
+        assert np.all(np.abs(got - series) <= bound)
+
     def test_factorization_across_axes(self):
         k = kernel()
         x = np.array([0.3, -0.7])

@@ -13,9 +13,11 @@ seed 0) through each tree's ``cli.main``, the tree that goes first
 alternating from round to round, after one untimed warm-up round.  Host
 load then moves both trees' passes alike, where separate benchmark runs
 spread wider than a 1% effect.  For each workload it prints both trees'
-median pass wall time, the change against the parent in %, and the rounds
-in which the change's pass was the faster.  The exit status is 2 when a
-run does not exit 0, and 0 otherwise.
+median pass wall time with its quartiles, the change of the median against
+the parent in %, and the rounds in which the change's pass was the faster.
+A gain is read against the parent's interquartile spread, so at least two
+rounds are timed.  The exit status is 2 when a run does not exit 0, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +40,10 @@ SIDES = ("parent", "change")
 
 
 def load_cli(tree: str, name: str):
-    """tree/src/tanhqi imported as the package ``name``; its cli module."""
+    """tree/src/tanhqi imported as the package ``name``, after any earlier one of that name and
+    its submodules; its cli module."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
     package = os.path.join(os.path.abspath(tree), "src", "tanhqi")
     spec = importlib.util.spec_from_file_location(name, os.path.join(package, "__init__.py"),
                                                   submodule_search_locations=[package])
@@ -60,8 +65,8 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         p.error(f"unknown workloads: {', '.join(unknown)}")
-    if args.rounds < 1:
-        p.error("--rounds must be at least 1")
+    if args.rounds < 2:
+        p.error("--rounds must be at least 2")
     os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
     clis = [load_cli(tree, f"tanhqi_{side}")
             for tree, side in zip((args.parent, args.change), SIDES)]
@@ -84,9 +89,11 @@ def main(argv=None) -> int:
                     if round_:  # round 0 warms both trees up
                         walls[name][side].append(wall)
     for name, (parent, change) in walls.items():
-        a, b = statistics.median(parent), statistics.median(change)
+        (a1, a, a3), (b1, b, b3) = (statistics.quantiles(w, n=4, method="inclusive")
+                                    for w in (parent, change))
         wins = sum(c < p for p, c in zip(parent, change))
-        print(f"{name}: parent {a:.5f} s, change {b:.5f} s, {100.0 * (b / a - 1.0):+.1f}%, "
+        print(f"{name}: parent {a:.5f} s (quartiles {a1:.5f}-{a3:.5f}), "
+              f"change {b:.5f} s (quartiles {b1:.5f}-{b3:.5f}), {100.0 * (b / a - 1.0):+.1f}%, "
               f"change faster in {wins} of {len(change)} rounds")
     return 0
 

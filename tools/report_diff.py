@@ -6,60 +6,49 @@ Run from the repository root:
     python3 tools/report_diff.py PARENT_TREE CHANGE_TREE [--seeds 0,7,21] [--workloads ...]
 
 Every run of ``perfbench/workloads.py`` (this checkout's copy, imported
-read-only) is made for each seed and workload, once per tree, all of a
-tree's runs in one subprocess that imports ``tanhqi`` from ``<tree>/src``
-with BLAS and OpenMP pinned to one thread.  Each CSV/JSON report is then
-compared byte for byte, with the echoed ``"out"`` path masked, as it names
-the tree's own output directory.  Each differing (or missing) file is
-printed, then ``N files, M differ``; the exit status is 1 on any
-difference, 2 when a run does not exit 0, and 0 otherwise.
+read-only) is made for each seed and workload, once per tree, in this one
+process: each tree's ``src/tanhqi`` is loaded under its own package name
+(``interleave.load_cli``), with BLAS and OpenMP pinned to one thread
+before either tree loads numpy, and ``perfbench/run.py``'s ``run_pass``
+drives its ``cli.main``.  Each CSV/JSON report is then compared byte for
+byte, with the echoed ``"out"`` path masked, as it names the tree's own
+output directory.  Each differing (or missing) file is printed, then
+``N files, M differ``; the exit status is 1 on any difference, 2 when a
+run does not exit 0, and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
-import subprocess
 import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "perfbench")]
 
-import run as bench  # noqa: E402  (stdlib-only at import, like workloads)
+import interleave  # noqa: E402  (stdlib-only at import, like run and workloads)
+import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (0, 7, 21)
 # the CLI echo of the output path, as the JSON writer spells the key
 OUT_ECHO = re.compile(rb'"out": "(?:[^"\\]|\\.)*"')
-# one child per tree: each argv in turn through tanhqi.cli.main, stopping at the first failure
-CHILD = (
-    "import json, sys\n"
-    "from tanhqi import cli\n"
-    "for argv in json.load(sys.stdin):\n"
-    "    status = cli.main(argv)\n"
-    "    if status:\n"
-    "        sys.exit(f'exit {status}: {argv}')\n"
-)
 
 
-def render(tree: str, names, seeds, out_root: str) -> None:
-    """Write every report of the workloads at the seeds under out_root/<workload>/<seed>/, with
-    tanhqi from tree/src; a run that does not exit 0 is a RuntimeError."""
-    argvs = []
+def render(cli, names, seeds, out_root: str) -> None:
+    """Write every report of the workloads at the seeds under out_root/<workload>/<seed>/ through
+    cli.main; a run that does not exit 0 is a RuntimeError."""
     for name in names:
         for seed in seeds:
             out_dir = os.path.join(out_root, name, str(seed))
             os.makedirs(out_dir)
-            argvs += [list(run.argv) for run in workloads.build(name, seed, out_dir)]
-    env = {**os.environ, **bench.THREAD_PINS,
-           "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
-    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(argvs), text=True,
-                          capture_output=True, env=env, cwd=out_root)
-    if done.returncode:
-        raise RuntimeError(f"{tree}: {done.stderr.strip()}")
+            runs = workloads.build(name, seed, out_dir)
+            _, statuses = bench.run_pass(cli, runs)
+            for run, status in zip(runs, statuses):
+                if status:
+                    raise RuntimeError(f"exit {status}: {list(run.argv)}")
 
 
 def _reports(root: str) -> set[str]:
@@ -96,14 +85,17 @@ def main(argv=None) -> int:
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
     if unknown:
         p.error(f"unknown workloads: {', '.join(unknown)}")
+    os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
+    clis = [interleave.load_cli(tree, f"tanhqi_{side}")
+            for tree, side in zip((args.parent, args.change), interleave.SIDES)]
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
-        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
-        try:
-            for tree, root in zip((args.parent, args.change), roots):
-                render(tree, names, seeds, root)
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        roots = [os.path.join(tmp, side) for side in interleave.SIDES]
+        for tree, cli, root in zip((args.parent, args.change), clis, roots):
+            try:
+                render(cli, names, seeds, root)
+            except RuntimeError as exc:
+                print(f"{tree}: {exc}", file=sys.stderr)
+                return 2
         files, diff = differing(*roots)
     for name in diff:
         print(name)
