@@ -4,13 +4,14 @@ The building block of every kernel in this package is
 
     h(x) = (e^(a x) - q e^(-a x)) / ((1+q) e^(a x) + (1-q) e^(-a x))
 
-with shape parameter q in (0, 1) and slope parameter a = alpha > 0.  On
-that parameter range the denominator is strictly positive, h is strictly
-increasing, and h(x) stays inside the open interval (-q/(1-q), 1/(1+q)).
-Outside the range the function degenerates: q = 1 kills one exponential
-and q > 1 produces a pole, so parameter construction rejects both.
+with shape parameter q in [0, 1) and slope parameter a = alpha > 0; q = 0
+is the classical h = (1 + tanh(alpha x))/2.  On that range the denominator
+is strictly positive, h is strictly increasing, and h(x) stays inside the
+open interval (-q/(1-q), 1/(1+q)).  Outside it the function degenerates:
+q = 1 kills one exponential and q > 1 produces a pole, so parameter
+construction rejects both (and q < 0, which is out of scope).
 
-Unlike the classical tanh, h is not odd.  Its value at the origin is
+Unlike tanh itself, h is not odd.  Its value at the origin is
 h(0) = (1-q)/2, and its graph is a shifted, rescaled tanh:
 h(x) = c1 * tanh(alpha x + phi) + c2 with phi = log((1+q)/(1-q))/2.
 """
@@ -27,14 +28,14 @@ __all__ = ["ActivationParams", "h_eval", "h_derivative", "h_limits"]
 
 @dataclass(frozen=True)
 class ActivationParams:
-    """Validated (q, alpha) pair; q in (0, 1), alpha > 0 and finite."""
+    """Validated (q, alpha) pair; q in [0, 1), alpha > 0 and finite."""
 
     q: float
     alpha: float
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must lie in the open interval (0, 1), got {self.q!r}")
+        if not (0.0 <= self.q < 1.0):
+            raise ValueError(f"q must lie in the half-open interval [0, 1), got {self.q!r}")
         if not (0.0 < self.alpha < math.inf):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 

@@ -5,24 +5,19 @@ log(1/n), so slope r means error ~ C n^(-r).  Every experiment measures
 errors in the sup norm over a fixed evaluation grid (the mean over the
 grid is recorded alongside), and every report says so in its note.
 
-``sweep`` is the one loop over n values; each experiment supplies a
-per-n batched operator and a batched target, both taking the grid's
-per-axis coordinates (``grid_axes``) and returning its values in C
-order.  An operator may return a (K, P) stack of K results, and the
-sweep makes one report per row: ``residual_sweep`` gets every
-correction order from one basic evaluation and one moment table per n.
 Each experiment's one entry point (a ``*_sweep`` function, or
 ``kernel_table`` for the kernel's own table) makes every check of its
 run, in the order its docstring lists (``fractional_sweep`` checks
 ``FracConfig`` before the n sweep, ``residual_sweep`` m_max after the
-grid), and returns the run bound but not started.  A sweep's checks end
-with ``kernel.check_tables`` (each n's ``table_sites``, which caps a
-window's sites first, and the operator's site rule), ``kernel_table``'s
-with ``kernel.check_moments``, as it builds no lattice table.
-Every sweep's preflight is ``own, results = check_tables(kernel, axes,
-ns, rule)``, and each n's operator takes ``sites=own(n, ax)``: on the
-sweep's own grid arrays the checked sites, so a run builds each table's
-sites once, and on other arrays None.
+grid), and returns the run bound but not started.  Every ``*_sweep``
+returns through ``sweep``, whose binding ends its checks (each n's
+``kernel.table_sites``, which caps a window's sites first, then the
+operator's site rule) and whose run is the one loop over n values; it
+is the one caller that passes an operator ``sites``, so a run builds each
+table's sites once.  ``kernel_table``'s checks end with
+``kernel.check_moments``, as it builds no lattice table.  A batched
+operator may return a (K, P) stack of K results, one report per row:
+``residual_sweep`` gets every order from one basic evaluation per n.
 
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
@@ -52,8 +47,8 @@ from .kernel import (
     check_axes,
     check_moments,
     check_n,
-    check_tables,
     psi_eval,
+    table_sites,
 )
 from .manifold import chart_coords, chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
@@ -66,7 +61,7 @@ from .operators import (
     check_table_cells,
     fractional_nodes,
     fractional_table,
-    voronovskaya_corrections,
+    voronovskaya_residuals,
 )
 
 __all__ = [
@@ -127,7 +122,8 @@ def grid_axes(box, points_per_axis: int) -> list[np.ndarray]:
     k/n for the n values used in sweeps.  Every axis must be finite and
     non-empty, and the grid may hold at most MAX_POINT_WORK (2^24) points.
     """
-    if not (isinstance(points_per_axis, (int, np.integer)) and points_per_axis >= 1):
+    if not (isinstance(points_per_axis, (int, np.integer)) and not isinstance(points_per_axis, bool)
+            and points_per_axis >= 1):
         raise ValueError(f"need an integer >= 1 of points per axis, got {points_per_axis!r}")
     box = [(float(lo), float(hi)) for lo, hi in box]
     for lo, hi in box:
@@ -220,30 +216,40 @@ def check_operator(kind: str) -> None:
         raise ValueError(f"operator must be one of {', '.join(CONVERGENCE_OPERATORS)}, got {kind!r}")
 
 
-def sweep(
-    apply_for,
-    target_fn,
-    axes,
-    n_sweep,
-    configs: list[dict],
-    target_descriptions: list[str],
-    claimed_exponent: str | None = None,
-) -> list[ConvergenceReport]:
-    """Error rows over the n sweep, their log-log fit, and the report, for each result row.
+def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: list[dict],
+          target_descriptions: list[str], claimed_exponent: str | None = None, site_rule=None):
+    """The run of one experiment over the checked grid ``axes`` and n values ``ns`` (ascending,
+    ``check_sweep``), bound after its lattice checks but not started.
 
-    ``apply_for(n)`` returns the batched callable for lattice density n
-    (grid axes -> the grid's values, or a (K, P) stack of K results); it
-    is measured against ``target_fn`` on the grid of ``axes`` by
-    sup_error, once per distinct n in ascending order.  Result row i
-    makes report i, with a copy of ``configs[i]`` and with
-    ``target_descriptions[i]``.
-    A non-finite error is a RuntimeError naming n.  Rows on the rounding
-    floor are counted and left out of the fit; with fewer than three
-    rows above it the fit is skipped and the note says so.
+    Before it returns, each n's ``table_sites`` runs, then ``site_rule(n,
+    sites)`` on its open mesh.  A call makes its operator as
+    ``make_operator(results)``, one site-rule result per n (None without a
+    rule), and measures ``operator(n, ax, sites=...)`` against
+    ``target_fn`` on the grid of ``axes`` by sup_error, once per n:
+    ``sites`` is n's checked mesh when ax holds the very arrays of
+    ``axes``, else None (``sup_error``'s one-point re-runs).  Result row i
+    of a (K, P) stack makes report i, with a copy of ``configs[i]`` and
+    ``target_descriptions[i]``.  A non-finite error is a RuntimeError
+    naming n; rows on the rounding floor are counted and left out of the
+    fit, which is skipped (the note says so) with fewer than three above.
     """
+    meshes, results = {}, []
+    for n in ns:
+        meshes[n] = table_sites(kernel, n, axes)
+        results.append(None if site_rule is None else site_rule(n, meshes[n]))
+    return functools.partial(_measure, make_operator, results, meshes, target_fn, axes, configs,
+                             target_descriptions, claimed_exponent)
+
+
+def _measure(make_operator, results, meshes, target_fn, axes, configs, target_descriptions,
+             claimed_exponent) -> list[ConvergenceReport]:
+    operator = make_operator(results)
     tables = [[] for _ in configs]
-    for n in check_sweep(n_sweep):
-        for rows, (sup, mean) in zip(tables, sup_error(apply_for(n), target_fn, axes), strict=True):
+    for n, mesh in meshes.items():
+        def apply(ax):
+            return operator(n, ax, sites=mesh if list(map(id, ax)) == list(map(id, axes)) else None)
+
+        for rows, (sup, mean) in zip(tables, sup_error(apply, target_fn, axes), strict=True):
             if not (math.isfinite(sup) and math.isfinite(mean)):
                 raise RuntimeError(
                     f"error at n = {n} is not finite (sup {sup!r}, mean {mean!r}); "
@@ -300,42 +306,31 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
-    own, _ = check_tables(kernel, axes, ns, (lambda n, sites: check_table_cells(quad_nodes, sites))
-                          if kind == "kantorovich" else None)
-
-    def apply_for(n):
-        if kind == "basic":
-            return lambda ax: apply_basic_batch(kernel, f, n, ax, sites=own(n, ax))
-        return lambda ax: apply_kantorovich_batch(kernel, quad_nodes, f, n, ax, sites=own(n, ax))
-
+    if kind == "basic":
+        operator, site_rule = functools.partial(apply_basic_batch, kernel, f), None
+    else:
+        operator = functools.partial(apply_kantorovich_batch, kernel, quad_nodes, f)
+        site_rule = lambda n, sites: check_table_cells(quad_nodes, sites)  # noqa: E731
     config = _sweep_config(kernel, f, ns, box, points_per_axis, operator=kind, quad_nodes=quad_nodes)
-    return functools.partial(sweep, apply_for, lambda ax: f.value(*np.ix_(*ax)), axes, ns, [config],
-                             [f"{f.name} (the sampled function itself)"])
+    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: f.value(*np.ix_(*ax)), [config],
+                 [f"{f.name} (the sampled function itself)"], site_rule=site_rule)
 
 
 def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep, m_max: int):
     """Voronovskaya residual sweeps for correction orders m = 0 .. m_max: their checks (n sweep,
     grid with f.dim axes, correction order, lattice tables), then their ``sweep`` bound.  Report
     m = 0 is the basic operator's uncorrected error, and each further m subtracts the moment
-    correction of that order; per n both are evaluated once, as one stack."""
+    correction of that order; per n both are evaluated once, as one stack
+    (``operators.voronovskaya_residuals``)."""
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
     check_m_max(m_max, f)
-    own, _ = check_tables(kernel, axes, ns)
-
-    def apply_for(n):
-        def residuals(ax):
-            r = (apply_basic_batch(kernel, f, n, ax, sites=own(n, ax))
-                 - np.ravel(f.value(*np.ix_(*ax))))
-            return np.vstack([r, r - voronovskaya_corrections(kernel, m_max, f, n, ax)])
-
-        return residuals
-
     orders = range(m_max + 1)
     configs = [_sweep_config(kernel, f, ns, box, points_per_axis,
                              experiment="voronovskaya-residual", m=m) for m in orders]
-    return functools.partial(sweep, apply_for, lambda ax: 0.0, axes, ns, configs,
-                             [f"residual after the order-{m} moment correction" for m in orders])
+    operator = functools.partial(voronovskaya_residuals, kernel, m_max, f)
+    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: 0.0, configs,
+                 [f"residual after the order-{m} moment correction" for m in orders])
 
 
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
@@ -354,24 +349,18 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
         raise ValueError(f"preset {f.name!r} has no monomial exponent; the oracle needs t^p presets")
     if any(float(lo) <= 0.0 for lo, _ in box):
         raise ValueError("fractional sweeps need an evaluation box with positive coordinates")
-    own, nodes = check_tables(kernel, axes, ns,
-                              lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
-
-    def run():
-        table = fractional_table(frac, f, np.concatenate(nodes))
-        return sweep(
-            lambda n: lambda ax: apply_fractional_batch(kernel, frac, f, n, ax, table,
-                                                        sites=own(n, ax)),
-            lambda ax: power_rule_oracle(f.power, beta, ax[0]), axes, ns, [config],
-            ["D^beta f (oracle)"],
-            claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
-                             "recorded, not asserted",
-        )
-
-    return run
+    return sweep(
+        kernel, axes, ns, lambda nodes: functools.partial(
+            apply_fractional_batch, kernel, frac, f,
+            table=fractional_table(frac, f, np.concatenate(nodes))),
+        lambda ax: power_rule_oracle(f.power, beta, ax[0]), [config], ["D^beta f (oracle)"],
+        claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
+                         "recorded, not asserted",
+        site_rule=lambda n, sites: fractional_nodes(frac, f, n, sites[0]),
+    )
 
 
 def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):
@@ -383,13 +372,11 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
     axes = grid_axes(box, points_per_axis)
     geometry = chart_preset(chart, dim=f.dim)
     axes = check_chart(geometry, axes)
-    own, _ = check_tables(kernel, axes, ns, functools.partial(chart_coords, geometry))
-    return functools.partial(
-        sweep, lambda n: lambda ax: operator_on_chart_batch(kernel, geometry, f, n, ax,
-                                                            sites=own(n, ax)),
-        lambda ax: f.value(*np.ix_(*ax)), axes, ns, [{"chart": chart, "mode": "discrete"}],
-        [f"{f.name} on the {chart} chart (the sampled function itself)"],
-    )
+    operator = functools.partial(operator_on_chart_batch, kernel, geometry, f)
+    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: f.value(*np.ix_(*ax)),
+                 [{"chart": chart, "mode": "discrete"}],
+                 [f"{f.name} on the {chart} chart (the sampled function itself)"],
+                 site_rule=functools.partial(chart_coords, geometry))
 
 
 def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):

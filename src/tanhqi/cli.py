@@ -60,7 +60,7 @@ from .analysis import (
 )
 from .fractional import FracConfig
 from .kernel import DensityKernel
-from .manifold import chart_preset
+from .manifold import CHART_NAMES, chart_preset
 from .operators import check_m_max, check_quad_nodes
 from .presets import function_preset, preset_names
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file with the same keys as the flags; flags override it")
         p.add_argument("--print-config", action="store_true",
                        help="echo the merged effective config as JSON and exit without running")
-        p.add_argument("--q", type=float, help="kernel shape parameter, open interval (0, 1)")
+        p.add_argument("--q", type=float, help="kernel shape parameter, half-open interval [0, 1)")
         p.add_argument("--alpha", type=float, help="kernel slope parameter, > 0")
         p.add_argument("--trunc-eps", type=float, dest="trunc_eps",
                        help="lattice truncation tolerance, open interval (0, 1); default 1e-12")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Sweep |operator(f) - f| on a chart box. CSV columns: "
                                    "n,sup_error,mean_error.")
     add_common(p, " (one entry per chart axis)")
-    p.add_argument("--chart", choices=("euclidean", "torus", "poincare-half-plane"),
+    p.add_argument("--chart", choices=CHART_NAMES,
                    help="chart preset; default poincare-half-plane")
     p.add_argument("--preset", help="sampled function matching the chart dimension; default sin-exp")
 

@@ -8,7 +8,8 @@ Because h is increasing, psi > 0 everywhere, and the sum over integer
 shifts telescopes to the total variation of h, which is exactly C(q):
 sum_k psi(x - k) = 1 for every real x.  The same telescoping gives unit
 integral.  Multiple dimensions use the plain product kernel Z(x) =
-prod_i psi(x_i).
+prod_i psi(x_i).  Every q in [0, 1) gives a translate of the classical
+(q = 0, even) kernel: psi_q(x) = psi_0(x + atanh(q)/alpha).
 
 h = (u - q) / ((1+q) u + 1 - q) is a Moebius map of u = e^(2 alpha x) with
 determinant 1 + q^2, so the difference is one quotient: with A = 1 + q,
@@ -39,11 +40,11 @@ no copy).  A point's sum depends on its own windows alone, not on the
 other points of its call.  ``table_sites`` caps a window's sites, the
 table's sites and the sums' multiply-adds before it builds a site, for
 operators and sweeps alike (``check_moments`` all but the table's, for the
-moments, which build no table); ``check_tables`` runs it and an operator's
-site rule for every n of a sweep first, and decides which calls take each
-n's checked mesh: those on the sweep's own grid arrays
+moments, which build no table); a sweep (``analysis.sweep``) runs it for
+every n first and hands each n's checked mesh to the calls on its own grid
 (``lattice_sums(..., sites=...)``), so each table's sites are built once.
-One rule, ``chunk_rows``, sizes every chunk.
+One rule, ``chunk_rows``, sizes every lattice chunk (and Kantorovich's cell
+slabs); fractional L1 chunks keep ``fractional.L1_CHUNK_POINTS``, for peak RSS.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ __all__ = [
     "check_n",
     "table_sites",
     "check_moments",
-    "check_tables",
     "lattice_sums",
     "point_work",
     "chunk_rows",
@@ -128,9 +128,9 @@ def _psi(params: ActivationParams, x):
 def truncation_radius(params: ActivationParams, eps: float) -> float:
     """Smallest W in {2, 4, 8, ...} with psi(+-W) < eps and W >= (atanh(q) + 1)/alpha.
 
-    Both tails must be checked: the kernel is not even, and the left
-    tail carries the larger constant (by a factor ((1+q)/(1-q))^2), so
-    it usually decides W.  psi is symmetric about its peak at
+    Both tails must be checked: for q > 0 the kernel is not even, and the
+    left tail carries the larger constant (by a factor ((1+q)/(1-q))^2),
+    so it usually decides W.  psi is symmetric about its peak at
     -atanh(q)/alpha, and one slope length 1/alpha past the peak its
     tails decay like e^(-2 alpha |x|); the lower bound puts both window
     ends there, so a wide kernel whose peak is already below eps still
@@ -271,9 +271,9 @@ def check_axes(axes, dim: int) -> list[np.ndarray]:
 
 
 def check_n(n) -> int:
-    """The lattice density n as an int: a positive integer within float range, since every
-    lattice scales by n as a float."""
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= sys.float_info.max):
+    """The lattice density n as an int: a positive integer, not a bool, within float range,
+    since every lattice scales by n as a float."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= sys.float_info.max):
         raise ValueError(f"n must be a positive integer within float range, got {n!r}")
     return int(n)
 
@@ -337,18 +337,6 @@ def _check_sum_work(kernel: DensityKernel, counts, sizes) -> None:
                          "or increase alpha or trunc_eps")
 
 
-def check_tables(kernel: DensityKernel, axes, ns, site_rule=None) -> tuple:
-    """A sweep's lattice checks before its first n: ``table_sites`` for each n of ns, then
-    ``site_rule(n, sites)`` on its open mesh, the operator's own check of its sites.  Returns
-    (sites_for, each n's rule result or None); ``sites_for(n, ax)``, an operator's ``sites``, is
-    n's checked mesh when ax holds the very arrays of axes, else None (``sup_error``'s re-runs)."""
-    meshes, results = {}, []
-    for n in ns:
-        meshes[n] = table_sites(kernel, n, axes)
-        results.append(None if site_rule is None else site_rule(n, meshes[n]))
-    return (lambda n, ax: meshes[n] if list(map(id, ax)) == list(map(id, axes)) else None), results
-
-
 def _sum_work(counts, width, sizes) -> list[int]:
     # per axis i, the multiply-adds lattice_sums pays contracting it: the grid points done
     # (axes 0..i), times the window width, times the table sites still to contract
@@ -375,8 +363,8 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     points go through all axes in blocks whose partial sums hold at most
     MAX_POINT_WORK numbers, one block for every 1-D sum.  ``sites``, when
     given, must be ``table_sites(kernel, n, axes)`` for these very axes
-    (what a sweep's ``check_tables`` hands out); it is used unchecked in
-    place of that call.
+    (what ``analysis.sweep`` hands out); it is used unchecked in place of
+    that call.
     """
     mesh = table_sites(kernel, n, axes) if sites is None else sites
     sites = [s.ravel() for s in mesh]

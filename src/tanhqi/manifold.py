@@ -14,8 +14,8 @@ the operator is the ratio of the lattice sums of f / sqrt(det g) and
 1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;
 ``check_chart`` applies it to a grid's points, and ``chart_coords`` to a
-lattice table's sites, the site rule a sweep hands ``kernel.check_tables``
-before its first n (``analysis.chart_sweep``).
+lattice table's sites, the site rule ``analysis.chart_sweep`` hands
+``analysis.sweep`` to run before its first n.
 
 Shipped chart presets:
 
@@ -42,6 +42,8 @@ __all__ = [
     "check_chart",
     "operator_on_chart_batch",
 ]
+
+CHART_NAMES = ("euclidean", "torus", "poincare-half-plane")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,7 @@ def chart_preset(name: str, dim: int | None = None) -> Chart:
         return Chart(
             "poincare-half-plane", 2, ((-inf, inf), (0.0, inf)), _half_plane_density,
         )
-    raise ValueError(
-        f"unknown chart {name!r}; known charts: euclidean, torus, poincare-half-plane"
-    )
+    raise ValueError(f"unknown chart {name!r}; known charts: {', '.join(CHART_NAMES)}")
 
 
 def chart_coords(chart: Chart, n: int, sites) -> list[np.ndarray]:

@@ -27,14 +27,14 @@ off the basic operator's error.
 Every operator has one calling convention, ``(kernel, <its own
 parameter, if any>, f, n, axes)``: Kantorovich takes ``quad_nodes``,
 fractional a ``FracConfig`` (and, last, an optional shared table), the
-corrections ``m_max``, and the chart operator (``manifold``) its chart.
+corrections and residuals ``m_max``, and the chart operator (``manifold``) its chart.
 It evaluates the tensor grid of the per-axis coordinates ``axes`` (one
 point x is the axes [[x_1], .., [x_N]]) and returns the grid's values
 flattened in C order.  Each is one lattice sum (``kernel.lattice_sums``),
 or a ratio of two, over site values sampled once per lattice table site;
-n is checked by ``kernel.check_n``.  Each also takes the keyword-only
-``sites``, the lattice table's open mesh for exactly these n and axes,
-which a sweep's lattice checks already built (``kernel.check_tables``).
+n is checked by ``kernel.check_n``.  Each lattice operator also takes the
+keyword-only ``sites``, the lattice table's open mesh for exactly these n
+and axes; only ``analysis.sweep`` passes it, the mesh its checks built.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ __all__ = [
     "fractional_nodes",
     "fractional_table",
     "voronovskaya_corrections",
+    "voronovskaya_residuals",
 ]
 
 # leggauss(g) builds a g x g matrix, so g^2 must fit the per-point budget too
@@ -228,8 +229,8 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
 
 
 def check_m_max(m_max: int, f=None) -> None:
-    """The highest correction order lies in 0..4 and, given a preset f, at most its smoothness grade."""
-    if not (isinstance(m_max, (int, np.integer)) and 0 <= m_max <= 4):
+    """The highest correction order: an integer (no bool) in 0..4, at most a preset f's smoothness."""
+    if not (isinstance(m_max, (int, np.integer)) and not isinstance(m_max, bool) and 0 <= m_max <= 4):
         raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
     if f is not None and m_max > f.smoothness:
         raise ValueError(
@@ -261,3 +262,11 @@ def voronovskaya_corrections(kernel: DensityKernel, m_max: int, f, n: int, axes)
     rows = [sum((terms[alpha] for alpha in multi_indices(len(axes), 1, m)), 0.0)
             for m in range(1, m_max + 1)]
     return np.reshape(rows, (m_max, math.prod(x.size for x in axes)))
+
+
+def voronovskaya_residuals(kernel: DensityKernel, m_max: int, f, n: int, axes, *,
+                           sites=None) -> np.ndarray:
+    """Row m: A_n(f) - f minus the order-m correction (row 0 uncorrected) on the grid of axes,
+    m = 0..m_max -> (m_max + 1, P), from one basic evaluation and one moment table per axis."""
+    r = apply_basic_batch(kernel, f, n, axes, sites=sites) - np.ravel(f.value(*np.ix_(*axes)))
+    return np.vstack([r, r - voronovskaya_corrections(kernel, m_max, f, n, axes)])

@@ -20,10 +20,14 @@ def fd_derivative(params, x, step=1e-5):
 
 
 class TestParams:
-    @pytest.mark.parametrize("q", [0.0, 1.0, 1.2, -0.1])
+    @pytest.mark.parametrize("q", [1.0, 1.2, -0.1])
     def test_q_outside_open_interval_rejected(self, q):
         with pytest.raises(ValueError):
             ActivationParams(q=q, alpha=1.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.999])
+    def test_q_in_half_open_interval_accepted(self, q):
+        assert ActivationParams(q=q, alpha=1.0).q == q
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("inf"), float("nan")])
     def test_nonpositive_alpha_rejected(self, alpha):
@@ -36,6 +40,11 @@ class TestParams:
 
 
 class TestValues:
+    def test_q_zero_is_the_classical_tanh(self):
+        xs = np.linspace(-5.0, 5.0, 101)
+        want = (1.0 + np.tanh(2.0 * xs)) / 2.0
+        assert np.allclose(h_eval(ActivationParams(0.0, 2.0), xs), want, rtol=1e-15, atol=1e-16)
+
     def test_center_value_q_half(self):
         assert h_eval(ActivationParams(0.5, 1.0), 0.0) == 0.25
 

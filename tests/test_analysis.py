@@ -20,7 +20,8 @@ from tanhqi import (
     sup_error,
 )
 from tanhqi import analysis, operators
-from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, sweep
+from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, check_sweep, sweep
+from tanhqi.kernel import check_n, table_sites
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -62,6 +63,18 @@ class TestGridPoints:
             grid_axes(BOX01, 0)
         with pytest.raises(ValueError):
             grid_axes([(1.0, 1.0)], 5)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: check_n(True), "n must be a positive integer within float range, got True"),
+    (lambda: operators.check_m_max(True), "m_max must lie in 0..4, got True"),
+    (lambda: grid_axes(BOX01, True), "need an integer >= 1 of points per axis, got True"),
+], ids=["check_n", "check_m_max", "grid_axes"])
+def test_a_bool_is_no_integer(check, message):
+    # as the config loader rejects a bool for every integer key
+    with pytest.raises(ValueError) as exc:
+        check()
+    assert str(exc.value) == message
 
 
 class TestSupError:
@@ -153,13 +166,14 @@ class TestSweep:
         # a (2, P) result makes two reports, each with its own rows, fit, config and target
         seen = []
 
-        def apply_for(n):
+        def operator(n, ax, *, sites):
             seen.append(n)
-            return lambda ax: np.stack([np.full(len(ax[0]), 3.0 / n), np.full(len(ax[0]), 5.0 / n**2)])
+            return np.stack([np.full(len(ax[0]), 3.0 / n), np.full(len(ax[0]), 5.0 / n**2)])
 
         axes = grid_axes(BOX01, 4)
-        rep, second = sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (32, 8, 16, 8),
-                            [{"k": 1}, {"k": 2}], ["target", "second"])
+        rep, second = sweep(KERNEL, axes, check_sweep((32, 8, 16, 8)), lambda _: operator,
+                            lambda ax: np.zeros(len(ax[0])), [{"k": 1}, {"k": 2}],
+                            ["target", "second"])()
         assert seen == [8, 16, 32]
         assert [r.n for r in rep.rows] == [r.n for r in second.rows] == seen
         assert [r.sup_error for r in rep.rows] == [3.0 / n for n in seen]
@@ -172,24 +186,61 @@ class TestSweep:
 
     def test_floor_rows_counted_and_fit_skipped(self):
         axes = grid_axes(BOX01, 3)
-        zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
-        [rep] = sweep(lambda n: zeros, zeros, axes, (8, 16, 32), [{}], ["t"], "n^-1")
+        zeros = lambda n, ax, *, sites: np.zeros(len(ax[0]))  # noqa: E731
+        [rep] = sweep(KERNEL, axes, [8, 16, 32], lambda _: zeros, lambda ax: 0.0, [{}], ["t"],
+                      "n^-1")()
         assert rep.excluded_rows == 3 and rep.fitted_slope is None
         assert "fit skipped" in rep.note
         assert rep.claimed_exponent == "n^-1"
 
     @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,), (16.5, 32, 64)])
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
+        # a sweep takes its n values from check_sweep, every entry point's first n check
         with pytest.raises(ValueError, match="n sweep"):
-            zeros = lambda ax: np.zeros(len(ax[0]))  # noqa: E731
-            sweep(lambda n: zeros, zeros, grid_axes(BOX01, 3), n_sweep, [{}], ["t"])
-
+            check_sweep(n_sweep)
 
     def test_non_finite_error_names_n(self):
         axes = grid_axes(BOX01, 3)
-        apply_for = lambda n: lambda ax: np.full(len(ax[0]), np.nan if n == 16 else 1.0)  # noqa: E731
+        operator = lambda n, ax, *, sites: np.full(len(ax[0]), np.nan if n == 16 else 1.0)  # noqa: E731
+        run = sweep(KERNEL, axes, [8, 16, 32], lambda _: operator,
+                    lambda ax: np.zeros(len(ax[0])), [{}], ["t"])
         with pytest.raises(RuntimeError, match="error at n = 16 is not finite"):
-            sweep(apply_for, lambda ax: np.zeros(len(ax[0])), axes, (8, 16, 32), [{}], ["t"])
+            run()
+
+    def test_bind_checks_each_n_then_its_site_rule(self):
+        # n = 16 and 64 pass and meet the rule with their own open mesh; at n = 2^16 the
+        # windows part, 32 or 33 sites around each of the 1001 centres, past the cap
+        seen = []
+        x = np.linspace(0.0, 1.0, 1001)
+        with pytest.raises(ValueError, match="the lattice table needs 32041 x 32041 sites"):
+            sweep(KERNEL, [x, x], [16, 64, 2**16], None, None, [{}], ["t"],
+                  site_rule=lambda n, sites: seen.append((n, [s.shape for s in sites])))
+        assert seen == [(16, [(49, 1), (1, 49)]), (64, [(97, 1), (1, 97)])]
+
+    def test_each_call_makes_its_operator_from_the_site_rule_results(self):
+        # the rule runs once per n at bind time; each call makes its operator from the results
+        # and hands every n's grid call the checked mesh, and other arrays none
+        axes, made, handed = grid_axes(BOX01, 3), [], []
+
+        def make_operator(results):
+            made.append(results)
+            return operator
+
+        def operator(n, ax, *, sites):
+            handed.append((n, sites))
+            if ax[0].size > 1:
+                raise ZeroDivisionError("the grid's call fails, so each point is re-run")
+            return np.zeros(1)
+
+        run = sweep(KERNEL, axes, [8, 16], make_operator, lambda ax: 0.0, [{}], ["t"],
+                    site_rule=lambda n, sites: (n, sites[0].size))
+        assert made == [] and handed == []
+        with pytest.raises(ZeroDivisionError):
+            run()
+        assert made == [[(8, 37), (16, 42)]]
+        (n, sites), *rerun = handed
+        assert n == 8 and np.array_equal(sites[0], table_sites(KERNEL, 8, axes)[0])
+        assert rerun == [(8, None)] * 3
 
 
 class TestRateFit:
@@ -326,7 +377,7 @@ class TestResidualOrders:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(analysis, "apply_basic_batch", counted("basic", analysis.apply_basic_batch))
+        monkeypatch.setattr(operators, "apply_basic_batch", counted("basic", operators.apply_basic_batch))
         monkeypatch.setattr(operators, "axis_moments", counted("moments", operators.axis_moments))
         reps = residual_sweep(KERNEL, function_preset(name), box, 5, (16, 32, 64, 16), 4)()
         assert len(reps) == 5 and all(len(r.rows) == 3 for r in reps)

@@ -63,7 +63,7 @@ from tanhqi import analysis, operators
 from tanhqi import kernel as kernel_module
 from tanhqi.analysis import fractional_sweep, grid_axes
 from tanhqi.fractional import power_rule_oracle
-from tanhqi.kernel import axis_moments, check_tables, chunk_rows, point_work, window_weights
+from tanhqi.kernel import axis_moments, chunk_rows, point_work, table_sites, window_weights
 from tanhqi.manifold import operator_on_chart_batch
 from tanhqi.operators import (
     apply_basic_batch,
@@ -434,8 +434,7 @@ class TestSharedFractionalTable:
         f, frac = function_preset(preset), FracConfig(0.25, 1e-3)
         axes = grid_axes([(lo + 0.3, hi) for lo, hi in box], 41)
         assert min(ns) * axes[0][0] > FRAC_KERNEL.radius + 1.0
-        _, nodes = check_tables(FRAC_KERNEL, axes, ns,
-                                lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        nodes = [fractional_nodes(frac, f, n, table_sites(FRAC_KERNEL, n, axes)[0]) for n in ns]
         table = fractional_table(frac, f, np.concatenate(nodes))
         assert table[0].size < sum(node.size for node in nodes)
         for n, own in zip(ns, nodes):
@@ -447,8 +446,7 @@ class TestSharedFractionalTable:
     def test_a_node_missing_from_the_table_is_an_error(self):
         f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
         axes = [np.array([0.5])]
-        _, (nodes,) = check_tables(FRAC_KERNEL, axes, [64],
-                                   lambda n, sites: fractional_nodes(frac, f, n, sites[0]))
+        nodes = fractional_nodes(frac, f, 64, table_sites(FRAC_KERNEL, 64, axes)[0])
         table = fractional_table(frac, f, nodes)
         # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
         with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):

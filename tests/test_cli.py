@@ -21,7 +21,7 @@ from tanhqi import (
     convergence_sweep,
     function_preset,
 )
-from tanhqi import cli
+from tanhqi import cli, manifold
 
 
 def run(argv, capsys):
@@ -233,6 +233,16 @@ class TestPrintConfig:
         assert err.count("\n") == 1
         assert "unknown chart 'bogus'" in json.loads(err)["error"]
         assert not (tmp_path / "x.json").exists()
+
+    def test_chart_choices_are_the_manifold_presets(self):
+        # one list of names for --chart and for chart_preset's message
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        chart = next(a for a in sub.choices["manifold"]._actions if a.dest == "chart")
+        assert chart.choices == manifold.CHART_NAMES
+        with pytest.raises(ValueError) as exc:
+            manifold.chart_preset("bogus")
+        assert str(exc.value) == ("unknown chart 'bogus'; known charts: "
+                                  "euclidean, torus, poincare-half-plane")
 
     @pytest.mark.parametrize("n, message", [
         # the table is 4074 x 4074 sites, under 2^24; a bound of n (hi - lo) + 2W + 2 said 4097

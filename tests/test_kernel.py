@@ -33,7 +33,6 @@ from tanhqi.kernel import (
     MAX_SUM_WORK,
     ONE_EXP_ALPHA,
     WINDOW_EXP_LIMIT,
-    check_tables,
     lattice_sums,
     offset_powers,
     point_work,
@@ -209,6 +208,30 @@ class TestClosedForm:
         k = kernel()
         assert psi_eval(k, 32.0) == pytest.approx(1.9389327402015744e-28, rel=1e-13)
         assert psi_eval(k, -32.0) == pytest.approx(1.7450394661814168e-27, rel=1e-13)
+
+    @settings(deadline=None, max_examples=100)
+    @given(q=st.floats(0.0, 0.95), alpha=_log_uniform(1 / 16, 8), eps=_log_uniform(1e-20, 1e-6),
+           t=st.floats(-1.0, 1.0))
+    @example(q=0.0, alpha=1.0, eps=1e-12, t=0.3)
+    @example(q=0.95, alpha=8.0, eps=1e-20, t=-1.0)
+    def test_every_q_translates_the_classical_kernel(self, q, alpha, eps, t):
+        """psi_q(x) = psi_0(x + c), c = atanh(q)/alpha, for x = t (W + 1): h_q is tanh shifted
+        by atanh(q) in alpha x and affinely rescaled, and C(q) is twice its rise.
+
+        Bound, in units of u = 2^-53 to first order, with psi_0 taken exactly
+        by ``mp_psi(0.0, ...)`` at the float c' = fl(fl(atanh(q))/alpha):
+        - psi_eval is within ``eval_roundings`` of psi_q(x), |x| <= W + 1;
+        - c' is within 3|c| u of c (atanh within one ulp, 2, the quotient 1),
+          and |d ln psi_0 / dy| <= 2 alpha (psi_0 = s v / D(v), v =
+          e^(-2 alpha y), has |d ln psi / d ln v| <= 1), so psi_0(x + c')
+          is within 2 alpha 3 |c| = 6 atanh(q) of psi_0(x + c);
+        - the oracle's float adds 1.
+        """
+        k = kernel(q, alpha, eps)
+        x = t * (k.radius + 1.0)
+        want = mp_psi(0.0, alpha, [x], centre=math.atanh(q) / alpha)[0]
+        bound = gamma(eval_roundings(k) + 6.0 * math.atanh(q) + 1.0)
+        assert abs(psi_eval(k, x) - want) <= bound * want
 
     @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.5, 1 / 16), (0.9, 0.3), (0.1, 4.0),
                                           (0.99, 1e-4), (0.5, 100.0), (0.5, 1e308)])
@@ -438,9 +461,10 @@ class TestMoments:
         assert val == pytest.approx(0.5493, abs=5e-3)
 
     @settings(deadline=None, max_examples=200)
-    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 16, 8), eps=_log_uniform(1e-30, 1e-6),
+    @given(q=st.floats(0.0, 0.95), alpha=_log_uniform(1 / 16, 8), eps=_log_uniform(1e-30, 1e-6),
            n=st.integers(1, 512), xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @example(q=0.5, alpha=1.0, eps=1e-12, n=64, xs=[0.3])
+    @example(q=0.0, alpha=1.0, eps=1e-12, n=64, xs=[0.3, 0.999])
     @example(q=0.5, alpha=8.0, eps=1e-20, n=511, xs=[0.73, 0.999])
     def test_scaled_first_moment_is_its_poisson_series(self, q, alpha, eps, n, xs):
         """n M_1(x) = c + sum_m>=1 (pi/alpha) sin(2 pi m (frac(u) + c)) / sinh(pi^2 m / alpha),
@@ -680,17 +704,7 @@ class TestTableSites:
         with pytest.raises(ValueError, match="a lattice sum needs 2236219392 multiply-adds "
                                              "\\(> 2147483648\\): 65536 x 1000 points, windows "
                                              "of 33 sites per axis, 34 x 34 table sites"):
-            check_tables(kernel(), [x, y], [1])
-
-    def test_check_tables_runs_each_n_then_its_site_rule(self):
-        # n = 16 and 64 pass and meet the rule with their own open mesh; at n = 2^16 the
-        # windows part, 32 or 33 sites around each of the 1001 centres, past the cap
-        seen = []
-        x = np.linspace(0.0, 1.0, 1001)
-        with pytest.raises(ValueError, match="the lattice table needs 32041 x 32041 sites"):
-            check_tables(kernel(), [x, x], [16, 64, 2**16],
-                         lambda n, sites: seen.append((n, [s.shape for s in sites])))
-        assert seen == [(16, [(49, 1), (1, 49)]), (64, [(97, 1), (1, 97)])]
+            table_sites(kernel(), 1, [x, y])
 
 
 class TestLatticeSums:
@@ -710,11 +724,10 @@ class TestLatticeSums:
         [np.array([0.1, 0.9, 0.4]), np.array([-0.3, 0.2]), np.array([0.6, 0.0])],
     ], ids=["1-D", "2-D", "3-D"])
     def test_checked_sites_change_no_bit(self, axes):
-        # a sweep's mesh from check_tables stands in for the call's own table_sites: the tables
-        # see that very mesh, and every sum, a broadcast table's included, keeps its bits
+        # a sweep's checked mesh stands in for the call's own table_sites: the tables see that
+        # very mesh, and every sum, a broadcast table's included, keeps its bits
         k, n = kernel(alpha=0.3), 16
-        own, _ = check_tables(k, axes, [n])
-        sites = own(n, axes)
+        sites = table_sites(k, n, axes)
         seen = []
 
         def tables(mesh):

@@ -15,7 +15,7 @@ from tanhqi import (
     operator_on_chart_batch,
     psi_eval,
 )
-from tanhqi.kernel import check_tables
+from tanhqi.analysis import sweep
 from tanhqi.manifold import chart_coords, check_chart
 
 PARAMS = ActivationParams(0.5, 1.0)
@@ -130,8 +130,8 @@ class TestOperatorOnChart:
     @pytest.mark.parametrize("y_lo", [-0.5, 0.01, 1.99, 2.0, 2.01, 3.0])
     def test_preflight_agrees_with_the_operator(self, y_lo):
         # at n = 8 the support reaches k_y <= 0 while 8 y_lo <= W = 16; a point with y <= 0
-        # fails first. The sweep's preflight, check_chart then check_tables with chart_coords,
-        # fails as the first failing n does
+        # fails first. The sweep's preflight, check_chart then each n's table with chart_coords
+        # (``sweep``'s bind), fails as the first failing n does
         chart, f, ns = chart_preset("poincare-half-plane"), function_preset("sin-exp"), (8, 16, 32)
         axes = [np.array([-0.5, 0.25]), np.array([y_lo, y_lo + 0.5])]
         failures = []
@@ -141,7 +141,8 @@ class TestOperatorOnChart:
             except ValueError as exc:
                 failures.append(str(exc))
         try:
-            check_tables(KERNEL, check_chart(chart, axes), ns, functools.partial(chart_coords, chart))
+            sweep(KERNEL, check_chart(chart, axes), ns, None, None, [{}], ["t"],
+                  site_rule=functools.partial(chart_coords, chart))
             preflight = None
         except ValueError as exc:
             preflight = str(exc)

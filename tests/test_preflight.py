@@ -36,7 +36,7 @@ SWEEP_RUNS = [
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of kernel.table_sites, lattice_sums and rl_derivative_batch calls, however they
-    are reached."""
+    are reached: table_sites by its names in kernel (operators) and analysis (the sweep)."""
     counts = {"table_sites": 0, "lattice_sums": 0, "rl_derivative_batch": 0}
 
     def counted(name, fn):
@@ -46,7 +46,9 @@ def calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(kernel, "table_sites", counted("table_sites", kernel.table_sites))
+    sites = counted("table_sites", kernel.table_sites)
+    for module in (kernel, analysis):
+        monkeypatch.setattr(module, "table_sites", sites)
     for module in (operators, manifold):
         monkeypatch.setattr(module, "lattice_sums", counted("lattice_sums", module.lattice_sums))
     monkeypatch.setattr(operators, "rl_derivative_batch",
@@ -80,7 +82,7 @@ def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
 
 
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
-    for name in ("sweep", "check_tables", "check_chart", "check_sweep", "grid_axes", "point_work",
+    for name in ("sweep", "table_sites", "check_chart", "check_sweep", "grid_axes", "point_work",
                  "check_axes", "check_cell_work", "check_table_cells", "fractional_nodes",
                  "chart_coords"):
         assert not hasattr(cli, name)
@@ -267,6 +269,16 @@ def test_a_library_sweep_builds_each_table_once(calls, name):
     run()
     assert calls == {"table_sites": 3, "lattice_sums": 3,
                      "rl_derivative_batch": int(name == "fractional")}
+
+
+@pytest.mark.parametrize("name", LIBRARY_SWEEPS)
+def test_a_bound_sweep_called_twice_reports_alike_and_builds_no_further_table(calls, name):
+    # every call measures again with the meshes its binding checked; fractional's rebuilds
+    # its one D^beta f table
+    run = LIBRARY_SWEEPS[name]()
+    assert run() == run()
+    assert calls == {"table_sites": 3, "lattice_sums": 6,
+                     "rl_derivative_batch": 2 * int(name == "fractional")}
 
 
 def edge_preset(dim):

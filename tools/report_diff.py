@@ -12,14 +12,22 @@ process: each tree's ``src/tanhqi`` is loaded under its own package name
 before either tree loads numpy, and ``perfbench/run.py``'s ``run_pass``
 drives its ``cli.main``.  Each CSV/JSON report is then compared byte for
 byte, with the echoed ``"out"`` path masked, as it names the tree's own
-output directory.  Each differing (or missing) file is printed, then
-``N files, M differ``; the exit status is 1 on any difference, 2 when a
-run does not exit 0, and 0 otherwise.
+output directory.  Each differing (or missing) file is printed with how
+it differs (``difference``): the largest absolute and relative
+difference over the numbers at matching positions (CSV cells, JSON
+leaves), so a summation-order change can state its bound, or "structure
+differs" when the shapes or keys differ.  Then ``N files, M differ``;
+the exit status is 1 on any difference, 2 when a run does not exit 0,
+and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
+import math
 import os
 import re
 import sys
@@ -71,6 +79,62 @@ def differing(root_a: str, root_b: str) -> tuple[int, list[str]]:
     return len(names), diff
 
 
+def _leaves(value, path=()):
+    # a JSON value's leaves by key path; an empty list or dict is a leaf of its own
+    if isinstance(value, (dict, list)) and value:
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _leaves(item, (*path, key))
+    else:
+        yield path, value
+
+
+def _values(path: str) -> dict:
+    # the report's values by position: a CSV's cells by (row, column), each a float where it
+    # reads as one, or a JSON's leaves by key path
+    text = _masked(path).decode("utf-8")
+    if not path.endswith(".csv"):
+        return dict(_leaves(json.loads(text)))
+    cells = {}
+    for i, row in enumerate(csv.reader(io.StringIO(text))):
+        for j, cell in enumerate(row):
+            try:
+                cells[i, j] = float(cell)
+            except ValueError:
+                cells[i, j] = cell
+    return cells
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _gap(a, b) -> tuple[float, float]:
+    # (absolute, relative) difference of two numbers: inf where they differ and one is not finite
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    gap = abs(a - b)
+    if not math.isfinite(gap):
+        return math.inf, math.inf
+    return gap, gap / max(abs(a), abs(b))
+
+
+def difference(root_a: str, root_b: str, name: str) -> str:
+    """How report name differs between the roots: "missing from one tree", "structure differs"
+    when its positions or the kinds of value at them differ, "text differs" when a value that is
+    no number does, else the largest absolute and relative difference over its numbers."""
+    paths = [os.path.join(root, name) for root in (root_a, root_b)]
+    if not all(map(os.path.isfile, paths)):
+        return "missing from one tree"
+    a, b = map(_values, paths)
+    if a.keys() != b.keys() or any(_is_number(a[k]) != _is_number(b[k]) for k in a):
+        return "structure differs"
+    if any(a[k] != b[k] for k in a if not _is_number(a[k])):
+        return "text differs"
+    gaps = [_gap(a[k], b[k]) for k in a if _is_number(a[k])]
+    return (f"max abs diff {max((g for g, _ in gaps), default=0.0):.3g}, "
+            f"max rel diff {max((r for _, r in gaps), default=0.0):.3g}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", help="source tree whose src/ holds the reference tanhqi")
@@ -97,8 +161,8 @@ def main(argv=None) -> int:
                 print(f"{tree}: {exc}", file=sys.stderr)
                 return 2
         files, diff = differing(*roots)
-    for name in diff:
-        print(name)
+        for name in diff:
+            print(f"{name}: {difference(*roots, name)}")
     print(f"{files} files, {len(diff)} differ")
     return 1 if diff else 0
 
