@@ -85,7 +85,8 @@ def h_derivative(params: ActivationParams, x):
 
 
 def h_limits(params: ActivationParams) -> tuple[float, float]:
-    """Saturation limits (lower, upper) = (-q/(1-q), 1/(1+q))."""
+    """Saturation limits (lower, upper) = (-q/(1-q), 1/(1+q)); the lower one is +0.0 at q = 0."""
     q = params.q
-    return (-q / (1.0 - q), 1.0 / (1.0 + q))
+    # 0.0 - q, not -q: the same bits for q > 0, and +0.0 rather than -0.0 at q = 0
+    return ((0.0 - q) / (1.0 - q), 1.0 / (1.0 + q))
 

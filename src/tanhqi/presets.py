@@ -3,8 +3,11 @@
 Every preset carries its value, analytic derivatives up to order four,
 a smoothness grade (math.inf for C-infinity functions) and, for pure
 monomials t^p, the exponent so fractional-derivative oracles can be
-formed.  Value callables are plain numpy expressions, so they accept
-floats and ndarrays alike.
+formed.  Value callables are numpy expressions, so they accept floats
+and ndarrays alike.  A monomial's value t^p is the left-to-right product
+((t*t)*t)..., each step rounded once: the same bits on every numpy
+build, where ``t ** 3`` is a SIMD pow on some builds and libm's on
+others, and several times the cost of two multiplies.
 """
 
 from __future__ import annotations
@@ -102,10 +105,22 @@ def _abs25_deriv(alpha, t):
     return -0.9375 / a**1.5
 
 
+def _product_power(t, p):
+    # t^p as the left-to-right product ((t*t)*t)..., ones for p = 0; +t copies, so the
+    # caller's array is never handed back
+    t = np.asarray(t, dtype=float)
+    if p == 0:
+        return np.ones_like(t)
+    out = t * t if p > 1 else +t
+    for _ in range(p - 2):
+        out *= t
+    return out
+
+
 def _monomial(name, p):
     # t^p and its k-th derivative p!/(p-k)! t^(p-k), zero past k = p; integer exponents
     def value(t):
-        return np.asarray(t, dtype=float) ** p
+        return _product_power(t, p)
 
     def deriv(alpha, t):
         t, k = np.asarray(t, dtype=float), alpha[0]

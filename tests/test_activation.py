@@ -1,5 +1,7 @@
 """Activation function: values, limits, derivative against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,15 @@ class TestValues:
         lo, hi = h_limits(ActivationParams(1.0 / 3.0, 2.0))
         assert lo == pytest.approx(-0.5, abs=1e-15)
         assert hi == pytest.approx(0.75, abs=1e-15)
+
+    def test_lower_limit_at_q_zero_is_positive_zero(self):
+        lo, hi = h_limits(ActivationParams(0.0, 1.0))
+        assert (lo, hi) == (0.0, 1.0) and math.copysign(1.0, lo) == 1.0
+
+    @pytest.mark.parametrize("q", Q_GRID + (1e-300, 1.0 / 3.0, 0.999))
+    def test_limits_at_positive_q_keep_their_bits(self, q):
+        lo, hi = h_limits(ActivationParams(q, 1.0))
+        assert lo.hex() == (-q / (1.0 - q)).hex() and hi.hex() == (1.0 / (1.0 + q)).hex()
 
     @pytest.mark.parametrize("q", Q_GRID)
     @pytest.mark.parametrize("alpha", ALPHA_GRID)

@@ -435,6 +435,15 @@ class TestMultiIndex:
         assert multi_indices(3, 0, 0) == ((0, 0, 0),)
 
 
+def scaled_first_moment_bound(k, u):
+    """Bound on |n M_1 - its untruncated Poisson series| at the centres u = fl(n x), as derived in
+    ``TestMoments.test_scaled_first_moment_is_its_poisson_series``."""
+    c = math.atanh(k.params.q) / k.params.alpha
+    b = c * c + 1.0 / 3.0 + math.pi**2 / (12.0 * k.params.alpha**2)
+    rounding = 2.0 * np.abs(u) + (2.0 * k.radius + weight_roundings(k) + 4.0) * math.sqrt(b)
+    return 8.0 * k.eps_trunc * k.radius**2 + rounding * 2.0**-53
+
+
 class TestMoments:
     def test_zeroth_moment_is_partition_sum(self):
         k = kernel()
@@ -496,11 +505,27 @@ class TestMoments:
         frac = u % 1.0
         series = c + np.sum(math.pi / alpha * np.sin(2.0 * math.pi * m * (frac[:, None] + c))
                             / np.sinh(math.pi**2 * m / alpha), axis=1)
-        b = c * c + 1.0 / 3.0 + math.pi**2 / (12.0 * alpha**2)
-        rounding = 2.0 * np.abs(u) + (2.0 * k.radius + weight_roundings(k) + 4.0) * math.sqrt(b)
-        bound = 8.0 * eps * k.radius**2 + rounding * 2.0**-53
         got = n * axis_moments(k, xs, n, 1)[:, 1]
-        assert np.all(np.abs(got - series) <= bound)
+        assert np.all(np.abs(got - series) <= scaled_first_moment_bound(k, u))
+
+    @settings(deadline=None, max_examples=100)
+    @given(q=st.floats(0.0, 0.95), alpha=_log_uniform(1 / 16, 4), eps=_log_uniform(1e-30, 1e-6),
+           log_n=st.integers(0, 9), log_k=st.integers(4, 6), cell=st.integers(0, 511),
+           shift=st.integers(0, 1023))
+    @example(q=0.5, alpha=1.0, eps=1e-12, log_n=6, log_k=4, cell=0, shift=0)
+    def test_mean_scaled_first_moment_over_a_period_is_the_centre(self, q, alpha, eps, log_n,
+                                                                    log_k, cell, shift):
+        """The mean of n M_1 over K = 2^log_k equally spaced phases frac(n x) is atanh(q)/alpha:
+        the phase mean of each harmonic of the Poisson series above is 0 unless K divides m,
+        and those aliased terms add at most 4 (pi/alpha) e^(-pi^2 K/alpha) < 3e-17.  Phases
+        and points are dyadic, so n x is exact and each point keeps the series test's bound."""
+        k, n, big_k = kernel(q, alpha, eps), 2**log_n, 2**log_k
+        u = cell % n + (np.arange(big_k) + shift / 1024.0) / big_k
+        got = n * axis_moments(k, u / n, n, 1)[:, 1]
+        c = math.atanh(q) / alpha
+        alias = 4.0 * math.pi / alpha * math.exp(-math.pi**2 * big_k / alpha)
+        bound = scaled_first_moment_bound(k, u).max() + alias + c * 2.0**-52
+        assert abs(math.fsum(got) / big_k - c) <= bound
 
     def test_factorization_across_axes(self):
         k = kernel()

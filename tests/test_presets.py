@@ -1,9 +1,12 @@
 """Bundled test functions: values, analytic derivatives, metadata."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tanhqi import function_preset, preset_names
 
@@ -21,6 +24,16 @@ def fd(fn, order, t, step):
     return (
         fn(t + 2 * step) - 4.0 * fn(t + step) + 6.0 * fn(t) - 4.0 * fn(t - step) + fn(t - 2 * step)
     ) / step**4
+
+
+MONOMIALS = tuple((p, name) for p, degree in enumerate(("constant", "linear", "quadratic", "cubic"))
+                  for name in (degree, f"pow{p}"))
+# negative values, both zeros and subnormals included; cubes of |t| <= 1e100 stay finite
+samples = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 SMOOTH_1D = ("constant", "linear", "quadratic", "cubic", "sin", "exp", "runge")
@@ -105,6 +118,50 @@ class TestDerivatives:
         vals = f.value(ts)
         assert vals.shape == ts.shape
         assert np.allclose(vals, np.sin(ts), rtol=1e-14)
+
+
+class TestMonomialProducts:
+    """t^p is the left-to-right product ((t*t)*t)..., not numpy's pow."""
+
+    @given(t=samples, ts=st.lists(samples, min_size=1, max_size=16))
+    @example(t=-0.0, ts=[0.0, -0.0])
+    @example(t=5e-324, ts=[-5e-324, 2.2250738585072014e-308, -1e-110])
+    @example(t=1e100, ts=[-1e100, 1.0 + 2.0**-52, -(2.0 - 2.0**-52)])
+    def test_values_are_left_to_right_products(self, t, ts):
+        for p, name in MONOMIALS:
+            f = function_preset(name)
+            assert bits(f.value(t)) == bits(math.prod([t] * p))
+            got = f.value(np.array(ts))
+            assert got.shape == (len(ts),)
+            assert np.array_equal(bits(got), bits([math.prod([s] * p) for s in ts]))
+
+    @given(t=samples)
+    @example(t=0.0)
+    @example(t=5e-324)
+    def test_odd_powers_are_sign_symmetric(self, t):
+        for name in ("linear", "pow1", "cubic", "pow3"):
+            f = function_preset(name)
+            assert bits(f.value(-t)) == bits(-f.value(t))
+
+    @given(t=samples)
+    @example(t=1.0 + 2.0**-52)
+    @example(t=2.0 ** (1.0 / 3.0))
+    @example(t=1e-110)
+    def test_cubic_within_one_and_a_half_ulp(self, t):
+        # ulp of the exact cube rounded to a double; the first product's rounding carries at
+        # most 0.8 ulp into the cube and the second rounds at most 0.5 ulp
+        exact = Fraction(t) ** 3
+        got = Fraction(float(function_preset("cubic").value(t)))
+        assert abs(got - exact) <= Fraction(3, 2) * Fraction(math.ulp(float(exact)))
+
+    def test_shapes_and_scalars_kept(self):
+        ts = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        for p, name in MONOMIALS:
+            f = function_preset(name)
+            assert f.value(ts).shape == (2, 3)
+            assert float(f.value(0.5)) == 0.5**p
+            # never the caller's own array, which a caller might then write to
+            assert f.value(ts) is not ts
 
 
 class TestValidation:

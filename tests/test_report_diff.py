@@ -1,6 +1,7 @@
 """tools/report_diff.py: a tree's reports match its own, and a changed byte is flagged."""
 
 import importlib.util
+import json
 import os
 import shutil
 
@@ -43,11 +44,13 @@ def test_one_changed_byte_is_flagged(tmp_path):
     assert a == pytest.approx(10.0 * b, rel=1e-15)
     assert report_diff.differing(str(first), str(copy)) == (6, [name])
     # the bound is that one value's move; %.17g's 17th digit can flip within one double, so the
-    # 16th digit makes the smallest move sure to show: one unit in it, a few ulps
-    for at in (-2, original.rindex(b"e") - 2):
+    # 16th digit makes the smallest move sure to show: one unit in it, a few ulps.  The exponent
+    # flip moves the value by 2.9e-14, past the gate's ATOL of 1e-14; the digit flip does not
+    for at, verdict in ((-2, "outside"), (original.rindex(b"e") - 2, "within")):
         a, b = flipped(at)
         assert report_diff.difference(str(first), str(copy), name) == (
-            f"max abs diff {abs(a - b):.3g}, max rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}")
+            f"max abs diff {abs(a - b):.3g}, max rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}, "
+            f"{verdict} the gate tolerance")
     assert 0.0 < abs(a - b) <= 1e-15 * abs(a)
     # a row fewer changes the table's shape
     report.write_bytes(b"".join(original.splitlines(keepends=True)[:-1]))
@@ -57,3 +60,22 @@ def test_one_changed_byte_is_flagged(tmp_path):
         6, ["moments-chart/0/half-plane.json", name])
     assert report_diff.difference(str(first), str(copy), "moments-chart/0/half-plane.json") == (
         "missing from one tree")
+
+
+def test_csv_cells_are_read_against_the_gate_tolerance(tmp_path):
+    # |change - parent| <= RTOL |parent| + ATOL, cell by cell, with the parent as the scale
+    assert (report_diff.gate.RTOL, report_diff.gate.ATOL) == (1e-9, 1e-14)
+
+    def verdict(parent, change, name="rows.csv"):
+        for root, row in (("a", parent), ("b", change)):
+            (tmp_path / root).mkdir(exist_ok=True)
+            text = json.dumps(row) if name.endswith(".json") else f"n,err\n{row[0]!r},{row[1]!r}"
+            (tmp_path / root / name).write_text(text + "\n")
+        return report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), name)
+
+    assert verdict([64.0, 1.0], [64.0, 1.0 + 9e-10]).endswith(", within the gate tolerance")
+    assert verdict([64.0, 1.0], [64.0, 1.0 + 2e-9]).endswith(", outside the gate tolerance")
+    assert verdict([64.0, 0.0], [64.0, 9e-15]).endswith(", within the gate tolerance")
+    assert verdict([64.0, 0.0], [64.0, 2e-14]).endswith(", outside the gate tolerance")
+    # a JSON report is not read against the gate, which compares table rows
+    assert verdict([64.0, 0.0], [64.0, 2e-14], "rows.json").endswith("max rel diff 1")

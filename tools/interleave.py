@@ -14,10 +14,13 @@ alternating from round to round, after one untimed warm-up round.  Host
 load then moves both trees' passes alike, where separate benchmark runs
 spread wider than a 1% effect.  For each workload it prints both trees'
 median pass wall time with its quartiles, the change of the median against
-the parent in %, and the rounds in which the change's pass was the faster.
-A gain is read against the parent's interquartile spread, so at least two
-rounds are timed.  The exit status is 2 when a run does not exit 0, and 0
-otherwise.
+the parent in %, the rounds in which the change's pass was the faster, and
+a verdict (``verdict``): "gain resolved" when the change was the faster in
+at least nine tenths of the rounds and its median is below the parent's by
+more than the parent's interquartile spread, "loss resolved" when the same
+holds with the two sides swapped, and "unresolved" otherwise.  At least
+two rounds are timed, so the spread is defined.  The exit status is 2 when
+a run does not exit 0, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +54,22 @@ def load_cli(tree: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def verdict(parent, change) -> str:
+    """"gain resolved", "loss resolved" or "unresolved" for two sides' pass times, paired by round.
+
+    A side's gain over the other is resolved when its pass was the faster in at least nine
+    tenths of the rounds (a tie counts for neither side) and its median is below the other's by
+    more than the other's interquartile spread."""
+    def resolved(base, other):
+        q1, median, q3 = statistics.quantiles(base, n=4, method="inclusive")
+        wins = sum(o < b for b, o in zip(base, other))
+        return 10 * wins >= 9 * len(base) and median - statistics.median(other) > q3 - q1
+
+    if resolved(parent, change):
+        return "gain resolved"
+    return "loss resolved" if resolved(change, parent) else "unresolved"
 
 
 def main(argv=None) -> int:
@@ -94,7 +113,7 @@ def main(argv=None) -> int:
         wins = sum(c < p for p, c in zip(parent, change))
         print(f"{name}: parent {a:.5f} s (quartiles {a1:.5f}-{a3:.5f}), "
               f"change {b:.5f} s (quartiles {b1:.5f}-{b3:.5f}), {100.0 * (b / a - 1.0):+.1f}%, "
-              f"change faster in {wins} of {len(change)} rounds")
+              f"change faster in {wins} of {len(change)} rounds, {verdict(parent, change)}")
     return 0
 
 

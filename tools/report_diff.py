@@ -16,7 +16,10 @@ output directory.  Each differing (or missing) file is printed with how
 it differs (``difference``): the largest absolute and relative
 difference over the numbers at matching positions (CSV cells, JSON
 leaves), so a summation-order change can state its bound, or "structure
-differs" when the shapes or keys differ.  Then ``N files, M differ``;
+differs" when the shapes or keys differ.  A differing CSV also says
+whether every cell lies within ``perfbench/gate.py``'s reference
+tolerance, ``RTOL * |parent| + ATOL`` (``gate`` is imported read-only,
+as ``run`` is).  Then ``N files, M differ``;
 the exit status is 1 on any difference, 2 when a run does not exit 0,
 and 0 otherwise.
 """
@@ -36,7 +39,8 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "perfbench")]
 
-import interleave  # noqa: E402  (stdlib-only at import, like run and workloads)
+import gate  # noqa: E402  (stdlib-only at import, like run and workloads)
+import interleave  # noqa: E402
 import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
@@ -121,7 +125,8 @@ def _gap(a, b) -> tuple[float, float]:
 def difference(root_a: str, root_b: str, name: str) -> str:
     """How report name differs between the roots: "missing from one tree", "structure differs"
     when its positions or the kinds of value at them differ, "text differs" when a value that is
-    no number does, else the largest absolute and relative difference over its numbers."""
+    no number does, else the largest absolute and relative difference over its numbers; for a
+    CSV, then whether every cell of root_b lies within the gate's tolerance of root_a's."""
     paths = [os.path.join(root, name) for root in (root_a, root_b)]
     if not all(map(os.path.isfile, paths)):
         return "missing from one tree"
@@ -130,9 +135,13 @@ def difference(root_a: str, root_b: str, name: str) -> str:
         return "structure differs"
     if any(a[k] != b[k] for k in a if not _is_number(a[k])):
         return "text differs"
-    gaps = [_gap(a[k], b[k]) for k in a if _is_number(a[k])]
-    return (f"max abs diff {max((g for g, _ in gaps), default=0.0):.3g}, "
-            f"max rel diff {max((r for _, r in gaps), default=0.0):.3g}")
+    gaps = {k: _gap(a[k], b[k]) for k in a if _is_number(a[k])}
+    text = (f"max abs diff {max((g for g, _ in gaps.values()), default=0.0):.3g}, "
+            f"max rel diff {max((r for _, r in gaps.values()), default=0.0):.3g}")
+    if not name.endswith(".csv"):
+        return text
+    within = all(g <= gate.RTOL * abs(a[k]) + gate.ATOL for k, (g, _) in gaps.items())
+    return f"{text}, {'within' if within else 'outside'} the gate tolerance"
 
 
 def main(argv=None) -> int:
