@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import FracConfig, power_rule_oracle
+from .fractional import FracConfig, l1_work, power_rule_oracle
 from .kernel import (
     MAX_POINT_WORK,
     DensityKernel,
@@ -337,8 +337,9 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
                      frac_step: float = 1e-3):
     """Error sweep of the fractional operator against the D^beta f oracle: its checks (order and
     step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly
-    positive box, and each n's lattice table as the operator checks it, ``fractional_nodes``),
-    then its ``sweep`` bound.  The report echoes the advertised rate "m - beta"; the rows support
+    positive box, each n's lattice table as the operator checks it, ``fractional_nodes``, and
+    the L1 grid points of every n's nodes together, ``fractional.l1_work``), then its ``sweep``
+    bound.  The report echoes the advertised rate "m - beta"; the rows support
     less (the operator's own first-order moment term caps the slope near one).  A call tabulates
     D^beta f at the distinct nodes of all its n in one rl_derivative_batch call
     (``operators.fractional_table``), and every n's operator reads that table."""
@@ -352,6 +353,15 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
+    work = 0
+
+    def site_rule(n, sites):
+        # every n's nodes count towards the cap, a bound on the one call over their union
+        nonlocal work
+        nodes = fractional_nodes(frac, f, n, sites[0])
+        work = l1_work(nodes, frac.h, work)
+        return nodes
+
     return sweep(
         kernel, axes, ns, lambda nodes: functools.partial(
             apply_fractional_batch, kernel, frac, f,
@@ -359,7 +369,7 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
         lambda ax: power_rule_oracle(f.power, beta, ax[0]), [config], ["D^beta f (oracle)"],
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
                          "recorded, not asserted",
-        site_rule=lambda n, sites: fractional_nodes(frac, f, n, sites[0]),
+        site_rule=site_rule,
     )
 
 
@@ -395,9 +405,16 @@ def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):
 
 def _kernel_rows(kernel: DensityKernel, xs, n: int) -> dict:
     moments = axis_moments(kernel, xs, n, 3)
+    q, alpha = kernel.params.q, kernel.params.alpha
+    # n M_1 is atanh(q)/alpha plus a 1-periodic ripple whose first harmonic has amplitude
+    # (pi/alpha)/sinh(pi^2/alpha), here in a form that underflows to 0 rather than overflowing
+    z = math.pi**2 / alpha
+    ripple = 2.0 * math.pi / alpha * math.exp(-z) / -math.expm1(-2.0 * z)
     return {
         "columns": ["x", "psi", "moment0", "moment1", "moment2", "moment3", "n_times_moment1"],
         "rows": np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist(),
-        "kernel": {"q": kernel.params.q, "alpha": kernel.params.alpha, "eps_trunc": kernel.eps_trunc,
-                   "normalization": kernel.normalization, "radius": kernel.radius},
+        "kernel": {"q": q, "alpha": alpha, "eps_trunc": kernel.eps_trunc,
+                   "normalization": kernel.normalization, "radius": kernel.radius,
+                   "n_times_moment1_centre": math.atanh(q) / alpha,
+                   "n_times_moment1_ripple": ripple},
     }

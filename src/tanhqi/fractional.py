@@ -17,11 +17,19 @@ i.e. piecewise-linear reconstruction of f (Lin & Xu, J. Comput. Phys.
 O(tau^(2-beta)) error for f in C^2.
 
 ``rl_derivative_batch`` takes many nodes x, each on its own grid
-(M = ceil(x/h)); they share the b_j up to the largest M, both Gamma
-values and f(0), and one f call per chunk of about L1_CHUNK_POINTS grid
-points, so a node's value does not depend on the other nodes or on which
-call computed it.  A fractional sweep therefore makes one call over the
-distinct nodes of all its n (``operators.fractional_table``).
+(M = ceil(x/h)); they share the b_j up to the widest row, both Gamma
+values and f(0).  Each node's grid is one row from t_M = x down to t_0,
+padded with t_0 to a width that depends on M alone, M + 1 rounded up to
+a multiple of 64; a pad's difference is exactly 0.  The rows, in order
+of M, form blocks of one width and at most L1_CHUNK_POINTS points (a
+wider row is a block alone), each with one f call and one difference,
+and each row's sum is one BLAS dot against the b_j.  So a node's value
+depends on its own x and M alone, not on the other nodes or on which
+call computed it, and each sum is within the dot-product bound
+gamma_M sum_j |b_j df_j|, gamma_M = M u/(1 - M u), of the exact sum of
+its float terms.  A fractional sweep therefore makes one call over the
+distinct nodes of all its n (``operators.fractional_table``), capped at
+MAX_L1_WORK grid points over every n's nodes (``l1_work``).
 """
 
 from __future__ import annotations
@@ -34,9 +42,14 @@ import numpy as np
 __all__ = ["FracConfig", "gamma_fn", "rl_derivative_batch", "power_rule_oracle"]
 
 MAX_GRID_POINTS = 10**7
+# L1 grid points of one call or one fractional sweep in all, like kernel.MAX_SUM_WORK
+MAX_L1_WORK = 2**31
 # grid points per f call, kept at 2^13 apart from kernel.CHUNK_ELEMENTS: at 2^15 the frac
 # benchmark's peak RSS rose by 1.1 MB for no gain in time
 L1_CHUNK_POINTS = 2**13
+# a node's L1 row holds M + 1 points rounded up to a multiple of this, so its width, and with it
+# the order of its BLAS dot, depends on M alone
+_ROW_QUANTUM = 64
 
 
 def l1_intervals(x: float, h: float) -> int:
@@ -48,6 +61,16 @@ def l1_intervals(x: float, h: float) -> int:
         raise ValueError(f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at node t = {x!r}; "
                          "increase the step or shrink the evaluation box")
     return m
+
+
+def l1_work(xs, h: float, before: int = 0) -> int:
+    """before plus the grid points sum(M + 1) of nodes xs' L1 grids, M = ceil(x/h); more than
+    MAX_L1_WORK is a ValueError."""
+    work = before + int(np.ceil(np.asarray(xs, dtype=float) / h).sum()) + np.size(xs)
+    if work > MAX_L1_WORK:
+        raise ValueError(f"the L1 grids would need {work} points in all (> {MAX_L1_WORK}); "
+                         "increase the step, or shrink the evaluation box or the n sweep")
+    return work
 
 
 def gamma_fn(x: float) -> float:
@@ -78,16 +101,52 @@ class FracConfig:
             raise ValueError(f"step h must lie in (0, 0.1], got {self.h!r}")
 
 
-def _chunks(ms, xs):
-    """Runs of consecutive (node, offset, m, x) within L1_CHUNK_POINTS points; longer grids alone."""
-    run, total = [], 0
-    for i, (m, x) in enumerate(zip(ms, xs)):
-        if run and total + m + 1 > L1_CHUNK_POINTS:
-            yield run, total
-            run, total = [], 0
-        run.append((i, total, m, x))
-        total += m + 1
-    yield run, total
+def _blocks(widths: np.ndarray):
+    """(lo, hi, width): slices of ascending row widths, one width a block, at most
+    L1_CHUNK_POINTS points a block; a wider row is a block alone."""
+    edges = (np.flatnonzero(np.diff(widths)) + 1).tolist()
+    for start, stop in zip([0, *edges], [*edges, widths.size]):
+        width = int(widths[start])
+        rows = max(1, L1_CHUNK_POINTS // width)
+        for lo in range(start, stop, rows):
+            yield lo, min(lo + rows, stop), width
+
+
+def _l1_sums(f, xs: np.ndarray, ms: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j b_j (f(t_{M-j}) - f(t_{M-j-1})) at each node x, t_j = j * (x/M), t_M = x: the rows
+    of the module docstring, in stable order of M, one block at a time (``_blocks``)."""
+    order = np.argsort(ms, kind="stable")
+    ms, xs = ms[order], xs[order]
+    taus = (xs / ms)[:, None]
+    m_max = int(ms[-1])
+    # descending counts m_max .. 0, then zeros: M's row of width w is counts[m_max - M:][:w]
+    counts = np.zeros(m_max + 1 + _ROW_QUANTUM)
+    counts[:m_max + 1] = np.arange(m_max, -1.0, -1.0)
+    counts.flags.writeable = False
+    sums = np.empty(xs.size)
+    window = None
+    for lo, hi, width in _blocks((ms + _ROW_QUANTUM) // _ROW_QUANTUM * _ROW_QUANTUM):
+        if window is None or window.shape[1] != width:
+            # every row of this width, a read-only view (np.ndarray builds it in about a tenth of
+            # sliding_window_view's time)
+            window = np.ndarray((counts.size - width + 1, width), float, counts, 0,
+                                counts.strides * 2)
+        m = ms[lo:hi]
+        if m[0] == m[-1]:
+            t = window[m_max - m[0]] * taus[lo:hi]
+        else:
+            t = window[m_max - m]
+            np.multiply(t, taus[lo:hi], out=t)
+        t[:, 0] = xs[lo:hi]
+        fv = np.asarray(f.value(t), dtype=float).reshape(-1)
+        # one flat difference; each row's last entry straddles two rows and is left out of its dot
+        d = np.empty(fv.size)
+        np.subtract(fv[:-1], fv[1:], out=d[:-1])
+        sums[lo:hi] = np.matmul(d.reshape(-1, 1, width)[:, :, :-1], b[:width - 1, None])[:, 0, 0]
+        del t, fv, d  # freed before the next block's arrays are made: at most three live
+    out = np.empty(xs.size)
+    out[order] = sums
+    return out
 
 
 def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
@@ -102,20 +161,15 @@ def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
     if not (xs > 0.0).all():
         raise ValueError(f"rl_derivative_batch requires x > 0, got {float(xs[~(xs > 0.0)][0])!r}")
     m_max = l1_intervals(float(xs.max()), cfg.h)
-    out, beta, j = np.empty(xs.size), cfg.beta, np.arange(m_max + 1, dtype=float)
-    b = np.diff(j ** (1.0 - beta))
+    l1_work(xs, cfg.h)
+    ms = np.ceil(xs / cfg.h).astype(np.int64)
+    beta = cfg.beta
+    # b_j up to the widest row's last difference, j < m_max + _ROW_QUANTUM - 1
+    b = np.diff(np.arange(m_max + _ROW_QUANTUM, dtype=float) ** (1.0 - beta))
     g2, g1, f0 = gamma_fn(2.0 - beta), gamma_fn(1.0 - beta), float(f.value(0.0))
-    for run, points in _chunks(np.ceil(xs / cfg.h).astype(np.int64).tolist(), xs.tolist()):
-        t = np.empty(points)
-        for _, s, m, x in run:
-            np.multiply(j[:m + 1], x / m, out=t[s:s + m + 1])
-            t[s + m] = x
-        fv = np.asarray(f.value(t), dtype=float)
-        diffs = fv[1:] - fv[:-1]
-        for i, s, m, x in run:
-            out[i] = ((x / m) ** (-beta) / g2 * float(b[:m] @ diffs[s:s + m][::-1])
-                      + f0 * x ** (-beta) / g1)
-    return out
+    sums = _l1_sums(f, xs, ms, b)
+    return np.array([(x / m) ** (-beta) / g2 * s + f0 * x ** (-beta) / g1
+                     for x, m, s in zip(xs.tolist(), ms.tolist(), sums.tolist())])
 
 
 def power_rule_oracle(p: float, beta: float, x):

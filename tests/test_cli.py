@@ -272,6 +272,18 @@ class TestPrintConfig:
                     in json.loads(err)["error"])
             assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("print_config", [False, True])
+    def test_l1_work_capped_before_the_run(self, tmp_path, capsys, print_config):
+        # about 34000 nodes of up to 10^6 L1 grid points each, hours of L1 sums
+        argv = ["frac", "--preset", "pow2", "--beta", "0.5", "--frac-step", "1e-6", "--n", "65536",
+                "--grid-points", "100000", "--grid-lo=0.5", "--grid-hi=1",
+                "--out", str(tmp_path / "x"), *(["--print-config"] if print_config else [])]
+        status, out, err = run(argv, capsys)
+        assert status == 2 and out == ""
+        assert ("the L1 grids would need 24599299182 points in all (> 2147483648)"
+                in json.loads(err)["error"])
+        assert not (tmp_path / "x.json").exists()
+
     def test_kernel_dump_caps_no_lattice_table(self, tmp_path, capsys):
         # W = 512: 17000 windows apart reach 17408000 sites in all, past the table cap, but the
         # moments build no table and pay 17000 x 1025 multiply-adds

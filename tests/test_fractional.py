@@ -1,13 +1,27 @@
 """Gamma function and the Riemann-Liouville fractional derivative."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tanhqi import FracConfig, function_preset, gamma_fn, power_rule_oracle, rl_derivative_batch
+from tanhqi import (
+    ActivationParams,
+    DensityKernel,
+    FracConfig,
+    fractional,
+    function_preset,
+    gamma_fn,
+    power_rule_oracle,
+    rl_derivative_batch,
+)
+from tanhqi.analysis import grid_axes
+from tanhqi.kernel import table_sites
+from tanhqi.operators import fractional_nodes
 from tanhqi.fractional import L1_CHUNK_POINTS, MAX_GRID_POINTS
 
 
@@ -144,47 +158,113 @@ class TestRLDerivative:
         with pytest.raises(ValueError, match="inf points"):
             rl_derivative_batch(FracConfig(0.5, 1e-3), IDENTITY, [0.5, 1e308, 1.0])
 
+    def test_l1_work_capped_exactly(self, monkeypatch):
+        # M = 512, 1024 and 256 intervals: 1795 grid points in all
+        cfg, xs = FracConfig(0.5, 2.0**-10), [0.5, 1.0, 0.25]
+        monkeypatch.setattr(fractional, "MAX_L1_WORK", 1795)
+        rl_derivative_batch(cfg, IDENTITY, xs)
+        monkeypatch.setattr(fractional, "MAX_L1_WORK", 1794)
+        with pytest.raises(ValueError, match=r"would need 1795 points in all \(> 1794\)"):
+            rl_derivative_batch(cfg, IDENTITY, xs)
+
     def test_empty_nodes(self):
         assert rl_derivative_batch(FracConfig(0.5, 1e-3), IDENTITY, []).shape == (0,)
 
 
-def scalar_l1(cfg, f, x):
-    """The one-node L1 body the batched function replaced: its values must not move."""
-    m = math.ceil(x / cfg.h)
-    tau = x / m
-    t = np.linspace(0.0, x, m + 1)
-    fv = np.asarray(f.value(t), dtype=float)
-    diffs = fv[1:] - fv[:-1]
-    j = np.arange(m, dtype=float)
-    b = (j + 1.0) ** (1.0 - cfg.beta) - j ** (1.0 - cfg.beta)
-    caputo = tau ** (-cfg.beta) / gamma_fn(2.0 - cfg.beta) * float(b @ diffs[::-1])
-    initial = float(f.value(0.0)) * x ** (-cfg.beta) / gamma_fn(1.0 - cfg.beta)
-    return caputo + initial
-
-
 @st.composite
 def node_sets(draw, h):
-    """Unsorted nodes: many short grids across chunk boundaries, repeats, one grid past a chunk."""
+    """Unsorted nodes: many short grids across block boundaries, distinct M of one row width
+    (65 .. 128 points, so one block), repeats, one grid past L1_CHUNK_POINTS."""
     short = draw(st.lists(st.floats(1e-3, 200.0), min_size=1, max_size=300))
+    one_width = [k - 0.5 for k in draw(st.lists(st.integers(65, 127), min_size=2, max_size=10,
+                                                unique=True))]
     repeats = draw(st.lists(st.sampled_from(short), max_size=20))
     long = draw(st.floats(L1_CHUNK_POINTS, L1_CHUNK_POINTS + 300.0))
-    units = np.array(short + repeats + [long])
+    units = np.array(short + one_width + repeats + [long])
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(units.size)
     return units[order] * h
 
 
-class TestBatchIsBitIdentical:
-    @settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-    @given(name=st.sampled_from(["sin", "pow2", "pow3", "runge"]),
-           beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-           h=st.floats(math.log(1e-4), math.log(0.1)).map(math.exp), data=st.data())
-    def test_matches_scalar_body(self, name, beta, h, data):
-        # runge has f(0) = 1, so the initial-value term is exercised too
-        f, cfg = function_preset(name), FracConfig(beta, min(h, 0.1))
+PRESETS = st.sampled_from(["sin", "pow2", "pow3", "runge"])
+BETAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+STEPS = st.floats(math.log(1e-4), math.log(0.1)).map(lambda v: min(math.exp(v), 0.1))
+
+
+class TestNodeValueStandsAlone:
+    @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=PRESETS, beta=BETAS, h=STEPS, data=st.data())
+    def test_bit_for_bit_whoever_the_other_nodes_are(self, name, beta, h, data):
+        # runge has f(0) = 1, so its rows' pad points are non-zero and the initial-value term is
+        # exercised too
+        f, cfg = function_preset(name), FracConfig(beta, h)
         xs = data.draw(node_sets(cfg.h))
         got = rl_derivative_batch(cfg, f, xs)
-        want = np.array([scalar_l1(cfg, f, float(x)) for x in xs])
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, [rl_derivative_batch(cfg, f, [x])[0] for x in xs])
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(xs.size)
+        assert np.array_equal(rl_derivative_batch(cfg, f, xs[perm]), got[perm])
+        repeated = np.concatenate([xs, xs[::3], xs[:1]])
+        assert np.array_equal(rl_derivative_batch(cfg, f, repeated),
+                              np.concatenate([got, got[::3], got[:1]]))
+
+
+def exact_dot(a, b) -> Fraction:
+    """sum_i a_i b_i in exact rational arithmetic (each float is p / 2^k)."""
+    terms = []
+    for x, y in zip(a.tolist(), b.tolist()):
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        terms.append((p * r, (q * s).bit_length() - 1))
+    k = max(e for _, e in terms)
+    return Fraction(sum(v << (k - e) for v, e in terms), 1 << k)
+
+
+class TestCaputoSumAccuracy:
+    @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=PRESETS, beta=BETAS, h=STEPS,
+           units=st.lists(st.floats(1e-3, L1_CHUNK_POINTS + 300.0), min_size=1, max_size=4))
+    def test_within_the_dot_product_bound_of_the_exact_sum(self, name, beta, h, units):
+        """Each node's sum of b_j (f(t_{M-j}) - f(t_{M-j-1})), its M terms added in any order,
+        is within gamma_M sum_j |b_j df_j|, gamma_M = M u / (1 - M u), of the exact sum of the
+        same float b_j and differences: M - 1 roundings of the additions and one of each
+        product (the pad terms are exact zeros and round nothing)."""
+        f, cfg = function_preset(name), FracConfig(beta, h)
+        xs = np.array(units) * cfg.h
+        ms = np.ceil(xs / cfg.h).astype(np.int64)
+        b = np.diff(np.arange(ms.max() + fractional._ROW_QUANTUM, dtype=float) ** (1.0 - beta))
+        sums = fractional._l1_sums(f, xs, ms, b)
+        u = Fraction(1, 2**53)
+        for x, m, s in zip(xs.tolist(), ms.tolist(), sums.tolist()):
+            t = np.arange(m + 1, dtype=float) * (x / m)
+            t[m] = x
+            fv = np.asarray(f.value(t), dtype=float)
+            df = (fv[1:] - fv[:-1])[::-1]
+            gamma = m * u / (1 - m * u)
+            assert abs(Fraction(s) - exact_dot(b[:m], df)) <= gamma * exact_dot(np.abs(b[:m]),
+                                                                                np.abs(df))
+
+
+class TestMemoryBudget:
+    def test_one_call_over_the_frac_benchmarks_pow3_nodes(self):
+        """The frac benchmark's pow3 run (q 0.5, alpha 1, eps 1e-12, step 1e-4, n 64 .. 512, 51
+        points on [0.2, 1]) tabulates D^beta f at its 478 distinct nodes in one call.  The call
+        holds at most three block-sized arrays (t, f(t) and the differences), the count table
+        and b of m_max + _ROW_QUANTUM numbers each, and a few arrays of one number per node."""
+        kernel = DensityKernel(ActivationParams(0.5, 1.0), 1e-12)
+        f, cfg = function_preset("pow3"), FracConfig(0.25, 1e-4)
+        axes = grid_axes([(0.2, 1.0)], 51)
+        xs = np.unique(np.concatenate([fractional_nodes(cfg, f, n, table_sites(kernel, n, axes)[0])
+                                       for n in (64, 128, 256, 512)]))
+        m_max, quantum = math.ceil(xs.max() / cfg.h), fractional._ROW_QUANTUM
+        block = max(L1_CHUNK_POINTS, -(-(m_max + 1) // quantum) * quantum)
+        budget = 8 * (3 * block + 2 * (m_max + quantum) + 12 * xs.size)
+        assert (xs.size, m_max, budget) == (478, 12344, 540864)
+        rl_derivative_batch(cfg, f, xs)
+        tracemalloc.start()
+        try:
+            rl_derivative_batch(cfg, f, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
 
 class TestPowerRuleOracle:

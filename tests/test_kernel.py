@@ -26,6 +26,7 @@ from tanhqi import (
     psi_eval,
     truncation_radius,
 )
+from tanhqi import analysis
 from tanhqi import kernel as kernel_module
 from tanhqi.kernel import (
     MAX_CENTRE,
@@ -444,6 +445,14 @@ def scaled_first_moment_bound(k, u):
     return 8.0 * k.eps_trunc * k.radius**2 + rounding * 2.0**-53
 
 
+def first_moment_amplitudes(k):
+    """(m, (pi/alpha)/sinh(pi^2 m/alpha)) for m = 1, 2, ... while pi^2 m/alpha <= 700: the
+    harmonics of n M_1's Poisson series, past which they add below e^-700."""
+    alpha = k.params.alpha
+    m = np.arange(1.0, math.floor(700.0 * alpha / math.pi**2) + 1.0)
+    return m, math.pi / alpha / np.sinh(math.pi**2 * m / alpha)
+
+
 class TestMoments:
     def test_zeroth_moment_is_partition_sum(self):
         k = kernel()
@@ -500,13 +509,32 @@ class TestMoments:
         """
         k = kernel(q, alpha, eps)
         c = math.atanh(q) / alpha
-        m = np.arange(1.0, math.floor(700.0 * alpha / math.pi**2) + 1.0)
+        m, amplitude = first_moment_amplitudes(k)
         u = n * np.array(xs)
         frac = u % 1.0
-        series = c + np.sum(math.pi / alpha * np.sin(2.0 * math.pi * m * (frac[:, None] + c))
-                            / np.sinh(math.pi**2 * m / alpha), axis=1)
+        series = c + np.sum(amplitude * np.sin(2.0 * math.pi * m * (frac[:, None] + c)), axis=1)
         got = n * axis_moments(k, xs, n, 1)[:, 1]
         assert np.all(np.abs(got - series) <= scaled_first_moment_bound(k, u))
+
+    @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.0, 2.0), (0.9, 0.3), (0.5, 1.0 / 16.0)])
+    def test_kernel_table_echoes_the_centre_and_ripple_of_n_m1(self, q, alpha):
+        # kernel-dump's kernel block: the centre atanh(q)/alpha of n M_1 and the amplitude of its
+        # first harmonic; every row lies within the centre plus all harmonics and the series
+        # test's bound
+        k, n = kernel(q, alpha), 64
+        table = analysis.kernel_table(k, [n], [(0.0, 1.0)], 201)()
+        centre = table["kernel"]["n_times_moment1_centre"]
+        ripple = table["kernel"]["n_times_moment1_ripple"]
+        _, amplitude = first_moment_amplitudes(k)
+        assert centre == math.atanh(q) / alpha
+        assert ripple == pytest.approx(amplitude[0], rel=4e-16)
+        rows = np.array(table["rows"])
+        assert table["columns"][6] == "n_times_moment1"
+        deviation = np.abs(rows[:, 6] - centre)
+        assert np.all(deviation <= amplitude.sum() + scaled_first_moment_bound(k, n * rows[:, 0]))
+        if alpha == 1.0:
+            # the second harmonic is e^-pi^2 of the first, so the rows reach the first's height
+            assert deviation.max() >= 0.99 * ripple
 
     @settings(deadline=None, max_examples=100)
     @given(q=st.floats(0.0, 0.95), alpha=_log_uniform(1 / 16, 4), eps=_log_uniform(1e-30, 1e-6),

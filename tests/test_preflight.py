@@ -14,6 +14,7 @@ from tanhqi import (
     analysis,
     cli,
     convergence_sweep,
+    fractional,
     fractional_sweep,
     function_preset,
     kernel,
@@ -79,6 +80,22 @@ def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
     assert calls["rl_derivative_batch"] == 0
     assert run() == run()
     assert calls["rl_derivative_batch"] == 2
+
+
+def test_a_fractional_sweep_caps_every_n_s_l1_grids_at_bind_time(monkeypatch, calls):
+    # the cap counts each n's nodes, more than the one call over their union computes
+    f, ns, h = function_preset("pow2"), [64, 128, 256], 1e-3
+    axes = analysis.grid_axes([(0.2, 1.0)], 5)
+    nodes = [operators.fractional_nodes(FracConfig(0.5, h), f, n,
+                                        kernel.table_sites(KERNEL, n, axes)[0]) for n in ns]
+    work = sum(int(np.ceil(x / h).sum()) + x.size for x in nodes)
+    assert work > fractional.l1_work(np.unique(np.concatenate(nodes)), h)
+    monkeypatch.setattr(fractional, "MAX_L1_WORK", work)
+    fractional_sweep(KERNEL, f, 0.5, [(0.2, 1.0)], 5, ns, h)
+    monkeypatch.setattr(fractional, "MAX_L1_WORK", work - 1)
+    with pytest.raises(ValueError, match=f"the L1 grids would need {work} points in all"):
+        fractional_sweep(KERNEL, f, 0.5, [(0.2, 1.0)], 5, ns, h)
+    assert calls["rl_derivative_batch"] == 0
 
 
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
