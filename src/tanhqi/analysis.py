@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fractional import FracConfig, l1_work, power_rule_oracle
+from .fractional import FracConfig, l1_work, power_rule_oracle, rl_derivative_batch
 from .kernel import (
     MAX_POINT_WORK,
     DensityKernel,
@@ -60,7 +60,6 @@ from .operators import (
     check_quad_nodes,
     check_table_cells,
     fractional_nodes,
-    fractional_table,
     voronovskaya_residuals,
 )
 
@@ -338,11 +337,12 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     """Error sweep of the fractional operator against the D^beta f oracle: its checks (order and
     step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly
     positive box, each n's lattice table as the operator checks it, ``fractional_nodes``, and
-    the L1 grid points of every n's nodes together, ``fractional.l1_work``), then its ``sweep``
-    bound.  The report echoes the advertised rate "m - beta"; the rows support
-    less (the operator's own first-order moment term caps the slope near one).  A call tabulates
-    D^beta f at the distinct nodes of all its n in one rl_derivative_batch call
-    (``operators.fractional_table``), and every n's operator reads that table."""
+    the L1 budget of each n's nodes, ``fractional.l1_work``: each grid's points, then the points
+    of every n's nodes together), then its ``sweep`` bound.  The report echoes the advertised
+    rate "m - beta"; the rows support less (the operator's own first-order moment term caps the
+    slope near one).  A call tabulates D^beta f at the distinct nodes of all its n in one
+    rl_derivative_batch call, the union table (ascending nodes, their values) that every n's
+    operator reads."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
@@ -358,14 +358,17 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     def site_rule(n, sites):
         # every n's nodes count towards the cap, a bound on the one call over their union
         nonlocal work
-        nodes = fractional_nodes(frac, f, n, sites[0])
+        nodes = fractional_nodes(f, n, sites[0])
         work = l1_work(nodes, frac.h, work)
         return nodes
 
+    def make_operator(nodes):
+        union = np.unique(np.concatenate(nodes))
+        return functools.partial(apply_fractional_batch, kernel, frac, f,
+                                 table=(union, rl_derivative_batch(frac, f, union)))
+
     return sweep(
-        kernel, axes, ns, lambda nodes: functools.partial(
-            apply_fractional_batch, kernel, frac, f,
-            table=fractional_table(frac, f, np.concatenate(nodes))),
+        kernel, axes, ns, make_operator,
         lambda ax: power_rule_oracle(f.power, beta, ax[0]), [config], ["D^beta f (oracle)"],
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
                          "recorded, not asserted",

@@ -28,8 +28,11 @@ depends on its own x and M alone, not on the other nodes or on which
 call computed it, and each sum is within the dot-product bound
 gamma_M sum_j |b_j df_j|, gamma_M = M u/(1 - M u), of the exact sum of
 its float terms.  A fractional sweep therefore makes one call over the
-distinct nodes of all its n (``operators.fractional_table``), capped at
-MAX_L1_WORK grid points over every n's nodes (``l1_work``).
+distinct nodes of all its n (``analysis.fractional_sweep``'s union table).
+
+``l1_work`` is the one check of the L1 budget: at most MAX_GRID_POINTS
+points on a node's grid, then at most MAX_L1_WORK over a call's nodes,
+or over every n's nodes of a sweep.
 """
 
 from __future__ import annotations
@@ -52,21 +55,17 @@ L1_CHUNK_POINTS = 2**13
 _ROW_QUANTUM = 64
 
 
-def l1_intervals(x: float, h: float) -> int:
-    """ceil(x / h), the intervals of node x's L1 grid; more than MAX_GRID_POINTS (or past float
-    range) is a ValueError."""
-    ratio = x / h
-    m = math.ceil(ratio) if math.isfinite(ratio) else math.inf
+def l1_work(xs, h: float, before: int = 0) -> int:
+    """before plus the grid points sum(M + 1) of nodes xs' L1 grids, M = ceil(x/h): the one check
+    of the L1 budget.  The largest node's grid past MAX_GRID_POINTS (or past float range) is a
+    ValueError, and then so is more than MAX_L1_WORK points in all."""
+    xs = np.asarray(xs, dtype=float)
+    x = float(np.max(xs, initial=0.0))
+    m = math.ceil(x / h) if math.isfinite(x / h) else math.inf
     if m > MAX_GRID_POINTS:
         raise ValueError(f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at node t = {x!r}; "
                          "increase the step or shrink the evaluation box")
-    return m
-
-
-def l1_work(xs, h: float, before: int = 0) -> int:
-    """before plus the grid points sum(M + 1) of nodes xs' L1 grids, M = ceil(x/h); more than
-    MAX_L1_WORK is a ValueError."""
-    work = before + int(np.ceil(np.asarray(xs, dtype=float) / h).sum()) + np.size(xs)
+    work = before + int(np.ceil(xs / h).sum()) + xs.size
     if work > MAX_L1_WORK:
         raise ValueError(f"the L1 grids would need {work} points in all (> {MAX_L1_WORK}); "
                          "increase the step, or shrink the evaluation box or the n sweep")
@@ -160,9 +159,9 @@ def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
         return np.empty(0)
     if not (xs > 0.0).all():
         raise ValueError(f"rl_derivative_batch requires x > 0, got {float(xs[~(xs > 0.0)][0])!r}")
-    m_max = l1_intervals(float(xs.max()), cfg.h)
     l1_work(xs, cfg.h)
     ms = np.ceil(xs / cfg.h).astype(np.int64)
+    m_max = int(ms.max())
     beta = cfg.beta
     # b_j up to the widest row's last difference, j < m_max + _ROW_QUANTUM - 1
     b = np.diff(np.arange(m_max + _ROW_QUANTUM, dtype=float) ** (1.0 - beta))

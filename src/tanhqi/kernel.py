@@ -73,7 +73,6 @@ __all__ = [
     "lattice_sums",
     "point_work",
     "chunk_rows",
-    "row_dot",
     "axis_moments",
     "offset_powers",
     "kernel_mass",
@@ -434,11 +433,6 @@ def chunk_rows(per_point: int) -> int:
     return max(1, CHUNK_ELEMENTS // per_point)
 
 
-def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (P, L) arrays, each row summed like a 1-D a @ b."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def multi_indices(dim: int, min_order: int, max_order: int) -> tuple:
     """All multi-indices alpha (tuples) with min_order <= |alpha| <= max_order, lexicographic."""
     return tuple(
@@ -468,7 +462,8 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
             out[chunk, 0] = weights.sum(axis=1)
             offsets = (lo[chunk, None] + np.arange(float(width))) / n - x[chunk, None]
             for p, power in enumerate(offset_powers(offsets, p_max), 1):
-                out[chunk, p] = row_dot(power, weights)
+                # one 1-D dot per row, so a row's bits depend on its point alone
+                out[chunk, p] = np.matmul(power[:, None, :], weights[:, :, None])[:, 0, 0]
     return out
 
 

@@ -79,21 +79,21 @@ def _half_plane_density(x, y):
 
 
 def chart_preset(name: str, dim: int | None = None) -> Chart:
-    """Construct one of the shipped charts by name."""
+    """Construct one of the shipped charts by name; dim, if given, is an integer (not a bool)."""
     inf = math.inf
-    if name in ("euclidean", "torus"):
-        d = 1 if dim is None else int(dim)
-        if d < 1:
-            raise ValueError("dimension must be at least 1")
-        return Chart(name, d, ((-inf, inf),) * d, _ones_density,
-                     periods=(1.0,) * d if name == "torus" else None)
+    if name not in CHART_NAMES:
+        raise ValueError(f"unknown chart {name!r}; known charts: {', '.join(CHART_NAMES)}")
+    if not (dim is None or isinstance(dim, (int, np.integer)) and not isinstance(dim, bool)):
+        raise ValueError(f"dimension must be an integer, got {dim!r}")
     if name == "poincare-half-plane":
         if dim not in (None, 2):
             raise ValueError("the half-plane chart is two-dimensional")
-        return Chart(
-            "poincare-half-plane", 2, ((-inf, inf), (0.0, inf)), _half_plane_density,
-        )
-    raise ValueError(f"unknown chart {name!r}; known charts: {', '.join(CHART_NAMES)}")
+        return Chart(name, 2, ((-inf, inf), (0.0, inf)), _half_plane_density)
+    d = 1 if dim is None else int(dim)
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    return Chart(name, d, ((-inf, inf),) * d, _ones_density,
+                 periods=(1.0,) * d if name == "torus" else None)
 
 
 def chart_coords(chart: Chart, n: int, sites) -> list[np.ndarray]:

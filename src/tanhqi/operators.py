@@ -8,7 +8,7 @@ Three variants share the truncated lattice window |k_i - n x_i| <= W:
                  Gauss-Legendre quadrature
 * fractional     Q_n(f; x) = sum_{k >= 0} D^beta f(k/n) psi(n x - k) / S(x),
                  S(x) the half-lattice partition sum; D^beta f read from a
-                 table of its values at sorted nodes (``fractional_table``)
+                 table (ascending nodes, their values)
 
 Q_n reproduces the fractional derivative, not f itself: its zeroth-order
 term is already D^beta f.  Errors against it should therefore be measured
@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .fractional import FracConfig, l1_intervals, rl_derivative_batch
+from .fractional import FracConfig, rl_derivative_batch
 from .kernel import (
     MAX_POINT_WORK,
     DensityKernel,
@@ -65,7 +65,6 @@ __all__ = [
     "check_quad_nodes",
     "check_table_cells",
     "fractional_nodes",
-    "fractional_table",
     "voronovskaya_corrections",
     "voronovskaya_residuals",
 ]
@@ -170,24 +169,16 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     return lattice_sums(kernel, n, check_axes(axes, f.dim), tables, sites=sites)[0]
 
 
-def fractional_nodes(frac: FracConfig, f, n: int, ks) -> np.ndarray:
-    """The nodes k/n > 0 of one axis's lattice sites ks at which Q_n takes D^beta f; a site at
-    t = 0 when f(0) != 0, or an L1 grid past ``fractional.l1_intervals``' cap, is a ValueError."""
+def fractional_nodes(f, n: int, ks) -> np.ndarray:
+    """The nodes k/n > 0 of one axis's lattice sites ks (ascending, ``kernel.table_sites``) at
+    which Q_n takes D^beta f, ascending and distinct; a site at t = 0 when f(0) != 0 is a
+    ValueError."""
     # at t = 0 the Caputo part vanishes for C^1 functions and the
     # initial-value term vanishes iff f(0) = 0
     if 0.0 in ks and float(f.value(0.0)) != 0.0:
         raise ValueError("fractional lattice touches t = 0 where D^beta f diverges because "
                          "f(0) != 0; evaluate farther from the origin or increase n")
-    nodes = ks[ks > 0.0] / n
-    l1_intervals(float(np.max(nodes, initial=0.0)), frac.h)
-    return nodes
-
-
-def fractional_table(frac: FracConfig, f, nodes) -> tuple[np.ndarray, np.ndarray]:
-    """D^beta f at the distinct nodes > 0, (ascending nodes, their values): one
-    rl_derivative_batch call."""
-    nodes = np.unique(nodes)
-    return nodes, rl_derivative_batch(frac, f, nodes)
+    return ks[ks > 0.0] / n
 
 
 def _table_values(table, nodes) -> np.ndarray:
@@ -206,9 +197,10 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
     """Q_n(f; x) at every x of the one axis, [x] -> (P,), x >= 0.
 
     The sum over sites k >= 0 is divided by their weight sum; D^beta f
-    at the lattice table's sites k > 0 is read from ``table``, a
-    ``fractional_table`` holding at least those nodes, or, if None, from
-    ``fractional_table`` of those sites, one rl_derivative_batch call.
+    at the lattice table's nodes k/n > 0 (``fractional_nodes``) is read
+    from ``table``, (ascending nodes, their values) holding at least
+    those nodes, or, if None, from one rl_derivative_batch call over
+    those nodes, which checks their L1 budget (``fractional.l1_work``).
     """
     (x,) = check_axes(axes, 1)
     if f.dim != 1:
@@ -218,9 +210,9 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
 
     def tables(mesh):
         ks = mesh[0]
-        nodes = fractional_nodes(frac, f, n, ks)
+        nodes = fractional_nodes(f, n, ks)
         dbeta = np.zeros(ks.shape)
-        lookup = fractional_table(frac, f, nodes) if table is None else table
+        lookup = (nodes, rl_derivative_batch(frac, f, nodes)) if table is None else table
         dbeta[ks > 0.0] = _table_values(lookup, nodes)
         return [dbeta, ks >= 0.0]
 

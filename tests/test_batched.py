@@ -70,7 +70,6 @@ from tanhqi.operators import (
     apply_fractional_batch,
     apply_kantorovich_batch,
     fractional_nodes,
-    fractional_table,
 )
 
 REL = 1e-15
@@ -398,6 +397,13 @@ SHARED_CASES = pytest.mark.parametrize("ns, box", [
 ], ids=["nested", "not-nested", "shifted"])
 
 
+def union_table(frac, f, nodes):
+    """D^beta f at the distinct nodes of every n, (ascending nodes, their values), built as
+    fractional_sweep builds its table."""
+    union = np.unique(np.concatenate(nodes))
+    return union, rl_derivative_batch(frac, f, union)
+
+
 class TestSharedFractionalTable:
     @SHARED_CASES
     def test_sweep_rows_equal_standalone_calls(self, monkeypatch, ns, box):
@@ -434,8 +440,8 @@ class TestSharedFractionalTable:
         f, frac = function_preset(preset), FracConfig(0.25, 1e-3)
         axes = grid_axes([(lo + 0.3, hi) for lo, hi in box], 41)
         assert min(ns) * axes[0][0] > FRAC_KERNEL.radius + 1.0
-        nodes = [fractional_nodes(frac, f, n, table_sites(FRAC_KERNEL, n, axes)[0]) for n in ns]
-        table = fractional_table(frac, f, np.concatenate(nodes))
+        nodes = [fractional_nodes(f, n, table_sites(FRAC_KERNEL, n, axes)[0]) for n in ns]
+        table = union_table(frac, f, nodes)
         assert table[0].size < sum(node.size for node in nodes)
         for n, own in zip(ns, nodes):
             assert np.array_equal(operators._table_values(table, own),
@@ -446,13 +452,13 @@ class TestSharedFractionalTable:
     def test_a_node_missing_from_the_table_is_an_error(self):
         f, frac = function_preset("pow2"), FracConfig(0.5, 1e-3)
         axes = [np.array([0.5])]
-        nodes = fractional_nodes(frac, f, 64, table_sites(FRAC_KERNEL, 64, axes)[0])
-        table = fractional_table(frac, f, nodes)
+        nodes = fractional_nodes(f, 64, table_sites(FRAC_KERNEL, 64, axes)[0])
+        table = union_table(frac, f, [nodes])
         # n = 128 reads the odd sites 49/128 .. 79/128 too, which n = 64 never reached
         with pytest.raises(ValueError, match="not tabulated at node t = 0.3828125"):
             apply_fractional_batch(FRAC_KERNEL, frac, f, 128, axes, table)
         with pytest.raises(ValueError, match="not tabulated at node t = 0.25"):
-            apply_fractional_batch(FRAC_KERNEL, frac, f, 64, axes, fractional_table(frac, f, [0.3]))
+            apply_fractional_batch(FRAC_KERNEL, frac, f, 64, axes, union_table(frac, f, [[0.3]]))
 
 
 # --- exactness on constants ---------------------------------------------------

@@ -242,6 +242,39 @@ class TestCaputoSumAccuracy:
                                                                                 np.abs(df))
 
 
+NODE_KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
+
+
+@st.composite
+def one_axis_tables(draw):
+    """(points, n, runs): a grid_axes grid over a box in [0, 4] at small n, or sparse points at
+    large n, up to 2^40, whose centres n x lie 1.5 (2W + 2) or more apart, so the lattice table
+    splits into one run of sites per point; runs is None when not known."""
+    if draw(st.booleans()):
+        lo, width = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 2.0))
+        axis = grid_axes([(lo, lo + width)], draw(st.integers(1, 60)))[0]
+        return axis, draw(st.integers(1, 4096)), None
+    n = draw(st.integers(2**10, 2**40))
+    steps = draw(st.lists(st.floats(1.5, 1e3), min_size=2, max_size=8))
+    points = draw(st.floats(0.0, 2.0)) + (2 * NODE_KERNEL.radius + 2) / n * np.cumsum(steps)
+    return points, n, len(steps)
+
+
+class TestFractionalNodes:
+    @settings(deadline=None, max_examples=80)
+    @given(table=one_axis_tables())
+    def test_strictly_ascending_and_positive(self, table):
+        # apply_fractional_batch tabulates D^beta f at these nodes as they come, without
+        # np.unique, and looks them up by np.searchsorted
+        points, n, runs = table
+        (ks,) = table_sites(NODE_KERNEL, n, [points])
+        if runs is not None:
+            assert np.count_nonzero(np.diff(ks) > 1.0) + 1 == runs
+        nodes = fractional_nodes(function_preset("pow2"), n, ks)
+        assert np.array_equal(nodes, ks[ks > 0.0] / n)
+        assert (nodes > 0.0).all() and (np.diff(nodes) > 0.0).all()
+
+
 class TestMemoryBudget:
     def test_one_call_over_the_frac_benchmarks_pow3_nodes(self):
         """The frac benchmark's pow3 run (q 0.5, alpha 1, eps 1e-12, step 1e-4, n 64 .. 512, 51
@@ -251,7 +284,7 @@ class TestMemoryBudget:
         kernel = DensityKernel(ActivationParams(0.5, 1.0), 1e-12)
         f, cfg = function_preset("pow3"), FracConfig(0.25, 1e-4)
         axes = grid_axes([(0.2, 1.0)], 51)
-        xs = np.unique(np.concatenate([fractional_nodes(cfg, f, n, table_sites(kernel, n, axes)[0])
+        xs = np.unique(np.concatenate([fractional_nodes(f, n, table_sites(kernel, n, axes)[0])
                                        for n in (64, 128, 256, 512)]))
         m_max, quantum = math.ceil(xs.max() / cfg.h), fractional._ROW_QUANTUM
         block = max(L1_CHUNK_POINTS, -(-(m_max + 1) // quantum) * quantum)

@@ -21,9 +21,10 @@ def test_a_tree_against_itself(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, timeout=300)
     assert done.returncode == 0 and done.stderr == ""
     wall = r"\d+\.\d{5} s \(quartiles \d+\.\d{5}-\d+\.\d{5}\)"
-    assert re.fullmatch(rf"moments-chart: parent {wall}, change {wall}, [+-]\d+\.\d%, "
-                        r"change faster in [0-2] of 2 rounds, "
-                        r"(gain resolved|loss resolved|unresolved)\n", done.stdout)
+    line = (rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, "
+            r"(gain resolved|loss resolved|unresolved)\n")
+    # the workload's line, then the set-up probe's in the same format
+    assert re.fullmatch(rf"moments-chart: {line}setup: {line}", done.stdout)
     # every report went to the tool's own temporary directory
     assert os.listdir(tmp_path) == []
 

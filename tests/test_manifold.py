@@ -47,6 +47,22 @@ class TestChartPresets:
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             chart_preset(name, dim=0)
 
+    @pytest.mark.parametrize("name, dim, message", [
+        ("euclidean", 2.7, "must be an integer, got 2.7"),
+        ("torus", "2", "must be an integer, got '2'"),
+        ("euclidean", True, "must be an integer, got True"),
+        ("torus", np.float64(1.0), "must be an integer"),
+        ("poincare-half-plane", 2.0, "must be an integer, got 2.0"),
+        ("euclidean", -1, "dimension must be at least 1"),
+        ("poincare-half-plane", np.int64(3), "two-dimensional"),
+        ("sphere", 2.7, "unknown chart"),
+    ])
+    def test_dimension_must_be_an_integer(self, name, dim, message):
+        # int() would truncate a float, parse a string and read a bool as 0 or 1; an unknown
+        # name reports first
+        with pytest.raises(ValueError, match=message):
+            chart_preset(name, dim)
+
     def test_domain_membership(self):
         ch = chart_preset("poincare-half-plane")
         assert ch.axis_coords(0, 0.0)[1] and ch.axis_coords(1, 1.0)[1]

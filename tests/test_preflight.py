@@ -37,7 +37,9 @@ SWEEP_RUNS = [
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of kernel.table_sites, lattice_sums and rl_derivative_batch calls, however they
-    are reached: table_sites by its names in kernel (operators) and analysis (the sweep)."""
+    are reached: table_sites by its names in kernel (operators) and analysis (the sweep), and
+    rl_derivative_batch by its names in operators (a standalone call) and analysis (the sweep's
+    union table)."""
     counts = {"table_sites": 0, "lattice_sums": 0, "rl_derivative_batch": 0}
 
     def counted(name, fn):
@@ -52,8 +54,9 @@ def calls(monkeypatch):
         monkeypatch.setattr(module, "table_sites", sites)
     for module in (operators, manifold):
         monkeypatch.setattr(module, "lattice_sums", counted("lattice_sums", module.lattice_sums))
-    monkeypatch.setattr(operators, "rl_derivative_batch",
-                        counted("rl_derivative_batch", operators.rl_derivative_batch))
+    l1 = counted("rl_derivative_batch", operators.rl_derivative_batch)
+    for module in (operators, analysis):
+        monkeypatch.setattr(module, "rl_derivative_batch", l1)
     return counts
 
 
@@ -86,8 +89,7 @@ def test_a_fractional_sweep_caps_every_n_s_l1_grids_at_bind_time(monkeypatch, ca
     # the cap counts each n's nodes, more than the one call over their union computes
     f, ns, h = function_preset("pow2"), [64, 128, 256], 1e-3
     axes = analysis.grid_axes([(0.2, 1.0)], 5)
-    nodes = [operators.fractional_nodes(FracConfig(0.5, h), f, n,
-                                        kernel.table_sites(KERNEL, n, axes)[0]) for n in ns]
+    nodes = [operators.fractional_nodes(f, n, kernel.table_sites(KERNEL, n, axes)[0]) for n in ns]
     work = sum(int(np.ceil(x / h).sum()) + x.size for x in nodes)
     assert work > fractional.l1_work(np.unique(np.concatenate(nodes)), h)
     monkeypatch.setattr(fractional, "MAX_L1_WORK", work)

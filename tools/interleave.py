@@ -9,18 +9,21 @@ Each tree's ``src/tanhqi`` is loaded under its own package name in this
 one process, with BLAS and OpenMP pinned to one thread before numpy loads.
 A round runs one whole pass of each workload's command lines
 (``perfbench/workloads.py``, this checkout's copy, imported read-only, at
-seed 0) through each tree's ``cli.main``, the tree that goes first
-alternating from round to round, after one untimed warm-up round.  Host
-load then moves both trees' passes alike, where separate benchmark runs
-spread wider than a 1% effect.  For each workload it prints both trees'
-median pass wall time with its quartiles, the change of the median against
-the parent in %, the rounds in which the change's pass was the faster, and
-a verdict (``verdict``): "gain resolved" when the change was the faster in
-at least nine tenths of the rounds and its median is below the parent's by
-more than the parent's interquartile spread, "loss resolved" when the same
-holds with the two sides swapped, and "unresolved" otherwise.  At least
-two rounds are timed, so the spread is defined.  The exit status is 2 when
-a run does not exit 0, and 0 otherwise.
+seed 0) through each tree's ``cli.main``, then the set-up probe once per
+tree (``perfbench/run.py``'s ``probe``, a fresh interpreter that imports
+the tree's tanhqi and builds a kernel: the benchmark's ``setup_s``), the
+tree that goes first alternating from round to round, after one untimed
+warm-up round.  Host load then moves both trees' times alike, where
+separate benchmark runs spread wider than a 1% effect.  For each workload,
+and then for the set-up as "setup", it prints both trees' median wall time
+with its quartiles, the change of the median against the parent in %, the
+rounds in which the change was the faster, and a verdict (``verdict``):
+"gain resolved" when the change was the faster in at least nine tenths of
+the rounds and its median is below the parent's by more than the parent's
+interquartile spread, "loss resolved" when the same holds with the two
+sides swapped, and "unresolved" otherwise.  At least two rounds are timed,
+so the spread is defined.  The exit status is 2 when a run does not exit
+0, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -87,17 +90,18 @@ def main(argv=None) -> int:
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
     os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
-    clis = [load_cli(tree, f"tanhqi_{side}")
-            for tree, side in zip((args.parent, args.change), SIDES)]
-    walls = {name: ([], []) for name in names}
+    trees = (args.parent, args.change)
+    clis = [load_cli(tree, f"tanhqi_{side}") for tree, side in zip(trees, SIDES)]
+    walls = {name: ([], []) for name in [*names, "setup"]}
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         runs = {(name, side): workloads.build(name, 0, os.path.join(tmp, SIDES[side], name))
                 for name in names for side in range(2)}
         for path in {os.path.dirname(run.out) for group in runs.values() for run in group}:
             os.makedirs(path)
         for round_ in range(args.rounds + 1):
+            order = (0, 1) if round_ % 2 else (1, 0)
             for name in names:
-                for side in (0, 1) if round_ % 2 else (1, 0):
+                for side in order:
                     wall, statuses = bench.run_pass(clis[side], runs[name, side])
                     failed = [run.argv for run, status in zip(runs[name, side], statuses)
                               if status]
@@ -107,6 +111,10 @@ def main(argv=None) -> int:
                         return 2
                     if round_:  # round 0 warms both trees up
                         walls[name][side].append(wall)
+            for side in order:
+                wall = bench.probe(bench.PROBE, os.path.join(trees[side], "src"))
+                if round_:
+                    walls["setup"][side].append(wall)
     for name, (parent, change) in walls.items():
         (a1, a, a3), (b1, b, b3) = (statistics.quantiles(w, n=4, method="inclusive")
                                     for w in (parent, change))
