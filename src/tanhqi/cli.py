@@ -8,15 +8,15 @@ frac          fractional operator vs the D^beta power-rule oracle
 kernel-dump   psi samples and discrete moments on a grid
 manifold      metric-weighted operator on a chart vs the sampled f
 
-Each run writes ``<out>.csv`` (the sweep table, 17 significant digits,
-LF line endings) and ``<out>.json`` (the full report); ``--format json``
-skips the CSV.  Runs are fully deterministic: identical configs produce
-byte-identical files.  The CSV writes integer columns as ``%d`` and float
-columns as ``%.17g``, one row template filled by one ``%`` over every
-value.  The JSON is ``json.dumps(report, sort_keys=True, indent=2)``;
-only kernel-dump's float rows, json's largest payload, go through the
-same kind of row template (``_float_rows``), with the bytes json writes
-at that indent.  The argument parser is built once per process
+Each run writes ``<out>.csv`` (the sweep table, LF line endings) and
+``<out>.json`` (the full report); ``--format json`` skips the CSV.  Runs
+are fully deterministic: identical configs produce byte-identical files.
+``_emit`` turns each table cell into text once (``_cells``): ``%d`` in an
+integer column, else json's ``repr``, the shortest text that reads back
+as the same double.  The JSON is ``json.dumps(report, sort_keys=True,
+indent=2)``; only kernel-dump's float rows, json's largest payload, are
+joined from those texts (``_float_rows``), with the bytes json writes at
+that indent.  The argument parser is built once per process
 (``build_parser`` is cached).
 
 Each run is built once (``_build_run``) by its one ``analysis`` entry
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 import types
@@ -293,27 +292,28 @@ def _validate(cfg: ExperimentConfig):
         )
 
 
-def _fill(template: str, sep: str, rows) -> str:
-    # the template once per row, joined by sep, filled by one % over every value of the rows
-    return sep.join([template] * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+def _cells(rows) -> list[tuple[str, ...]]:
+    """Each cell's one text, row by row: %d in an integer column, else repr(float(v)), json's text
+    and the shortest that reads back as the same double; a column's type is its first row's."""
+    columns = [map("%d".__mod__, c) if isinstance(c[0], (int, np.integer))
+               else map(float.__repr__, map(float, c)) for c in zip(*rows)]
+    return list(zip(*columns)) or [()] * len(rows)  # rows without cells have no column
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    # %d for an integer column, %.17g otherwise; a column's type is its first row's
+def _write_csv(path: str, header: list[str], rows) -> list[tuple[str, ...]]:
+    """Write the table with LF line endings; returns its cells' texts (``_cells``)."""
+    cells = _cells(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if rows:
-            line = ",".join("%d" if isinstance(v, (int, np.integer)) else "%.17g" for v in rows[0])
-            fh.write(_fill(line + "\n", "", rows))
+        fh.write("".join([",".join(line) + "\n" for line in [header, *cells]]))
+    return cells
 
 
 def _float_rows(rows) -> str:
     """rows as json.dumps(..., indent=2) writes a top-level key's value, for a non-empty list of
-    equally long, non-empty lists of floats: %r is json's float.__repr__, whose text holds an n
-    only in nan and inf, which the replaces make json's NaN and Infinity."""
-    row = "[\n      " + ",\n      ".join(["%r"] * len(rows[0])) + "\n    ]"
-    text = "[\n    " + _fill(row, ",\n    ", rows) + "\n  ]"
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+    equally long, non-empty lists of floats or of their ``_cells`` texts: a float's str is json's
+    float.__repr__, which holds an n only in nan and inf, made json's NaN and Infinity here."""
+    text = "\n    ],\n    [\n      ".join([",\n      ".join(map(str, row)) for row in rows])
+    return ("[\n    [\n      " + text + "\n    ]\n  ]").replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _write_json(path: str, payload: dict | list, rows=None) -> None:
@@ -329,7 +329,7 @@ def _write_json(path: str, payload: dict | list, rows=None) -> None:
 
 def _emit(cfg: ExperimentConfig, header, rows, payload) -> None:
     if cfg.fmt == "csv":
-        _write_csv(cfg.out + ".csv", header, rows)
+        rows = _write_csv(cfg.out + ".csv", header, rows)  # each cell's text, made once
     # kernel-dump's table is also its report's "rows": json's largest payload, and all floats
     _write_json(cfg.out + ".json", payload, rows if cfg.command == "kernel-dump" else None)
 

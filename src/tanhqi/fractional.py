@@ -61,10 +61,10 @@ def l1_work(xs, h: float, before: int = 0) -> int:
     ValueError, and then so is more than MAX_L1_WORK points in all."""
     xs = np.asarray(xs, dtype=float)
     x = float(np.max(xs, initial=0.0))
-    m = math.ceil(x / h) if math.isfinite(x / h) else math.inf
-    if m > MAX_GRID_POINTS:
-        raise ValueError(f"L1 grid would need {m} points (> {MAX_GRID_POINTS}) at node t = {x!r}; "
-                         "increase the step or shrink the evaluation box")
+    points = math.ceil(x / h) + 1 if math.isfinite(x / h) else math.inf
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"L1 grid would need {points} points (> {MAX_GRID_POINTS}) at node "
+                         f"t = {x!r}; increase the step or shrink the evaluation box")
     work = before + int(np.ceil(xs / h).sum()) + xs.size
     if work > MAX_L1_WORK:
         raise ValueError(f"the L1 grids would need {work} points in all (> {MAX_L1_WORK}); "

@@ -401,10 +401,11 @@ class TestFractionalRate:
             fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(-0.5, 1.0)], 5, (64, 128, 256))()[0]
 
     def test_oversized_l1_grid_rejected(self):
-        # the farthest lattice node is floor(64 x_max + 16)/64 = 69/64, which needs 1.08e7 L1 points
-        with pytest.raises(ValueError, match="L1 grid would need 10781250 points"):
+        # the farthest lattice node is floor(64 x_max + 16)/64 = 69/64, whose grid holds
+        # 10781250 intervals and one point more; the sweep rejects it at bind time
+        with pytest.raises(ValueError, match="L1 grid would need 10781251 points"):
             fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(0.2, 1.0)], 5, (64, 128),
-                             frac_step=1e-7)()[0]
+                             frac_step=1e-7)
 
     @pytest.mark.parametrize("beta, frac_step", [(0.5, 0.0), (1.5, 1e-3)])
     def test_frac_config_checked_before_the_sweep(self, beta, frac_step):

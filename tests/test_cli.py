@@ -49,7 +49,7 @@ class TestConverge:
         lines = (tmp_path / "run.csv").read_text().splitlines()
         assert lines[0] == "n,sup_error,mean_error"
         assert len(lines) == 4
-        # 17 significant digits reproduce the doubles exactly
+        # the shortest repr text reproduces the doubles exactly
         kernel = DensityKernel(ActivationParams(0.5, 1.0))
         report = convergence_sweep(
             "basic", kernel, function_preset("sin"), (16, 32, 64), [(0.0, 1.0)], 11
@@ -372,13 +372,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("print_config", [False, True])
     def test_oversized_l1_grid_rejected(self, tmp_path, capsys, print_config):
-        # the farthest node, floor(64 x_max + W)/64 = 74/64, needs 1.16e8 L1 points at step 1e-8
+        # the farthest node, floor(64 x_max + W)/64 = 74/64, needs 115625000 L1 intervals at step
+        # 1e-8, so one point more
         argv = ["frac", "--preset", "pow2", "--frac-step", "1e-8", "--out", str(tmp_path / "x"),
                 *(["--print-config"] if print_config else [])]
         status, out, err = run(argv, capsys)
         assert status == 2 and out == ""
         assert err.count("\n") == 1
-        assert "L1 grid would need 115625000 points" in json.loads(err)["error"]
+        assert "L1 grid would need 115625001 points" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("argv, message", [
         # 64 x 1e308 is far past 2^52, so the lattice centre check fails before any L1 grid
@@ -739,11 +740,11 @@ class TestModuleEntryPoint:
 
 
 def old_csv(header, rows):
-    """The per-value CSV writer the % template replaced: the oracle."""
+    """A per-value CSV writer, the oracle: an integer's digits, a float's repr (json's text)."""
     def fmt(v):
         if isinstance(v, (int, np.integer)):
             return str(int(v))
-        return f"{float(v):.17g}"
+        return repr(float(v))
 
     return (",".join(header) + "\n"
             + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)).encode()
@@ -824,6 +825,16 @@ report_dicts = st.fixed_dictionaries({
 })
 
 
+# one small run of each command
+COMMAND_RUNS = [
+    ["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "11"],
+    ["voronovskaya", "--n", "16,32,64", "--grid-points", "11", "--m-max", "2"],
+    ["frac", "--preset", "pow2", "--n", "64,128,256", "--grid-points", "5"],
+    ["kernel-dump", "--grid-points", "101"],
+    ["manifold", "--n", "32,64,128", "--grid-points", "5"],
+]
+
+
 class TestReportWriters:
     @settings(deadline=None, max_examples=300)
     @given(table=tables())
@@ -853,13 +864,7 @@ class TestReportWriters:
         payload = {**rest, "rows": rows}
         assert written(cli._write_json, payload, rows) == old_json(payload)
 
-    @pytest.mark.parametrize("argv", [
-        ["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "11"],
-        ["voronovskaya", "--n", "16,32,64", "--grid-points", "11", "--m-max", "2"],
-        ["frac", "--preset", "pow2", "--n", "64,128,256", "--grid-points", "5"],
-        ["kernel-dump", "--grid-points", "101"],
-        ["manifold", "--n", "32,64,128", "--grid-points", "5"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", COMMAND_RUNS, ids=lambda argv: argv[0])
     def test_each_command_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch, argv):
         emitted = []
         emit = cli._emit
@@ -869,6 +874,32 @@ class TestReportWriters:
         (header, rows, payload), = emitted
         assert (tmp_path / "r.csv").read_bytes() == old_csv(header, rows)
         assert (tmp_path / "r.json").read_bytes() == old_json(payload)
+
+    def test_kernel_dump_without_a_csv_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch):
+        # with --format json the float rows are written from the floats, with no CSV texts
+        emitted = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda cfg, *table: emitted.append(table) or emit(cfg, *table))
+        status, _, _ = run(["kernel-dump", "--grid-points", "101", "--format", "json", "--out",
+                            str(tmp_path / "r")], capsys)
+        assert status == 0 and not (tmp_path / "r.csv").exists()
+        (_, _, payload), = emitted
+        assert (tmp_path / "r.json").read_bytes() == old_json(payload)
+
+    @pytest.mark.parametrize("argv", COMMAND_RUNS, ids=lambda argv: argv[0])
+    def test_csv_cells_read_as_the_json_rows(self, tmp_path, capsys, argv):
+        # each CSV cell is the same double as the JSON row's value at its position (voronovskaya's
+        # CSV rows are (m, *row of report m)); kernel-dump's CSV lines are its JSON rows' texts
+        status, _, _ = run([*argv, "--out", str(tmp_path / "r")], capsys)
+        assert status == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        report = json.loads((tmp_path / "r.json").read_text(), parse_float=str)
+        rows = ([[m, *row] for m, r in enumerate(report) for row in r["rows"]]
+                if argv[0] == "voronovskaya" else report["rows"])
+        assert ([[float(cell).hex() for cell in line.split(",")] for line in lines]
+                == [[float(v).hex() for v in row] for row in rows])
+        if argv[0] == "kernel-dump":
+            assert lines == [",".join(row) for row in rows]
 
 
 class TestParserReuse:

@@ -22,7 +22,7 @@ from tanhqi import (
 from tanhqi.analysis import grid_axes
 from tanhqi.kernel import table_sites
 from tanhqi.operators import fractional_nodes
-from tanhqi.fractional import L1_CHUNK_POINTS, MAX_GRID_POINTS
+from tanhqi.fractional import L1_CHUNK_POINTS, MAX_GRID_POINTS, l1_work
 
 
 class TestGamma:
@@ -157,6 +157,15 @@ class TestRLDerivative:
         # the cap is checked on the largest node before any grid is built
         with pytest.raises(ValueError, match="inf points"):
             rl_derivative_batch(FracConfig(0.5, 1e-3), IDENTITY, [0.5, 1e308, 1.0])
+
+    def test_grid_cap_counts_points(self):
+        # a grid of M = ceil(x/h) intervals holds M + 1 points: exactly MAX_GRID_POINTS pass, and
+        # one point more is an error naming that count
+        h = 2.0**-24  # x/h is exact below 2^24
+        assert l1_work([(MAX_GRID_POINTS - 1) * h], h) == MAX_GRID_POINTS
+        for xs, step in (([MAX_GRID_POINTS * h], h), ([1.0], 1e-7)):
+            with pytest.raises(ValueError, match=r"L1 grid would need 10000001 points \(> 10000000\)"):
+                l1_work(xs, step)
 
     def test_l1_work_capped_exactly(self, monkeypatch):
         # M = 512, 1024 and 256 intervals: 1795 grid points in all

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tanhqi import (
     ActivationParams,
@@ -19,10 +21,11 @@ from tanhqi import (
     multi_indices,
     power_rule_oracle,
     operator_on_chart_batch,
+    rl_derivative_batch,
     voronovskaya_corrections,
 )
 from tanhqi import operators
-from tanhqi.kernel import check_n
+from tanhqi.kernel import check_n, lattice_sums
 from tanhqi.operators import check_quad_nodes
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
@@ -230,6 +233,79 @@ class TestFractional:
         # two differ by half, so a misread target would fail loudly
         got = apply_fractional_batch(KERNEL, HALF, function_preset("pow2"), 512, [[1.0]])[0]
         assert abs(got - 1.0) > 0.4
+
+
+def shift_case(name, n, reach):
+    """Operator name as (run(kernel, axes), max|v|, max|f|, d) over the sites of reach (one array
+    per axis): v the site values it sums, d None for a sum operator, else the weight rule of its
+    denominator, site coordinates' open mesh -> weights."""
+    mesh = np.ix_(*reach)
+    if name in ("basic", "kantorovich"):
+        vmax = float(np.max(np.abs(np.sin(reach[0]))))  # a cell average lies within them too
+        if name == "basic":
+            return lambda k, axes: apply_basic_batch(k, SIN, n, axes), vmax, vmax, None
+        return lambda k, axes: apply_kantorovich_batch(k, 5, SIN, n, axes), vmax, vmax, None
+    if name == "fractional":
+        frac, nodes = FracConfig(0.4, 1e-3), reach[0][reach[0] > 0.0]
+        table = (nodes, rl_derivative_batch(frac, POW2, nodes))
+        vmax = float(np.max(np.abs(table[1])))
+        return (lambda k, axes: apply_fractional_batch(k, frac, POW2, n, axes, table), vmax, vmax,
+                lambda t: t[0] >= 0.0)
+    chart = chart_preset(name, 2)
+    f = np.abs(SIN_EXP.value(*mesh))
+    return (lambda k, axes: operator_on_chart_batch(k, chart, SIN_EXP, n, axes),
+            float(np.max(f / chart.sqrt_det_g(*mesh))), float(np.max(f)),
+            lambda t: 1.0 / chart.sqrt_det_g(*t))
+
+
+SIN, SIN_EXP, POW2 = (function_preset(name) for name in ("sin", "sin-exp", "pow2"))
+COORDS = st.lists(st.floats(0.2, 0.8), min_size=1, max_size=6)
+
+
+class TestQIsAShift:
+    @pytest.mark.parametrize("name", ["basic", "kantorovich", "fractional", "euclidean",
+                                      "poincare-half-plane"])
+    @settings(deadline=None, max_examples=15)
+    @given(q=st.floats(0.05, 0.9), alpha=st.floats(0.5, 2.0), n=st.integers(64, 2048), x=COORDS,
+           y=COORDS)
+    @example(q=0.5, alpha=1.0, n=64, x=[0.2, 0.8], y=[0.2])
+    @example(q=0.9, alpha=0.5, n=64, x=[0.2, 0.5, 0.8], y=[0.8])
+    @example(q=0.3, alpha=2.0, n=2048, x=[0.2, 0.8], y=[0.5])
+    def test_the_q0_operator_at_x_plus_c_over_n(self, name, q, alpha, n, x, y):
+        """op(kernel_q, n, x) = op(kernel_0, n, x + c/n), c = atanh(q)/alpha, within the window
+        truncation.
+
+        psi_q(u) = psi_0(u + c), so both sides truncate one lattice sum S = sum_k v_k Z_q(n x - k):
+        side q keeps |k_i - n x_i| <= W_q, side 0 keeps |k_i - n x_i - c| <= W_0.  A side's window
+        misses at most T = N 4 eps W of the kernel's mass (``DensityKernel``: 4 eps W per axis;
+        a product window misses at most its axes' tails), so a sum operator's side is within
+        T max|v| of S.  A ratio operator is N/D with D's weight rule d >= 0 (the chart's
+        1/sqrt(det g), the fractional k >= 0 mask) and v = f d (fractional: f's D^beta table);
+        its full ratio R is a weighted mean of f, and a side's N_A/D_A - R = (R t_D - t_N)/D_A
+        for the parts t_N, t_D it misses, so it is within T (max|v| + max|f| max d)/D_A of R,
+        D_A the side's own weight sum.  The maxima are over the sites both windows reach (y on
+        [1, 1.6]) and doubled: past the windows f, d and D^beta f grow by a few percent per
+        site, where psi's tail falls by e^(-2 alpha) <= 1/e.  Rounding, a few 1e-13 at most
+        here, stays below a hundredth of every bound; a shift by -c/n breaks every bound.
+        """
+        kq, k0 = (DensityKernel(ActivationParams(v, alpha)) for v in (q, 0.0))
+        c, dim = math.atanh(q) / alpha, 1 if name in ("basic", "kantorovich", "fractional") else 2
+        axes = [np.array(x), np.array(y) + 0.8][:dim]
+        w = max(kq.radius, k0.radius)
+        reach = [np.arange(math.floor(n * a.min() - w) - 1, math.ceil(n * a.max() + c + w) + 2) / n
+                 for a in axes]
+        run, vmax, fmax, density = shift_case(name, n, reach)
+        tails = [2 * dim * 4 * k.eps_trunc * k.radius for k in (kq, k0)]
+        sides = [(kq, axes), (k0, [a + c / n for a in axes])]
+        if density is None:
+            bound = sum(tails) * vmax
+        else:
+            dmax = float(np.max(density(np.ix_(*reach))))
+            masses = [lattice_sums(k, n, a, lambda sites: [density([s / n for s in sites])])[0]
+                      for k, a in sides]
+            bound = sum(t * (vmax + fmax * dmax) / np.min(m) for t, m in zip(tails, masses))
+        got_q, got_0 = (run(k, a) for k, a in sides)
+        assert np.max(np.abs(got_q - got_0)) <= bound
 
 
 class TestVoronovskaya:

@@ -43,10 +43,10 @@ def test_one_changed_byte_is_flagged(tmp_path):
     a, b = flipped(-2)  # the exponent's last digit: 3.26e-14 to 3.26e-15
     assert a == pytest.approx(10.0 * b, rel=1e-15)
     assert report_diff.differing(str(first), str(copy)) == (6, [name])
-    # the bound is that one value's move; %.17g's 17th digit can flip within one double, so the
-    # 16th digit makes the smallest move sure to show: one unit in it, a few ulps.  The exponent
-    # flip moves the value by 2.9e-14, past the gate's ATOL of 1e-14; the digit flip does not
-    for at, verdict in ((-2, "outside"), (original.rindex(b"e") - 2, "within")):
+    # the bound is that one value's move.  The exponent flip moves the value by 2.9e-14, past the
+    # gate's ATOL of 1e-14; a flip of the last mantissa digit of its shortest repr text moves it
+    # by one unit in that digit (3.257011183177947e-14 to ...946e-14), a few ulps, and does not
+    for at, verdict in ((-2, "outside"), (original.rindex(b"e") - 1, "within")):
         a, b = flipped(at)
         assert report_diff.difference(str(first), str(copy), name) == (
             f"max abs diff {abs(a - b):.3g}, max rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}, "
@@ -79,3 +79,20 @@ def test_csv_cells_are_read_against_the_gate_tolerance(tmp_path):
     assert verdict([64.0, 0.0], [64.0, 2e-14]).endswith(", outside the gate tolerance")
     # a JSON report is not read against the gate, which compares table rows
     assert verdict([64.0, 0.0], [64.0, 2e-14], "rows.json").endswith("max rel diff 1")
+
+
+def test_a_text_only_change_reads_same_numbers(tmp_path):
+    # the same doubles as %.17g and as repr: other bytes, the same numbers; a zero's sign is not
+    # a text change
+    values = [0.1, 1 / 3, 3.257011183177947e-14, -0.0, 5e-324, 1e308, float("nan")]
+    for root, text in (("a", "%.17g".__mod__), ("b", repr)):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "rows.csv").write_text(
+            "n,err\n" + "".join(f"{n},{text(v)}\n" for n, v in enumerate(values)))
+    assert report_diff.differing(str(tmp_path / "a"), str(tmp_path / "b")) == (1, ["rows.csv"])
+    assert report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), "rows.csv") == (
+        "same numbers, text differs")
+    (tmp_path / "b" / "rows.csv").write_text("n,err\n0,0.0\n")
+    (tmp_path / "a" / "rows.csv").write_text("n,err\n0,-0.0\n")
+    assert report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), "rows.csv") == (
+        "max abs diff 0, max rel diff 0, within the gate tolerance")

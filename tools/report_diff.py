@@ -15,8 +15,9 @@ byte, with the echoed ``"out"`` path masked, as it names the tree's own
 output directory.  Each differing (or missing) file is printed with how
 it differs (``difference``): the largest absolute and relative
 difference over the numbers at matching positions (CSV cells, JSON
-leaves), so a summation-order change can state its bound, or "structure
-differs" when the shapes or keys differ.  A differing CSV also says
+leaves), so a summation-order change can state its bound, "same numbers,
+text differs" when only the numbers' text moved, or "structure differs"
+when the shapes or keys differ.  A differing CSV also says
 whether every cell lies within ``perfbench/gate.py``'s reference
 tolerance, ``RTOL * |parent| + ATOL`` (``gate`` is imported read-only,
 as ``run`` is).  Then ``N files, M differ``;
@@ -122,11 +123,19 @@ def _gap(a, b) -> tuple[float, float]:
     return gap, gap / max(abs(a), abs(b))
 
 
+def _same(a, b) -> bool:
+    # the same double: equal, with one sign where both are zero, or both nan
+    if a == b:
+        return a != 0 or math.copysign(1, a) == math.copysign(1, b)
+    return math.isnan(a) and math.isnan(b)
+
+
 def difference(root_a: str, root_b: str, name: str) -> str:
     """How report name differs between the roots: "missing from one tree", "structure differs"
     when its positions or the kinds of value at them differ, "text differs" when a value that is
-    no number does, else the largest absolute and relative difference over its numbers; for a
-    CSV, then whether every cell of root_b lies within the gate's tolerance of root_a's."""
+    no number does, "same numbers, text differs" when every number is the same double, else the
+    largest absolute and relative difference over its numbers; for a CSV, then whether every
+    cell of root_b lies within the gate's tolerance of root_a's."""
     paths = [os.path.join(root, name) for root in (root_a, root_b)]
     if not all(map(os.path.isfile, paths)):
         return "missing from one tree"
@@ -135,6 +144,8 @@ def difference(root_a: str, root_b: str, name: str) -> str:
         return "structure differs"
     if any(a[k] != b[k] for k in a if not _is_number(a[k])):
         return "text differs"
+    if all(_same(a[k], b[k]) for k in a if _is_number(a[k])):
+        return "same numbers, text differs"
     gaps = {k: _gap(a[k], b[k]) for k in a if _is_number(a[k])}
     text = (f"max abs diff {max((g for g, _ in gaps.values()), default=0.0):.3g}, "
             f"max rel diff {max((r for _, r in gaps.values()), default=0.0):.3g}")
