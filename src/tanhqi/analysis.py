@@ -10,11 +10,12 @@ Each experiment's one entry point (a ``*_sweep`` function, or
 run, in the order its docstring lists (``fractional_sweep`` checks
 ``FracConfig`` before the n sweep, ``residual_sweep`` m_max after the
 grid), and returns the run bound but not started.  Every ``*_sweep``
-returns through ``sweep``, whose binding ends its checks (each n's
-``kernel.table_sites``, which caps a window's sites first, then the
-operator's site rule) and whose run is the one loop over n values; it
-is the one caller that passes an operator ``sites``, so a run builds each
-table's sites once.  ``kernel_table``'s checks end with
+returns through ``sweep``, whose binding makes the lattice checks (each
+n's ``kernel.table_sites``, which caps a window's sites first, then the
+operator's site rule, a check) and whose run is the one loop over n
+values; only ``fractional_sweep`` checks more after it, its one L1 call.
+``sweep`` is the one caller that passes an operator ``sites``, so a run
+builds each table's sites once.  ``kernel_table``'s checks end with
 ``kernel.check_moments``, as it builds no lattice table.  A batched
 operator may return a (K, P) stack of K results, one report per row:
 ``residual_sweep`` gets every order from one basic evaluation per n.
@@ -55,7 +56,6 @@ from .operators import (
     apply_basic_batch,
     apply_fractional_batch,
     apply_kantorovich_batch,
-    check_cell_work,
     check_m_max,
     check_quad_nodes,
     check_table_cells,
@@ -220,10 +220,10 @@ def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: li
     """The run of one experiment over the checked grid ``axes`` and n values ``ns`` (ascending,
     ``check_sweep``), bound after its lattice checks but not started.
 
-    Before it returns, each n's ``table_sites`` runs, then ``site_rule(n,
-    sites)`` on its open mesh.  A call makes its operator as
-    ``make_operator(results)``, one site-rule result per n (None without a
-    rule), and measures ``operator(n, ax, sites=...)`` against
+    Before it returns, each n's ``table_sites`` runs, then the check
+    ``site_rule(n, sites)`` on its open mesh (its value is ignored).  A call
+    makes its operator once, as ``make_operator()``, and measures
+    ``operator(n, ax, sites=...)`` against
     ``target_fn`` on the grid of ``axes`` by sup_error, once per n:
     ``sites`` is n's checked mesh when ax holds the very arrays of
     ``axes``, else None (``sup_error``'s one-point re-runs).  Result row i
@@ -232,17 +232,18 @@ def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: li
     naming n; rows on the rounding floor are counted and left out of the
     fit, which is skipped (the note says so) with fewer than three above.
     """
-    meshes, results = {}, []
+    meshes = {}
     for n in ns:
         meshes[n] = table_sites(kernel, n, axes)
-        results.append(None if site_rule is None else site_rule(n, meshes[n]))
-    return functools.partial(_measure, make_operator, results, meshes, target_fn, axes, configs,
+        if site_rule is not None:
+            site_rule(n, meshes[n])
+    return functools.partial(_measure, make_operator, meshes, target_fn, axes, configs,
                              target_descriptions, claimed_exponent)
 
 
-def _measure(make_operator, results, meshes, target_fn, axes, configs, target_descriptions,
+def _measure(make_operator, meshes, target_fn, axes, configs, target_descriptions,
              claimed_exponent) -> list[ConvergenceReport]:
-    operator = make_operator(results)
+    operator = make_operator()
     tables = [[] for _ in configs]
     for n, mesh in meshes.items():
         def apply(ax):
@@ -297,11 +298,9 @@ def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **ext
 def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_per_axis: int,
                       quad_nodes: int = 5):
     """Error sweep of the basic or Kantorovich operator against f itself: its checks (n sweep,
-    Kantorovich's cell work, operator, quadrature nodes, grid with f.dim axes, lattice tables and,
-    for Kantorovich, each table's cell work, ``check_table_cells``), then its ``sweep`` bound."""
+    operator, quadrature nodes, grid with f.dim axes, lattice tables and, for Kantorovich, each
+    table's cell work, ``check_table_cells``), then its ``sweep`` bound."""
     ns = check_sweep(n_sweep)
-    if kind == "kantorovich":
-        check_cell_work(kernel, quad_nodes, f.dim)
     check_operator(kind)
     check_quad_nodes(quad_nodes)
     axes = check_axes(grid_axes(box, points_per_axis), f.dim)
@@ -311,7 +310,7 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
         operator = functools.partial(apply_kantorovich_batch, kernel, quad_nodes, f)
         site_rule = lambda n, sites: check_table_cells(quad_nodes, sites)  # noqa: E731
     config = _sweep_config(kernel, f, ns, box, points_per_axis, operator=kind, quad_nodes=quad_nodes)
-    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: f.value(*np.ix_(*ax)), [config],
+    return sweep(kernel, axes, ns, lambda: operator, lambda ax: f.value(*np.ix_(*ax)), [config],
                  [f"{f.name} (the sampled function itself)"], site_rule=site_rule)
 
 
@@ -328,21 +327,20 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
     configs = [_sweep_config(kernel, f, ns, box, points_per_axis,
                              experiment="voronovskaya-residual", m=m) for m in orders]
     operator = functools.partial(voronovskaya_residuals, kernel, m_max, f)
-    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: 0.0, configs,
+    return sweep(kernel, axes, ns, lambda: operator, lambda ax: 0.0, configs,
                  [f"residual after the order-{m} moment correction" for m in orders])
 
 
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
                      frac_step: float = 1e-3):
     """Error sweep of the fractional operator against the D^beta f oracle: its checks (order and
-    step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly
-    positive box, each n's lattice table as the operator checks it, ``fractional_nodes``, and
-    the L1 budget of each n's nodes, ``fractional.l1_work``: each grid's points, then the points
-    of every n's nodes together), then its ``sweep`` bound.  The report echoes the advertised
-    rate "m - beta"; the rows support less (the operator's own first-order moment term caps the
-    slope near one).  A call tabulates D^beta f at the distinct nodes of all its n in one
-    rl_derivative_batch call, the union table (ascending nodes, their values) that every n's
-    operator reads."""
+    step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly positive
+    box, each n's lattice table as the operator checks it and ``fractional_nodes``, then
+    ``fractional.l1_work`` of the union of every n's nodes), then its ``sweep`` bound.  The
+    report echoes the advertised rate "m - beta"; the rows support less (the operator's own
+    first-order moment term caps the slope near one).  A call tabulates D^beta f at that union in
+    one rl_derivative_batch call, which checks the same nodes alike: the union table (ascending
+    nodes, their values) that every n's operator reads."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
@@ -353,27 +351,19 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     config = _sweep_config(kernel, f, ns, box, points_per_axis,
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
-    work = 0
-
-    def site_rule(n, sites):
-        # every n's nodes count towards the cap, a bound on the one call over their union
-        nonlocal work
-        nodes = fractional_nodes(f, n, sites[0])
-        work = l1_work(nodes, frac.h, work)
-        return nodes
-
-    def make_operator(nodes):
-        union = np.unique(np.concatenate(nodes))
-        return functools.partial(apply_fractional_batch, kernel, frac, f,
-                                 table=(union, rl_derivative_batch(frac, f, union)))
-
-    return sweep(
-        kernel, axes, ns, make_operator,
+    nodes = []  # each n's, from its site rule; their union is bound below, before any call
+    run = sweep(
+        kernel, axes, ns,
+        lambda: functools.partial(apply_fractional_batch, kernel, frac, f,
+                                  table=(union, rl_derivative_batch(frac, f, union))),
         lambda ax: power_rule_oracle(f.power, beta, ax[0]), [config], ["D^beta f (oracle)"],
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
                          "recorded, not asserted",
-        site_rule=site_rule,
+        site_rule=lambda n, sites: nodes.append(fractional_nodes(f, n, sites[0])),
     )
+    union = np.unique(np.concatenate(nodes))
+    l1_work(union, frac.h)
+    return run
 
 
 def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_axis: int):
@@ -386,7 +376,7 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
     geometry = chart_preset(chart, dim=f.dim)
     axes = check_chart(geometry, axes)
     operator = functools.partial(operator_on_chart_batch, kernel, geometry, f)
-    return sweep(kernel, axes, ns, lambda _: operator, lambda ax: f.value(*np.ix_(*ax)),
+    return sweep(kernel, axes, ns, lambda: operator, lambda ax: f.value(*np.ix_(*ax)),
                  [{"chart": chart, "mode": "discrete"}],
                  [f"{f.name} on the {chart} chart (the sampled function itself)"],
                  site_rule=functools.partial(chart_coords, geometry))

@@ -25,10 +25,10 @@ len(n)) on a huge grid) included.  ``--print-config`` stops there;
 ``_run`` runs it and writes its table.
 
 Exit status: 0 success, 2 invalid configuration (including an evaluation
-grid, one window's cell samples, a lattice table or its Kantorovich
-cell samples above kernel.MAX_POINT_WORK, a lattice sum above
-kernel.MAX_SUM_WORK, a centre n x past kernel.MAX_CENTRE, frac L1 grids
-above fractional.MAX_L1_WORK points in all, or quad_nodes above
+grid, a lattice table or its Kantorovich cell samples above
+kernel.MAX_POINT_WORK, a lattice sum above kernel.MAX_SUM_WORK, a centre
+n x past kernel.MAX_CENTRE, frac's one L1 call, over the union of every
+n's nodes, above fractional.MAX_L1_WORK points, or quad_nodes above
 operators.MAX_QUAD_NODES), 3 a non-finite error or a
 run that could not complete (any other exception), 4 I/O failure.
 Errors are printed to stderr as a single JSON line

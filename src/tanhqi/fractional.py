@@ -31,8 +31,8 @@ its float terms.  A fractional sweep therefore makes one call over the
 distinct nodes of all its n (``analysis.fractional_sweep``'s union table).
 
 ``l1_work`` is the one check of the L1 budget: at most MAX_GRID_POINTS
-points on a node's grid, then at most MAX_L1_WORK over a call's nodes,
-or over every n's nodes of a sweep.
+points on a node's grid, then at most MAX_L1_WORK over a call's nodes.
+A sweep runs it at bind time on the very nodes of its one call.
 """
 
 from __future__ import annotations
@@ -45,27 +45,27 @@ import numpy as np
 __all__ = ["FracConfig", "gamma_fn", "rl_derivative_batch", "power_rule_oracle"]
 
 MAX_GRID_POINTS = 10**7
-# L1 grid points of one call or one fractional sweep in all, like kernel.MAX_SUM_WORK
+# L1 grid points of one call in all, like kernel.MAX_SUM_WORK
 MAX_L1_WORK = 2**31
-# grid points per f call, kept at 2^13 apart from kernel.CHUNK_ELEMENTS: at 2^15 the frac
-# benchmark's peak RSS rose by 1.1 MB for no gain in time
+# grid points per f call, kept at 2^13 apart from kernel.CHUNK_ELEMENTS for time: at 2^15 the frac
+# benchmark's wall_s read 0.038-0.047 s against 0.025-0.026 s (2-vCPU Xeon, numpy 2.4)
 L1_CHUNK_POINTS = 2**13
 # a node's L1 row holds M + 1 points rounded up to a multiple of this, so its width, and with it
 # the order of its BLAS dot, depends on M alone
 _ROW_QUANTUM = 64
 
 
-def l1_work(xs, h: float, before: int = 0) -> int:
-    """before plus the grid points sum(M + 1) of nodes xs' L1 grids, M = ceil(x/h): the one check
-    of the L1 budget.  The largest node's grid past MAX_GRID_POINTS (or past float range) is a
-    ValueError, and then so is more than MAX_L1_WORK points in all."""
+def l1_work(xs, h: float) -> int:
+    """The grid points sum(M + 1) of nodes xs' L1 grids, M = ceil(x/h): the one check of the L1
+    budget.  The largest node's grid past MAX_GRID_POINTS (or past float range) is a ValueError,
+    and then so is more than MAX_L1_WORK points in all."""
     xs = np.asarray(xs, dtype=float)
     x = float(np.max(xs, initial=0.0))
     points = math.ceil(x / h) + 1 if math.isfinite(x / h) else math.inf
     if points > MAX_GRID_POINTS:
         raise ValueError(f"L1 grid would need {points} points (> {MAX_GRID_POINTS}) at node "
                          f"t = {x!r}; increase the step or shrink the evaluation box")
-    work = before + int(np.ceil(xs / h).sum()) + xs.size
+    work = int(np.ceil(xs / h).sum()) + xs.size
     if work > MAX_L1_WORK:
         raise ValueError(f"the L1 grids would need {work} points in all (> {MAX_L1_WORK}); "
                          "increase the step, or shrink the evaluation box or the n sweep")

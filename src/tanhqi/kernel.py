@@ -44,7 +44,7 @@ moments, which build no table); a sweep (``analysis.sweep``) runs it for
 every n first and hands each n's checked mesh to the calls on its own grid
 (``lattice_sums(..., sites=...)``), so each table's sites are built once.
 One rule, ``chunk_rows``, sizes every lattice chunk (and Kantorovich's cell
-slabs); fractional L1 chunks keep ``fractional.L1_CHUNK_POINTS``, for peak RSS.
+slabs); fractional L1 chunks keep ``fractional.L1_CHUNK_POINTS``, for time.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ D^beta f at its own nodes with one ``rl_derivative_batch`` call, unless it
 is given a table; a sweep (``analysis.fractional_sweep``) makes one table
 over the distinct nodes of all its n and passes it to every n's call.  A
 node's value does not depend on which call computed it, so both give the
-same bits.
+same bits.  Kantorovich's one work cap is on the table it samples,
+quad_nodes^N samples a site (``check_table_cells``).
 
 ``voronovskaya_corrections`` assembles the moment corrections
 sum_{1 <= |alpha| <= m} D^alpha f(x)/alpha! * M_alpha(x, n) for every
@@ -55,12 +56,12 @@ from .kernel import (
     lattice_sums,
     multi_indices,
 )
+from .presets import MAX_DERIVATIVE_ORDER
 
 __all__ = [
     "apply_basic_batch",
     "apply_kantorovich_batch",
     "apply_fractional_batch",
-    "check_cell_work",
     "check_m_max",
     "check_quad_nodes",
     "check_table_cells",
@@ -88,21 +89,6 @@ def check_quad_nodes(quad_nodes: int) -> None:
             f"quad_nodes = {quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
             f"rule would build a {quad_nodes} x {quad_nodes} matrix"
         )
-
-
-def check_cell_work(kernel: DensityKernel, quad_nodes: int, dim: int) -> None:
-    """Kantorovich's per-window work: the cells of one kernel window in dim axes take
-    quad_nodes^dim samples each, at most MAX_POINT_WORK in all (quadrature work, not one array),
-    and quad_nodes passes ``check_quad_nodes``."""
-    if isinstance(quad_nodes, (int, np.integer)) and quad_nodes >= 2:
-        samples = int(quad_nodes) ** dim
-        work = kernel.width**dim * samples
-        if work > MAX_POINT_WORK:
-            raise ValueError(f"the cells of one kernel window need {work} quadrature samples "
-                             f"(> {MAX_POINT_WORK}): {kernel.width} lattice sites per axis, "
-                             f"{dim} axes, {samples} samples per site; increase alpha or "
-                             "trunc_eps, or lower quad_nodes")
-    check_quad_nodes(quad_nodes)
 
 
 def check_table_cells(quad_nodes: int, sites) -> None:
@@ -157,10 +143,11 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
-    rule is built once per quad_nodes.  The cells' work is checked first, per window
-    (``check_cell_work``) and over the lattice table (``check_table_cells``).
+    rule is built once per quad_nodes.  quad_nodes is checked first
+    (``check_quad_nodes``), then the cells' work over the lattice table
+    (``check_table_cells``).
     """
-    check_cell_work(kernel, quad_nodes, f.dim)
+    check_quad_nodes(quad_nodes)
 
     def tables(mesh):
         check_table_cells(quad_nodes, mesh)
@@ -221,9 +208,11 @@ def apply_fractional_batch(kernel: DensityKernel, frac: FracConfig, f, n: int, a
 
 
 def check_m_max(m_max: int, f=None) -> None:
-    """The highest correction order: an integer (no bool) in 0..4, at most a preset f's smoothness."""
-    if not (isinstance(m_max, (int, np.integer)) and not isinstance(m_max, bool) and 0 <= m_max <= 4):
-        raise ValueError(f"m_max must lie in 0..4, got {m_max!r}")
+    """The highest correction order: an integer (no bool) in 0..MAX_DERIVATIVE_ORDER, the highest
+    analytic derivative of a preset, and at most a preset f's smoothness."""
+    if not (isinstance(m_max, (int, np.integer)) and not isinstance(m_max, bool)
+            and 0 <= m_max <= MAX_DERIVATIVE_ORDER):
+        raise ValueError(f"m_max must lie in 0..{MAX_DERIVATIVE_ORDER}, got {m_max!r}")
     if f is not None and m_max > f.smoothness:
         raise ValueError(
             f"m_max = {m_max} exceeds the smoothness grade {f.smoothness} of preset {f.name!r}"

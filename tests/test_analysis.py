@@ -171,7 +171,7 @@ class TestSweep:
             return np.stack([np.full(len(ax[0]), 3.0 / n), np.full(len(ax[0]), 5.0 / n**2)])
 
         axes = grid_axes(BOX01, 4)
-        rep, second = sweep(KERNEL, axes, check_sweep((32, 8, 16, 8)), lambda _: operator,
+        rep, second = sweep(KERNEL, axes, check_sweep((32, 8, 16, 8)), lambda: operator,
                             lambda ax: np.zeros(len(ax[0])), [{"k": 1}, {"k": 2}],
                             ["target", "second"])()
         assert seen == [8, 16, 32]
@@ -187,7 +187,7 @@ class TestSweep:
     def test_floor_rows_counted_and_fit_skipped(self):
         axes = grid_axes(BOX01, 3)
         zeros = lambda n, ax, *, sites: np.zeros(len(ax[0]))  # noqa: E731
-        [rep] = sweep(KERNEL, axes, [8, 16, 32], lambda _: zeros, lambda ax: 0.0, [{}], ["t"],
+        [rep] = sweep(KERNEL, axes, [8, 16, 32], lambda: zeros, lambda ax: 0.0, [{}], ["t"],
                       "n^-1")()
         assert rep.excluded_rows == 3 and rep.fitted_slope is None
         assert "fit skipped" in rep.note
@@ -202,7 +202,7 @@ class TestSweep:
     def test_non_finite_error_names_n(self):
         axes = grid_axes(BOX01, 3)
         operator = lambda n, ax, *, sites: np.full(len(ax[0]), np.nan if n == 16 else 1.0)  # noqa: E731
-        run = sweep(KERNEL, axes, [8, 16, 32], lambda _: operator,
+        run = sweep(KERNEL, axes, [8, 16, 32], lambda: operator,
                     lambda ax: np.zeros(len(ax[0])), [{}], ["t"])
         with pytest.raises(RuntimeError, match="error at n = 16 is not finite"):
             run()
@@ -217,13 +217,13 @@ class TestSweep:
                   site_rule=lambda n, sites: seen.append((n, [s.shape for s in sites])))
         assert seen == [(16, [(49, 1), (1, 49)]), (64, [(97, 1), (1, 97)])]
 
-    def test_each_call_makes_its_operator_from_the_site_rule_results(self):
-        # the rule runs once per n at bind time; each call makes its operator from the results
-        # and hands every n's grid call the checked mesh, and other arrays none
-        axes, made, handed = grid_axes(BOX01, 3), [], []
+    def test_each_call_makes_its_operator_once_and_hands_it_the_checked_meshes(self):
+        # the rule runs once per n at bind time and its value is ignored; each call makes its
+        # operator once and hands every n's grid call the checked mesh, and other arrays none
+        axes, ruled, made, handed = grid_axes(BOX01, 3), [], [], []
 
-        def make_operator(results):
-            made.append(results)
+        def make_operator():
+            made.append(1)
             return operator
 
         def operator(n, ax, *, sites):
@@ -233,11 +233,11 @@ class TestSweep:
             return np.zeros(1)
 
         run = sweep(KERNEL, axes, [8, 16], make_operator, lambda ax: 0.0, [{}], ["t"],
-                    site_rule=lambda n, sites: (n, sites[0].size))
-        assert made == [] and handed == []
+                    site_rule=lambda n, sites: ruled.append((n, sites[0].size)) or "ignored")
+        assert ruled == [(8, 37), (16, 42)] and made == [] and handed == []
         with pytest.raises(ZeroDivisionError):
             run()
-        assert made == [[(8, 37), (16, 42)]]
+        assert ruled == [(8, 37), (16, 42)] and made == [1]
         (n, sites), *rerun = handed
         assert n == 8 and np.array_equal(sites[0], table_sites(KERNEL, 8, axes)[0])
         assert rerun == [(8, None)] * 3
@@ -307,16 +307,27 @@ class TestOperatorConvergence:
         assert calls == []
 
     def test_cell_work_rejected_before_any_sample(self):
-        # 33^2 window sites x 130^2 nodes per cell; the basic operator takes no quadrature
+        # 130^2 nodes per cell at 34^2 table sites (the sweep's two points) or 33^2 (one point);
+        # the basic operator takes no quadrature
         calls = []
         sin_exp = function_preset("sin-exp")
         f = dataclasses.replace(sin_exp, value_fn=lambda *c: calls.append(1) or sin_exp.value(*c))
-        with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
+        with pytest.raises(ValueError, match="the cells of the lattice table need 19536400 "
+                                             "quadrature samples"):
             convergence_sweep("kantorovich", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)()[0]
-        with pytest.raises(ValueError, match="need 18404100 quadrature samples"):
+        with pytest.raises(ValueError, match="the cells of the lattice table need 18404100 "
+                                             "quadrature samples"):
             operators.apply_kantorovich_batch(KERNEL, 130, f, 4, [[0.5], [0.5]])
         assert calls == []
         convergence_sweep("basic", KERNEL, f, [4], [(0.0, 1.0)] * 2, 2, quad_nodes=130)()[0]
+
+    def test_a_table_at_the_cell_cap_runs(self):
+        # n x = 1.5 takes 32^2 table sites, x 128^2 nodes = 2^24 samples, exactly the cap; the
+        # lattice site n x = 2 (n = 4) takes a whole window's 33^2 sites, past it
+        f = function_preset("sin-exp")
+        assert np.isfinite(operators.apply_kantorovich_batch(KERNEL, 128, f, 3, [[0.5], [0.5]])).all()
+        with pytest.raises(ValueError, match="need 17842176 quadrature samples"):
+            operators.apply_kantorovich_batch(KERNEL, 128, f, 4, [[0.5], [0.5]])
 
 
 class TestResidualOrders:

@@ -1,6 +1,8 @@
 """Public names: every export resolves, and star-imports work."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -22,3 +24,13 @@ def test_star_import():
     namespace = {}
     exec("from tanhqi import *", namespace)
     assert set(tanhqi.__all__) <= set(namespace)
+
+
+def test_every_module_name_the_readme_cites_resolves():
+    # each backticked `<module>.<name>` of the eight modules, as in `kernel.MAX_POINT_WORK = 2^24`
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cited = set(re.findall(rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)", readme))
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"tanhqi.{module}"), name)]
+    assert missing == []

@@ -40,7 +40,6 @@ from tanhqi.kernel import (
     table_sites,
     window_weights,
 )
-from tanhqi.operators import check_cell_work
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -368,9 +367,6 @@ class TestWindowRows:
         k = kernel()
         assert point_work(k, 1) == 33
         assert point_work(k, 2) == 33 * 33
-        check_cell_work(k, 5, 2)  # 33 x 33 sites x 25 samples
-        with pytest.raises(ValueError, match="cells of one kernel window need"):
-            check_cell_work(k, MAX_POINT_WORK, 2)
         # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites and takes no quadrature
         with pytest.raises(ValueError, match="one kernel window holds 16777217 lattice sites") as exc:
             point_work(kernel(alpha=1e-6), 1)
@@ -593,6 +589,36 @@ class TestKernelProperties:
         k = kernel(q, alpha, eps)
         assert psi_eval(k, x) > 0.0
         assert 1.0 - lattice_sum(k, x) <= 4 * eps * k.radius
+
+    @pytest.mark.parametrize("n", [16, 512])
+    @pytest.mark.parametrize("q, alpha, eps", [(0.5, 1.0, 1e-12), (0.3, 0.25, 1e-10),
+                                               (0.9, 2.0, 1e-14), (0.0, 1.0, 1e-12)])
+    def test_partition_deficit_is_the_closed_form_tail_mass(self, q, alpha, eps, n):
+        # psi = (h(x + 1) - h(x - 1)) / C telescopes over u's window lo..hi, so 1 - the sum is
+        # the four tails of h at its ends, delta(u) = (T+(a) + T+(a - 1) + T-(b + 1) + T-(b)) / C
+        # with a = u - lo + 1, b = u - hi - 1, T+(z) = 1/(1 + q) - h(z), T-(z) = h(z) + q/(1 - q)
+        k = kernel(q, alpha, eps)
+        w, c = k.radius, normalization_constant(k.params)
+
+        def t_plus(z):
+            return (1 + q * q) / ((1 + q) * ((1 + q) * math.exp(2 * alpha * z) + 1 - q))
+
+        def t_minus(z):
+            return (1 + q * q) / ((1 - q) * ((1 + q) + (1 - q) * math.exp(-2 * alpha * z)))
+
+        def delta(u):
+            a, b = u - math.ceil(u - w) + 1, u - math.floor(u + w) - 1
+            return (t_plus(a) + t_plus(a - 1) + t_minus(b + 1) + t_minus(b)) / c
+
+        x = np.linspace(0.0, 1.0, 201)
+        deficit = 1.0 - axis_moments(k, x, n, 0)[:, 0]
+        want = np.array([delta(u) for u in (n * x).tolist()])
+        # each of the row's width weights within gamma(weight_roundings) of psi at the exact
+        # offset, their sum (<= 1) within gamma(width) more, 1 - sum exact (Sterbenz); delta's
+        # four quotients, exps and sums within gamma(20) of their exact value
+        bound = gamma(weight_roundings(k)) + gamma(k.width) + gamma(20) * want
+        assert np.all(np.abs(deficit - want) <= bound)
+        assert np.all(want > 0.0)
 
     @settings(deadline=None)
     @given(q=st.floats(0.01, 0.99), alpha=_log_uniform(1e-3, 50.0), eps=_log_uniform(1e-30, 1e-3))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanhqi import (
     ActivationParams,
@@ -86,12 +88,14 @@ def test_each_call_of_a_bound_fractional_sweep_makes_one_l1_call(calls):
 
 
 def test_a_fractional_sweep_caps_every_n_s_l1_grids_at_bind_time(monkeypatch, calls):
-    # the cap counts each n's nodes, more than the one call over their union computes
+    # the cap counts the grid points of the union of every n's nodes, the one call's own work
     f, ns, h = function_preset("pow2"), [64, 128, 256], 1e-3
     axes = analysis.grid_axes([(0.2, 1.0)], 5)
     nodes = [operators.fractional_nodes(f, n, kernel.table_sites(KERNEL, n, axes)[0]) for n in ns]
-    work = sum(int(np.ceil(x / h).sum()) + x.size for x in nodes)
-    assert work > fractional.l1_work(np.unique(np.concatenate(nodes)), h)
+    union = np.unique(np.concatenate(nodes))
+    work = int(np.ceil(union / h).sum()) + union.size
+    assert work == fractional.l1_work(union, h)
+    assert work < sum(int(np.ceil(x / h).sum()) + x.size for x in nodes)
     monkeypatch.setattr(fractional, "MAX_L1_WORK", work)
     fractional_sweep(KERNEL, f, 0.5, [(0.2, 1.0)], 5, ns, h)
     monkeypatch.setattr(fractional, "MAX_L1_WORK", work - 1)
@@ -100,9 +104,35 @@ def test_a_fractional_sweep_caps_every_n_s_l1_grids_at_bind_time(monkeypatch, ca
     assert calls["rl_derivative_batch"] == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(ns=st.lists(st.integers(1, 300), min_size=1, max_size=4), lo=st.floats(1e-3, 2.0),
+       width=st.floats(1e-3, 2.0), points=st.integers(1, 7), h=st.sampled_from([1e-2, 3e-3, 1e-3]))
+def test_the_bind_time_l1_count_is_the_one_call_s_own(ns, lo, width, points, h):
+    # the sweep counts L1 work once, at bind time, on the very nodes its run's one call tabulates
+    counted, tabulated = [], []
+
+    def count(xs, step):
+        counted.append(fractional.l1_work(xs, step))
+        return counted[-1]
+
+    def tabulate(cfg, f, xs):
+        tabulated.append(np.array(xs))
+        return fractional.rl_derivative_batch(cfg, f, xs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "l1_work", count)
+        patch.setattr(analysis, "rl_derivative_batch", tabulate)
+        run = fractional_sweep(KERNEL, function_preset("pow2"), 0.5, [(lo, lo + width)], points,
+                               ns, h)
+        assert len(counted) == 1 and tabulated == []
+        run()
+    [nodes] = tabulated
+    assert counted == [fractional.l1_work(nodes, h)]
+
+
 def test_the_cli_leaves_the_lattice_checks_to_the_library():
     for name in ("sweep", "table_sites", "check_chart", "check_sweep", "grid_axes", "point_work",
-                 "check_axes", "check_cell_work", "check_table_cells", "fractional_nodes",
+                 "check_axes", "check_table_cells", "fractional_nodes",
                  "chart_coords"):
         assert not hasattr(cli, name)
 
