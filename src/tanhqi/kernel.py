@@ -25,8 +25,10 @@ psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc.
 
 A window's weights psi(u - k) take one exp per centre u instead, and one
-table e^(2 alpha (j - W)) over its sites k = lo + j per call
-(``window_weights``); past WINDOW_EXP_LIMIT they take ``psi_eval``.
+table e^(2 alpha (j - W)) over its sites k = lo + j per call: each weight
+is the reciprocal of a three-term sum, one rank-3 einsum of a centre
+table and a slot table (``window_weights``); past WINDOW_EXP_LIMIT they
+take ``psi_eval``.
 
 Lattice sums sum_k v(k) Z(n x - k) over a tensor grid of points sample v
 once per site of the lattice table (``table_sites``); as Z is a product,
@@ -36,13 +38,15 @@ rule, then moves it last so the next axis comes first.  Every axis, like
 buffers), so a chunk of points, all with windows of one width, only fills
 its weights and reads each window, 2W or 2W + 1 sites, with one index per
 row from an ``as_strided`` view of the table (its first stride on two axes,
-no copy).  A point's sum depends on its own windows alone, not on the
-other points of its call.  ``table_sites`` caps a window's sites, the
-table's sites and the sums' multiply-adds before it builds a site, for
-operators and sweeps alike (``check_moments`` all but the table's, for the
-moments, which build no table); a sweep (``analysis.sweep``) runs it for
-every n first and hands each n's checked mesh to the calls on its own grid
-(``lattice_sums(..., sites=...)``), so each table's sites are built once.
+no copy).  The last axis sums each row as one BLAS dot; earlier axes sum
+slot by slot in window order, in numpy's own loop.  A point's sum depends
+on its own windows alone, not on the other points of its call.
+``table_sites`` caps a window's sites, the table's sites and the sums'
+multiply-adds before it builds a site, for operators and sweeps alike
+(``check_moments`` all but the table's, for the moments, which build no
+table); a sweep (``analysis.sweep``) runs it for every n first and hands
+each n's checked mesh to the calls on its own grid (``lattice_sums(...,
+sites=...)``), so each table's sites are built once.
 One rule, ``chunk_rows``, sizes every lattice chunk (and Kantorovich's cell
 slabs); fractional L1 chunks keep ``fractional.L1_CHUNK_POINTS``, for time.
 """
@@ -78,11 +82,14 @@ __all__ = [
     "kernel_mass",
 ]
 
-# numbers per chunk array (256 KiB of float64): a chunk's three live arrays (weights, their
-# temporary, the gather) fit a 2 MiB L2, and numpy's fixed cost per call (11-14 us) is spread
-# over more points, 63 in a W = 256 chunk where 2^13 held 15.  One W = 256 sum over 1001 points
-# took 3.0 ms at 2^13, 2.2-2.5 ms at 2^15 and 3.0-3.6 ms at 2^17 (Xeon, 48 KiB L1d, 2 MiB L2)
-CHUNK_ELEMENTS = 2**15
+# numbers per chunk array (128 KiB of float64): chunk_rows takes whole rows of an odd window
+# width, so a chunk's gather, made afresh per chunk, stays under the C library's default mmap
+# threshold (128 KiB in glibc) and reuses heap memory, and numpy's fixed cost per call (11-14 us)
+# is spread over 31 points of a W = 256 chunk.  At 2^15 each gather was freshly mapped pages
+# (276-282 page faults per call below).  The 1-D sums of n = 16, 128 and 2048 over 1001 points
+# took 0.86-0.89 ms at W = 16 and 4.5-5.1 ms at W = 256 at 2^14, 0.92-0.93 and 5.5 ms at 2^13,
+# 1.2-1.5 and 4.7-5.6 ms at 2^15 (Xeon, 48 KiB L1d, 2 MiB L2, one process per size)
+CHUNK_ELEMENTS = 2**14
 # cap on the samples over one kernel window's cells and on a lattice table's
 # sites, checked before any allocation
 MAX_POINT_WORK = 2**24
@@ -180,46 +187,52 @@ def psi_eval(kernel: DensityKernel, x):
 
 
 def window_weights(kernel: DensityKernel, u, lo):
-    """The weight rule of every lattice window: a function (width, rows, out, scratch) -> weights.
+    """The weight rule of every lattice window: a function (width, rows, out) -> weights.
 
     u and lo have shape (P,), lo_i = ceil(u_i - W) the first site of u_i's
     window; the weights psi(u_i - lo_i - j) of the centres u[rows] (all by
     default) have shape (m, width), j = 0..width - 1 <= 2W, and go into out
-    (a temporary into scratch) when given.  With c = lo + W, so
-    -1 < u - c <= 0, psi(u - k) at k = lo + j takes v = e^(-2 alpha (u - c)) R_j,
-    R_j = e^(2 alpha (j - W)): the per-centre exps and the R table are taken
-    once, when the rule is built.  Expanding psi_eval's denominator with
-    A = 1 + q, B = 1 - q gives
+    when given.  With c = lo + W, so -1 < u - c <= 0, psi(u - k) at
+    k = lo + j takes v = f R_j, f = e^(2 alpha (c - u)) per centre and
+    R_j = e^(2 alpha (j - W)) per slot.  Expanding psi_eval's denominator
+    with A = 1 + q, B = 1 - q and dividing through by v gives
 
-        psi = v / (c1 + v (c0 + c2 v)),  c0 = A B (1 + e^2) / s,  c1 = A^2 e / s,  c2 = B^2 e / s,
+        psi = 1 / (c0 + (c1 / f) S_j + (c2 f) R_j),  S_j = 1 / R_j = R_(2W - j),
+        c0 = A B (1 + e^2) / s,  c1 = A^2 e / s,  c2 = B^2 e / s,
 
-    all terms positive, one division and no site array.  Build the rule
-    once per call and apply it per chunk.  Where 2 alpha (W + 1) exceeds
-    WINDOW_EXP_LIMIT, the rule is ``psi_eval`` at the sites instead.
+    all terms positive.  When the rule is built it takes one exp per centre
+    and one per slot, and one division per centre, into a centre table
+    [c1 / f, c2 f, c0] (P, 3) and a slot table [S, R, 1] (3, 2W + 1); per
+    chunk each weight is then one reciprocal of the rank-3 product of the
+    two, summed as ((c1 / f) S_j + (c2 f) R_j) + c0.  The product is
+    numpy's own einsum loop, not BLAS: a BLAS dgemm of the same product
+    groups a row differently with the rows around it, so a weight would
+    depend on its chunk.  Build the rule once per call and apply it per
+    chunk.  Where 2 alpha (W + 1) exceeds WINDOW_EXP_LIMIT, the rule is
+    ``psi_eval`` at the sites instead.
     """
     q, a, w = float(kernel.params.q), float(kernel.params.alpha), kernel.radius
     if 2.0 * a * (w + 1.0) > WINDOW_EXP_LIMIT:
-        def sites(width, rows=slice(None), out=None, scratch=None):
+        def sites(width, rows=slice(None), out=None):
             return psi_eval(kernel, u[rows, None] - (lo[rows, None] + np.arange(float(width))))
 
         return sites
     e = math.exp(-2.0 * a)
     s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
-    c0 = (1.0 + q) * (1.0 - q) * (1.0 + e * e) / s
-    c1 = (1.0 + q) ** 2 * e / s
-    c2 = (1.0 - q) ** 2 * e / s
-    ratios = np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w))
+    slots = np.empty((3, kernel.width))
+    # R_j, and S_j as R's mirror image: 2 alpha (j - W) is exactly -2 alpha (2W - j - W)
+    np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w), out=slots[1])
+    slots[0] = slots[1, ::-1]
+    slots[2] = 1.0
     factor = np.exp(2.0 * a * (lo + w - u))
+    centres = np.empty((factor.size, 3))
+    np.divide((1.0 + q) ** 2 * e / s, factor, out=centres[:, 0])
+    np.multiply((1.0 - q) ** 2 * e / s, factor, out=centres[:, 1])
+    centres[:, 2] = (1.0 + q) * (1.0 - q) * (1.0 + e * e) / s
 
-    def weights(width, rows=slice(None), out=None, scratch=None):
-        # one rounded product per element, as factor[rows, None] * ratios, without the broadcast
-        v = np.einsum("i,j->ij", factor[rows], ratios[:width], out=out)
-        d = np.multiply(c2, v, out=scratch)
-        d += c0
-        d *= v
-        d += c1
-        v /= d
-        return v
+    def weights(width, rows=slice(None), out=None):
+        d = np.einsum("ik,kj->ij", centres[rows], slots[:, :width], out=out)
+        return np.reciprocal(d, out=d)
 
     return weights
 
@@ -234,13 +247,13 @@ def _window_plan(kernel: DensityKernel, u: np.ndarray, rows: int):
     # not np.unique: its first call alone raised a run's peak RSS by 1.7 MB (numpy 2.4)
     widths = range(int(length.min()), int(length.max()) + 1)
     weights = window_weights(kernel, u, lo)
-    flat = np.empty(2 * min(rows, u.size) * widths[-1])
+    flat = np.empty(min(rows, u.size) * widths[-1])
 
     def chunks(width):
         index = np.flatnonzero(length == width)
         for start in range(0, index.size, rows):
             chunk = index[start:start + rows]
-            yield chunk, weights(width, chunk, *flat[:2 * chunk.size * width].reshape(2, -1, width))
+            yield chunk, weights(width, chunk, flat[:chunk.size * width].reshape(-1, width))
 
     return lo, [(width, chunks(width)) for width in widths]
 
@@ -356,8 +369,12 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     gathered numbers, fills its rows' weights and gathers row p as
     T[first_p : first_p + L] from a read-only view of each table, with the
     table's first stride on the window's slots as well.  The last axis sums
-    each window pairwise, its slots last, and earlier axes in window order.
-    So a point's sum depends on its own windows alone, not on
+    each row, its slots last, as one BLAS 1-D dot (``np.matmul`` of a row
+    and a column), as ``axis_moments`` does.  Earlier axes sum slot by slot
+    in window order, each slot across the later axes' whole table, by
+    numpy's own einsum loop: a BLAS gemv there would treat a table's last
+    columns apart, so a slot's bits would depend on the width of that
+    table.  So a point's sum depends on its own windows alone, not on
     CHUNK_ELEMENTS or the other points of its call.  The first axis's
     points go through all axes in blocks whose partial sums hold at most
     MAX_POINT_WORK numbers, one block for every 1-D sum.  ``sites``, when
@@ -386,8 +403,9 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
 
 def _contract(kernel: DensityKernel, u: np.ndarray, sites: np.ndarray, tables, last: bool) -> list:
     # each table (K, *rest), K on the sorted sites, contracted on its first axis onto centres u:
-    # row p sums T[first_p : first_p + L] by its window's weights, pairwise with the slots last
-    # when last, else in window order; returned as (*rest, P), the contracted axis moved last
+    # row p sums T[first_p : first_p + L] by its window's weights, one BLAS dot per row with the
+    # slots last when last, else in window order; returned as (*rest, P), the contracted axis
+    # moved last
     rest = tables[0].shape[1:]
     slot = len(rest) + 1 if last else 1
     lo, groups = _window_plan(kernel, u, chunk_rows(kernel.width * math.prod(rest)))
@@ -399,20 +417,24 @@ def _contract(kernel: DensityKernel, u: np.ndarray, sites: np.ndarray, tables, l
         views = [as_strided(t, (t.shape[0] - width + 1, *rest[:slot - 1], width, *rest[slot - 1:]),
                             (*t.strides[:slot], t.strides[0], *t.strides[slot:]), writeable=False)
                  for t in tables]
-        # a chunk's weights (m, width) as (m, .., width, ..), the width at slot
-        spread = [1] * (len(rest) + 2)
-        spread[0], spread[slot] = -1, width
         for chunk, weights in chunks:
-            weights = weights.reshape(spread)
+            if last:
+                # (m, 1, .., width, 1), a column per row for matmul
+                weights = weights.reshape(-1, *[1] * len(rest), width, 1)
             for view, o in zip(views, out):
                 # C order, so the sum groups as it would over a plain table: a gather through a
                 # broadcast table's zero strides comes out in another layout
                 v = np.ascontiguousarray(view[first[chunk]])
-                v *= weights
-                # rebinding v frees the gather before the next chunk's: o[chunk] = v.sum(..)
-                # keeps it alive across that allocation, and a W = 256 sum over 1001 points
-                # took 7-20% longer
-                v = v.sum(axis=slot)
+                # rebinding v to its sum frees the gather before the next chunk's: writing the
+                # sum straight into o[chunk] keeps the gather alive across that allocation, and
+                # a W = 256 sum over 1001 points took 7-20% longer
+                if last:
+                    # one BLAS 1-D dot per row, as in axis_moments
+                    v = np.matmul(v[..., None, :], weights)[..., 0, 0]
+                else:
+                    # numpy's own loop, slot by slot in window order: a gemv (matmul) would make
+                    # a slot's bits depend on the width of the later axes' table
+                    v = np.einsum("ij...,ij->i...", v, weights)
                 o[chunk] = v
     return [o.transpose(*range(1, o.ndim), 0) for o in out]
 

@@ -3,7 +3,8 @@
 The reference functions below are the one-point sums as the package
 computed them before the batched engine existed: one Python call per
 point, windows from math.ceil/math.floor, weights multiplied out with
-np.multiply.outer and reduced with np.sum or a 1-D dot product.  They
+np.multiply.outer and reduced with np.sum, or, for a 1-D window, with
+one BLAS dot product, as the package's last axis sums each row.  They
 never touch the package's window plan: a window's sites come from
 math.ceil and math.floor, and its weights from ``kernel.window_weights``
 applied to that one centre, the rule every lattice window takes (held to
@@ -13,17 +14,16 @@ lattice sites, and with first axes longer than one chunk, its size
 patched to SMALL_CHUNK so the grids stay short); the references walk its
 points in C order.
 
-1-D basic and Kantorovich rows and moments must equal them exactly on
-every grid: a first-axis row sums its own window, 2W sites or, for a
-lattice-site centre n x_i, 2W + 1, whatever the other points of its
-call.  Some sums regroup by design and get a 1e-15 relative bound:
-
-* every 2-D sum, which contracts one axis at a time instead of summing
-  each point's (2W)^2 window products pairwise (from W = 64 on, a window
-  of 2W and one of 2W + 1 sites group numpy's pairwise sum differently,
-  so the examples at W = 64 and 128 mix both on each axis);
-* fractional rows whose window lies in k >= 0: their numerator is a
-  pairwise sum, not a BLAS dot product.
+1-D basic and Kantorovich rows, moments and fractional rows whose
+window lies in k >= 0 must equal them exactly on every grid: a
+first-axis row sums its own window, 2W sites or, for a lattice-site
+centre n x_i, 2W + 1, whatever the other points of its call, and a
+fractional row's numerator and weight sum are both BLAS dot products
+(the weight sum one with a table of ones).  Every 2-D sum regroups by
+design and gets a 1e-15 relative bound: it contracts one axis at a time
+instead of summing each point's (2W)^2 window products pairwise (the
+examples at W = 64 and 128 mix 2W- and 2W + 1-site windows on each
+axis).
 
 A Kantorovich cell average is one dot product over that cell's
 quadrature samples, in the operator and in ``ref_kantorovich`` alike, so
@@ -114,10 +114,16 @@ def ref_tensor(kernel, n, x):
     return ks, functools.reduce(np.multiply.outer, ws)
 
 
+def ref_sum(vals, weights):
+    # a 1-D window as one BLAS dot, as the package's last axis sums it; more axes multiplied
+    # out and summed pairwise
+    return float(np.dot(vals, weights) if weights.ndim == 1 else np.sum(vals * weights))
+
+
 def ref_basic(kernel, n, f, x):
     ks, weights = ref_tensor(kernel, n, x)
     vals = np.asarray(f.value(*np.meshgrid(*[k / n for k in ks], indexing="ij")), dtype=float)
-    return float(np.sum(vals * weights))
+    return ref_sum(vals, weights)
 
 
 def ref_kantorovich(kernel, n, g, f, x):
@@ -134,7 +140,7 @@ def ref_kantorovich(kernel, n, g, f, x):
     vals = np.asarray(f.value(*expanded), dtype=float)
     node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim).ravel()
     averages = np.einsum("ij,j->i", vals.reshape(-1, node_weights.size), node_weights)
-    return float(np.sum(averages.reshape(weights.shape) * weights))
+    return ref_sum(averages.reshape(weights.shape), weights)
 
 
 def ref_fractional(kernel, n, dbeta, x):
@@ -142,7 +148,7 @@ def ref_fractional(kernel, n, dbeta, x):
     admissible = ks >= 0
     ks, weights = ks[admissible], weights[admissible]
     dvals = np.array([dbeta(int(k)) for k in ks])
-    return float(dvals @ weights / float(np.sum(weights)))
+    return float(dvals @ weights / np.dot(np.ones_like(weights), weights))
 
 
 def ref_chart(kernel, chart, n, f, x):
@@ -326,7 +332,7 @@ class TestBatchedMatchesReference:
         got = apply_fractional_batch(kernel, frac_cfg, f, n, [x])
         ref = np.array([ref_fractional(kernel, n, dbeta, float(xi)) for xi in x])
         whole = np.ceil(n * x - kernel.radius) >= 0
-        assert_rows(got[whole], ref[whole], False)
+        assert_rows(got[whole], ref[whole], True)
         # A row whose window reaches k < 0 sums the same nonzero terms as the
         # reference, which drops those sites instead of weighting them zero,
         # so only the grouping differs.  A sum of L terms rounds by at most

@@ -1,5 +1,6 @@
 """Density kernel, truncation window, lattice moments, multi-indices."""
 
+import fractions
 import functools
 import itertools
 import math
@@ -114,21 +115,24 @@ def eval_roundings(k):
 def weight_roundings(k):
     """m such that every window weight is within gamma_m of psi at the exact u - k.
 
-    The per-centre rule, v = e^(2 alpha (c - u)) R_j, R_j = e^(2 alpha (j -
-    W)), psi = v / (c1 + v (c0 + c2 v)), counted as in ``eval_roundings``:
-    c - u in [0, 1) rounds once and 2 alpha (c - u) once, at most 2 alpha
-    2u in the exponent; 2 alpha (j - W) rounds once, at most 2 alpha W u;
-    two exps and the product add 5, so v is within 2 alpha (W + 2) + 5.
+    The per-centre rule, psi = 1 / (((c1 / f) S_j + (c2 f) R_j) + c0), f =
+    e^(2 alpha (c - u)), R_j = e^(2 alpha (j - W)) and S_j = R_(2W - j),
+    counted as in ``eval_roundings``: c - u in [0, 1) rounds once and
+    2 alpha (c - u) once, at most 2 alpha 2u in f's exponent, and exp adds
+    2, so f is within 4 alpha + 2; 2 alpha (j - W) rounds once, at most
+    2 alpha W u in the exponent, so R_j and S_j are within 2 alpha W + 2.
     With s at 6, c1 = A^2 e / s and c2 = B^2 e / s take 13 roundings and
-    c0 = A B (1 + e^2) / s 17; Horner's two multiplies and two adds keep
-    every term of the positive denominator within 20, and the quotient
-    adds 1: m = 2 alpha (W + 2) + 26.  Past WINDOW_EXP_LIMIT the weights
-    are psi_eval's.
+    c0 = A B (1 + e^2) / s 17; c1 / f and c2 f add 1 each, and their
+    products with S_j and R_j 1 more, so both slot terms are within
+    2 alpha (W + 2) + 19.  The two additions of positive terms keep the
+    denominator within 2 alpha (W + 2) + 21 (each term's share of it is at
+    most 1), and the reciprocal adds 1: m = 2 alpha (W + 2) + 22.  Past
+    WINDOW_EXP_LIMIT the weights are psi_eval's.
     """
     a, w = k.params.alpha, k.radius
     if 2 * a * (w + 1) > WINDOW_EXP_LIMIT:
         return eval_roundings(k)
-    return 2 * a * (w + 2) + 26
+    return 2 * a * (w + 2) + 22
 
 
 def underflow_floor(k):
@@ -856,6 +860,44 @@ class TestLatticeSums:
             want.append(np.sum((np.exp(grid[0] - grid[1]) + np.cos(grid[2])) * weights))
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3, 1 / 16])
+    def test_each_row_is_a_dot_within_its_forward_error_bound(self, alpha):
+        # W = 16, 64 and 256: a 1-D row is the dot of its L = 2W or 2W + 1 float weights
+        # (own_window, the rule's row bit for bit) and table values, within gamma_L sum |w_j T_j|
+        # of their exact dot (Higham, Accuracy and Stability of Numerical Algorithms, 3.1)
+        k, n = kernel(alpha=alpha), 32
+        x = mixed(np.r_[np.linspace(-0.4, 0.6, 9), 0.25, 0.5], n)
+        (got,) = lattice_sums(k, n, [x], lambda sites: [np.cos(sites[0] / 7.0) + 0.2])
+        unit = fractions.Fraction(1, 2**53)
+        for u, row in zip(n * x, got):
+            ks, ws = own_window(k, u)
+            terms = [fractions.Fraction(w) * fractions.Fraction(t)
+                     for w, t in zip(ws, np.cos(ks / 7.0) + 0.2)]
+            size = len(terms)
+            bound = size * unit / (1 - size * unit) * sum(abs(t) for t in terms)
+            assert abs(fractions.Fraction(row) - sum(terms)) <= bound
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_an_earlier_axis_sums_each_slot_by_itself(self, alpha):
+        # an earlier axis weighs each window slot across the later axes' whole table: every
+        # slot of a 289-site later table, contracted with its neighbours in a table of 2-5
+        # sites or with its point alone, keeps its bits, so a slot's value depends neither on
+        # the width of the later table nor on where it lies in it (a gemv, which takes a
+        # table's last columns apart, fails this).  A later table holds a window, so at least
+        # 2W >= 4 sites: one-site tables do not occur
+        k = kernel(alpha=alpha)
+        x = mixed(np.r_[np.linspace(-3.7, 3.3, 6), -2.0, 1.0], 1)
+        sites = table_sites(k, 1, [x])[0]
+        table = np.random.default_rng(5).uniform(-1.0, 1.0, (sites.size, 289))
+        (whole,) = kernel_module._contract(k, x, sites, [table], False)
+        for cols in range(2, 6):
+            for start in range(0, 289 - cols + 1):
+                part = np.ascontiguousarray(table[:, start:start + cols])
+                (got,) = kernel_module._contract(k, x, sites, [part], False)
+                assert np.array_equal(got, whole[start:start + cols]), (cols, start)
+        for i in range(x.size):
+            (alone,) = kernel_module._contract(k, x[i:i + 1], sites, [table], False)
+            assert np.array_equal(alone[:, 0], whole[:, i]), i
 
 # W = 16 at n = 1: 3.0 and 6.0 are lattice sites with 33-site windows, -13..19 and -10..22;
 # 1.5 and 5.5 have 32 sites, -14..17 and -10..21.  In [3.0, 5.5] the 32-site window ends on
@@ -1033,8 +1075,9 @@ class TestWindowPlan:
 
     @pytest.mark.parametrize("alpha", WINDOW_ALPHAS)
     def test_rows_are_the_one_exp_formula(self, alpha):
-        # each weight is v / (c1 + v (c0 + c2 v)), v = factor_i R_j one rounded product, bit for
-        # bit: for all rows, a chunk of rows into given buffers, and both window widths
+        # each weight is 1 / (((c1 / f_i) S_j + (c2 f_i) R_j) + c0), f_i and R_j one exp each,
+        # S_j = R_(2W - j), bit for bit: for all rows, a chunk of rows into a given buffer, and
+        # both window widths
         k = kernel(alpha=alpha)
         q, a, w = k.params.q, alpha, k.radius
         # off-site centres and three lattice sites
@@ -1046,14 +1089,17 @@ class TestWindowPlan:
         c1, c2 = (1.0 + q) ** 2 * e / s, (1.0 - q) ** 2 * e / s
         factor = np.exp(2.0 * a * (lo + w - u))
         ratios = np.exp(2.0 * a * (np.arange(2.0 * w + 1.0) - w))
+        # the mirror image is the reciprocal's exp: 2 alpha (j - W) negates exactly
+        assert np.array_equal(ratios[::-1], np.exp(-2.0 * a * (np.arange(2.0 * w + 1.0) - w)))
         rule = window_weights(k, u, lo)
         rows = np.array([3, 0, 17, 40])
         for width in (int(2 * w), int(2 * w) + 1):
-            v = factor[:, None] * ratios[:width]
-            want = v / (c1 + v * (c0 + c2 * v))
+            d = ((c1 / factor)[:, None] * ratios[::-1][:width]
+                 + (c2 * factor)[:, None] * ratios[:width]) + c0
+            want = 1.0 / d
             assert np.array_equal(rule(width), want)
-            out, scratch = np.empty((2, rows.size, width))
-            got = rule(width, rows, out, scratch)
+            out = np.empty((rows.size, width))
+            got = rule(width, rows, out)
             assert got is out and np.array_equal(got, want[rows])
 
 

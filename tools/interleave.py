@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...]
+    python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...] [--runs]
 
 Each tree's ``src/tanhqi`` is loaded under its own package name in this
 one process, with BLAS and OpenMP pinned to one thread before numpy loads.
@@ -13,9 +13,15 @@ seed 0) through each tree's ``cli.main``, then the set-up probe once per
 tree (``perfbench/run.py``'s ``probe``, a fresh interpreter that imports
 the tree's tanhqi and builds a kernel: the benchmark's ``setup_s``), the
 tree that goes first alternating from round to round, after one untimed
-warm-up round.  Host load then moves both trees' times alike, where
-separate benchmark runs spread wider than a 1% effect.  For each workload,
-and then for the set-up as "setup", it prints both trees' median wall time
+warm-up round.  Each run is timed on its own, and a pass's time is the
+sum of its runs'.  Host load then moves both trees' times alike, where
+separate benchmark runs spread wider than a 1% effect.  The two trees
+share this process's allocator, though: one tree's large frees can raise
+glibc's mmap threshold for the other, so a gain read here still needs
+``perfbench/run.py`` pairs, one process per tree.  For each workload,
+with ``--runs`` then for each of its runs as "workload/run" (say
+"sweep-1d/basic-wide"), and then for the set-up as "setup", it prints
+both trees' median wall time
 with its quartiles, the change of the median against the parent in %, the
 rounds in which the change was the faster, and a verdict (``verdict``):
 "gain resolved" when the change was the faster in at least nine tenths of
@@ -82,6 +88,8 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=40, help="timed rounds (default 40)")
     p.add_argument("--workloads", default=",".join(workloads.WORKLOADS),
                    help="comma-separated workload names (default: all)")
+    p.add_argument("--runs", action="store_true",
+                   help="also print a line per run of each workload, as workload/run")
     args = p.parse_args(argv)
     names = args.workloads.split(",")
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
@@ -92,7 +100,12 @@ def main(argv=None) -> int:
     os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
     trees = (args.parent, args.change)
     clis = [load_cli(tree, f"tanhqi_{side}") for tree, side in zip(trees, SIDES)]
-    walls = {name: ([], []) for name in [*names, "setup"]}
+    walls = {}
+    for name in names:
+        walls[name] = ([], [])
+        for spec in workloads.WORKLOADS[name] if args.runs else ():
+            walls[f"{name}/{spec.name}"] = ([], [])
+    walls["setup"] = ([], [])
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         runs = {(name, side): workloads.build(name, 0, os.path.join(tmp, SIDES[side], name))
                 for name in names for side in range(2)}
@@ -102,15 +115,19 @@ def main(argv=None) -> int:
             order = (0, 1) if round_ % 2 else (1, 0)
             for name in names:
                 for side in order:
-                    wall, statuses = bench.run_pass(clis[side], runs[name, side])
-                    failed = [run.argv for run, status in zip(runs[name, side], statuses)
-                              if status]
-                    if failed:
-                        print(f"{SIDES[side]}: {name} exited non-zero: {failed[0]}",
-                              file=sys.stderr)
-                        return 2
+                    timed = {}
+                    for run in runs[name, side]:
+                        wall, (status,) = bench.run_pass(clis[side], [run])
+                        if status:
+                            print(f"{SIDES[side]}: {name} exited non-zero: {run.argv}",
+                                  file=sys.stderr)
+                            return 2
+                        timed[f"{name}/{run.spec.name}"] = wall
                     if round_:  # round 0 warms both trees up
-                        walls[name][side].append(wall)
+                        walls[name][side].append(sum(timed.values()))
+                        for key, wall in timed.items():
+                            if key in walls:
+                                walls[key][side].append(wall)
             for side in order:
                 wall = bench.probe(bench.PROBE, os.path.join(trees[side], "src"))
                 if round_:
