@@ -1,5 +1,5 @@
-"""tools/interleave.py: a tree timed against itself prints one line per workload (and with --runs
-per run), and its verdict on a pair of timing series."""
+"""tools/interleave.py: a tree timed against itself prints one line per workload and per run, and
+its verdict on a pair of timing series."""
 
 import importlib.util
 import os
@@ -23,25 +23,11 @@ def test_a_tree_against_itself(tmp_path):
     wall = r"\d+\.\d{5} s \(quartiles \d+\.\d{5}-\d+\.\d{5}\)"
     line = (rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, "
             r"(gain resolved|loss resolved|unresolved)\n")
-    # the workload's line, then the set-up probe's in the same format
-    assert re.fullmatch(rf"moments-chart: {line}setup: {line}", done.stdout)
+    # the workload's line, one per run as workload/run, then the set-up probe's, all in one format
+    names = ["moments-chart", "moments-chart/voronovskaya", "moments-chart/half-plane",
+             "moments-chart/kernel-dump", "setup"]
+    assert re.fullmatch("".join(f"{name}: {line}" for name in names), done.stdout)
     # every report went to the tool's own temporary directory
-    assert os.listdir(tmp_path) == []
-
-
-def test_runs_prints_a_line_per_run_after_its_workload(tmp_path):
-    done = subprocess.run([sys.executable, TOOL, REPO, REPO, "--rounds", "2",
-                           "--workloads", "moments-chart", "--runs"],
-                          capture_output=True, text=True, cwd=tmp_path, timeout=300)
-    assert done.returncode == 0 and done.stderr == ""
-    names = [line.split(": ", 1)[0] for line in done.stdout.splitlines()]
-    assert names == ["moments-chart", "moments-chart/voronovskaya", "moments-chart/half-plane",
-                     "moments-chart/kernel-dump", "setup"]
-    wall = r"\d+\.\d{5} s \(quartiles \d+\.\d{5}-\d+\.\d{5}\)"
-    line = (rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, "
-            r"(gain resolved|loss resolved|unresolved)")
-    for text in done.stdout.splitlines():
-        assert re.fullmatch(rf"[a-z/-]+: {line}", text)
     assert os.listdir(tmp_path) == []
 
 

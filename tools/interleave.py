@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...] [--runs]
+    python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...]
 
 Each tree's ``src/tanhqi`` is loaded under its own package name in this
 one process, with BLAS and OpenMP pinned to one thread before numpy loads.
@@ -19,9 +19,8 @@ separate benchmark runs spread wider than a 1% effect.  The two trees
 share this process's allocator, though: one tree's large frees can raise
 glibc's mmap threshold for the other, so a gain read here still needs
 ``perfbench/run.py`` pairs, one process per tree.  For each workload,
-with ``--runs`` then for each of its runs as "workload/run" (say
-"sweep-1d/basic-wide"), and then for the set-up as "setup", it prints
-both trees' median wall time
+then for each of its runs as "workload/run" (say "sweep-1d/basic-wide"),
+and last for the set-up as "setup", it prints both trees' median wall time
 with its quartiles, the change of the median against the parent in %, the
 rounds in which the change was the faster, and a verdict (``verdict``):
 "gain resolved" when the change was the faster in at least nine tenths of
@@ -88,8 +87,6 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=40, help="timed rounds (default 40)")
     p.add_argument("--workloads", default=",".join(workloads.WORKLOADS),
                    help="comma-separated workload names (default: all)")
-    p.add_argument("--runs", action="store_true",
-                   help="also print a line per run of each workload, as workload/run")
     args = p.parse_args(argv)
     names = args.workloads.split(",")
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
@@ -100,11 +97,8 @@ def main(argv=None) -> int:
     os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
     trees = (args.parent, args.change)
     clis = [load_cli(tree, f"tanhqi_{side}") for tree, side in zip(trees, SIDES)]
-    walls = {}
-    for name in names:
-        walls[name] = ([], [])
-        for spec in workloads.WORKLOADS[name] if args.runs else ():
-            walls[f"{name}/{spec.name}"] = ([], [])
+    walls = {key: ([], []) for name in names
+             for key in [name, *(f"{name}/{spec.name}" for spec in workloads.WORKLOADS[name])]}
     walls["setup"] = ([], [])
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
         runs = {(name, side): workloads.build(name, 0, os.path.join(tmp, SIDES[side], name))
@@ -115,19 +109,18 @@ def main(argv=None) -> int:
             order = (0, 1) if round_ % 2 else (1, 0)
             for name in names:
                 for side in order:
-                    timed = {}
+                    timed = []
                     for run in runs[name, side]:
                         wall, (status,) = bench.run_pass(clis[side], [run])
                         if status:
                             print(f"{SIDES[side]}: {name} exited non-zero: {run.argv}",
                                   file=sys.stderr)
                             return 2
-                        timed[f"{name}/{run.spec.name}"] = wall
+                        timed.append(wall)
                     if round_:  # round 0 warms both trees up
-                        walls[name][side].append(sum(timed.values()))
-                        for key, wall in timed.items():
-                            if key in walls:
-                                walls[key][side].append(wall)
+                        walls[name][side].append(sum(timed))
+                        for run, wall in zip(runs[name, side], timed):
+                            walls[f"{name}/{run.spec.name}"][side].append(wall)
             for side in order:
                 wall = bench.probe(bench.PROBE, os.path.join(trees[side], "src"))
                 if round_:
