@@ -15,9 +15,9 @@ are fully deterministic: identical configs produce byte-identical files.
 integer column, else json's ``repr``, the shortest text that reads back
 as the same double.  The JSON is ``json.dumps(report, sort_keys=True,
 indent=2)``; only kernel-dump's float rows, json's largest payload, are
-joined from those texts (``_float_rows``), with the bytes json writes at
-that indent.  The argument parser is built once per process
-(``build_parser`` is cached).
+joined from those texts (``_float_rows``), with or without the CSV, with
+the bytes json writes at that indent.  The argument parser is built once
+per process (``build_parser`` is cached).
 
 Each run is built once (``_build_run``) by its one ``analysis`` entry
 point, after every check the run makes, the lattice checks (O(points x
@@ -300,26 +300,24 @@ def _cells(rows) -> list[tuple[str, ...]]:
     return list(zip(*columns)) or [()] * len(rows)  # rows without cells have no column
 
 
-def _write_csv(path: str, header: list[str], rows) -> list[tuple[str, ...]]:
-    """Write the table with LF line endings; returns its cells' texts (``_cells``)."""
-    cells = _cells(rows)
+def _write_csv(path: str, header: list[str], cells) -> None:
+    """Write the table, its cells' texts (``_cells``), with LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join([",".join(line) + "\n" for line in [header, *cells]]))
-    return cells
 
 
-def _float_rows(rows) -> str:
-    """rows as json.dumps(..., indent=2) writes a top-level key's value, for a non-empty list of
-    equally long, non-empty lists of floats or of their ``_cells`` texts: a float's str is json's
+def _float_rows(cells) -> str:
+    """A float table as json.dumps(..., indent=2) writes a top-level key's value, from its
+    ``_cells`` texts (a non-empty list of equally long, non-empty rows): a float's text is json's
     float.__repr__, which holds an n only in nan and inf, made json's NaN and Infinity here."""
-    text = "\n    ],\n    [\n      ".join([",\n      ".join(map(str, row)) for row in rows])
+    text = "\n    ],\n    [\n      ".join([",\n      ".join(row) for row in cells])
     return ("[\n    [\n      " + text + "\n    ]\n  ]").replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _write_json(path: str, payload: dict | list, rows=None) -> None:
-    """json.dumps(payload, sort_keys=True, indent=2); rows, when given, are the payload dict's
-    "rows", written by ``_float_rows`` (at indent 2 only a top-level key starts a line with
-    two spaces and a quote)."""
+    """json.dumps(payload, sort_keys=True, indent=2); rows, when given, are the ``_cells`` texts
+    of the payload dict's "rows", written by ``_float_rows`` (at indent 2 only a top-level key
+    starts a line with two spaces and a quote)."""
     text = json.dumps(payload if rows is None else {**payload, "rows": 0}, sort_keys=True, indent=2)
     if rows is not None:
         text = text.replace('\n  "rows": 0', '\n  "rows": ' + _float_rows(rows), 1)
@@ -328,10 +326,13 @@ def _write_json(path: str, payload: dict | list, rows=None) -> None:
 
 
 def _emit(cfg: ExperimentConfig, header, rows, payload) -> None:
-    if cfg.fmt == "csv":
-        rows = _write_csv(cfg.out + ".csv", header, rows)  # each cell's text, made once
     # kernel-dump's table is also its report's "rows": json's largest payload, and all floats
-    _write_json(cfg.out + ".json", payload, rows if cfg.command == "kernel-dump" else None)
+    dump = cfg.command == "kernel-dump"
+    if cfg.fmt == "csv" or dump:
+        rows = _cells(rows)  # each cell's text, made once for the CSV and the JSON alike
+    if cfg.fmt == "csv":
+        _write_csv(cfg.out + ".csv", header, rows)
+    _write_json(cfg.out + ".json", payload, rows if dump else None)
 
 
 def _build_run(cfg: ExperimentConfig):

@@ -21,14 +21,19 @@ O(tau^(2-beta)) error for f in C^2.
 values and f(0).  Each node's grid is one row from t_M = x down to t_0,
 padded with t_0 to a width that depends on M alone, M + 1 rounded up to
 a multiple of 64; a pad's difference is exactly 0.  The rows, in order
-of M, form blocks of one width and at most L1_CHUNK_POINTS points (a
-wider row is a block alone), each with one f call and one difference,
-and each row's sum is one BLAS dot against the b_j.  So a node's value
+of M, form blocks of one width and ``kernel.chunk_rows(width)`` rows, so
+at most kernel.CHUNK_ELEMENTS points (a wider row is a block alone): the
+lattice chunks' rule, which keeps a block's arrays within the C library's
+default mmap threshold (128 KiB in glibc), so they reuse heap memory.
+Each block takes one f call and one difference, and each row's sum is
+one BLAS dot against the b_j.  So a node's value
 depends on its own x and M alone, not on the other nodes or on which
 call computed it, and each sum is within the dot-product bound
 gamma_M sum_j |b_j df_j|, gamma_M = M u/(1 - M u), of the exact sum of
 its float terms.  A fractional sweep therefore makes one call over the
 distinct nodes of all its n (``analysis.fractional_sweep``'s union table).
+The scale that turns the sums into D^beta f is one array expression over
+every node, with numpy's vector pow (faithful, as is the C library's).
 
 ``l1_work`` is the one check of the L1 budget: at most MAX_GRID_POINTS
 points on a node's grid, then at most MAX_L1_WORK over a call's nodes.
@@ -42,14 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import chunk_rows
+
 __all__ = ["FracConfig", "gamma_fn", "rl_derivative_batch", "power_rule_oracle"]
 
 MAX_GRID_POINTS = 10**7
 # L1 grid points of one call in all, like kernel.MAX_SUM_WORK
 MAX_L1_WORK = 2**31
-# grid points per f call, kept at 2^13 apart from kernel.CHUNK_ELEMENTS for time: at 2^15 the frac
-# benchmark's wall_s read 0.038-0.047 s against 0.025-0.026 s (2-vCPU Xeon, numpy 2.4)
-L1_CHUNK_POINTS = 2**13
 # a node's L1 row holds M + 1 points rounded up to a multiple of this, so its width, and with it
 # the order of its BLAS dot, depends on M alone
 _ROW_QUANTUM = 64
@@ -101,12 +105,12 @@ class FracConfig:
 
 
 def _blocks(widths: np.ndarray):
-    """(lo, hi, width): slices of ascending row widths, one width a block, at most
-    L1_CHUNK_POINTS points a block; a wider row is a block alone."""
+    """(lo, hi, width): slices of ascending row widths, one width a block of
+    ``chunk_rows(width)`` rows."""
     edges = (np.flatnonzero(np.diff(widths)) + 1).tolist()
     for start, stop in zip([0, *edges], [*edges, widths.size]):
         width = int(widths[start])
-        rows = max(1, L1_CHUNK_POINTS // width)
+        rows = chunk_rows(width)
         for lo in range(start, stop, rows):
             yield lo, min(lo + rows, stop), width
 
@@ -167,8 +171,7 @@ def rl_derivative_batch(cfg: FracConfig, f, xs) -> np.ndarray:
     b = np.diff(np.arange(m_max + _ROW_QUANTUM, dtype=float) ** (1.0 - beta))
     g2, g1, f0 = gamma_fn(2.0 - beta), gamma_fn(1.0 - beta), float(f.value(0.0))
     sums = _l1_sums(f, xs, ms, b)
-    return np.array([(x / m) ** (-beta) / g2 * s + f0 * x ** (-beta) / g1
-                     for x, m, s in zip(xs.tolist(), ms.tolist(), sums.tolist())])
+    return (xs / ms) ** (-beta) / g2 * sums + f0 * xs ** (-beta) / g1
 
 
 def power_rule_oracle(p: float, beta: float, x):

@@ -47,8 +47,9 @@ multiply-adds before it builds a site, for operators and sweeps alike
 table); a sweep (``analysis.sweep``) runs it for every n first and hands
 each n's checked mesh to the calls on its own grid (``lattice_sums(...,
 sites=...)``), so each table's sites are built once.
-One rule, ``chunk_rows``, sizes every lattice chunk (and Kantorovich's cell
-slabs); fractional L1 chunks keep ``fractional.L1_CHUNK_POINTS``, for time.
+One rule, ``chunk_rows``, sizes every lattice chunk, Kantorovich's cell
+slabs and the fractional L1 blocks, each to at most CHUNK_ELEMENTS numbers
+unless one row is wider.
 """
 
 from __future__ import annotations
@@ -453,7 +454,7 @@ def point_work(kernel: DensityKernel, dim: int) -> int:
 
 
 def chunk_rows(per_point: int) -> int:
-    """Rows per chunk (points, or Kantorovich's cells) of per_point numbers each: about
+    """Rows per chunk (points, Kantorovich's cells or L1 grids) of per_point numbers each: about
     CHUNK_ELEMENTS numbers in all, at least one row."""
     return max(1, CHUNK_ELEMENTS // per_point)
 

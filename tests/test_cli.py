@@ -843,7 +843,7 @@ class TestReportWriters:
     @example(table=(["x"], [[v] for v in SPECIAL_FLOATS]))
     def test_csv_equals_the_per_value_writer(self, table):
         header, rows = table
-        assert written(cli._write_csv, header, rows) == old_csv(header, rows)
+        assert written(cli._write_csv, header, cli._cells(rows)) == old_csv(header, rows)
 
     @settings(deadline=None, max_examples=300)
     @given(payload=payloads | st.lists(report_dicts, max_size=3))
@@ -859,10 +859,12 @@ class TestReportWriters:
     @example(rows=[list(SPECIAL_FLOATS)] * 3, rest={"z": '\n  "rows": 0', "cli": {"out": "%r"}})
     @example(rows=[[0.5]], rest={})
     def test_float_rows_equal_the_json_encoder(self, rows, rest):
-        # the table as json writes a top-level key's value at indent 2, in a report around it
-        assert cli._float_rows(rows) == json.dumps(rows, indent=2).replace("\n", "\n  ")
+        # the table as json writes a top-level key's value at indent 2, in a report around it,
+        # joined from its cells' texts
+        cells = cli._cells(rows)
+        assert cli._float_rows(cells) == json.dumps(rows, indent=2).replace("\n", "\n  ")
         payload = {**rest, "rows": rows}
-        assert written(cli._write_json, payload, rows) == old_json(payload)
+        assert written(cli._write_json, payload, cells) == old_json(payload)
 
     @pytest.mark.parametrize("argv", COMMAND_RUNS, ids=lambda argv: argv[0])
     def test_each_command_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch, argv):
@@ -876,7 +878,7 @@ class TestReportWriters:
         assert (tmp_path / "r.json").read_bytes() == old_json(payload)
 
     def test_kernel_dump_without_a_csv_writes_the_oracle_bytes(self, tmp_path, capsys, monkeypatch):
-        # with --format json the float rows are written from the floats, with no CSV texts
+        # with --format json the float rows are still joined from their cells' texts, with no CSV
         emitted = []
         emit = cli._emit
         monkeypatch.setattr(cli, "_emit", lambda cfg, *table: emitted.append(table) or emit(cfg, *table))

@@ -20,9 +20,9 @@ from tanhqi import (
     rl_derivative_batch,
 )
 from tanhqi.analysis import grid_axes
-from tanhqi.kernel import table_sites
+from tanhqi.kernel import CHUNK_ELEMENTS, table_sites
 from tanhqi.operators import fractional_nodes
-from tanhqi.fractional import L1_CHUNK_POINTS, MAX_GRID_POINTS, l1_work
+from tanhqi.fractional import MAX_GRID_POINTS, l1_work
 
 
 class TestGamma:
@@ -183,12 +183,12 @@ class TestRLDerivative:
 @st.composite
 def node_sets(draw, h):
     """Unsorted nodes: many short grids across block boundaries, distinct M of one row width
-    (65 .. 128 points, so one block), repeats, one grid past L1_CHUNK_POINTS."""
+    (65 .. 128 points, so one block), repeats, one grid past CHUNK_ELEMENTS."""
     short = draw(st.lists(st.floats(1e-3, 200.0), min_size=1, max_size=300))
     one_width = [k - 0.5 for k in draw(st.lists(st.integers(65, 127), min_size=2, max_size=10,
                                                 unique=True))]
     repeats = draw(st.lists(st.sampled_from(short), max_size=20))
-    long = draw(st.floats(L1_CHUNK_POINTS, L1_CHUNK_POINTS + 300.0))
+    long = draw(st.floats(CHUNK_ELEMENTS, CHUNK_ELEMENTS + 300.0))
     units = np.array(short + one_width + repeats + [long])
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(units.size)
     return units[order] * h
@@ -216,6 +216,62 @@ class TestNodeValueStandsAlone:
                               np.concatenate([got, got[::3], got[:1]]))
 
 
+class TestBlocks:
+    @settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=PRESETS, beta=BETAS, h=STEPS, data=st.data())
+    def test_every_f_call_takes_at_most_a_chunk_unless_one_row_is_wider(self, name, beta, h, data):
+        # the blocks follow kernel.chunk_rows, like the lattice chunks: a block of rows holds at
+        # most CHUNK_ELEMENTS grid points, and a wider row is a block of its own; a crowd of
+        # 64-point rows fills several blocks
+        f, cfg = function_preset(name), FracConfig(beta, h)
+        shapes = []
+
+        class Recording:
+            def value(self, t):
+                shapes.append(np.shape(t))
+                return f.value(t)
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        crowd = rng.uniform(0.5, 62.5, data.draw(st.integers(2, 3)) * CHUNK_ELEMENTS // 64 + 1)
+        xs = np.concatenate([data.draw(node_sets(cfg.h)), crowd * cfg.h])
+        rl_derivative_batch(cfg, Recording(), xs)
+        blocks = [shape for shape in shapes if shape]  # f(0) is a scalar call
+        for rows, width in blocks:
+            assert rows * width <= CHUNK_ELEMENTS or (rows == 1 and width > CHUNK_ELEMENTS)
+        # every row once, and each width's rows in as few blocks as the rule allows
+        widths = -(-(np.ceil(xs / cfg.h) + 1) // 64) * 64
+        counts = dict(zip(*np.unique(widths, return_counts=True)))
+        assert sum(rows for rows, _ in blocks) == xs.size
+        assert len(blocks) == sum(-(-int(count) // max(1, CHUNK_ELEMENTS // int(width)))
+                                  for width, count in counts.items())
+
+
+class TestScale:
+    @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=PRESETS, beta=BETAS, h=STEPS, data=st.data())
+    def test_each_value_is_the_math_pow_scale_within_one_ulp_of_each_pow(self, name, beta, h,
+                                                                          data):
+        """D^beta f = (x/M)^-beta / Gamma(2 - beta) * s + f(0) x^-beta / Gamma(1 - beta) takes
+        numpy's vector pow.  It and math.pow (the C library's) are faithful: each is one of the
+        two doubles around the exact power, so the two differ by at most one ulp.  The divisions,
+        products and the sum are the same IEEE operations in numpy and in Python floats, so each
+        value is the math.pow reference with each pow moved by at most one ulp."""
+        f, cfg = function_preset(name), FracConfig(beta, h)
+        xs = data.draw(node_sets(cfg.h))
+        got = rl_derivative_batch(cfg, f, xs)
+        ms = np.ceil(xs / cfg.h).astype(np.int64)
+        b = np.diff(np.arange(ms.max() + fractional._ROW_QUANTUM, dtype=float) ** (1.0 - beta))
+        sums = fractional._l1_sums(f, xs, ms, b)
+        g2, g1, f0 = gamma_fn(2.0 - beta), gamma_fn(1.0 - beta), float(f.value(0.0))
+
+        def near(p):
+            return {math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)}
+
+        for x, m, s, value in zip(xs.tolist(), ms.tolist(), sums.tolist(), got.tolist()):
+            assert value in {p1 / g2 * s + f0 * p2 / g1 for p1 in near(math.pow(x / m, -beta))
+                             for p2 in near(math.pow(x, -beta))}
+
+
 def exact_dot(a, b) -> Fraction:
     """sum_i a_i b_i in exact rational arithmetic (each float is p / 2^k)."""
     terms = []
@@ -229,7 +285,7 @@ def exact_dot(a, b) -> Fraction:
 class TestCaputoSumAccuracy:
     @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     @given(name=PRESETS, beta=BETAS, h=STEPS,
-           units=st.lists(st.floats(1e-3, L1_CHUNK_POINTS + 300.0), min_size=1, max_size=4))
+           units=st.lists(st.floats(1e-3, CHUNK_ELEMENTS + 300.0), min_size=1, max_size=4))
     def test_within_the_dot_product_bound_of_the_exact_sum(self, name, beta, h, units):
         """Each node's sum of b_j (f(t_{M-j}) - f(t_{M-j-1})), its M terms added in any order,
         is within gamma_M sum_j |b_j df_j|, gamma_M = M u / (1 - M u), of the exact sum of the
@@ -296,9 +352,9 @@ class TestMemoryBudget:
         xs = np.unique(np.concatenate([fractional_nodes(f, n, table_sites(kernel, n, axes)[0])
                                        for n in (64, 128, 256, 512)]))
         m_max, quantum = math.ceil(xs.max() / cfg.h), fractional._ROW_QUANTUM
-        block = max(L1_CHUNK_POINTS, -(-(m_max + 1) // quantum) * quantum)
+        block = max(CHUNK_ELEMENTS, -(-(m_max + 1) // quantum) * quantum)
         budget = 8 * (3 * block + 2 * (m_max + quantum) + 12 * xs.size)
-        assert (xs.size, m_max, budget) == (478, 12344, 540864)
+        assert (xs.size, m_max, budget) == (478, 12344, 637632)
         rl_derivative_batch(cfg, f, xs)
         tracemalloc.start()
         try:

@@ -1,7 +1,8 @@
-"""tools/interleave.py: a tree timed against itself prints one line per workload and per run, and
-its verdict on a pair of timing series."""
+"""tools/interleave.py: a tree timed against itself prints one line per workload and per run, a
+worker times one tree's pass in its own interpreter, and the verdict on a pair of timing series."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -17,25 +18,32 @@ SPEC.loader.exec_module(interleave)
 def test_a_tree_against_itself(tmp_path):
     # its own process, so the thread pins come before numpy loads, as in a real run
     done = subprocess.run([sys.executable, TOOL, REPO, REPO, "--rounds", "2",
-                           "--workloads", "moments-chart"],
+                           "--workloads", "frac"],
                           capture_output=True, text=True, cwd=tmp_path, timeout=300)
     assert done.returncode == 0 and done.stderr == ""
     wall = r"\d+\.\d{5} s \(quartiles \d+\.\d{5}-\d+\.\d{5}\)"
     line = (rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, "
-            r"(gain resolved|loss resolved|unresolved)\n")
-    # the workload's line, one per run as workload/run, then the set-up probe's, all in one format
-    names = ["moments-chart", "moments-chart/voronovskaya", "moments-chart/half-plane",
-             "moments-chart/kernel-dump", "setup"]
-    assert re.fullmatch("".join(f"{name}: {line}" for name in names), done.stdout)
+            r"(gain resolved|loss resolved|unresolved)")
+    faults = r", page faults a pass: parent \d+(\.5)?, change \d+(\.5)?"
+    # the workload's line with its page faults, one per run as workload/run, then the set-up
+    # probe's, all in one format
+    lines = [f"frac: {line}{faults}\n",
+             *(f"{name}: {line}\n" for name in ["frac/pow2", "frac/pow3", "setup"])]
+    assert re.fullmatch("".join(lines), done.stdout)
     # every report went to the tool's own temporary directory
     assert os.listdir(tmp_path) == []
 
 
-def test_a_tree_loaded_again_under_one_name_is_loaded_afresh():
-    # a second tree under an earlier name must not get the first tree's cached submodules
-    first = interleave.load_cli(REPO, "tanhqi_reloaded")
-    second = interleave.load_cli(REPO, "tanhqi_reloaded")
-    assert second is not first and second.__name__ == "tanhqi_reloaded.cli"
+def test_a_worker_imports_its_own_tree_and_prints_one_timed_pass(tmp_path):
+    # a fresh interpreter per tree and round: one JSON line, the timed runs' walls and statuses
+    done = subprocess.run([sys.executable, "-c", interleave.WORKER, REPO, "frac", str(tmp_path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ""},
+                          timeout=300)
+    assert done.returncode == 0 and done.stderr == ""
+    result = json.loads(done.stdout)
+    assert result["statuses"] == [0, 0] and len(result["walls"]) == 2
+    assert all(wall > 0.0 for wall in result["walls"]) and result["faults"] >= 0
+    assert sorted(os.listdir(tmp_path)) == ["pow2.csv", "pow2.json", "pow3.csv", "pow3.json"]
 
 
 # a parent side with median 1.05 and quartiles 1.0125 and 1.0875 (IQR 0.075)

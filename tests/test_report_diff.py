@@ -25,6 +25,13 @@ def test_a_tree_against_itself_differs_nowhere(capsys, monkeypatch):
     assert capsys.readouterr().out == "6 files, 0 differ\n"
 
 
+def test_a_tree_loaded_again_under_one_name_is_loaded_afresh():
+    # a second tree under an earlier name must not get the first tree's cached submodules
+    first = report_diff.load_cli(REPO, "tanhqi_reloaded")
+    second = report_diff.load_cli(REPO, "tanhqi_reloaded")
+    assert second is not first and second.__name__ == "tanhqi_reloaded.cli"
+
+
 def test_one_changed_byte_is_flagged(tmp_path):
     first, copy = tmp_path / "first", tmp_path / "copy"
     report_diff.render(cli, ["moments-chart"], [0], str(first))

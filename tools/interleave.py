@@ -1,43 +1,47 @@
 #!/usr/bin/env python3
-"""Time two source trees' benchmark passes, interleaved in one process.
+"""Time two source trees' benchmark passes, interleaved, each in its own fresh interpreter.
 
 Run from the repository root:
 
     python3 tools/interleave.py PARENT_TREE CHANGE_TREE [--rounds 40] [--workloads ...]
 
-Each tree's ``src/tanhqi`` is loaded under its own package name in this
-one process, with BLAS and OpenMP pinned to one thread before numpy loads.
-A round runs one whole pass of each workload's command lines
-(``perfbench/workloads.py``, this checkout's copy, imported read-only, at
-seed 0) through each tree's ``cli.main``, then the set-up probe once per
-tree (``perfbench/run.py``'s ``probe``, a fresh interpreter that imports
-the tree's tanhqi and builds a kernel: the benchmark's ``setup_s``), the
-tree that goes first alternating from round to round, after one untimed
-warm-up round.  Each run is timed on its own, and a pass's time is the
-sum of its runs'.  Host load then moves both trees' times alike, where
-separate benchmark runs spread wider than a 1% effect.  The two trees
-share this process's allocator, though: one tree's large frees can raise
-glibc's mmap threshold for the other, so a gain read here still needs
-``perfbench/run.py`` pairs, one process per tree.  For each workload,
-then for each of its runs as "workload/run" (say "sweep-1d/basic-wide"),
-and last for the set-up as "setup", it prints both trees' median wall time
-with its quartiles, the change of the median against the parent in %, the
-rounds in which the change was the faster, and a verdict (``verdict``):
-"gain resolved" when the change was the faster in at least nine tenths of
-the rounds and its median is below the parent's by more than the parent's
-interquartile spread, "loss resolved" when the same holds with the two
-sides swapped, and "unresolved" otherwise.  At least two rounds are timed,
-so the spread is defined.  The exit status is 2 when a run does not exit
-0, and 0 otherwise.
+BLAS and OpenMP are pinned to one thread before numpy loads, as in
+``perfbench/run.py``.  A round times each workload's command lines
+(``perfbench/workloads.py``, this checkout's copy, at seed 0) once per
+tree, each tree in a fresh worker interpreter that imports that tree's
+``src/tanhqi`` alone, as one ``perfbench/run.py`` process does: the
+worker runs one untimed pass through ``cli.main``, then the timed pass,
+each run timed on its own, and prints those walls and the timed pass's
+minor page faults (``ru_minflt``).  So neither tree's allocator state,
+such as glibc's mmap threshold, reaches the other's timing.  Then the
+round runs the set-up probe once per tree (``perfbench/run.py``'s
+``probe``, a fresh interpreter that imports the tree's tanhqi and builds a
+kernel: the benchmark's ``setup_s``), after one untimed probe per tree.
+The tree that goes first alternates from round to round.  A pass's time
+is the sum of its runs'.  Host load then moves both trees' times alike,
+where separate benchmark runs spread wider than a 1% effect.  For each
+workload, then for each of its runs as "workload/run" (say
+"sweep-1d/basic-wide"), and last for the set-up as "setup", it prints
+both trees' median wall time with its quartiles, the change of the median
+against the parent in %, the rounds in which the change was the faster,
+and a verdict (``verdict``): "gain resolved" when the change was the
+faster in at least nine tenths of the rounds and its median is below the
+parent's by more than the parent's interquartile spread, "loss resolved"
+when the same holds with the two sides swapped, and "unresolved"
+otherwise.  A workload's line ends with each tree's median minor page
+faults in a timed pass.  At least two rounds are timed, so the spread is
+defined.  The exit status is 2 when a run or a worker does not exit 0,
+and 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
+import json
 import os
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 
@@ -48,20 +52,30 @@ import run as bench  # noqa: E402  (stdlib-only at import, like workloads)
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
+# a worker interpreter: tools/ on the path, then worker(tree, workload, out_dir)
+WORKER = (
+    "import sys\n"
+    f"sys.path.insert(0, {HERE!r})\n"
+    "import interleave\n"
+    "interleave.worker(*sys.argv[1:])\n"
+)
 
 
-def load_cli(tree: str, name: str):
-    """tree/src/tanhqi imported as the package ``name``, after any earlier one of that name and
-    its submodules; its cli module."""
-    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
-        del sys.modules[key]
-    package = os.path.join(os.path.abspath(tree), "src", "tanhqi")
-    spec = importlib.util.spec_from_file_location(name, os.path.join(package, "__init__.py"),
-                                                  submodule_search_locations=[package])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli")
+def worker(tree: str, name: str, out_dir: str) -> None:
+    """In a fresh interpreter: tree's tanhqi runs workload name's passes, writing under out_dir,
+    one untimed, then one timed run by run; prints one JSON line with the timed runs' walls and
+    exit statuses and the timed pass's minor page faults."""
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    from tanhqi import cli
+
+    runs = workloads.build(name, 0, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    bench.run_pass(cli, runs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    timed = [bench.run_pass(cli, [run]) for run in runs]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(json.dumps({"walls": [wall for wall, _ in timed],
+                      "statuses": [status for _, (status,) in timed], "faults": faults}))
 
 
 def verdict(parent, change) -> str:
@@ -94,44 +108,49 @@ def main(argv=None) -> int:
         p.error(f"unknown workloads: {', '.join(unknown)}")
     if args.rounds < 2:
         p.error("--rounds must be at least 2")
-    os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
+    os.environ.update(bench.THREAD_PINS)  # before any worker or probe imports numpy
     trees = (args.parent, args.change)
-    clis = [load_cli(tree, f"tanhqi_{side}") for tree, side in zip(trees, SIDES)]
     walls = {key: ([], []) for name in names
              for key in [name, *(f"{name}/{spec.name}" for spec in workloads.WORKLOADS[name])]}
     walls["setup"] = ([], [])
+    faults = {name: ([], []) for name in names}
+    for tree in trees:  # may compile bytecode, as run.py's first probe
+        bench.probe(bench.PROBE, os.path.join(tree, "src"))
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
-        runs = {(name, side): workloads.build(name, 0, os.path.join(tmp, SIDES[side], name))
-                for name in names for side in range(2)}
-        for path in {os.path.dirname(run.out) for group in runs.values() for run in group}:
-            os.makedirs(path)
-        for round_ in range(args.rounds + 1):
+        for round_ in range(1, args.rounds + 1):
             order = (0, 1) if round_ % 2 else (1, 0)
             for name in names:
                 for side in order:
-                    timed = []
-                    for run in runs[name, side]:
-                        wall, (status,) = bench.run_pass(clis[side], [run])
+                    done = subprocess.run(
+                        [sys.executable, "-c", WORKER, trees[side], name,
+                         os.path.join(tmp, SIDES[side], name)],
+                        capture_output=True, text=True, timeout=600)
+                    if done.returncode:
+                        print(f"{SIDES[side]}: {name} worker exited {done.returncode}: "
+                              f"{done.stderr.strip()}", file=sys.stderr)
+                        return 2
+                    result = json.loads(done.stdout.splitlines()[-1])
+                    for spec, wall, status in zip(workloads.WORKLOADS[name], result["walls"],
+                                                  result["statuses"]):
                         if status:
-                            print(f"{SIDES[side]}: {name} exited non-zero: {run.argv}",
+                            print(f"{SIDES[side]}: {name}/{spec.name} exited non-zero: {status}",
                                   file=sys.stderr)
                             return 2
-                        timed.append(wall)
-                    if round_:  # round 0 warms both trees up
-                        walls[name][side].append(sum(timed))
-                        for run, wall in zip(runs[name, side], timed):
-                            walls[f"{name}/{run.spec.name}"][side].append(wall)
+                        walls[f"{name}/{spec.name}"][side].append(wall)
+                    walls[name][side].append(sum(result["walls"]))
+                    faults[name][side].append(result["faults"])
             for side in order:
-                wall = bench.probe(bench.PROBE, os.path.join(trees[side], "src"))
-                if round_:
-                    walls["setup"][side].append(wall)
+                src = os.path.join(trees[side], "src")
+                walls["setup"][side].append(bench.probe(bench.PROBE, src))
     for name, (parent, change) in walls.items():
         (a1, a, a3), (b1, b, b3) = (statistics.quantiles(w, n=4, method="inclusive")
                                     for w in (parent, change))
         wins = sum(c < p for p, c in zip(parent, change))
         print(f"{name}: parent {a:.5f} s (quartiles {a1:.5f}-{a3:.5f}), "
               f"change {b:.5f} s (quartiles {b1:.5f}-{b3:.5f}), {100.0 * (b / a - 1.0):+.1f}%, "
-              f"change faster in {wins} of {len(change)} rounds, {verdict(parent, change)}")
+              f"change faster in {wins} of {len(change)} rounds, {verdict(parent, change)}"
+              + (f", page faults a pass: parent {statistics.median(faults[name][0]):g}, "
+                 f"change {statistics.median(faults[name][1]):g}" if name in faults else ""))
     return 0
 
 

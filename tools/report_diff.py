@@ -8,7 +8,8 @@ Run from the repository root:
 Every run of ``perfbench/workloads.py`` (this checkout's copy, imported
 read-only) is made for each seed and workload, once per tree, in this one
 process: each tree's ``src/tanhqi`` is loaded under its own package name
-(``interleave.load_cli``), with BLAS and OpenMP pinned to one thread
+(``load_cli``; no report's bytes depend on the allocator state the two
+trees share, unlike their times), with BLAS and OpenMP pinned to one thread
 before either tree loads numpy, and ``perfbench/run.py``'s ``run_pass``
 drives its ``cli.main``.  Each CSV/JSON report is then compared byte for
 byte, with the echoed ``"out"`` path masked, as it names the tree's own
@@ -29,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -38,16 +41,30 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "perfbench")]
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 import gate  # noqa: E402  (stdlib-only at import, like run and workloads)
-import interleave  # noqa: E402
 import run as bench  # noqa: E402
 import workloads  # noqa: E402
 
+SIDES = ("parent", "change")
 SEEDS = (0, 7, 21)
 # the CLI echo of the output path, as the JSON writer spells the key
 OUT_ECHO = re.compile(rb'"out": "(?:[^"\\]|\\.)*"')
+
+
+def load_cli(tree: str, name: str):
+    """tree/src/tanhqi imported as the package ``name``, after any earlier one of that name and
+    its submodules; its cli module."""
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+    package = os.path.join(os.path.abspath(tree), "src", "tanhqi")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(package, "__init__.py"),
+                                                  submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
 
 
 def render(cli, names, seeds, out_root: str) -> None:
@@ -170,10 +187,10 @@ def main(argv=None) -> int:
     if unknown:
         p.error(f"unknown workloads: {', '.join(unknown)}")
     os.environ.update(bench.THREAD_PINS)  # before either tree imports numpy
-    clis = [interleave.load_cli(tree, f"tanhqi_{side}")
-            for tree, side in zip((args.parent, args.change), interleave.SIDES)]
+    clis = [load_cli(tree, f"tanhqi_{side}")
+            for tree, side in zip((args.parent, args.change), SIDES)]
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
-        roots = [os.path.join(tmp, side) for side in interleave.SIDES]
+        roots = [os.path.join(tmp, side) for side in SIDES]
         for tree, cli, root in zip((args.parent, args.change), clis, roots):
             try:
                 render(cli, names, seeds, root)
