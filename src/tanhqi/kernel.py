@@ -40,7 +40,15 @@ its weights and reads each window, 2W or 2W + 1 sites, with one index per
 row from an ``as_strided`` view of the table (its first stride on two axes,
 no copy).  The last axis sums each row as one BLAS dot; earlier axes sum
 slot by slot in window order, in numpy's own loop.  A point's sum depends
-on its own windows alone, not on the other points of its call.
+on its own windows alone, not on the other points of its call.  A table
+that is constant along the axis being contracted (stride 0 there, as
+``np.broadcast_to`` makes it from a size-1 axis or a scalar) is not
+gathered: each point's row is its partition sum, ``weights.sum(axis=1)``
+with the bits of ``axis_moments``' column 0, times the table's first row,
+one rounding, and the result keeps that row's zero strides, so a later
+axis the table is also constant along takes the same path (sum
+factorization: Orszag, J. Comput. Phys. 37, 1980).  A chart density's
+constant axes so cost one partition sum each.
 ``table_sites`` caps a window's sites, the table's sites and the sums'
 multiply-adds before it builds a site, for operators and sweeps alike
 (``check_moments`` all but the table's, for the moments, which build no
@@ -377,7 +385,12 @@ def lattice_sums(kernel: DensityKernel, n: int, axes, tables, *, sites=None) -> 
     numpy's own einsum loop: a BLAS gemv there would treat a table's last
     columns apart, so a slot's bits would depend on the width of that
     table.  So a point's sum depends on its own windows alone, not on
-    CHUNK_ELEMENTS or the other points of its call.  The first axis's
+    CHUNK_ELEMENTS or the other points of its call.  A flat axis, where a
+    table's stride is 0 (every row the same), is neither gathered nor
+    summed slot by slot: row p is p's partition sum (``axis_moments``'
+    column 0, bit for bit) times the table's first row, one rounding from
+    within gamma_L sum |w_j T_j| of the slot sum, with that row's zero
+    strides kept for the later axes.  The first axis's
     points go through all axes in blocks whose partial sums hold at most
     MAX_POINT_WORK numbers, one block for every 1-D sum.  ``sites``, when
     given, must be ``table_sites(kernel, n, axes)`` for these very axes
@@ -407,19 +420,25 @@ def _contract(kernel: DensityKernel, u: np.ndarray, sites: np.ndarray, tables, l
     # each table (K, *rest), K on the sorted sites, contracted on its first axis onto centres u:
     # row p sums T[first_p : first_p + L] by its window's weights, one BLAS dot per row with the
     # slots last when last, else in window order; returned as (*rest, P), the contracted axis
-    # moved last
+    # moved last.  A flat table (stride 0 on its first axis, so every row is its first) is not
+    # gathered: row p is p's partition sum, weights.sum(axis=1) as axis_moments' column 0,
+    # times the first row, whose zero strides the result keeps for the next axis
     rest = tables[0].shape[1:]
     slot = len(rest) + 1 if last else 1
     lo, groups = _window_plan(kernel, u, chunk_rows(kernel.width * math.prod(rest)))
     first = np.searchsorted(sites, lo)
-    out = [np.empty((u.size, *rest)) for _ in tables]
+    full = [t for t in tables if t.strides[0]]
+    out = [np.empty((u.size, *rest)) for _ in full]
+    mass = np.empty(u.size) if len(full) < len(tables) else None
     for width, chunks in groups:
         # each table as (K - width + 1, .., width, ..), the slots at slot, with the first axis's
         # stride; a window lies inside the table
         views = [as_strided(t, (t.shape[0] - width + 1, *rest[:slot - 1], width, *rest[slot - 1:]),
                             (*t.strides[:slot], t.strides[0], *t.strides[slot:]), writeable=False)
-                 for t in tables]
+                 for t in full]
         for chunk, weights in chunks:
+            if mass is not None:
+                mass[chunk] = weights.sum(axis=1)
             if last:
                 # (m, 1, .., width, 1), a column per row for matmul
                 weights = weights.reshape(-1, *[1] * len(rest), width, 1)
@@ -440,7 +459,16 @@ def _contract(kernel: DensityKernel, u: np.ndarray, sites: np.ndarray, tables, l
                     # a slot's bits depend on the width of the later axes' table
                     v = np.einsum("ij...,ij->i...", v, weights)
                 o[chunk] = v
+    done = iter(out)
+    out = [next(done) if t.strides[0] else _flat_rows(mass, t[0]) for t in tables]
     return [o.transpose(*range(1, o.ndim), 0) for o in out]
+
+
+def _flat_rows(mass: np.ndarray, row: np.ndarray) -> np.ndarray:
+    # (P, *row.shape): mass[p] * row, multiplied along the row's varying axes alone and broadcast
+    # along its zero-stride ones, so those stay flat
+    core = row[tuple(slice(None) if stride else slice(0, 1) for stride in row.strides)]
+    return np.broadcast_to(np.multiply.outer(mass, core), (mass.size, *row.shape))
 
 
 def point_work(kernel: DensityKernel, dim: int) -> int:

@@ -11,7 +11,11 @@ to the flat integral of the product kernel (``kernel.kernel_mass``).
 Operators on a chart weight lattice samples by the local density at the
 sample sites and always renormalize the truncated weights to sum to one:
 the operator is the ratio of the lattice sums of f / sqrt(det g) and
-1 / sqrt(det g) on a tensor grid.  One per-axis rule (``Chart.axis_coords``)
+1 / sqrt(det g) on a tensor grid.  The second table is a broadcast of the
+density, constant along every axis it does not depend on (both for unit
+density, axis 0 on the half-plane), and ``kernel.lattice_sums`` takes
+each such axis as one partition sum per point, not a window sum per
+site.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;
 ``check_chart`` applies it to a grid's points, and ``chart_coords`` to a
 lattice table's sites, the site rule ``analysis.chart_sweep`` hands

@@ -5,6 +5,7 @@ import enum
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -902,6 +903,55 @@ class TestReportWriters:
                 == [[float(v).hex() for v in row] for row in rows])
         if argv[0] == "kernel-dump":
             assert lines == [",".join(row) for row in rows]
+
+
+class TestInPlaceWrites:
+    # reports are overwritten in place, with no truncating open: the bytes and the exit statuses
+    # are those of a fresh open(path, "w")
+    @pytest.mark.parametrize("argv", COMMAND_RUNS, ids=lambda argv: argv[0])
+    def test_a_rerun_over_longer_reports_leaves_the_oracle_bytes(self, tmp_path, capsys,
+                                                                 monkeypatch, argv):
+        emitted = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda cfg, *table: emitted.append(table) or emit(cfg, *table))
+        for suffix in (".csv", ".json"):
+            (tmp_path / ("r" + suffix)).write_bytes(b"\xff" * 2**20)
+        status, _, err = run([*argv, "--out", str(tmp_path / "r")], capsys)
+        assert status == 0 and err == ""
+        (header, rows, payload), = emitted
+        assert (tmp_path / "r.csv").read_bytes() == old_csv(header, rows)
+        assert (tmp_path / "r.json").read_bytes() == old_json(payload)
+
+    def test_short_writes_are_resumed(self, monkeypatch):
+        # each write takes at most 100 bytes; the file still holds every byte once
+        payload = {"rows": [[0.1 * i, 1.0 / (i + 1)] for i in range(200)], "note": "\u00e9" * 50}
+        write = os.write
+        with monkeypatch.context() as m:
+            m.setattr(cli.os, "write", lambda fd, data: write(fd, data[:100]))
+            got = written(cli._write_json, payload)
+        assert len(got) > 1000 and got == old_json(payload)
+
+    def test_a_fresh_report_gets_the_mode_open_gives(self, tmp_path, capsys):
+        mask = os.umask(0o027)
+        try:
+            with open(tmp_path / "ref", "w"):
+                pass
+            status, _, _ = run(converge_args(tmp_path / "r"), capsys)
+        finally:
+            os.umask(mask)
+        assert status == 0
+        want = stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+        assert want == 0o640
+        for name in ("r.csv", "r.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_naming_a_directory_maps_to_four(self, tmp_path, capsys, fmt):
+        (tmp_path / f"r.{fmt}").mkdir()
+        status, out, err = run(converge_args(tmp_path / "r", ["--format", fmt]), capsys)
+        assert status == 4 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["status"] == 4
+        assert (tmp_path / f"r.{fmt}").is_dir()
 
 
 class TestParserReuse:

@@ -22,8 +22,8 @@ def test_a_tree_against_itself(tmp_path):
                           capture_output=True, text=True, cwd=tmp_path, timeout=300)
     assert done.returncode == 0 and done.stderr == ""
     wall = r"\d+\.\d{5} s \(quartiles \d+\.\d{5}-\d+\.\d{5}\)"
-    line = (rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, "
-            r"(gain resolved|loss resolved|unresolved)")
+    # two rounds are too few for a verdict
+    line = rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, unresolved"
     faults = r", page faults a pass: parent \d+(\.5)?, change \d+(\.5)?"
     # the workload's line with its page faults, one per run as workload/run, then the set-up
     # probe's, all in one format
@@ -35,7 +35,8 @@ def test_a_tree_against_itself(tmp_path):
 
 
 def test_a_worker_imports_its_own_tree_and_prints_one_timed_pass(tmp_path):
-    # a fresh interpreter per tree and round: one JSON line, the timed runs' walls and statuses
+    # a fresh interpreter per tree and round, two untimed passes and then the timed one: one
+    # JSON line, the timed runs' walls and statuses
     done = subprocess.run([sys.executable, "-c", interleave.WORKER, REPO, "frac", str(tmp_path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ""},
                           timeout=300)
@@ -44,6 +45,22 @@ def test_a_worker_imports_its_own_tree_and_prints_one_timed_pass(tmp_path):
     assert result["statuses"] == [0, 0] and len(result["walls"]) == 2
     assert all(wall > 0.0 for wall in result["walls"]) and result["faults"] >= 0
     assert sorted(os.listdir(tmp_path)) == ["pow2.csv", "pow2.json", "pow3.csv", "pow3.json"]
+
+
+def test_a_worker_times_its_third_pass(tmp_path, monkeypatch, capsys):
+    # every run twice untimed, as whole passes, then each run timed on its own
+    passes = []
+
+    def run_pass(cli, runs):
+        passes.append([run.spec.name for run in runs])
+        return 0.5, [0] * len(runs)
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(interleave.bench, "run_pass", run_pass)
+    interleave.worker(REPO, "frac", str(tmp_path))
+    assert passes == [["pow2", "pow3"], ["pow2", "pow3"], ["pow2"], ["pow3"]]
+    result = json.loads(capsys.readouterr().out)
+    assert result["walls"] == [0.5, 0.5] and result["statuses"] == [0, 0]
 
 
 # a parent side with median 1.05 and quartiles 1.0125 and 1.0875 (IQR 0.075)
@@ -72,3 +89,13 @@ def test_a_gap_inside_the_parents_spread_is_unresolved():
     # faster in every round, but the medians differ by 0.05 where the parent's IQR is 0.075
     assert interleave.verdict(PARENT, [p - 0.05 for p in PARENT]) == "unresolved"
     assert interleave.verdict(PARENT, PARENT) == "unresolved"
+
+
+def test_fewer_than_ten_rounds_resolve_nothing():
+    # a wide win or loss in every round reads unresolved over 2 or 9 rounds, resolved over 10
+    for rounds in (2, 9):
+        parent = PARENT[:rounds]
+        assert interleave.verdict(parent, [p - 0.2 for p in parent]) == "unresolved"
+        assert interleave.verdict(parent, [p + 0.2 for p in parent]) == "unresolved"
+    assert interleave.verdict(PARENT, [p - 0.2 for p in PARENT]) == "gain resolved"
+    assert interleave.verdict(PARENT, [p + 0.2 for p in PARENT]) == "loss resolved"

@@ -41,6 +41,7 @@ from tanhqi.kernel import (
     table_sites,
     window_weights,
 )
+from tanhqi.manifold import chart_coords
 
 
 def kernel(q=0.5, alpha=1.0, eps=1e-12):
@@ -929,17 +930,60 @@ class TestPadSlot:
                 assert np.array_equal(t[i * rows:(i + 1) * rows], a)
 
     @pytest.mark.parametrize("x", EDGE_CASES)
-    def test_broadcast_table_sums_like_its_copy(self, x):
+    def test_a_table_broadcast_along_later_axes_sums_like_its_copy(self, x):
+        # exp(sites[0] / 7) varies along the contracted axis and is constant along the later one
         k = kernel()
         axes = [np.array(x), np.array([0.25, 2.0, -3.5, 2.0])]
+
+        def tables(sites):
+            return [np.exp(sites[0] / 7.0)]
 
         def copies(sites):
             shape = np.broadcast_shapes(*(s.shape for s in sites))
             # .copy() is C-ordered; np.array would copy in the broadcast table's own order
-            return [np.broadcast_to(t, shape).copy() for t in edge_tables(sites)]
+            return [np.broadcast_to(t, shape).copy() for t in tables(sites)]
 
-        for a, b in zip(lattice_sums(k, 1, axes, edge_tables), lattice_sums(k, 1, axes, copies)):
-            assert np.array_equal(a, b)
+        (a,), (b,) = lattice_sums(k, 1, axes, tables), lattice_sums(k, 1, axes, copies)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("x", EDGE_CASES)
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_flat_table_is_the_partition_sum_times_its_row(self, x, last):
+        # a table constant along the contracted axis (stride 0 there) takes each point's
+        # partition sum, axis_moments' column 0, times its one row, bit for bit; that is within
+        # gamma_L sum |w_j T_j| of its C-ordered copy's sum, as is the copy's sum of the exact one
+        k = kernel()
+        x = np.array(x)
+        sites = table_sites(k, 1, [x])[0]
+        row = np.cos(np.array([0.25, 2.0, -3.5, 2.0]) / 5.0) - 0.4
+        flat = np.broadcast_to(row, (sites.size, row.size))
+        (got,) = kernel_module._contract(k, x, sites, [flat], last)
+        (copy,) = kernel_module._contract(k, x, sites, [flat.copy()], last)
+        mass = axis_moments(k, x, 1, 0)[:, 0]
+        assert np.array_equal(got, row[:, None] * mass)
+        unit = fractions.Fraction(1, 2**53)
+        for u, col, copy_col in zip(x, got.T, copy.T):
+            _, ws = own_window(k, u)
+            size = ws.size
+            for t, value, copied in zip(row, col, copy_col):
+                terms = [fractions.Fraction(w) * fractions.Fraction(t) for w in ws]
+                bound = size * unit / (1 - size * unit) * sum(abs(s) for s in terms)
+                assert abs(fractions.Fraction(value) - fractions.Fraction(copied)) <= bound
+                assert abs(fractions.Fraction(copied) - sum(terms)) <= bound
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_the_euclidean_mass_is_the_outer_product_of_partition_sums(self, n):
+        # unit density: 1 / sqrt(det g) is flat along both axes, so the 2-D mass is each axis's
+        # partition sum, multiplied once
+        k, chart = kernel(), chart_preset("euclidean", 2)
+        axes = [np.linspace(-0.3, 0.7, 7), np.r_[np.linspace(0.1, 0.9, 5), 0.5]]
+
+        def tables(mesh):
+            return [1.0 / np.asarray(chart.sqrt_det_g(*chart_coords(chart, n, mesh)), dtype=float)]
+
+        (mass,) = lattice_sums(k, n, axes, tables)
+        want = np.outer(*(axis_moments(k, x, n, 0)[:, 0] for x in axes))
+        assert np.array_equal(mass, want.ravel())
 
     @pytest.mark.parametrize("alpha", [0.3, 0.125])
     def test_each_point_alone_on_mixed_later_axes(self, alpha):

@@ -10,13 +10,15 @@ BLAS and OpenMP are pinned to one thread before numpy loads, as in
 (``perfbench/workloads.py``, this checkout's copy, at seed 0) once per
 tree, each tree in a fresh worker interpreter that imports that tree's
 ``src/tanhqi`` alone, as one ``perfbench/run.py`` process does: the
-worker runs one untimed pass through ``cli.main``, then the timed pass,
-each run timed on its own, and prints those walls and the timed pass's
-minor page faults (``ru_minflt``).  So neither tree's allocator state,
-such as glibc's mmap threshold, reaches the other's timing.  Then the
-round runs the set-up probe once per tree (``perfbench/run.py``'s
-``probe``, a fresh interpreter that imports the tree's tanhqi and builds a
-kernel: the benchmark's ``setup_s``), after one untimed probe per tree.
+worker runs WARM_PASSES (two) untimed passes through ``cli.main``, then
+the timed pass, each run timed on its own, and prints those walls and the
+timed pass's minor page faults (``ru_minflt``).  So neither tree's
+allocator state, such as glibc's mmap threshold, reaches the other's
+timing, and the timed pass is past the page faults a second pass can
+still take.  Then the round runs the set-up probe once per tree
+(``perfbench/run.py``'s ``probe``, a fresh interpreter that imports the
+tree's tanhqi and builds a kernel: the benchmark's ``setup_s``), after
+one untimed probe per tree.
 The tree that goes first alternates from round to round.  A pass's time
 is the sum of its runs'.  Host load then moves both trees' times alike,
 where separate benchmark runs spread wider than a 1% effect.  For each
@@ -28,8 +30,9 @@ and a verdict (``verdict``): "gain resolved" when the change was the
 faster in at least nine tenths of the rounds and its median is below the
 parent's by more than the parent's interquartile spread, "loss resolved"
 when the same holds with the two sides swapped, and "unresolved"
-otherwise.  A workload's line ends with each tree's median minor page
-faults in a timed pass.  At least two rounds are timed, so the spread is
+otherwise, and always under MIN_VERDICT_ROUNDS (ten) rounds.  A
+workload's line ends with each tree's median minor page faults in a
+timed pass.  At least two rounds are timed, so the spread is
 defined.  The exit status is 2 when a run or a worker does not exit 0,
 and 0 otherwise.
 """
@@ -52,6 +55,10 @@ import run as bench  # noqa: E402  (stdlib-only at import, like workloads)
 import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
+# untimed passes a worker runs before its timed one: after one, a pass still faulted in fresh pages
+WARM_PASSES = 2
+# fewer rounds resolve nothing: nine tenths of two rounds is both, and the claim rule takes ten pairs
+MIN_VERDICT_ROUNDS = 10
 # a worker interpreter: tools/ on the path, then worker(tree, workload, out_dir)
 WORKER = (
     "import sys\n"
@@ -63,14 +70,15 @@ WORKER = (
 
 def worker(tree: str, name: str, out_dir: str) -> None:
     """In a fresh interpreter: tree's tanhqi runs workload name's passes, writing under out_dir,
-    one untimed, then one timed run by run; prints one JSON line with the timed runs' walls and
-    exit statuses and the timed pass's minor page faults."""
+    WARM_PASSES untimed, then one timed run by run; prints one JSON line with the timed runs'
+    walls and exit statuses and the timed pass's minor page faults."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     from tanhqi import cli
 
     runs = workloads.build(name, 0, out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    bench.run_pass(cli, runs)
+    for _ in range(WARM_PASSES):
+        bench.run_pass(cli, runs)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     timed = [bench.run_pass(cli, [run]) for run in runs]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -83,12 +91,14 @@ def verdict(parent, change) -> str:
 
     A side's gain over the other is resolved when its pass was the faster in at least nine
     tenths of the rounds (a tie counts for neither side) and its median is below the other's by
-    more than the other's interquartile spread."""
+    more than the other's interquartile spread; under MIN_VERDICT_ROUNDS rounds nothing is."""
     def resolved(base, other):
         q1, median, q3 = statistics.quantiles(base, n=4, method="inclusive")
         wins = sum(o < b for b, o in zip(base, other))
         return 10 * wins >= 9 * len(base) and median - statistics.median(other) > q3 - q1
 
+    if len(parent) < MIN_VERDICT_ROUNDS:
+        return "unresolved"
     if resolved(parent, change):
         return "gain resolved"
     return "loss resolved" if resolved(change, parent) else "unresolved"
