@@ -35,6 +35,7 @@ from .kernel import (
     multi_indices,
     normalization_constant,
     psi_eval,
+    tail_mass,
     truncation_radius,
 )
 from .manifold import Chart, chart_preset, operator_on_chart_batch
@@ -81,6 +82,7 @@ __all__ = [
     "residual_sweep",
     "rl_derivative_batch",
     "sup_error",
+    "tail_mass",
     "truncation_radius",
     "voronovskaya_corrections",
 ]

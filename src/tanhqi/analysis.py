@@ -50,6 +50,7 @@ from .kernel import (
     check_n,
     psi_eval,
     table_sites,
+    tail_mass,
 )
 from .manifold import chart_coords, chart_preset, check_chart, operator_on_chart_batch
 from .operators import (
@@ -384,7 +385,8 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
 
 def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):
     """kernel-dump's table, psi, M_0..M_3 and n M_1 at each x of a one-axis grid for the one n of
-    n_sweep, plus the kernel's constants: its checks (exactly one n, grid, then
+    n_sweep, plus the kernel's constants, with its window width 2W + 1 and the partition mass a
+    window neglects at most (``kernel.tail_mass`` at W): its checks (exactly one n, grid, then
     ``kernel.check_moments``, as the moments build no lattice table), then the table bound but not
     built."""
     n_sweep = list(n_sweep)
@@ -408,6 +410,8 @@ def _kernel_rows(kernel: DensityKernel, xs, n: int) -> dict:
         "rows": np.column_stack([xs, psi_eval(kernel, xs), moments, n * moments[:, 1]]).tolist(),
         "kernel": {"q": q, "alpha": alpha, "eps_trunc": kernel.eps_trunc,
                    "normalization": kernel.normalization, "radius": kernel.radius,
+                   "window_width": kernel.width,
+                   "tail_mass": tail_mass(kernel.params, kernel.radius),
                    "n_times_moment1_centre": math.atanh(q) / alpha,
                    "n_times_moment1_ripple": ripple},
     }

@@ -22,7 +22,9 @@ few ulp in the tails too, so psi > 0 holds as computed (down to about
 1e-250).
 
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
-radius W chosen once per kernel from a tolerance eps_trunc.
+radius W chosen once per kernel from a tolerance eps_trunc: the smallest
+integer whose neglected partition mass, at any centre, is at most
+eps_trunc (``tail_mass``, in closed form as psi telescopes).
 
 A window's weights psi(u - k) take one exp per centre u instead, and one
 table e^(2 alpha (j - W)) over its sites k = lo + j per call: each weight
@@ -76,6 +78,7 @@ __all__ = [
     "DensityKernel",
     "multi_indices",
     "normalization_constant",
+    "tail_mass",
     "truncation_radius",
     "psi_eval",
     "window_weights",
@@ -115,8 +118,9 @@ ONE_EXP_ALPHA = 64.0
 # and S_j, R_j within e^(+-2 alpha W), each term of a weight's denominator d, (c1 / f) S_j and
 # (c2 f) R_j, is then at most its coefficient times e^300, far from overflow, and psi = 1 / d
 # far from the subnormals.  Past it they take psi_eval: for every alpha above 50 (W >= 2, so
-# every alpha above ONE_EXP_ALPHA), and below that only for eps_trunc under 1e-25 (1e-60 up
-# to alpha 4)
+# every alpha above ONE_EXP_ALPHA), and below that, for q <= 0.99, only for eps_trunc under
+# 3e-31 (1e-118 up to alpha 4), the tail mass at the last W with 2 alpha (W + 1) <= 300; these
+# thresholds grow like 1 / (1 - q)
 WINDOW_EXP_LIMIT = 300.0
 
 
@@ -141,41 +145,83 @@ def _psi(params: ActivationParams, x):
         return s / (((1.0 + q) / v + (1.0 - q) * e) * ((1.0 + q) * e + (1.0 - q) * v))
 
 
-def truncation_radius(params: ActivationParams, eps: float) -> float:
-    """Smallest W in {2, 4, 8, ...} with psi(+-W) < eps and W >= (atanh(q) + 1)/alpha.
+def tail_mass(params: ActivationParams, w: float) -> float:
+    """The supremum over centres u of the partition mass outside u's radius-w window, w >= 1.
 
-    Both tails must be checked: for q > 0 the kernel is not even, and the
-    left tail carries the larger constant (by a factor ((1+q)/(1-q))^2),
-    so it usually decides W.  psi is symmetric about its peak at
-    -atanh(q)/alpha, and one slope length 1/alpha past the peak its
-    tails decay like e^(-2 alpha |x|); the lower bound puts both window
-    ends there, so a wide kernel whose peak is already below eps still
-    gets a window holding its mass.  The closed-form tails hold no
-    cancelled zeros, so the 4 eps W bound holds for tiny eps too.  An
-    alpha too small for any W <= 2^40 is a ValueError.
+    u's window holds the sites k with |u - k| <= w.  With R(m) = sum_(j>=m)
+    psi(j) and L(m) = sum_(j>=m) psi(-j), the mass outside it tends to
+    R(w) + L(w + 1) as the fractional part of u goes to 0+ and to
+    R(w + 1) + L(w) as it goes to 1-; the supremum is the larger limit
+    (checked against direct sums over dense centre grids in the tests).
+    psi telescopes through h, so R(m) = (T+(m) + T+(m - 1)) / C and
+    L(m) = (T-(1 - m) + T-(-m)) / C, with T+(z) = 1/(1+q) - h(z) and
+    T-(z) = h(z) + q/(1-q).  Per distance z >= 0, with v = e^(-2 alpha z),
+
+        T+(z) / C = (1-q) v / (2 ((1+q) + (1-q) v)),
+        T-(-z) / C = (1+q) v / (2 ((1+q) v + 1 - q)),
+
+    one quotient of positive terms each, so no cancelled zeros.
+    """
+    q, a = float(params.q), float(params.alpha)
+    if 2.0 * a == math.inf:
+        # psi is the limit box (see _psi), with no mass past +-1: every term is 0, also the
+        # one-sided limit z -> 0+, where 2 alpha z would read inf * 0
+        return 0.0
+    big, small = 1.0 + q, 1.0 - q
+    right, left = [], []
+    for z in (w - 1.0, w, w + 1.0):
+        v = math.exp(-2.0 * a * z)
+        right.append(small * v / (2.0 * (big + small * v)))
+        left.append(big * v / (2.0 * (big * v + small)))
+    return max(right[1] + right[0] + left[1] + left[2], right[2] + right[1] + left[0] + left[1])
+
+
+def truncation_radius(params: ActivationParams, eps: float) -> float:
+    """Smallest integer W >= max(2, ceil((atanh(q) + 1)/alpha)) with tail_mass(W) <= eps.
+
+    So eps bounds the partition mass a truncated window neglects, at every
+    centre.  psi is symmetric about its peak at -atanh(q)/alpha, and one
+    slope length 1/alpha past the peak its tails decay like
+    e^(-2 alpha |x|); the lower bound puts both window ends there.  The
+    tail mass decreases in W, so the search bisects between two radii its
+    exponential bounds give.  An alpha too small for any W <= 2^40 is a
+    ValueError.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"truncation tolerance must lie in (0, 1), got {eps!r}")
-    w_min = (math.atanh(params.q) + 1.0) / params.alpha
-    w = 2.0
-    while w < w_min or not (_psi(params, w) < eps and _psi(params, -w) < eps):
-        w *= 2.0
-        if w > 2.0**40:
-            raise ValueError(
-                f"no truncation radius up to 2^40 for alpha={params.alpha!r}, eps={eps!r}; "
-                "increase alpha or eps_trunc"
-            )
-    return w
+    limit, q, a = 2**40, params.q, params.alpha
+
+    def radius(c):
+        # where c e^(-2 alpha (w - 1)) = eps, at most limit + 2 (ceil takes no inf)
+        return math.ceil(min(1.0 + (math.log(c) - math.log(eps)) / (2.0 * a), limit + 2.0))
+
+    # (1+q)/4 <= tail_mass(w) e^(2 alpha (w - 1)) <= (1+q)/(1-q) + (1-q)/(1+q): every w below
+    # the first bound's radius fails and every w from the second's on passes (one site of slack
+    # each for rounding), so bisect between them, limit + 1 standing for none up to 2^40
+    floor = max(2, math.ceil(min((math.atanh(q) + 1.0) / a, limit + 1.0)))
+    lo = max(floor, radius((1.0 + q) / 4.0) - 1) - 1
+    hi = min(max(floor, radius((1.0 + q) / (1.0 - q) + (1.0 - q) / (1.0 + q)) + 1), limit + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail_mass(params, mid) > eps:
+            lo = mid
+        else:
+            hi = mid
+    if hi > limit:
+        raise ValueError(
+            f"no truncation radius up to 2^40 for alpha={params.alpha!r}, eps={eps!r}; "
+            "increase alpha or eps_trunc"
+        )
+    return float(hi)
 
 
 @dataclass(frozen=True)
 class DensityKernel:
     """Kernel psi with its normalization C and truncation radius W.
 
-    Beyond W the kernel is below eps_trunc and keeps decaying along the
-    exponential tail psi(x) <= psi(W) e^(-2 alpha (|x| - W)); summing the
-    geometric tails on both sides keeps the neglected partition mass
-    under 4 * eps_trunc * W.
+    W is ``truncation_radius``: a window of radius W around any centre
+    neglects at most eps_trunc of the partition mass (``tail_mass``), so a
+    truncated partition sum lies in [1 - eps_trunc, 1] before rounding.
     """
 
     params: ActivationParams

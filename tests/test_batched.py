@@ -478,7 +478,8 @@ def small_kernels():
 
 
 def assert_unity(vals, kernel, scale=1.0):
-    # the truncated window misses at most 4 eps W of the partition mass
+    # the truncated window misses at most eps of the partition mass (truncation_radius); the
+    # bound keeps 4 eps W >= 8 eps, room for the rounding too
     assert np.all(np.abs(np.asarray(vals) - scale) <= 4 * kernel.eps_trunc * kernel.radius * scale)
 
 

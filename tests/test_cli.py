@@ -21,6 +21,7 @@ from tanhqi import (
     DensityKernel,
     convergence_sweep,
     function_preset,
+    tail_mass,
 )
 from tanhqi import cli, manifold
 
@@ -262,14 +263,14 @@ class TestPrintConfig:
 
     @pytest.mark.parametrize("print_config", [False, True])
     def test_lattice_sum_work_capped_before_the_run(self, tmp_path, capsys, print_config):
-        # W = 16384: 100000 points x 32769 window sites, minutes of lattice sums at one n; the
+        # W = 14418: 100000 points x 28837 window sites, minutes of lattice sums at one n; the
         # kernel-dump moments sum the same windows
         for command in (["converge", "--preset", "sin", "--operator", "kantorovich"], ["kernel-dump"]):
             argv = [*command, "--alpha", "0.001", "--n", "16", "--grid-points", "100000",
                     "--out", str(tmp_path / "x"), *(["--print-config"] if print_config else [])]
             status, out, err = run(argv, capsys)
             assert status == 2 and out == ""
-            assert ("a lattice sum needs 3276900000 multiply-adds (> 2147483648)"
+            assert ("a lattice sum needs 2883700000 multiply-adds (> 2147483648)"
                     in json.loads(err)["error"])
             assert not (tmp_path / "x.json").exists()
 
@@ -361,14 +362,15 @@ class TestValidation:
     @pytest.mark.parametrize("print_config", [False, True])
     def test_oversized_window_without_quadrature_rejected(self, tmp_path, capsys, command,
                                                          print_config):
-        # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites, and no run takes quadrature
+        # alpha 1e-6 gives W = 14417498: one window spans 28834997 sites, and no run takes
+        # quadrature
         argv = [command, "--alpha", "1e-6", "--out", str(tmp_path / "x"),
                 *(["--preset", "sin"] if command == "converge" else []),
                 *(["--print-config"] if print_config else [])]
         status, out, err = run(argv, capsys)
         assert status == 2 and out == ""
         error = json.loads(err)["error"]
-        assert "one kernel window holds 16777217 lattice sites" in error
+        assert "one kernel window holds 28834997 lattice sites" in error
         assert "quad" not in error
 
     @pytest.mark.parametrize("print_config", [False, True])
@@ -510,6 +512,21 @@ class TestOtherCommands:
         assert payload["kernel"]["radius"] == 16.0
         assert payload["kernel"]["normalization"] == pytest.approx(10.0 / 3.0, rel=1e-14)
 
+    def test_kernel_dump_echoes_its_window_and_the_mass_it_neglects(self, tmp_path, capsys):
+        # window_width is 2W + 1 and tail_mass the closed-form mass a window neglects at W, at
+        # most eps; each row's partition sum (moment0) falls short of 1 by no more, plus its
+        # rounding (the weights' 2 alpha (W + 2) + 22 ulp and the row sum's 27, below 1e-14)
+        out = tmp_path / "k"
+        status, _, _ = run(["kernel-dump", "--n", "8", "--grid-points", "5", "--trunc-eps", "1e-10",
+                            "--out", str(out)], capsys)
+        assert status == 0
+        kernel = json.loads((tmp_path / "k.json").read_text())["kernel"]
+        assert (kernel["radius"], kernel["window_width"]) == (13.0, 27)
+        assert kernel["tail_mass"] == tail_mass(ActivationParams(0.5, 1.0), 13.0)
+        assert kernel["tail_mass"] <= 1e-10 < tail_mass(ActivationParams(0.5, 1.0), 12.0)
+        for line in (tmp_path / "k.csv").read_text().splitlines()[1:]:
+            assert 1.0 - float(line.split(",")[2]) <= 1e-10 + 1e-14
+
     @pytest.mark.parametrize("command", [["kernel-dump", "--n", "4"], ["converge", "--preset", "sin"]])
     def test_huge_alpha_runs_on_the_limit_box(self, tmp_path, capsys, command):
         # e^(-2 alpha) underflows: psi is the box 1/2 on |x| < 1, W = 2
@@ -520,6 +537,7 @@ class TestOtherCommands:
         payload = json.loads((tmp_path / "k.json").read_text())
         if command[0] == "kernel-dump":
             assert payload["kernel"]["radius"] == 2.0
+            assert payload["kernel"]["window_width"] == 5 and payload["kernel"]["tail_mass"] == 0.0
             # every x lies in (0, 1); moment0 is the partition sum
             assert all(row[1] == 0.5 and row[2] == 1.0 for row in payload["rows"])
 
@@ -532,9 +550,10 @@ class TestOtherCommands:
         )
         assert status == 0
         payload = json.loads((tmp_path / "k.json").read_text())
-        assert payload["kernel"]["radius"] == 2048.0
+        assert payload["kernel"]["radius"] == 4056.0
+        assert payload["kernel"]["window_width"] == 8113 and payload["kernel"]["tail_mass"] <= 1e-3
         for row in payload["rows"]:
-            assert 1.0 - row[2] < 0.06  # moment0 is the partition sum
+            assert 1.0 - row[2] <= 1e-3  # moment0 is the partition sum
 
     def test_manifold_runs_euclidean(self, tmp_path, capsys):
         out = tmp_path / "m"

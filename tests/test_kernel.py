@@ -25,6 +25,7 @@ from tanhqi import (
     normalization_constant,
     operator_on_chart_batch,
     psi_eval,
+    tail_mass,
     truncation_radius,
 )
 from tanhqi import analysis
@@ -58,6 +59,18 @@ def own_window(k, u):
     # their weights by window_weights' one-centre rule, as every lattice sum weighs them
     ks = np.arange(math.ceil(u - k.radius), math.floor(u + k.radius) + 1, dtype=float)
     return ks, window_weights(k, np.array([u]), ks[:1])(ks.size)[0]
+
+
+def direct_tail_mass(k, w, points=200):
+    """The largest mass outside a radius-w window over centres in [0, 1), summed with math.fsum
+    over psi_eval to where the tails fall below e^-120 of psi(+-w): points centres evenly spaced
+    from 0, and the two 2^-30 off a site, where the supremum is approached."""
+    far = w + 2.0 + 60.0 / k.params.alpha
+    most = 0.0
+    for u in np.r_[np.arange(points) / points, 2.0**-30, 1.0 - 2.0**-30]:
+        d = u - np.arange(math.floor(u - far), math.ceil(u + far) + 1)
+        most = max(most, math.fsum(psi_eval(k, d[np.abs(d) > w])))
+    return most
 
 
 def raw_h(q, alpha, x):
@@ -283,20 +296,67 @@ class TestTruncation:
     def test_radius_nonincreasing_in_alpha(self):
         eps = 1e-12
         got = [truncation_radius(ActivationParams(0.5, a), eps) for a in (0.5, 1.0, 2.0)]
-        assert got == [32.0, 16.0, 16.0]
+        assert got == [30.0, 16.0, 9.0]
         assert sorted(got, reverse=True) == got
+        for a, w in zip((0.5, 1.0, 2.0), got):
+            assert direct_tail_mass(kernel(0.5, a), w) <= eps < direct_tail_mass(kernel(0.5, a), w - 1)
 
     def test_radius_strictly_decreasing_for_small_q(self):
         eps = 1e-12
         got = [truncation_radius(ActivationParams(0.1, a), eps) for a in (0.5, 1.0, 2.0)]
-        assert got == [32.0, 16.0, 8.0]
+        assert got == [29.0, 15.0, 8.0]
+        for a, w in zip((0.5, 1.0, 2.0), got):
+            assert direct_tail_mass(kernel(0.1, a), w) <= eps < direct_tail_mass(kernel(0.1, a), w - 1)
 
     def test_wide_kernel_window_holds_its_mass(self):
         # psi stays below eps everywhere, so psi(+-W) < eps alone would stop at W = 2
         k = kernel(alpha=1e-3, eps=1e-3)
-        assert k.radius == 2048.0
-        # 4 eps W = 8.2 is vacuous here; the window holds about 95% of the mass
-        assert 1.0 - lattice_sum(k, 0.3) < 0.06
+        assert k.radius == 4056.0
+        assert 1.0 - lattice_sum(k, 0.3) <= 1e-3
+        assert direct_tail_mass(k, 4056, points=1) <= 1e-3 < direct_tail_mass(k, 4055, points=1)
+
+    @pytest.mark.parametrize("q, alpha, eps, want", [(0.5, 1 / 16, 1e-12, 232), (0.0, 1.0, 1e-12, 15),
+                                                     (0.5, 1.0, 1e-15, 19), (0.9, 0.5, 1e-12, 32),
+                                                     (0.5, 1.0, 1e-12, 16)])
+    def test_radius_is_the_smallest_within_eps(self, q, alpha, eps, want):
+        # the neglected mass at W is at most eps, and at W - 1 above it, in closed form and by
+        # direct sums; the powers of two took 256, 16, 32, 32 and 16
+        params = ActivationParams(q, alpha)
+        w = truncation_radius(params, eps)
+        assert w == want
+        assert tail_mass(params, w) <= eps < tail_mass(params, w - 1)
+        k = kernel(q, alpha, eps)
+        assert direct_tail_mass(k, w) <= eps < direct_tail_mass(k, w - 1)
+
+    @settings(deadline=None)
+    @given(q=st.floats(0.0, 0.99), alpha=_log_uniform(1e-3, 1e3), eps=_log_uniform(1e-300, 0.5))
+    def test_radius_is_minimal_unless_at_its_floor(self, q, alpha, eps):
+        params = ActivationParams(q, alpha)
+        w = truncation_radius(params, eps)
+        floor = max(2, math.ceil((math.atanh(q) + 1.0) / alpha))
+        assert w >= floor and tail_mass(params, w) <= eps
+        assert w == floor or tail_mass(params, w - 1) > eps
+
+    @settings(deadline=None, max_examples=40)
+    @given(q=st.floats(0.0, 0.99), alpha=_log_uniform(0.01, 50.0), w=st.integers(1, 300))
+    @example(q=0.5, alpha=1 / 16, w=232)
+    @example(q=0.99, alpha=0.01, w=1)
+    def test_tail_mass_is_the_largest_direct_sum(self, q, alpha, w):
+        # the mass outside the windows of a dense grid of centres, summed directly, stays within
+        # tail_mass, and comes within 1e-6 of it at the centres 2^-30 off a site
+        k = kernel(q, alpha)
+        want = tail_mass(k.params, w)
+        got = direct_tail_mass(k, w)
+        assume(want > 1e-290)
+        # psi_eval's and tail_mass's roundings, a few ulp per 2 alpha W (eval_roundings)
+        rounding = gamma(4 * alpha * (w + 2) + 40)
+        assert got <= want * (1.0 + rounding)
+        assert got >= want * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 16, 2**40])
+    def test_tail_mass_of_the_limit_box_is_zero(self, w):
+        # 2 alpha overflows: psi is the box on [-1, 1], and no window of radius >= 1 loses mass
+        assert tail_mass(ActivationParams(0.5, 1e308), w) == 0.0
 
     def test_search_stop_is_value_error(self):
         with pytest.raises(ValueError, match="2\\^40"):
@@ -324,7 +384,7 @@ class TestTruncation:
         far = w + 1.0 + 60.0 / alpha
         for u in (0.0, 0.25, 0.5, 0.75):
             d = u - np.arange(math.floor(u - far), math.ceil(u + far) + 1)
-            assert math.fsum(psi_eval(k, d[np.abs(d) > w])) <= 4 * eps * w
+            assert math.fsum(psi_eval(k, d[np.abs(d) > w])) <= eps
 
     @pytest.mark.parametrize("u", [-3.7, 0.0, 0.3, 41.5])
     def test_window_weights_pair_window_with_psi(self, u):
@@ -372,8 +432,8 @@ class TestWindowRows:
         k = kernel()
         assert point_work(k, 1) == 33
         assert point_work(k, 2) == 33 * 33
-        # alpha 1e-6 gives W = 2^23: one window spans 2^24 + 1 sites and takes no quadrature
-        with pytest.raises(ValueError, match="one kernel window holds 16777217 lattice sites") as exc:
+        # alpha 1e-6 gives W = 14417498: one window spans 28834997 sites and takes no quadrature
+        with pytest.raises(ValueError, match="one kernel window holds 28834997 lattice sites") as exc:
             point_work(kernel(alpha=1e-6), 1)
         assert "quad" not in str(exc.value)
 
@@ -414,7 +474,7 @@ class TestWindowWeights:
         # (Higham 3.1), and what a weight below the underflow floor may lose
         width = k.width
         slack = gamma(weight_roundings(k)) + gamma(width) + width * underflow_floor(k)
-        assert np.all(np.abs(sums - 1.0) <= 4 * eps * k.radius + slack)
+        assert np.all(np.abs(sums - 1.0) <= eps + slack)
 
 
 class TestZEval:
@@ -593,7 +653,8 @@ class TestKernelProperties:
     def test_positive_with_bounded_partition_deficit(self, q, alpha, eps, x):
         k = kernel(q, alpha, eps)
         assert psi_eval(k, x) > 0.0
-        assert 1.0 - lattice_sum(k, x) <= 4 * eps * k.radius
+        # the neglected mass, then the weights' and the row sum's roundings
+        assert 1.0 - lattice_sum(k, x) <= eps + gamma(weight_roundings(k)) + gamma(k.width)
 
     @pytest.mark.parametrize("n", [16, 512])
     @pytest.mark.parametrize("q, alpha, eps", [(0.5, 1.0, 1e-12), (0.3, 0.25, 1e-10),
@@ -773,13 +834,14 @@ class TestTableSites:
                 table_sites(kernel(), 64, [[1e308]])
 
     def test_sum_work_capped_exactly(self):
-        # alpha 1e-4: W = 2^17, windows of 2^18 + 1 sites; 8192 points pay 2^31 + 8192
-        # multiply-adds, one point fewer stays under the cap
+        # alpha 1e-4: W = 144176, windows of 288353 sites; 7448 points pay 2147653144
+        # multiply-adds, past 2^31, and one point fewer stays under the cap
         k = kernel(alpha=1e-4)
-        assert k.radius == 2.0**17 and MAX_SUM_WORK == 2**31
-        table_sites(k, 1, [np.linspace(0.0, 1.0, 8191)])
-        with pytest.raises(ValueError, match=f"a lattice sum needs {2**31 + 8192} multiply-adds"):
-            table_sites(k, 1, [np.linspace(0.0, 1.0, 8192)])
+        assert k.radius == 144176.0 and MAX_SUM_WORK == 2**31
+        assert 7447 * 288353 <= MAX_SUM_WORK < 7448 * 288353 == 2147653144
+        table_sites(k, 1, [np.linspace(0.0, 1.0, 7447)])
+        with pytest.raises(ValueError, match="a lattice sum needs 2147653144 multiply-adds"):
+            table_sites(k, 1, [np.linspace(0.0, 1.0, 7448)])
 
     def test_sum_work_counts_each_axis(self):
         # axis 0: 65536 points x 33 window sites x 34 sites of axis 1; axis 1: 65536 x 1000
@@ -985,12 +1047,13 @@ class TestPadSlot:
         want = np.outer(*(axis_moments(k, x, n, 0)[:, 0] for x in axes))
         assert np.array_equal(mass, want.ravel())
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.125])
-    def test_each_point_alone_on_mixed_later_axes(self, alpha):
+    @pytest.mark.parametrize("alpha, w", [(0.23, 64.0), (0.1135, 128.0)])
+    def test_each_point_alone_on_mixed_later_axes(self, alpha, w):
         # W = 64 and 128, where numpy's pairwise row sum groups 2W and 2W + 1 slots differently:
         # both axes mix lattice-site (2W + 1-site) and off-site (2W-site) centres, and every
         # point computed alone equals its row of the call bit for bit
         k = kernel(alpha=alpha)
+        assert k.radius == w
         n = int(k.radius) + 8
         x = mixed(np.array([0.3, 0.5, -0.21, 0.25]), n)
         y = mixed(np.array([1.3, 1.0, 1.77, 1.5, 1.25]), n)
@@ -1029,7 +1092,7 @@ def mixed(x, n):
     return x
 
 
-# alpha 1, 0.3, 0.125 and 1/16 give W = 16, 64, 128 and 256
+# alpha 1, 0.3, 0.125 and 1/16 give W = 16, 49, 116 and 232
 WINDOW_ALPHAS = [1.0, 0.3, 0.125, 1 / 16]
 
 
@@ -1155,7 +1218,9 @@ class TestCentreLimit:
         k = kernel(q, alpha, eps)
         x = sign * scale * (MAX_CENTRE - k.radius - 1.0) / n
         assume(n * abs(x) + k.radius + 1.0 <= MAX_CENTRE)
-        assert abs(axis_moments(k, [x], n, 0)[0, 0] - 1.0) <= 4 * eps * k.radius
+        # as in TestKernelProperties: the window's offsets from a centre below 2^52 are exact
+        slack = gamma(weight_roundings(k)) + gamma(k.width)
+        assert abs(axis_moments(k, [x], n, 0)[0, 0] - 1.0) <= eps + slack
 
     def test_past_the_limit_is_rejected(self):
         k = kernel()

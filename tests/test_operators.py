@@ -277,16 +277,17 @@ class TestQIsAShift:
 
         psi_q(u) = psi_0(u + c), so both sides truncate one lattice sum S = sum_k v_k Z_q(n x - k):
         side q keeps |k_i - n x_i| <= W_q, side 0 keeps |k_i - n x_i - c| <= W_0.  A side's window
-        misses at most T = N 4 eps W of the kernel's mass (``DensityKernel``: 4 eps W per axis;
-        a product window misses at most its axes' tails), so a sum operator's side is within
-        T max|v| of S.  A ratio operator is N/D with D's weight rule d >= 0 (the chart's
-        1/sqrt(det g), the fractional k >= 0 mask) and v = f d (fractional: f's D^beta table);
-        its full ratio R is a weighted mean of f, and a side's N_A/D_A - R = (R t_D - t_N)/D_A
-        for the parts t_N, t_D it misses, so it is within T (max|v| + max|f| max d)/D_A of R,
-        D_A the side's own weight sum.  The maxima are over the sites both windows reach (y on
-        [1, 1.6]) and doubled: past the windows f, d and D^beta f grow by a few percent per
-        site, where psi's tail falls by e^(-2 alpha) <= 1/e.  Rounding, a few 1e-13 at most
-        here, stays below a hundredth of every bound; a shift by -c/n breaks every bound.
+        misses at most N eps of the kernel's mass (``truncation_radius``: eps per axis; a product
+        window misses at most its axes' tails), so, with T = N 4 eps W above that, a sum
+        operator's side is within T max|v| of S.  A ratio operator is N/D with D's weight rule
+        d >= 0 (the chart's 1/sqrt(det g), the fractional k >= 0 mask) and v = f d (fractional:
+        f's D^beta table); its full ratio R is a weighted mean of f, and a side's N_A/D_A - R =
+        (R t_D - t_N)/D_A for the parts t_N, t_D it misses, so it is within T (max|v| + max|f|
+        max d)/D_A of R, D_A the side's own weight sum.  The maxima are over the sites both
+        windows reach (y on [1, 1.6]) and doubled: past the windows f, d and D^beta f grow by a
+        few percent per site, where psi's tail falls by e^(-2 alpha) <= 1/e.  Rounding, a few
+        1e-13 at most here, stays below a hundredth of every bound; a shift by -c/n breaks every
+        bound.
         """
         kq, k0 = (DensityKernel(ActivationParams(v, alpha)) for v in (q, 0.0))
         c, dim = math.atanh(q) / alpha, 1 if name in ("basic", "kantorovich", "fractional") else 2

@@ -137,7 +137,7 @@ def test_the_cli_leaves_the_lattice_checks_to_the_library():
         assert not hasattr(cli, name)
 
 
-# alpha = 1e-6 gives W = 2^23: one window holds 2^24 + 1 sites, past the work cap
+# alpha = 1e-6 gives W = 14417498: one window holds 28834997 sites, past the 2^24 work cap
 WIDE = DensityKernel(ActivationParams(0.5, 1e-6))
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 WINDOW = "one kernel window holds"
@@ -172,14 +172,14 @@ AXES = "the evaluation grid needs "
                               [64, 128]), AXES + "1 axis/axes"),
     (["kernel-dump", "--grid-lo=0,0", "--grid-hi=1,1", "--n", "8", "--grid-points", "5"],
      lambda: analysis.kernel_table(KERNEL, [8], [(0.0, 1.0)] * 2, 5), AXES + "1 axis/axes"),
-    # W = 16384: 100000 points x 32769 window sites
+    # W = 14418: 100000 points x 28837 window sites
     (["kernel-dump", "--alpha", "0.001", "--n", "16", "--grid-points", "100000"],
      lambda: analysis.kernel_table(DensityKernel(ActivationParams(0.5, 0.001)), [16],
-                                   [(0.0, 1.0)], 100000), "a lattice sum needs 3276900000"),
+                                   [(0.0, 1.0)], 100000), "a lattice sum needs 2883700000"),
 ], ids=["converge", "voronovskaya", "frac", "manifold", "kernel-dump", "converge-axes",
         "voronovskaya-axes", "frac-axes", "kernel-dump-axes", "kernel-dump-sum-work"])
 def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library, prefix):
-    assert WIDE.radius == 2.0**23
+    assert WIDE.radius == 14417498.0
     status = cli.main([*argv, "--out", str(tmp_path / "r"), "--print-config"])
     assert status == 2
     message = json.loads(capsys.readouterr().err)["error"]
@@ -189,9 +189,9 @@ def test_library_and_cli_reject_with_one_message(tmp_path, capsys, argv, library
     assert str(exc.value) == message
 
 
-# alpha = 0.01 gives W = 2048: a 2-D window holds 4097^2 sites, past the cap, while the table
-# around one point holds 4096^2, within it
-WIDE_2D = DensityKernel(ActivationParams(0.5, 0.01))
+# alpha = 0.007043 gives W = 2048: a 2-D window holds 4097^2 sites, past the cap, while the
+# table around one point holds 4096^2, within it
+WIDE_2D = DensityKernel(ActivationParams(0.5, 0.007043))
 SIN_EXP_BOX = [(0.0, 1.0), (1.0, 2.0)]
 
 
