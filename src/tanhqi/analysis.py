@@ -23,11 +23,14 @@ operator may return a (K, P) stack of K results, one report per row:
 Evaluation grids are offset by 1/(2*101) of a cell from the left cell
 edge so that lattice sites k/n are never sampled exactly; errors at
 lattice sites would otherwise collapse to rounding noise and corrupt
-the fits.  Rows whose error is at or below ERROR_FLOOR = 1e-13 are
-excluded from fits (and counted).  That is below the floor a sweep
-reaches, the truncated window's partition deficit (1.6e-13 at the default
-eps_trunc), so rows on it stay in the fit: sin's m = 4 residual on 201
-points reads slope 4.26, not 5 (ROADMAP item 1).
+the fits.  Each report's error floor is derived from its kernel and
+grid: the partition mass a truncated window neglects at most
+(``kernel.tail_mass`` at W) plus a window sum's rounding, N (2W + 1)
+2^-53 on N axes, times the largest magnitude the operator reproduces on
+the grid (max |f|, or max |D^beta f| for the fractional sweep).  Rows
+whose sup error is at most 10 times that floor are left out of the fit
+and counted: at the default eps_trunc the floor is 1.65e-13 max |f|, so
+sin's m = 4 residual on 201 points fits slope 5.0 on the rows above it.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ __all__ = [
 
 # the operators convergence_sweep sweeps against f itself
 CONVERGENCE_OPERATORS = ("basic", "kantorovich")
-ERROR_FLOOR = 1e-13
 GRID_SHIFT = 1.0 / (2.0 * 101.0)
 NORM_NOTE = "errors are sup/mean over the configured evaluation grid"
 
@@ -104,6 +106,7 @@ class ConvergenceReport:
     r_squared: float | None
     target_description: str
     claimed_exponent: str | None = None
+    error_floor: float = 0.0
     excluded_rows: int = 0
     note: str = NORM_NOTE
 
@@ -217,7 +220,8 @@ def check_operator(kind: str) -> None:
 
 
 def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: list[dict],
-          target_descriptions: list[str], claimed_exponent: str | None = None, site_rule=None):
+          target_descriptions: list[str], claimed_exponent: str | None = None, site_rule=None,
+          floor=0.0):
     """The run of one experiment over the checked grid ``axes`` and n values ``ns`` (ascending,
     ``check_sweep``), bound after its lattice checks but not started.
 
@@ -230,8 +234,12 @@ def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: li
     ``axes``, else None (``sup_error``'s one-point re-runs).  Result row i
     of a (K, P) stack makes report i, with a copy of ``configs[i]`` and
     ``target_descriptions[i]``.  A non-finite error is a RuntimeError
-    naming n; rows on the rounding floor are counted and left out of the
-    fit, which is skipped (the note says so) with fewer than three above.
+    naming n.  ``floor`` is every report's ``error_floor``, or a function of
+    no arguments that gives it once the rows are measured, so that a sample
+    on the grid fails only after ``sup_error`` has named the failing point.
+    Rows whose sup error is at most 10 times the floor are counted and left
+    out of the fit, which is skipped (the note says so) with fewer than
+    three above.
     """
     meshes = {}
     for n in ns:
@@ -239,11 +247,11 @@ def sweep(kernel: DensityKernel, axes, ns, make_operator, target_fn, configs: li
         if site_rule is not None:
             site_rule(n, meshes[n])
     return functools.partial(_measure, make_operator, meshes, target_fn, axes, configs,
-                             target_descriptions, claimed_exponent)
+                             target_descriptions, claimed_exponent, floor)
 
 
 def _measure(make_operator, meshes, target_fn, axes, configs, target_descriptions,
-             claimed_exponent) -> list[ConvergenceReport]:
+             claimed_exponent, floor) -> list[ConvergenceReport]:
     operator = make_operator()
     tables = [[] for _ in configs]
     for n, mesh in meshes.items():
@@ -257,17 +265,21 @@ def _measure(make_operator, meshes, target_fn, axes, configs, target_description
                     "the operator or the target overflowed on the evaluation grid"
                 )
             rows.append(Row(n, sup, mean))
-    return [_report(rows, config, description, claimed_exponent)
+    floor = floor() if callable(floor) else floor
+    return [_report(rows, config, description, claimed_exponent, floor)
             for rows, config, description in zip(tables, configs, target_descriptions, strict=True)]
 
 
-def _report(rows, config: dict, target_description: str, claimed_exponent) -> ConvergenceReport:
+def _report(rows, config: dict, target_description: str, claimed_exponent,
+            floor: float) -> ConvergenceReport:
+    # a row within a decade of the floor may be mostly truncation and rounding, not the rate
+    cut = 10.0 * floor
     try:
-        slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=ERROR_FLOOR)
+        slope, intercept, r2 = rate_fit([(r.n, r.sup_error) for r in rows], floor=cut)
         note = NORM_NOTE
     except ValueError:
         slope = intercept = r2 = None
-        note = NORM_NOTE + "; fit skipped: not enough rows above the rounding floor"
+        note = NORM_NOTE + "; fit skipped: fewer than 3 rows above 10 x error_floor"
     # a copy per report: every call of a bound sweep passes the same config, and a caller may
     # add keys to its report's
     return ConvergenceReport(
@@ -278,9 +290,17 @@ def _report(rows, config: dict, target_description: str, claimed_exponent) -> Co
         r_squared=r2,
         target_description=target_description,
         claimed_exponent=claimed_exponent,
-        excluded_rows=sum(1 for r in rows if r.sup_error <= ERROR_FLOOR),
+        error_floor=floor,
+        excluded_rows=sum(1 for r in rows if r.sup_error <= cut),
         note=note,
     )
+
+
+def _error_floor(kernel: DensityKernel, axes, sample) -> float:
+    # the partition mass a window neglects at most, plus a window sum's rounding on each of the
+    # N axes, at the largest magnitude the operator reproduces on the grid
+    relative = tail_mass(kernel.params, kernel.radius) + len(axes) * kernel.width * 2.0**-53
+    return relative * float(np.max(np.abs(sample(axes))))
 
 
 def _sweep_config(kernel: DensityKernel, f, ns, box, points_per_axis: int, **extra) -> dict:
@@ -311,8 +331,10 @@ def convergence_sweep(kind: str, kernel: DensityKernel, f, n_sweep, box, points_
         operator = functools.partial(apply_kantorovich_batch, kernel, quad_nodes, f)
         site_rule = lambda n, sites: check_table_cells(quad_nodes, sites)  # noqa: E731
     config = _sweep_config(kernel, f, ns, box, points_per_axis, operator=kind, quad_nodes=quad_nodes)
-    return sweep(kernel, axes, ns, lambda: operator, lambda ax: f.value(*np.ix_(*ax)), [config],
-                 [f"{f.name} (the sampled function itself)"], site_rule=site_rule)
+    target = lambda ax: f.value(*np.ix_(*ax))  # noqa: E731
+    return sweep(kernel, axes, ns, lambda: operator, target, [config],
+                 [f"{f.name} (the sampled function itself)"], site_rule=site_rule,
+                 floor=functools.partial(_error_floor, kernel, axes, target))
 
 
 def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep, m_max: int):
@@ -329,7 +351,9 @@ def residual_sweep(kernel: DensityKernel, f, box, points_per_axis: int, n_sweep,
                              experiment="voronovskaya-residual", m=m) for m in orders]
     operator = functools.partial(voronovskaya_residuals, kernel, m_max, f)
     return sweep(kernel, axes, ns, lambda: operator, lambda ax: 0.0, configs,
-                 [f"residual after the order-{m} moment correction" for m in orders])
+                 [f"residual after the order-{m} moment correction" for m in orders],
+                 floor=functools.partial(_error_floor, kernel, axes,
+                                         lambda ax: f.value(*np.ix_(*ax))))
 
 
 def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis: int, n_sweep,
@@ -338,10 +362,10 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
     step, n sweep, grid on one axis, a monomial preset for the power rule, a strictly positive
     box, each n's lattice table as the operator checks it and ``fractional_nodes``, then
     ``fractional.l1_work`` of the union of every n's nodes), then its ``sweep`` bound.  The
-    report echoes the advertised rate "m - beta"; the rows support less (the operator's own
-    first-order moment term caps the slope near one).  A call tabulates D^beta f at that union in
-    one rl_derivative_batch call, which checks the same nodes alike: the union table (ascending
-    nodes, their values) that every n's operator reads."""
+    report echoes the advertised rate "m - beta"; the rows support less (at q > 0 the kernel's
+    shift atanh(q)/alpha adds a first-order term, which caps the slope near one).  A call
+    tabulates D^beta f at that union in one rl_derivative_batch call, which checks the same nodes
+    alike: the union table (ascending nodes, their values) that every n's operator reads."""
     frac = FracConfig(beta, frac_step)
     ns = check_sweep(n_sweep)
     axes = check_axes(grid_axes(box, points_per_axis), 1)
@@ -353,14 +377,16 @@ def fractional_sweep(kernel: DensityKernel, f, beta: float, box, points_per_axis
                            experiment="fractional-rate", beta=beta, frac_step=frac_step)
     m_str = "inf" if f.smoothness == float("inf") else f"{f.smoothness:g}"
     nodes = []  # each n's, from its site rule; their union is bound below, before any call
+    oracle = lambda ax: power_rule_oracle(f.power, beta, ax[0])  # noqa: E731
     run = sweep(
         kernel, axes, ns,
         lambda: functools.partial(apply_fractional_batch, kernel, frac, f,
                                   table=(union, rl_derivative_batch(frac, f, union))),
-        lambda ax: power_rule_oracle(f.power, beta, ax[0]), [config], ["D^beta f (oracle)"],
+        oracle, [config], ["D^beta f (oracle)"],
         claimed_exponent=f"advertised rate n^-(m - beta) with m = {m_str}, beta = {beta:g}; "
                          "recorded, not asserted",
         site_rule=lambda n, sites: nodes.append(fractional_nodes(f, n, sites[0])),
+        floor=functools.partial(_error_floor, kernel, axes, oracle),
     )
     union = np.unique(np.concatenate(nodes))
     l1_work(union, frac.h)
@@ -377,10 +403,12 @@ def chart_sweep(kernel: DensityKernel, chart: str, f, n_sweep, box, points_per_a
     geometry = chart_preset(chart, dim=f.dim)
     axes = check_chart(geometry, axes)
     operator = functools.partial(operator_on_chart_batch, kernel, geometry, f)
-    return sweep(kernel, axes, ns, lambda: operator, lambda ax: f.value(*np.ix_(*ax)),
+    target = lambda ax: f.value(*np.ix_(*ax))  # noqa: E731
+    return sweep(kernel, axes, ns, lambda: operator, target,
                  [{"chart": chart, "mode": "discrete"}],
                  [f"{f.name} on the {chart} chart (the sampled function itself)"],
-                 site_rule=functools.partial(chart_coords, geometry))
+                 site_rule=functools.partial(chart_coords, geometry),
+                 floor=functools.partial(_error_floor, kernel, axes, target))
 
 
 def kernel_table(kernel: DensityKernel, n_sweep, box, points_per_axis: int):

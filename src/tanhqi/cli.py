@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=float, help="kernel shape parameter, half-open interval [0, 1)")
         p.add_argument("--alpha", type=float, help="kernel slope parameter, > 0")
         p.add_argument("--trunc-eps", type=float, dest="trunc_eps",
-                       help="lattice truncation tolerance, open interval (0, 1); default 1e-12")
+                       help="the most partition mass a truncated window may neglect at any "
+                            "centre, open interval (0, 1); default 1e-12")
         p.add_argument("--n", dest="n_sweep", type=ints, metavar="N1,N2,...",
                        help="comma-separated lattice densities, each >= 1")
         p.add_argument("--grid-lo", dest="grid_lo", type=floats, metavar="LO[,LO2]",

@@ -20,8 +20,8 @@ from tanhqi import (
     sup_error,
 )
 from tanhqi import analysis, operators
-from tanhqi.analysis import ERROR_FLOOR, GRID_SHIFT, check_sweep, sweep
-from tanhqi.kernel import check_n, table_sites
+from tanhqi.analysis import GRID_SHIFT, check_sweep, sweep
+from tanhqi.kernel import check_n, table_sites, tail_mass
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -189,9 +189,30 @@ class TestSweep:
         zeros = lambda n, ax, *, sites: np.zeros(len(ax[0]))  # noqa: E731
         [rep] = sweep(KERNEL, axes, [8, 16, 32], lambda: zeros, lambda ax: 0.0, [{}], ["t"],
                       "n^-1")()
-        assert rep.excluded_rows == 3 and rep.fitted_slope is None
-        assert "fit skipped" in rep.note
+        # the default floor is 0, so only exact zeros lie on it
+        assert rep.error_floor == 0.0 and rep.excluded_rows == 3 and rep.fitted_slope is None
+        assert rep.note.endswith("fit skipped: fewer than 3 rows above 10 x error_floor")
         assert rep.claimed_exponent == "n^-1"
+        # floor 0.25: a row at exactly 10 x floor = 2.5 is left out, the next double above is kept
+        above = math.nextafter(2.5, math.inf)
+        errors = {8: (2.5, 10.0), 16: (above, 5.0), 32: (0.0, above), 64: (2.5, 2.5)}
+        calls = []
+
+        def operator(n, ax, *, sites):
+            calls.append(n)
+            return np.stack([np.full(len(ax[0]), e) for e in errors[n]])
+
+        skipped, fitted = sweep(KERNEL, axes, [8, 16, 32, 64], lambda: operator, lambda ax: 0.0,
+                                [{}, {}], ["t", "u"],
+                                floor=lambda: calls.append("floor") or 0.25)()
+        # a floor given as a function is taken once, after every row is measured
+        assert calls == [8, 16, 32, 64, "floor"]
+        assert skipped.error_floor == fitted.error_floor == 0.25
+        assert (skipped.excluded_rows, skipped.fitted_slope) == (3, None)
+        assert "fit skipped" in skipped.note
+        # three rows are left, so the fit is made, and on them alone
+        assert fitted.excluded_rows == 1 and fitted.note == analysis.NORM_NOTE
+        assert fitted.fitted_slope == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_sweep", [(), (0, 16), (-4,), (16.5, 32, 64)])
     def test_non_positive_or_empty_sweep_rejected(self, n_sweep):
@@ -274,6 +295,26 @@ class TestReportSerialization:
         d = rep.to_dict()
         assert all(isinstance(r, list) for r in d["rows"])
 
+    @pytest.mark.parametrize("run, box, sample", [
+        (lambda box: convergence_sweep("basic", KERNEL, function_preset("sin"), (16, 32), box, 7),
+         BOX01, lambda x: np.sin(x[0])),
+        (lambda box: residual_sweep(KERNEL, function_preset("sin"), box, 7, (16, 32), 2),
+         [(-2.0, 1.0)], lambda x: np.sin(x[0])),
+        (lambda box: fractional_sweep(KERNEL, function_preset("pow2"), 0.5, box, 7, (16, 32)),
+         [(0.2, 1.0)], lambda x: 2.0 / math.gamma(2.5) * x[0] ** 1.5),
+        (lambda box: analysis.chart_sweep(KERNEL, "poincare-half-plane",
+                                          function_preset("sin-exp"), (16, 32), box, 7),
+         [(0.0, 1.0), (1.0, 2.0)], lambda x: np.sin(x[0])[:, None] * np.exp(-x[1])[None, :]),
+    ], ids=["converge", "voronovskaya", "frac", "manifold"])
+    def test_every_report_echoes_its_derived_floor(self, run, box, sample):
+        # the mass a window neglects plus N (2W + 1) 2^-53 of rounding, at the largest magnitude
+        # the operator reproduces: f, or for the fractional sweep the D^beta f oracle
+        relative = tail_mass(KERNEL.params, KERNEL.radius) + len(box) * KERNEL.width * 2.0**-53
+        peak = np.max(np.abs(sample(grid_axes(box, 7))))
+        for rep in run(box)():
+            assert rep.error_floor == pytest.approx(relative * peak, rel=1e-14, abs=0.0)
+            assert rep.to_dict()["error_floor"] == rep.error_floor
+
 
 class TestOperatorConvergence:
     def test_basic_sin_first_order(self):
@@ -339,15 +380,27 @@ class TestResidualOrders:
         assert slopes[2] == pytest.approx(3.0, abs=0.2)
         assert slopes == sorted(slopes)
 
-    @pytest.mark.xfail(strict=True, reason="ERROR_FLOOR (1e-13) lies below the truncated "
-                       "window's partition-deficit floor of 1.6e-13, so m = 4's last two rows "
-                       "stay in the fit; ROADMAP item 1 derives the floor per n")
     def test_fourth_order_slope_on_the_benchmark_grid(self):
-        # moments-chart's seed-0 voronovskaya run: its rows before the floor fall 32-fold per
-        # doubling, but the fit reads 4.26 with no row excluded
+        # moments-chart's seed-0 voronovskaya run: its rows fall 32-fold per doubling down to the
+        # truncated window's partition deficit, 1.1e-13 and 1.3e-13 at n = 256 and 512, which lie
+        # under 10 x error_floor and stay out of the fit (with them in, it read 4.26)
         reps = residual_sweep(KERNEL, function_preset("sin"), BOX01, 201,
                               (16, 32, 64, 128, 256, 512), 4)()
         assert 4.5 <= reps[4].fitted_slope <= 5.5
+        assert reps[4].excluded_rows == 2
+
+    def test_a_smaller_trunc_eps_lowers_the_floor_and_keeps_the_rows_it_hid(self):
+        # eps_trunc 1e-15 takes W = 19 where 1e-12 takes 16: the n = 512 residual falls from the
+        # deficit, 1.3e-13, to 3.5e-15, and the floor falls with it, so n = 256 is fitted again
+        runs = [residual_sweep(DensityKernel(ActivationParams(0.5, 1.0), eps),
+                               function_preset("sin"), BOX01, 201,
+                               (16, 32, 64, 128, 256, 512), 4)()[4] for eps in (1e-12, 1e-15)]
+        coarse, fine = runs
+        assert fine.error_floor < coarse.error_floor
+        assert fine.rows[-1].sup_error < 1e-14 < coarse.rows[-1].sup_error
+        assert (coarse.excluded_rows, fine.excluded_rows) == (2, 1)
+        assert 10.0 * fine.error_floor < fine.rows[-2].sup_error
+        assert 4.5 <= fine.fitted_slope <= 5.5
 
     def test_m_zero_is_uncorrected_error(self):
         reps = residual_sweep(KERNEL, function_preset("sin"), BOX01, 11, (16, 32, 64), 0)()
@@ -355,11 +408,12 @@ class TestResidualOrders:
         assert reps[0].rows == rep.rows
 
     def test_linear_first_order_hits_floor(self):
-        # the correction removes the whole error of an affine target, so
-        # every row lands at rounding level and the fit is skipped
+        # the correction removes the whole error of an affine target but the partition deficit:
+        # A_n t - t - M_1 = x (S_n(1) - 1), so every row lies under the floor itself (7.9e-14
+        # against 1.50e-13) and the fit is skipped
         reps = residual_sweep(KERNEL, function_preset("linear"), BOX01, 11, (16, 32, 64), 1)()
         m1 = reps[1]
-        assert all(r.sup_error <= ERROR_FLOOR for r in m1.rows)
+        assert all(r.sup_error <= m1.error_floor for r in m1.rows)
         assert m1.fitted_slope is None
         assert m1.excluded_rows == 3
         assert "fit skipped" in m1.note

@@ -32,9 +32,16 @@ def test_a_tree_loaded_again_under_one_name_is_loaded_afresh():
     assert second is not first and second.__name__ == "tanhqi_reloaded.cli"
 
 
-def test_one_changed_byte_is_flagged(tmp_path):
-    first, copy = tmp_path / "first", tmp_path / "copy"
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory):
+    # moments-chart's seed-0 reports, rendered once; a test edits its own copy
+    first = tmp_path_factory.mktemp("rendered") / "first"
     report_diff.render(cli, ["moments-chart"], [0], str(first))
+    return first
+
+
+def test_one_changed_byte_is_flagged(rendered, tmp_path):
+    first, copy = rendered, tmp_path / "copy"
     shutil.copytree(first, copy)
     name = "moments-chart/0/voronovskaya.csv"
     report = copy / name
@@ -59,14 +66,43 @@ def test_one_changed_byte_is_flagged(tmp_path):
             f"max abs diff {abs(a - b):.3g}, max rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}, "
             f"{verdict} the gate tolerance")
     assert 0.0 < abs(a - b) <= 1e-15 * abs(a)
-    # a row fewer changes the table's shape
-    report.write_bytes(b"".join(original.splitlines(keepends=True)[:-1]))
-    assert report_diff.difference(str(first), str(copy), name) == "structure differs"
+    # a row fewer changes the table's shape: the dropped row's four cells are named, and the
+    # numbers both tables hold did not move
+    lines = original.splitlines(keepends=True)
+    report.write_bytes(b"".join(lines[:-1]))
+    last = len(lines) - 1
+    assert report_diff.difference(str(first), str(copy), name) == (
+        f"structure differs; only in parent: {last}/0, {last}/1, {last}/2 and 1 more; "
+        "max abs diff 0, max rel diff 0 over the shared numbers")
     (copy / "moments-chart" / "0" / "half-plane.json").unlink()
     assert report_diff.differing(str(first), str(copy)) == (
         6, ["moments-chart/0/half-plane.json", name])
     assert report_diff.difference(str(first), str(copy), "moments-chart/0/half-plane.json") == (
         "missing from one tree")
+
+
+def test_an_added_key_still_shows_which_numbers_moved(rendered, tmp_path):
+    # a copied report with one key added and one number changed: the added key's path is named,
+    # and the largest difference is taken over the numbers both trees hold
+    name = "moments-chart/0/voronovskaya.json"
+    copy = tmp_path / "copy"
+    shutil.copytree(rendered, copy)
+    reports = json.loads((copy / name).read_text())
+    reports[2]["added"] = 1.0
+    old = reports[4]["fitted_slope"]
+    reports[4]["fitted_slope"] = new = old + 0.5
+    (copy / name).write_text(json.dumps(reports, sort_keys=True, indent=2) + "\n")
+    assert report_diff.differing(str(rendered), str(copy)) == (6, [name])
+    assert report_diff.difference(str(rendered), str(copy), name) == (
+        f"structure differs; only in change: 2/added; max abs diff 0.5, "
+        f"max rel diff {0.5 / max(abs(old), abs(new)):.3g} over the shared numbers")
+    # a position that holds a number in one tree only is named as such
+    for root, value in (("a", 1.0), ("b", "text")):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "r.json").write_text(json.dumps({"k": value, "n": 2.0}))
+    assert report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), "r.json") == (
+        "structure differs; a number in one tree only: k; "
+        "max abs diff 0, max rel diff 0 over the shared numbers")
 
 
 def test_csv_cells_are_read_against_the_gate_tolerance(tmp_path):

@@ -18,7 +18,10 @@ it differs (``difference``): the largest absolute and relative
 difference over the numbers at matching positions (CSV cells, JSON
 leaves), so a summation-order change can state its bound, "same numbers,
 text differs" when only the numbers' text moved, or "structure differs"
-when the shapes or keys differ.  A differing CSV also says
+when the shapes or keys differ; that names the first few positions found
+in one tree only (or holding a number in one tree only) and still gives
+the largest differences over the numbers both trees share, so an added
+key shows what else moved.  A differing CSV also says
 whether every cell lies within ``perfbench/gate.py``'s reference
 tolerance, ``RTOL * |parent| + ATOL`` (``gate`` is imported read-only,
 as ``run`` is).  Then ``N files, M differ``;
@@ -147,25 +150,43 @@ def _same(a, b) -> bool:
     return math.isnan(a) and math.isnan(b)
 
 
+def _paths(keys, shown: int = 3) -> str:
+    # the first positions as slash-joined key paths (a CSV's as row/column), and how many more
+    text = ", ".join("/".join(map(str, key)) for key in keys[:shown])
+    return text + (f" and {len(keys) - shown} more" if len(keys) > shown else "")
+
+
+def _largest(gaps: dict) -> str:
+    return (f"max abs diff {max((g for g, _ in gaps.values()), default=0.0):.3g}, "
+            f"max rel diff {max((r for _, r in gaps.values()), default=0.0):.3g}")
+
+
 def difference(root_a: str, root_b: str, name: str) -> str:
-    """How report name differs between the roots: "missing from one tree", "structure differs"
-    when its positions or the kinds of value at them differ, "text differs" when a value that is
-    no number does, "same numbers, text differs" when every number is the same double, else the
-    largest absolute and relative difference over its numbers; for a CSV, then whether every
-    cell of root_b lies within the gate's tolerance of root_a's."""
+    """How report name differs between the roots (root_a the parent's, root_b the change's):
+    "missing from one tree"; "structure differs" when its positions or the kinds of value at them
+    differ, naming the first few positions only in the parent, only in the change, and whose
+    value is a number in one tree only, then the largest absolute and relative difference over
+    the numbers both share; "text differs" when a value that is no number does; "same numbers,
+    text differs" when every number is the same double; else the largest absolute and relative
+    difference over its numbers and, for a CSV, whether every cell of root_b lies within the
+    gate's tolerance of root_a's."""
     paths = [os.path.join(root, name) for root in (root_a, root_b)]
     if not all(map(os.path.isfile, paths)):
         return "missing from one tree"
     a, b = map(_values, paths)
-    if a.keys() != b.keys() or any(_is_number(a[k]) != _is_number(b[k]) for k in a):
-        return "structure differs"
+    gaps = {k: _gap(a[k], b[k]) for k in a if k in b and _is_number(a[k]) and _is_number(b[k])}
+    moved = [(f"only in {SIDES[0]}", [k for k in a if k not in b]),
+             (f"only in {SIDES[1]}", [k for k in b if k not in a]),
+             ("a number in one tree only",
+              [k for k in a if k in b and _is_number(a[k]) != _is_number(b[k])])]
+    if any(keys for _, keys in moved):
+        listed = "; ".join(f"{label}: {_paths(keys)}" for label, keys in moved if keys)
+        return f"structure differs; {listed}; {_largest(gaps)} over the shared numbers"
     if any(a[k] != b[k] for k in a if not _is_number(a[k])):
         return "text differs"
     if all(_same(a[k], b[k]) for k in a if _is_number(a[k])):
         return "same numbers, text differs"
-    gaps = {k: _gap(a[k], b[k]) for k in a if _is_number(a[k])}
-    text = (f"max abs diff {max((g for g, _ in gaps.values()), default=0.0):.3g}, "
-            f"max rel diff {max((r for _, r in gaps.values()), default=0.0):.3g}")
+    text = _largest(gaps)
     if not name.endswith(".csv"):
         return text
     within = all(g <= gate.RTOL * abs(a[k]) + gate.ATOL for k, (g, _) in gaps.items())
