@@ -186,9 +186,14 @@ def rate_fit(rows, floor: float = 0.0) -> tuple[float, float, float]:
     """Least-squares slope of log(error) vs log(1/n).
 
     Returns (slope, intercept, r_squared).  Rows at or below ``floor``
-    are dropped; at least three usable rows are required.
+    are dropped; at least three usable rows are required.  A row whose
+    error is inf or nan is a ValueError naming the first such row.
     """
-    usable = [(int(n), float(e)) for n, e in rows if e > floor]
+    rows = [(int(n), float(e)) for n, e in rows]
+    for n, e in rows:
+        if not math.isfinite(e):
+            raise ValueError(f"rate_fit needs finite errors, got {e!r} at n={n}")
+    usable = [(n, e) for n, e in rows if e > floor]
     if len(usable) < 3:
         raise ValueError(f"rate_fit needs >= 3 rows above the floor, got {len(usable)}")
     xs = np.log(1.0 / np.array([n for n, _ in usable], dtype=float))

@@ -15,11 +15,12 @@ h = (u - q) / ((1+q) u + 1 - q) is a Moebius map of u = e^(2 alpha x) with
 determinant 1 + q^2, so the difference is one quotient: with A = 1 + q,
 B = 1 - q, e = e^(-2 alpha), v = e^(-2 alpha x) and s = (1 - q^2)(1 - e^2)/2,
 
-    psi(x) = s v / ((A + B e v)(A e + B v)),
+    psi(x) = s v / ((A + B e v)(A e + B v))
+           = s / ((A + B e^(-2 alpha (x + 1)))(B + A e^(2 alpha (x - 1)))),
 
-all terms positive and, in ``psi_eval``, one exp per site: accurate to a
-few ulp in the tails too, so psi > 0 holds as computed (down to about
-1e-250).
+all terms positive and, in ``psi_eval``, one exp per factor at every
+alpha: accurate to a few ulp in the tails too, so psi > 0 holds as
+computed down to about e^-708, and as alpha -> inf the limit box.
 
 psi decays like e^(-2 alpha |x|), so lattice sums can be truncated at a
 radius W chosen once per kernel from a tolerance eps_trunc: the smallest
@@ -111,16 +112,12 @@ MAX_SUM_WORK = 2**31
 # centre n x is not already rounded onto a lattice site, and every window
 # end and site is an exact integer; from 2^53 on, k + 1 rounds back to k
 MAX_CENTRE = 2.0**52
-# up to this alpha psi takes one exp per site; v = e^(-2 alpha x) leaves the normal range
-# only where psi < (1+q)/(1-q) e^(2 alpha - 708) and reads 0 or subnormal there
-ONE_EXP_ALPHA = 64.0
 # windows take one exp per centre while 2 alpha (W + 1) is at most this: with f < e^(2 alpha)
 # and S_j, R_j within e^(+-2 alpha W), each term of a weight's denominator d, (c1 / f) S_j and
 # (c2 f) R_j, is then at most its coefficient times e^300, far from overflow, and psi = 1 / d
-# far from the subnormals.  Past it they take psi_eval: for every alpha above 50 (W >= 2, so
-# every alpha above ONE_EXP_ALPHA), and below that, for q <= 0.99, only for eps_trunc under
-# 3e-31 (1e-118 up to alpha 4), the tail mass at the last W with 2 alpha (W + 1) <= 300; these
-# thresholds grow like 1 / (1 - q)
+# far from the subnormals.  Past it they take psi_eval: for every alpha above 50 (W >= 2), and
+# below that, for q <= 0.99, only for eps_trunc under 3e-31 (1e-118 up to alpha 4), the tail
+# mass at the last W with 2 alpha (W + 1) <= 300; these thresholds grow like 1 / (1 - q)
 WINDOW_EXP_LIMIT = 300.0
 
 
@@ -128,21 +125,6 @@ def normalization_constant(params: ActivationParams) -> float:
     """C(q) = 2 (1 + q^2) / (1 - q^2), the exact value of the telescoped sum."""
     q = params.q
     return 2.0 * (1.0 + q * q) / (1.0 - q * q)
-
-
-def _psi(params: ActivationParams, x):
-    # s / ((A / v + B e)(A e + B v)): v = 0 and v = inf give 0, not NaN
-    q, a = float(params.q), float(params.alpha)
-    s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        if a > ONE_EXP_ALPHA:
-            # one exp per factor, e v = e^(-2 alpha (x + 1)) and e / v = e^(2 alpha (x - 1)); as
-            # alpha -> inf this is the limit box, 1/2 on |x| < 1 and (1 -+ q)/4 at x = +-1
-            return s / ((1.0 + q + (1.0 - q) * np.exp(a * (-2.0 * (x + 1.0))))
-                        * (1.0 - q + (1.0 + q) * np.exp(a * (2.0 * (x - 1.0)))))
-        e, v = math.exp(-2.0 * a), np.exp(-2.0 * a * x)
-        return s / (((1.0 + q) / v + (1.0 - q) * e) * ((1.0 + q) * e + (1.0 - q) * v))
 
 
 def tail_mass(params: ActivationParams, w: float) -> float:
@@ -164,7 +146,7 @@ def tail_mass(params: ActivationParams, w: float) -> float:
     """
     q, a = float(params.q), float(params.alpha)
     if 2.0 * a == math.inf:
-        # psi is the limit box (see _psi), with no mass past +-1: every term is 0, also the
+        # psi is the limit box (see psi_eval), with no mass past +-1: every term is 0, also the
         # one-sided limit z -> 0+, where 2 alpha z would read inf * 0
         return 0.0
     big, small = 1.0 + q, 1.0 - q
@@ -237,9 +219,15 @@ class DensityKernel:
 
 
 def psi_eval(kernel: DensityKernel, x):
-    """psi(x) = s v / ((A + B e v)(A e + B v)), one exp per site, to a few ulp, 0 past the float
-    range; sums to one."""
-    return _psi(kernel.params, x)
+    """psi(x) = s / ((A + B e^(-2 alpha (x + 1)))(B + A e^(2 alpha (x - 1)))), one exp per factor,
+    to a few ulp, 0 past the float range, never NaN; sums to one.  As alpha -> inf this is the
+    limit box, 1/2 on |x| < 1 and (1 -+ q)/4 at x = +-1."""
+    q, a = float(kernel.params.q), float(kernel.params.alpha)
+    s = 0.5 * (1.0 - q) * (1.0 + q) * -math.expm1(-4.0 * a)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return s / ((1.0 + q + (1.0 - q) * np.exp(a * (-2.0 * (x + 1.0))))
+                    * (1.0 - q + (1.0 + q) * np.exp(a * (2.0 * (x - 1.0)))))
 
 
 def window_weights(kernel: DensityKernel, u, lo):
@@ -568,27 +556,40 @@ def axis_moments(kernel: DensityKernel, x, n: int, p_max: int) -> np.ndarray:
 
 
 def offset_powers(offsets: np.ndarray, p_max: int):
-    """offsets**p, p = 1..p_max, from p = 3 on as |o|**p with o's sign put back for odd p: sign-
-    symmetric bit for bit and within 1 ulp of math.pow.  numpy's float64 ``**`` takes libm,
-    30 times slower and rounded differently, for bases < 0 only."""
-    size = np.abs(offsets) if p_max > 2 else None
+    """offsets**p, p = 1..p_max, as |o|**p with o's sign put back for odd p: sign-symmetric bit
+    for bit and within 1 ulp of math.pow.  numpy's float64 ``**`` takes libm, 30 times slower
+    and rounded differently, for bases < 0 only."""
+    size = np.abs(offsets)
     for p in range(1, p_max + 1):
-        yield offsets**p if p < 3 else np.copysign(size**p, offsets) if p % 2 else size**p
+        yield np.copysign(size**p, offsets) if p % 2 else size**p
 
 
 def kernel_mass(kernel: DensityKernel, box) -> float:
-    """Integral of the product kernel Z over a box [(a_1, b_1), ..]: prod_i Psi(b_i) - Psi(a_i).
+    """Integral of the product kernel Z over a box [(a_1, b_1), ..]: prod_i R(b_i) - R(a_i).
 
-    Psi(x) = (H(x+1) - H(x-1)) / C integrates psi, and Psi(inf) - Psi(-inf) = 1;
-    H(x) = x/(1+q) - (1+q^2)/(1-q^2) (x - log((1+q) e^(2 alpha x) + 1 - q) / (2 alpha)).
+    R(x) integrates psi from -inf to x.  h is an affine image of the
+    logistic function of z(y) = 2 alpha y + 2 atanh(q), so with the
+    softplus sp(z) = log(1 + e^z) = max(z, 0) + log1p(e^-|z|),
+
+        R(x) = (sp(z(x + 1)) - sp(z(x - 1))) / (4 alpha)
+             = clip((x + 1 + atanh(q) / alpha) / 2, 0, 1)
+               + (log1p(e^-|z(x + 1)|) - log1p(e^-|z(x - 1)|)) / (4 alpha),
+
+    the two maxima's difference clipped, as z(x + 1) - z(x - 1) = 4 alpha.
+    R(-inf) = 0 and R(inf) = 1, the unit integral, and where 4 alpha
+    overflows R is the limit box's (clip(x, -1, 1) + 1) / 2.
     """
-    q, alpha = kernel.params.q, kernel.params.alpha
+    shift, alpha = math.atanh(kernel.params.q), float(kernel.params.alpha)
     mass = 1.0
     for lo, hi in box:
         if not hi > lo:
             raise ValueError(f"degenerate box axis ({lo}, {hi}) has no volume")
-        x = np.array([hi + 1.0, hi - 1.0, lo + 1.0, lo - 1.0])
-        log_term = np.logaddexp(2.0 * alpha * x + math.log1p(q), math.log1p(-q)) / (2.0 * alpha)
-        big_h = x / (1.0 + q) - (1.0 + q * q) / (1.0 - q * q) * (x - log_term)
-        mass *= ((big_h[0] - big_h[1]) - (big_h[2] - big_h[3])) / kernel.normalization
-    return float(mass)
+        x = np.array([hi, lo], dtype=float)
+        # alpha times 2 (x +- 1), not 2 alpha times x +- 1: at x = -+1 that reads 0, not inf * 0
+        with np.errstate(over="ignore"):
+            z = alpha * (2.0 * (x[:, None] + [1.0, -1.0])) + 2.0 * shift
+        tails = np.log1p(np.exp(-np.abs(z)))
+        rise = (np.clip((x + 1.0 + shift / alpha) / 2.0, 0.0, 1.0)
+                + (tails[:, 0] - tails[:, 1]) / (4.0 * alpha))
+        mass *= float(rise[0] - rise[1])
+    return mass

@@ -288,6 +288,15 @@ class TestRateFit:
         with pytest.raises(ValueError):
             rate_fit([(16, 1e-2), (32, 0.0), (64, 0.0), (128, 0.0)], floor=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_error_names_its_row(self, bad):
+        # an inf row would turn the slope into nan and a nan row would drop out of the fit unseen;
+        # either is a ValueError naming the first such row, whatever the floor
+        rows = [(16, 1e-2), (32, bad), (64, 2.5e-3), (128, math.inf), (256, 6e-4)]
+        for floor in (0.0, 1.0):
+            with pytest.raises(ValueError, match=f"got {bad!r} at n=32"):
+                rate_fit(rows, floor=floor)
+
 
 class TestReportSerialization:
     def test_dict_rows_are_lists(self):

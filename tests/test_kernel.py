@@ -34,7 +34,6 @@ from tanhqi.kernel import (
     MAX_CENTRE,
     MAX_POINT_WORK,
     MAX_SUM_WORK,
-    ONE_EXP_ALPHA,
     WINDOW_EXP_LIMIT,
     lattice_sums,
     offset_powers,
@@ -106,24 +105,31 @@ def gamma(m):
     return m * 2.0**-53 / (1.0 - m * 2.0**-53)
 
 
-def eval_roundings(k):
-    """m such that psi_eval(u - k) is within gamma_m of psi at the exact u - k, |u - k| <= W + 1.
+def eval_roundings(k, reach=None):
+    """m such that psi_eval(x) is within gamma_m of psi at the exact x, for x = u - k rounded
+    once and |x| <= reach (W + 1 by default).
 
     Counts follow Higham, Accuracy and Stability of Numerical Algorithms,
     3.1, to first order in u = 2^-53, with an exp or expm1 as 2 roundings
-    (within one ulp).  psi = s v /
-    D(v) has |d ln psi / d ln v| <= 1, so an error in v or in e^(2 alpha
-    (x +- 1)) reaches psi at most as large.  Up to ONE_EXP_ALPHA: u - k
-    rounds once and -2 alpha x once, an error of 2 alpha (W + 1) 2u in the
-    exponent; exp adds 2; s = (1-q)(1+q)(1 - e^2)/2 takes 6, each factor
-    (A/v + B e, A e + B v) 5, their product and the quotient 1 each: m =
-    4 alpha (W + 1) + 20.  Above it each factor's exponent -2 alpha (x +- 1)
-    carries x's rounding, the +-1's and the product's, 2 alpha (3W + 5) u,
-    plus 5 in the factor; with s and the last two roundings, m = 4 alpha
-    (3W + 5) + 18, taken as + 20.
+    (within one ulp).  psi = s / (F1 F2) with F1 = A + B E1, F2 = B + A E2,
+    E1 = e^(-2 alpha (x + 1)) and E2 = e^(2 alpha (x - 1)).  A relative
+    error in E1 reaches ln psi times E1's share of F1, B E1 / F1, and one
+    in E2 times A E2 / F2; as E1 E2 = e^(-4 alpha) < 1 the two shares sum
+    to at most 1, so what rides on E1 and E2 counts once, not twice.  The
+    exponent -2 alpha (x + 1) carries x's rounding, |x| u, the + 1's,
+    |x + 1| u, and the product's, 2 alpha |x + 1| u, so at most
+    2 alpha (3 reach + 2) u, and likewise the exponent of E2; with exp's 2,
+    B's and the product B E1's 1 each (A's and A E2's in F2), that is
+    2 alpha (3 reach + 2) + 4 on the shares.  A in F1 and B in F2 take 1
+    each on the rest of their factors, at most 2 - (sum of the shares), so
+    at most 2 alpha (3 reach + 2) + 5 in all.  The factors' two additions
+    add 2, s = (1-q)(1+q)(1 - e^2)/2 takes 6, and the product and the
+    quotient 1 each: m = 2 alpha (3 reach + 2) + 15, which at reach W + 1
+    is 2 alpha (3W + 5) + 15.
     """
-    a, w = k.params.alpha, k.radius
-    return 4 * a * (w + 1) + 20 if a <= ONE_EXP_ALPHA else 4 * a * (3 * w + 5) + 20
+    a = k.params.alpha
+    reach = k.radius + 1 if reach is None else reach
+    return 2 * a * (3 * reach + 2) + 15
 
 
 def weight_roundings(k):
@@ -149,11 +155,10 @@ def weight_roundings(k):
     return 2 * a * (w + 2) + 22
 
 
-def underflow_floor(k):
-    # psi_eval reads 0 or subnormal only where psi < (1+q)/(1-q) e^(2 alpha - 708) (see
-    # kernel.ONE_EXP_ALPHA); above ONE_EXP_ALPHA, only where psi < e^-708
-    q, a = k.params.q, k.params.alpha
-    return (1.0 + q) / (1.0 - q) * math.exp(2.0 * a - 708.0)
+# psi_eval reads 0 or subnormal only where psi < e^-708: where an exp, a factor or their product
+# overflows (psi < s e^-709) or where the quotient leaves the normal range (2^-1022 = e^-708.4);
+# an exp that underflows drops a share under 1e-300 of its factor
+UNDERFLOW_FLOOR = math.exp(-708.0)
 
 
 class TestNormalization:
@@ -201,10 +206,50 @@ class TestPsi:
     @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.9, 0.3), (0.1, 4.0), (0.05, 0.05),
                                           (0.95, 2.0)])
     def test_unit_mass_closed_form(self, q, alpha):
-        # Psi(inf) - Psi(-inf) = 1; 40/alpha past W the tails hold less than e^-80
+        # R(inf) - R(-inf) = 1; 40/alpha past W the tails hold less than e^-80
         k = kernel(q, alpha)
         r = k.radius + 40.0 / alpha
         assert kernel_mass(k, [(-r, r)]) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("q, alpha, lo, hi", [(0.5, 1.0, -1.0, 1.0), (0.5, 1.0, 1.0, 2.0),
+                                                  (0.9, 0.5, -3.0, 2.0), (0.5, 1 / 16, 0.3, 0.7),
+                                                  (0.0, 4.0, -0.2, 0.1), (0.5, 1.0, 3.0, 9.0)])
+    def test_mass_against_high_precision_reference(self, q, alpha, lo, hi):
+        # R(x) = (G(x + 1) - G(x - 1)) / (4 alpha), G(y) = log((1+q) e^(2 alpha y) + 1 - q),
+        # integrates psi from -inf, taken at 60 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            a, b = mp.mpf(alpha), mp.mpf(q)
+
+            def rise(x):
+                g = [mp.log((1 + b) * mp.exp(2 * a * (x + d)) + 1 - b) for d in (1, -1)]
+                return (g[0] - g[1]) / (4 * a)
+
+            want = float(rise(mp.mpf(hi)) - rise(mp.mpf(lo)))
+        assert kernel_mass(kernel(q, alpha), [(lo, hi)]) == pytest.approx(want, rel=1e-14)
+
+    def test_mass_over_infinite_bounds(self):
+        # R(-inf) = 0 and R(inf) = 1: the line holds the unit mass, and a half-line what a bound
+        # past the kernel's reach gives, R(0) = 0.70049579071350343782 at 60 digits
+        k = kernel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_mass(k, [(-math.inf, math.inf)]) == 1.0
+            left = kernel_mass(k, [(-math.inf, 0.0)])
+            right = kernel_mass(k, [(0.0, math.inf)])
+        assert left == kernel_mass(k, [(-1e3, 0.0)])
+        assert left == pytest.approx(0.70049579071350343782, rel=1e-15)
+        assert right == pytest.approx(1.0 - 0.70049579071350343782, rel=1e-15)
+
+    def test_mass_of_the_limit_box(self):
+        # 4 alpha overflows: R is (clip(x, -1, 1) + 1) / 2, the box's, 1/2 on [-1, 1]
+        k = kernel(alpha=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_mass(k, [(-1.0, 1.0)]) == 1.0
+            assert kernel_mass(k, [(0.3, 0.7)]) == pytest.approx(0.2, rel=1e-15)
+            assert kernel_mass(k, [(-math.inf, math.inf), (-0.5, 2.0)]) == 0.75
+            assert kernel_mass(k, [(1.0, 5.0)]) == 0.0
 
     @pytest.mark.parametrize("x", [0.0, 0.37, -1.9, 4.4])
     def test_partition_of_unity(self, x):
@@ -232,6 +277,10 @@ class TestClosedForm:
            t=st.floats(-1.0, 1.0))
     @example(q=0.0, alpha=1.0, eps=1e-12, t=0.3)
     @example(q=0.95, alpha=8.0, eps=1e-20, t=-1.0)
+    # steep kernels, W = 2, whose windows take psi_eval itself (2 alpha (W + 1) > 300)
+    @example(q=0.5, alpha=64.0, eps=1e-12, t=-0.5)
+    @example(q=0.5, alpha=math.nextafter(64.0, math.inf), eps=1e-12, t=-0.5)
+    @example(q=0.9, alpha=200.0, eps=1e-12, t=0.6)
     def test_every_q_translates_the_classical_kernel(self, q, alpha, eps, t):
         """psi_q(x) = psi_0(x + c), c = atanh(q)/alpha, for x = t (W + 1): h_q is tanh shifted
         by atanh(q) in alpha x and affinely rescaled, and C(q) is twice its rise.
@@ -254,7 +303,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.5, 1 / 16), (0.9, 0.3), (0.1, 4.0),
                                           (0.99, 1e-4), (0.5, 100.0), (0.5, 1e308)])
     def test_finite_and_nonnegative_for_every_x(self, q, alpha):
-        # v = e^(-2 alpha x) overflows for x < -709 / (2 alpha): inf / inf must not be NaN
+        # e^(-2 alpha (x + 1)) overflows for x < -1 - 709 / (2 alpha), and the factors' product
+        # with it: s / inf must read 0, and no inf * 0 or inf / inf a NaN
         k = kernel(q, alpha)
         mags = np.geomspace(1e-300, 1e308, 400)
         xs = np.concatenate([mags, -mags, [0.0, 1.0, -1.0, -1000.0, 1000.0]])
@@ -272,18 +322,11 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("alpha", [100.0, 350.0, 372.3, 1e308])
     def test_partition_of_unity_for_steep_kernels(self, alpha):
-        # one exp per site loses psi near x = -1 where v overflows: 8e-5 off at alpha = 350,
-        # 1/2 off from alpha = 355; exp(2 alpha (x +- 1)) rounds to about 1e-14 here
+        # psi takes one exp per factor, e^(-2 alpha (x + 1)) and e^(2 alpha (x - 1)), so no
+        # term leaves the float range near x = +-1 however steep the kernel (a single
+        # v = e^(-2 alpha x) overflows there from alpha = 355); those exps round to about 1e-14
         sums = axis_moments(kernel(alpha=alpha), np.linspace(-1.0, 1.0, 201), 1, 0)[:, 0]
         assert np.max(np.abs(sums - 1.0)) <= 1e-13
-
-    def test_forms_agree_across_one_exp_alpha(self):
-        # one exp per site up to ONE_EXP_ALPHA, one per factor above: the two forms meet
-        xs = np.linspace(-4.0, 4.0, 801)
-        below = psi_eval(kernel(alpha=ONE_EXP_ALPHA), xs)
-        above = psi_eval(kernel(alpha=math.nextafter(ONE_EXP_ALPHA, math.inf)), xs)
-        assert np.all(below > 0.0)
-        assert np.max(np.abs(above / below - 1.0)) <= 1e-12
 
 
 class TestTruncation:
@@ -348,8 +391,11 @@ class TestTruncation:
         want = tail_mass(k.params, w)
         got = direct_tail_mass(k, w)
         assume(want > 1e-290)
-        # psi_eval's and tail_mass's roundings, a few ulp per 2 alpha W (eval_roundings)
-        rounding = gamma(4 * alpha * (w + 2) + 40)
+        # psi_eval's roundings at distances up to direct_tail_mass' reach, far + 1, with fsum's
+        # one; tail_mass's: v = e^(-2 alpha z), z <= w + 1, within 2 alpha (w + 1) + 2, each
+        # quotient of positive terms 5 more and the sum of four 3
+        far = w + 2.0 + 60.0 / alpha
+        rounding = gamma(eval_roundings(k, far + 1.0) + 1 + 2 * alpha * (w + 1) + 10)
         assert got <= want * (1.0 + rounding)
         assert got >= want * (1.0 - 1e-6)
 
@@ -403,7 +449,7 @@ class TestTruncation:
 
 class TestWindowRows:
     @settings(deadline=None)
-    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 2 * ONE_EXP_ALPHA),
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 128.0),
            eps=_log_uniform(1e-300, 1e-3),
            on=st.lists(st.integers(-60, 60).map(float), min_size=1, max_size=3),
            off=st.lists(st.floats(-60.0, 60.0).filter(lambda u: u != round(u)),
@@ -440,10 +486,10 @@ class TestWindowRows:
 
 class TestWindowWeights:
     @settings(deadline=None, max_examples=60)
-    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 2 * ONE_EXP_ALPHA),
+    @given(q=st.floats(0.05, 0.95), alpha=_log_uniform(1 / 32, 128.0),
            eps=_log_uniform(1e-300, 1e-3), u=st.floats(-60.0, 60.0),
            picks=st.lists(st.floats(0.0, 1.0), max_size=24))
-    # one exp per centre; psi_eval past WINDOW_EXP_LIMIT, below and above ONE_EXP_ALPHA
+    # one exp per centre, and psi_eval past WINDOW_EXP_LIMIT
     @example(q=0.5, alpha=2**0.5, eps=1e-12, u=0.3, picks=[])
     @example(q=0.5, alpha=1.0, eps=1e-300, u=0.3, picks=[])
     @example(q=0.5, alpha=128.0, eps=1e-12, u=0.3, picks=[])
@@ -455,7 +501,7 @@ class TestWindowWeights:
                           *(int(p * (ks.size - 1)) for p in picks)])
         exact = mp_psi(q, alpha, -ks[cols], centre=u)
         # one more rounding for the oracle's own float
-        bound = gamma(weight_roundings(k) + 1) * exact + underflow_floor(k)
+        bound = gamma(weight_roundings(k) + 1) * exact + UNDERFLOW_FLOOR
         assert np.all(np.abs(ws[cols] - exact) <= bound)
 
     @pytest.mark.parametrize("q", [0.01, 0.99])
@@ -473,7 +519,7 @@ class TestWindowWeights:
         # the neglected mass, then each weight's rounding and a pairwise sum's over the row
         # (Higham 3.1), and what a weight below the underflow floor may lose
         width = k.width
-        slack = gamma(weight_roundings(k)) + gamma(width) + width * underflow_floor(k)
+        slack = gamma(weight_roundings(k)) + gamma(width) + width * UNDERFLOW_FLOOR
         assert np.all(np.abs(sums - 1.0) <= eps + slack)
 
 

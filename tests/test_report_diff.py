@@ -60,11 +60,13 @@ def test_one_changed_byte_is_flagged(rendered, tmp_path):
     # the bound is that one value's move.  The exponent flip moves the value by 2.9e-14, past the
     # gate's ATOL of 1e-14; a flip of the last mantissa digit of its shortest repr text moves it
     # by one unit in that digit (3.257011183177947e-14 to ...946e-14), a few ulps, and does not
+    # either way the one column that moved is named by its header, the table's last
+    column = original.split(b"\n", 1)[0].decode().split(",")[-1]
     for at, verdict in ((-2, "outside"), (original.rindex(b"e") - 1, "within")):
         a, b = flipped(at)
         assert report_diff.difference(str(first), str(copy), name) == (
             f"max abs diff {abs(a - b):.3g}, max rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}, "
-            f"{verdict} the gate tolerance")
+            f"{verdict} the gate tolerance; columns moved: {column}")
     assert 0.0 < abs(a - b) <= 1e-15 * abs(a)
     # a row fewer changes the table's shape: the dropped row's four cells are named, and the
     # numbers both tables hold did not move
@@ -116,10 +118,14 @@ def test_csv_cells_are_read_against_the_gate_tolerance(tmp_path):
             (tmp_path / root / name).write_text(text + "\n")
         return report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), name)
 
-    assert verdict([64.0, 1.0], [64.0, 1.0 + 9e-10]).endswith(", within the gate tolerance")
-    assert verdict([64.0, 1.0], [64.0, 1.0 + 2e-9]).endswith(", outside the gate tolerance")
-    assert verdict([64.0, 0.0], [64.0, 9e-15]).endswith(", within the gate tolerance")
-    assert verdict([64.0, 0.0], [64.0, 2e-14]).endswith(", outside the gate tolerance")
+    assert verdict([64.0, 1.0], [64.0, 1.0 + 9e-10]).endswith(", within the gate tolerance; "
+                                                               "columns moved: err")
+    assert verdict([64.0, 1.0], [64.0, 1.0 + 2e-9]).endswith(", outside the gate tolerance; "
+                                                              "columns moved: err")
+    assert verdict([64.0, 0.0], [64.0, 9e-15]).endswith(", within the gate tolerance; "
+                                                        "columns moved: err")
+    assert verdict([64.0, 0.0], [64.0, 2e-14]).endswith(", outside the gate tolerance; "
+                                                        "columns moved: err")
     # a JSON report is not read against the gate, which compares table rows
     assert verdict([64.0, 0.0], [64.0, 2e-14], "rows.json").endswith("max rel diff 1")
 
@@ -138,4 +144,16 @@ def test_a_text_only_change_reads_same_numbers(tmp_path):
     (tmp_path / "b" / "rows.csv").write_text("n,err\n0,0.0\n")
     (tmp_path / "a" / "rows.csv").write_text("n,err\n0,-0.0\n")
     assert report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), "rows.csv") == (
-        "max abs diff 0, max rel diff 0, within the gate tolerance")
+        "max abs diff 0, max rel diff 0, within the gate tolerance; columns moved: err")
+
+
+def test_a_csv_names_each_column_that_moved(tmp_path):
+    # columns by the parent's header, in table order, each once however many of its rows moved;
+    # a column whose numbers are all the same doubles is not named, and one past the header
+    # goes by its index
+    for root, rows in (("a", ["n,psi,err,w", "1,0.5,1e-3,2", "2,0.25,1e-4,2,7"]),
+                       ("b", ["n,psi,err,w", "1,0.5,2e-3,2", "2,0.3,3e-4,2,8"])):
+        (tmp_path / root).mkdir()
+        (tmp_path / root / "t.csv").write_text("\n".join(rows) + "\n")
+    assert report_diff.difference(str(tmp_path / "a"), str(tmp_path / "b"), "t.csv").endswith(
+        ", outside the gate tolerance; columns moved: psi, err, 4")

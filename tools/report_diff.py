@@ -24,7 +24,8 @@ the largest differences over the numbers both trees share, so an added
 key shows what else moved.  A differing CSV also says
 whether every cell lies within ``perfbench/gate.py``'s reference
 tolerance, ``RTOL * |parent| + ATOL`` (``gate`` is imported read-only,
-as ``run`` is).  Then ``N files, M differ``;
+as ``run`` is), and names the columns, by the parent's header, whose
+numbers moved.  Then ``N files, M differ``;
 the exit status is 1 on any difference, 2 when a run does not exit 0,
 and 0 otherwise.
 """
@@ -169,7 +170,7 @@ def difference(root_a: str, root_b: str, name: str) -> str:
     the numbers both share; "text differs" when a value that is no number does; "same numbers,
     text differs" when every number is the same double; else the largest absolute and relative
     difference over its numbers and, for a CSV, whether every cell of root_b lies within the
-    gate's tolerance of root_a's."""
+    gate's tolerance of root_a's and which columns hold a number that moved."""
     paths = [os.path.join(root, name) for root in (root_a, root_b)]
     if not all(map(os.path.isfile, paths)):
         return "missing from one tree"
@@ -190,7 +191,11 @@ def difference(root_a: str, root_b: str, name: str) -> str:
     if not name.endswith(".csv"):
         return text
     within = all(g <= gate.RTOL * abs(a[k]) + gate.ATOL for k, (g, _) in gaps.items())
-    return f"{text}, {'within' if within else 'outside'} the gate tolerance"
+    # the parent's header row names a column; one without a header cell goes by its index
+    cols = sorted({k[1] for k in gaps if not _same(a[k], b[k])})
+    columns = ", ".join(str(a[0, j] if isinstance(a.get((0, j)), str) else j) for j in cols)
+    verdict = "within" if within else "outside"
+    return f"{text}, {verdict} the gate tolerance; columns moved: {columns}"
 
 
 def main(argv=None) -> int:
