@@ -1,10 +1,16 @@
 """Evaluation grids, error sweeps, rate fits, and report serialization."""
 
 import dataclasses
+import json
 import math
+import os
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tanhqi import (
     ActivationParams,
@@ -19,9 +25,15 @@ from tanhqi import (
     residual_sweep,
     sup_error,
 )
-from tanhqi import analysis, operators
+from tanhqi import analysis, cli, operators
 from tanhqi.analysis import GRID_SHIFT, check_sweep, sweep
 from tanhqi.kernel import check_n, table_sites, tail_mass
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 KERNEL = DensityKernel(ActivationParams(0.5, 1.0))
 BOX01 = [(0.0, 1.0)]
@@ -296,6 +308,118 @@ class TestRateFit:
         for floor in (0.0, 1.0):
             with pytest.raises(ValueError, match=f"got {bad!r} at n=32"):
                 rate_fit(rows, floor=floor)
+
+
+def gamma(m):
+    # Higham's gamma_m = m u / (1 - m u), u = 2^-53, bounds m relative roundings
+    return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def assert_fit_within_rounding(rows):
+    """rate_fit's slope and intercept lie within rounding bounds of the exact least-squares line
+    (in Fractions) through the very floats it fits; returns the fit.
+
+    rate_fit fits x_i = log(1 / n_i), y_i = log(e_i) over k rows; the same
+    numpy calls here give the same floats.  Counts follow Higham, Accuracy
+    and Stability of Numerical Algorithms, 3.1 and 3.5, as in
+    tests/test_kernel.py, to first order in u = 2^-53 except for the
+    products of two mean errors, which are kept: where the y_i are all
+    equal they are all of the error.  Each mean is a sum of k terms and a
+    quotient, so within e_x = gamma_k mean|x| (e_y = gamma_k mean|y|) of
+    the exact one.  The centred values dx_i, dy_i are then off by at most
+    e_x, e_y and round once each, and a dot product of k terms is within
+    gamma_k of the sum of its terms' magnitudes.  A centre c off the exact
+    mean x_bar changes sum (x_i - c)(y_i - d) by k (x_bar - c)(y_bar - d)
+    and sum (x_i - c)^2 by k (x_bar - c)^2, so S_xy = sum dx_i dy_i comes
+    out within gamma_(k+2) sum (|dx_i| + e_x)(|dy_i| + e_y) + k e_x e_y,
+    and S_xx within gamma_(k+2) S_xx + k e_x^2; the quotient adds 1.  The
+    intercept mean_y - slope mean_x takes mean_y's e_y, the product's
+    |slope - s| (|x_bar| + e_x) + |s| e_x and a rounding of
+    |s x_bar| <= |s| mean|x|, and the difference's rounding of |i|.
+    """
+    xs = np.log(1.0 / np.array([n for n, _ in rows], dtype=float))
+    ys = np.log(np.array([e for _, e in rows]))
+    fx, fy = [[Fraction(float(v)) for v in vs] for vs in (xs, ys)]
+    k = len(fx)
+    mean_x, mean_y = sum(fx) / k, sum(fy) / k
+    dx, dy = [x - mean_x for x in fx], [y - mean_y for y in fy]
+    s_xx = sum(d * d for d in dx)
+    slope_exact = sum(a * b for a, b in zip(dx, dy)) / s_xx
+    intercept_exact = mean_y - slope_exact * mean_x
+    abs_x, abs_y = (float(sum(map(abs, vs)) / k) for vs in (fx, fy))
+    e_x, e_y = gamma(k) * abs_x, gamma(k) * abs_y
+    spread = sum((abs(float(a)) + e_x) * (abs(float(b)) + e_y) for a, b in zip(dx, dy))
+    slope_size, s_xx = abs(float(slope_exact)), float(s_xx)
+    slope_bound = ((gamma(k + 2) * spread + k * e_x * e_y) / s_xx
+                   + (gamma(k + 3) + k * e_x * e_x / s_xx) * slope_size)
+    intercept_bound = (e_y + slope_bound * (abs(float(mean_x)) + e_x) + slope_size * e_x
+                       + gamma(1) * (slope_size * abs_x + abs(float(intercept_exact))))
+    slope, intercept, r2 = rate_fit(rows)
+    assert abs(Fraction(slope) - slope_exact) <= slope_bound
+    assert abs(Fraction(intercept) - intercept_exact) <= intercept_bound
+    return slope, intercept, r2
+
+
+class TestClosedFormFit:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_within_rounding_of_the_exact_line(self, data):
+        ns = data.draw(st.lists(st.integers(1, 2**40), min_size=3, max_size=12, unique=True))
+        errors = data.draw(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                    min_size=len(ns), max_size=len(ns)))
+        assert_fit_within_rounding(list(zip(ns, errors)))
+
+    def test_every_seed_zero_benchmark_report(self, tmp_path, capsys):
+        # each fitted report's slope and intercept as rate_fit gives them on its rows above
+        # 10 x error_floor, and within rounding of the exact line; every sweep run has a fit
+        fitted = 0
+        for workload in sorted(workloads.WORKLOADS):
+            for run in workloads.build(workload, 0, str(tmp_path)):
+                assert cli.main(list(run.argv)) == 0
+                with open(f"{run.out}.json") as fh:
+                    payload = json.load(fh)
+                for rep in payload if isinstance(payload, list) else [payload]:
+                    if rep.get("fitted_slope") is None:
+                        continue
+                    cut = 10.0 * rep["error_floor"]
+                    rows = [(n, sup) for n, sup, _ in rep["rows"] if sup > cut]
+                    fit = (rep["fitted_slope"], rep["intercept"], rep["r_squared"])
+                    assert assert_fit_within_rounding(rows) == fit
+                    fitted += 1
+        assert fitted == 11
+        assert capsys.readouterr().err == ""
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNodeUnion:
+    def test_the_frac_benchmarks_union_is_np_unique_s(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def union(nodes):
+            seen.append(list(nodes))
+            return node_union(nodes)
+
+        node_union = analysis._node_union
+        monkeypatch.setattr(analysis, "_node_union", union)
+        for run in workloads.build("frac", 0, str(tmp_path)):
+            assert cli.main(list(run.argv)) == 0
+        assert [len(nodes) for nodes in seen] == [6, 4]
+        for nodes in seen:
+            assert_same_bits(node_union(nodes), np.unique(np.concatenate(nodes)))
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_np_unique_on_lists_with_repeats(self, data):
+        pool = data.draw(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                  min_size=1, max_size=20))
+        parts = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=30),
+                                   min_size=1, max_size=5))
+        nodes = [np.array(part, dtype=float) for part in parts]
+        assert_same_bits(analysis._node_union(nodes), np.unique(np.concatenate(nodes)))
 
 
 class TestReportSerialization:

@@ -758,6 +758,37 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--preset", "sin"],
+        ["converge", "--preset", "sin", "--operator", "kantorovich"],
+        ["voronovskaya"],
+        ["frac", "--preset", "pow2"],
+        ["kernel-dump"],
+        ["manifold"],
+    ], ids=" ".join)
+    def test_a_run_imports_no_numpy_submodule(self, tmp_path, argv):
+        # each run in a fresh interpreter, at the command's defaults (converge and frac need a
+        # preset): the modules the run adds to those `import tanhqi.cli` loaded.  argparse's
+        # gettext imports locale; np.unique's first call imported numpy.ma (3 modules, about
+        # 9 ms and 1.8 MiB).  Kantorovich cells still take their Gauss-Legendre nodes from
+        # np.polynomial.legendre.leggauss, which imports numpy.polynomial and 8 submodules
+        probe = ("import json, sys\n"
+                 "import tanhqi.cli\n"
+                 "before = set(sys.modules)\n"
+                 "status = tanhqi.cli.main(sys.argv[1:])\n"
+                 "print(json.dumps([status, sorted(set(sys.modules) - before)]))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tanhqi.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", probe, *argv, "--out", str(tmp_path / "run")],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        status, added = json.loads(proc.stdout)
+        extra = [m for m in added if m not in ("locale", "_locale")]
+        if "kantorovich" in argv:
+            extra = [m for m in extra if m.split(".")[:2] != ["numpy", "polynomial"]]
+        assert status == 0 and extra == []
+
 
 def old_csv(header, rows):
     """A per-value CSV writer, the oracle: an integer's digits, a float's repr (json's text)."""

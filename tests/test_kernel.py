@@ -213,10 +213,16 @@ class TestPsi:
 
     @pytest.mark.parametrize("q, alpha, lo, hi", [(0.5, 1.0, -1.0, 1.0), (0.5, 1.0, 1.0, 2.0),
                                                   (0.9, 0.5, -3.0, 2.0), (0.5, 1 / 16, 0.3, 0.7),
-                                                  (0.0, 4.0, -0.2, 0.1), (0.5, 1.0, 3.0, 9.0)])
+                                                  (0.0, 4.0, -0.2, 0.1), (0.5, 1.0, 3.0, 9.0),
+                                                  (0.99, 1e-3, 0.3, 0.7), (0.5, 3.0, 5.0, 6.0),
+                                                  (0.9, 400.0, -0.2, -0.199999999),
+                                                  (0.5, 400.0, -1.0, 0.0), (0.5, 400.0, -1.5, 1.0)])
     def test_mass_against_high_precision_reference(self, q, alpha, lo, hi):
         # R(x) = (G(x + 1) - G(x - 1)) / (4 alpha), G(y) = log((1+q) e^(2 alpha y) + 1 - q),
-        # integrates psi from -inf, taken at 60 digits
+        # integrates psi from -inf, taken at 60 digits.  From q = 0.99 on, the boxes hold 4.0e-6
+        # deep in a wide kernel, 1.0e-12 in a right tail and 5.0e-10 on a short box, where a
+        # difference of two R values cancels; the last two reach e^(2 alpha) = e^800, past the
+        # float range, from either side of the centre
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             a, b = mp.mpf(alpha), mp.mpf(q)
@@ -226,7 +232,7 @@ class TestPsi:
                 return (g[0] - g[1]) / (4 * a)
 
             want = float(rise(mp.mpf(hi)) - rise(mp.mpf(lo)))
-        assert kernel_mass(kernel(q, alpha), [(lo, hi)]) == pytest.approx(want, rel=1e-14)
+        assert kernel_mass(kernel(q, alpha), [(lo, hi)]) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_mass_over_infinite_bounds(self):
         # R(-inf) = 0 and R(inf) = 1: the line holds the unit mass, and a half-line what a bound
