@@ -5,7 +5,8 @@ Three variants share the truncated lattice window |k_i - n x_i| <= W:
 * basic          A_n(f; x) = sum_k f(k/n) Z(n x - k)
 * Kantorovich    K_n(f; x) = sum_k (n^N integral of f over the cell
                  [k/n, (k+1)/n]) Z(n x - k), cell averages by tensor
-                 Gauss-Legendre quadrature
+                 Gauss-Legendre quadrature, the rule's nodes by Newton's
+                 method on the Legendre recurrence
 * fractional     Q_n(f; x) = sum_{k >= 0} D^beta f(k/n) psi(n x - k) / S(x),
                  S(x) the half-lattice partition sum; D^beta f read from a
                  table (ascending nodes, their values)
@@ -70,7 +71,8 @@ __all__ = [
     "voronovskaya_residuals",
 ]
 
-# leggauss(g) builds a g x g matrix, so g^2 must fit the per-point budget too
+# the Gauss-Legendre rule (``_gauss_rule``) takes g x g recurrence steps a Newton sweep, so g^2
+# must fit the per-point budget too
 MAX_QUAD_NODES = math.isqrt(MAX_POINT_WORK)
 
 
@@ -87,7 +89,7 @@ def check_quad_nodes(quad_nodes: int) -> None:
     if quad_nodes > MAX_QUAD_NODES:
         raise ValueError(
             f"quad_nodes = {quad_nodes} exceeds {MAX_QUAD_NODES}: the Gauss-Legendre "
-            f"rule would build a {quad_nodes} x {quad_nodes} matrix"
+            f"rule would take {quad_nodes} x {quad_nodes} recurrence steps a Newton sweep"
         )
 
 
@@ -103,11 +105,34 @@ def check_table_cells(quad_nodes: int, sites) -> None:
                          "or shrink the box")
 
 
+def _legendre(g: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # P_g(x) and P_g'(x) by the three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1},
+    # g - 1 steps over x, and P_g' = g (x P_g - P_{g-1}) / (x^2 - 1); |x| < 1
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, g):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, g * (x * p - p_prev) / ((x - 1.0) * (x + 1.0))
+
+
 @functools.lru_cache(maxsize=16)
 def _gauss_rule(g: int) -> tuple[np.ndarray, np.ndarray]:
     # the g-node Gauss-Legendre rule on [0, 1], (offsets, weights), read-only as every caller
-    # shares them: 2 g floats per g, for the 16 node counts used last
-    nodes, wts = np.polynomial.legendre.leggauss(g)
+    # shares them: 2 g floats per g, for the 16 node counts used last.  The nodes, ascending, by
+    # Newton's method on P_g from Tricomi's guesses -cos(pi (k - 1/4) / (g + 1/2)), each sweep
+    # g x g recurrence steps, until no step exceeds 4 ulp of 1 (at most five sweeps, the last
+    # confirming, for every g up to MAX_QUAD_NODES; ten at most); the weights
+    # 2 / ((1 - x)(1 + x) P_g'(x)^2); both made symmetric about 0 as numpy's leggauss makes them.
+    # No eigen-solve: no LAPACK, and O(g) memory
+    x = -np.cos(np.pi * (np.arange(1, g + 1) - 0.25) / (g + 0.5))
+    for _ in range(10):
+        p, dp = _legendre(g, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 4.0 * np.finfo(float).eps:
+            break
+    dp = _legendre(g, x)[1]
+    wts = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    nodes, wts = (x - x[::-1]) / 2.0, (wts + wts[::-1]) / 2.0
     rule = ((nodes + 1.0) / 2.0, wts / 2.0)
     for a in rule:
         a.flags.writeable = False
@@ -143,7 +168,9 @@ def apply_kantorovich_batch(kernel: DensityKernel, quad_nodes: int, f, n: int, a
     polynomial degree 2g - 1 per axis (degree 9 at g = 5), so K_n
     inherits the basic operator's exactness on constants.  Each cell
     average of the lattice table is computed once; the Gauss-Legendre
-    rule is built once per quad_nodes.  quad_nodes is checked first
+    rule is built once per quad_nodes, its nodes by Newton's method on
+    P_g from the three-term recurrence, no eigen-solve, in O(g) memory
+    (``_gauss_rule``).  quad_nodes is checked first
     (``check_quad_nodes``), then the cells' work over the lattice table
     (``check_table_cells``).
     """

@@ -27,7 +27,9 @@ axis).
 
 A Kantorovich cell average is one dot product over that cell's
 quadrature samples, in the operator and in ``ref_kantorovich`` alike, so
-1-D Kantorovich rows are exact for every node count.
+1-D Kantorovich rows are exact for every node count.  Both take the rule
+from ``operators._gauss_rule``: these tests pin the batched sums, and the
+rule itself is held to a high-precision reference in ``test_operators``.
 
 Fractional rows whose window reaches k < 0 zero those sites instead of
 dropping them; they are held to the forward-error bound of their
@@ -128,17 +130,17 @@ def ref_basic(kernel, n, f, x):
 
 def ref_kantorovich(kernel, n, g, f, x):
     ks, weights = ref_tensor(kernel, n, x)
-    nodes, wts = np.polynomial.legendre.leggauss(g)
+    offsets, wts = operators._gauss_rule(g)
     dim = len(x)
     expanded = []
     for i, k in enumerate(ks):
-        t = (k[:, None] + (nodes[None, :] + 1.0) / 2.0) / n
+        t = (k[:, None] + offsets[None, :]) / n
         shape = [1] * (2 * dim)
         shape[i] = k.size
         shape[dim + i] = g
         expanded.append(t.reshape(shape))
     vals = np.asarray(f.value(*expanded), dtype=float)
-    node_weights = functools.reduce(np.multiply.outer, [wts / 2.0] * dim).ravel()
+    node_weights = functools.reduce(np.multiply.outer, [wts] * dim).ravel()
     averages = np.einsum("ij,j->i", vals.reshape(-1, node_weights.size), node_weights)
     return ref_sum(averages.reshape(weights.shape), weights)
 

@@ -390,7 +390,8 @@ class TestValidation:
         # 1e308 - (-1e308) is inf, so the grid would be all inf
         (["converge", "--preset", "sin", "--grid-lo=-1e308", "--grid-hi", "1e308",
           "--grid-points", "3", "--n", "16,32,64"], "wider than the largest float"),
-        # 1-D: 33 x 1e5 samples per point fit 2^24, but leggauss would build a 1e5 x 1e5 matrix
+        # 1-D: 33 x 1e5 samples per point fit 2^24, but the rule would take 1e5 x 1e5 recurrence
+        # steps a Newton sweep
         (["converge", "--preset", "sin", "--n", "16,32,64", "--grid-points", "3",
           "--operator", "kantorovich", "--quad-nodes", "100000"], "100000 x 100000"),
         # (10^10)^2 evaluation points; 10^8 would pass every other check in 1-D
@@ -770,8 +771,8 @@ class TestModuleEntryPoint:
         # each run in a fresh interpreter, at the command's defaults (converge and frac need a
         # preset): the modules the run adds to those `import tanhqi.cli` loaded.  argparse's
         # gettext imports locale; np.unique's first call imported numpy.ma (3 modules, about
-        # 9 ms and 1.8 MiB).  Kantorovich cells still take their Gauss-Legendre nodes from
-        # np.polynomial.legendre.leggauss, which imports numpy.polynomial and 8 submodules
+        # 9 ms and 1.8 MiB), and Kantorovich's np.polynomial.legendre.leggauss numpy.polynomial
+        # and 8 submodules
         probe = ("import json, sys\n"
                  "import tanhqi.cli\n"
                  "before = set(sys.modules)\n"
@@ -785,8 +786,6 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         status, added = json.loads(proc.stdout)
         extra = [m for m in added if m not in ("locale", "_locale")]
-        if "kantorovich" in argv:
-            extra = [m for m in extra if m.split(".")[:2] != ["numpy", "polynomial"]]
         assert status == 0 and extra == []
 
 

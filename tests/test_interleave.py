@@ -25,9 +25,10 @@ def test_a_tree_against_itself(tmp_path):
     # two rounds are too few for a verdict
     line = rf"parent {wall}, change {wall}, [+-]\d+\.\d%, change faster in [0-2] of 2 rounds, unresolved"
     faults = r", page faults a pass: parent \d+(\.5)?, change \d+(\.5)?"
-    # the workload's line with its page faults, one per run as workload/run, then the set-up
-    # probe's, all in one format
-    lines = [f"frac: {line}{faults}\n",
+    rss = r", peak RSS: parent \d+\.\d\d MB, change \d+\.\d\d MB, change lower in [0-2] of 2 rounds"
+    # the workload's line with its page faults and peak RSS, one per run as workload/run, then
+    # the set-up probe's, all in one format
+    lines = [f"frac: {line}{faults}{rss}\n",
              *(f"{name}: {line}\n" for name in ["frac/pow2", "frac/pow3", "setup"])]
     assert re.fullmatch("".join(lines), done.stdout)
     # every report went to the tool's own temporary directory
@@ -36,7 +37,7 @@ def test_a_tree_against_itself(tmp_path):
 
 def test_a_worker_imports_its_own_tree_and_prints_one_timed_pass(tmp_path):
     # a fresh interpreter per tree and round, two untimed passes and then the timed one: one
-    # JSON line, the timed runs' walls and statuses
+    # JSON line, the timed runs' walls and statuses, the pass's page faults and the peak RSS
     done = subprocess.run([sys.executable, "-c", interleave.WORKER, REPO, "frac", str(tmp_path)],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": ""},
                           timeout=300)
@@ -44,6 +45,8 @@ def test_a_worker_imports_its_own_tree_and_prints_one_timed_pass(tmp_path):
     result = json.loads(done.stdout)
     assert result["statuses"] == [0, 0] and len(result["walls"]) == 2
     assert all(wall > 0.0 for wall in result["walls"]) and result["faults"] >= 0
+    # in MB, as perfbench's peak_rss_mb: an interpreter with numpy holds more than 10 MB
+    assert 10.0 < result["peak_rss_mb"] < 1000.0
     assert sorted(os.listdir(tmp_path)) == ["pow2.csv", "pow2.json", "pow3.csv", "pow3.json"]
 
 

@@ -11,8 +11,10 @@ BLAS and OpenMP are pinned to one thread before numpy loads, as in
 tree, each tree in a fresh worker interpreter that imports that tree's
 ``src/tanhqi`` alone, as one ``perfbench/run.py`` process does: the
 worker runs WARM_PASSES (two) untimed passes through ``cli.main``, then
-the timed pass, each run timed on its own, and prints those walls and the
-timed pass's minor page faults (``ru_minflt``).  So neither tree's
+the timed pass, each run timed on its own, and prints those walls, the
+timed pass's minor page faults (``ru_minflt``) and, after it, its peak
+resident set (``ru_maxrss``, in MB as ``perfbench/run.py``'s
+``peak_rss_mb``).  So neither tree's
 allocator state, such as glibc's mmap threshold, reaches the other's
 timing, and the timed pass is past the page faults a second pass can
 still take.  Then the round runs the set-up probe once per tree
@@ -32,9 +34,10 @@ parent's by more than the parent's interquartile spread, "loss resolved"
 when the same holds with the two sides swapped, and "unresolved"
 otherwise, and always under MIN_VERDICT_ROUNDS (ten) rounds.  A
 workload's line ends with each tree's median minor page faults in a
-timed pass.  At least two rounds are timed, so the spread is
-defined.  The exit status is 2 when a run or a worker does not exit 0,
-and 0 otherwise.
+timed pass, then each tree's median peak RSS and the rounds in which the
+change's was the lower, so an RSS claim is paired as a wall claim is.
+At least two rounds are timed, so the spread is defined.  The exit
+status is 2 when a run or a worker does not exit 0, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ WORKER = (
 def worker(tree: str, name: str, out_dir: str) -> None:
     """In a fresh interpreter: tree's tanhqi runs workload name's passes, writing under out_dir,
     WARM_PASSES untimed, then one timed run by run; prints one JSON line with the timed runs'
-    walls and exit statuses and the timed pass's minor page faults."""
+    walls and exit statuses, the timed pass's minor page faults and the peak RSS after it."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     from tanhqi import cli
 
@@ -81,9 +84,11 @@ def worker(tree: str, name: str, out_dir: str) -> None:
         bench.run_pass(cli, runs)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     timed = [bench.run_pass(cli, [run]) for run in runs]
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     print(json.dumps({"walls": [wall for wall, _ in timed],
-                      "statuses": [status for _, (status,) in timed], "faults": faults}))
+                      "statuses": [status for _, (status,) in timed],
+                      "faults": usage.ru_minflt - before,
+                      "peak_rss_mb": usage.ru_maxrss * 1024 / 1e6}))
 
 
 def verdict(parent, change) -> str:
@@ -124,6 +129,7 @@ def main(argv=None) -> int:
              for key in [name, *(f"{name}/{spec.name}" for spec in workloads.WORKLOADS[name])]}
     walls["setup"] = ([], [])
     faults = {name: ([], []) for name in names}
+    rss = {name: ([], []) for name in names}
     for tree in trees:  # may compile bytecode, as run.py's first probe
         bench.probe(bench.PROBE, os.path.join(tree, "src"))
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
@@ -149,6 +155,7 @@ def main(argv=None) -> int:
                         walls[f"{name}/{spec.name}"][side].append(wall)
                     walls[name][side].append(sum(result["walls"]))
                     faults[name][side].append(result["faults"])
+                    rss[name][side].append(result["peak_rss_mb"])
             for side in order:
                 src = os.path.join(trees[side], "src")
                 walls["setup"][side].append(bench.probe(bench.PROBE, src))
@@ -160,7 +167,11 @@ def main(argv=None) -> int:
               f"change {b:.5f} s (quartiles {b1:.5f}-{b3:.5f}), {100.0 * (b / a - 1.0):+.1f}%, "
               f"change faster in {wins} of {len(change)} rounds, {verdict(parent, change)}"
               + (f", page faults a pass: parent {statistics.median(faults[name][0]):g}, "
-                 f"change {statistics.median(faults[name][1]):g}" if name in faults else ""))
+                 f"change {statistics.median(faults[name][1]):g}, peak RSS: parent "
+                 f"{statistics.median(rss[name][0]):.2f} MB, change "
+                 f"{statistics.median(rss[name][1]):.2f} MB, change lower in "
+                 f"{sum(c < p for p, c in zip(*rss[name]))} of {len(rss[name][1])} rounds"
+                 if name in faults else ""))
     return 0
 
 
