@@ -31,7 +31,6 @@ from .fractional import FracConfig, gamma_fn, power_rule_oracle, rl_derivative_b
 from .kernel import (
     DensityKernel,
     axis_moments,
-    kernel_mass,
     multi_indices,
     normalization_constant,
     psi_eval,
@@ -71,7 +70,6 @@ __all__ = [
     "h_derivative",
     "h_eval",
     "h_limits",
-    "kernel_mass",
     "multi_indices",
     "normalization_constant",
     "operator_on_chart_batch",

@@ -92,7 +92,6 @@ __all__ = [
     "chunk_rows",
     "axis_moments",
     "offset_powers",
-    "kernel_mass",
 ]
 
 # numbers per chunk array (128 KiB of float64): chunk_rows takes whole rows of an odd window
@@ -564,73 +563,3 @@ def offset_powers(offsets: np.ndarray, p_max: int):
     for p in range(1, p_max + 1):
         yield np.copysign(size**p, offsets) if p % 2 else size**p
 
-
-def kernel_mass(kernel: DensityKernel, box) -> float:
-    """Integral of the product kernel Z over a box [(a_1, b_1), ..]: prod_i R(b_i) - R(a_i).
-
-    R(x) integrates psi from -inf to x.  h is an affine image of the
-    logistic function sigma of z(y) = 2 alpha y + 2 atanh(q), so with
-    u = z(x + 1), v = z(x - 1) = u - 4 alpha and t(x) = (e^(4 alpha) - 1) sigma(v),
-
-        R(x) = log1p(t(x)) / (4 alpha),
-        R(b) - R(a) = log1p((t(b) - t(a)) / (1 + t(a))) / (4 alpha),
-
-    and with d = 2 alpha (b - a) the difference t(b) - t(a) is a product,
-    (1 - e^-d) t(b) sigma(-v(a)) = (e^d - 1) t(a) sigma(-v(b)), so nothing
-    cancels (the first form while t(a) < 1, the second from there on).
-    Left of psi's centre -atanh(q) / alpha, where v <= -2 alpha,
-    t = e^u (1 - e^(-4 alpha)) sigma(-v) is at most e^(2 alpha); right of
-    it 1 - R takes the same form in the mirror image (u, v) -> (-v, -u).
-    So an axis's mass is the sum of its parts on either side; where t
-    overflows, 2 alpha > 709 and log1p(t) is u.  R(-inf) = 0 and
-    R(inf) = 1, the unit integral, and where 4 alpha overflows R is the
-    limit box's (clip(x, -1, 1) + 1) / 2.
-    """
-    shift, alpha = math.atanh(kernel.params.q), float(kernel.params.alpha)
-    four_alpha, centre = 4.0 * alpha, -shift / alpha
-    mass = 1.0
-    for lo, hi in box:
-        lo, hi = float(lo), float(hi)
-        if not hi > lo:
-            raise ValueError(f"degenerate box axis ({lo}, {hi}) has no volume")
-        if four_alpha == math.inf:
-            rise = np.clip((np.array([hi, lo]) + 1.0 + shift / alpha) / 2.0, 0.0, 1.0)
-            mass *= float(rise[0] - rise[1])
-        elif not (lo == -math.inf and hi == math.inf):
-            both = 0.0
-            if lo < centre:
-                mid = min(hi, centre)
-                both += _side_mass(four_alpha, _ends(alpha, shift, lo), _ends(alpha, shift, mid),
-                                   mid - lo)
-            if hi > centre:
-                mid = max(lo, centre)
-                (ua, va), (ub, vb) = _ends(alpha, shift, mid), _ends(alpha, shift, hi)
-                both += _side_mass(four_alpha, (-vb, -ub), (-va, -ua), hi - mid)
-            mass *= both / four_alpha
-    return mass
-
-
-def _ends(alpha: float, shift: float, x: float) -> tuple[float, float]:
-    # (u, v) = (z(x + 1), z(x - 1))
-    return 2.0 * alpha * (x + 1.0) + 2.0 * shift, 2.0 * alpha * (x - 1.0) + 2.0 * shift
-
-
-def _side_mass(four_alpha: float, a, b, length: float) -> float:
-    # 4 alpha (R(b) - R(a)) for a <= b on one side of the centre, each end as (u, v) with
-    # v <= -2 alpha, and length b - a
-    (ua, va), (ub, vb) = a, b
-    d = four_alpha / 2.0 * length  # 2 alpha (b - a)
-    f = -math.expm1(-four_alpha)
-    with np.errstate(over="ignore"):
-        ta, tb = (np.exp(u) * f / (1.0 + math.exp(v)) for u, v in (a, b))
-        grow = np.expm1(d)
-    # from t(a) = 1 on, t(b) / (1 + t(a)) would divide two large, separately rounded exps
-    if ta < 1.0 and tb < math.inf:
-        return math.log1p(-math.expm1(-d) * tb / (1.0 + math.exp(va)) / (1.0 + ta))
-    if ta >= 1.0 and grow < math.inf:
-        return math.log1p(grow / (1.0 + math.exp(vb)) / (1.0 + 1.0 / ta))
-    # t(b) > e^709, so 2 alpha > 709: f and 1 + e^v read 1, log1p(t(b)) reads u(b), and
-    # log1p(t(a)) is softplus(u(a)), u(a) + softplus(-u(a)) when u(a) >= 0
-    if ua >= 0.0:
-        return d - math.log1p(math.exp(-ua))
-    return ub - math.log1p(math.exp(ua))

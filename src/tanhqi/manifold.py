@@ -6,14 +6,16 @@ enters the kernel only through that density:
 
     phi_g(x) = (1 / sqrt(det g(x))) * prod_i psi(x_i)
 
-so integrating phi_g against the volume element sqrt(det g) dx reduces
-to the flat integral of the product kernel (``kernel.kernel_mass``).
-Operators on a chart weight lattice samples by the local density at the
-sample sites and always renormalize the truncated weights to sum to one:
-the operator is the ratio of the lattice sums of f / sqrt(det g) and
-1 / sqrt(det g) on a tensor grid.  The second table is a broadcast of the
-density, constant along every axis it does not depend on (both for unit
-density, axis 0 on the half-plane), and ``kernel.lattice_sums`` takes
+Operators on a chart weight each lattice sample by 1 / sqrt(det g) at
+its site and renormalize the truncated weights to sum to one, with no
+box integral: at each point x of a tensor grid the operator is
+
+    sum_k f(k/n) Z(n x - k) / sqrt(det g(k/n))  /  sum_k Z(n x - k) / sqrt(det g(k/n)),
+
+the ratio of the lattice sums of f / sqrt(det g) and 1 / sqrt(det g).
+The second table is a broadcast of the density, constant along every
+axis it does not depend on (both for unit density, axis 0 on the
+half-plane), and ``kernel.lattice_sums`` takes
 each such axis as one partition sum per point, not a window sum per
 site.  One per-axis rule (``Chart.axis_coords``)
 decides whether evaluation points and lattice sites lie in the domain;

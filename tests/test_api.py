@@ -26,11 +26,22 @@ def test_star_import():
     assert set(tanhqi.__all__) <= set(namespace)
 
 
-def test_every_module_name_the_readme_cites_resolves():
+ROOT = pathlib.Path(__file__).parents[1]
+
+
+def unresolved_citations(text):
     # each backticked `<module>.<name>` of the eight modules, as in `kernel.MAX_POINT_WORK = 2^24`
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    cited = set(re.findall(rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)", readme))
+    # or a docstring's ``kernel.tail_mass``
+    cited = set(re.findall(rf"`({'|'.join(MODULES)})\.([A-Za-z_]\w*)", text))
     assert cited
-    missing = [f"{module}.{name}" for module, name in sorted(cited)
-               if not hasattr(importlib.import_module(f"tanhqi.{module}"), name)]
-    assert missing == []
+    return [f"{module}.{name}" for module, name in sorted(cited)
+            if not hasattr(importlib.import_module(f"tanhqi.{module}"), name)]
+
+
+def test_every_module_name_the_readme_cites_resolves():
+    assert unresolved_citations((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_every_module_name_a_docstring_cites_resolves():
+    sources = sorted((ROOT / "src" / "tanhqi").glob("*.py"))
+    assert unresolved_citations("".join(p.read_text(encoding="utf-8") for p in sources)) == []

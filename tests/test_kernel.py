@@ -20,7 +20,6 @@ from tanhqi import (
     axis_moments,
     chart_preset,
     function_preset,
-    kernel_mass,
     multi_indices,
     normalization_constant,
     operator_on_chart_batch,
@@ -28,7 +27,7 @@ from tanhqi import (
     tail_mass,
     truncation_radius,
 )
-from tanhqi import analysis
+from tanhqi import analysis, operators
 from tanhqi import kernel as kernel_module
 from tanhqi.kernel import (
     MAX_CENTRE,
@@ -70,6 +69,53 @@ def direct_tail_mass(k, w, points=200):
         d = u - np.arange(math.floor(u - far), math.ceil(u + far) + 1)
         most = max(most, math.fsum(psi_eval(k, d[np.abs(d) > w])))
     return most
+
+
+def closed_form_deficit(k, u):
+    """delta(u), the partition mass outside u's window lo..hi = ceil(u - W)..floor(u + W).
+
+    psi = (h(x + 1) - h(x - 1)) / C telescopes over the window, so 1 - its sum is the four tails
+    of h at its ends, (T+(a) + T+(a - 1) + T-(b + 1) + T-(b)) / C with a = u - lo + 1,
+    b = u - hi - 1, T+(z) = 1/(1 + q) - h(z) and T-(z) = h(z) + q/(1 - q)."""
+    q, alpha = k.params.q, k.params.alpha
+    w, c = k.radius, normalization_constant(k.params)
+
+    def t_plus(z):
+        return (1 + q * q) / ((1 + q) * ((1 + q) * math.exp(2 * alpha * z) + 1 - q))
+
+    def t_minus(z):
+        return (1 + q * q) / ((1 - q) * ((1 + q) + (1 - q) * math.exp(-2 * alpha * z)))
+
+    a, b = u - math.ceil(u - w) + 1, u - math.floor(u + w) - 1
+    return (t_plus(a) + t_plus(a - 1) + t_minus(b + 1) + t_minus(b)) / c
+
+
+def mp_outside_mass(q, alpha, u, lo, hi):
+    """The sum of psi(u - k) over the sites k < lo and k > hi, at 50 digits.
+
+    psi(x) = s / ((A + B E1)(B + A E2)), E1 = e^(-2 alpha (x + 1)), E2 = e^(2 alpha (x - 1)),
+    has positive terms only, and E1, E2 step by e^(-+2 alpha) from site to site.  Each side is
+    summed outward until a term falls under 1e-30 of its sum, which happens only past psi's
+    peak: psi is log-concave (-ln psi is a sum of log-sum-exps), so the ratio of the terms that
+    follow is at most the last one's, and the rest is under 1e-30 / (1 - e^(-2 alpha)) of it."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, a, u = mp.mpf(q), mp.mpf(alpha), mp.mpf(u)
+        big, small, step = 1 + q, 1 - q, mp.exp(2 * a)
+        s = (1 - q * q) * (1 - mp.exp(-4 * a)) / 2
+        total = mp.mpf(0)
+        # x = u - k for k = lo - 1, lo - 2, .. rises from u - lo + 1; for k = hi + 1, .. falls
+        for x, rise in ((u - lo + 1, True), (u - hi - 1, False)):
+            e1, e2 = mp.exp(-2 * a * (x + 1)), mp.exp(2 * a * (x - 1))
+            side = mp.mpf(0)
+            while True:
+                term = s / ((big + small * e1) * (small + big * e2))
+                side += term
+                if term < side * mp.mpf(10) ** -30:
+                    break
+                e1, e2 = (e1 / step, e2 * step) if rise else (e1 * step, e2 / step)
+            total += side
+        return float(total)
 
 
 def raw_h(q, alpha, x):
@@ -196,66 +242,35 @@ class TestPsi:
         assert psi_eval(k, 2.0) == pytest.approx(0.02116948219054735, rel=1e-12)
         assert psi_eval(k, -2.0) == pytest.approx(0.14069201948971086, rel=1e-12)
 
-    def test_unit_mass_by_quadrature(self):
-        k = kernel()
-        nodes, weights = np.polynomial.legendre.leggauss(400)
-        half = k.radius + 6.0
-        mass = half * np.sum(weights * psi_eval(k, half * nodes))
-        assert mass == pytest.approx(1.0, abs=1e-12)
-
     @pytest.mark.parametrize("q, alpha", [(0.5, 1.0), (0.9, 0.3), (0.1, 4.0), (0.05, 0.05),
                                           (0.95, 2.0)])
-    def test_unit_mass_closed_form(self, q, alpha):
-        # R(inf) - R(-inf) = 1; 40/alpha past W the tails hold less than e^-80
+    def test_unit_mass_by_quadrature(self, q, alpha):
+        """psi integrates to 1: an 800-node Gauss-Legendre rule over [-r, r], r = W + 40/alpha.
+
+        800 nodes, as the rule's error at (0.05, 0.05), the widest of these, fell from 5.2e-9
+        at 400 nodes to 3.8e-14 at 600, so at 800 it is far below one rounding (all five read
+        within 6.7e-16 of 1).  The rule is ``operators._gauss_rule``, held to a 30-digit
+        reference; numpy's leggauss reads 1.2e-13 off at 1600 nodes, from its weights alone.
+        Bound, in roundings u = 2^-53 as in ``eval_roundings``, for each term w psi(x):
+        - x = r (2t - 1) is within 6 r u of its exact node (t within 2u, the subtraction's and
+          the product's roundings), and |d ln psi / dx| <= 2 alpha, so 12 alpha r;
+        - psi_eval at |x| <= r, ``eval_roundings(k, r)``;
+        - the weight, 4 sqrt(g) / (4 t (1 - t)), as test_operators' mpmath test holds it;
+        - the product, fsum's one rounding of the whole and the scaling by 2r: 3.
+        All terms are positive, so the sum's relative error is at most the largest term's.
+        The tails past +-r hold under (1 + (1 + q)/(1 - q)) e^(-2 alpha (r - 1)) < e^-100:
+        each is a T+ or T- integral (``kernel.tail_mass``) over [r - 1, r + 1]."""
         k = kernel(q, alpha)
         r = k.radius + 40.0 / alpha
-        assert kernel_mass(k, [(-r, r)]) == pytest.approx(1.0, abs=1e-13)
-
-    @pytest.mark.parametrize("q, alpha, lo, hi", [(0.5, 1.0, -1.0, 1.0), (0.5, 1.0, 1.0, 2.0),
-                                                  (0.9, 0.5, -3.0, 2.0), (0.5, 1 / 16, 0.3, 0.7),
-                                                  (0.0, 4.0, -0.2, 0.1), (0.5, 1.0, 3.0, 9.0),
-                                                  (0.99, 1e-3, 0.3, 0.7), (0.5, 3.0, 5.0, 6.0),
-                                                  (0.9, 400.0, -0.2, -0.199999999),
-                                                  (0.5, 400.0, -1.0, 0.0), (0.5, 400.0, -1.5, 1.0)])
-    def test_mass_against_high_precision_reference(self, q, alpha, lo, hi):
-        # R(x) = (G(x + 1) - G(x - 1)) / (4 alpha), G(y) = log((1+q) e^(2 alpha y) + 1 - q),
-        # integrates psi from -inf, taken at 60 digits.  From q = 0.99 on, the boxes hold 4.0e-6
-        # deep in a wide kernel, 1.0e-12 in a right tail and 5.0e-10 on a short box, where a
-        # difference of two R values cancels; the last two reach e^(2 alpha) = e^800, past the
-        # float range, from either side of the centre
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(60):
-            a, b = mp.mpf(alpha), mp.mpf(q)
-
-            def rise(x):
-                g = [mp.log((1 + b) * mp.exp(2 * a * (x + d)) + 1 - b) for d in (1, -1)]
-                return (g[0] - g[1]) / (4 * a)
-
-            want = float(rise(mp.mpf(hi)) - rise(mp.mpf(lo)))
-        assert kernel_mass(kernel(q, alpha), [(lo, hi)]) == pytest.approx(want, rel=1e-14, abs=0.0)
-
-    def test_mass_over_infinite_bounds(self):
-        # R(-inf) = 0 and R(inf) = 1: the line holds the unit mass, and a half-line what a bound
-        # past the kernel's reach gives, R(0) = 0.70049579071350343782 at 60 digits
-        k = kernel()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernel_mass(k, [(-math.inf, math.inf)]) == 1.0
-            left = kernel_mass(k, [(-math.inf, 0.0)])
-            right = kernel_mass(k, [(0.0, math.inf)])
-        assert left == kernel_mass(k, [(-1e3, 0.0)])
-        assert left == pytest.approx(0.70049579071350343782, rel=1e-15)
-        assert right == pytest.approx(1.0 - 0.70049579071350343782, rel=1e-15)
-
-    def test_mass_of_the_limit_box(self):
-        # 4 alpha overflows: R is (clip(x, -1, 1) + 1) / 2, the box's, 1/2 on [-1, 1]
-        k = kernel(alpha=1e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernel_mass(k, [(-1.0, 1.0)]) == 1.0
-            assert kernel_mass(k, [(0.3, 0.7)]) == pytest.approx(0.2, rel=1e-15)
-            assert kernel_mass(k, [(-math.inf, math.inf), (-0.5, 2.0)]) == 0.75
-            assert kernel_mass(k, [(1.0, 5.0)]) == 0.0
+        g = 800
+        t, w = operators._gauss_rule(g)
+        terms = w * psi_eval(k, r * (2.0 * t - 1.0))
+        mass = 2.0 * r * math.fsum(terms)
+        m = 12 * alpha * r + eval_roundings(k, r) + 4 * math.sqrt(g) / (4 * t * (1 - t)) + 3
+        tails = (1.0 + (1.0 + q) / (1.0 - q)) * math.exp(-2.0 * alpha * (r - 1.0))
+        bound = 2.0 * r * math.fsum(terms * gamma(m)) + tails
+        assert bound <= 1e-12
+        assert abs(mass - 1.0) <= bound
 
     @pytest.mark.parametrize("x", [0.0, 0.37, -1.9, 4.4])
     def test_partition_of_unity(self, x):
@@ -404,6 +419,26 @@ class TestTruncation:
         rounding = gamma(eval_roundings(k, far + 1.0) + 1 + 2 * alpha * (w + 1) + 10)
         assert got <= want * (1.0 + rounding)
         assert got >= want * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize("alpha", [1 / 16, 1.0, 4.0])
+    @pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+    def test_tail_mass_and_deficit_against_direct_sums(self, q, alpha):
+        # tail_mass(w) is the larger of the masses outside the window as u -> 0+ (sites
+        # 1 - w..w) and u -> 1- (the same sites), and delta(u) the mass outside u's own window;
+        # both against 50-digit sums of psi over the sites outside.  tail_mass's roundings as in
+        # test_tail_mass_is_the_largest_direct_sum; delta's exponent 2 alpha z, z <= W + 2, takes
+        # z's two roundings and the product's, 6 alpha (W + 2) on exp's 2, and its quotients and
+        # sums 20 more.  Seen at most 2.2e-16 relative for tail_mass and 1.8e-15 for delta, whose
+        # centres off a site round z; dropping any one of either's four terms fails every case
+        k = kernel(q, alpha)
+        for w in (2.0, 8.0, k.radius):
+            want = max(mp_outside_mass(q, alpha, 0.0, 1.0 - w, w),
+                       mp_outside_mass(q, alpha, 1.0, 1.0 - w, w))
+            assert abs(tail_mass(k.params, w) - want) <= gamma(2 * alpha * (w + 1) + 10) * want
+        for u in (0.0, 0.3, 0.71):
+            want = mp_outside_mass(q, alpha, u, math.ceil(u - k.radius), math.floor(u + k.radius))
+            bound = gamma(6 * alpha * (k.radius + 2) + 20) * want
+            assert abs(closed_form_deficit(k, u) - want) <= bound
 
     @pytest.mark.parametrize("w", [1, 2, 3, 16, 2**40])
     def test_tail_mass_of_the_limit_box_is_zero(self, w):
@@ -712,25 +747,10 @@ class TestKernelProperties:
     @pytest.mark.parametrize("q, alpha, eps", [(0.5, 1.0, 1e-12), (0.3, 0.25, 1e-10),
                                                (0.9, 2.0, 1e-14), (0.0, 1.0, 1e-12)])
     def test_partition_deficit_is_the_closed_form_tail_mass(self, q, alpha, eps, n):
-        # psi = (h(x + 1) - h(x - 1)) / C telescopes over u's window lo..hi, so 1 - the sum is
-        # the four tails of h at its ends, delta(u) = (T+(a) + T+(a - 1) + T-(b + 1) + T-(b)) / C
-        # with a = u - lo + 1, b = u - hi - 1, T+(z) = 1/(1 + q) - h(z), T-(z) = h(z) + q/(1 - q)
         k = kernel(q, alpha, eps)
-        w, c = k.radius, normalization_constant(k.params)
-
-        def t_plus(z):
-            return (1 + q * q) / ((1 + q) * ((1 + q) * math.exp(2 * alpha * z) + 1 - q))
-
-        def t_minus(z):
-            return (1 + q * q) / ((1 - q) * ((1 + q) + (1 - q) * math.exp(-2 * alpha * z)))
-
-        def delta(u):
-            a, b = u - math.ceil(u - w) + 1, u - math.floor(u + w) - 1
-            return (t_plus(a) + t_plus(a - 1) + t_minus(b + 1) + t_minus(b)) / c
-
         x = np.linspace(0.0, 1.0, 201)
         deficit = 1.0 - axis_moments(k, x, n, 0)[:, 0]
-        want = np.array([delta(u) for u in (n * x).tolist()])
+        want = np.array([closed_form_deficit(k, u) for u in (n * x).tolist()])
         # each of the row's width weights within gamma(weight_roundings) of psi at the exact
         # offset, their sum (<= 1) within gamma(width) more, 1 - sum exact (Sterbenz); delta's
         # four quotients, exps and sums within gamma(20) of their exact value
